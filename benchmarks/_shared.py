@@ -53,7 +53,7 @@ def prewarm(
     — hits the replay fast path instead of re-simulating.  ``filters``
     may be empty to prewarm the trace and simulation metrics only.  By
     the determinism contract the stored evaluation payloads are
-    byte-identical to buffered and streamed runs', so warm stores from
+    byte-identical to streamed runs', so warm stores from
     any mode satisfy the others.  Returns the execution report (how much
     was fresh work vs already stored).
     """

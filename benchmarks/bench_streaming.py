@@ -1,17 +1,15 @@
 """Streaming engine: peak memory stays flat while trace length grows 100x.
 
-Buffered simulation accumulates every node's JETTY event stream before
-any filter sees it, so its peak allocation grows linearly with the trace.
-The streaming engine (``repro.analysis.runner.compute_stream``) consumes
-bounded shards instead; this bench pushes the same workload through both
-modes at geometrically growing access counts and renders the measured
-``tracemalloc`` peaks side by side.
+The streaming engine (``repro.analysis.runner.compute_stream``) hands
+every node's JETTY events to the filters in bounded shards and never
+accumulates them; this bench pushes one workload through it at
+geometrically growing access counts and renders the measured
+``tracemalloc`` peaks.
 
-Expected shape (asserted): the buffered peak grows roughly linearly with
-accesses, while the streamed peak is flat — within 2x across a 100x
-growth in trace length.  ``REPRO_BENCH_STREAM_MAX`` overrides the
-largest streamed size (default 2M accesses, ~1 minute of pure-Python
-simulation under tracemalloc).
+Expected shape (asserted): the streamed peak is flat — within 2x across
+a 100x growth in trace length.  ``REPRO_BENCH_STREAM_MAX`` overrides the
+largest size (default 2M accesses, ~1 minute of pure-Python simulation
+under tracemalloc).
 """
 
 from __future__ import annotations
@@ -66,40 +64,18 @@ def _streamed_peak(n_accesses: int) -> int:
     return peak
 
 
-def _buffered_peak(n_accesses: int) -> int:
-    tracemalloc.start()
-    sim = runner.compute_sim(_spec(n_accesses), SCALED_SYSTEM, 1)
-    for name in FILTERS:
-        runner.compute_eval(sim, name, SCALED_SYSTEM)
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
-
-
 def bench_streaming_memory(benchmark):
     largest = _max_accesses()
     sizes = [largest // 100, largest // 10, largest]
-    #: Buffered runs stop one decade early: the point of the exhibit is
-    #: that the buffered curve is already climbing when the streamed one
-    #: has flattened, not to materialise a multi-million-event list.
-    buffered_sizes = sizes[:-1]
 
     def measure():
-        streamed = {n: _streamed_peak(n) for n in sizes}
-        buffered = {n: _buffered_peak(n) for n in buffered_sizes}
-        return streamed, buffered
+        return {n: _streamed_peak(n) for n in sizes}
 
-    streamed, buffered = once(benchmark, measure)
+    streamed = once(benchmark, measure)
 
-    rows = []
-    for n in sizes:
-        rows.append([
-            f"{n:,}",
-            f"{streamed[n] / 1e6:.2f} MB",
-            f"{buffered[n] / 1e6:.2f} MB" if n in buffered else "(skipped)",
-        ])
+    rows = [[f"{n:,}", f"{streamed[n] / 1e6:.2f} MB"] for n in sizes]
     text = render_table(
-        ["accesses", "streamed peak", "buffered peak"],
+        ["accesses", "streamed peak"],
         rows,
         title=f"tracemalloc peaks, chunk={CHUNK_SIZE}, filters={FILTERS}",
     )
@@ -108,6 +84,3 @@ def bench_streaming_memory(benchmark):
 
     # Flat streamed curve over a 100x span.
     assert streamed[sizes[-1]] < 2 * streamed[sizes[0]], streamed
-    # Buffered peaks grow with the trace; streamed does not follow them.
-    assert buffered[sizes[1]] > 1.5 * buffered[sizes[0]], buffered
-    assert buffered[sizes[1]] > streamed[sizes[1]], (buffered, streamed)

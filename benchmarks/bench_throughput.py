@@ -11,9 +11,6 @@ Protocol (identical across code versions, so numbers are comparable):
 * **streamed** — one single-pass simulation per workload with the four
   :data:`~repro.analysis.runner.DEFAULT_SWEEP_FILTERS` banks attached
   live (the paper-scale configuration; the headline number);
-* **buffered** — the two-phase pipeline (record everything, then replay
-  all four filters) at a reduced access count, since buffered memory is
-  O(trace);
 * **replay** — the record-once / replay-many trace store: a *cold
   record* (one streaming simulation persisting its packed event shards)
   followed by a *warm replay* of all four filter configurations from
@@ -75,11 +72,10 @@ BENCH_WORKLOADS = ("lu", "em3d", "radix")
 
 FILTERS = runner.DEFAULT_SWEEP_FILTERS
 
-#: (streamed accesses, streamed warm-up, buffered accesses, buffered
-#: warm-up).  Full mode pins the ISSUE acceptance configuration: a
+#: (accesses, warm-up).  Full mode pins the acceptance configuration: a
 #: 2M-access streamed run with all four filter banks attached.
-FULL_SIZES = (2_000_000, 100_000, 200_000, 20_000)
-QUICK_SIZES = (120_000, 10_000, 60_000, 6_000)
+FULL_SIZES = (2_000_000, 100_000)
+QUICK_SIZES = (120_000, 10_000)
 
 
 def _sized(name: str, n_accesses: int, warmup: int):
@@ -91,23 +87,6 @@ def measure_streamed(name: str, n_accesses: int, warmup: int) -> dict:
     spec = _sized(name, n_accesses, warmup)
     started = time.perf_counter()
     runner.compute_stream(spec, SCALED_SYSTEM, 1, FILTERS)
-    elapsed = time.perf_counter() - started
-    return {
-        "workload": name,
-        "accesses": n_accesses,
-        "warmup": warmup,
-        "filters": len(FILTERS),
-        "seconds": round(elapsed, 3),
-        "accesses_per_sec": round(n_accesses / elapsed),
-    }
-
-
-def measure_buffered(name: str, n_accesses: int, warmup: int) -> dict:
-    spec = _sized(name, n_accesses, warmup)
-    started = time.perf_counter()
-    sim = runner.compute_sim(spec, SCALED_SYSTEM, 1)
-    for filter_name in FILTERS:
-        runner.compute_eval(sim, filter_name, SCALED_SYSTEM)
     elapsed = time.perf_counter() - started
     return {
         "workload": name,
@@ -469,8 +448,8 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
                   supervision_only: bool = False,
                   trace_economics: bool = False,
                   trace_economics_only: bool = False) -> dict:
-    s_acc, s_warm, b_acc, b_warm = QUICK_SIZES if quick else FULL_SIZES
-    results: dict = {"streamed": {}, "buffered": {}, "replay": {}}
+    s_acc, s_warm = QUICK_SIZES if quick else FULL_SIZES
+    results: dict = {"streamed": {}, "replay": {}}
     if trace_economics:
         results["trace_economics"] = {}
         # A warm-up of a quarter of the run: the measured-region mode
@@ -524,12 +503,6 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
               f"{len(FILTERS)} filter banks ...", flush=True)
         entry = measure_streamed(name, s_acc, s_warm)
         results["streamed"][name] = entry
-        print(f"  {entry['accesses_per_sec']:,} accesses/s "
-              f"({entry['seconds']}s)")
-    for name in BENCH_WORKLOADS:
-        print(f"buffered {name}: {b_acc:,} accesses ...", flush=True)
-        entry = measure_buffered(name, b_acc, b_warm)
-        results["buffered"][name] = entry
         print(f"  {entry['accesses_per_sec']:,} accesses/s "
               f"({entry['seconds']}s)")
     for name in BENCH_WORKLOADS:
@@ -606,7 +579,7 @@ def _replay_speedups(results: dict) -> dict:
 
 def _speedups(results: dict, baseline: dict) -> dict:
     out: dict = {}
-    for mode in ("streamed", "buffered"):
+    for mode in ("streamed",):
         for name, entry in results.get(mode, {}).items():
             base = baseline.get("results", {}).get(mode, {}).get(name)
             if base and base.get("accesses_per_sec"):
@@ -648,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
                         "(e.g. 0.03 for the 3%% budget)")
     parser.add_argument("--phase-overhead-only", action="store_true",
                         help="measure only the phase-accounting overhead, "
-                        "skipping the streamed/buffered/replay modes "
+                        "skipping the streamed/replay modes "
                         "(requires --assert-phase-overhead)")
     parser.add_argument("--assert-supervision-overhead", type=float,
                         default=None, metavar="FRAC",
@@ -658,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
                         "for the 2%% budget)")
     parser.add_argument("--supervision-overhead-only", action="store_true",
                         help="measure only the supervision overhead, "
-                        "skipping the streamed/buffered/replay modes "
+                        "skipping the streamed/replay modes "
                         "(requires --assert-supervision-overhead)")
     parser.add_argument("--assert-trace-bytes-per-access", type=float,
                         default=None, metavar="RATIO",
@@ -670,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
                         "(e.g. 0.75 for the CI budget)")
     parser.add_argument("--trace-economics-only", action="store_true",
                         help="measure only the trace-economics A/B, "
-                        "skipping the streamed/buffered/replay modes "
+                        "skipping the streamed/replay modes "
                         "(requires --assert-trace-bytes-per-access)")
     args = parser.parse_args(argv)
     if args.trace_economics_only and (

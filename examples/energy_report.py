@@ -10,7 +10,7 @@ the resulting reductions, for both serial and parallel L2 organisations.
 
 import sys
 
-from repro import evaluate_filter, run_workload
+from repro import evaluate_filter, workload_metrics
 from repro.energy import EnergyAccountant
 from repro.traces.workloads import WORKLOADS
 from repro.utils.text import render_table
@@ -19,9 +19,9 @@ FILTER = "HJ(IJ-9x4x7, EJ-32x4)"  # the paper's headline config (29%)
 
 
 def report(workload: str, accountant: EnergyAccountant) -> list[str]:
-    result = run_workload(workload)
-    aggregate = result.aggregate
+    # Evaluating first records the trace, which stores the metrics too.
     evaluation = evaluate_filter(workload, FILTER)
+    aggregate = workload_metrics(workload).aggregate
 
     row = [workload]
     for parallel in (False, True):

@@ -11,7 +11,7 @@ erases the wasted probes.
     python examples/producer_consumer.py
 """
 
-from repro import SCALED_SYSTEM, SMPSystem, build_filter, replay_events
+from repro import SCALED_SYSTEM, EventReplayer, SMPSystem, build_filter
 from repro.coherence.states import MOESI
 from repro.traces.synth import ProducerConsumer, WorkloadMix
 
@@ -70,13 +70,17 @@ def measure_filtering() -> None:
           "(1-hit dominates: only the partner holds a copy)")
 
     for cpu in (1, 2):
-        stream = result.event_streams[cpu]
+        # The run never detached its events into shards, so each node
+        # still holds its whole stream.
+        stream = system.nodes[cpu].events
         ej = build_filter(
             "EJ-32x4",
             counter_bits=SCALED_SYSTEM.ij_counter_bits,
             addr_bits=SCALED_SYSTEM.block_address_bits,
         )
-        evaluation = replay_events(ej, stream)
+        replayer = EventReplayer(ej, cpu)
+        replayer.feed(stream.events)
+        evaluation = replayer.finish()
         role = "consumer (partner)" if cpu == 1 else "bystander"
         print(
             f"  CPU{cpu} {role:18s}: {evaluation.coverage.snoops:6,} snoops, "

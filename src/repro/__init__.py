@@ -11,13 +11,12 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import (
-        SCALED_SYSTEM, build_filter, coverage_for, run_workload,
-    )
+    from repro import coverage_for, workload_metrics
 
-    result = run_workload("raytrace")
-    print(result.snoop_miss_fraction_of_snoops)       # ~1.0
+    # Evaluating first records the trace (and its metrics) once.
     print(coverage_for("raytrace", "HJ(IJ-10x4x7, EJ-32x4)"))
+    result = workload_metrics("raytrace")
+    print(result.snoop_miss_fraction_of_snoops)       # ~1.0
 
 See README.md, DESIGN.md and the ``examples/`` directory.
 """
@@ -26,11 +25,11 @@ from repro.analysis.experiments import (
     coverage_for,
     energy_reduction_for,
     evaluate_filter,
-    run_workload,
     summarize_nway,
+    workload_metrics,
 )
 from repro.coherence.config import PAPER_SYSTEM, SCALED_SYSTEM, SystemConfig
-from repro.coherence.smp import SMPSystem, simulate
+from repro.coherence.smp import SMPSystem, simulate_streaming
 from repro.core.config import (
     PAPER_EJ_NAMES,
     PAPER_HJ_NAMES,
@@ -43,7 +42,7 @@ from repro.core.exclude import ExcludeJetty
 from repro.core.hybrid import HybridJetty
 from repro.core.include import IncludeJetty
 from repro.core.null import NullFilter, OracleFilter
-from repro.core.stats import replay_events
+from repro.core.stats import EventReplayer
 from repro.core.vector_exclude import VectorExcludeJetty
 from repro.energy.accounting import EnergyAccountant
 from repro.traces.workloads import WORKLOADS, build_workload_stream, get_workload
@@ -52,6 +51,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "EnergyAccountant",
+    "EventReplayer",
     "ExcludeJetty",
     "HybridJetty",
     "IncludeJetty",
@@ -75,8 +75,7 @@ __all__ = [
     "evaluate_filter",
     "get_workload",
     "parse_filter_name",
-    "replay_events",
-    "run_workload",
-    "simulate",
+    "simulate_streaming",
     "summarize_nway",
+    "workload_metrics",
 ]

@@ -13,11 +13,14 @@ per-experiment index in DESIGN.md):
 * Figure 6 — :func:`repro.analysis.figures.build_figure6`
 * §4.3.4 8-way summary — :func:`repro.analysis.experiments.summarize_nway`
 
-Simulation results live in a persistent :class:`ExperimentStore` keyed by
-a complete configuration fingerprint (workload spec, system geometry,
-seed), so benches, examples, and repeated CLI invocations share runs; the
-:mod:`repro.analysis.runner` engine fans batched job lists out over
-worker processes with bitwise-deterministic results.
+Results live in a persistent :class:`ExperimentStore` keyed by a complete
+configuration fingerprint (workload spec, system geometry, seed), so
+benches, examples, and repeated CLI invocations share runs.  The front
+door is :func:`workload_metrics` (simulation statistics) plus
+:func:`evaluate_filter` / :func:`evaluate` (filter evaluations, recorded
+once and replayed thereafter); the :mod:`repro.analysis.runner` engine
+fans batched sweeps out over supervised workers with
+bitwise-deterministic results.
 """
 
 from repro.analysis.analytical import (
@@ -29,21 +32,15 @@ from repro.analysis.experiments import (
     coverage_for,
     energy_reduction_for,
     evaluate_filter,
-    evaluate_filters_replay,
-    evaluate_filters_streaming,
     get_store,
-    run_workload,
     set_store,
     summarize_nway,
+    workload_metrics,
 )
 from repro.analysis.runner import (
-    EvalJob,
     ReplayJob,
-    SimJob,
     StreamJob,
-    evaluate_replay,
-    evaluate_streaming,
-    execute,
+    evaluate,
     execute_replays,
     execute_streams,
     record_trace,
@@ -68,10 +65,8 @@ from repro.analysis.tables import (
 
 __all__ = [
     "AnalyticalEnergyModel",
-    "EvalJob",
     "ExperimentStore",
     "ReplayJob",
-    "SimJob",
     "SnoopEnergyInputs",
     "build_figure2",
     "build_figure4a",
@@ -86,12 +81,8 @@ __all__ = [
     "StreamJob",
     "coverage_for",
     "energy_reduction_for",
+    "evaluate",
     "evaluate_filter",
-    "evaluate_filters_replay",
-    "evaluate_filters_streaming",
-    "evaluate_replay",
-    "evaluate_streaming",
-    "execute",
     "execute_replays",
     "execute_streams",
     "get_store",
@@ -99,8 +90,8 @@ __all__ = [
     "render_figure",
     "render_table_rows",
     "run_sweep",
-    "run_workload",
     "set_store",
     "snoop_miss_energy_fraction",
     "summarize_nway",
+    "workload_metrics",
 ]

@@ -1,15 +1,16 @@
-"""Experiment orchestration: store-backed simulations and evaluations.
+"""Experiment orchestration: store-backed metrics and evaluations.
 
 The coherence simulation of one workload is the expensive step; every
-filter configuration replays its recorded event streams.  Both levels of
-result are kept in an :class:`~repro.analysis.store.ExperimentStore`
-keyed by a complete configuration fingerprint (workload spec, full system
-geometry, seed).  By default the store is in-memory — the behaviour the
-bench suite always had — but pointing it at a file (``set_store(path)``
-or the ``REPRO_STORE`` environment variable) makes every result durable
-across invocations.  Batched/parallel execution lives in
-:mod:`repro.analysis.runner`; the functions here are the convenient
-one-at-a-time front door that shares the same store.
+filter configuration replays its recorded trace.  Simulation metrics,
+traces, and evaluations are kept in an
+:class:`~repro.analysis.store.ExperimentStore` keyed by a complete
+configuration fingerprint (workload spec, full system geometry, seed).
+By default the store is in-memory, but pointing it at a file
+(``set_store(path)`` or the ``REPRO_STORE`` environment variable) makes
+every result durable across invocations.  Batched/parallel execution
+lives in :mod:`repro.analysis.runner`; the front door here is one
+metrics call (:func:`workload_metrics`) and one evaluation call
+(:func:`evaluate_filter`), sharing the same store.
 """
 
 from __future__ import annotations
@@ -54,36 +55,20 @@ def set_store(target: ExperimentStore | str | Path | None) -> ExperimentStore:
     return _STORE
 
 
-def run_workload(
-    name: str,
-    system: SystemConfig = SCALED_SYSTEM,
-    seed: int = 1,
-) -> SimResult:
-    """Simulate one named workload (store-backed; warm hits are free)."""
-    spec = get_workload(name)
-    store = get_store()
-    key = store_mod.sim_key(spec, system, seed)
-    result = store.get_sim(key)
-    if result is None:
-        result = runner.compute_sim(spec, system, seed)
-        store.put_sim(key, result, seed=seed)
-    return result
-
-
 def workload_metrics(
     name: str,
     system: SystemConfig = SCALED_SYSTEM,
     seed: int = 1,
 ) -> SimResult:
-    """Simulation statistics for one workload, without event streams.
+    """Simulation statistics for one workload (store-backed).
 
-    The metrics-only front door for exhibits that read counters (tables,
-    stability, energy) but never replay events: it is satisfied by a
-    streamed run's ``sim-metrics`` payload, falls back to a stored
-    buffered recording, and only simulates — in O(chunk) streaming mode —
-    when neither exists.  The numbers are identical to
-    :func:`run_workload`'s by the determinism contract; only the memory
-    profile differs.
+    The one metrics call for exhibits that read counters (tables,
+    stability, energy): it is satisfied by a stored ``sim-metrics`` row
+    (written by every recording and streamed run), falls back to a
+    recorded trace's manifest, and only simulates, in O(chunk) streaming
+    mode, when neither exists.  Call :func:`evaluate_filter` first when
+    both are needed: its recording stores the metrics too, so the
+    workload simulates once.
     """
     spec = get_workload(name)
     store = get_store()
@@ -91,9 +76,6 @@ def workload_metrics(
     metrics = store.get_sim_metrics(mkey)
     if metrics is not None:
         return metrics
-    full = store.get_sim(store_mod.sim_key(spec, system, seed))
-    if full is not None:
-        return full
     # A recorded trace embeds the run's metrics in its manifest; restore
     # the sim-metrics row from it (byte-identical) instead of simulating.
     manifest_blob = store.get_blob(store_mod.trace_key(spec, system, seed))
@@ -113,80 +95,26 @@ def evaluate_filter(
     system: SystemConfig = SCALED_SYSTEM,
     seed: int = 1,
 ) -> FilterEvaluation:
-    """Replay one filter over one workload's event streams (store-backed).
+    """One filter's evaluation on one workload (store-backed).
 
     Each node gets its own freshly built filter; the returned evaluation
-    is the system-wide merge, as the paper reports.
+    is the system-wide merge, as the paper reports.  A stored evaluation
+    is returned as is; otherwise the workload's trace is recorded if it
+    is missing (one simulation, which also stores the metrics) and the
+    filter replays it.  Evaluating N filters at once, or streaming them
+    without persisting a trace, is :func:`repro.analysis.runner.evaluate`.
     """
     spec = get_workload(workload)
     store = get_store()
-    key = store_mod.eval_key(spec, filter_name, system, seed)
-    evaluation = store.get_eval(key)
+    evaluation = store.get_eval(
+        store_mod.eval_key(spec, filter_name, system, seed)
+    )
     if evaluation is None:
-        # Fast path: a persisted trace of this configuration (recorded by
-        # a replay sweep or a bench prewarm) makes any new filter a cheap
-        # segment replay — no caches, bus, or nodes, and certainly no
-        # re-simulation.
-        evaluation = runner.replay_filter_from_store(
-            spec, filter_name, system, seed, experiment_store=store,
+        outcome = runner.evaluate(
+            spec, system, (filter_name,), seed, experiment_store=store
         )
-    if evaluation is None:
-        result = run_workload(workload, system, seed)
-        evaluation = runner.compute_eval(result, filter_name, system)
-        store.put_eval(
-            key, evaluation,
-            workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-        )
+        evaluation = outcome.evaluations[filter_name]
     return evaluation
-
-
-def evaluate_filters_streaming(
-    workload: str,
-    filters: tuple[str, ...] = runner.DEFAULT_SWEEP_FILTERS,
-    system: SystemConfig = SCALED_SYSTEM,
-    seed: int = 1,
-    chunk_size: int | None = None,
-) -> "runner.StreamOutcome":
-    """Evaluate N filters in one single-pass streaming simulation.
-
-    The store-backed front door to paper-scale runs: memory stays
-    O(chunk_size) however long the trace, and the resulting evaluations
-    are byte-identical to (and share store entries with)
-    :func:`evaluate_filter`'s buffered replays.
-    """
-    spec = get_workload(workload)
-    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-    return runner.evaluate_streaming(
-        spec, system, tuple(filters), seed,
-        experiment_store=get_store(), **kwargs,
-    )
-
-
-def evaluate_filters_replay(
-    workload: str,
-    filters: tuple[str, ...] = runner.DEFAULT_SWEEP_FILTERS,
-    system: SystemConfig = SCALED_SYSTEM,
-    seed: int = 1,
-    chunk_size: int | None = None,
-    workers: int = 1,
-    backend: str | None = None,
-) -> "runner.StreamOutcome":
-    """Evaluate N filters via the record-once / replay-many trace store.
-
-    The first call records the workload's trace (one O(chunk) streaming
-    simulation whose packed event shards persist in the store); this and
-    every later call replay the stored segments — so sweeping new filter
-    configurations costs replays only, parallelisable per configuration
-    with ``workers``/``backend``.  Results are byte-identical to (and
-    share store entries with) the buffered and streaming modes.
-    """
-    spec = get_workload(workload)
-    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-    return runner.evaluate_replay(
-        spec, system, tuple(filters), seed,
-        workers=workers, backend=backend,
-        experiment_store=get_store(), **kwargs,
-    )
 
 
 def coverage_for(
@@ -255,5 +183,5 @@ def summarize_nway(
 
 
 def clear_caches() -> None:
-    """Drop every stored simulation and evaluation (tests use this)."""
+    """Drop every stored result (tests use this)."""
     get_store().clear()

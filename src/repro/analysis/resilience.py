@@ -308,7 +308,7 @@ class SupervisedExecutor:
         callable with signature ``invoke(worker, task, fault)``.
     stage
         Label used in logs and as the jitter seed namespace, so the
-        same task index backs off differently in the sim and eval
+        same task index backs off differently in the record and replay
         stages.
     """
 
@@ -349,7 +349,7 @@ class SupervisedExecutor:
         task_list = list(tasks)
         if not task_list:
             return []
-        if self._inline_eligible(len(task_list)):
+        if self.runs_inline(len(task_list)):
             return [
                 self._run_inline(worker, task, index)
                 for index, task in enumerate(task_list)
@@ -358,7 +358,8 @@ class SupervisedExecutor:
 
     # -- inline (serial) path -----------------------------------------
 
-    def _inline_eligible(self, count: int) -> bool:
+    def runs_inline(self, count: int) -> bool:
+        """Whether ``count`` tasks would run in this process, without a pool."""
         if self.backend == "serial":
             return True
         if self.timeout is not None and self.backend == "process":

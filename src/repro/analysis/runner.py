@@ -1,76 +1,64 @@
-"""Parallel experiment engine: fan simulation jobs out over processes.
+"""Experiment engine: record once and replay many, or stream.
 
-The engine takes batched job lists — :class:`SimJob` (simulate one
-workload on one system with one seed), :class:`EvalJob` (replay one
-filter over that simulation's recorded event streams), :class:`StreamJob`
-(one single-pass streaming simulation with any number of filters
-attached live), and :class:`ReplayJob` (record one simulation's packed
-event shards into the store once, then evaluate any number of filters by
-replaying the persisted trace) — deduplicates them against an
-:class:`~repro.analysis.store.ExperimentStore`, and runs the misses
-either inline or on a pluggable executor backend (``serial``,
-``process`` — a supervised process pool, the default — or ``thread``).
+A JETTY filter sits beside the snoop path and never alters coherence
+behaviour, so sweeping F filter configurations over one ``(workload,
+system, seed)`` re-observes the *same* snoop stream F times.  The engine
+has two execution modes built on that fact, and both land their results
+in an :class:`~repro.analysis.store.ExperimentStore` under the keys they
+share:
+
+* **record → replay** (the default; :class:`ReplayJob`,
+  :func:`execute_replays`).  The first run records the stream as a
+  persisted trace (kind ``sim-events``: fixed-size compressed segments of
+  packed events, written incrementally with O(segment) memory), and
+  every filter configuration, including ones invented weeks later,
+  replays the trace without instantiating caches, bus, or nodes.
+  Recordings run as the supervised ``record`` stage and replays as the
+  ``replay`` stage; replay workers open the store read-only and decode
+  segments independently, so a warm sweep costs O(filters x replay)
+  instead of O(filters x simulation).
+* **stream** (``--stream``; :class:`StreamJob`, :func:`execute_streams`).
+  One single pass with every requested filter attached live: the
+  simulation emits bounded event *shards* (see the shard/marker protocol
+  in :mod:`repro.coherence.smp`), every filter consumes each shard as it
+  appears, and only metrics and evaluations are stored.  Memory is
+  O(chunk) and nothing but results is persisted.
+
+Misses run inline or on a pluggable executor backend (``serial``,
+``process`` (a supervised process pool, the default) or ``thread``).
 Fan-out is *supervised* (see :mod:`repro.analysis.resilience`): worker
-crashes respawn the pool and requeue in-flight tasks, per-task
-deadlines kill stuck workers, failed attempts retry with deterministic
-backoff, and a task that exhausts its budget is quarantined — the
-sweep completes with partial results and the
-:class:`ExecutionReport` says exactly what happened.
-
-**Record once, replay many.**  A filter never alters coherence
-behaviour, so sweeping F filter configurations over one
-``(workload, system, seed)`` re-observes the *same* event stream F
-times.  :func:`execute_replays` exploits that: the first run records
-the stream as a persisted trace (kind ``sim-events`` — fixed-size
-compressed segments of packed events, written incrementally with
-O(segment) memory), and every filter configuration — including ones
-invented weeks later — replays the trace without instantiating caches,
-bus, or nodes.  Replay tasks fan out across workers that each open the
-store read-only and decode segments independently, so a warm filter
-sweep costs O(filters x replay) instead of O(filters x simulation), and
-parallelises per filter configuration.  Replayed evaluations are
-byte-identical to live ones and share the one ``eval`` keyspace.
-
-**Buffered vs streaming.**  A buffered experiment is two phases: the
-simulation records every node's full event stream into the store, then
-each filter replays that recording.  Memory is O(trace), which caps runs
-at toy sizes.  A :class:`StreamJob` instead fuses both phases into one
-pass: the simulation emits bounded event *shards* (see the shard/marker
-protocol in :mod:`repro.coherence.smp`), every requested filter consumes
-each shard as it appears, and only metrics are stored — N filters are
-evaluated in one simulation with O(chunk) memory, never O(trace).  This
-is the only mode that reaches paper-scale traces (Table 2's tens of
-millions of accesses).
+crashes respawn the pool and requeue in-flight tasks, per-task deadlines
+kill stuck workers, failed attempts retry with deterministic backoff,
+and a task that exhausts its budget is quarantined: the sweep completes
+with partial results and the :class:`ExecutionReport` says exactly what
+happened.
 
 **Determinism contract.**  A job is a pure function of its inputs.
 Every worker derives its random stream from the job's explicit seed (see
 :func:`repro.traces.workloads.build_workload_stream`), so a parallel run
 produces *bitwise identical* store payloads to a serial run of the same
-jobs — the determinism tests diff the two stores byte for byte.  The
-contract extends across modes: for the same ``(spec, system, seed)``, a
-streamed evaluation's payload is byte-identical to the buffered replay's,
-regardless of chunk size or worker count, which is why both modes share
-one ``eval`` keyspace in the store.
+jobs; the determinism tests diff the two stores byte for byte.  The
+contract extends across modes: for the same ``(spec, system, seed)`` a
+streamed evaluation's payload is byte-identical to a replayed one's,
+whatever the chunk size, kernel, codec, or worker count, which is why
+both modes share one ``eval`` keyspace.
 
-**Checkpointing.**  Streamed runs (live-filter or recording) accept a
+**Checkpointing.**  Streamed runs and recordings accept a
 ``checkpoint_every`` cadence: every N stream accesses the run snapshots
-its *complete* logical state — caches, write buffers, bus, filter
-banks, trace-sink watermarks, generator — into the store (kind
-``checkpoint``), and a warm start resumes from the newest usable
-snapshot instead of access 0.  Snapshots ride the uniform
-``snapshot()``/``restore()`` protocol every stateful layer implements;
-restore rebuilds each layer's derived fast-path state, and the
-determinism contract extends to interruption: a killed-and-resumed run
-produces byte-identical metrics, evaluations, and recorded trace
-segments.  Completed runs retire their checkpoint chains; ``repro
-checkpoint list|info|rm`` inspects or drops leftovers.
+its *complete* logical state (caches, write buffers, bus, filter banks,
+trace-sink watermarks, generator) into the store (kind ``checkpoint``),
+and a warm start resumes from the newest usable snapshot instead of
+access 0.  Snapshots ride the uniform ``snapshot()``/``restore()``
+protocol every stateful layer implements; restore rebuilds each layer's
+derived fast-path state, and the determinism contract extends to
+interruption: a killed-and-resumed run produces byte-identical metrics,
+evaluations, and recorded trace segments.  Completed runs retire their
+checkpoint chains; ``repro checkpoint list|info|rm`` inspects or drops
+leftovers.
 
-Buffered execution is two-phase: first every missing simulation runs
-(these are the expensive, minutes-scale jobs), then every missing filter
-replay runs with its simulation's compressed payload shipped to the
-worker.  Stream jobs are single-phase by construction.  Jobs are sorted
-by store key before submission so insertion order — and therefore the
-store file — is independent of the caller's iteration order.
+Jobs are sorted by store key before submission, so insertion order (and
+therefore the store file) is independent of the caller's iteration
+order.
 """
 
 from __future__ import annotations
@@ -82,6 +70,7 @@ import time
 import urllib.parse
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.analysis import store as store_mod
 from repro.analysis.resilience import (
@@ -99,7 +88,6 @@ from repro.coherence.smp import (
     SMPSystem,
     TRACE_SEGMENT_EVENTS,
     TraceSink,
-    simulate,
     simulate_streaming,
 )
 from repro.core.config import build_filter
@@ -112,7 +100,6 @@ from repro.core.stats import (
 )
 from repro.errors import (
     ConfigurationError,
-    ExecutionError,
     ReproError,
     StoreCorruptionError,
 )
@@ -135,29 +122,6 @@ DEFAULT_SWEEP_FILTERS = (
     "IJ-10x4x7",
     "HJ(IJ-10x4x7, EJ-32x4)",
 )
-
-
-@dataclass(frozen=True)
-class SimJob:
-    """Simulate one workload; the expensive half of every experiment."""
-
-    workload: str
-    system: SystemConfig = SCALED_SYSTEM
-    seed: int = 1
-
-
-@dataclass(frozen=True)
-class EvalJob:
-    """Replay one filter over one simulation's recorded event streams."""
-
-    workload: str
-    filter_name: str
-    system: SystemConfig = SCALED_SYSTEM
-    seed: int = 1
-
-    @property
-    def sim_job(self) -> SimJob:
-        return SimJob(self.workload, self.system, self.seed)
 
 
 @dataclass(frozen=True)
@@ -231,33 +195,6 @@ def _phase_plan(spec: WorkloadSpec) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return spec.phase_marks(), spec.phase_names()
 
 
-def compute_sim(spec: WorkloadSpec, system: SystemConfig, seed: int) -> SimResult:
-    """Simulate one workload from scratch — deterministic in its inputs."""
-    stream, warmup = simulate_workload_accesses(
-        spec, n_cpus=system.n_cpus, seed=seed
-    )
-    marks, _names = _phase_plan(spec)
-    return simulate(system, stream, spec.name, warmup=warmup, phase_marks=marks)
-
-
-def compute_eval(
-    sim: SimResult,
-    filter_name: str,
-    system: SystemConfig,
-    phase_names: tuple[str, ...] = (),
-) -> FilterEvaluation:
-    """Replay one filter config over every node's stream and merge.
-
-    Buffered replay is the degenerate streaming case: the recorded
-    streams are one big shard, consumed by the same bank the live path
-    uses — a single construction site keeps the two modes' byte-identity
-    contract safe by design.
-    """
-    bank = _build_bank(filter_name, system, phase_names=phase_names)
-    bank.consume(sim.event_streams)
-    return bank.finish()
-
-
 def _build_filters(filter_name: str, system: SystemConfig) -> list:
     """One freshly built filter per node for one configuration."""
     return [
@@ -320,9 +257,8 @@ def compute_stream(
     """Run one streaming simulation with all ``filter_names`` attached.
 
     Returns the metrics-only result plus one merged evaluation per
-    filter.  Every number is identical to what the buffered
-    :func:`compute_sim` + :func:`compute_eval` pair produces — only the
-    memory profile differs (O(chunk_size) instead of O(trace)).
+    filter.  Every number is identical to what recording the run and
+    replaying its trace produces; memory stays O(chunk_size).
 
     With ``checkpoint_every`` (which requires ``experiment_store``), the
     run snapshots its complete state — caches, write buffers, bus,
@@ -691,15 +627,9 @@ def _run_checkpointed(
         for consumer in consumers:
             consumer.consume(residue)
     system.finish()
-    metrics = system.result(spec.name, include_events=False)
+    metrics = system.result(spec.name)
     evaluations = {name: bank.finish() for name, bank in banks.items()}
     return metrics, evaluations, sink, chain
-
-
-def _sim_task(task: tuple[str, WorkloadSpec, SystemConfig, int]) -> tuple[str, bytes]:
-    """Worker entry: run one simulation, return its canonical payload."""
-    key, spec, system, seed = task
-    return key, store_mod.encode_sim(compute_sim(spec, system, seed))
 
 
 def _stream_task(task) -> tuple[str, bytes, list[tuple[str, bytes]]]:
@@ -718,29 +648,6 @@ def _stream_task(task) -> tuple[str, bytes, list[tuple[str, bytes]]]:
         store_mod.encode_sim_metrics(metrics),
         [(key, store_mod.encode_eval(evaluations[name])) for key, name in pairs],
     )
-
-
-def _eval_group_task(
-    task: tuple[bytes, SystemConfig, list[tuple[str, str]], tuple[str, ...]]
-) -> list[tuple[str, bytes]]:
-    """Worker entry: decode one shipped simulation, replay several filters.
-
-    Grouping all of a simulation's filter replays into one task means the
-    compressed payload crosses the process boundary (and is decoded)
-    exactly once per simulation, not once per filter.  ``phase_names``
-    labels the recorded PHASE markers (empty for plain workloads).
-    """
-    sim_blob, system, pairs, phase_names = task
-    sim = store_mod.decode_sim(sim_blob)
-    return [
-        (
-            key,
-            store_mod.encode_eval(
-                compute_eval(sim, filter_name, system, phase_names)
-            ),
-        )
-        for key, filter_name in pairs
-    ]
 
 
 def _checkpointed_stream_task(task):
@@ -777,14 +684,28 @@ def _checkpointed_stream_task(task):
             )
         # Results are durable; retire the chain from the worker too.
         store.delete_group(store_mod.CHECKPOINT_KIND, chain)
-        return len(pairs), {
-            "checkpoints_written": local.checkpoints_written,
-            "checkpoints_resumed": local.checkpoints_resumed,
-            "resumed_accesses": local.resumed_accesses,
-            "checkpoint_seconds": local.checkpoint_seconds,
-        }
+        return len(pairs), _checkpoint_counters(local)
     finally:
         store.close()
+
+
+#: The :class:`ExecutionReport` counters a worker that owns its store
+#: writes ships back to the parent's report.
+_CHECKPOINT_COUNTERS = (
+    "checkpoints_written",
+    "checkpoints_resumed",
+    "resumed_accesses",
+    "checkpoint_seconds",
+)
+
+
+def _checkpoint_counters(report: "ExecutionReport") -> dict:
+    return {name: getattr(report, name) for name in _CHECKPOINT_COUNTERS}
+
+
+def _add_checkpoint_counters(report: "ExecutionReport", counters: dict) -> None:
+    for name, value in counters.items():
+        setattr(report, name, getattr(report, name) + value)
 
 
 #: Pluggable executor backends (the runner's ``backend=`` knob):
@@ -810,6 +731,7 @@ def _map_tasks(
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
     fault_plan=None,
+    inline_store: ExperimentStore | None = None,
 ):
     """Run ``worker`` over ``tasks`` on the selected executor backend.
 
@@ -823,6 +745,10 @@ def _map_tasks(
     the :data:`~repro.analysis.resilience.QUARANTINED` sentinel in its
     slot — callers skip those slots and the sweep degrades to partial
     results.  All supervision events are counted on ``report``.
+
+    When the executor runs the tasks in this process, ``inline_store``
+    (if given) is passed to ``worker`` as ``experiment_store=``, so a
+    store-writing task writes straight into the parent's store.
     """
     name = backend or "process"
     if name not in EXECUTOR_BACKENDS:
@@ -839,6 +765,8 @@ def _map_tasks(
         fault_plan=fault_plan,
         stage=stage,
     )
+    if inline_store is not None and executor.runs_inline(len(tasks)):
+        worker = partial(worker, experiment_store=inline_store)
     return executor.map(worker, tasks)
 
 
@@ -923,141 +851,14 @@ class ExecutionReport:
         return text
 
 
-def _spec_for(job: SimJob | EvalJob, specs: dict[str, WorkloadSpec]) -> WorkloadSpec:
+def _spec_for(
+    job: ReplayJob | StreamJob, specs: dict[str, WorkloadSpec]
+) -> WorkloadSpec:
     spec = specs.get(job.workload)
     if spec is None:
         spec = get_workload(job.workload)
         specs[job.workload] = spec
     return spec
-
-
-def execute(
-    sim_jobs: list[SimJob] | tuple[SimJob, ...] = (),
-    eval_jobs: list[EvalJob] | tuple[EvalJob, ...] = (),
-    *,
-    experiment_store: ExperimentStore,
-    workers: int = 1,
-    backend: str | None = None,
-    specs: dict[str, WorkloadSpec] | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    fault_plan=None,
-) -> ExecutionReport:
-    """Run every job not already in the store; return what happened.
-
-    ``specs`` optionally maps workload names to explicit
-    :class:`WorkloadSpec` objects (the sweep CLI uses this for reduced
-    access counts); unlisted names resolve through the registry.
-    ``backend`` selects the executor (:data:`EXECUTOR_BACKENDS`;
-    default ``process``).  ``policy`` / ``task_timeout`` / ``fault_plan``
-    configure supervision (see :func:`_map_tasks`); a quarantined
-    simulation also skips every evaluation depending on it, so the
-    sweep completes with partial results and the report says so.
-    """
-    started = time.perf_counter()
-    report = ExecutionReport(workers=max(1, workers))
-    specs = specs if specs is not None else {}
-    supervision = dict(
-        report=report, policy=policy,
-        task_timeout=task_timeout, fault_plan=fault_plan,
-    )
-
-    # Phase 1 — every simulation any job needs, deduplicated by key.
-    # A simulation is *demanded* when a SimJob names it explicitly or an
-    # eval job that misses the store depends on it; a sim that only backs
-    # already-cached evaluations (e.g. after a streamed sweep, which
-    # stores evals but no full recording) must not be re-run.
-    needed_sims: dict[str, SimJob] = {}
-    demanded: set[str] = set()
-    for job in sim_jobs:
-        key = store_mod.sim_key(_spec_for(job, specs), job.system, job.seed)
-        needed_sims.setdefault(key, job)
-        demanded.add(key)
-    for ej in eval_jobs:
-        spec = _spec_for(ej, specs)
-        key = store_mod.sim_key(spec, ej.system, ej.seed)
-        needed_sims.setdefault(key, ej.sim_job)
-        ekey = store_mod.eval_key(spec, ej.filter_name, ej.system, ej.seed)
-        if not experiment_store.contains(ekey):
-            demanded.add(key)
-
-    sim_tasks = []
-    for key in sorted(needed_sims):
-        job = needed_sims[key]
-        if experiment_store.contains(key) or key not in demanded:
-            report.sims_cached += 1
-        else:
-            sim_tasks.append((key, specs[job.workload], job.system, job.seed))
-    for outcome in _map_tasks(
-        _sim_task, sim_tasks, workers, backend, stage="sim", **supervision
-    ):
-        if outcome is QUARANTINED:
-            continue
-        key, blob = outcome
-        job = needed_sims[key]
-        experiment_store.put_sim_blob(
-            key, blob, workload=specs[job.workload].name,
-            n_cpus=job.system.n_cpus, seed=job.seed,
-        )
-        report.sims_run += 1
-
-    # Phase 2 — filter replays, grouped per simulation so each compressed
-    # payload is shipped to and decoded by a worker exactly once.
-    needed_evals: dict[str, EvalJob] = {}
-    for job in eval_jobs:
-        key = store_mod.eval_key(
-            _spec_for(job, specs), job.filter_name, job.system, job.seed
-        )
-        needed_evals.setdefault(key, job)
-
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for key in sorted(needed_evals):
-        job = needed_evals[key]
-        if experiment_store.contains(key):
-            report.evals_cached += 1
-            continue
-        skey = store_mod.sim_key(specs[job.workload], job.system, job.seed)
-        groups.setdefault(skey, []).append((key, job.filter_name))
-
-    eval_tasks = []
-    for skey in sorted(groups):
-        pairs = groups[skey]
-        sim_blob = experiment_store.get_blob(skey)
-        if sim_blob is None:
-            # Phase 1 normally guarantees the blob; its absence means
-            # the simulation was quarantined this run.  Degrade: skip
-            # the dependent evaluations rather than dying.
-            if not report.quarantined:  # pragma: no cover - invariant
-                raise ExecutionError(
-                    f"simulation missing for eval keys {pairs} "
-                    "without a quarantine"
-                )
-            _logger.warning(
-                "skipping %d evaluation(s): simulation %s was quarantined",
-                len(pairs), skey,
-            )
-            continue
-        job = needed_evals[pairs[0][0]]
-        eval_tasks.append(
-            (sim_blob, job.system, pairs, _phase_plan(specs[job.workload])[1])
-        )
-    for results in _map_tasks(
-        _eval_group_task, eval_tasks, workers, backend,
-        stage="eval", **supervision
-    ):
-        if results is QUARANTINED:
-            continue
-        for key, blob in results:
-            job = needed_evals[key]
-            experiment_store.put_eval_blob(
-                key, blob, workload=specs[job.workload].name,
-                filter_name=job.filter_name,
-                n_cpus=job.system.n_cpus, seed=job.seed,
-            )
-            report.evals_run += 1
-
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -1081,8 +882,8 @@ def execute_streams(
     Jobs targeting the same ``(workload, system, seed)`` are fused into
     one simulation pass evaluating the union of their filters.  A job is
     skipped entirely when its metrics *and* every requested evaluation
-    are already in the store — including evaluations produced earlier by
-    the buffered path, since both modes share the ``eval`` keyspace.
+    are already in the store, including evaluations replayed from a
+    recorded trace, since both modes share the ``eval`` keyspace.
 
     With ``checkpoint_every``, each simulation snapshots its full state
     into the store at that access cadence and resumes from the newest
@@ -1120,10 +921,8 @@ def execute_streams(
             filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
 
     tasks = []
-    replay_tasks = []
     for mkey in sorted(grouped):
         job, filters = grouped[mkey]
-        spec = specs[job.workload]
         pairs = []
         for ekey in sorted(filters):
             if experiment_store.contains(ekey):
@@ -1133,51 +932,10 @@ def execute_streams(
         if not pairs and experiment_store.contains(mkey):
             report.sims_cached += 1
             continue
-        # A buffered recording of this exact configuration may already be
-        # stored (full event streams included).  If so, nothing needs
-        # simulating: missing evaluations replay from the recording and
-        # the metrics payload is derived from it — both byte-identical to
-        # a genuine streaming pass by the determinism contract.  This is
-        # what makes buffered sweeps warm streamed ones completely.
-        sim_blob = experiment_store.get_blob(
-            store_mod.sim_key(spec, job.system, job.seed)
+        tasks.append(
+            (mkey, specs[job.workload], job.system, job.seed,
+             job.chunk_size, pairs)
         )
-        if sim_blob is not None:
-            if not experiment_store.contains(mkey):
-                experiment_store.put_sim_metrics_blob(
-                    mkey,
-                    store_mod.encode_sim_metrics(store_mod.decode_sim(sim_blob)),
-                    workload=spec.name,
-                    n_cpus=job.system.n_cpus,
-                    seed=job.seed,
-                )
-            report.sims_cached += 1
-            if pairs:
-                replay_tasks.append(
-                    (sim_blob, job.system, pairs, _phase_plan(spec)[1])
-                )
-            continue
-        tasks.append((mkey, spec, job.system, job.seed, job.chunk_size, pairs))
-
-    # Replays of stored recordings share the worker pool, exactly like
-    # the buffered engine's phase 2.
-    eval_owner = {
-        ekey: grouped[mkey] for mkey in grouped for ekey in grouped[mkey][1]
-    }
-    for results in _map_tasks(
-        _eval_group_task, replay_tasks, workers, backend,
-        stage="stream-eval", **supervision
-    ):
-        if results is QUARANTINED:
-            continue
-        for ekey, blob in results:
-            job, filters = eval_owner[ekey]
-            experiment_store.put_eval_blob(
-                ekey, blob, workload=specs[job.workload].name,
-                filter_name=filters[ekey],
-                n_cpus=job.system.n_cpus, seed=job.seed,
-            )
-            report.evals_run += 1
 
     if checkpoint_every is not None:
         parallel = (
@@ -1209,10 +967,7 @@ def execute_streams(
                 evals_done, counters = outcome
                 report.sims_run += 1
                 report.evals_run += evals_done
-                report.checkpoints_written += counters["checkpoints_written"]
-                report.checkpoints_resumed += counters["checkpoints_resumed"]
-                report.resumed_accesses += counters["resumed_accesses"]
-                report.checkpoint_seconds += counters["checkpoint_seconds"]
+                _add_checkpoint_counters(report, counters)
             report.elapsed_seconds = time.perf_counter() - started
             return report
         # In-memory or serial: checkpointed runs stay in the parent —
@@ -1691,6 +1446,40 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
             connection.close()
 
 
+def _record_task(task, experiment_store: ExperimentStore | None = None):
+    """Worker entry of the ``record`` stage: record one trace.
+
+    Run inline, the task writes straight into the parent's
+    ``experiment_store``.  In a pool worker a persistent store is opened
+    over the worker's own connection, so segments, manifest, and metrics
+    land in the shared file as the simulation advances (every
+    ``put_blob`` retries under ``SQLITE_RETRY_POLICY``, so sibling
+    writers contend safely), and only counters cross the process
+    boundary.  An in-memory store has nothing to share: the recording
+    lands in a scratch store whose rows ship back for the parent to
+    insert.  Returns ``(rows, checkpoint_counters)``.
+    """
+    path, spec, system, seed, options = task
+    store = experiment_store
+    if store is None:
+        store = ExperimentStore(path)
+    local = ExecutionReport()
+    try:
+        record_trace(
+            spec, system, seed, experiment_store=store, report=local,
+            **options,
+        )
+        rows = []
+        if store is not experiment_store and path is None:
+            rows = [
+                (entry, store.get_blob(entry.key)) for entry in store.entries()
+            ]
+        return rows, _checkpoint_counters(local)
+    finally:
+        if store is not experiment_store:
+            store.close()
+
+
 def execute_replays(
     replay_jobs: list[ReplayJob] | tuple[ReplayJob, ...],
     *,
@@ -1707,18 +1496,21 @@ def execute_replays(
     """Record every missing trace once; replay every missing evaluation.
 
     Jobs targeting the same ``(workload, system, seed)`` are fused onto
-    one trace.  Recording (the expensive simulation) runs in the parent
-    process, one trace at a time; replays fan out on the selected
-    executor backend — one task per filter configuration when parallel
-    workers are available (each decodes segments independently), or one
-    task per trace when serial (each segment then decodes exactly once
-    for all filters).  Evaluations land under the shared ``eval``
-    keyspace, byte-identical to live streamed or buffered ones.
+    one trace.  Missing traces are recorded by the supervised ``record``
+    stage, one task per trace, so cold sweeps simulate in parallel under
+    the same retry, deadline, and quarantine supervision as replays (see
+    :func:`_record_task` for where each task writes).  Replays then fan
+    out on the ``replay`` stage: one task per filter configuration when
+    parallel workers are available (each decodes segments
+    independently), or one task per trace when serial (each segment then
+    decodes exactly once for all filters).  A quarantined recording
+    skips the evaluations that depend on it.  Evaluations land under the
+    shared ``eval`` keyspace, byte-identical to live streamed ones.
 
     ``checkpoint_every`` makes each *recording* checkpointable: an
     interrupted recording resumes at its last durable segment (see
     :func:`record_trace`) rather than re-recording from scratch.
-    Replays need no checkpoints — they are already cheap restarts.
+    Replays need no checkpoints: they are already cheap restarts.
 
     ``kernel`` selects the replay kernel (``"auto"`` vectorises
     supported filter families when NumPy is importable and falls back
@@ -1753,8 +1545,10 @@ def execute_replays(
         for name in job.filter_names:
             filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
 
-    # Phase 1 — ensure every group's trace (and metrics row) exists.
+    # Phase 1 — find every group's trace (and metrics row), recording
+    # the missing traces on the supervised ``record`` stage.
     units = []
+    recordings = []
     for tkey in sorted(grouped):
         job, filters = grouped[tkey]
         spec = specs[job.workload]
@@ -1764,37 +1558,10 @@ def execute_replays(
                 report.evals_cached += 1
             else:
                 pairs.append((ekey, filters[ekey]))
+        mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
         loaded = load_trace(experiment_store, tkey)
-        if loaded is None:
-            # Run-the-misses contract: when every requested evaluation
-            # and the metrics row are already stored (e.g. warmed by an
-            # earlier streamed sweep) there is nothing to replay, so a
-            # missing trace is not worth a full simulation — unless a
-            # pure record job asked for the trace itself.
-            mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
-            if (
-                not pairs
-                and tkey not in record_requested
-                and experiment_store.contains(mkey)
-            ):
-                report.sims_cached += 1
-                continue
-            record_trace(
-                spec, job.system, job.seed,
-                experiment_store=experiment_store,
-                chunk_size=job.chunk_size,
-                checkpoint_every=checkpoint_every,
-                report=report,
-                codec=job.codec,
-                measured_only=job.measured_only,
-                warm_filters=tuple(filters.values()) + job.warm_filters,
-            )
-            report.sims_run += 1
-            loaded = load_trace(experiment_store, tkey)
-            assert loaded is not None  # record_trace just wrote it
-        else:
+        if loaded is not None:
             report.sims_cached += 1
-            mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
             if not experiment_store.contains(mkey):
                 # The manifest embeds the run's metrics, so a trace can
                 # resurrect an evicted sim-metrics row byte-identically.
@@ -1805,9 +1572,62 @@ def execute_replays(
                     n_cpus=job.system.n_cpus,
                     seed=job.seed,
                 )
+            if pairs:
+                units.append((tkey, loaded, pairs, job))
+        elif (
+            not pairs
+            and tkey not in record_requested
+            and experiment_store.contains(mkey)
+        ):
+            # Run-the-misses contract: when every requested evaluation
+            # and the metrics row are already stored (e.g. warmed by an
+            # earlier streamed sweep) there is nothing to replay, so a
+            # missing trace is not worth a full simulation — unless a
+            # pure record job asked for the trace itself.
+            report.sims_cached += 1
+        else:
+            recordings.append((tkey, pairs, job, tuple(filters.values())))
+
+    path = None if experiment_store.path is None else str(experiment_store.path)
+    record_tasks = [
+        (path, specs[job.workload], job.system, job.seed, dict(
+            chunk_size=job.chunk_size,
+            checkpoint_every=checkpoint_every,
+            codec=job.codec,
+            measured_only=job.measured_only,
+            warm_filters=names + job.warm_filters,
+        ))
+        for _tkey, _pairs, job, names in recordings
+    ]
+    outcomes = _map_tasks(
+        _record_task, record_tasks, workers, backend, stage="record",
+        inline_store=experiment_store, **supervision
+    )
+    for (tkey, pairs, job, _names), outcome in zip(recordings, outcomes):
+        if outcome is QUARANTINED:
+            _logger.warning(
+                "skipping %d evaluation(s): recording %s was quarantined",
+                len(pairs), tkey,
+            )
+            continue
+        rows, counters = outcome
+        if rows:
+            # Shipped back from a scratch store: like a fresh local
+            # recording, never mix with stale rows under this key.
+            experiment_store.delete_trace(tkey)
+            for entry, blob in rows:
+                experiment_store.put_blob(
+                    entry.key, blob, kind=entry.kind,
+                    workload=entry.workload, filter_name=entry.filter_name,
+                    n_cpus=entry.n_cpus, seed=entry.seed,
+                )
+        _add_checkpoint_counters(report, counters)
+        report.sims_run += 1
         if pairs:
-            manifest, segment_keys = loaded
-            units.append((tkey, manifest, segment_keys, pairs, job))
+            loaded = load_trace(experiment_store, tkey)
+            assert loaded is not None  # the record stage just wrote it
+            units.append((tkey, loaded, pairs, job))
+    units.sort(key=lambda unit: unit[0])
 
     # Phase 2 — replay, fanned out per filter configuration.
     backend_name = backend or "process"
@@ -1816,7 +1636,7 @@ def execute_replays(
         ekey: grouped[tkey] for tkey in grouped for ekey in grouped[tkey][1]
     }
     tasks = []
-    for tkey, manifest, segment_keys, pairs, job in units:
+    for tkey, (manifest, segment_keys), pairs, job in units:
         path, segments = _segment_payload(experiment_store, segment_keys)
         phase_names = _phase_plan(specs[job.workload])[1]
         warm_states = _warm_states_for(experiment_store, manifest, pairs)
@@ -1850,44 +1670,6 @@ def execute_replays(
     return report
 
 
-def replay_filter_from_store(
-    spec: WorkloadSpec,
-    filter_name: str,
-    system: SystemConfig,
-    seed: int,
-    *,
-    experiment_store: ExperimentStore,
-    kernel: str = "auto",
-) -> FilterEvaluation | None:
-    """Evaluate one filter from an already-recorded trace, if any.
-
-    The opportunistic fast path behind
-    :func:`repro.analysis.experiments.evaluate_filter`: when the store
-    holds a complete trace for this configuration, the evaluation is a
-    cheap replay (stored under the shared ``eval`` key as usual);
-    otherwise ``None`` — the caller decides whether simulating (or
-    recording) is worth it.  Never records a trace itself.
-    """
-    tkey = store_mod.trace_key(spec, system, seed)
-    loaded = load_trace(experiment_store, tkey)
-    if loaded is None:
-        return None
-    manifest, segment_keys = loaded
-    path, segments = _segment_payload(experiment_store, segment_keys)
-    ekey = store_mod.eval_key(spec, filter_name, system, seed)
-    pairs = [(ekey, filter_name)]
-    [(_key, blob)] = _replay_task(
-        (path, segments, system, pairs, kernel,
-         _phase_plan(spec)[1],
-         _warm_states_for(experiment_store, manifest, pairs))
-    )
-    experiment_store.put_eval_blob(
-        ekey, blob, workload=spec.name, filter_name=filter_name,
-        n_cpus=system.n_cpus, seed=seed,
-    )
-    return store_mod.decode_eval(blob)
-
-
 @dataclass
 class StreamOutcome:
     """What one streaming evaluation produced (all store-backed)."""
@@ -1901,57 +1683,29 @@ class StreamOutcome:
         return self.evaluations[filter_name].coverage.coverage
 
 
-def evaluate_streaming(
-    spec: WorkloadSpec | str,
-    system: SystemConfig = SCALED_SYSTEM,
-    filters: tuple[str, ...] = DEFAULT_SWEEP_FILTERS,
-    seed: int = 1,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    experiment_store: ExperimentStore | None = None,
-) -> StreamOutcome:
-    """Evaluate N filters against one workload in a single streaming pass.
-
-    The front door to paper-scale runs: all ``filters`` ride the live
-    snoop stream of one simulation, so cost is one simulation plus N
-    cheap replays and memory stays O(chunk_size).  Results are
-    store-backed exactly like the buffered path — warm evaluations
-    (from either mode) are never recomputed, and the numbers are
-    byte-identical to buffered replays of the same configuration.
-    """
-    if isinstance(spec, str):
-        spec = get_workload(spec)
-    if experiment_store is None:
-        from repro.analysis import experiments
-
-        experiment_store = experiments.get_store()
-
-    filters = tuple(filters)
-    job = StreamJob(spec.name, filters, system, seed, chunk_size)
-    report = execute_streams(
-        [job], experiment_store=experiment_store, workers=1,
-        specs={spec.name: spec},
-    )
-    metrics = experiment_store.get_sim_metrics(
-        store_mod.sim_metrics_key(spec, system, seed)
-    )
-    assert metrics is not None
-    evaluations = {}
-    for name in filters:
-        evaluation = experiment_store.get_eval(
-            store_mod.eval_key(spec, name, system, seed)
+def _reject_stream_options(
+    stream: bool, kernel: str, codec: str, measured_only: bool
+) -> None:
+    """Refuse the replay-only knobs on a streamed run."""
+    if stream and kernel != "auto":
+        raise ConfigurationError(
+            "kernel selection applies to replay sweeps only: streamed "
+            "runs drive live filters through the python path"
         )
-        assert evaluation is not None
-        evaluations[name] = evaluation
-    return StreamOutcome(metrics=metrics, evaluations=evaluations, report=report)
+    if stream and (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only):
+        raise ConfigurationError(
+            "codec and measured-only selection apply to replay sweeps "
+            "only: a streamed run records no trace"
+        )
 
 
-def evaluate_replay(
+def evaluate(
     spec: WorkloadSpec | str,
     system: SystemConfig = SCALED_SYSTEM,
     filters: tuple[str, ...] = DEFAULT_SWEEP_FILTERS,
     seed: int = 1,
     *,
+    stream: bool = False,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
     backend: str | None = None,
@@ -1960,16 +1714,19 @@ def evaluate_replay(
     codec: str = store_mod.DEFAULT_SEGMENT_CODEC,
     measured_only: bool = False,
 ) -> StreamOutcome:
-    """Evaluate N filters via the record-once / replay-many path.
+    """Evaluate N filters against one workload, store-backed.
 
-    The trace-backed sibling of :func:`evaluate_streaming`: the first
-    call records the configuration's trace (one streaming simulation),
-    and every call after that — with these filters or any others — only
-    replays stored segments, fanning out across ``workers`` when a
-    parallel backend is selected.  Results are byte-identical to the
-    other modes' and share their store entries.  ``codec`` and
-    ``measured_only`` shape a *new* recording only; an already-stored
-    trace replays as recorded.
+    By default the first call records the configuration's trace (one
+    streaming simulation), and every call after that, with these
+    filters or any others, only replays stored segments, fanning out
+    across ``workers`` when a parallel backend is selected.  ``codec``
+    and ``measured_only`` shape a *new* recording only; an
+    already-stored trace replays as recorded.
+
+    With ``stream=True`` all ``filters`` ride the live snoop stream of
+    one simulation instead and nothing but results is persisted.  Either
+    way warm evaluations are never recomputed, and the numbers are
+    byte-identical between the modes.
     """
     if isinstance(spec, str):
         spec = get_workload(spec)
@@ -1977,16 +1734,23 @@ def evaluate_replay(
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
+    _reject_stream_options(stream, kernel, codec, measured_only)
 
     filters = tuple(filters)
-    job = ReplayJob(
-        spec.name, filters, system, seed, chunk_size, codec, measured_only
+    run = dict(
+        experiment_store=experiment_store, workers=workers,
+        backend=backend, specs={spec.name: spec},
     )
-    report = execute_replays(
-        [job], experiment_store=experiment_store,
-        workers=workers, backend=backend, specs={spec.name: spec},
-        kernel=kernel,
-    )
+    if stream:
+        report = execute_streams(
+            [StreamJob(spec.name, filters, system, seed, chunk_size)], **run
+        )
+    else:
+        report = execute_replays(
+            [ReplayJob(spec.name, filters, system, seed, chunk_size,
+                       codec, measured_only)],
+            kernel=kernel, **run,
+        )
     metrics = experiment_store.get_sim_metrics(
         store_mod.sim_metrics_key(spec, system, seed)
     )
@@ -2049,31 +1813,28 @@ def run_sweep(
     ``"paper-scale"``); every override participates in the store key, so
     modified runs never collide with stock ones.
 
-    With ``stream=True`` each (workload, seed) becomes one single-pass
-    :class:`StreamJob` evaluating all filters with O(chunk_size) memory —
-    the required mode for paper-scale access counts.  With
-    ``replay=True`` each (workload, seed) becomes a :class:`ReplayJob`:
-    the first sweep records the trace once, and every later sweep — any
-    filter set — replays it without simulating, fanning filter configs
-    out across ``workers`` on the chosen ``backend``.  Evaluations land
-    under the same store keys in every mode (they are byte-identical by
-    the determinism contract), so all modes warm each other.
+    By default each (workload, seed) becomes a :class:`ReplayJob`: the
+    first sweep records the trace once, and every later sweep, with any
+    filter set, replays it without simulating, fanning recordings and
+    filter configs out across ``workers`` on the chosen ``backend``.
+    ``replay=True`` is the explicit spelling of that default.  With
+    ``stream=True`` each (workload, seed) becomes one single-pass
+    :class:`StreamJob` evaluating all filters live and persisting no
+    trace.  Evaluations land under the same store keys in both modes
+    (they are byte-identical by the determinism contract), so the modes
+    warm each other.
 
-    ``checkpoint_every`` (streamed and replay modes only) snapshots each
-    in-flight simulation into the store every N accesses, so a killed
-    paper-scale sweep restarted with the same flags resumes from its
-    latest checkpoint and still lands byte-identical results.
+    ``checkpoint_every`` snapshots each in-flight simulation into the
+    store every N accesses, so a killed paper-scale sweep restarted with
+    the same flags resumes from its latest checkpoint and still lands
+    byte-identical results.
 
-    ``kernel`` (replay mode only) picks the replay kernel — ``"auto"``
-    vectorises supported families when NumPy is importable; results are
-    byte-identical either way.  Streamed and buffered sweeps drive live
-    filters and accept only the default.
-
-    ``codec`` and ``measured_only`` (replay mode only) shape any *new*
-    recording the sweep performs — segment wire format and
-    measured-region-only capture with a fast-forward snapshot.  Like
-    ``chunk_size`` they are execution hints: already-recorded traces
-    replay as stored, and no store key changes.
+    ``kernel``, ``codec`` and ``measured_only`` apply to the replay mode
+    only: the replay kernel (``"auto"`` vectorises supported families
+    when NumPy is importable), the segment wire format of any *new*
+    recording, and measured-region-only capture with a fast-forward
+    snapshot.  Like ``chunk_size`` they are execution hints: results are
+    byte-identical either way and no store key changes.
 
     ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
     execution (see :func:`_map_tasks`).  When tasks are quarantined the
@@ -2081,30 +1842,12 @@ def run_sweep(
     seed)`` cells are simply absent from ``evaluations`` and the
     report's fault counters say why.
     """
-    if kernel != "auto" and not replay:
-        raise ConfigurationError(
-            "kernel selection applies to replay sweeps only: streamed "
-            "and buffered sweeps drive live filters through the "
-            "python path"
-        )
-    if (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only) and (
-        not replay
-    ):
-        raise ConfigurationError(
-            "codec and measured-only selection apply to replay sweeps "
-            "only: nothing else records traces"
-        )
     if stream and replay:
         raise ConfigurationError(
             "choose stream=True or replay=True, not both: streaming "
             "discards events as they are consumed, replay persists them"
         )
-    if checkpoint_every is not None and not (stream or replay):
-        raise ConfigurationError(
-            "checkpoint_every applies to streamed or replay sweeps: "
-            "buffered simulations already persist whole recordings, so "
-            "there is no mid-run state to checkpoint"
-        )
+    _reject_stream_options(stream, kernel, codec, measured_only)
     if experiment_store is None:
         from repro.analysis import experiments
 
@@ -2121,48 +1864,31 @@ def run_sweep(
             spec = replace(spec, warmup_accesses=warmup)
         specs[name] = spec
 
-    if replay:
-        replay_jobs = [
-            ReplayJob(
-                workload, tuple(filters), system, seed, chunk_size,
-                codec, measured_only,
-            )
-            for workload in workloads
-            for seed in seeds
-        ]
-        report = execute_replays(
-            replay_jobs,
-            experiment_store=experiment_store, workers=workers,
-            backend=backend, specs=specs,
-            checkpoint_every=checkpoint_every,
-            kernel=kernel,
-            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
-        )
-    elif stream:
-        stream_jobs = [
-            StreamJob(workload, tuple(filters), system, seed, chunk_size)
-            for workload in workloads
-            for seed in seeds
-        ]
+    run = dict(
+        experiment_store=experiment_store, workers=workers,
+        backend=backend, specs=specs, checkpoint_every=checkpoint_every,
+        policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+    )
+    if stream:
         report = execute_streams(
-            stream_jobs,
-            experiment_store=experiment_store, workers=workers,
-            backend=backend, specs=specs,
-            checkpoint_every=checkpoint_every,
-            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+            [
+                StreamJob(workload, tuple(filters), system, seed, chunk_size)
+                for workload in workloads
+                for seed in seeds
+            ],
+            **run,
         )
     else:
-        eval_jobs = [
-            EvalJob(workload, filter_name, system, seed)
-            for workload in workloads
-            for filter_name in filters
-            for seed in seeds
-        ]
-        report = execute(
-            (), eval_jobs,
-            experiment_store=experiment_store, workers=workers,
-            backend=backend, specs=specs,
-            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+        report = execute_replays(
+            [
+                ReplayJob(
+                    workload, tuple(filters), system, seed, chunk_size,
+                    codec, measured_only,
+                )
+                for workload in workloads
+                for seed in seeds
+            ],
+            kernel=kernel, **run,
         )
 
     result = SweepResult(report=report)

@@ -1,26 +1,28 @@
 """Persistent experiment store: config fingerprints and result payloads.
 
 Simulating a workload is the expensive step of every exhibit; replaying a
-filter over its recorded event streams is cheap but still worth keeping.
-This module gives both levels a durable home: an :class:`ExperimentStore`
+filter over its recorded trace is cheap but still worth keeping.  This
+module gives every result a durable home: an :class:`ExperimentStore`
 maps a *complete* configuration fingerprint — workload spec, full system
 geometry (both cache levels, associativity, block and subblock sizes),
-and seed — to a canonical, compressed JSON payload of the result.
+and seed — to a canonical, compressed payload of the result.
 
-Five result kinds share the one table: ``sim`` (a full buffered
-:class:`SimResult`, event streams included), ``sim-metrics`` (the
-statistics of a *streamed* run, whose event streams were consumed on the
-fly and never retained), ``eval`` (one :class:`FilterEvaluation` —
-identical bytes whether it came from a buffered replay, a streaming
-pass, or a trace replay, which is what lets all modes share warm
-evaluations), ``sim-events`` (a persisted *trace*: the packed event
-shards of one simulation, recorded once so any number of filter
-configurations can replay them later without re-simulating), and
-``checkpoint`` (a mid-run snapshot of an in-flight streamed simulation —
-caches, write buffers, bus, filter banks, trace-sink watermarks, and
-generator state — keyed by the run's chain plus the access watermark, so
-a killed paper-scale run resumes from its latest durable point instead
-of restarting from zero).
+The live result kinds share the one table: ``sim-metrics`` (the
+statistics of one simulation), ``eval`` (one :class:`FilterEvaluation`
+— identical bytes whether it came from a streaming pass or a trace
+replay, which is what lets both modes share warm evaluations),
+``sim-events`` (a persisted *trace*: the packed event shards of one
+simulation, recorded once so any number of filter configurations can
+replay them later without re-simulating), ``fast-forward`` (warmed
+filter state of a measured-only trace), ``checkpoint`` (a mid-run
+snapshot of an in-flight simulation — caches, write buffers, bus,
+filter banks, trace-sink watermarks, and generator state — keyed by the
+run's chain plus the access watermark, so a killed paper-scale run
+resumes from its latest durable point instead of restarting from zero),
+``matrix``, ``job``, and ``quarantined``.  Rows of a *retired* kind
+(:data:`RETIRED_KINDS`: ``sim``, the full event-list recordings of the
+removed buffered mode) are never decoded: ``fsck`` reports them and
+``gc`` evicts them first.
 
 A trace is several rows of kind ``sim-events`` sharing one key prefix:
 a *manifest* row (``filter IS NULL``) under :func:`trace_key` holding
@@ -72,7 +74,6 @@ from repro.core.base import FilterEventCounts
 from repro.core.stats import (
     CoverageStats,
     FilterEvaluation,
-    NodeEventStream,
     PhaseStats,
 )
 from repro.traces.workloads import WorkloadSpec
@@ -91,9 +92,16 @@ SCHEMA_VERSION = 1
 
 #: Result kind of persisted traces (manifest and segment rows alike).
 #: Introduced *without* a schema bump: the new kind only adds rows under
-#: fresh keys, so every pre-existing ``sim``/``sim-metrics``/``eval``
-#: entry keeps its key and its exact payload bytes.
+#: fresh keys, so every pre-existing ``sim-metrics``/``eval`` entry keeps
+#: its key and its exact payload bytes.
 TRACE_KIND = "sim-events"
+
+#: Result kinds no code writes or reads any more.  ``sim`` held a whole
+#: buffered recording (metrics plus every node's event list as JSON
+#: triples); record → replay superseded it.  Leftover rows are neither
+#: decoded nor treated as corruption: ``fsck`` reports them, ``cache
+#: info`` labels them, and ``gc`` evicts them before anything else.
+RETIRED_KINDS = ("sim",)
 
 #: Result kind of mid-run checkpoints: the serialised snapshot of an
 #: in-flight streamed simulation (caches, write buffers, bus, filter
@@ -187,24 +195,10 @@ def _digest(obj) -> str:
     return hashlib.sha256(_canonical(obj)).hexdigest()
 
 
-def sim_key(spec: WorkloadSpec, system: SystemConfig, seed: int) -> str:
-    """Store key of one simulation run (workload x system x seed)."""
-    return _digest({
-        "kind": "sim",
-        "schema": SCHEMA_VERSION,
-        "spec": spec_fingerprint(spec),
-        "system": system_fingerprint(system),
-        "seed": seed,
-    })
-
-
 def sim_metrics_key(spec: WorkloadSpec, system: SystemConfig, seed: int) -> str:
-    """Store key of one streamed simulation's metrics-only payload.
+    """Store key of one simulation's metrics payload.
 
-    Streamed runs never retain event streams, so their results live under
-    a distinct kind: a buffered consumer asking for the full ``sim``
-    payload (streams included) must miss rather than receive a hollow
-    result.  The chunk size is deliberately absent — metrics are
+    The chunk size is deliberately absent — metrics are
     chunk-size-invariant by the determinism contract.
     """
     return _digest({
@@ -357,7 +351,7 @@ def eval_key(
 # ----------------------------------------------------------------------
 
 def sim_metrics_to_dict(result: SimResult) -> dict:
-    """The statistics half of a result (no event streams)."""
+    """The canonical dict of a run's statistics."""
     return {
         "workload": result.workload,
         "n_cpus": result.n_cpus,
@@ -373,20 +367,7 @@ def sim_metrics_to_dict(result: SimResult) -> dict:
     }
 
 
-def sim_result_to_dict(result: SimResult) -> dict:
-    data = sim_metrics_to_dict(result)
-    # Events are serialised as (kind, block, flag) triples — the layout
-    # every payload ever written used — not as packed integers, so the
-    # canonical bytes of a recording are independent of the in-memory
-    # encoding and pre-packing stores stay byte-identical.
-    data["event_streams"] = [
-        {"node_id": stream.node_id, "events": stream.triples()}
-        for stream in result.event_streams
-    ]
-    return data
-
-
-def sim_result_from_dict(data: dict) -> SimResult:
+def sim_metrics_from_dict(data: dict) -> SimResult:
     return SimResult(
         workload=data["workload"],
         n_cpus=data["n_cpus"],
@@ -399,27 +380,7 @@ def sim_result_from_dict(data: dict) -> SimResult:
             writebacks=data["bus"]["writebacks"],
             remote_hit_histogram=tuple(data["bus"]["remote_hit_histogram"]),
         ),
-        event_streams=[
-            # The constructor re-packs the stored (kind, block, flag)
-            # triples — the compatibility decode for recordings written
-            # before (and after) the packed in-memory encoding.
-            NodeEventStream(
-                node_id=entry["node_id"],
-                events=entry["events"],
-            )
-            for entry in data["event_streams"]
-        ],
     )
-
-
-def sim_metrics_from_dict(data: dict) -> SimResult:
-    """Decode a metrics-only payload; ``event_streams`` comes back empty.
-
-    Deliberately separate from :func:`sim_result_from_dict`, which stays
-    strict: a ``sim`` payload without event streams is corruption and
-    must fail loudly, never decode into a silently hollow result.
-    """
-    return sim_result_from_dict({**data, "event_streams": []})
 
 
 def evaluation_to_dict(evaluation: FilterEvaluation) -> dict:
@@ -487,18 +448,8 @@ def _decoding(kind: str):
         ) from error
 
 
-def encode_sim(result: SimResult) -> bytes:
-    """Canonical compressed payload bytes (deterministic per result)."""
-    return zlib.compress(_canonical(sim_result_to_dict(result)), 6)
-
-
-def decode_sim(blob: bytes) -> SimResult:
-    with _decoding("sim"):
-        return sim_result_from_dict(json.loads(zlib.decompress(blob)))
-
-
 def encode_sim_metrics(result: SimResult) -> bytes:
-    """Metrics-only payload of a (typically streamed) simulation."""
+    """Canonical metrics payload of one simulation."""
     return zlib.compress(_canonical(sim_metrics_to_dict(result)), 6)
 
 
@@ -950,12 +901,13 @@ def decode_fast_forward(blob: bytes) -> dict:
 class StoreStats:
     """Summary of a store's contents (``repro cache info``)."""
 
+    #: Simulations whose metrics are stored (kind ``sim-metrics``).
     sims: int
     evals: int
     payload_bytes: int
     path: str | None
-    #: Metrics-only results written by streamed runs (kind ``sim-metrics``).
-    stream_sims: int = 0
+    #: Rows of a retired kind (:data:`RETIRED_KINDS`), awaiting ``gc``.
+    retired: int = 0
     #: Persisted traces (``sim-events`` manifest rows; each trace also
     #: owns segment rows, all counted in ``bytes_by_kind``).
     traces: int = 0
@@ -983,6 +935,9 @@ class FsckReport:
     removed: int
     #: Rows moved aside under :data:`QUARANTINE_KIND` in quarantine mode.
     quarantined: int
+    #: Keys of rows of a retired kind, sorted: not decoded, not corrupt,
+    #: left for ``gc`` to evict first.
+    retired: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -990,16 +945,23 @@ class FsckReport:
 
     def summary(self) -> str:
         if self.clean:
-            return f"fsck: {self.scanned} row(s) scanned, store clean"
-        action = (
-            f"{self.quarantined} quarantined"
-            if self.quarantined
-            else f"{self.removed} removed"
-        )
-        return (
-            f"fsck: {self.scanned} row(s) scanned, "
-            f"{len(self.corrupt)} corrupt, {action}"
-        )
+            text = f"fsck: {self.scanned} row(s) scanned, store clean"
+        else:
+            action = (
+                f"{self.quarantined} quarantined"
+                if self.quarantined
+                else f"{self.removed} removed"
+            )
+            text = (
+                f"fsck: {self.scanned} row(s) scanned, "
+                f"{len(self.corrupt)} corrupt, {action}"
+            )
+        if self.retired:
+            text += (
+                f"; {len(self.retired)} row(s) of retired kind "
+                f"{'/'.join(RETIRED_KINDS)} (cache gc evicts them first)"
+            )
+        return text
 
 
 @dataclass(frozen=True)
@@ -1212,41 +1174,8 @@ class ExperimentStore:
 
     # -- typed access ---------------------------------------------------
 
-    def get_sim(self, key: str) -> SimResult | None:
-        cached = self._live.get(key)
-        if cached is not None:
-            self._touch(key)
-            return cached  # type: ignore[return-value]
-        blob = self.get_blob(key)
-        if blob is None:
-            return None
-        result = decode_sim(blob)
-        self._live[key] = result
-        return result
-
-    def put_sim(self, key: str, result: SimResult, *, seed: int) -> None:
-        self._live[key] = result
-        self.put_blob(
-            key,
-            encode_sim(result),
-            kind="sim",
-            workload=result.workload,
-            filter_name=None,
-            n_cpus=result.n_cpus,
-            seed=seed,
-        )
-
-    def put_sim_blob(
-        self, key: str, blob: bytes, *, workload: str, n_cpus: int, seed: int
-    ) -> None:
-        """Persist an already-encoded simulation (worker round trips)."""
-        self.put_blob(
-            key, blob, kind="sim", workload=workload,
-            filter_name=None, n_cpus=n_cpus, seed=seed,
-        )
-
     def get_sim_metrics(self, key: str) -> SimResult | None:
-        """Fetch a streamed run's metrics-only result (no event streams)."""
+        """Fetch one simulation's metrics."""
         cached = self._live.get(key)
         if cached is not None:
             self._touch(key)
@@ -1271,7 +1200,7 @@ class ExperimentStore:
     def put_sim_metrics_blob(
         self, key: str, blob: bytes, *, workload: str, n_cpus: int, seed: int
     ) -> None:
-        """Persist an already-encoded metrics-only simulation payload."""
+        """Persist an already-encoded metrics payload."""
         self.put_blob(
             key, blob, kind="sim-metrics", workload=workload,
             filter_name=None, n_cpus=n_cpus, seed=seed,
@@ -1339,9 +1268,9 @@ class ExperimentStore:
                 if m[0] == TRACE_KIND and m[2] is None:
                     traces += 1
             return StoreStats(
-                sims=by_kind.get("sim", 0),
+                sims=by_kind.get("sim-metrics", 0),
                 evals=by_kind.get("eval", 0),
-                stream_sims=by_kind.get("sim-metrics", 0),
+                retired=sum(by_kind.get(kind, 0) for kind in RETIRED_KINDS),
                 traces=traces,
                 checkpoints=by_kind.get(CHECKPOINT_KIND, 0),
                 jobs=by_kind.get(JOB_KIND, 0),
@@ -1360,9 +1289,11 @@ class ExperimentStore:
             (TRACE_KIND,),
         ).fetchone()
         return StoreStats(
-            sims=counts.get("sim", (0, 0))[0],
+            sims=counts.get("sim-metrics", (0, 0))[0],
             evals=counts.get("eval", (0, 0))[0],
-            stream_sims=counts.get("sim-metrics", (0, 0))[0],
+            retired=sum(
+                counts.get(kind, (0, 0))[0] for kind in RETIRED_KINDS
+            ),
             traces=traces,
             checkpoints=counts.get(CHECKPOINT_KIND, (0, 0))[0],
             jobs=counts.get(JOB_KIND, (0, 0))[0],
@@ -1412,9 +1343,7 @@ class ExperimentStore:
         """
         if blob is None:
             raise StoreCorruptionError(f"row vanished mid-scan: {entry.key}")
-        if entry.kind == "sim":
-            decode_sim(blob)
-        elif entry.kind == "sim-metrics":
+        if entry.kind == "sim-metrics":
             decode_sim_metrics(blob)
         elif entry.kind == "eval":
             decode_eval(blob)
@@ -1485,8 +1414,12 @@ class ExperimentStore:
         present = {entry.key for entry in entries}
         by_key = {entry.key: entry for entry in entries}
         corrupt: list[str] = []
+        retired: list[str] = []
         doomed: set[str] = set()
         for entry in entries:
+            if entry.kind in RETIRED_KINDS:
+                retired.append(entry.key)
+                continue
             try:
                 self._validate_entry(entry, self._raw_blob(entry.key), present)
             except StoreCorruptionError as error:
@@ -1536,6 +1469,7 @@ class ExperimentStore:
             corrupt=tuple(sorted(corrupt)),
             removed=removed,
             quarantined=quarantined,
+            retired=tuple(sorted(retired)),
         )
 
     @staticmethod
@@ -1613,19 +1547,21 @@ class ExperimentStore:
         return tkey is None or self._has_key(tkey)
 
     def _eviction_order(self, rows) -> list[tuple[int, str, list[str], int]]:
-        """GC units with superseded checkpoint chains moved to the front."""
+        """GC units, retired kinds first, then superseded checkpoint chains."""
         kinds = {key: kind for key, kind, _f, _s, _u in rows}
-        stale, live = [], []
+        retired, stale, live = [], [], []
         for unit in self._gc_units(rows):
             _used, _group, keys, _size = unit
-            if (
+            if kinds[keys[0]] in RETIRED_KINDS:
+                retired.append(unit)
+            elif (
                 kinds[keys[0]] == CHECKPOINT_KIND
                 and self._checkpoint_superseded(keys)
             ):
                 stale.append(unit)
             else:
                 live.append(unit)
-        return stale + live
+        return retired + stale + live
 
     def gc(self, max_bytes: int) -> tuple[int, int]:
         """Evict least-recently-used entries down to a payload budget.
@@ -1634,9 +1570,9 @@ class ExperimentStore:
         until the total compressed payload is at most ``max_bytes``; a
         persisted trace (manifest plus all its segments) and a run's
         checkpoint chain each count — and are evicted — as a single
-        unit.  Checkpoint chains whose run already completed (their
-        ``sim-metrics``/manifest rows exist) are stale and evicted
-        before anything else.  Returns ``(entries_removed,
+        unit.  Rows of a retired kind go first, then checkpoint chains
+        whose run already completed (their ``sim-metrics``/manifest rows
+        exist), then everything else.  Returns ``(entries_removed,
         bytes_freed)``.  A zero budget empties the store; a budget above
         the current total removes nothing.
         """

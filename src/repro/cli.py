@@ -10,7 +10,7 @@ Examples::
     jetty-repro nway 8
     jetty-repro sweep --workers 4 --workloads lu fft --filters EJ-32x4 IJ-10x4x7
     jetty-repro sweep --stream --workloads em3d --accesses 2e6 --chunk-size 65536
-    jetty-repro sweep --stream --preset paper-scale --workloads lu
+    jetty-repro --store results.sqlite sweep --preset paper-scale --workloads lu
     jetty-repro --store traces.sqlite trace record em3d --accesses 2e6
     jetty-repro --store traces.sqlite trace replay em3d --accesses 2e6 \
         --workers 2 --backend process
@@ -282,7 +282,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
     for filter_name in filters:
         parse_filter_name(filter_name)
-    outcome = runner.evaluate_replay(
+    outcome = runner.evaluate(
         spec, system, tuple(filters), args.seed,
         workers=args.workers, backend=args.backend,
         experiment_store=experiments.get_store(),
@@ -356,32 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.config import parse_filter_name
     from repro.traces.workloads import get_workload
 
-    if args.preset == "paper-scale" and not (args.stream or args.replay):
-        print(
-            "error: --preset paper-scale requires --stream or --replay "
-            "(buffered mode materialises the full event trace in memory "
-            "at paper scale)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.stream and args.replay:
-        print("error: choose --stream or --replay, not both", file=sys.stderr)
-        return 2
-    if args.checkpoint_every is not None and not (args.stream or args.replay):
-        print(
-            "error: --checkpoint-every requires --stream or --replay "
-            "(buffered sweeps persist whole recordings; only streamed "
-            "simulations have mid-run state to checkpoint)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kernel != "auto" and not args.replay:
-        print(
-            "error: --kernel requires --replay (streamed and buffered "
-            "sweeps drive live filters through the python path)",
-            file=sys.stderr,
-        )
-        return 2
     workloads = args.workloads if args.workloads else list(WORKLOADS)
     filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
     # Validate every name up front: a typo'd filter must not surface only
@@ -430,10 +404,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             row.append(format_percent(sum(values) / len(values)))
         rows.append(row)
     title = f"sweep: {len(workloads)} workloads x {len(filters)} filters"
-    if args.stream:
-        title += " [streamed]"
-    if args.replay:
-        title += " [replayed]"
+    title += " [streamed]" if args.stream else " [replayed]"
     if len(seeds) > 1:
         title += f" (mean over seeds {seeds})"
     print(render_table(headers, rows, title=title))
@@ -630,6 +601,8 @@ def _decoded_bytes_by_kind(store) -> dict[str, int]:
 
     decoded: dict[str, int] = {}
     for entry in store.entries():
+        if entry.kind in store_mod.RETIRED_KINDS:
+            continue
         blob = store.get_blob(entry.key)
         if blob is None:
             continue
@@ -679,6 +652,8 @@ def _print_trace_economics(store) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.analysis import store as store_mod
+
     store = experiments.get_store()
     if args.action == "fsck":
         fsck = store.fsck(quarantine=args.quarantine)
@@ -707,14 +682,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     location = stats.path or "in-memory (set --store or REPRO_STORE to persist)"
     print(f"store:    {location}")
     print(f"sims:     {stats.sims}")
-    print(f"streamed: {stats.stream_sims}")
     print(f"traces:   {stats.traces}")
     print(f"checkpoints: {stats.checkpoints}")
     print(f"jobs:     {stats.jobs}")
     print(f"evals:    {stats.evals}")
+    if stats.retired:
+        print(f"retired:  {stats.retired} (kind "
+              f"{'/'.join(store_mod.RETIRED_KINDS)}; cache gc evicts "
+              "them first)")
     print(f"payload:  {stats.payload_bytes / 1024:.1f} KiB")
     decoded_by_kind = _decoded_bytes_by_kind(store)
     for kind, nbytes in stats.bytes_by_kind:
+        if kind in store_mod.RETIRED_KINDS:
+            print(f"  {kind + ' (retired):':13s}{nbytes / 1024:.1f} KiB "
+                  "stored")
+            continue
         decoded = decoded_by_kind.get(kind, nbytes)
         print(f"  {kind + ':':13s}{nbytes / 1024:.1f} KiB stored / "
               f"{decoded / 1024:.1f} KiB decoded")
@@ -730,6 +712,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 )
             elif entry.kind == CHECKPOINT_KIND:
                 what = f"(checkpoint, chain {entry.filter_name[:12]})"
+            elif entry.kind in store_mod.RETIRED_KINDS:
+                what = "(retired kind)"
             else:
                 what = entry.filter_name or "(simulation)"
             print(
@@ -1010,12 +994,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override per-workload warm-up accesses")
     p_sweep.add_argument("--stream", action="store_true",
                          help="single-pass streaming mode: evaluate all "
-                         "filters live with O(chunk) memory (required for "
-                         "paper-scale access counts)")
+                         "filters live with O(chunk) memory and persist no "
+                         "trace")
     p_sweep.add_argument("--replay", action="store_true",
-                         help="record-once / replay-many mode: persist each "
-                         "(workload, seed) trace on first run, then replay "
-                         "it for every filter config without re-simulating")
+                         help="record-once / replay-many mode, the default: "
+                         "persist each (workload, seed) trace on first run, "
+                         "then replay it for every filter config without "
+                         "re-simulating")
     p_sweep.add_argument("--backend", default=None,
                          choices=runner.EXECUTOR_BACKENDS,
                          help="executor backend for worker fan-out "
@@ -1033,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="snapshot each streamed/recorded simulation "
                          "to the store every N accesses; a killed sweep "
                          "rerun with the same flags resumes from its "
-                         "latest checkpoint (requires --stream/--replay)")
+                         "latest checkpoint")
     p_sweep.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-task deadline under the process backend; "
@@ -1041,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: no deadline)")
     p_sweep.add_argument("--kernel", default="auto",
                          choices=REPLAY_KERNELS,
-                         help="replay kernel for --replay sweeps: auto "
+                         help="replay kernel (not with --stream): auto "
                          "vectorises supported filter families with NumPy "
                          "when available; results are byte-identical "
                          "across kernels")

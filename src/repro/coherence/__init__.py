@@ -9,8 +9,9 @@ write-invalidate protocol maintained at 32-byte subblock granularity
 The simulator is trace-driven and functional: accesses complete atomically
 in interleaved order, which is sufficient because JETTY affects energy but
 not timing or protocol behaviour (paper §2.2).  While simulating, each
-node records the event stream its JETTY would observe; filters are then
-evaluated by replay (see :mod:`repro.core.stats`).
+node emits the event stream its JETTY would observe, in bounded shards;
+filters consume them live or replay them from a recorded trace (see
+:mod:`repro.core.stats`).
 """
 
 from repro.coherence.bus import Bus, BusOp
@@ -23,7 +24,7 @@ from repro.coherence.config import (
 )
 from repro.coherence.metrics import BusStats, NodeStats, SimResult
 from repro.coherence.node import CacheNode
-from repro.coherence.smp import SMPSystem, simulate
+from repro.coherence.smp import SMPSystem, simulate_streaming
 from repro.coherence.states import MOESI
 from repro.coherence.writebuffer import WriteBuffer
 
@@ -43,5 +44,5 @@ __all__ = [
     "SimResult",
     "SystemConfig",
     "WriteBuffer",
-    "simulate",
+    "simulate_streaming",
 ]

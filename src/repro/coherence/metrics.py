@@ -1,15 +1,13 @@
 """Statistics collected by the coherence simulator.
 
 :class:`NodeStats` counts every access type the energy model prices;
-:class:`SimResult` bundles per-node stats, bus stats, and the recorded
-JETTY event streams for one simulated workload.
+:class:`SimResult` bundles per-node stats and bus stats for one
+simulated workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.core.stats import NodeEventStream
 
 
 @dataclass
@@ -111,13 +109,12 @@ class BusStats:
 
 @dataclass
 class SimResult:
-    """Everything one simulation run produces."""
+    """The statistics of one simulation run."""
 
     workload: str
     n_cpus: int
     node_stats: list[NodeStats]
     bus: BusStats
-    event_streams: list[NodeEventStream]
     accesses: int = 0
 
     @property

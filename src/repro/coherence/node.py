@@ -14,8 +14,8 @@ interface would observe (snoops with ground-truth outcome, block
 allocations and evictions) as packed integers (see
 :mod:`repro.core.stats` for the bit layout).  The simulation itself
 always performs the tag probe — a JETTY changes energy, never behaviour —
-and filters are applied afterwards by replaying the stream
-(:func:`repro.core.stats.replay_events`).
+and filters consume the stream live or replay it from a recorded trace
+(:class:`repro.core.stats.EventReplayer`).
 
 Hot-path notes: :meth:`local_access` and :meth:`snoop` run once per
 access and once per bus transaction per remote node respectively, so

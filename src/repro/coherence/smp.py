@@ -2,33 +2,32 @@
 
 :class:`SMPSystem` wires :class:`~repro.coherence.node.CacheNode` objects
 to a shared :class:`~repro.coherence.bus.Bus` and consumes an interleaved
-access stream.  :func:`simulate` is the one-call buffered entry point
-used by the experiment harness; :func:`simulate_streaming` is its
-single-pass sibling for paper-scale traces.
+access stream.  :func:`simulate_streaming` is the one run entry point the
+experiment engine uses, both to evaluate filters live and to record
+traces for later replay.
 
-**Shard/marker protocol (streaming mode).**  In buffered mode every node
-appends the events its JETTY would observe (SNOOP/ALLOC/EVICT, plus the
-warm-up MARKER) to an unbounded per-node list that ships inside the
-:class:`~repro.coherence.metrics.SimResult`.  In streaming mode the run
-is cut into *chunks* of at most ``chunk_size`` accesses; after each chunk
-:meth:`SMPSystem.take_shard` detaches the per-node event lists — one
-bounded *shard* per node, in node order — and hands them to the attached
-consumers (e.g. :class:`~repro.core.stats.StreamingFilterBank`, or a
-:class:`TraceSink` persisting the run for later replay), then the
-nodes start fresh lists.  Because events are only ever appended in global
-access order and a shard boundary never reorders or drops anything, the
-per-node concatenation of all shards is exactly the event list buffered
-mode would have recorded.  The warm-up MARKER is emitted by
+**Shard/marker protocol.**  Every node appends the events its JETTY
+would observe (SNOOP/ALLOC/EVICT, plus the warm-up MARKER) to a per-node
+list.  The run is cut into *chunks* of at most ``chunk_size`` accesses;
+after each chunk :meth:`SMPSystem.take_shard` detaches the per-node
+event lists — one bounded *shard* per node, in node order — and hands
+them to the attached consumers (e.g.
+:class:`~repro.core.stats.StreamingFilterBank`, or a :class:`TraceSink`
+persisting the run for later replay), then the nodes start fresh lists.
+Because events are only ever appended in global access order and a
+shard boundary never reorders or drops anything, the per-node
+concatenation of all shards is the same event sequence whatever the
+chunk size.  The warm-up MARKER is emitted by
 :meth:`SMPSystem.begin_measurement` *between* chunks and therefore rides
-at the front of the next shard — consumers see it at the same position
-in the event sequence as a buffered replay would.
+at the front of the next shard, at the same position in the event
+sequence whatever the chunk size.
 
 **Determinism contract.**  A simulation is a pure function of
 ``(config, access stream)``: node statistics, bus statistics, and the
-event sequence are identical whether the run is buffered or streamed,
-whatever the chunk size, and whichever process executes it.  Downstream,
-filter evaluations derived from the shards are byte-identical to
-buffered replays (``tests/test_streaming.py`` pins this across chunk
+event sequence are identical whatever the chunk size and whichever
+process executes it.  Downstream, filter evaluations derived from the
+shards are byte-identical whether the filters ran live or replayed a
+recorded trace (``tests/test_streaming.py`` pins this across chunk
 sizes against the golden suite).
 
 The module also provides :func:`check_coherence_invariants`, used by the
@@ -315,20 +314,6 @@ class SMPSystem:
         self.accesses += 1
         self.nodes[cpu].local_access(address, is_write)
 
-    def run(
-        self,
-        accesses: Iterable[tuple[int, int, bool]],
-        limit: int | None = None,
-    ) -> None:
-        """Consume an interleaved stream of ``(cpu, address, is_write)``.
-
-        Batch-protocol sources (``take``-capable, e.g. ``MixStream``) are
-        consumed in bounded batches; with ``limit`` at most that many
-        accesses are taken from the stream (the warm-up prefix).
-        """
-        for batch in iter_batches(accesses, DEFAULT_CHUNK_SIZE, limit):
-            self._run_batch(batch)
-
     def _run_batch(self, batch) -> None:
         """The per-access hot loop over one materialised batch.
 
@@ -415,8 +400,8 @@ class SMPSystem:
 
         Nodes continue recording into fresh, empty streams; the caller
         owns the returned shard.  Concatenating all shards taken during a
-        run (per node, in order) reconstructs the exact event list a
-        buffered run would have accumulated.
+        run (per node, in order) reconstructs the run's exact event
+        sequence, whatever the chunk size.
         """
         return [node.reset_event_stream() for node in self.nodes]
 
@@ -471,12 +456,11 @@ class SMPSystem:
         for node in self.nodes:
             node.drain_write_buffer()
 
-    def result(self, workload: str = "", include_events: bool = True) -> SimResult:
-        """Package statistics and event streams for analysis.
+    def result(self, workload: str = "") -> SimResult:
+        """Package the run's statistics for analysis.
 
-        With ``include_events=False`` the result carries metrics only
-        (``event_streams == []``) — the shape streamed runs produce, since
-        their events were handed to shard consumers and discarded.
+        Events are not part of the result: they were handed to shard
+        consumers as the run advanced.
         """
         bus_counts = self.bus.stats
         bus = BusStats(
@@ -491,9 +475,6 @@ class SMPSystem:
             n_cpus=self.config.n_cpus,
             node_stats=[node.stats for node in self.nodes],
             bus=bus,
-            event_streams=(
-                [node.events for node in self.nodes] if include_events else []
-            ),
             accesses=self.accesses,
         )
 
@@ -518,41 +499,6 @@ def _boundary_schedule(
     return schedule
 
 
-def simulate(
-    config: SystemConfig,
-    accesses: Iterable[tuple[int, int, bool]],
-    workload: str = "",
-    warmup: int = 0,
-    phase_marks=(),
-) -> SimResult:
-    """Build a system, run ``accesses``, drain, and return the result.
-
-    The first ``warmup`` accesses warm the caches; statistics (node, bus,
-    and filter-replay coverage) cover only the remainder.  Each entry of
-    ``phase_marks`` is an absolute access position (warm-up included) at
-    which a PHASE marker is emitted into every node's event stream —
-    phase index = entry index — so phase-structured suites record their
-    boundaries into the same streams buffered replay consumes.
-    """
-    system = SMPSystem(config)
-    if warmup <= 0 and not phase_marks:
-        system.run(accesses)
-    else:
-        iterator = iter(accesses)
-        position = 0
-        for stop, action in _boundary_schedule(warmup, phase_marks):
-            if stop > position:
-                system.run(iterator, limit=stop - position)
-                position = stop
-            if action < 0:
-                system.begin_measurement()
-            else:
-                system.mark_phase(action)
-        system.run(iterator)
-    system.finish()
-    return system.result(workload)
-
-
 def simulate_streaming(
     config: SystemConfig,
     accesses: Iterable[tuple[int, int, bool]],
@@ -565,17 +511,18 @@ def simulate_streaming(
     measurement_sinks: Iterable[ShardConsumer] = (),
     on_measurement=None,
 ) -> SimResult:
-    """Single-pass, bounded-memory sibling of :func:`simulate`.
+    """Build a system, run ``accesses`` in bounded chunks, drain.
 
-    The run is identical access for access — same warm-up handling, same
-    statistics, same ``phase_marks`` semantics — but instead of
-    accumulating every node's event stream, events are cut into shards
-    of at most ``chunk_size`` accesses and pushed to ``sinks``
-    (typically one :class:`~repro.core.stats.StreamingFilterBank` per
-    filter configuration) as the simulation advances.  Peak memory is
-    O(chunk_size), independent of trace length; the returned result is
-    metrics-only (``event_streams == []``) with node, bus, and access
-    counters equal to what :func:`simulate` would report.
+    The first ``warmup`` accesses warm the caches; statistics (node,
+    bus, and filter coverage) cover only the remainder.  Each entry of
+    ``phase_marks`` is an absolute access position (warm-up included) at
+    which a PHASE marker is emitted into every node's event stream —
+    phase index = entry index.  Events are cut into shards of at most
+    ``chunk_size`` accesses and pushed to ``sinks`` (typically one
+    :class:`~repro.core.stats.StreamingFilterBank` per filter
+    configuration, or a :class:`TraceSink`) as the simulation advances,
+    so peak memory is O(chunk_size), independent of trace length.
+    Returns the run's statistics.
 
     ``sinks`` see every shard.  ``warmup_sinks`` stop receiving shards at
     ``begin_measurement`` and ``measurement_sinks`` start there (the
@@ -626,7 +573,7 @@ def simulate_streaming(
         for sink in active:
             sink.consume(residue)
     system.finish()
-    return system.result(workload, include_events=False)
+    return system.result(workload)
 
 
 def check_coherence_invariants(system: SMPSystem) -> None:

@@ -45,12 +45,13 @@ from repro.core.hashed_include import HashedIncludeJetty
 from repro.core.hybrid import HybridJetty
 from repro.core.include import IncludeJetty
 from repro.core.null import NullFilter, OracleFilter
-from repro.core.stats import CoverageStats, FilterEvaluation, replay_events
+from repro.core.stats import CoverageStats, EventReplayer, FilterEvaluation
 from repro.core.vector_exclude import VectorExcludeJetty
 
 __all__ = [
     "CoverageStats",
     "EJConfig",
+    "EventReplayer",
     "ExcludeJetty",
     "FilterConfig",
     "FilterEvaluation",
@@ -74,5 +75,4 @@ __all__ = [
     "VectorExcludeJetty",
     "build_filter",
     "parse_filter_name",
-    "replay_events",
 ]

@@ -37,11 +37,10 @@ round-trip any block number that fits the machine-independent Python
 int; ``array('q')`` storage holds blocks up to 2**59 - 1 (a 65-bit
 physical address space — far beyond any simulated system here).
 
-Recorded payloads in existing stores serialise events as ``(kind,
-block, flag)`` triples; :class:`NodeEventStream` accepts those legacy
-triples alongside packed integers and re-packs them on construction, so
-old buffered recordings replay unchanged (and payload bytes stay
-byte-identical — the store codec always writes triples).
+Persisted traces store the packed integers themselves (see the segment
+codecs in :mod:`repro.analysis.store`); :class:`NodeEventStream` also
+accepts ``(kind, block, flag)`` triples and re-packs them on
+construction, a convenient spelling for hand-built streams.
 
 The MARKER pseudo-event separates the cache warm-up prefix from the
 measured region: filter *state* accumulates through it, statistics
@@ -60,17 +59,13 @@ The replay cross-checks the JETTY safety guarantee on every filtered
 snoop and raises :class:`~repro.errors.FilterSafetyError` on a
 violation.
 
-Replay comes in three shapes sharing one kernel (:class:`EventReplayer`):
+Replay comes in two shapes sharing one kernel (:class:`EventReplayer`):
 
-* **buffered** — :func:`replay_events` consumes a complete recorded
-  :class:`NodeEventStream` after the simulation has finished;
 * **streaming** — a :class:`StreamingFilterBank` is attached to a live
   simulation (:func:`repro.coherence.smp.simulate_streaming`) and is fed
   bounded event *shards* as they are produced, so no event is ever
-  retained beyond its shard.  Filter state, the warm-up MARKER reset,
-  and the safety cross-check behave identically in both shapes; feeding
-  a stream's events in one call or split at arbitrary shard boundaries
-  yields bit-identical evaluations;
+  retained beyond its shard.  Feeding a stream's events in one call or
+  split at arbitrary shard boundaries yields bit-identical evaluations;
 * **trace replay** — :func:`replay_trace` drives any number of
   :class:`StreamingFilterBank` objects from a :class:`TraceReader` over
   a *persisted* recording (the ``sim-events`` store kind), so a new
@@ -117,8 +112,7 @@ BLOCK_SHIFT = 4
 #: all untouched.
 PHASE_FLAG = 1
 
-#: A packed event.  (Historically a ``(kind, block, flag)`` tuple; the
-#: store codec still speaks triples on disk.)
+#: A packed event.  (Historically a ``(kind, block, flag)`` tuple.)
 Event = int
 
 
@@ -140,9 +134,8 @@ class NodeEventStream:
     """The per-node event stream recorded by the coherence simulator.
 
     ``events`` is an ``array('q')`` of packed events (8 bytes each).
-    The constructor also accepts legacy ``(kind, block, flag)`` triples
-    and re-packs them — the compatibility decode layer for recordings
-    serialised before the packed encoding existed.
+    The constructor also accepts ``(kind, block, flag)`` triples and
+    re-packs them.
     """
 
     __slots__ = ("node_id", "events")
@@ -436,7 +429,7 @@ def _bound_hook(snoop_filter: SnoopFilter, public: str, hook: str):
 class EventReplayer:
     """Incrementally replay one node's event stream through one filter.
 
-    The replayer is the shared kernel of buffered and streaming
+    The replayer is the shared kernel of live and trace-replay
     evaluation: :meth:`feed` may be called once with a complete event
     list or many times with consecutive shards — filter state, coverage
     statistics, and the MARKER warm-up reset carry across calls, so the
@@ -766,18 +759,3 @@ def replay_trace(reader: TraceReader, banks) -> None:
             segment.boxed()
         for bank in banks:
             bank.feed_node(node_id, segment)
-
-
-def replay_events(
-    snoop_filter: SnoopFilter, stream: NodeEventStream
-) -> FilterEvaluation:
-    """Replay ``stream`` through ``snoop_filter`` and collect statistics.
-
-    The filter is mutated (it accumulates state and event counts); pass a
-    freshly built filter for independent evaluations.  Raises
-    :class:`FilterSafetyError` if the filter ever claims a cached block is
-    absent.
-    """
-    replayer = EventReplayer(snoop_filter, stream.node_id)
-    replayer.feed(stream.events)
-    return replayer.finish()

@@ -53,9 +53,8 @@ from repro.traces.workloads import WorkloadSpec, apply_preset, get_workload
 #: The shard state machine's vocabulary, in lifecycle order.
 SHARD_STATES = ("submitted", "leased", "done", "quarantined")
 
-#: Execution modes a shard may request.  Buffered sweeps are excluded
-#: deliberately: they retain whole event streams in worker memory,
-#: which is the wrong default for a long-running fleet.
+#: Execution modes a shard may request: the engine's two modes,
+#: record → replay (the default) and live streaming.
 SHARD_MODES = ("replay", "stream")
 
 

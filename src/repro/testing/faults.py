@@ -339,7 +339,7 @@ def run_chaos(
     demo = None
     if demo_poison:
         demo_store = ExperimentStore(None)
-        demo_plan = replace(plan, poison=(("sim", 0),), raise_rate=1.0)
+        demo_plan = replace(plan, poison=(("record", 0),), raise_rate=1.0)
         demo = run_sweep(
             workloads[:1], filters[:1], experiment_store=demo_store,
             accesses=accesses, warmup=warmup, seeds=(tuple(seeds) or (1,))[:1],

@@ -514,7 +514,8 @@ def build_workload_stream(
 
     With ``include_warmup`` the stream is prefixed by the spec's warm-up
     accesses (pass ``warmup=spec.warmup_accesses`` to
-    :func:`repro.coherence.smp.simulate` to exclude them from statistics).
+    :func:`repro.coherence.smp.simulate_streaming` to exclude them from
+    statistics).
 
     Phase-structured suites (:class:`repro.traces.suite.SuiteSpec`)
     return a :class:`repro.traces.suite.SuiteStream` — same cursor
@@ -577,7 +578,7 @@ def resume_stream(blob: bytes, fingerprint: str | None = None):
 def simulate_workload_accesses(
     spec: WorkloadSpec | str, n_cpus: int = 4, seed: int = 0
 ) -> tuple[MixStream, int]:
-    """Return ``(stream_with_warmup, warmup_count)`` ready for simulate()."""
+    """Return ``(stream_with_warmup, warmup_count)`` ready to simulate."""
     if isinstance(spec, str):
         spec = get_workload(spec)
     stream = build_workload_stream(spec, n_cpus=n_cpus, seed=seed, include_warmup=True)
@@ -600,10 +601,8 @@ def paper_scale(spec: WorkloadSpec, cap: int = PAPER_SCALE_CAP) -> WorkloadSpec:
 
     Only ``n_accesses`` changes: warm-up is a property of the cache
     geometry, not the trace length, so the spec's warm-up count is kept.
-    Run these through the streaming engine
-    (:func:`repro.analysis.runner.evaluate_streaming` or
-    ``repro sweep --stream``) — buffered mode would materialise the full
-    event trace.
+    Both execution modes handle these in bounded memory: recording
+    writes O(segment) at a time, streaming holds O(chunk).
     """
     target = int(spec.paper.accesses_millions * 1_000_000)
     if cap:

@@ -61,3 +61,43 @@ def make_random_trace(
             address = (1 << 16) * (cpu + 1) + rng.randrange(private_span)
         trace.append((cpu, address & ~0x3, rng.random() < write_frac))
     return trace
+
+
+def put_legacy_sim_row(store, spec, system, seed: int = 1) -> str:
+    """Insert a ``sim`` row as stores written by the buffered mode hold it.
+
+    That retired kind kept a whole recording: the run's metrics plus every
+    node's events as JSON ``(kind, block, flag)`` triples, under a key
+    fingerprinted like every other result.  Returns the key.
+    """
+    import json
+    import zlib
+
+    from repro.analysis import store as store_mod
+
+    key = store_mod._digest({
+        "kind": "sim",
+        "schema": store_mod.SCHEMA_VERSION,
+        "spec": store_mod.spec_fingerprint(spec),
+        "system": store_mod.system_fingerprint(system),
+        "seed": seed,
+    })
+    document = {
+        "workload": spec.name,
+        "n_cpus": system.n_cpus,
+        "accesses": 3,
+        "node_stats": [{} for _ in range(system.n_cpus)],
+        "bus": {"reads": 1, "read_exclusives": 0, "upgrades": 0,
+                "writebacks": 0, "remote_hit_histogram": [1, 0]},
+        "event_streams": [
+            {"node_id": node_id, "events": [[1, 0x40, 0], [3, 0, 0],
+                                            [0, 0x41, 0]]}
+            for node_id in range(system.n_cpus)
+        ],
+    }
+    blob = zlib.compress(
+        json.dumps(document, sort_keys=True, separators=(",", ":")).encode(), 6
+    )
+    store.put_blob(key, blob, kind="sim", workload=spec.name,
+                   filter_name=None, n_cpus=system.n_cpus, seed=seed)
+    return key

@@ -36,6 +36,7 @@ from repro.core.config import build_filter
 from repro.core.stats import EventReplayer, pack_event, SNOOP
 from repro.errors import ConfigurationError, TraceError
 from repro.traces.workloads import (
+    WORKLOADS,
     PaperReference,
     WorkloadSpec,
     simulate_workload_accesses,
@@ -403,12 +404,21 @@ class TestStreamKillResumeByteIdentity:
                 SPEC, SCALED_SYSTEM, 1, (), 512, checkpoint_every=100,
             )
 
-    def test_run_sweep_rejects_buffered_checkpointing(self):
-        with pytest.raises(ConfigurationError):
-            runner.run_sweep(
-                [SPEC.name], ["EJ-8x2"], experiment_store=ExperimentStore(),
-                checkpoint_every=100,
-            )
+    def test_run_sweep_checkpoints_default_recordings(self, monkeypatch):
+        """A sweep with no mode flag takes ``checkpoint_every`` too: its
+        recording snapshots mid-run, retires the chain on completion, and
+        lands the same bytes as an unchecked sweep."""
+        monkeypatch.setitem(WORKLOADS, SPEC.name, SPEC)
+        clean = ExperimentStore()
+        runner.run_sweep([SPEC.name], ["EJ-8x2"], experiment_store=clean)
+        checkpointed = ExperimentStore()
+        result = runner.run_sweep(
+            [SPEC.name], ["EJ-8x2"], experiment_store=checkpointed,
+            checkpoint_every=700,
+        )
+        assert result.report.checkpoints_written > 0
+        assert checkpointed.stats().checkpoints == 0  # chain retired
+        assert checkpointed.dump() == clean.dump()
 
 
 # ----------------------------------------------------------------------

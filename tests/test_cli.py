@@ -140,10 +140,16 @@ class TestCommands:
                      "--workloads", "test-tiny"]) == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_sweep_checkpoint_every_requires_stream_or_replay(self, capsys):
-        assert main(["sweep", "--checkpoint-every", "1000",
-                     "--workloads", "test-tiny"]) == 2
-        assert "--checkpoint-every" in capsys.readouterr().err
+    def test_sweep_paper_scale_preset_records_by_default(self, tmp_path,
+                                                         capsys):
+        store = str(tmp_path / "paper.sqlite")
+        assert main(["--store", store, "sweep", "--preset", "paper-scale",
+                     "--accesses", "20000", "--warmup", "5000",
+                     "--workloads", "test-tiny", "--filters", "EJ-8x2"]) == 0
+        out = capsys.readouterr().out
+        assert "[replayed]" in out
+        assert "sims: 1 run / 0 cached" in out
+        assert experiments.get_store().stats().traces == 1
 
     def test_sweep_stream_with_checkpoints_completes_clean(self, tmp_path,
                                                            capsys):
@@ -156,6 +162,20 @@ class TestCommands:
         assert "checkpoints:" in out  # written mid-run...
         assert main(["--store", store, "checkpoint", "list"]) == 0
         # ...but retired on completion: none left to list.
+        assert "no stored checkpoints" in capsys.readouterr().out
+
+    def test_sweep_default_mode_with_checkpoints_completes_clean(
+        self, tmp_path, capsys
+    ):
+        store = str(tmp_path / "ckpt-default.sqlite")
+        argv = ["--store", store, "sweep", "--checkpoint-every", "1500",
+                "--workloads", "test-tiny", "--filters", "EJ-8x2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[replayed]" in out
+        assert "checkpoints:" in out  # the recording snapshots mid-run...
+        assert main(["--store", store, "checkpoint", "list"]) == 0
+        # ...and retires its chain once the trace is durable.
         assert "no stored checkpoints" in capsys.readouterr().out
 
     def test_checkpoint_list_info_rm_after_interruption(self, tmp_path,
@@ -245,8 +265,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "sims:     1" in out
         assert "EJ-8x2" in out
+        assert "traces:   1" in out
         assert main(["--store", store, "cache", "clear"]) == 0
-        assert "cleared 2 stored result(s)" in capsys.readouterr().out
+        # Metrics, one evaluation, and the trace: manifest plus one
+        # segment per node.
+        assert "cleared 7 stored result(s)" in capsys.readouterr().out
         assert main(["--store", store, "cache"]) == 0
         assert "sims:     0" in capsys.readouterr().out
 
@@ -265,6 +288,41 @@ class TestResilienceCommands:
     def test_cache_fsck_clean(self, capsys):
         assert main(["cache", "fsck"]) == 0
         assert "store clean" in capsys.readouterr().out
+
+    def test_retired_sim_rows_are_reported_labelled_and_evicted_first(
+        self, tmp_path, capsys
+    ):
+        from repro.coherence.config import SCALED_SYSTEM
+        from tests.conftest import put_legacy_sim_row
+
+        path = str(tmp_path / "legacy.sqlite")
+        assert main(["--store", path, "sweep", "--workloads", "test-tiny",
+                     "--filters", "EJ-8x2"]) == 0
+        store = experiments.get_store()
+        before = store.dump()
+        # Written last, so the legacy row is the most recently used one.
+        sim_key = put_legacy_sim_row(
+            store, WORKLOADS["test-tiny"], SCALED_SYSTEM
+        )
+        capsys.readouterr()
+
+        assert main(["--store", path, "cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "retired:  1" in out
+        assert "sim (retired):" in out
+
+        assert main(["--store", path, "cache", "fsck"]) == 0
+        out = capsys.readouterr().out
+        assert "store clean" in out
+        assert "1 row(s) of retired kind sim" in out
+        assert experiments.get_store().fsck().retired == (sim_key,)
+
+        legacy_bytes = len(experiments.get_store().get_blob(sim_key))
+        total = experiments.get_store().stats().payload_bytes
+        assert main(["--store", path, "cache", "gc", "--max-bytes",
+                     str(total - legacy_bytes)]) == 0
+        assert "evicted 1 " in capsys.readouterr().out
+        assert experiments.get_store().dump() == before
 
     def test_cache_fsck_detects_corruption_and_heals(self, capsys):
         from repro.testing.faults import corrupt_blobs

@@ -2,7 +2,7 @@
 
 The real workloads simulate hundreds of thousands of accesses; unit tests
 register a miniature spec under a reserved name so the full pipeline
-(simulate -> record events -> replay filters -> price energy) runs in
+(simulate -> record a trace -> replay filters -> price energy) runs in
 milliseconds.
 """
 
@@ -44,25 +44,25 @@ def register_tiny_workload():
 
 class TestRunWorkload:
     def test_produces_statistics(self):
-        result = experiments.run_workload(TINY_NAME)
+        result = experiments.workload_metrics(TINY_NAME)
         assert result.accesses == 4_000  # warm-up excluded by reset
         agg = result.aggregate
         assert agg.local_accesses == 4_000
         assert agg.snoops_observed > 0
 
     def test_cached_identity(self):
-        first = experiments.run_workload(TINY_NAME)
-        second = experiments.run_workload(TINY_NAME)
+        first = experiments.workload_metrics(TINY_NAME)
+        second = experiments.workload_metrics(TINY_NAME)
         assert first is second
 
     def test_seed_distinguishes_cache_entries(self):
-        first = experiments.run_workload(TINY_NAME, seed=1)
-        second = experiments.run_workload(TINY_NAME, seed=2)
+        first = experiments.workload_metrics(TINY_NAME, seed=1)
+        second = experiments.workload_metrics(TINY_NAME, seed=2)
         assert first is not second
 
     def test_system_distinguishes_cache_entries(self):
-        four = experiments.run_workload(TINY_NAME)
-        eight = experiments.run_workload(TINY_NAME, SCALED_SYSTEM.with_cpus(8))
+        four = experiments.workload_metrics(TINY_NAME)
+        eight = experiments.workload_metrics(TINY_NAME, SCALED_SYSTEM.with_cpus(8))
         assert eight.n_cpus == 8
         assert four is not eight
 
@@ -73,17 +73,17 @@ class TestRunWorkload:
 
         from repro.analysis import store as store_mod
 
-        direct_mapped = experiments.run_workload(TINY_NAME, SCALED_SYSTEM)
+        direct_mapped = experiments.workload_metrics(TINY_NAME, SCALED_SYSTEM)
         two_way_l1 = replace(SCALED_SYSTEM, l1=replace(SCALED_SYSTEM.l1, ways=2))
         # The store's actual keying path must see every L1 geometry field.
         assert store_mod.system_fingerprint(two_way_l1) != (
             store_mod.system_fingerprint(SCALED_SYSTEM)
         )
         spec = WORKLOADS[TINY_NAME]
-        assert store_mod.sim_key(spec, two_way_l1, 1) != (
-            store_mod.sim_key(spec, SCALED_SYSTEM, 1)
+        assert store_mod.sim_metrics_key(spec, two_way_l1, 1) != (
+            store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
         )
-        two_way = experiments.run_workload(TINY_NAME, two_way_l1)
+        two_way = experiments.workload_metrics(TINY_NAME, two_way_l1)
         assert two_way is not direct_mapped
         # Higher L1 associativity changes L1 behaviour, which a colliding
         # cache key would have masked entirely.
@@ -92,7 +92,7 @@ class TestRunWorkload:
 
 class TestEvaluateFilter:
     def test_merged_over_nodes(self):
-        result = experiments.run_workload(TINY_NAME)
+        result = experiments.workload_metrics(TINY_NAME)
         evaluation = experiments.evaluate_filter(TINY_NAME, "oracle")
         agg = result.aggregate
         assert evaluation.coverage.snoops == agg.snoops_observed

@@ -78,8 +78,9 @@ def golden_path(workload: str, filter_name: str, seed: int) -> Path:
 
 def compute_metrics(workload: str, filter_name: str, seed: int) -> dict:
     """Every reported metric for one pair, as a JSON-exact document."""
-    result = experiments.run_workload(workload, seed=seed)
+    # Evaluating first records the trace, which stores the metrics too.
     evaluation = experiments.evaluate_filter(workload, filter_name, seed=seed)
+    result = experiments.workload_metrics(workload, seed=seed)
     aggregate = result.aggregate
     return {
         "workload": workload,

@@ -16,7 +16,7 @@ import pytest
 from repro.coherence.config import CacheConfig, SystemConfig
 from repro.coherence.smp import check_coherence_invariants, SMPSystem
 from repro.core.config import build_filter
-from repro.core.stats import merge_evaluations, replay_events
+from repro.core.stats import EventReplayer, merge_evaluations
 from repro.energy.accounting import EnergyAccountant
 from repro.traces.synth import PrivateWorkingSet, ProducerConsumer, WorkloadMix
 
@@ -33,7 +33,7 @@ def small_system() -> SystemConfig:
 
 
 @pytest.fixture(scope="module")
-def sim_result(small_system):
+def machine(small_system) -> SMPSystem:
     mix = WorkloadMix(
         [
             (
@@ -59,21 +59,34 @@ def sim_result(small_system):
             system.begin_measurement()
     check_coherence_invariants(system)
     system.finish()
-    return system.result("integration")
+    return system
 
 
-def evaluate(sim_result, small_system, name):
-    return merge_evaluations([
-        replay_events(
+@pytest.fixture(scope="module")
+def sim_result(machine):
+    return machine.result("integration")
+
+
+@pytest.fixture(scope="module")
+def event_streams(machine):
+    """Every node's whole event stream (never detached into shards)."""
+    return [node.events for node in machine.nodes]
+
+
+def evaluate(event_streams, small_system, name):
+    evaluations = []
+    for stream in event_streams:
+        replayer = EventReplayer(
             build_filter(
                 name,
                 counter_bits=small_system.ij_counter_bits,
                 addr_bits=small_system.block_address_bits,
             ),
-            stream,
+            stream.node_id,
         )
-        for stream in sim_result.event_streams
-    ])
+        replayer.feed(stream.events)
+        evaluations.append(replayer.finish())
+    return merge_evaluations(evaluations)
 
 
 class TestPipeline:
@@ -81,29 +94,29 @@ class TestPipeline:
         """Paper §4.2: the common case is a snoop miss."""
         assert sim_result.snoop_miss_fraction_of_snoops > 0.5
 
-    def test_filters_cover_misses(self, sim_result, small_system):
-        hj = evaluate(sim_result, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
+    def test_filters_cover_misses(self, event_streams, small_system):
+        hj = evaluate(event_streams, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
         assert hj.coverage.coverage > 0.4
 
-    def test_hybrid_at_least_components(self, sim_result, small_system):
-        hj = evaluate(sim_result, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
-        ij = evaluate(sim_result, small_system, "IJ-8x4x7")
-        ej = evaluate(sim_result, small_system, "EJ-16x2")
+    def test_hybrid_at_least_components(self, event_streams, small_system):
+        hj = evaluate(event_streams, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
+        ij = evaluate(event_streams, small_system, "IJ-8x4x7")
+        ej = evaluate(event_streams, small_system, "EJ-16x2")
         assert hj.coverage.coverage >= max(
             ij.coverage.coverage, ej.coverage.coverage
         ) - 1e-9
 
-    def test_oracle_bounds_all_filters(self, sim_result, small_system):
+    def test_oracle_bounds_all_filters(self, event_streams, small_system):
         """The oracle filters exactly the block-absent misses — the upper
         bound for any block-granularity filter.  (Snoops that miss on an
         invalid *subblock* of a present block are unfilterable at block
         granularity, so oracle coverage can fall just short of 100%.)"""
         from repro.core.stats import MARKER, SNOOP
 
-        oracle = evaluate(sim_result, small_system, "oracle")
+        oracle = evaluate(event_streams, small_system, "oracle")
         block_absent_misses = 0
         measuring = False
-        for stream in sim_result.event_streams:
+        for stream in event_streams:
             measuring = False
             for kind, _block, flag in stream.triples():
                 if kind == MARKER:
@@ -114,25 +127,29 @@ class TestPipeline:
         assert oracle.coverage.coverage > 0.99
         for name in ("EJ-32x4", "IJ-8x4x7", "HJ(IJ-8x4x7, EJ-16x2)"):
             assert (
-                evaluate(sim_result, small_system, name).coverage.coverage
+                evaluate(event_streams, small_system, name).coverage.coverage
                 <= oracle.coverage.coverage
             )
 
-    def test_bigger_ej_no_worse(self, sim_result, small_system):
-        big = evaluate(sim_result, small_system, "EJ-32x4")
-        small = evaluate(sim_result, small_system, "EJ-8x2")
+    def test_bigger_ej_no_worse(self, event_streams, small_system):
+        big = evaluate(event_streams, small_system, "EJ-32x4")
+        small = evaluate(event_streams, small_system, "EJ-8x2")
         assert big.coverage.coverage >= small.coverage.coverage - 0.02
 
-    def test_energy_reduction_positive_for_hj(self, sim_result, small_system):
+    def test_energy_reduction_positive_for_hj(
+        self, sim_result, event_streams, small_system
+    ):
         accountant = EnergyAccountant()
-        hj = evaluate(sim_result, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
+        hj = evaluate(event_streams, small_system, "HJ(IJ-8x4x7, EJ-16x2)")
         reduction = accountant.reduction(sim_result.aggregate, hj)
         assert reduction.over_snoops_serial > 0
         assert reduction.over_snoops_parallel > reduction.over_snoops_serial
 
-    def test_null_filter_changes_nothing(self, sim_result, small_system):
+    def test_null_filter_changes_nothing(
+        self, sim_result, event_streams, small_system
+    ):
         accountant = EnergyAccountant()
-        null = evaluate(sim_result, small_system, "null")
+        null = evaluate(event_streams, small_system, "null")
         base = accountant.breakdown(sim_result.aggregate)
         with_null = accountant.breakdown(sim_result.aggregate, null, "null")
         assert with_null.total_j == pytest.approx(base.total_j)
@@ -141,9 +158,9 @@ class TestPipeline:
         agg = sim_result.aggregate
         assert agg.local_accesses == 30_000 - 6_000 - 1
 
-    def test_event_streams_per_node(self, sim_result):
-        assert len(sim_result.event_streams) == 4
-        for stream in sim_result.event_streams:
+    def test_event_streams_per_node(self, event_streams):
+        assert len(event_streams) == 4
+        for stream in event_streams:
             snoops, allocs, _evicts = stream.counts()
             assert snoops > 0
             assert allocs > 0

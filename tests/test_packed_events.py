@@ -1,13 +1,10 @@
-"""Packed-event encoding, legacy-payload compatibility, and store GC.
+"""Packed-event encoding and store GC.
 
-The PR that introduced packed 64-bit events carries three contracts:
+Two contracts:
 
 * :func:`pack_event` / :func:`unpack_event` round-trip every kind, flag
   mask, and block number (up to 2**60 as plain ints; ``array('q')``
   shard storage covers every simulable address space);
-* recorded payloads written before the packed encoding — events as
-  ``(kind, block, flag)`` triples — still decode and replay, and the
-  serialised bytes of a recording are unchanged;
 * the experiment store's LRU garbage collector evicts by recency down
   to a byte budget, and ``deallocate`` retires freed cache ways.
 """
@@ -15,16 +12,12 @@ The PR that introduced packed 64-bit events carries three contracts:
 from __future__ import annotations
 
 import itertools
-import json
-import zlib
 
 import pytest
 
-from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.cache import SetAssocCache
 from repro.coherence.config import CacheConfig
-from repro.core.config import build_filter
 from repro.core.stats import (
     ALLOC,
     EVICT,
@@ -32,7 +25,6 @@ from repro.core.stats import (
     SNOOP,
     NodeEventStream,
     pack_event,
-    replay_events,
     unpack_event,
 )
 from repro.utils.lru import LRUTracker
@@ -83,56 +75,6 @@ class TestPackedRoundTrip:
         packed = NodeEventStream(1, [pack_event(SNOOP, 7, 2), pack_event(ALLOC, 9)])
         legacy = NodeEventStream(1, [(SNOOP, 7, 2), (ALLOC, 9, 0)])
         assert list(packed.events) == list(legacy.events)
-
-
-class TestLegacyPayloadCompatibility:
-    def _legacy_sim_blob(self) -> bytes:
-        """A payload exactly as pre-packing versions serialised it."""
-        document = {
-            "workload": "legacy",
-            "n_cpus": 1,
-            "accesses": 3,
-            "node_stats": [vars(__import__(
-                "repro.coherence.metrics", fromlist=["NodeStats"]
-            ).NodeStats()).copy()],
-            "bus": {
-                "reads": 1, "read_exclusives": 0, "upgrades": 0,
-                "writebacks": 0, "remote_hit_histogram": [1, 0],
-            },
-            "event_streams": [
-                {"node_id": 0, "events": [
-                    [ALLOC, 0x40, 0],
-                    [MARKER, 0, 0],
-                    [SNOOP, 0x41, 0],   # absent block: filterable
-                    [SNOOP, 0x40, 2],   # present block: must pass
-                ]},
-            ],
-        }
-        return zlib.compress(
-            json.dumps(document, sort_keys=True, separators=(",", ":")).encode(), 6
-        )
-
-    def test_legacy_blob_decodes_to_packed_stream(self):
-        sim = store_mod.decode_sim(self._legacy_sim_blob())
-        stream = sim.event_streams[0]
-        assert list(stream.events) == [
-            pack_event(ALLOC, 0x40),
-            pack_event(MARKER, 0),
-            pack_event(SNOOP, 0x41, 0),
-            pack_event(SNOOP, 0x40, 2),
-        ]
-
-    def test_legacy_blob_replays(self):
-        sim = store_mod.decode_sim(self._legacy_sim_blob())
-        evaluation = replay_events(build_filter("EJ-8x2"), sim.event_streams[0])
-        assert evaluation.coverage.snoops == 2
-        assert evaluation.allocs == 0  # ALLOC rode the warm-up prefix
-
-    def test_reencode_preserves_triple_layout(self):
-        """Round-tripping a recording through the codec is byte-stable."""
-        blob = self._legacy_sim_blob()
-        sim = store_mod.decode_sim(blob)
-        assert store_mod.encode_sim(sim) == blob
 
 
 class TestStoreGC:

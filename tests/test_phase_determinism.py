@@ -101,7 +101,7 @@ def _replayed_payloads(spec, kernel):
     """``filter -> encoded bytes`` via record-once/replay-many."""
     store = ExperimentStore()
     try:
-        outcome = runner.evaluate_replay(
+        outcome = runner.evaluate(
             spec, SCALED_SYSTEM, FILTERS, SEED,
             experiment_store=store, kernel=kernel,
         )

@@ -185,8 +185,9 @@ def golden_path(profile: str, filter_name: str, seed: int) -> Path:
 
 def compute_metrics(profile: str, filter_name: str, seed: int) -> dict:
     workload = f"profile:{profile}"
-    result = experiments.run_workload(workload, seed=seed)
+    # Evaluating first records the trace, which stores the metrics too.
     evaluation = experiments.evaluate_filter(workload, filter_name, seed=seed)
+    result = experiments.workload_metrics(workload, seed=seed)
     return {
         "profile": profile,
         "profile_fingerprint": PROFILES[profile].fingerprint(),

@@ -7,11 +7,18 @@ from repro.core.exclude import ExcludeJetty
 from repro.core.null import NullFilter, OracleFilter
 from repro.core.stats import (
     CoverageStats,
+    EventReplayer,
     NodeEventStream,
     merge_evaluations,
-    replay_events,
 )
 from repro.errors import FilterSafetyError
+
+
+def replay_events(snoop_filter, stream):
+    """Replay one whole stream through ``snoop_filter`` (which it mutates)."""
+    replayer = EventReplayer(snoop_filter, stream.node_id)
+    replayer.feed(stream.events)
+    return replayer.finish()
 
 
 def snoop_flag(sub_hit: bool, block_present: bool) -> int:

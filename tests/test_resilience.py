@@ -203,7 +203,7 @@ class TestSupervisedExecutor:
         executor = SupervisedExecutor(
             2, backend="process",
             policy=RetryPolicy(max_attempts=8, base_delay=0.001, seed=2),
-            report=report, fault_plan=plan, stage="sim",
+            report=report, fault_plan=plan, stage="record",
         )
         tasks = list(range(4))
         assert executor.map(_square, tasks) == [_square(t) for t in tasks]
@@ -217,7 +217,7 @@ class TestSupervisedExecutor:
         report = runner.ExecutionReport()
         executor = SupervisedExecutor(
             1, backend="process", policy=FAST, timeout=0.5,
-            report=report, fault_plan=plan, stage="sim",
+            report=report, fault_plan=plan, stage="record",
         )
         started = time.perf_counter()
         assert executor.map(_square, [3]) == [9]
@@ -263,7 +263,7 @@ class TestSweepFaultTolerance:
     def test_raises_then_byte_identical_to_clean_run(self):
         clean, faulted = ExperimentStore(), ExperimentStore()
         sweep_into(clean)
-        # Every sim and eval task fails once with a transient raise.
+        # Every record and replay task fails once with a transient raise.
         plan = FaultPlan(name="raise-once", seed=5, raise_rate=1.0,
                          max_faults_per_task=1)
         result = sweep_into(
@@ -294,7 +294,7 @@ class TestSweepFaultTolerance:
         sweep_into(clean)
         plan = FaultPlan(name="hang-sims", seed=7, hang_rate=1.0,
                          hang_seconds=60.0, max_faults_per_task=1,
-                         stages=("sim",))
+                         stages=("record",))
         result = sweep_into(
             faulted, workers=2, backend="process",
             policy=RetryPolicy(max_attempts=6, base_delay=0.001, seed=7),
@@ -306,17 +306,38 @@ class TestSweepFaultTolerance:
 
     def test_poisoned_sim_degrades_to_partial_result(self):
         store = ExperimentStore()
-        plan = FaultPlan(name="poison-sim", seed=8, poison=(("sim", 0),))
+        plan = FaultPlan(name="poison-sim", seed=8, poison=(("record", 0),))
         result = sweep_into(
             store,
             policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=8),
             fault_plan=plan,
         )
         assert result.report.quarantined == 1
-        # One workload's sim never materialised, so only the other
+        # One workload's recording never materialised, so only the other
         # workload's evaluations exist — and the report says so.
         assert len(result.evaluations) == len(FILTERS)
         assert "quarantined" in result.report.summary()
+
+    def test_poisoned_recording_in_process_pool_keeps_the_other(self):
+        """Cold parallel sweeps record on the supervised pool: a poisoned
+        recording is quarantined while its sibling's results land."""
+        clean = ExperimentStore()
+        sweep_into(clean)
+        store = ExperimentStore()
+        plan = FaultPlan(name="poison-record", seed=9,
+                         poison=(("record", 0),))
+        result = sweep_into(
+            store, workers=2, backend="process",
+            policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=9),
+            fault_plan=plan,
+        )
+        assert result.report.quarantined == 1
+        assert result.report.sims_run == 1
+        assert len(result.evaluations) == len(FILTERS)
+        # The survivor's rows are exactly the clean run's.
+        reference = clean.dump()
+        for key, blob in store.dump().items():
+            assert reference[key] == blob
 
     def test_clean_report_summary_has_no_fault_segment(self):
         result = sweep_into(ExperimentStore())

@@ -85,6 +85,18 @@ class TestDeterminism:
                     result_parallel.coverage(workload, filter_name)
                 )
 
+    def test_thread_recording_store_is_bitwise_identical(self, tmp_path):
+        """Thread workers record over their own SQLite connections."""
+        serial = ExperimentStore(tmp_path / "serial.sqlite")
+        threaded = ExperimentStore(tmp_path / "threaded.sqlite")
+        sweep_into(serial, workers=1)
+        result = runner.run_sweep(
+            (WORKLOAD_A, WORKLOAD_B), FILTERS,
+            workers=2, backend="thread", experiment_store=threaded,
+        )
+        assert result.report.sims_run == 2
+        assert serial.dump() == threaded.dump()
+
     def test_seed_changes_results(self, tmp_path):
         store = ExperimentStore(tmp_path / "s.sqlite")
         one = runner.run_sweep((WORKLOAD_A,), ("EJ-8x2",), seeds=(1,),
@@ -97,12 +109,16 @@ class TestDeterminism:
 
     def test_payload_roundtrip_is_exact(self):
         spec = WORKLOADS[WORKLOAD_A]
-        sim = runner.compute_sim(spec, SCALED_SYSTEM, seed=1)
-        restored = store_mod.decode_sim(store_mod.encode_sim(sim))
-        assert store_mod.sim_result_to_dict(restored) == (
-            store_mod.sim_result_to_dict(sim)
+        metrics, evaluations = runner.compute_stream(
+            spec, SCALED_SYSTEM, 1, ("EJ-8x2",)
         )
-        evaluation = runner.compute_eval(sim, "EJ-8x2", SCALED_SYSTEM)
+        restored = store_mod.decode_sim_metrics(
+            store_mod.encode_sim_metrics(metrics)
+        )
+        assert store_mod.sim_metrics_to_dict(restored) == (
+            store_mod.sim_metrics_to_dict(metrics)
+        )
+        evaluation = evaluations["EJ-8x2"]
         restored_eval = store_mod.decode_eval(store_mod.encode_eval(evaluation))
         assert store_mod.evaluation_to_dict(restored_eval) == (
             store_mod.evaluation_to_dict(evaluation)
@@ -122,8 +138,7 @@ class TestWarmStore:
             calls["sims"] += 1
             raise AssertionError("warm store must not re-simulate")
 
-        monkeypatch.setattr(runner, "compute_sim", counting_sim)
-        monkeypatch.setattr(runner, "simulate", counting_sim)
+        monkeypatch.setattr(runner, "simulate_streaming", counting_sim)
         second = sweep_into(store, workers=1)
         assert calls["sims"] == 0
         assert second.report.sims_run == 0
@@ -135,10 +150,10 @@ class TestWarmStore:
         experiments.set_store(tmp_path / "shared.sqlite")
         sweep_into(experiments.get_store(), workers=1)
         monkeypatch.setattr(
-            runner, "compute_sim",
+            runner, "simulate_streaming",
             lambda *a, **k: pytest.fail("store should satisfy this"),
         )
-        result = experiments.run_workload(WORKLOAD_A)
+        result = experiments.workload_metrics(WORKLOAD_A)
         assert result.accesses == 3_000
         coverage = experiments.coverage_for(WORKLOAD_A, "EJ-8x2")
         assert 0.0 <= coverage <= 1.0
@@ -148,7 +163,7 @@ class TestWarmStore:
         with ExperimentStore(path) as store:
             sweep_into(store, workers=1)
         monkeypatch.setattr(
-            runner, "compute_sim",
+            runner, "simulate_streaming",
             lambda *a, **k: pytest.fail("reopened store should be warm"),
         )
         with ExperimentStore(path) as reopened:
@@ -161,14 +176,14 @@ class TestStore:
     def test_live_identity_preserved(self, tmp_path):
         store = ExperimentStore(tmp_path / "id.sqlite")
         spec = WORKLOADS[WORKLOAD_A]
-        key = store_mod.sim_key(spec, SCALED_SYSTEM, 1)
-        sim = runner.compute_sim(spec, SCALED_SYSTEM, 1)
-        store.put_sim(key, sim, seed=1)
-        assert store.get_sim(key) is sim
+        key = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
+        sim, _evaluations = runner.compute_stream(spec, SCALED_SYSTEM, 1)
+        store.put_sim_metrics(key, sim, seed=1)
+        assert store.get_sim_metrics(key) is sim
         with ExperimentStore(tmp_path / "id.sqlite") as fresh:
-            first = fresh.get_sim(key)
+            first = fresh.get_sim_metrics(key)
             assert first is not sim  # decoded copy...
-            assert fresh.get_sim(key) is first  # ...memoised thereafter
+            assert fresh.get_sim_metrics(key) is first  # ...memoised thereafter
 
     def test_schema_version_change_invalidates(self, tmp_path, monkeypatch):
         path = tmp_path / "schema.sqlite"
@@ -187,9 +202,13 @@ class TestStore:
         assert stats.sims == 2
         assert stats.evals == len(FILTERS) * 2
         assert stats.payload_bytes > 0
+        assert stats.traces == 2
         entries = store.entries()
-        assert len(entries) == stats.sims + stats.evals
-        assert {e.kind for e in entries} == {"sim", "eval"}
+        trace_rows = [e for e in entries if e.kind == store_mod.TRACE_KIND]
+        assert len(entries) == stats.sims + stats.evals + len(trace_rows)
+        assert {e.kind for e in entries} == {
+            "sim-metrics", "eval", store_mod.TRACE_KIND,
+        }
         removed = store.clear()
         assert removed == len(entries)
         assert store.stats().payload_bytes == 0

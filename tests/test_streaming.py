@@ -3,9 +3,9 @@
 The streaming engine's whole value rests on two claims:
 
 * **byte-identity** — for the same ``(spec, system, seed)``, a streamed
-  evaluation serialises to exactly the bytes the buffered replay
-  produces, for any chunk size and worker count (so both modes may share
-  one store keyspace);
+  evaluation serialises to exactly the bytes a replay of the recorded
+  trace produces, for any chunk size and worker count (so both modes may
+  share one store keyspace);
 * **bounded memory** — a streamed run's peak allocation depends on the
   chunk size, never on the trace length (so paper-scale runs fit).
 
@@ -20,6 +20,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM, SystemConfig
-from repro.coherence.smp import SMPSystem, simulate, simulate_streaming
+from repro.coherence.smp import SMPSystem, simulate_streaming
 from repro.core.stats import KIND_MASK, MARKER, NodeEventStream
 from repro.traces.synth import MixStream
 from repro.traces.workloads import (
@@ -80,7 +81,8 @@ def sweep_workload():
 
 class TestGoldenEquivalence:
     def test_streamed_matches_buffered_across_chunk_sizes(self):
-        """Every golden pair, three chunk sizes: identical payload bytes."""
+        """Every golden pair, three chunk sizes: streamed payload bytes
+        equal the bytes of a replay of the recorded trace."""
         for spec in GOLDEN_WORKLOADS:
             cases = [(f, s) for w, f, s in CASES if w == spec.name]
             assert cases, f"no golden cases for {spec.name}"
@@ -88,11 +90,13 @@ class TestGoldenEquivalence:
             for filter_name, seed in cases:
                 by_seed.setdefault(seed, []).append(filter_name)
             for seed, filters in by_seed.items():
-                sim = runner.compute_sim(spec, SCALED_SYSTEM, seed)
+                replayed = runner.evaluate(
+                    spec, SCALED_SYSTEM, tuple(filters), seed,
+                    experiment_store=ExperimentStore(),
+                )
+                sim = replayed.metrics
                 buffered = {
-                    name: store_mod.encode_eval(
-                        runner.compute_eval(sim, name, SCALED_SYSTEM)
-                    )
+                    name: store_mod.encode_eval(replayed.evaluations[name])
                     for name in filters
                 }
                 for chunk_size in CHUNK_SIZES:
@@ -165,17 +169,20 @@ class _CollectingSink:
 class TestShardProtocol:
     @pytest.mark.parametrize("chunk_size", (1, 7, 400, 10_000))
     def test_shards_concatenate_to_buffered_stream(self, tiny2, chunk_size):
+        """Any chunk size reassembles to the events of a run whose chunk
+        covers the whole trace (one shard per warm-up/measured region)."""
         trace = _trace(1_200)
-        buffered = simulate(tiny2, trace, warmup=300)
+        whole = _CollectingSink(tiny2.n_cpus)
+        buffered = simulate_streaming(
+            tiny2, trace, warmup=300, chunk_size=len(trace), sinks=[whole]
+        )
+        assert len(whole.shard_sizes) == 2
         sink = _CollectingSink(tiny2.n_cpus)
         streamed = simulate_streaming(
             tiny2, trace, warmup=300, chunk_size=chunk_size, sinks=[sink]
         )
-        for node_id, stream in enumerate(buffered.event_streams):
-            assert sink.events[node_id] == list(stream.events), (
-                node_id, chunk_size
-            )
-        assert streamed.event_streams == []
+        for node_id, events in enumerate(whole.events):
+            assert sink.events[node_id] == events, (node_id, chunk_size)
         assert [vars(s) for s in streamed.node_stats] == (
             [vars(s) for s in buffered.node_stats]
         )
@@ -209,16 +216,10 @@ class TestShardProtocol:
         with pytest.raises(TraceError):
             list(system.run_chunked([], chunk_size=0))
 
-    def test_replaying_a_metrics_only_result_fails_loudly(self, tiny2):
-        """A hollow (streamed) result must never yield zero coverage."""
-        metrics = simulate_streaming(tiny2, _trace(300), chunk_size=128)
-        assert metrics.event_streams == []
-        with pytest.raises(ValueError, match="metrics-only"):
-            runner.compute_eval(metrics, "EJ-8x2", SCALED_SYSTEM)
-
 
 # ----------------------------------------------------------------------
-# Store-backed sweeps: equivalence and cross-mode warming
+# Store-backed sweeps: equivalence and cross-mode warming (``stream=False``
+# is the default record -> replay mode)
 # ----------------------------------------------------------------------
 
 class TestStreamSweeps:
@@ -232,18 +233,18 @@ class TestStreamSweeps:
     def test_streamed_sweep_matches_buffered_evaluations(
         self, sweep_workload, tmp_path
     ):
-        buffered_store = ExperimentStore(tmp_path / "buffered.sqlite")
+        replayed_store = ExperimentStore(tmp_path / "replayed.sqlite")
         streamed_store = ExperimentStore(tmp_path / "streamed.sqlite")
-        buffered = self._sweep(buffered_store, stream=False)
+        replayed = self._sweep(replayed_store, stream=False)
         streamed = self._sweep(streamed_store, stream=True)
 
         evals_of = lambda store: {
             e.key: store.get_blob(e.key)
             for e in store.entries() if e.kind == "eval"
         }
-        assert evals_of(buffered_store) == evals_of(streamed_store)
+        assert evals_of(replayed_store) == evals_of(streamed_store)
         for name in SWEEP_FILTERS:
-            assert buffered.coverage(SWEEP_WORKLOAD, name) == (
+            assert replayed.coverage(SWEEP_WORKLOAD, name) == (
                 streamed.coverage(SWEEP_WORKLOAD, name)
             )
         kinds = {e.kind for e in streamed_store.entries()}
@@ -274,15 +275,14 @@ class TestStreamSweeps:
         store = ExperimentStore(tmp_path / "warm.sqlite")
         self._sweep(store, stream=False)
         streamed = self._sweep(store, stream=True)
-        # Fully warm: evaluations are shared across modes, and the
-        # metrics-only payload is derived from the stored buffered
-        # simulation rather than re-simulated.
+        # Fully warm: evaluations and the metrics row the recording
+        # stored are shared across modes, so nothing is re-simulated.
         assert streamed.report.evals_run == 0
         assert streamed.report.evals_cached == len(SWEEP_FILTERS)
         assert streamed.report.sims_run == 0
         assert streamed.report.sims_cached == 1
-        # The derived payload is byte-identical to a genuinely streamed
-        # one: a fresh streamed store's sim-metrics row matches.
+        # The recorded metrics payload is byte-identical to a genuinely
+        # streamed one: a fresh streamed store's sim-metrics row matches.
         fresh = ExperimentStore(tmp_path / "fresh.sqlite")
         self._sweep(fresh, stream=True)
         metrics_rows = lambda s: {
@@ -299,20 +299,14 @@ class TestStreamSweeps:
             (SWEEP_WORKLOAD,), SWEEP_FILTERS[:1],
             experiment_store=store, stream=False,
         )
-        # The stored buffered recording must satisfy the second filter by
-        # replay — any attempt to simulate again is a failure.
+        # The stored recording must satisfy the second filter by replay —
+        # any attempt to simulate again is a failure.
         with monkeypatch.context() as patched:
             patched.setattr(
-                runner, "compute_stream",
-                lambda *a, **k: pytest.fail(
-                    "buffered recording should be replayed"
-                ),
-            )
-            patched.setattr(
-                runner, "compute_sim",
+                runner, "simulate_streaming",
                 lambda *a, **k: pytest.fail("nothing should be simulated"),
             )
-            streamed = self._sweep(store, stream=True)
+            streamed = self._sweep(store, stream=False)
         assert streamed.report.sims_run == 0
         assert streamed.report.sims_cached == 1
         assert streamed.report.evals_run == 1  # the second filter, replayed
@@ -335,10 +329,10 @@ class TestStreamSweeps:
     ):
         store = ExperimentStore(tmp_path / "warm2.sqlite")
         self._sweep(store, stream=True)
-        # Every evaluation the buffered sweep wants is already stored, so
+        # Every evaluation the default sweep wants is already stored, so
         # it must not re-simulate just to park an unused recording.
         monkeypatch.setattr(
-            runner, "compute_sim",
+            runner, "simulate_streaming",
             lambda *a, **k: pytest.fail("warm evals need no simulation"),
         )
         buffered = self._sweep(store, stream=False)
@@ -347,12 +341,12 @@ class TestStreamSweeps:
         assert buffered.report.sims_run == 0
 
     def test_front_door_evaluate_filters_streaming(self, sweep_workload):
-        outcome = experiments.evaluate_filters_streaming(
-            SWEEP_WORKLOAD, SWEEP_FILTERS, chunk_size=512
+        outcome = runner.evaluate(
+            SWEEP_WORKLOAD, filters=SWEEP_FILTERS, stream=True, chunk_size=512
         )
         assert set(outcome.evaluations) == set(SWEEP_FILTERS)
         assert outcome.metrics.accesses == sweep_workload.n_accesses
-        assert outcome.metrics.event_streams == []
+        assert experiments.get_store().stats().traces == 0
         for name in SWEEP_FILTERS:
             assert outcome.coverage(name) == pytest.approx(
                 experiments.coverage_for(SWEEP_WORKLOAD, name)
@@ -469,9 +463,9 @@ def _streamed_peak(system, base, n_accesses: int) -> tuple[int, int]:
 def test_streamed_peak_memory_is_flat_at_2m_accesses():
     """Acceptance bound: 2M-access peak within 2x of the 200k-access peak.
 
-    Also cross-checks against a buffered run at the small size: buffered
-    accumulation is already several times the streamed peak at 200k
-    accesses, so the assertion genuinely discriminates.
+    Also cross-checks against a sink that keeps every event at the small
+    size: that accumulation is already several times the streamed peak at
+    200k accesses, so the assertion genuinely discriminates.
     """
     system = _memory_system()
     base = _memory_trace()
@@ -484,8 +478,20 @@ def test_streamed_peak_memory_is_flat_at_2m_accesses():
         f"{peak_small / 1e6:.2f} MB @200k vs {peak_large / 1e6:.2f} MB @2M"
     )
 
+    class KeepAll:
+        def __init__(self) -> None:
+            self.events = [array("q") for _ in range(system.n_cpus)]
+
+        def consume(self, shard) -> None:
+            for node_id, stream in enumerate(shard):
+                self.events[node_id].extend(stream.events)
+
+    # The default chunk, like the batch an unsharded run materialises.
     tracemalloc.start()
-    simulate(system, itertools.islice(itertools.cycle(base), 200_000), warmup=2_000)
+    simulate_streaming(
+        system, itertools.islice(itertools.cycle(base), 200_000),
+        warmup=2_000, sinks=[KeepAll()],
+    )
     _current, buffered_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert buffered_peak > 2 * peak_small, (

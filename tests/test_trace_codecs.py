@@ -389,7 +389,7 @@ class TestMeasuredOnly:
     def test_every_family_byte_identical_to_live(self, tmp_path, kernel):
         spec = WORKLOADS[WORKLOAD]
         store = ExperimentStore(tmp_path / f"mo-{kernel}.sqlite")
-        outcome = runner.evaluate_replay(
+        outcome = runner.evaluate(
             spec, SCALED_SYSTEM, FAMILY_FILTERS, 1,
             experiment_store=store, kernel=kernel,
             codec="delta-v1", measured_only=True,
@@ -534,12 +534,12 @@ class TestMeasuredOnly:
     def test_codec_flags_need_a_replay_sweep(self):
         with pytest.raises(ConfigurationError, match="replay sweeps only"):
             runner.run_sweep(
-                (WORKLOAD,), ("EJ-8x2",),
+                (WORKLOAD,), ("EJ-8x2",), stream=True,
                 experiment_store=ExperimentStore(), codec="delta-v1",
             )
         with pytest.raises(ConfigurationError, match="replay sweeps only"):
             runner.run_sweep(
-                (WORKLOAD,), ("EJ-8x2",),
+                (WORKLOAD,), ("EJ-8x2",), stream=True,
                 experiment_store=ExperimentStore(), measured_only=True,
             )
 

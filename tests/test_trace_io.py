@@ -52,13 +52,13 @@ class TestRoundTrip:
         assert list(load_trace(path)) == stream
 
     def test_loaded_trace_drives_simulator(self, tmp_path, tiny_system):
-        from repro.coherence.smp import simulate
+        from repro.coherence.smp import simulate_streaming
 
         trace = [(cpu, 0x1000 + 8 * i, i % 3 == 0)
                  for i, cpu in enumerate([0, 1, 2, 3] * 25)]
         path = tmp_path / "drive.npz"
         save_trace(path, trace)
-        result = simulate(tiny_system, load_trace(path), "from-file")
+        result = simulate_streaming(tiny_system, load_trace(path), "from-file")
         assert result.accesses == 100
 
 

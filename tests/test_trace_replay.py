@@ -3,15 +3,16 @@
 The trace layer's value rests on three claims, all pinned here:
 
 * **byte-identity** — replaying a persisted trace produces evaluation
-  (and restored metrics) payloads identical to the live streamed and
-  buffered paths', for every filter family, any recording chunk size,
-  and any worker count / executor backend;
+  (and restored metrics) payloads identical to the live streamed path's,
+  for every filter family, any recording chunk size, and any worker
+  count / executor backend;
 * **chunk-invariant storage** — the trace rows themselves (manifest and
   segments) are byte-identical whatever chunk size the recording pass
   used, which is why chunk size never appears in a store key;
-* **legacy isolation** — the new ``sim-events`` kind only *adds* rows:
-  every pre-existing ``sim``/``sim-metrics``/``eval`` entry keeps its
-  key and exact payload bytes, with no ``SCHEMA_VERSION`` bump.
+* **legacy isolation** — the ``sim-events`` kind only *adds* rows:
+  every pre-existing ``sim-metrics``/``eval`` entry, and any row of the
+  retired ``sim`` kind, keeps its key and exact payload bytes, with no
+  ``SCHEMA_VERSION`` bump.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import TraceSink
 from repro.errors import ConfigurationError
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
+from tests.conftest import put_legacy_sim_row
 
 WORKLOAD = "test-trace-replay"
 
@@ -113,15 +115,20 @@ class TestReplayByteIdentity:
             ), (name, chunk_size, workers)
 
     def test_replay_matches_buffered_evaluations(self, trace_workload, tmp_path):
-        buffered = ExperimentStore(tmp_path / "buffered.sqlite")
+        """A sweep with no mode flag records and replays, exactly as
+        ``replay=True`` spells it."""
+        default = ExperimentStore(tmp_path / "default.sqlite")
         runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS, experiment_store=buffered,
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=default,
         )
         replayed = ExperimentStore(tmp_path / "replayed.sqlite")
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS, experiment_store=replayed, replay=True,
         )
-        assert _rows(buffered, "eval") == _rows(replayed, "eval")
+        assert _rows(default, "eval") == _rows(replayed, "eval")
+        assert _rows(default, store_mod.TRACE_KIND) == (
+            _rows(replayed, store_mod.TRACE_KIND)
+        )
 
     def test_thread_backend_is_byte_identical(self, trace_workload, tmp_path):
         serial = ExperimentStore(tmp_path / "serial.sqlite")
@@ -318,14 +325,14 @@ class TestLegacyStore:
     def test_old_entries_untouched_by_recording(self, trace_workload, tmp_path):
         path = tmp_path / "legacy.sqlite"
         store = ExperimentStore(path)
-        # A "legacy" store: buffered sim + evals, streamed metrics.
-        runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
-        )
-        runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
-            stream=True, seeds=(2,),
-        )
+        # A "legacy" store: a buffered-mode sim row, streamed metrics and
+        # evals.
+        sim_key = put_legacy_sim_row(store, WORKLOADS[WORKLOAD], SCALED_SYSTEM)
+        for seed in (1, 2):
+            runner.run_sweep(
+                (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
+                stream=True, seeds=(seed,),
+            )
         legacy = store.dump()
         assert {e.kind for e in store.entries()} == {
             "sim", "sim-metrics", "eval"
@@ -343,8 +350,8 @@ class TestLegacyStore:
             assert reopened.stats().traces == 1
             for key, blob in legacy.items():
                 assert reopened.get_blob(key) == blob
-            sim_keys = [e.key for e in reopened.entries() if e.kind == "sim"]
-            assert reopened.get_sim(sim_keys[0]) is not None  # still decodes
+            # The retired row is left alone: reported, never decoded.
+            assert reopened.fsck().retired == (sim_key,)
 
 
 # ----------------------------------------------------------------------
@@ -447,9 +454,9 @@ class TestFrontDoorFastPaths:
     def test_evaluate_filter_replays_from_trace(
         self, trace_workload, monkeypatch
     ):
-        experiments.evaluate_filters_replay(WORKLOAD, ("EJ-8x2",))
+        runner.evaluate(WORKLOAD, filters=("EJ-8x2",))
         monkeypatch.setattr(
-            runner, "compute_sim",
+            runner, "simulate_streaming",
             lambda *a, **k: pytest.fail("a recorded trace makes any new "
                                         "filter a replay, never a sim"),
         )
@@ -482,11 +489,11 @@ class TestFrontDoorFastPaths:
         assert store.get_blob(mkey) is not None  # row restored
 
     def test_evaluate_filters_replay_outcome(self, trace_workload):
-        outcome = experiments.evaluate_filters_replay(
-            WORKLOAD, FAMILY_FILTERS[:2], workers=2, backend="thread",
+        outcome = runner.evaluate(
+            WORKLOAD, filters=FAMILY_FILTERS[:2], workers=2, backend="thread",
         )
         assert set(outcome.evaluations) == set(FAMILY_FILTERS[:2])
-        assert outcome.metrics.event_streams == []
+        assert experiments.get_store().stats().traces == 1
         for name in FAMILY_FILTERS[:2]:
             assert outcome.coverage(name) == pytest.approx(
                 experiments.coverage_for(WORKLOAD, name)

@@ -7,7 +7,7 @@ tests exercise the other configurations the substrate supports.
 import pytest
 
 from repro.coherence.config import CacheConfig, SystemConfig
-from repro.coherence.smp import SMPSystem, check_coherence_invariants, simulate
+from repro.coherence.smp import SMPSystem, check_coherence_invariants
 from repro.coherence.states import MOESI
 from tests.conftest import make_random_trace
 
@@ -79,9 +79,12 @@ class TestNoSubblocking:
         from repro.core.stats import SNOOP
 
         nsb = tiny_system.without_subblocking()
-        result = simulate(nsb, make_random_trace(2000, seed=7), "nsb")
+        system = SMPSystem(nsb)
+        for cpu, address, is_write in make_random_trace(2000, seed=7):
+            system.access(cpu, address, is_write)
+        system.finish()
         snoops = present_but_dead = 0
-        for stream in result.event_streams:
+        for stream in (node.events for node in system.nodes):
             for kind, _block, flag in stream.triples():
                 if kind == SNOOP:
                     snoops += 1

@@ -23,6 +23,7 @@ from repro.analysis import runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
+from repro.coherence.smp import simulate_streaming
 from repro.core import vector_replay
 from repro.core.config import build_filter
 from repro.core.exclude import ExcludeJetty
@@ -31,6 +32,7 @@ from repro.core.stats import (
     EVICT,
     EventReplayer,
     MARKER,
+    NodeEventStream,
     PHASE_FLAG,
     PackedSegment,
     REPLAY_KERNELS,
@@ -44,7 +46,13 @@ from repro.errors import (
     ConfigurationError,
     FilterSafetyError,
 )
-from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
+from repro.traces.workloads import (
+    WORKLOADS,
+    PaperReference,
+    WorkloadSpec,
+    simulate_workload_accesses,
+)
+from tests.test_streaming import _CollectingSink
 
 requires_numpy = pytest.mark.skipif(
     not vector_replay.numpy_available(),
@@ -111,10 +119,26 @@ SUITE_SPEC = Suite(
 )
 
 
+def _event_streams(spec) -> list[NodeEventStream]:
+    """Per-node event streams of one simulation, reassembled from shards."""
+    accesses, warmup = simulate_workload_accesses(
+        spec, n_cpus=SCALED_SYSTEM.n_cpus, seed=1
+    )
+    sink = _CollectingSink(SCALED_SYSTEM.n_cpus)
+    simulate_streaming(
+        SCALED_SYSTEM, accesses, spec.name, warmup=warmup, sinks=[sink],
+        phase_marks=runner._phase_plan(spec)[0],
+    )
+    return [
+        NodeEventStream(node_id, events)
+        for node_id, events in enumerate(sink.events)
+    ]
+
+
 @pytest.fixture(scope="module")
 def suite_streams():
     """Per-node event streams of the suite miniature (PHASE markers in)."""
-    return runner.compute_sim(SUITE_SPEC, SCALED_SYSTEM, 1).event_streams
+    return _event_streams(SUITE_SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +147,7 @@ def golden_streams():
     for spec in GOLDEN_WORKLOADS:
         WORKLOADS[spec.name] = spec
     try:
-        yield {
-            spec.name: runner.compute_sim(
-                spec, SCALED_SYSTEM, 1
-            ).event_streams
-            for spec in GOLDEN_WORKLOADS
-        }
+        yield {spec.name: _event_streams(spec) for spec in GOLDEN_WORKLOADS}
     finally:
         for spec in GOLDEN_WORKLOADS:
             del WORKLOADS[spec.name]
