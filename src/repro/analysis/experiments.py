@@ -64,28 +64,21 @@ def workload_metrics(
 
     The one metrics call for exhibits that read counters (tables,
     stability, energy): it is satisfied by a stored ``sim-metrics`` row
-    (written by every recording and streamed run), falls back to a
-    recorded trace's manifest, and only simulates, in O(chunk) streaming
-    mode, when neither exists.  Call :func:`evaluate_filter` first when
-    both are needed: its recording stores the metrics too, so the
-    workload simulates once.
+    (written by every recording and streamed run).  On a miss it runs
+    a pure record job through :func:`repro.analysis.runner.evaluate`,
+    which restores the row from an already-recorded trace's manifest or
+    records the trace, so a later :func:`evaluate_filter` on the same
+    workload only replays: the workload simulates once.
     """
     spec = get_workload(name)
     store = get_store()
-    mkey = store_mod.sim_metrics_key(spec, system, seed)
-    metrics = store.get_sim_metrics(mkey)
-    if metrics is not None:
-        return metrics
-    # A recorded trace embeds the run's metrics in its manifest; restore
-    # the sim-metrics row from it (byte-identical) instead of simulating.
-    manifest_blob = store.get_blob(store_mod.trace_key(spec, system, seed))
-    if manifest_blob is not None:
-        data = store_mod.decode_trace_manifest(manifest_blob)["metrics"]
-        metrics = store_mod.sim_metrics_from_dict(data)
-        store.put_sim_metrics(mkey, metrics, seed=seed)
-        return metrics
-    metrics, _evaluations = runner.compute_stream(spec, system, seed)
-    store.put_sim_metrics(mkey, metrics, seed=seed)
+    metrics = store.get_sim_metrics(
+        store_mod.sim_metrics_key(spec, system, seed)
+    )
+    if metrics is None:
+        metrics = runner.evaluate(
+            spec, system, (), seed, experiment_store=store
+        ).metrics
     return metrics
 
 

@@ -22,7 +22,14 @@ share:
   simulation emits bounded event *shards* (see the shard/marker protocol
   in :mod:`repro.coherence.smp`), every filter consumes each shard as it
   appears, and only metrics and evaluations are stored.  Memory is
-  O(chunk) and nothing but results is persisted.
+  O(chunk) and nothing but results is persisted.  Passes run as the
+  supervised ``stream`` stage.
+
+Both modes drive the machine through the one loop,
+:func:`repro.coherence.smp.simulate_streaming`, and every simulating
+task (a recording or a streamed pass) is a store client: it writes its
+rows itself, inline into the parent's store, over its own connection to
+a SQLite file, or into a scratch store whose rows ship back.
 
 Misses run inline or on a pluggable executor backend (``serial``,
 ``process`` (a supervised process pool, the default) or ``thread``).
@@ -44,17 +51,19 @@ whatever the chunk size, kernel, codec, or worker count, which is why
 both modes share one ``eval`` keyspace.
 
 **Checkpointing.**  Streamed runs and recordings accept a
-``checkpoint_every`` cadence: every N stream accesses the run snapshots
-its *complete* logical state (caches, write buffers, bus, filter banks,
-trace-sink watermarks, generator) into the store (kind ``checkpoint``),
-and a warm start resumes from the newest usable snapshot instead of
-access 0.  Snapshots ride the uniform ``snapshot()``/``restore()``
-protocol every stateful layer implements; restore rebuilds each layer's
-derived fast-path state, and the determinism contract extends to
-interruption: a killed-and-resumed run produces byte-identical metrics,
-evaluations, and recorded trace segments.  Completed runs retire their
-checkpoint chains; ``repro checkpoint list|info|rm`` inspects or drops
-leftovers.
+``checkpoint_every`` cadence.  Every N stream accesses the loop stops
+and the run's save callback snapshots its *complete* logical state
+(caches, write buffers, bus, filter banks, trace-sink watermarks,
+generator) into the store (kind ``checkpoint``); a warm start walks the
+resume ladder (:func:`_resume_latest`) and hands the restored machine
+back to the same loop at the snapshot's position instead of access 0.
+Snapshots ride the uniform ``snapshot()``/``restore()`` protocol every
+stateful layer implements; restore rebuilds each layer's derived
+fast-path state, and the determinism contract extends to interruption:
+a killed-and-resumed run produces byte-identical metrics, evaluations,
+and recorded trace segments.  With ``checkpoint_every=None`` nothing is
+saved and no chain is probed.  Completed runs retire their checkpoint
+chains; ``repro checkpoint list|info|rm`` inspects or drops leftovers.
 
 Jobs are sorted by store key before submission, so insertion order (and
 therefore the store file) is independent of the caller's iteration
@@ -88,6 +97,8 @@ from repro.coherence.smp import (
     SMPSystem,
     TRACE_SEGMENT_EVENTS,
     TraceSink,
+    # Every simulation goes through this binding: perfbench's tracer
+    # patches it as the ``coherence`` span.
     simulate_streaming,
 )
 from repro.core.config import build_filter
@@ -268,101 +279,23 @@ def compute_stream(
     are byte-for-byte what an uninterrupted (or checkpoint-free) run
     produces; the run's checkpoint chain is deleted on completion.
     """
-    if checkpoint_every is not None:
-        if experiment_store is None:
-            raise ConfigurationError(
-                "checkpoint_every needs an experiment_store to keep "
-                "checkpoints in"
-            )
-        metrics, evaluations, _sink, chain = _run_checkpointed(
-            spec, system, seed, tuple(filter_names), chunk_size,
-            checkpoint_every, experiment_store,
+    if checkpoint_every is not None and experiment_store is None:
+        raise ConfigurationError(
+            "checkpoint_every needs an experiment_store to keep "
+            "checkpoints in"
         )
+    metrics, evaluations, _sink, chain = _run_simulation(
+        spec, system, seed, tuple(filter_names), chunk_size,
+        checkpoint_every=checkpoint_every, experiment_store=experiment_store,
+    )
+    if chain is not None:
         experiment_store.delete_group(store_mod.CHECKPOINT_KIND, chain)
-        return metrics, evaluations
-    stream, warmup = simulate_workload_accesses(
-        spec, n_cpus=system.n_cpus, seed=seed
-    )
-    marks, names = _phase_plan(spec)
-    # One StreamingFilterBank per configuration.  (A fused all-filters
-    # bank that decodes each shard once was prototyped and measured
-    # *slower*: replay cost is dominated by the per-filter probe/update
-    # callbacks, and the fused dispatch costs more than the three saved
-    # decode passes.  The tight per-bank loop with hoisted bound methods
-    # is the fastest pure-Python shape found.)
-    banks = {
-        name: _build_bank(name, system, phase_names=names)
-        for name in filter_names
-    }
-    metrics = simulate_streaming(
-        system,
-        stream,
-        spec.name,
-        warmup=warmup,
-        chunk_size=chunk_size,
-        sinks=banks.values(),
-        phase_marks=marks,
-    )
-    return metrics, {name: bank.finish() for name, bank in banks.items()}
+    return metrics, evaluations
 
 
 # ----------------------------------------------------------------------
-# Checkpointed streaming (mid-run snapshot / resume)
+# One streaming run, checkpointed or not (mid-run snapshot / resume)
 # ----------------------------------------------------------------------
-
-def _save_checkpoint(
-    experiment_store: ExperimentStore,
-    chain: str,
-    spec: WorkloadSpec,
-    system_cfg: SystemConfig,
-    seed: int,
-    *,
-    system: SMPSystem,
-    banks: dict[str, StreamingFilterBank],
-    sink: TraceSink | None,
-    stream,
-    position: int,
-    measured: bool,
-    mkey: str,
-    tkey: str | None,
-) -> None:
-    """Persist one mid-run snapshot under ``(chain, position)``.
-
-    The payload composes every layer's ``snapshot()`` (system, filter
-    banks, trace sink) with the generator checkpoint and enough identity
-    (``mkey``/``tkey``) for garbage collection to recognise the chain as
-    superseded once the run's results land.  Unlike result payloads the
-    encoding is non-canonical fast-path JSON at zlib level 1 (see
-    :func:`repro.analysis.store.encode_checkpoint`); the *state* itself
-    is chunk-size-invariant, because the machine at access ``position``
-    is by the determinism contract.
-    """
-    state = {
-        "version": 1,
-        "workload": spec.name,
-        "n_cpus": system_cfg.n_cpus,
-        "seed": seed,
-        "filters": sorted(banks),
-        "record": sink is not None,
-        "position": position,
-        "measured": measured,
-        "mkey": mkey,
-        "tkey": tkey,
-        "system": system.snapshot(),
-        "banks": {name: bank.snapshot() for name, bank in banks.items()},
-        "sink": None if sink is None else sink.snapshot(),
-        "stream": base64.b64encode(stream.checkpoint()).decode("ascii"),
-    }
-    experiment_store.put_blob(
-        store_mod.checkpoint_key(chain, position),
-        store_mod.encode_checkpoint(state),
-        kind=store_mod.CHECKPOINT_KIND,
-        workload=spec.name,
-        filter_name=chain,
-        n_cpus=system_cfg.n_cpus,
-        seed=seed,
-    )
-
 
 def _load_latest_checkpoint(
     experiment_store: ExperimentStore, chain: str, validate=None
@@ -444,253 +377,205 @@ def _validate_recording(
     return True
 
 
-def _run_checkpointed(
-    spec: WorkloadSpec,
-    system_cfg: SystemConfig,
-    seed: int,
-    filter_names: tuple[str, ...],
-    chunk_size: int,
-    checkpoint_every: int,
+def _resume_latest(
     experiment_store: ExperimentStore,
-    *,
-    record: bool = False,
-    write_segment=None,
-    tkey: str | None = None,
-    report: ExecutionReport | None = None,
-    segment_events: int = TRACE_SEGMENT_EVENTS,
-) -> tuple[SimResult, dict[str, FilterEvaluation], TraceSink | None, str]:
-    """One streaming run that snapshots every ``checkpoint_every`` accesses.
+    chain: str,
+    build_fresh,
+    fingerprint: str,
+    validate=None,
+):
+    """The resume ladder: ``(layers, stream, position)`` of a chain.
 
-    The loop is :func:`repro.coherence.smp.simulate_streaming` with stops
-    cut at checkpoint watermarks (multiples of ``checkpoint_every`` of
-    the *stream* position, warm-up included) as well as the warm-up
-    boundary.  On entry the store is probed for this run's chain and the
-    newest usable checkpoint restores every layer — machine, filter
-    banks, trace sink, generator — so only the tail since that watermark
-    re-simulates.  By the determinism contract the results (and, when
-    recording, every written segment) are byte-identical to an
-    uninterrupted run's, whatever the chunk size of either attempt.
-
-    Returns ``(metrics, evaluations, sink, chain)``; the *caller* owns
-    finishing the sink (tail segments/manifest) and retiring the chain
-    once its results are durable.
+    ``layers`` is a fresh ``(system, banks, sink)`` from
+    ``build_fresh``.  The newest checkpoint that loads and validates
+    (see :func:`_load_latest_checkpoint`) is restored into them; one
+    that then fails to *restore* (a structurally damaged payload, or a
+    stream generated under a different spec/profile/seed/topology) is
+    deleted like any other bad checkpoint, the partially mutated layers
+    are rebuilt fresh, and the next-lower watermark is tried — a bad
+    snapshot must never brick the chain.  With nothing to resume,
+    returns fresh layers, ``None`` and 0.
     """
-    if checkpoint_every < 1:
-        raise ConfigurationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
-    chain = store_mod.checkpoint_chain_key(
-        spec, system_cfg, seed, filter_names, record
-    )
-    mkey = store_mod.sim_metrics_key(spec, system_cfg, seed)
-    warmup = spec.warmup_accesses
-    marks, phase_names = _phase_plan(spec)
-    expected_fingerprint = stream_fingerprint(
-        spec, n_cpus=system_cfg.n_cpus, seed=seed, include_warmup=True
-    )
-
-    def build_fresh():
-        fresh_system = SMPSystem(system_cfg)
-        fresh_banks = {
-            name: _build_bank(name, system_cfg, phase_names=phase_names)
-            for name in filter_names
-        }
-        fresh_sink = (
-            TraceSink(system_cfg.n_cpus, write_segment, segment_events)
-            if record else None
-        )
-        return fresh_system, fresh_banks, fresh_sink
-
-    system, banks, sink = build_fresh()
-    validate = None
-    if record:
-        def validate(state):
-            return _validate_recording(experiment_store, tkey, state["sink"])
-
-    # Resume ladder: a checkpoint that decodes and validates can still
-    # fail to *restore* (a structurally damaged payload); such a row is
-    # deleted like any other bad checkpoint, partially mutated objects
-    # are rebuilt fresh, and the next-lower watermark is tried — a bad
-    # snapshot must never brick the chain.
-    resumed = False
-    while not resumed:
+    layers = build_fresh()
+    while True:
         loaded = _load_latest_checkpoint(experiment_store, chain, validate)
         if loaded is None:
-            break
+            return layers, None, 0
         key, state = loaded
+        system, banks, sink = layers
         try:
             system.restore(state["system"])
             for name, bank in banks.items():
                 bank.restore(state["banks"][name])
             if sink is not None:
                 sink.restore(state["sink"])
-            # Fingerprint-validated: a checkpoint whose stream was
-            # generated under a different spec/profile/seed/topology is
-            # rejected here (ConfigurationError) and, like any other bad
-            # snapshot, deleted — the ladder falls back rather than
-            # silently continuing a diverged stream.
             stream = resume_stream(
-                base64.b64decode(state["stream"]), expected_fingerprint
+                base64.b64decode(state["stream"]), fingerprint
             )
-            position = int(state["position"])
-            measured = bool(state["measured"])
+            return layers, stream, int(state["position"])
         except (ReproError, KeyError, ValueError, TypeError,
                 IndexError) as error:
-            # Decoded but failed to *restore*: structural damage
-            # surfaces as TraceError/StoreCorruptionError from the
-            # layers' restore methods, a diverged stream fingerprint
-            # as ConfigurationError, missing/mistyped fields as the
-            # builtin errors.  Delete the snapshot, rebuild the
-            # partially mutated layers, fall back a link.
+            # Structural damage surfaces as TraceError or
+            # StoreCorruptionError from the layers' restore methods, a
+            # diverged stream fingerprint as ConfigurationError,
+            # missing/mistyped fields as the builtin errors.
             _logger.warning(
                 "checkpoint %s failed to restore (%s: %s); "
                 "falling back to the previous watermark",
                 key, type(error).__name__, error,
             )
             experiment_store.delete_key(key)
-            system, banks, sink = build_fresh()
-            continue
-        resumed = True
-        if report is not None:
-            report.checkpoints_resumed += 1
-            report.resumed_accesses = position
-    if not resumed:
-        if record:
-            # Fresh recording: stale segments from an interrupted or
-            # partially collected attempt must never mix with new ones.
-            experiment_store.delete_trace(tkey)
-        stream, _warmup = simulate_workload_accesses(
-            spec, n_cpus=system_cfg.n_cpus, seed=seed
-        )
-        position = 0
-        measured = warmup == 0
+            layers = build_fresh()
 
-    consumers = list(banks.values())
-    if sink is not None:
-        consumers.append(sink)
-    # Phase marks strictly below the start position were emitted (and
-    # consumed into the snapshotted replayer state) before the resumed
-    # checkpoint was saved; a mark *at* the position was not — saves
-    # happen at the loop bottom, marker emission at the next loop top —
-    # so it must be emitted now.
-    next_phase = sum(1 for mark in marks if mark < position)
-    saved_positions: list[int] = []
-    while stream.remaining > 0:
-        if not measured and position >= warmup:
-            system.begin_measurement()
-            measured = True
-        while next_phase < len(marks) and marks[next_phase] <= position:
-            system.mark_phase(next_phase)
-            next_phase += 1
-        next_checkpoint = (
-            position - position % checkpoint_every + checkpoint_every
+
+def _run_simulation(
+    spec: WorkloadSpec,
+    system_cfg: SystemConfig,
+    seed: int,
+    filter_names: tuple[str, ...],
+    chunk_size: int,
+    *,
+    checkpoint_every: int | None = None,
+    experiment_store: ExperimentStore | None = None,
+    new_sink=None,
+    tkey: str | None = None,
+    report: ExecutionReport | None = None,
+) -> tuple[SimResult, dict[str, FilterEvaluation], TraceSink | None,
+           str | None]:
+    """One streaming run of ``spec`` with ``filter_names`` attached live.
+
+    ``new_sink`` (a zero-argument :class:`TraceSink` factory) makes the
+    run a recording of trace ``tkey``; a fresh recording first drops any
+    stale rows under that key.  The loop is
+    :func:`repro.coherence.smp.simulate_streaming`.
+
+    With ``checkpoint_every`` the run belongs to a checkpoint chain: it
+    starts from the newest usable checkpoint (:func:`_resume_latest`;
+    for a recording, one whose segments are durable) and every
+    ``checkpoint_every`` stream accesses saves a snapshot of every
+    layer — machine, filter banks, trace sink, generator — pruning its
+    own chain to the newest two.  By the determinism contract the
+    results (and every written segment) are byte-identical to an
+    uninterrupted run's, whatever the chunk size of either attempt.
+
+    Returns ``(metrics, evaluations, sink, chain)`` with ``chain`` set
+    when checkpointing; the *caller* owns finishing the sink (tail
+    segments/manifest) and retiring the chain once its results are
+    durable.
+    """
+    warmup = spec.warmup_accesses
+    marks, phase_names = _phase_plan(spec)
+
+    def build_fresh():
+        # One StreamingFilterBank per configuration.  (A fused
+        # all-filters bank that decodes each shard once was prototyped
+        # and measured *slower*: replay cost is dominated by the
+        # per-filter probe/update callbacks.)
+        return (
+            SMPSystem(system_cfg),
+            {
+                name: _build_bank(name, system_cfg, phase_names=phase_names)
+                for name in filter_names
+            },
+            None if new_sink is None else new_sink(),
         )
-        stop = next_checkpoint if measured else min(next_checkpoint, warmup)
-        if next_phase < len(marks):
-            stop = min(stop, marks[next_phase])
-        for shard in system.run_chunked(
-            stream, chunk_size, limit=stop - position
-        ):
-            for consumer in consumers:
-                consumer.consume(shard)
-        position = stream.position
-        if position == next_checkpoint and stream.remaining > 0:
+
+    chain = save = None
+    if checkpoint_every is None:
+        (system, banks, sink), stream, start = build_fresh(), None, 0
+    else:
+        chain = store_mod.checkpoint_chain_key(
+            spec, system_cfg, seed, filter_names, new_sink is not None
+        )
+        validate = None
+        if new_sink is not None:
+            def validate(state):
+                return _validate_recording(
+                    experiment_store, tkey, state["sink"]
+                )
+
+        (system, banks, sink), stream, start = _resume_latest(
+            experiment_store, chain, build_fresh,
+            stream_fingerprint(
+                spec, n_cpus=system_cfg.n_cpus, seed=seed,
+                include_warmup=True,
+            ),
+            validate,
+        )
+        if stream is not None and report is not None:
+            report.checkpoints_resumed += 1
+            report.resumed_accesses = start
+        mkey = store_mod.sim_metrics_key(spec, system_cfg, seed)
+        saved: list[int] = []
+
+        def save(machine: SMPSystem, position: int) -> None:
             save_started = time.perf_counter()
-            _save_checkpoint(
-                experiment_store, chain, spec, system_cfg, seed,
-                system=system, banks=banks, sink=sink, stream=stream,
-                position=position, measured=measured, mkey=mkey, tkey=tkey,
+            state = {
+                "version": 1,
+                "workload": spec.name,
+                "n_cpus": system_cfg.n_cpus,
+                "seed": seed,
+                "filters": sorted(banks),
+                "record": sink is not None,
+                "position": position,
+                "measured": warmup <= 0 or position > warmup,
+                "mkey": mkey,
+                "tkey": tkey,
+                "system": machine.snapshot(),
+                "banks": {
+                    name: bank.snapshot() for name, bank in banks.items()
+                },
+                "sink": None if sink is None else sink.snapshot(),
+                "stream": base64.b64encode(stream.checkpoint()).decode("ascii"),
+            }
+            experiment_store.put_blob(
+                store_mod.checkpoint_key(chain, position),
+                store_mod.encode_checkpoint(state),
+                kind=store_mod.CHECKPOINT_KIND,
+                workload=spec.name,
+                filter_name=chain,
+                n_cpus=system_cfg.n_cpus,
+                seed=seed,
             )
             # Keep the chain short while the run lives: the resume
             # ladder only ever wants the newest snapshot plus one
-            # fallback (truncated-segment or failed-restore cases), so
-            # older rows written by *this* run are dead weight — prune
-            # them instead of letting a 25M-access run accumulate
-            # hundreds.  Rows inherited from a killed attempt are left
-            # for completion (or gc) to clear.
-            saved_positions.append(position)
-            if len(saved_positions) > 2:
+            # fallback, so older rows written by *this* run are pruned.
+            # Rows inherited from a killed attempt are left for
+            # completion (or gc) to clear.
+            saved.append(position)
+            if len(saved) > 2:
                 experiment_store.delete_key(
-                    store_mod.checkpoint_key(chain, saved_positions.pop(0))
+                    store_mod.checkpoint_key(chain, saved.pop(0))
                 )
             if report is not None:
                 report.checkpoints_written += 1
                 report.checkpoint_seconds += (
                     time.perf_counter() - save_started
                 )
-    if not measured:
-        system.begin_measurement()
-    # The warm-up MARKER (and nothing else) can remain pending, exactly
-    # as in simulate_streaming.
-    residue = system.take_shard()
-    if any(node_stream.events for node_stream in residue):
-        for consumer in consumers:
-            consumer.consume(residue)
-    system.finish()
-    metrics = system.result(spec.name)
+
+    if stream is None:
+        if sink is not None:
+            # Fresh recording: stale segments from an interrupted or
+            # partially collected attempt must never mix with new ones.
+            experiment_store.delete_trace(tkey)
+        stream, _warmup = simulate_workload_accesses(
+            spec, n_cpus=system_cfg.n_cpus, seed=seed
+        )
+    consumers = list(banks.values())
+    if sink is not None:
+        consumers.append(sink)
+    metrics = simulate_streaming(
+        system, stream, spec.name,
+        warmup=warmup, chunk_size=chunk_size, sinks=consumers,
+        phase_marks=marks, start=start,
+        checkpoint_every=checkpoint_every, on_checkpoint=save,
+    )
     evaluations = {name: bank.finish() for name, bank in banks.items()}
     return metrics, evaluations, sink, chain
 
 
-def _stream_task(task) -> tuple[str, bytes, list[tuple[str, bytes]]]:
-    """Worker entry: one fused streaming pass, encoded results back.
-
-    ``pairs`` lists ``(eval_key, filter_name)`` for every evaluation this
-    pass must produce; the metrics payload rides along under ``mkey``.
-    """
-    mkey, spec, system, seed, chunk_size, pairs = task
-    metrics, evaluations = compute_stream(
-        spec, system, seed,
-        tuple(name for _key, name in pairs), chunk_size,
-    )
-    return (
-        mkey,
-        store_mod.encode_sim_metrics(metrics),
-        [(key, store_mod.encode_eval(evaluations[name])) for key, name in pairs],
-    )
-
-
-def _checkpointed_stream_task(task):
-    """Worker entry: one checkpointed streaming run, writes owned locally.
-
-    Unlike the other worker entries, this one does not ship results back
-    for the parent to store: a checkpointed run *is* a store client — it
-    snapshots mid-run state at every watermark — so the worker opens its
-    own read-write connection to the shared SQLite file and lands
-    checkpoints, metrics, and evaluations itself (every ``put_blob``
-    retries under ``SQLITE_RETRY_POLICY``, so concurrent writers from
-    sibling workers contend safely).  Only counters cross the process
-    boundary.  This is what lets checkpointed sweeps fan out instead of
-    being forced serial in the parent.
-    """
-    (path, spec, system, seed, all_names, chunk_size,
-     checkpoint_every, mkey, pairs) = task
-    store = ExperimentStore(path)
-    try:
-        local = ExecutionReport()
-        metrics, evaluations, _sink, chain = _run_checkpointed(
-            spec, system, seed, all_names, chunk_size, checkpoint_every,
-            store, report=local,
-        )
-        store.put_sim_metrics_blob(
-            mkey, store_mod.encode_sim_metrics(metrics),
-            workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-        )
-        for ekey, name in pairs:
-            store.put_eval_blob(
-                ekey, store_mod.encode_eval(evaluations[name]),
-                workload=spec.name, filter_name=name,
-                n_cpus=system.n_cpus, seed=seed,
-            )
-        # Results are durable; retire the chain from the worker too.
-        store.delete_group(store_mod.CHECKPOINT_KIND, chain)
-        return len(pairs), _checkpoint_counters(local)
-    finally:
-        store.close()
-
-
-#: The :class:`ExecutionReport` counters a worker that owns its store
-#: writes ships back to the parent's report.
+#: The :class:`ExecutionReport` counters a store-writing task ships back
+#: to the parent's report.
 _CHECKPOINT_COUNTERS = (
     "checkpoints_written",
     "checkpoints_resumed",
@@ -699,13 +584,82 @@ _CHECKPOINT_COUNTERS = (
 )
 
 
-def _checkpoint_counters(report: "ExecutionReport") -> dict:
-    return {name: getattr(report, name) for name in _CHECKPOINT_COUNTERS}
+def _store_client(path, experiment_store, work):
+    """Run ``work(store, report)`` as a store-writing task.
+
+    Run inline, the task writes straight into the parent's
+    ``experiment_store``.  In a pool worker a persistent store is opened
+    over the worker's own connection, so rows land in the shared file as
+    the task advances (every ``put_blob`` retries under
+    ``SQLITE_RETRY_POLICY``, so sibling writers contend safely) and only
+    counters cross the process boundary.  An in-memory store has nothing
+    to share: the task writes into a scratch store whose rows ship back
+    for the parent to insert.  Returns ``(rows, checkpoint_counters)``.
+    """
+    store = experiment_store
+    if store is None:
+        store = ExperimentStore(path)
+    local = ExecutionReport()
+    try:
+        work(store, local)
+        rows = []
+        if store is not experiment_store and path is None:
+            rows = [
+                (entry, store.get_blob(entry.key)) for entry in store.entries()
+            ]
+        return rows, {
+            name: getattr(local, name) for name in _CHECKPOINT_COUNTERS
+        }
+    finally:
+        if store is not experiment_store:
+            store.close()
 
 
-def _add_checkpoint_counters(report: "ExecutionReport", counters: dict) -> None:
+def _absorb(experiment_store, report, outcome) -> None:
+    """Land a simulating task's shipped rows and counters; count its run."""
+    rows, counters = outcome
+    for entry, blob in rows:
+        experiment_store.put_blob(
+            entry.key, blob, kind=entry.kind,
+            workload=entry.workload, filter_name=entry.filter_name,
+            n_cpus=entry.n_cpus, seed=entry.seed,
+        )
     for name, value in counters.items():
         setattr(report, name, getattr(report, name) + value)
+    report.sims_run += 1
+
+
+def _stream_task(task, experiment_store: ExperimentStore | None = None):
+    """Worker entry of the ``stream`` stage: one fused streaming pass.
+
+    ``names`` is the filter set riding the pass and ``pairs`` lists the
+    ``(eval_key, filter_name)`` evaluations it must store.  The task is
+    a store client (see :func:`_store_client` for where it writes): it
+    lands its checkpoints, the metrics row and the evaluations, then
+    retires its checkpoint chain once those are durable.
+    """
+    path, spec, system, seed, names, pairs, options = task
+
+    def work(store: ExperimentStore, report: ExecutionReport) -> None:
+        metrics, evaluations, _sink, chain = _run_simulation(
+            spec, system, seed, names,
+            experiment_store=store, report=report, **options,
+        )
+        store.put_sim_metrics_blob(
+            store_mod.sim_metrics_key(spec, system, seed),
+            store_mod.encode_sim_metrics(metrics),
+            workload=spec.name, n_cpus=system.n_cpus, seed=seed,
+        )
+        for ekey, name in pairs:
+            store.put_eval_blob(
+                ekey, store_mod.encode_eval(evaluations[name]),
+                workload=spec.name, filter_name=name,
+                n_cpus=system.n_cpus, seed=seed,
+            )
+        if chain is not None:
+            store.delete_group(store_mod.CHECKPOINT_KIND, chain)
+
+    return _store_client(path, experiment_store, work)
 
 
 #: Pluggable executor backends (the runner's ``backend=`` knob):
@@ -885,31 +839,22 @@ def execute_streams(
     are already in the store, including evaluations replayed from a
     recorded trace, since both modes share the ``eval`` keyspace.
 
-    With ``checkpoint_every``, each simulation snapshots its full state
-    into the store at that access cadence and resumes from the newest
-    stored checkpoint on a warm start (see :func:`_run_checkpointed`).
-    When the store is a SQLite file and parallel workers are requested,
-    checkpointed runs fan out like plain ones — each worker owns its
-    own store connection and writes its checkpoints, metrics, and
-    evaluations under the SQLite retry policy
-    (:func:`_checkpointed_stream_task`).  In-memory stores and the
-    serial backend keep the runs in the parent, which owns the only
-    store connection.  Results are byte-identical either way; completed
-    runs retire their checkpoint chains.
+    The passes run as the supervised ``stream`` stage, one store-writing
+    task per pass (see :func:`_stream_task`), under the same retry,
+    deadline and quarantine supervision as recordings.  ``policy`` /
+    ``task_timeout`` / ``fault_plan`` configure it (see
+    :func:`_map_tasks`); a quarantined pass leaves its cells empty.
 
-    ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
-    execution of the fanned-out stages (see :func:`_map_tasks`),
-    checkpointed or not — though a checkpointed run's first recovery
-    story is its own chain: a respawned task resumes at the dead
-    worker's last watermark instead of access 0.
+    With ``checkpoint_every``, each pass snapshots its full state into
+    the store at that access cadence and resumes from the newest stored
+    checkpoint on a warm start (see :func:`_run_simulation`), so a
+    respawned task resumes at the dead worker's last watermark instead
+    of access 0.  Results are byte-identical either way; completed runs
+    retire their checkpoint chains.
     """
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
-    supervision = dict(
-        report=report, policy=policy,
-        task_timeout=task_timeout, fault_plan=fault_plan,
-    )
 
     # Fuse jobs by simulation identity; collect each group's filter set.
     grouped: dict[str, tuple[StreamJob, dict[str, str]]] = {}
@@ -920,6 +865,7 @@ def execute_streams(
         for name in job.filter_names:
             filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
 
+    path = None if experiment_store.path is None else str(experiment_store.path)
     tasks = []
     for mkey in sorted(grouped):
         job, filters = grouped[mkey]
@@ -932,98 +878,30 @@ def execute_streams(
         if not pairs and experiment_store.contains(mkey):
             report.sims_cached += 1
             continue
-        tasks.append(
-            (mkey, specs[job.workload], job.system, job.seed,
-             job.chunk_size, pairs)
-        )
+        names = tuple(name for _ekey, name in pairs)
+        if checkpoint_every is not None:
+            # A checkpoint chain (and the banks it snapshots) covers the
+            # job's *full* filter union, not just the currently missing
+            # evaluations: deriving it from the warm-state-dependent
+            # subset would orphan the chain if a kill landed between the
+            # metrics and eval writes, silently restarting a
+            # near-complete run from access 0.
+            names = tuple(filters.values())
+        tasks.append((
+            path, specs[job.workload], job.system, job.seed, names, pairs,
+            dict(chunk_size=job.chunk_size, checkpoint_every=checkpoint_every),
+        ))
 
-    if checkpoint_every is not None:
-        parallel = (
-            experiment_store.path is not None
-            and max(1, workers) > 1
-            and len(tasks) > 1
-            and (backend or "process") != "serial"
-        )
-        if parallel:
-            # Worker-side checkpoint writers: each run opens its own
-            # connection to the shared SQLite file and lands snapshots,
-            # metrics, and evaluations itself (see
-            # :func:`_checkpointed_stream_task`), so checkpointed
-            # sweeps fan out like plain ones.  Only counters return.
-            ck_tasks = []
-            for mkey, spec, system, seed, task_chunk, pairs in tasks:
-                _job, filters_map = grouped[mkey]
-                all_names = tuple(sorted(set(filters_map.values())))
-                ck_tasks.append((
-                    str(experiment_store.path), spec, system, seed,
-                    all_names, task_chunk, checkpoint_every, mkey, pairs,
-                ))
-            for outcome in _map_tasks(
-                _checkpointed_stream_task, ck_tasks, workers, backend,
-                stage="checkpoint", **supervision
-            ):
-                if outcome is QUARANTINED:
-                    continue
-                evals_done, counters = outcome
-                report.sims_run += 1
-                report.evals_run += evals_done
-                _add_checkpoint_counters(report, counters)
-            report.elapsed_seconds = time.perf_counter() - started
-            return report
-        # In-memory or serial: checkpointed runs stay in the parent —
-        # they need the live store connection for their snapshots.
-        for mkey, spec, system, seed, task_chunk, pairs in tasks:
-            # The chain (and the attached banks) covers the job's *full*
-            # filter union, not just the currently missing evaluations:
-            # deriving it from the warm-state-dependent subset would
-            # orphan the chain if a kill landed between the metrics and
-            # eval writes (or another sweep warmed one eval meanwhile),
-            # silently restarting a near-complete run from access 0.
-            _job, filters_map = grouped[mkey]
-            all_names = tuple(sorted(set(filters_map.values())))
-            metrics, evaluations, _sink, chain = _run_checkpointed(
-                spec, system, seed, all_names,
-                task_chunk, checkpoint_every, experiment_store,
-                report=report,
-            )
-            experiment_store.put_sim_metrics_blob(
-                mkey, store_mod.encode_sim_metrics(metrics),
-                workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-            )
-            report.sims_run += 1
-            for ekey, name in pairs:
-                experiment_store.put_eval_blob(
-                    ekey, store_mod.encode_eval(evaluations[name]),
-                    workload=spec.name, filter_name=name,
-                    n_cpus=system.n_cpus, seed=seed,
-                )
-                report.evals_run += 1
-            # Results are durable; the chain can never be resumed into
-            # anything new, so retire it now rather than waiting for gc.
-            experiment_store.delete_group(store_mod.CHECKPOINT_KIND, chain)
-        report.elapsed_seconds = time.perf_counter() - started
-        return report
-
-    for outcome in _map_tasks(
-        _stream_task, tasks, workers, backend, stage="stream", **supervision
-    ):
+    outcomes = _map_tasks(
+        _stream_task, tasks, workers, backend, stage="stream",
+        inline_store=experiment_store, report=report, policy=policy,
+        task_timeout=task_timeout, fault_plan=fault_plan,
+    )
+    for (*_task, pairs, _options), outcome in zip(tasks, outcomes):
         if outcome is QUARANTINED:
             continue
-        mkey, metrics_blob, eval_blobs = outcome
-        job, _filters = grouped[mkey]
-        spec = specs[job.workload]
-        experiment_store.put_sim_metrics_blob(
-            mkey, metrics_blob, workload=spec.name,
-            n_cpus=job.system.n_cpus, seed=job.seed,
-        )
-        report.sims_run += 1
-        for ekey, blob in eval_blobs:
-            experiment_store.put_eval_blob(
-                ekey, blob, workload=spec.name,
-                filter_name=_filters[ekey],
-                n_cpus=job.system.n_cpus, seed=job.seed,
-            )
-            report.evals_run += 1
+        _absorb(experiment_store, report, outcome)
+        report.evals_run += len(pairs)
 
     report.elapsed_seconds = time.perf_counter() - started
     return report
@@ -1102,9 +980,10 @@ def record_trace(
             seed=seed,
         )
 
+    def new_sink() -> TraceSink:
+        return TraceSink(system.n_cpus, write_segment, segment_events)
+
     chain = None
-    ffkey = None
-    warmup = 0
     if measured_only:
         if checkpoint_every is not None:
             raise ConfigurationError(
@@ -1122,7 +1001,7 @@ def record_trace(
                 "fast-forward over"
             )
         experiment_store.delete_trace(tkey)
-        sink = TraceSink(system.n_cpus, write_segment, segment_events)
+        sink = new_sink()
         families = sorted(set(warm_filters) | set(DEFAULT_SWEEP_FILTERS))
         warm_banks = {
             name: _build_bank(name, system) for name in families
@@ -1151,22 +1030,12 @@ def record_trace(
             phase_marks=_phase_plan(spec)[0],
         )
         ffkey = store_mod.fast_forward_key(spec, system, seed, warmup)
-    elif checkpoint_every is not None:
-        metrics, _evaluations, sink, chain = _run_checkpointed(
-            spec, system, seed, (), chunk_size, checkpoint_every,
-            experiment_store, record=True, write_segment=write_segment,
-            tkey=tkey, report=report, segment_events=segment_events,
-        )
     else:
-        experiment_store.delete_trace(tkey)
-        sink = TraceSink(system.n_cpus, write_segment, segment_events)
-        stream, warmup = simulate_workload_accesses(
-            spec, n_cpus=system.n_cpus, seed=seed
-        )
-        metrics = simulate_streaming(
-            system, stream, spec.name,
-            warmup=warmup, chunk_size=chunk_size, sinks=[sink],
-            phase_marks=_phase_plan(spec)[0],
+        metrics, _evaluations, sink, chain = _run_simulation(
+            spec, system, seed, (), chunk_size,
+            checkpoint_every=checkpoint_every,
+            experiment_store=experiment_store,
+            new_sink=new_sink, tkey=tkey, report=report,
         )
     segments_per_node = sink.finish()
     manifest = {
@@ -1449,35 +1318,18 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
 def _record_task(task, experiment_store: ExperimentStore | None = None):
     """Worker entry of the ``record`` stage: record one trace.
 
-    Run inline, the task writes straight into the parent's
-    ``experiment_store``.  In a pool worker a persistent store is opened
-    over the worker's own connection, so segments, manifest, and metrics
-    land in the shared file as the simulation advances (every
-    ``put_blob`` retries under ``SQLITE_RETRY_POLICY``, so sibling
-    writers contend safely), and only counters cross the process
-    boundary.  An in-memory store has nothing to share: the recording
-    lands in a scratch store whose rows ship back for the parent to
-    insert.  Returns ``(rows, checkpoint_counters)``.
+    A store client like every simulation task (see :func:`_store_client`
+    for where it writes): segments, manifest and metrics land as the
+    recording advances.
     """
     path, spec, system, seed, options = task
-    store = experiment_store
-    if store is None:
-        store = ExperimentStore(path)
-    local = ExecutionReport()
-    try:
-        record_trace(
-            spec, system, seed, experiment_store=store, report=local,
+    return _store_client(
+        path, experiment_store,
+        lambda store, report: record_trace(
+            spec, system, seed, experiment_store=store, report=report,
             **options,
-        )
-        rows = []
-        if store is not experiment_store and path is None:
-            rows = [
-                (entry, store.get_blob(entry.key)) for entry in store.entries()
-            ]
-        return rows, _checkpoint_counters(local)
-    finally:
-        if store is not experiment_store:
-            store.close()
+        ),
+    )
 
 
 def execute_replays(
@@ -1610,19 +1462,12 @@ def execute_replays(
                 len(pairs), tkey,
             )
             continue
-        rows, counters = outcome
+        rows, _counters = outcome
         if rows:
             # Shipped back from a scratch store: like a fresh local
             # recording, never mix with stale rows under this key.
             experiment_store.delete_trace(tkey)
-            for entry, blob in rows:
-                experiment_store.put_blob(
-                    entry.key, blob, kind=entry.kind,
-                    workload=entry.workload, filter_name=entry.filter_name,
-                    n_cpus=entry.n_cpus, seed=entry.seed,
-                )
-        _add_checkpoint_counters(report, counters)
-        report.sims_run += 1
+        _absorb(experiment_store, report, outcome)
         if pairs:
             loaded = load_trace(experiment_store, tkey)
             assert loaded is not None  # the record stage just wrote it

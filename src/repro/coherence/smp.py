@@ -2,9 +2,9 @@
 
 :class:`SMPSystem` wires :class:`~repro.coherence.node.CacheNode` objects
 to a shared :class:`~repro.coherence.bus.Bus` and consumes an interleaved
-access stream.  :func:`simulate_streaming` is the one run entry point the
-experiment engine uses, both to evaluate filters live and to record
-traces for later replay.
+access stream.  :func:`simulate_streaming` is the one loop that advances
+a machine: the experiment engine uses it to evaluate filters live, to
+record traces for later replay, and to checkpoint and resume both.
 
 **Shard/marker protocol.**  Every node appends the events its JETTY
 would observe (SNOOP/ALLOC/EVICT, plus the warm-up MARKER) to a per-node
@@ -45,6 +45,7 @@ integration and property-based tests to assert protocol correctness after
 from __future__ import annotations
 
 import base64
+import heapq
 import itertools
 import zlib
 from array import array
@@ -479,28 +480,45 @@ class SMPSystem:
         )
 
 
-def _boundary_schedule(
-    warmup: int, phase_marks
-) -> list[tuple[int, int]]:
-    """The ordered stop positions of a run: warm-up end plus phase marks.
+#: Boundary actions of :func:`_boundary_schedule`; a phase mark's action
+#: is its (non-negative) index.
+_SAVE = -2
+_MEASURE = -1
 
-    Each entry is ``(absolute_position, action)`` where action ``-1``
-    means ``begin_measurement`` and any other value is the phase index
-    to mark.  Sorting by ``(position, action)`` puts the warm-up MARKER
-    before a PHASE marker landing at the same access — phase 0 of a
-    suite starts exactly where measurement does.
+
+def _boundary_schedule(
+    warmup: int,
+    phase_marks,
+    start: int = 0,
+    checkpoint_every: int | None = None,
+    end: int = 0,
+) -> Iterator[tuple[int, int]]:
+    """The ``(position, action)`` stops of a run still ahead of ``start``.
+
+    Actions are :data:`_SAVE` (a checkpoint, at the multiples of
+    ``checkpoint_every`` strictly between ``start`` and ``end``),
+    :data:`_MEASURE` (``begin_measurement``) or a phase index to mark.
+    Stops are ordered by ``(position, action)``, which is the ordering
+    rule :func:`simulate_streaming` documents; stops at or before
+    ``(start, _SAVE)`` were crossed before the snapshot a resumed run
+    starts from.
     """
-    schedule: list[tuple[int, int]] = []
+    markers = [(int(position), index)
+               for index, position in enumerate(phase_marks)]
     if warmup > 0:
-        schedule.append((warmup, -1))
-    for index, position in enumerate(phase_marks):
-        schedule.append((int(position), index))
-    schedule.sort()
-    return schedule
+        markers.append((warmup, _MEASURE))
+    markers.sort()
+    stops: Iterable[tuple[int, int]] = markers
+    if checkpoint_every is not None:
+        stops = heapq.merge(markers, (
+            (position, _SAVE)
+            for position in range(checkpoint_every, end, checkpoint_every)
+        ))
+    return (stop for stop in stops if stop > (start, _SAVE))
 
 
 def simulate_streaming(
-    config: SystemConfig,
+    config: SystemConfig | SMPSystem,
     accesses: Iterable[tuple[int, int, bool]],
     workload: str = "",
     warmup: int = 0,
@@ -510,8 +528,18 @@ def simulate_streaming(
     warmup_sinks: Iterable[ShardConsumer] = (),
     measurement_sinks: Iterable[ShardConsumer] = (),
     on_measurement=None,
+    *,
+    start: int = 0,
+    checkpoint_every: int | None = None,
+    on_checkpoint=None,
 ) -> SimResult:
-    """Build a system, run ``accesses`` in bounded chunks, drain.
+    """Run ``accesses`` on a system in bounded chunks, then drain.
+
+    This is the one loop that advances a machine.  ``config`` is a
+    :class:`SystemConfig` (a fresh system is built) or an already-built
+    :class:`SMPSystem` — typically one restored from a checkpoint, in
+    which case ``start`` is the stream position it was snapshotted at
+    and ``accesses`` continues from there.
 
     The first ``warmup`` accesses warm the caches; statistics (node,
     bus, and filter coverage) cover only the remainder.  Each entry of
@@ -523,6 +551,19 @@ def simulate_streaming(
     configuration, or a :class:`TraceSink`) as the simulation advances,
     so peak memory is O(chunk_size), independent of trace length.
     Returns the run's statistics.
+
+    **Stops.**  The run pauses between chunks at every boundary of
+    :func:`_boundary_schedule`.  With ``checkpoint_every``, it calls
+    ``on_checkpoint(system, position)`` at every multiple of that many
+    stream accesses the stream still runs past (``accesses`` must then
+    report its length as ``remaining``, as workload streams do); the
+    callback snapshots whatever it owns alongside the system.  At one
+    position the save comes first, then the warm-up MARKER, then PHASE
+    markers, so a snapshot never contains a marker emitted at its own
+    position and a run resumed from it emits exactly the markers an
+    uninterrupted run emits next.  Markers are emitted *between* chunks
+    and ride at the front of the next shard (or the final residue), at
+    the same place in the event sequence whatever the chunk size.
 
     ``sinks`` see every shard.  ``warmup_sinks`` stop receiving shards at
     ``begin_measurement`` and ``measurement_sinks`` start there (the
@@ -536,7 +577,7 @@ def simulate_streaming(
     callback, measurement sinks carry the trace sink that records only
     post-marker events.
     """
-    system = SMPSystem(config)
+    system = config if isinstance(config, SMPSystem) else SMPSystem(config)
     always = list(sinks)
     warmup_sinks = list(warmup_sinks)
     measurement_sinks = list(measurement_sinks)
@@ -544,10 +585,19 @@ def simulate_streaming(
         raise TraceError(
             "measurement-boundary hooks require a positive warm-up"
         )
-    active = always + warmup_sinks
+    end = 0
+    if checkpoint_every is not None:
+        if checkpoint_every < 1:
+            raise TraceError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
+        end = start + accesses.remaining
+    active = always + (measurement_sinks if start > warmup else warmup_sinks)
     iterator = iter(accesses)
-    position = 0
-    for stop, action in _boundary_schedule(warmup, phase_marks):
+    position = start
+    for stop, action in _boundary_schedule(
+        warmup, phase_marks, start, checkpoint_every, end
+    ):
         if stop > position:
             for shard in system.run_chunked(
                 iterator, chunk_size, limit=stop - position
@@ -555,7 +605,9 @@ def simulate_streaming(
                 for sink in active:
                     sink.consume(shard)
             position = stop
-        if action < 0:
+        if action == _SAVE:
+            on_checkpoint(system, position)
+        elif action == _MEASURE:
             system.begin_measurement()
             active = always + measurement_sinks
             if on_measurement is not None:

@@ -8,7 +8,7 @@ Mid-run checkpointing rests on three claims, all pinned here:
   restored object is behaviourally indistinguishable from the original;
 * **interruption-invariance** — for every filter family and awkward
   chunk size, a streamed run killed at an arbitrary checkpoint (inside
-  warm-up or mid-chunk) and resumed produces byte-identical metrics,
+  warm-up, on the warm-up marker, or mid-chunk) and resumed produces byte-identical metrics,
   evaluation payloads, and recorded trace segments versus an
   uninterrupted run;
 * **store hygiene** — completed runs retire their checkpoint chains,
@@ -30,7 +30,13 @@ from repro.analysis.store import CHECKPOINT_KIND, ExperimentStore
 from repro.coherence.bus import Bus, BusOp
 from repro.coherence.cache import L1Cache, SetAssocCache
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM
-from repro.coherence.smp import SMPSystem, TraceSink
+from repro.coherence.smp import (
+    _MEASURE,
+    _SAVE,
+    SMPSystem,
+    TraceSink,
+    _boundary_schedule,
+)
 from repro.coherence.writebuffer import WriteBuffer
 from repro.core.config import build_filter
 from repro.core.stats import EventReplayer, pack_event, SNOOP
@@ -57,9 +63,13 @@ FAMILIES = (
 #: tests/test_streaming.py.
 CHUNK_SIZES = (512, 1777)
 
-#: Checkpoint cadences: one lands *inside the warm-up* (600 < 800), one
-#: lands mid-chunk in the measured region (1300 divides neither chunk).
-CHECKPOINT_KS = (600, 1300)
+#: Checkpoint cadences: 400 divides the warm-up, so a save lands exactly
+#: on the warm-up MARKER (the save comes first, the marker after it);
+#: 800 *is* the warm-up, so the kill lands there and the resumed run
+#: must emit the marker before anything else; 600 lands *inside the
+#: warm-up* (600 < 800); 1300 lands mid-chunk in the measured region
+#: (1300 divides neither chunk).
+CHECKPOINT_KS = (400, 600, 800, 1300)
 
 #: Tiny segments so recordings produce durable mid-run segments.
 SEGMENT_EVENTS = 256
@@ -117,6 +127,20 @@ def _stream_jobs(filter_name: str, chunk_size: int):
 # ----------------------------------------------------------------------
 
 class TestSnapshotUnits:
+    def test_boundary_schedule_saves_before_markers_at_one_position(self):
+        """A save at a marker's position comes first, so a run resumed
+        from it (``start`` = that position) still has the marker ahead;
+        no save lands at or past the stream's end."""
+        schedule = list(_boundary_schedule(800, (800, 1200), 0, 400, 1600))
+        assert schedule == [
+            (400, _SAVE), (800, _SAVE), (800, _MEASURE), (800, 0),
+            (1200, _SAVE), (1200, 1),
+        ]
+        assert list(_boundary_schedule(800, (800, 1200), 800, 400, 1600)) == [
+            (800, _MEASURE), (800, 0), (1200, _SAVE), (1200, 1),
+        ]
+        assert list(_boundary_schedule(800, (800, 1200), 1200)) == [(1200, 1)]
+
     def test_lru_round_trip_and_validation(self):
         tracker = LRUTracker(4)
         tracker.touch(2)
@@ -382,6 +406,29 @@ class TestStreamKillResumeByteIdentity:
         assert report.checkpoints_written > 0
         assert checkpointed.stats().checkpoints == 0  # chain retired
         assert checkpointed.dump() == clean.dump()
+
+    def test_in_memory_pool_checkpointed_streams_match_serial(self):
+        """Checkpointed passes on an in-memory store fan out too: each
+        process worker checkpoints into a scratch store and ships its
+        result rows back, and the parent store ends byte-identical to
+        a serial run with no chain left behind."""
+        jobs = [
+            runner.StreamJob(SPEC.name, ("EJ-8x2", "IJ-6x2x3"),
+                             SCALED_SYSTEM, seed, 512)
+            for seed in (1, 2)
+        ]
+        serial = ExperimentStore()
+        runner.execute_streams(jobs, experiment_store=serial, specs=SPECS)
+        pooled = ExperimentStore()
+        report = runner.execute_streams(
+            jobs, experiment_store=pooled, specs=SPECS,
+            workers=2, backend="process", checkpoint_every=700,
+        )
+        assert report.sims_run == 2
+        assert report.evals_run == 4
+        assert report.checkpoints_written > 0
+        assert pooled.stats().checkpoints == 0
+        assert pooled.dump() == serial.dump()
 
     def test_compute_stream_checkpoint_front_door(self):
         store = ExperimentStore()

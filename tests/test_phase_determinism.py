@@ -164,19 +164,19 @@ class TestPhaseDeterminism:
         payloads = _replayed_payloads(SUITES[suite_name], "numpy")
         assert payloads == baselines[suite_name]
 
-    @pytest.mark.parametrize("cadence", (1_300, 1_500))
+    @pytest.mark.parametrize("cadence", (1_150, 1_300, 1_500))
     def test_kill_mid_phase_resume_matches_clean_run(
         self, baselines, suite_name, cadence
     ):
         """Killed inside a phase, resumed, still byte-identical.
 
         The kill lands after the second checkpoint, at ``2 * cadence``
-        accesses.  Across the suites the two cadences cover both resume
+        accesses.  Across the suites the cadences cover both resume
         cases: a snapshot strictly *inside* a measured phase (the run
         must re-emit no marker it already consumed and must not skip
-        the next one) and — for det-flip at cadence 1300 — a snapshot
-        taken *exactly on* a phase mark, where the marker is emitted
-        only after resuming.
+        the next one) and — for det-flip at cadence 1300 and det-tiers
+        at cadence 1150 — a snapshot taken *exactly on* a phase mark,
+        where the marker is emitted only after resuming.
         """
         spec = SUITES[suite_name]
         marks = spec.phase_marks()

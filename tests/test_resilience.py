@@ -339,6 +339,29 @@ class TestSweepFaultTolerance:
         for key, blob in store.dump().items():
             assert reference[key] == blob
 
+    def test_poisoned_stream_in_process_pool_keeps_the_other(self):
+        """Streamed sweeps run on the same supervised ``stream`` stage:
+        a poisoned pass is quarantined while its sibling's results
+        land, byte-identical to a clean streamed run."""
+        clean = ExperimentStore()
+        sweep_into(clean, stream=True)
+        store = ExperimentStore()
+        plan = FaultPlan(name="poison-stream", seed=10,
+                         poison=(("stream", 0),))
+        result = sweep_into(
+            store, workers=2, backend="process", stream=True,
+            policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=10),
+            fault_plan=plan,
+        )
+        assert result.report.quarantined == 1
+        assert result.report.sims_run == 1
+        assert len(result.evaluations) == len(FILTERS)
+        # Every surviving cell belongs to one workload.
+        assert len({workload for workload, _f, _s in result.evaluations}) == 1
+        reference = clean.dump()
+        for key, blob in store.dump().items():
+            assert reference[key] == blob
+
     def test_clean_report_summary_has_no_fault_segment(self):
         result = sweep_into(ExperimentStore())
         assert "faults:" not in result.report.summary()

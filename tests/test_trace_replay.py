@@ -480,10 +480,13 @@ class TestFrontDoorFastPaths:
         store._blobs.pop(mkey)
         store._meta.pop(mkey)
         store._live.pop(mkey, None)
-        monkeypatch.setattr(
-            runner, "compute_stream",
-            lambda *a, **k: pytest.fail("manifest metrics should serve this"),
-        )
+        for simulation in ("compute_stream", "simulate_streaming"):
+            monkeypatch.setattr(
+                runner, simulation,
+                lambda *a, **k: pytest.fail(
+                    "manifest metrics should serve this"
+                ),
+            )
         metrics = experiments.workload_metrics(WORKLOAD)
         assert metrics.accesses == spec.n_accesses
         assert store.get_blob(mkey) is not None  # row restored

@@ -4,10 +4,14 @@ The end-to-end guard behind the checkpoint feature's acceptance
 criterion, runnable locally and in CI:
 
 1. start ``repro sweep --replay --checkpoint-every N`` as a subprocess
-   against a fresh store;
+   against a fresh store — or, with ``--stream``, ``repro sweep
+   --stream --workers 2 --seeds 1 2 --checkpoint-every N``, whose two
+   passes run in pool workers that each write their own checkpoints
+   and results over their own SQLite connection;
 2. poll the store until the first checkpoint row is durable, then
-   ``SIGKILL`` the process mid-run (no cleanup handlers get to run —
-   exactly the shape of an OOM kill or node preemption);
+   ``SIGKILL`` the sweep's whole process group mid-run (no cleanup
+   handlers get to run — exactly the shape of an OOM kill or node
+   preemption);
 3. rerun the identical command and require its output to report
    ``resumed from checkpoint``;
 4. run the same sweep against a second, clean store *without* ever
@@ -19,8 +23,9 @@ criterion, runnable locally and in CI:
 
 Exit status 0 on success, 1 with a diagnostic otherwise.  Usage::
 
-    PYTHONPATH=src python tools/kill_resume_smoke.py [--accesses N]
-        [--warmup N] [--checkpoint-every N] [--workload NAME]
+    PYTHONPATH=src python tools/kill_resume_smoke.py [--stream]
+        [--accesses N] [--warmup N] [--checkpoint-every N]
+        [--workload NAME]
 """
 
 from __future__ import annotations
@@ -39,9 +44,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _sweep_argv(store: Path, args: argparse.Namespace) -> list[str]:
+    mode = (
+        ["--stream", "--workers", "2", "--seeds", "1", "2"] if args.stream
+        else ["--replay"]
+    )
     return [
         sys.executable, "-m", "repro.cli", "--store", str(store),
-        "sweep", "--replay", "--workloads", args.workload,
+        "sweep", *mode, "--workloads", args.workload,
         "--filters", "EJ-32x4", "IJ-10x4x7",
         "--accesses", str(args.accesses), "--warmup", str(args.warmup),
         "--chunk-size", str(args.chunk_size),
@@ -73,6 +82,9 @@ def _result_payloads(store: Path) -> dict[str, bytes]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--stream", action="store_true",
+                        help="kill a two-worker streamed sweep instead of "
+                             "a recording one")
     parser.add_argument("--workload", default="lu")
     parser.add_argument("--accesses", type=int, default=400_000)
     parser.add_argument("--warmup", type=int, default=50_000)
@@ -97,9 +109,12 @@ def main(argv: list[str] | None = None) -> int:
         # smoke is too fast to be meaningful — fail loudly so the sizes
         # get adjusted rather than silently not testing resume.
         print(f"[smoke] starting sweep against {interrupted.name} ...")
+        # A session of its own, so the kill takes the pool workers down
+        # with the sweep instead of leaving them to finish behind it.
         process = subprocess.Popen(
             _sweep_argv(interrupted, args), env=env, cwd=REPO_ROOT,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True,
         )
         deadline = time.monotonic() + args.timeout
         killed = False
@@ -107,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             if process.poll() is not None:
                 break
             if _checkpoint_rows(interrupted) > 0:
-                process.send_signal(signal.SIGKILL)
+                os.killpg(process.pid, signal.SIGKILL)
                 process.wait()
                 killed = True
                 break
@@ -120,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             if output:
                 print(output, file=sys.stderr)
             if process.poll() is None:
-                process.kill()
+                os.killpg(process.pid, signal.SIGKILL)
             return 1
         print(f"[smoke] SIGKILLed mid-run with "
               f"{_checkpoint_rows(interrupted)} checkpoint row(s) durable")
