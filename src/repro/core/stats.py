@@ -38,9 +38,8 @@ int; ``array('q')`` storage holds blocks up to 2**59 - 1 (a 65-bit
 physical address space — far beyond any simulated system here).
 
 Persisted traces store the packed integers themselves (see the segment
-codecs in :mod:`repro.analysis.store`); :class:`NodeEventStream` also
-accepts ``(kind, block, flag)`` triples and re-packs them on
-construction, a convenient spelling for hand-built streams.
+codecs in :mod:`repro.analysis.store`), and :class:`NodeEventStream`
+is built from packed ints only.
 
 The MARKER pseudo-event separates the cache warm-up prefix from the
 measured region: filter *state* accumulates through it, statistics
@@ -133,23 +132,15 @@ def unpack_event(event: int) -> tuple[int, int, int]:
 class NodeEventStream:
     """The per-node event stream recorded by the coherence simulator.
 
-    ``events`` is an ``array('q')`` of packed events (8 bytes each).
-    The constructor also accepts ``(kind, block, flag)`` triples and
-    re-packs them.
+    ``events`` is an ``array('q')`` of packed events (8 bytes each);
+    the constructor takes any iterable of packed ints.
     """
 
     __slots__ = ("node_id", "events")
 
     def __init__(self, node_id: int, events=()) -> None:
         self.node_id = node_id
-        packed = array("q")
-        for event in events:
-            if type(event) is int:
-                packed.append(event)
-            else:  # legacy (kind, block, flag) triple
-                kind, block, flag = event
-                packed.append(kind | (flag << FLAG_SHIFT) | (block << BLOCK_SHIFT))
-        self.events = packed
+        self.events = array("q", events)
 
     def snoop(self, block: int, flag: int) -> None:
         self.events.append((block << BLOCK_SHIFT) | (flag << FLAG_SHIFT))
@@ -656,10 +647,9 @@ class StreamingFilterBank:
     def consume(self, shard: list[NodeEventStream]) -> None:
         """Feed one chunk's per-node event shards to the node replayers."""
         if len(shard) != len(self.replayers):
-            raise ValueError(
-                f"shard carries {len(shard)} node stream(s), bank expects "
-                f"{len(self.replayers)} — a metrics-only result has no "
-                "events to replay"
+            raise ConfigurationError(
+                f"shard width {len(shard)} differs from the bank's node "
+                f"count {len(self.replayers)}"
             )
         for replayer, stream in zip(self.replayers, shard):
             replayer.feed(stream.events)
@@ -692,9 +682,9 @@ class StreamingFilterBank:
     def restore(self, state: list[dict]) -> None:
         """Adopt a snapshot taken from an identically configured bank."""
         if len(state) != len(self.replayers):
-            raise ValueError(
-                f"bank snapshot covers {len(state)} node(s), bank has "
-                f"{len(self.replayers)}"
+            raise ConfigurationError(
+                f"snapshot width {len(state)} differs from the bank's node "
+                f"count {len(self.replayers)}"
             )
         for replayer, replayer_state in zip(self.replayers, state):
             replayer.restore(replayer_state)

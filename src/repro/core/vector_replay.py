@@ -25,31 +25,37 @@ Per family:
   allocate/evict deltas in sorted order, and subtract each group's
   starting prefix.  Presence (``counter > 0``) at every snoop, pbit
   transitions, and underflow positions all read off that array.
-* **EJ / VEJ** — the per-set LRU stacks are inherently sequential, but
-  the *observable* state of a set is only the recency-ordered list of
-  valid entries (way indexes are never reported and replay never
-  snapshots), so each set collapses to a bounded MRU-first list and the
-  loop runs over pre-extracted (block, code) Python lists with no
-  per-event decode or method dispatch.  Consecutive same-set, same-block
-  P0 snoops are provably pure repeat-hits (the first leaves the entry at
-  MRU; the second just counts ``filtered``), so they are removed from
-  the loop vectorially and counted in bulk.  The residual loop is then
-  *grouped by set* with one stable argsort: sets are independent, so
-  each set's items run through a tight loop with the set's stack
-  hoisted to a local — no per-item set indexing.  A safety violation
-  (rare, and fatal to the replay) restores the touched sets from their
-  pre-span copies and re-runs the span in original order, so the
-  flushed post-mortem statistics match the oracle exactly.
+* **EJ / VEJ / HJ** — one exclude *machine* per structure, run set by
+  set: a stack machine for the EJ (a bounded MRU-first list of valid
+  blocks) and a vector machine for the VEJ (an insertion-ordered
+  ``chunk -> vector`` dict, LRU chunk first).  That is the whole
+  *observable* state of a set (way indexes are never reported and
+  replay never snapshots), so a machine loops over pre-extracted
+  (block, code) Python lists with no per-event decode or method
+  dispatch.  Each machine also takes the IJ verdict per item.  A hybrid
+  puts an IJ in front of the exclude structure and filters when either
+  side does, so a plain EJ/VEJ is the same machine behind an IJ that
+  passes every snoop (``itertools.repeat(True)``), and an HJ feeds it
+  its IJ lanes' ``all_pass`` verdicts, vectorised as above.
+
+  One span body serves all three.  Consecutive same-set, same-block P0
+  snoops are pure repeat-hits when the first passed the IJ (it leaves
+  the entry at MRU; the second just counts ``filtered``), so they are
+  dropped vectorially and counted in bulk.  An HJ's items stop at an IJ
+  underflow.  The residual items are grouped set-major from the same
+  stable argsort that found the repeats: sets are independent, so each
+  set's items run through the machine with the set's state hoisted to
+  a local.  A safety violation (rare, and fatal to the replay) restores
+  the touched sets from their pre-span copies and feeds the residual
+  items to the same machine in stream order, one item per call, until
+  the first violation — so the flushed post-mortem statistics match the
+  oracle exactly.
 
 Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
 unchanged).  This is what lets measured-region-only traces replay from
 a restored fast-forward snapshot: the runner restores the warmed state
 into the filter objects and the kernels pick it up from there.
-* **HJ** — the IJ component is vectorised as above; its pass verdict per
-  snoop feeds the exclude-component loop, which also handles HJ's
-  filtered accounting.  Both ``HJ(IJ, EJ)`` and ``HJ(IJ, VEJ)`` are
-  supported.
 
 Everything else (hashed-include, null filters, oversized geometries,
 subclasses) falls back to the per-event loop — selection happens in
@@ -63,6 +69,7 @@ Python kernel.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 
 from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.core.exclude import ExcludeJetty
@@ -109,7 +116,7 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
             return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     elif kind is VectorExcludeJetty:
         if snoop_filter.sets <= _MAX_INDEX_SPACE:
-            return _VectorExcludeReplayer(snoop_filter, node_id, phase_names)
+            return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     elif kind is IncludeJetty:
         if snoop_filter.entry_bits <= 16:
             return _IncludeReplayer(snoop_filter, node_id, phase_names)
@@ -121,7 +128,7 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
             and type(exclude) in (ExcludeJetty, VectorExcludeJetty)
             and exclude.sets <= _MAX_INDEX_SPACE
         ):
-            return _HybridReplayer(snoop_filter, node_id, phase_names)
+            return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     return None
 
 
@@ -186,25 +193,25 @@ def _span_items(segment: PackedSegment, lo: int, hi: int) -> dict:
 
 def _span_pairs(
     segment: PackedSegment, lo: int, hi: int, pre_shift: int, set_mask: int
-):
-    """Adjacent same-set item pairs that are P0 snoops of one block.
+) -> dict:
+    """A span's items sorted set-major, and its repeat-hit candidates.
 
-    Returns ``(prev_items, cur_items)`` — parallel arrays of item
-    indexes where ``cur`` directly follows ``prev`` in its set's item
-    sequence, both are P0 snoops, and both name the same block.  For a
-    plain EJ every such ``cur`` is a pure repeat-hit; composed kernels
-    add their own conditions on ``prev``.
-
-    Grouping a span by set is one stable ``uint16`` argsort: items of a
-    set then sit consecutively in original order, so same-set adjacency
-    is adjacency in the sorted permutation.
+    Grouping a span by set is one stable ``uint16`` argsort: ``order``
+    permutes item indexes so that each set's items sit consecutively in
+    original order, and ``idx_s`` holds their set indexes.  Same-set
+    adjacency is then adjacency in the sorted permutation, so ``prev``
+    and ``cur`` are the parallel item indexes where ``cur`` directly
+    follows ``prev`` in its set's sequence, both are P0 snoops, and both
+    name the same block.  For a plain EJ/VEJ every such ``cur`` is a
+    pure repeat-hit; an HJ also requires ``prev`` to have passed its IJ.
     """
 
-    def build():
+    def build() -> dict:
         items = _span_items(segment, lo, hi)
         b, code = items["b"], items["code"]
         idx = ((b >> pre_shift) & set_mask).astype(_np.uint16)
-        order = _np.argsort(idx, kind="stable")
+        # int32 halves the memo; a span never holds 2**31 items.
+        order = _np.argsort(idx, kind="stable").astype(_np.int32)
         idx_s = idx[order]
         b_s = b[order]
         code_s = code[order]
@@ -214,9 +221,55 @@ def _span_pairs(
             & (code_s[1:] == 0)
             & (code_s[:-1] == 0)
         )
-        return order[:-1][pair], order[1:][pair]
+        return {
+            "order": order,
+            "idx_s": idx_s,
+            "prev": order[:-1][pair],
+            "cur": order[1:][pair],
+        }
 
     return segment.shared(("pairs", lo, hi, pre_shift, set_mask), build)
+
+
+def _set_groups(items: dict, pairs: dict, dups, stop: int, ok) -> dict:
+    """The residual items of a span, grouped set-major.
+
+    Keeps the items of ``pairs["order"]`` that are not repeat-hits
+    (``dups``) and come before item ``stop``, so the grouping reuses the
+    one argsort of :func:`_span_pairs`.  Returns ``gids`` (the set index
+    of each group), ``bounds`` (group slice boundaries), and the item
+    blocks, codes and IJ verdicts (``ok``, or ``None`` without an IJ)
+    permuted set-major as plain Python lists — within a group, items
+    keep their original relative order, which is all a machine can
+    observe.
+    """
+    order, idx_s = pairs["order"], pairs["idx_s"]
+    live = order < stop
+    if dups.size:
+        keep = _np.ones(order.size, dtype=bool)
+        keep[dups] = False
+        live &= keep[order]
+    order = order[live]
+    idx_s = idx_s[live]
+    n = order.size
+    if n == 0:
+        return {"gids": [], "bounds": [0], "b": [], "code": [], "ok": None}
+    first = _np.empty(n, dtype=bool)
+    first[0] = True
+    _np.not_equal(idx_s[1:], idx_s[:-1], out=first[1:])
+    fpos = _np.flatnonzero(first)
+    bounds = fpos.tolist()
+    bounds.append(n)
+    # Plain Python lists: the machines slice them directly (C-level list
+    # slicing), and memoisation shares the one conversion between every
+    # bank replaying the segment.
+    return {
+        "gids": idx_s[fpos].tolist(),
+        "bounds": bounds,
+        "b": items["b"][order].tolist(),
+        "code": items["code"][order].tolist(),
+        "ok": None if ok is None else ok[order].tolist(),
+    }
 
 
 def _lane_profile(
@@ -599,649 +652,227 @@ class _IncludeReplayer(VectorReplayer):
         lanes.commit(s, sp)
 
 
-class _ExcludeLoopReplayer(VectorReplayer):
-    """Shared scaffolding for the kernels built around an exclude loop.
-
-    Subclasses provide ``_dedup_pre_shift``/``_dedup_mask`` (the set
-    grouping of the repeat-hit dedup) and ``_run_loop`` (the family
-    loop), and get item extraction, dedup bookkeeping, violation
-    position recovery, and prefix flushing here.
-
-    The loop reports a safety violation by returning the violating
-    block (or ``None``): violations happen only in the rare P1 branch,
-    so the loop counts P1 items as it goes instead of tracking every
-    item's index, and the violating item's span position is recovered
-    afterwards from the precomputed P1 position list.
-    """
-
-    _dedup_pre_shift = 0
-    _dedup_mask = 0
-
-    def _dedup_items(self, segment, lo, hi, ij_ok_items=None):
-        """Items with pure repeat-hits removed, plus dup positions.
-
-        ``ij_ok_items`` (HJ only) further requires the *previous*
-        same-set item to have passed the IJ — the condition under which
-        the previous snoop is guaranteed to leave the block's entry at
-        MRU whatever the exclude state was.
-        """
-        items = _span_items(segment, lo, hi)
-        prev_it, cur_it = _span_pairs(
-            segment, lo, hi, self._dedup_pre_shift, self._dedup_mask
-        )
-        if ij_ok_items is not None and prev_it.size:
-            cur_it = cur_it[ij_ok_items[prev_it]]
-        if cur_it.size:
-            keep = _np.ones(items["b"].size, dtype=bool)
-            keep[cur_it] = False
-            b = items["b"][keep]
-            code = items["code"][keep]
-            pos = items["pos"][keep]
-            dup_pos = items["pos"][cur_it]
-            dup_pos.sort()
-        else:
-            b, code, pos = items["b"], items["code"], items["pos"]
-            dup_pos = None
-        return b, code, pos, dup_pos
-
-    def _violation_pos(self, code, pos, p1_seen: int) -> int:
-        """Span position of the ``p1_seen``-th P1 item (1-based)."""
-        return int(pos[code == 1][p1_seen - 1])
-
-    def _dups_before(self, dup_pos, k: int) -> int:
-        if dup_pos is None:
-            return 0
-        return int(_np.searchsorted(dup_pos, k))
-
-    def _set_groups(
-        self, segment, lo, hi, b_arr, code, ok=None, memo: bool = True
-    ) -> dict:
-        """Group a span's residual items by set with one stable argsort.
-
-        Returns ``gids`` (the set index of each group), ``bounds`` (group
-        slice boundaries), and the item arrays permuted set-major —
-        within a group, items keep their original relative order, which
-        is all the per-set state machines can observe.  Memoised on the
-        segment for the plain EJ/VEJ kernels (their dedup, and therefore
-        their grouping, depends only on the set geometry); the hybrid
-        kernel's dedup depends on IJ state, so it passes ``memo=False``.
-        """
-
-        def build() -> dict:
-            idx = (
-                (b_arr >> self._dedup_pre_shift) & self._dedup_mask
-            ).astype(_np.uint16)
-            order = _np.argsort(idx, kind="stable")
-            idx_s = idx[order]
-            n = idx_s.size
-            if n == 0:
-                record = {"gids": [], "bounds": [0], "b": [], "code": []}
-                if ok is not None:
-                    record["ok"] = []
-                return record
-            first = _np.empty(n, dtype=bool)
-            first[0] = True
-            _np.not_equal(idx_s[1:], idx_s[:-1], out=first[1:])
-            fpos = _np.flatnonzero(first)
-            bounds = fpos.tolist()
-            bounds.append(n)
-            # Plain Python lists: the group loops slice them directly
-            # (C-level list slicing), and memoisation shares the one
-            # conversion between every bank replaying the segment.
-            record = {
-                "gids": idx_s[fpos].tolist(),
-                "bounds": bounds,
-                "b": b_arr[order].tolist(),
-                "code": code[order].tolist(),
-            }
-            if ok is not None:
-                record["ok"] = ok[order].tolist()
-            return record
-
-        if memo:
-            return segment.shared(
-                ("exgroup", lo, hi, self._dedup_pre_shift, self._dedup_mask),
-                build,
-            )
-        return build()
+#: The IJ verdict of a plain EJ/VEJ: every snoop passes.
+_ALL_PASS = repeat(True)
 
 
-class _ExcludeReplayer(_ExcludeLoopReplayer):
-    """EJ replay: per-set bounded MRU stacks over pre-extracted items.
+def _stack_machine(stack: list, blist, clist, oklist, ways: int):
+    """Run one EJ set's items through its MRU-first stack.
 
     A stack holds the set's valid blocks in recency order; that is the
-    whole observable state — way placement only matters to snapshots,
-    which replay never takes.  Insertion on a full set pops the list
-    tail (the LRU entry), allocation removes the block wherever it sits
-    (the concrete array keeps the way's recency slot, but a slot only
-    becomes observable once re-filled, at MRU).
+    whole observable state.  Insertion on a full set pops the list tail
+    (the LRU entry); allocation removes the block wherever it sits (the
+    concrete array keeps the way's recency slot, but a slot only becomes
+    observable once re-filled, at MRU).  ``oklist`` is the IJ verdict
+    per item.  Returns ``(entry_writes, filtered)``, or ``None`` on a
+    safety violation.
     """
-
-    def __init__(
-        self, snoop_filter: ExcludeJetty, node_id: int, phase_names=()
-    ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
-        self._dedup_mask = snoop_filter._index_mask
-        self._stacks = _warm_stacks(snoop_filter)
-
-    @staticmethod
-    def _group_ej(stack: list, blist, clist, ways: int):
-        """Run one set's items through its stack; ``None`` on violation."""
-        entry_writes = filtered = 0
-        for b, c in zip(blist, clist):
-            if c == 0:  # P0 snoop
-                if b in stack:
-                    if stack[0] != b:
-                        stack.remove(b)
-                        stack.insert(0, b)
-                    filtered += 1
-                else:
-                    if len(stack) == ways:
-                        stack.pop()
-                    stack.insert(0, b)
-                    entry_writes += 1
-            elif c == 2:  # alloc: invalidate any entry claiming absence
-                if b in stack:
+    entry_writes = filtered = 0
+    for b, c, ok in zip(blist, clist, oklist):
+        if c == 0:  # P0 snoop
+            if b in stack:  # EJ hit filters, IJ moot
+                if stack[0] != b:
                     stack.remove(b)
-                    entry_writes += 1
-            else:  # P1 snoop: a hit would filter a cached block
-                if b in stack:
-                    return None
-        return entry_writes, filtered
-
-    def _sequential(self, blist, clist):
-        """Original-order fallback for the violation post-mortem."""
-        stacks = self._stacks
-        smask = self._dedup_mask
-        ways = self.snoop_filter.ways
-        entry_writes = filtered = p1_seen = 0
-        viol_b = None
-        for b, c in zip(blist, clist):
-            if c == 0:
-                stack = stacks[b & smask]
-                if b in stack:
-                    if stack[0] != b:
-                        stack.remove(b)
-                        stack.insert(0, b)
-                    filtered += 1
-                else:
-                    if len(stack) == ways:
-                        stack.pop()
                     stack.insert(0, b)
-                    entry_writes += 1
-            elif c == 2:
-                stack = stacks[b & smask]
-                if b in stack:
-                    stack.remove(b)
-                    entry_writes += 1
-            else:
-                p1_seen += 1
-                if b in stacks[b & smask]:
-                    viol_b = b
-                    break
-        return viol_b, entry_writes, filtered, p1_seen
-
-    def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
-        s = _span_stats(segment, lo, hi)
-        b_arr, code, pos, dup_pos = self._dedup_items(segment, lo, hi)
-        groups = self._set_groups(segment, lo, hi, b_arr, code)
-        stacks = self._stacks
-        ways = self.snoop_filter.ways
-        bounds = groups["bounds"]
-        b_s, code_s = groups["b"], groups["code"]
-        entry_writes = filtered = 0
-        touched = []
-        violated = False
-        for gi, g in enumerate(groups["gids"]):
-            stack = stacks[g]
-            touched.append((g, stack.copy()))
-            res = self._group_ej(
-                stack,
-                b_s[bounds[gi]:bounds[gi + 1]],
-                code_s[bounds[gi]:bounds[gi + 1]],
-                ways,
-            )
-            if res is None:
-                violated = True
-                break
-            entry_writes += res[0]
-            filtered += res[1]
-        if violated:
-            # Sets are independent, so a violation found group-wise is a
-            # violation in original order too; restore the touched sets
-            # and re-run sequentially for exact oracle error accounting.
-            for g, saved in touched:
-                stacks[g] = saved
-            viol_b, entry_writes, filtered, p1_seen = self._sequential(
-                b_arr.tolist(), code.tolist()
-            )
-            k = self._violation_pos(code, pos, p1_seen)
-            self._flush_prefix(s, k, filtered + self._dups_before(dup_pos, k))
-            raise self._safety_error(viol_b)
-        if dup_pos is not None:
-            filtered += dup_pos.size
-        self._flush_span(s, filtered)
-        counts = self.counts
-        counts.probes += s["n_snoops"]
-        counts.filtered += filtered
-        counts.entry_writes += entry_writes
+                filtered += 1
+            elif ok:  # both passed: the outcome allocates an entry
+                if len(stack) == ways:
+                    stack.pop()
+                stack.insert(0, b)
+                entry_writes += 1
+            else:  # IJ filtered; EJ learns nothing
+                filtered += 1
+        elif c == 2:  # alloc: invalidate any entry claiming absence
+            if b in stack:
+                stack.remove(b)
+                entry_writes += 1
+        else:  # P1 snoop: filtering from either side is a violation
+            if b in stack or not ok:
+                return None
+    return entry_writes, filtered
 
 
-class _VectorExcludeReplayer(_ExcludeLoopReplayer):
-    """VEJ replay: one insertion-ordered dict per set, MRU last.
+def _vector_machine(vecs: dict, blist, clist, oklist, vshift, vmask, ways):
+    """Run one VEJ set's items through its ``chunk -> vector`` dict.
 
     Same abstract-stack argument as the EJ, at chunk granularity — but a
-    Python dict preserves insertion order, so one ``chunk -> vector``
-    dict per set encodes recency *and* the presence vectors: the LRU
-    chunk is the first key, a touch is pop-and-reinsert, and a value
-    update in place (the alloc path) keeps the entry's recency slot just
-    like the concrete array keeps an invalidated way's LRU slot.
+    dict preserves insertion order, so it encodes recency *and* the
+    presence vectors: the LRU chunk is the first key, a touch is
+    pop-and-reinsert, and a value update in place (the alloc path) keeps
+    the entry's recency slot just like the concrete array keeps an
+    invalidated way's LRU slot.  ``oklist`` is the IJ verdict per item.
+    Returns ``(entry_writes, filtered)``, or ``None`` on a safety
+    violation.
     """
-
-    def __init__(
-        self, snoop_filter: VectorExcludeJetty, node_id: int, phase_names=()
-    ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
-        self._dedup_pre_shift = snoop_filter._vec_shift
-        self._dedup_mask = snoop_filter._index_mask
-        self._vectors = _warm_vectors(snoop_filter)
-
-    @staticmethod
-    def _group_vej(vecs: dict, blist, clist, vshift, vmask, ways):
-        """Run one set's items through its dict; ``None`` on violation."""
-        entry_writes = filtered = 0
-        for b, c in zip(blist, clist):
-            chunk = b >> vshift
-            if c == 0:  # P0 snoop
-                vector = vecs.pop(chunk, None)
-                if vector is None:  # chunk miss: allocate a fresh entry
-                    if len(vecs) == ways:
-                        del vecs[next(iter(vecs))]
-                    vecs[chunk] = 1 << (b & vmask)
-                    entry_writes += 1
-                else:  # chunk hit: the probe touches LRU either way
-                    bit = 1 << (b & vmask)
-                    if vector & bit:
-                        vecs[chunk] = vector
-                        filtered += 1
-                    else:
-                        vecs[chunk] = vector | bit
-                        entry_writes += 1
-            elif c == 2:  # alloc: clear the PV bit (safety-critical)
-                vector = vecs.get(chunk)
-                if vector is not None:
-                    vector &= ~(1 << (b & vmask))
-                    if vector == 0:
-                        del vecs[chunk]
-                    else:
-                        vecs[chunk] = vector
-                    entry_writes += 1
-            else:  # P1 snoop
-                vector = vecs.pop(chunk, None)
-                if vector is not None:
+    entry_writes = filtered = 0
+    for b, c, ok in zip(blist, clist, oklist):
+        chunk = b >> vshift
+        if c == 0:  # P0 snoop
+            vector = vecs.pop(chunk, None)
+            if vector is not None:  # chunk hit: the probe touches LRU
+                bit = 1 << (b & vmask)
+                if vector & bit:
                     vecs[chunk] = vector
-                    if vector & (1 << (b & vmask)):
-                        return None
-        return entry_writes, filtered
-
-    def _sequential(self, blist, clist):
-        """Original-order fallback for the violation post-mortem."""
-        snoop_filter = self.snoop_filter
-        vectors = self._vectors
-        vshift = snoop_filter._vec_shift
-        vmask = snoop_filter._vec_mask
-        smask = self._dedup_mask
-        ways = snoop_filter.ways
-        entry_writes = filtered = p1_seen = 0
-        viol_b = None
-        for b, c in zip(blist, clist):
-            chunk = b >> vshift
-            vecs = vectors[chunk & smask]
-            if c == 0:
-                vector = vecs.pop(chunk, None)
-                if vector is None:
-                    if len(vecs) == ways:
-                        del vecs[next(iter(vecs))]
-                    vecs[chunk] = 1 << (b & vmask)
+                    filtered += 1
+                elif ok:
+                    vecs[chunk] = vector | bit
                     entry_writes += 1
-                else:
-                    bit = 1 << (b & vmask)
-                    if vector & bit:
-                        vecs[chunk] = vector
-                        filtered += 1
-                    else:
-                        vecs[chunk] = vector | bit
-                        entry_writes += 1
-            elif c == 2:
-                vector = vecs.get(chunk)
-                if vector is not None:
-                    vector &= ~(1 << (b & vmask))
-                    if vector == 0:
-                        del vecs[chunk]
-                    else:
-                        vecs[chunk] = vector
-                    entry_writes += 1
+                else:  # IJ filtered; the touch still happened
+                    vecs[chunk] = vector
+                    filtered += 1
+            elif ok:  # chunk miss: allocate a fresh entry
+                if len(vecs) == ways:
+                    del vecs[next(iter(vecs))]
+                vecs[chunk] = 1 << (b & vmask)
+                entry_writes += 1
             else:
-                p1_seen += 1
-                vector = vecs.pop(chunk, None)
-                if vector is not None:
+                filtered += 1
+        elif c == 2:  # alloc: clear the PV bit (safety-critical)
+            vector = vecs.get(chunk)
+            if vector is not None:
+                vector &= ~(1 << (b & vmask))
+                if vector == 0:
+                    del vecs[chunk]
+                else:
                     vecs[chunk] = vector
-                    if vector & (1 << (b & vmask)):
-                        viol_b = b
-                        break
-        return viol_b, entry_writes, filtered, p1_seen
-
-    def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
-        s = _span_stats(segment, lo, hi)
-        b_arr, code, pos, dup_pos = self._dedup_items(segment, lo, hi)
-        snoop_filter = self.snoop_filter
-        groups = self._set_groups(segment, lo, hi, b_arr, code)
-        vectors = self._vectors
-        vshift = snoop_filter._vec_shift
-        vmask = snoop_filter._vec_mask
-        ways = snoop_filter.ways
-        bounds = groups["bounds"]
-        b_s, code_s = groups["b"], groups["code"]
-        entry_writes = filtered = 0
-        touched = []
-        violated = False
-        for gi, g in enumerate(groups["gids"]):
-            vecs = vectors[g]
-            touched.append((g, dict(vecs)))
-            res = self._group_vej(
-                vecs,
-                b_s[bounds[gi]:bounds[gi + 1]],
-                code_s[bounds[gi]:bounds[gi + 1]],
-                vshift, vmask, ways,
-            )
-            if res is None:
-                violated = True
-                break
-            entry_writes += res[0]
-            filtered += res[1]
-        if violated:
-            for g, saved in touched:
-                vectors[g] = saved
-            viol_b, entry_writes, filtered, p1_seen = self._sequential(
-                b_arr.tolist(), code.tolist()
-            )
-            k = self._violation_pos(code, pos, p1_seen)
-            self._flush_prefix(s, k, filtered + self._dups_before(dup_pos, k))
-            raise self._safety_error(viol_b)
-        if dup_pos is not None:
-            filtered += dup_pos.size
-        self._flush_span(s, filtered)
-        counts = self.counts
-        counts.probes += s["n_snoops"]
-        counts.filtered += filtered
-        counts.entry_writes += entry_writes
+                entry_writes += 1
+        else:  # P1 snoop
+            vector = vecs.pop(chunk, None)
+            if vector is not None:
+                vecs[chunk] = vector
+                if vector & (1 << (b & vmask)):
+                    return None
+            if not ok:
+                return None
+    return entry_writes, filtered
 
 
-class _HybridReplayer(_ExcludeLoopReplayer):
-    """HJ replay: vectorised IJ lanes feeding the exclude loop.
+class _ExcludeReplayer(VectorReplayer):
+    """EJ, VEJ and HJ replay: one exclude machine behind one span body.
 
-    The IJ verdict for every snoop comes out of the lane machinery as a
-    boolean array; the exclude loop then owns all order-dependent state
-    *and* the hybrid's filtered accounting (a snoop is filtered unless
-    both components pass).  ``filtered``/``probes`` count the hybrid,
-    ``entry_writes`` the exclude component, ``cnt_updates``/
+    A plain EJ/VEJ runs its machine behind an all-pass IJ verdict; an HJ
+    runs its exclude component's machine behind vectorised IJ lanes and
+    owns the hybrid's filtered accounting (a snoop is filtered unless
+    both components pass).  ``filtered``/``probes`` count the filter,
+    ``entry_writes`` the exclude structure, ``cnt_updates``/
     ``pbit_writes`` the include component — exactly the composition of
     :meth:`repro.core.hybrid.HybridJetty.energy_counts`.
 
-    An IJ underflow truncates the loop at the underflow position so the
+    An IJ underflow truncates the items at the underflow position so the
     oracle's first-error-wins ordering holds: a safety violation earlier
     in the span raises first, one later never gets the chance.
     """
 
     def __init__(
-        self, snoop_filter: HybridJetty, node_id: int, phase_names=()
+        self, snoop_filter: SnoopFilter, node_id: int, phase_names=()
     ) -> None:
         super().__init__(snoop_filter, node_id, phase_names)
-        exclude = snoop_filter.exclude
-        self._lanes = _IncludeLanes(snoop_filter.include)
-        self._vej = type(exclude) is VectorExcludeJetty
-        if self._vej:
-            self._dedup_pre_shift = exclude._vec_shift
-            self._vectors = _warm_vectors(exclude)
+        exclude = snoop_filter
+        self._lanes = None
+        if type(snoop_filter) is HybridJetty:
+            exclude = snoop_filter.exclude
+            self._lanes = _IncludeLanes(snoop_filter.include)
+        if type(exclude) is VectorExcludeJetty:
+            self._pre_shift = exclude._vec_shift
+            self._state = _warm_vectors(exclude)
+            self._machine = _vector_machine
+            self._args = (exclude._vec_shift, exclude._vec_mask, exclude.ways)
         else:
-            self._stacks = _warm_stacks(exclude)
-        self._dedup_mask = exclude._index_mask
+            self._pre_shift = 0
+            self._state = _warm_stacks(exclude)
+            self._machine = _stack_machine
+            self._args = (exclude.ways,)
+        self._set_mask = exclude._index_mask
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
-        lanes = self._lanes
-        sp = lanes.span(segment, lo, hi)
-        all_pass = sp["all_pass"]
-        under_k = sp["under_k"]
         items = _span_items(segment, lo, hi)
-        ij_ok_items = all_pass[items["pos"]]
-        b_arr, code, pos, dup_pos = self._dedup_items(
-            segment, lo, hi, ij_ok_items=ij_ok_items
-        )
-        ij_ok = all_pass[pos]
-        if under_k >= 0:
-            # Only items before the underflow run through the loop.
-            stop = int(_np.searchsorted(pos, under_k))
+        pre_shift, set_mask = self._pre_shift, self._set_mask
+        pairs = _span_pairs(segment, lo, hi, pre_shift, set_mask)
+        dups = pairs["cur"]
+        stop = items["b"].size
+        under_k = -1
+        lanes = self._lanes
+        if lanes is None:
+            ok = None
+            # Repeat-hits, and so the grouping, depend only on the set
+            # geometry: every bank of this geometry shares one grouping.
+            groups = segment.shared(
+                ("exgroup", lo, hi, pre_shift, set_mask),
+                lambda: _set_groups(items, pairs, dups, stop, None),
+            )
         else:
-            stop = b_arr.size
-        # The dedup (and so the residual item set) depends on IJ state,
-        # which differs between spans — the grouping cannot be memoised.
-        groups = self._set_groups(
-            segment, lo, hi,
-            b_arr[:stop], code[:stop], ok=ij_ok[:stop], memo=False,
-        )
+            sp = lanes.span(segment, lo, hi)
+            under_k = sp["under_k"]
+            ok = sp["all_pass"][items["pos"]]
+            # A repeat is pure only if the previous snoop passed the IJ:
+            # only then is its entry guaranteed to sit at MRU.
+            dups = dups[ok[pairs["prev"]]]
+            if under_k >= 0:
+                stop = int(_np.searchsorted(items["pos"], under_k))
+            groups = _set_groups(items, pairs, dups, stop, ok)
+        state, machine, args = self._state, self._machine, self._args
         bounds = groups["bounds"]
         b_s, code_s, ok_s = groups["b"], groups["code"], groups["ok"]
-        exclude = self.snoop_filter.exclude
-        state = self._vectors if self._vej else self._stacks
         entry_writes = filtered = 0
         touched = []
-        violated = False
         for gi, g in enumerate(groups["gids"]):
-            blist = b_s[bounds[gi]:bounds[gi + 1]]
-            clist = code_s[bounds[gi]:bounds[gi + 1]]
-            oklist = ok_s[bounds[gi]:bounds[gi + 1]]
-            if self._vej:
-                vecs = state[g]
-                touched.append((g, dict(vecs)))
-                res = self._group_hvej(
-                    vecs, blist, clist, oklist,
-                    exclude._vec_shift, exclude._vec_mask, exclude.ways,
-                )
-            else:
-                stack = state[g]
-                touched.append((g, stack.copy()))
-                res = self._group_hej(stack, blist, clist, oklist,
-                                      exclude.ways)
+            a, z = bounds[gi], bounds[gi + 1]
+            touched.append((g, state[g].copy()))
+            res = machine(
+                state[g], b_s[a:z], code_s[a:z],
+                _ALL_PASS if ok_s is None else ok_s[a:z], *args,
+            )
             if res is None:
-                violated = True
-                break
+                for set_index, saved in touched:
+                    state[set_index] = saved
+                raise self._post_mortem(s, items, dups, stop, ok)
             entry_writes += res[0]
             filtered += res[1]
-        if violated:
-            for g, saved in touched:
-                state[g] = saved
-            loop = self._loop_vej if self._vej else self._loop_ej
-            viol_b, entry_writes, filtered, p1_seen = loop(
-                b_arr[:stop].tolist(),
-                code[:stop].tolist(),
-                ij_ok[:stop].tolist(),
-            )
-            k = self._violation_pos(code, pos, p1_seen)
-            self._flush_prefix(s, k, filtered + self._dups_before(dup_pos, k))
-            raise self._safety_error(viol_b)
         if under_k >= 0:
-            filtered += self._dups_before(dup_pos, under_k)
+            filtered += int((dups < stop).sum())
             self._flush_prefix(s, under_k, filtered)
             raise lanes.underflow_error(int(s["blocks"][under_k]))
-        if dup_pos is not None:
-            filtered += dup_pos.size
+        filtered += dups.size
         self._flush_span(s, filtered)
         counts = self.counts
         counts.probes += s["n_snoops"]
         counts.filtered += filtered
         counts.entry_writes += entry_writes
-        counts.cnt_updates += lanes.include.n_arrays * (
-            s["n_allocs"] + s["n_evicts"]
-        )
-        counts.pbit_writes += sp["pbw"]
-        lanes.commit(s, sp)
+        if lanes is not None:
+            counts.cnt_updates += lanes.include.n_arrays * (
+                s["n_allocs"] + s["n_evicts"]
+            )
+            counts.pbit_writes += sp["pbw"]
+            lanes.commit(s, sp)
 
-    @staticmethod
-    def _group_hej(stack: list, blist, clist, oklist, ways: int):
-        """One set's items through the HJ(EJ) machine; None = violation."""
-        entry_writes = filtered = 0
-        for b, c, ok in zip(blist, clist, oklist):
-            if c == 0:  # P0 snoop
-                if b in stack:  # EJ hit filters the hybrid, IJ moot
-                    if stack[0] != b:
-                        stack.remove(b)
-                        stack.insert(0, b)
-                    filtered += 1
-                elif ok:  # both passed: the outcome allocates an entry
-                    if len(stack) == ways:
-                        stack.pop()
-                    stack.insert(0, b)
-                    entry_writes += 1
-                else:  # IJ filtered; EJ learns nothing
-                    filtered += 1
-            elif c == 2:  # alloc
-                if b in stack:
-                    stack.remove(b)
-                    entry_writes += 1
-            else:  # P1 snoop: filtering from either side is a violation
-                if b in stack or not ok:
-                    return None
-        return entry_writes, filtered
+    def _post_mortem(
+        self, s: dict, items: dict, dups, stop: int, ok
+    ) -> FilterSafetyError:
+        """The stream-order first violation, with oracle accounting.
 
-    @staticmethod
-    def _group_hvej(vecs: dict, blist, clist, oklist, vshift, vmask, ways):
-        """One set's items through the HJ(VEJ) machine; None = violation."""
-        entry_writes = filtered = 0
-        for b, c, ok in zip(blist, clist, oklist):
-            chunk = b >> vshift
-            if c == 0:  # P0 snoop
-                vector = vecs.pop(chunk, None)
-                if vector is not None:  # chunk hit: the probe touches
-                    bit = 1 << (b & vmask)
-                    if vector & bit:
-                        vecs[chunk] = vector
-                        filtered += 1
-                    elif ok:
-                        vecs[chunk] = vector | bit
-                        entry_writes += 1
-                    else:  # IJ filtered; the touch still happened
-                        vecs[chunk] = vector
-                        filtered += 1
-                elif ok:
-                    if len(vecs) == ways:
-                        del vecs[next(iter(vecs))]
-                    vecs[chunk] = 1 << (b & vmask)
-                    entry_writes += 1
-                else:
-                    filtered += 1
-            elif c == 2:  # alloc
-                vector = vecs.get(chunk)
-                if vector is not None:
-                    vector &= ~(1 << (b & vmask))
-                    if vector == 0:
-                        del vecs[chunk]
-                    else:
-                        vecs[chunk] = vector
-                    entry_writes += 1
-            else:  # P1 snoop
-                vector = vecs.pop(chunk, None)
-                if vector is not None:
-                    vecs[chunk] = vector
-                    if vector & (1 << (b & vmask)):
-                        return None
-                if not ok:
-                    return None
-        return entry_writes, filtered
-
-    def _loop_ej(self, blist, clist, oklist):
-        stacks = self._stacks
-        smask = self._dedup_mask
-        ways = self.snoop_filter.exclude.ways
-        entry_writes = filtered = p1_seen = 0
-        viol_b = None
-        for b, c, ok in zip(blist, clist, oklist):
-            if c == 0:  # P0 snoop
-                stack = stacks[b & smask]
-                if b in stack:  # EJ hit filters the hybrid, IJ moot
-                    if stack[0] != b:
-                        stack.remove(b)
-                        stack.insert(0, b)
-                    filtered += 1
-                elif ok:  # both passed: the outcome allocates an entry
-                    if len(stack) == ways:
-                        stack.pop()
-                    stack.insert(0, b)
-                    entry_writes += 1
-                else:  # IJ filtered; EJ learns nothing
-                    filtered += 1
-            elif c == 2:  # alloc
-                stack = stacks[b & smask]
-                if b in stack:
-                    stack.remove(b)
-                    entry_writes += 1
-            else:  # P1 snoop: filtering from either side is a violation
-                p1_seen += 1
-                if b in stacks[b & smask] or not ok:
-                    viol_b = b
-                    break
-        return viol_b, entry_writes, filtered, p1_seen
-
-    def _loop_vej(self, blist, clist, oklist):
-        exclude = self.snoop_filter.exclude
-        vectors = self._vectors
-        vshift = exclude._vec_shift
-        vmask = exclude._vec_mask
-        smask = self._dedup_mask
-        ways = exclude.ways
-        entry_writes = filtered = p1_seen = 0
-        viol_b = None
-        for b, c, ok in zip(blist, clist, oklist):
-            chunk = b >> vshift
-            vecs = vectors[chunk & smask]
-            if c == 0:  # P0 snoop
-                vector = vecs.pop(chunk, None)
-                if vector is not None:  # chunk hit: the probe touches
-                    bit = 1 << (b & vmask)
-                    if vector & bit:
-                        vecs[chunk] = vector
-                        filtered += 1
-                    elif ok:
-                        vecs[chunk] = vector | bit
-                        entry_writes += 1
-                    else:  # IJ filtered; the touch still happened
-                        vecs[chunk] = vector
-                        filtered += 1
-                elif ok:
-                    if len(vecs) == ways:
-                        del vecs[next(iter(vecs))]
-                    vecs[chunk] = 1 << (b & vmask)
-                    entry_writes += 1
-                else:
-                    filtered += 1
-            elif c == 2:  # alloc
-                vector = vecs.get(chunk)
-                if vector is not None:
-                    vector &= ~(1 << (b & vmask))
-                    if vector == 0:
-                        del vecs[chunk]
-                    else:
-                        vecs[chunk] = vector
-                    entry_writes += 1
-            else:  # P1 snoop
-                p1_seen += 1
-                vector = vecs.pop(chunk, None)
-                if vector is not None:
-                    vecs[chunk] = vector
-                    if vector & (1 << (b & vmask)):
-                        viol_b = b
-                        break
-                if not ok:
-                    viol_b = b
-                    break
-        return viol_b, entry_writes, filtered, p1_seen
+        Sets are independent, so a violation found group-wise is one in
+        stream order too — but possibly not the first.  With the touched
+        sets restored, the residual items go through the same machine in
+        stream order, one item per call; the first violating call
+        flushes the span prefix up to its snoop, and its error is
+        returned for the caller to raise.
+        """
+        keep = _np.ones(stop, dtype=bool)
+        keep[dups[dups < stop]] = False
+        b, code, pos = items["b"], items["code"], items["pos"]
+        state, machine, args = self._state, self._machine, self._args
+        pre_shift, set_mask = self._pre_shift, self._set_mask
+        filtered = 0
+        for i in _np.flatnonzero(keep).tolist():
+            block = int(b[i])
+            res = machine(
+                state[(block >> pre_shift) & set_mask],
+                (block,), (int(code[i]),),
+                _ALL_PASS if ok is None else (bool(ok[i]),), *args,
+            )
+            if res is None:
+                filtered += int((dups < i).sum())
+                self._flush_prefix(s, int(pos[i]), filtered)
+                return self._safety_error(block)
+            filtered += res[1]

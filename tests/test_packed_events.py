@@ -71,10 +71,11 @@ class TestPackedRoundTrip:
         stream.marker()
         assert stream.counts() == (3, 1, 1)
 
-    def test_constructor_accepts_packed_and_legacy(self):
-        packed = NodeEventStream(1, [pack_event(SNOOP, 7, 2), pack_event(ALLOC, 9)])
-        legacy = NodeEventStream(1, [(SNOOP, 7, 2), (ALLOC, 9, 0)])
-        assert list(packed.events) == list(legacy.events)
+    def test_constructor_round_trips_packed_events(self):
+        events = [pack_event(SNOOP, 7, 2), pack_event(ALLOC, 9)]
+        stream = NodeEventStream(1, events)
+        assert list(stream.events) == events
+        assert stream.triples() == [(SNOOP, 7, 2), (ALLOC, 9, 0)]
 
 
 class TestStoreGC:

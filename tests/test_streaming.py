@@ -29,7 +29,14 @@ from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM, SystemConfig
 from repro.coherence.smp import SMPSystem, simulate_streaming
-from repro.core.stats import KIND_MASK, MARKER, NodeEventStream
+from repro.core.config import build_filter
+from repro.core.stats import (
+    KIND_MASK,
+    MARKER,
+    NodeEventStream,
+    StreamingFilterBank,
+)
+from repro.errors import ConfigurationError
 from repro.traces.synth import MixStream
 from repro.traces.workloads import (
     WORKLOADS,
@@ -215,6 +222,12 @@ class TestShardProtocol:
         system = SMPSystem(tiny2)
         with pytest.raises(TraceError):
             list(system.run_chunked([], chunk_size=0))
+
+    def test_bank_rejects_a_shard_of_another_width(self):
+        """A 2-node shard fed to a 4-node bank is a configuration error."""
+        bank = StreamingFilterBank([build_filter("EJ-16x2") for _ in range(4)])
+        with pytest.raises(ConfigurationError, match="node count 4"):
+            bank.consume([NodeEventStream(0), NodeEventStream(1)])
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ is the CI job proving the optional dependency really is optional.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import runner
 from repro.analysis import store as store_mod
@@ -385,10 +387,12 @@ class TestOracleFlushOnRaise:
 
 @requires_numpy
 class TestGroupedLoopErrorOrder:
-    """The EJ/VEJ kernels replay residual items set by set; a violation
-    discovered group-wise must still surface as the *original-order
-    first* violation — the grouped pass restores the touched sets and
-    re-runs sequentially for oracle-exact error accounting."""
+    """The EJ/VEJ/HJ kernels replay residual items set by set; a
+    violation discovered group-wise must still surface as the
+    *original-order first* violation — the grouped pass restores the
+    touched sets and feeds the residual items to the same per-set
+    machine in stream order, one item per call, for oracle-exact error
+    accounting."""
 
     @pytest.mark.parametrize(
         "filter_name",
@@ -419,6 +423,94 @@ class TestGroupedLoopErrorOrder:
         assert f"block {high:#x}" in messages[1]
         assert vars(vector.stats) == vars(oracle.stats)
         assert vector.stats.snoops == 4  # flushed up to the first violation
+
+
+#: Blocks crowding a few sets of every ``PARITY_FILTERS`` geometry: the
+#: EJ indexes on the low four bits and the VEJ on bits 2-5 (4-block
+#: chunks), so both see repeats, conflicts and evictions within a set.
+_RANDOM_BLOCKS = (0x0, 0x1, 0x4, 0x10, 0x11, 0x40, 0x44, 0x100, 0x104, 0x140)
+_RANDOM_PHASES = ("p0", "p1", "p2")
+
+
+@st.composite
+def _random_feeds(draw):
+    """A short random event list and the cut points of its batches.
+
+    Snoops (flag bit 0 would-hit, bit 1 present: P0/P1), ALLOCs, EVICTs
+    (an EVICT before its ALLOC underflows the IJ), warm-up MARKERs and
+    PHASE markers, weighted towards snoops.
+    """
+    block = st.sampled_from(_RANDOM_BLOCKS)
+    snoop = st.builds(
+        lambda b, f: pack_event(SNOOP, b, f), block, st.integers(0, 3)
+    )
+    event = st.one_of(
+        snoop,
+        snoop,  # listed twice: snoops dominate real traces
+        st.builds(lambda b: pack_event(ALLOC, b), block),
+        st.builds(lambda b: pack_event(EVICT, b), block),
+        st.just(pack_event(MARKER, 0)),
+        st.builds(lambda i: pack_event(MARKER, i, PHASE_FLAG),
+                  st.integers(0, len(_RANDOM_PHASES) - 1)),
+    )
+    events = draw(st.lists(event, max_size=48))
+    cuts = draw(st.lists(st.integers(0, len(events)), max_size=4))
+    return events, sorted(cuts)
+
+
+def _feed_batches(replayer, events, cuts):
+    """Feed ``events`` cut at ``cuts``; the first exception, or ``None``."""
+    bounds = [0, *cuts, len(events)]
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            replayer.feed(events[lo:hi])
+    except Exception as exc:  # compared against the oracle, not handled
+        return exc
+    return None
+
+
+@requires_numpy
+class TestRandomDifferential:
+    """Random short streams over a few crowded sets, fed in random batch
+    sizes: the vector kernel either encodes the oracle's evaluation
+    byte for byte, or raises the oracle's first error (type and
+    message) with the same flushed statistics."""
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    @given(feed=_random_feeds())
+    # A snoop the IJ filtered leaves no EJ entry, so the next snoop of
+    # its block is no repeat-hit: an ALLOC in another set (0x1) fills
+    # the IJ counter 0x0 lacked, and the second snoop allocates.
+    @example(feed=(
+        [pack_event(ALLOC, 0x100), _snoop(0x0), pack_event(ALLOC, 0x1),
+         _snoop(0x0)],
+        [],
+    ))
+    # A repeat-hit before a violation: the stream-order post-mortem
+    # must still count it as filtered.
+    @example(feed=(
+        [_snoop(0x40), _snoop(0x40), _snoop(0x40, present=True)], [],
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_vector_kernel_matches_oracle(self, filter_name, feed):
+        events, cuts = feed
+        oracle = EventReplayer(_single_filter(filter_name), 2, _RANDOM_PHASES)
+        vector = vector_replay.replayer_for(
+            _single_filter(filter_name), 2, _RANDOM_PHASES
+        )
+        assert vector is not None
+        e1 = _feed_batches(oracle, events, cuts)
+        e2 = _feed_batches(vector, events, cuts)
+        if e1 is None and e2 is None:
+            assert store_mod.encode_eval(vector.finish()) == (
+                store_mod.encode_eval(oracle.finish())
+            )
+            return
+        assert (type(e2), str(e2)) == (type(e1), str(e1))
+        assert vars(vector.stats) == vars(oracle.stats)
+        assert (vector.allocs, vector.evicts) == (
+            oracle.allocs, oracle.evicts
+        )
 
 
 @requires_numpy
