@@ -1,11 +1,14 @@
-"""Persistent experiment store: config fingerprints and result payloads.
+"""Experiment store: config fingerprints and result payloads.
 
 Simulating a workload is the expensive step of every exhibit; replaying a
 filter over its recorded trace is cheap but still worth keeping.  This
-module gives every result a durable home: an :class:`ExperimentStore`
-maps a *complete* configuration fingerprint — workload spec, full system
+module gives every result a home: an :class:`ExperimentStore` maps a
+*complete* configuration fingerprint — workload spec, full system
 geometry (both cache levels, associativity, block and subblock sizes),
-and seed — to a canonical, compressed payload of the result.
+and seed — to a canonical, compressed payload of the result.  There is
+one backend, a SQLite ``results`` table, held either in a file (durable,
+shared across processes) or in a ``:memory:`` database (process-local);
+both run the same SQL.
 
 The live result kinds share the one table: ``sim-metrics`` (the
 statistics of one simulation), ``eval`` (one :class:`FilterEvaluation`
@@ -977,14 +980,22 @@ class StoreEntry:
     payload_bytes: int
 
 
-class ExperimentStore:
-    """Persistent (SQLite) or in-memory store of experiment results.
+class _ClosedConnection:
+    """Stands in for the connection of a closed store: any use raises."""
 
-    With ``path=None`` the store is purely in-process — the behaviour of
-    the old module-level caches, but behind the same interface the
-    persistent store offers.  With a path, every result is also written to
-    a single SQLite file so later invocations (and other processes) skip
-    re-simulation entirely.
+    def __getattr__(self, name: str):
+        raise ConfigurationError("experiment store is closed")
+
+
+class ExperimentStore:
+    """SQLite store of experiment results, in a file or in memory.
+
+    With a path, every result is written to a single SQLite file so later
+    invocations (and other processes) skip re-simulation entirely.  With
+    ``path=None`` the same schema lives in a private ``:memory:`` database
+    that vanishes with the store.  Either way one set of SQL statements
+    serves every method, and a closed store raises
+    :class:`ConfigurationError` on any further use.
 
     Decoded results are memoised per key, so repeated ``get`` calls return
     the *same object* — callers that relied on the old caches' identity
@@ -994,31 +1005,26 @@ class ExperimentStore:
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._live: dict[str, object] = {}
-        #: Backing maps for the in-memory (path=None) flavour.
-        self._blobs: dict[str, bytes] = {}
-        self._meta: dict[str, tuple] = {}
         #: Monotonic recency clock: every get/put stamps its key, so GC
         #: can evict least-recently-used entries first.  Deliberately a
         #: counter, not wall time — payload bytes and store behaviour
         #: stay deterministic.
         self._clock = 0
-        self._used: dict[str, int] = {}
         self._pending_touches: dict[str, int] = {}
-        self._db: sqlite3.Connection | None = None
-        if self.path is not None:
-            try:
+        target = ":memory:" if self.path is None else self.path
+        try:
+            if self.path is not None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._db = sqlite3.connect(self.path)
-                self._init_schema()
-            except (OSError, sqlite3.Error) as error:
-                raise ConfigurationError(
-                    f"cannot open experiment store at {self.path}: {error}"
-                ) from error
+            self._db = sqlite3.connect(target)
+            self._init_schema()
+        except (OSError, sqlite3.Error) as error:
+            raise ConfigurationError(
+                f"cannot open experiment store at {target}: {error}"
+            ) from error
 
     # -- schema ---------------------------------------------------------
 
     def _init_schema(self) -> None:
-        assert self._db is not None
         db = self._db
         db.execute(
             "CREATE TABLE IF NOT EXISTS store_meta "
@@ -1060,19 +1066,15 @@ class ExperimentStore:
         db.commit()
 
     def _touch(self, key: str) -> None:
-        """Stamp ``key`` as most recently used (both store flavours).
+        """Stamp ``key`` as most recently used.
 
-        SQLite stamps are *buffered*: warm reads must not each take the
+        Stamps are *buffered*: warm reads must not each take the
         write lock and pay a synchronous commit, so touches accumulate
         in memory and flush in one batch on the next write, on
         :meth:`gc` (which reads the recency order), and on
         :meth:`close`.
         """
         self._clock += 1
-        if self._db is None:
-            if key in self._blobs:
-                self._used[key] = self._clock
-            return
         self._pending_touches[key] = self._clock
 
     def _flush_touches(self) -> None:
@@ -1081,7 +1083,7 @@ class ExperimentStore:
         Best-effort: on a read-only store file the stamps are dropped —
         reads keep working, the LRU order just stays as written.
         """
-        if self._db is None or not self._pending_touches:
+        if not self._pending_touches:
             return
         try:
             self._db.executemany(
@@ -1099,11 +1101,6 @@ class ExperimentStore:
     # -- raw payload access (the runner ships blobs to workers) ---------
 
     def get_blob(self, key: str) -> bytes | None:
-        if self._db is None:
-            blob = self._blobs.get(key)
-            if blob is not None:
-                self._touch(key)
-            return blob
         row = self._db.execute(
             "SELECT payload FROM results WHERE key = ?", (key,)
         ).fetchone()
@@ -1124,11 +1121,6 @@ class ExperimentStore:
         seed: int,
     ) -> None:
         self._clock += 1
-        if self._db is None:
-            self._blobs[key] = blob
-            self._meta[key] = (kind, workload, filter_name, n_cpus, seed)
-            self._used[key] = self._clock
-            return
         self._flush_touches()
 
         def _write() -> None:
@@ -1159,11 +1151,6 @@ class ExperimentStore:
         if key in self._live:
             self._touch(key)
             return True
-        if self._db is None:
-            if key in self._blobs:
-                self._touch(key)
-                return True
-            return False
         row = self._db.execute(
             "SELECT 1 FROM results WHERE key = ?", (key,)
         ).fetchone()
@@ -1188,7 +1175,6 @@ class ExperimentStore:
         return result
 
     def put_sim_metrics(self, key: str, result: SimResult, *, seed: int) -> None:
-        self._live[key] = result
         self.put_sim_metrics_blob(
             key,
             encode_sim_metrics(result),
@@ -1196,6 +1182,7 @@ class ExperimentStore:
             n_cpus=result.n_cpus,
             seed=seed,
         )
+        self._live[key] = result
 
     def put_sim_metrics_blob(
         self, key: str, blob: bytes, *, workload: str, n_cpus: int, seed: int
@@ -1218,26 +1205,6 @@ class ExperimentStore:
         self._live[key] = evaluation
         return evaluation
 
-    def put_eval(
-        self,
-        key: str,
-        evaluation: FilterEvaluation,
-        *,
-        workload: str,
-        n_cpus: int,
-        seed: int,
-    ) -> None:
-        self._live[key] = evaluation
-        self.put_blob(
-            key,
-            encode_eval(evaluation),
-            kind="eval",
-            workload=workload,
-            filter_name=evaluation.filter_name,
-            n_cpus=n_cpus,
-            seed=seed,
-        )
-
     def put_eval_blob(
         self,
         key: str,
@@ -1256,28 +1223,6 @@ class ExperimentStore:
     # -- inspection / maintenance --------------------------------------
 
     def stats(self) -> StoreStats:
-        if self._db is None:
-            by_kind: dict[str, int] = {}
-            bytes_by_kind: dict[str, int] = {}
-            traces = 0
-            for key, m in self._meta.items():
-                by_kind[m[0]] = by_kind.get(m[0], 0) + 1
-                bytes_by_kind[m[0]] = (
-                    bytes_by_kind.get(m[0], 0) + len(self._blobs[key])
-                )
-                if m[0] == TRACE_KIND and m[2] is None:
-                    traces += 1
-            return StoreStats(
-                sims=by_kind.get("sim-metrics", 0),
-                evals=by_kind.get("eval", 0),
-                retired=sum(by_kind.get(kind, 0) for kind in RETIRED_KINDS),
-                traces=traces,
-                checkpoints=by_kind.get(CHECKPOINT_KIND, 0),
-                jobs=by_kind.get(JOB_KIND, 0),
-                payload_bytes=sum(len(b) for b in self._blobs.values()),
-                path=None,
-                bytes_by_kind=tuple(sorted(bytes_by_kind.items())),
-            )
         rows = self._db.execute(
             "SELECT kind, COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
             "FROM results GROUP BY kind"
@@ -1298,7 +1243,7 @@ class ExperimentStore:
             checkpoints=counts.get(CHECKPOINT_KIND, (0, 0))[0],
             jobs=counts.get(JOB_KIND, (0, 0))[0],
             payload_bytes=sum(nbytes for _, nbytes in counts.values()),
-            path=str(self.path),
+            path=None if self.path is None else str(self.path),
             bytes_by_kind=tuple(
                 sorted((kind, nbytes) for kind, (_c, nbytes) in counts.items())
             ),
@@ -1306,15 +1251,6 @@ class ExperimentStore:
 
     def entries(self) -> list[StoreEntry]:
         """All stored results' metadata, ordered by key."""
-        if self._db is None:
-            return sorted(
-                (
-                    StoreEntry(key, m[0], m[1], m[2], m[3], m[4],
-                               len(self._blobs[key]))
-                    for key, m in self._meta.items()
-                ),
-                key=lambda e: e.key,
-            )
         rows = self._db.execute(
             "SELECT key, kind, workload, filter, n_cpus, seed, "
             "LENGTH(payload) FROM results ORDER BY key"
@@ -1323,8 +1259,6 @@ class ExperimentStore:
 
     def dump(self) -> dict[str, bytes]:
         """All payloads by key (the determinism tests diff two stores)."""
-        if self._db is None:
-            return dict(self._blobs)
         rows = self._db.execute("SELECT key, payload FROM results").fetchall()
         return {key: payload for key, payload in rows}
 
@@ -1505,16 +1439,12 @@ class ExperimentStore:
 
     def _has_key(self, key: str) -> bool:
         """Raw presence check with no recency side effects (gc internal)."""
-        if self._db is None:
-            return key in self._blobs
         return self._db.execute(
             "SELECT 1 FROM results WHERE key = ?", (key,)
         ).fetchone() is not None
 
     def _raw_blob(self, key: str) -> bytes | None:
         """Raw payload fetch with no recency side effects (gc internal)."""
-        if self._db is None:
-            return self._blobs.get(key)
         row = self._db.execute(
             "SELECT payload FROM results WHERE key = ?", (key,)
         ).fetchone()
@@ -1580,25 +1510,6 @@ class ExperimentStore:
             raise ConfigurationError(
                 f"size budget must be >= 0 bytes, got {max_bytes}"
             )
-        if self._db is None:
-            rows = [
-                (key, m[0], m[2], len(self._blobs[key]), self._used.get(key, 0))
-                for key, m in self._meta.items()
-            ]
-            total = sum(size for _k, _kind, _f, size, _u in rows)
-            removed = freed = 0
-            for _used, _group, keys, size in self._eviction_order(rows):
-                if total <= max_bytes:
-                    break
-                for key in keys:
-                    del self._blobs[key]
-                    self._meta.pop(key, None)
-                    self._used.pop(key, None)
-                    self._live.pop(key, None)
-                total -= size
-                removed += len(keys)
-                freed += size
-            return removed, freed
         self._flush_touches()  # gc ranks by recency; stamps must be durable
         rows = self._db.execute(
             "SELECT key, kind, filter, LENGTH(payload), last_used FROM results"
@@ -1625,20 +1536,6 @@ class ExperimentStore:
         ones) and harmless when nothing is stored under the key.
         Returns rows removed.
         """
-        removed = 0
-        if self._db is None:
-            doomed = [trace] + [
-                key
-                for key, m in self._meta.items()
-                if m[0] in (TRACE_KIND, FAST_FORWARD_KIND) and m[2] == trace
-            ]
-            for key in doomed:
-                if self._blobs.pop(key, None) is not None:
-                    removed += 1
-                self._meta.pop(key, None)
-                self._used.pop(key, None)
-                self._live.pop(key, None)
-            return removed
         self._flush_touches()
         cursor = self._db.execute(
             "DELETE FROM results WHERE key = ? "
@@ -1656,11 +1553,6 @@ class ExperimentStore:
         The lookup behind checkpoint-chain enumeration (and usable for
         a trace's segment rows): sorted for deterministic iteration.
         """
-        if self._db is None:
-            return sorted(
-                key for key, m in self._meta.items()
-                if m[0] == kind and m[2] == group
-            )
         rows = self._db.execute(
             "SELECT key FROM results WHERE kind = ? AND filter = ?",
             (kind, group),
@@ -1675,13 +1567,6 @@ class ExperimentStore:
         any other result.
         """
         doomed = self.group_keys(kind, group)
-        if self._db is None:
-            for key in doomed:
-                self._blobs.pop(key, None)
-                self._meta.pop(key, None)
-                self._used.pop(key, None)
-                self._live.pop(key, None)
-            return len(doomed)
         self._flush_touches()
         self._db.execute(
             "DELETE FROM results WHERE kind = ? AND filter = ?",
@@ -1698,12 +1583,6 @@ class ExperimentStore:
         The resume path uses this to discard an individual checkpoint
         (or a truncated trace segment) that failed validation.
         """
-        if self._db is None:
-            existed = self._blobs.pop(key, None) is not None
-            self._meta.pop(key, None)
-            self._used.pop(key, None)
-            self._live.pop(key, None)
-            return existed
         self._flush_touches()
         cursor = self._db.execute(
             "DELETE FROM results WHERE key = ?", (key,)
@@ -1719,14 +1598,6 @@ class ExperimentStore:
         reruns without touching the recorded trace (and without poking
         at store internals).
         """
-        if self._db is None:
-            doomed = [key for key, m in self._meta.items() if m[0] == kind]
-            for key in doomed:
-                del self._blobs[key]
-                del self._meta[key]
-                self._used.pop(key, None)
-                self._live.pop(key, None)
-            return len(doomed)
         self._flush_touches()
         doomed = [
             key for (key,) in self._db.execute(
@@ -1740,25 +1611,27 @@ class ExperimentStore:
         return len(doomed)
 
     def clear(self) -> int:
-        """Drop every entry (live and persistent); return entries removed."""
+        """Drop every entry (memoised and stored); return entries removed."""
         removed = len(self._live)
         self._live.clear()
         self._pending_touches.clear()
-        if self._db is None:
-            removed = max(removed, len(self._blobs))
-            self._blobs.clear()
-            self._meta.clear()
-            return removed
         (count,) = self._db.execute("SELECT COUNT(*) FROM results").fetchone()
         self._db.execute("DELETE FROM results")
         self._db.commit()
         return max(removed, count)
 
     def close(self) -> None:
-        if self._db is not None:
-            self._flush_touches()
-            self._db.close()
-            self._db = None
+        """Flush recency stamps and close the connection (idempotent).
+
+        Any later use of the store raises :class:`ConfigurationError`:
+        a closed store never silently accepts a write it cannot keep.
+        """
+        if isinstance(self._db, _ClosedConnection):
+            return
+        self._flush_touches()
+        self._db.close()
+        self._db = _ClosedConnection()
+        self._live.clear()
 
     def __enter__(self) -> "ExperimentStore":
         return self

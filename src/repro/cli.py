@@ -598,6 +598,7 @@ def _decoded_bytes_by_kind(store) -> dict[str, int]:
 
     from repro.analysis import store as store_mod
     from repro.analysis.store import TRACE_KIND
+    from repro.errors import StoreCorruptionError
 
     decoded: dict[str, int] = {}
     for entry in store.entries():
@@ -609,7 +610,7 @@ def _decoded_bytes_by_kind(store) -> dict[str, int]:
         if entry.kind == TRACE_KIND and entry.filter_name is not None:
             try:
                 size = store_mod.decoded_segment_bytes(blob)
-            except Exception:
+            except StoreCorruptionError:
                 size = len(blob)  # corrupt segment: fsck's problem
         else:
             try:

@@ -214,14 +214,10 @@ def corrupt_blobs(
     for key in doomed:
         blob = store.get_blob(key)
         corrupted = bytes([blob[0] ^ 0xFF]) + blob[1:]
-        if store._db is None:
-            store._blobs[key] = corrupted
-        else:
-            store._db.execute(
-                "UPDATE results SET payload = ? WHERE key = ?",
-                (corrupted, key),
-            )
-            store._db.commit()
+        store._db.execute(
+            "UPDATE results SET payload = ? WHERE key = ?", (corrupted, key)
+        )
+        store._db.commit()
         store._live.pop(key, None)
         logger.info("corrupted stored blob %s", key)
     return doomed

@@ -18,6 +18,7 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
+from repro.errors import ConfigurationError
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
 WORKLOAD_A = "test-runner-a"
@@ -221,6 +222,27 @@ class TestStore:
         assert len(store.dump()) == len(store.entries())
         warm = sweep_into(store, workers=1)
         assert warm.report.sims_run == 0
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+    def test_closed_store_refuses_use(self, tmp_path, on_disk):
+        path = tmp_path / "closed.sqlite" if on_disk else None
+        store = ExperimentStore(path)
+        meta = dict(kind="eval", workload="w", filter_name="f",
+                    n_cpus=4, seed=1)
+        store.put_blob("kept", b"before close", **meta)
+        store.close()
+        for use in (
+            lambda: store.put_blob("lost", b"after close", **meta),
+            lambda: store.get_blob("kept"),
+            lambda: store.contains("kept"),
+            store.entries,
+        ):
+            with pytest.raises(ConfigurationError, match="store is closed"):
+                use()
+        store.close()  # idempotent
+        if on_disk:
+            with ExperimentStore(path) as reopened:
+                assert reopened.dump() == {"kept": b"before close"}
 
     def test_access_override_gets_its_own_key(self, tmp_path):
         store = ExperimentStore(tmp_path / "o.sqlite")

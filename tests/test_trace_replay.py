@@ -476,10 +476,8 @@ class TestFrontDoorFastPaths:
         )
         spec = WORKLOADS[WORKLOAD]
         mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
-        # Drop the metrics row (in-memory store) and the decoded cache.
-        store._blobs.pop(mkey)
-        store._meta.pop(mkey)
-        store._live.pop(mkey, None)
+        # Drop the metrics row (and with it the decoded cache).
+        assert store.delete_key(mkey)
         for simulation in ("compute_stream", "simulate_streaming"):
             monkeypatch.setattr(
                 runner, simulation,
