@@ -107,6 +107,7 @@ from repro.core.stats import (
     REPLAY_KERNELS,
     StreamingFilterBank,
     TraceReader,
+    check_evaluations,
     replay_trace,
 )
 from repro.errors import (
@@ -650,6 +651,7 @@ def _stream_task(task, experiment_store: ExperimentStore | None = None):
             store_mod.encode_sim_metrics(metrics),
             workload=spec.name, n_cpus=system.n_cpus, seed=seed,
         )
+        check_evaluations([evaluations[name] for _ekey, name in pairs])
         for ekey, name in pairs:
             store.put_eval_blob(
                 ekey, store_mod.encode_eval(evaluations[name]),
@@ -1306,9 +1308,11 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
         ]
         reader = TraceReader([len(keys) for keys in segments], fetch)
         replay_trace(reader, [bank for _ekey, bank in banks])
+        evaluations = [(ekey, bank.finish()) for ekey, bank in banks]
+        check_evaluations([evaluation for _ekey, evaluation in evaluations])
         return [
-            (ekey, store_mod.encode_eval(bank.finish()))
-            for ekey, bank in banks
+            (ekey, store_mod.encode_eval(evaluation))
+            for ekey, evaluation in evaluations
         ]
     finally:
         if connection is not None:

@@ -83,7 +83,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.core.base import FilterEventCounts, SnoopFilter
-from repro.errors import ConfigurationError, FilterSafetyError
+from repro.errors import ConfigurationError, FilterSafetyError, InvariantError
 
 #: Kernel selectors accepted by :class:`StreamingFilterBank`:
 #: ``"python"`` — the per-event :class:`EventReplayer` loop everywhere;
@@ -255,6 +255,41 @@ class FilterEvaluation:
     #: Per-phase slices, in phase order, for phase-structured suites;
     #: empty for plain workloads (and absent from their payload bytes).
     phases: dict = field(default_factory=dict)
+
+
+def check_evaluations(evaluations) -> None:
+    """Raise :class:`InvariantError` unless ``evaluations`` obey the
+    laws of one replay of one trace, whatever kernel produced them.
+
+    Every snoop either would hit or would miss in the L2; a filter may
+    drop only snoops that would miss (filter safety), its energy counts
+    agree with its coverage on how many it probed and dropped, and every
+    filter replaying the same trace sees the same snoops.
+    """
+    snoops = None
+    for evaluation in evaluations:
+        cov, events = evaluation.coverage, evaluation.events
+        broken = [
+            law for law, holds in (
+                ("would-hit + would-miss == snoops",
+                 cov.snoop_would_hit + cov.snoop_would_miss == cov.snoops),
+                ("0 <= filtered <= would-miss",
+                 0 <= cov.filtered <= cov.snoop_would_miss),
+                ("events.filtered == coverage.filtered",
+                 events.filtered == cov.filtered),
+                ("events.probes == coverage.snoops",
+                 events.probes == cov.snoops),
+                ("equal snoops across the replayed filters",
+                 snoops is None or cov.snoops == snoops),
+            ) if not holds
+        ]
+        if broken:
+            raise InvariantError(
+                f"evaluation of {evaluation.filter_name} breaks "
+                f"{'; '.join(broken)} (coverage {vars(cov)}, "
+                f"events {vars(events)})"
+            )
+        snoops = cov.snoops
 
 
 def merge_evaluations(evaluations: list[FilterEvaluation]) -> FilterEvaluation:

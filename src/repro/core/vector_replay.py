@@ -5,7 +5,7 @@ full interpreter dispatch price — decode, probe call, hook call — for
 every packed event.  On snoop-dense traces (em3d-class) that loop is the
 replay bottleneck.  The replayers here consume a whole packed segment as
 a NumPy ``int64`` array instead and evaluate it with shift/mask/argsort/
-cumsum/bincount arithmetic, dropping into a tight Python loop only where
+cumsum/bincount arithmetic, dropping into a sequential walk only where
 order-dependent LRU state genuinely requires one.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
@@ -25,31 +25,26 @@ Per family:
   allocate/evict deltas in sorted order, and subtract each group's
   starting prefix.  Presence (``counter > 0``) at every snoop, pbit
   transitions, and underflow positions all read off that array.
-* **EJ / VEJ / HJ** — one exclude *machine* per structure, run set by
-  set: a stack machine for the EJ (a bounded MRU-first list of valid
-  blocks) and a vector machine for the VEJ (an insertion-ordered
-  ``chunk -> vector`` dict, LRU chunk first).  That is the whole
-  *observable* state of a set (way indexes are never reported and
-  replay never snapshots), so a machine loops over pre-extracted
-  (block, code) Python lists with no per-event decode or method
-  dispatch.  Each machine also takes the IJ verdict per item.  A hybrid
-  puts an IJ in front of the exclude structure and filters when either
-  side does, so a plain EJ/VEJ is the same machine behind an IJ that
-  passes every snoop (``itertools.repeat(True)``), and an HJ feeds it
-  its IJ lanes' ``all_pass`` verdicts, vectorised as above.
+* **EJ / VEJ / HJ** — one exclude *machine* per structure: a stack
+  machine for the EJ (each set a bounded MRU-first list of valid blocks)
+  and a vector machine for the VEJ (each set its valid chunks LRU-first
+  with their presence vectors).  That is the whole *observable* state
+  of a set (way indexes are never reported and replay never
+  snapshots).  Each machine also takes the IJ verdict per item.  A
+  hybrid puts an IJ in front of the exclude structure and filters when
+  either side does, so a plain EJ/VEJ is the same machine behind an IJ
+  that passes every snoop, and an HJ feeds it its IJ lanes'
+  ``all_pass`` verdicts, vectorised as above.
 
-  One span body serves all three.  Consecutive same-set, same-block P0
-  snoops are pure repeat-hits when the first passed the IJ (it leaves
-  the entry at MRU; the second just counts ``filtered``), so they are
-  dropped vectorially and counted in bulk.  An HJ's items stop at an IJ
-  underflow.  The residual items are grouped set-major from the same
-  stable argsort that found the repeats: sets are independent, so each
-  set's items run through the machine with the set's state hoisted to
-  a local.  A safety violation (rare, and fatal to the replay) restores
-  the touched sets from their pre-span copies and feeds the residual
-  items to the same machine in stream order, one item per call, until
-  the first violation — so the flushed post-mortem statistics match the
-  oracle exactly.
+  One span body serves all three.  It walks the span's SNOOP/ALLOC
+  items in stream order — up to an IJ underflow for an HJ — and the
+  walk stops at the first safety violation, returning its index and
+  the counts before it, so the flushed statistics match the oracle's
+  exactly.  The walk is ``exclude_machine.c``, compiled on first use
+  and loaded by :mod:`repro.core._cmachine`; when no compiler is
+  available (or a VEJ's vectors are wider than 64 bits) the same span
+  body runs a line-by-line Python transliteration over per-set lists
+  and dicts instead.  Both produce the same bytes.
 
 Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
@@ -71,6 +66,7 @@ from __future__ import annotations
 import hashlib
 from itertools import repeat
 
+from repro.core import _cmachine
 from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.core.exclude import ExcludeJetty
 from repro.core.hybrid import HybridJetty
@@ -90,10 +86,15 @@ try:  # pragma: no cover - exercised via the numpy-free CI job
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Set counts / counter-index spaces above this fall back to the Python
-#: kernel: the grouped-sort machinery keys on ``uint16`` set indexes
-#: (sorting 16-bit keys is severalfold faster than 64-bit ones).
+#: IJ counter-index spaces above this fall back to the Python kernel: the
+#: lane profiles sort ``uint16`` counter indexes (sorting 16-bit keys is
+#: severalfold faster than 64-bit ones).  Exclude structures take any set
+#: count.
 _MAX_INDEX_SPACE = 1 << 16
+
+#: VEJ presence vectors wider than this run the Python walk: the
+#: compiled machine holds each vector in one ``uint64``.
+_MAX_VECTOR_BITS = 64
 
 
 def numpy_available() -> bool:
@@ -111,22 +112,17 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
     if _np is None:
         return None
     kind = type(snoop_filter)
-    if kind is ExcludeJetty:
-        if snoop_filter.sets <= _MAX_INDEX_SPACE:
-            return _ExcludeReplayer(snoop_filter, node_id, phase_names)
-    elif kind is VectorExcludeJetty:
-        if snoop_filter.sets <= _MAX_INDEX_SPACE:
-            return _ExcludeReplayer(snoop_filter, node_id, phase_names)
-    elif kind is IncludeJetty:
-        if snoop_filter.entry_bits <= 16:
+    if kind is ExcludeJetty or kind is VectorExcludeJetty:
+        return _ExcludeReplayer(snoop_filter, node_id, phase_names)
+    if kind is IncludeJetty:
+        if 1 << snoop_filter.entry_bits <= _MAX_INDEX_SPACE:
             return _IncludeReplayer(snoop_filter, node_id, phase_names)
     elif kind is HybridJetty:
         include, exclude = snoop_filter.include, snoop_filter.exclude
         if (
             type(include) is IncludeJetty
-            and include.entry_bits <= 16
+            and 1 << include.entry_bits <= _MAX_INDEX_SPACE
             and type(exclude) in (ExcludeJetty, VectorExcludeJetty)
-            and exclude.sets <= _MAX_INDEX_SPACE
         ):
             return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     return None
@@ -189,87 +185,6 @@ def _span_items(segment: PackedSegment, lo: int, hi: int) -> dict:
         return {"pos": pos, "b": s["blocks"][pos], "code": code}
 
     return segment.shared(("items", lo, hi), build)
-
-
-def _span_pairs(
-    segment: PackedSegment, lo: int, hi: int, pre_shift: int, set_mask: int
-) -> dict:
-    """A span's items sorted set-major, and its repeat-hit candidates.
-
-    Grouping a span by set is one stable ``uint16`` argsort: ``order``
-    permutes item indexes so that each set's items sit consecutively in
-    original order, and ``idx_s`` holds their set indexes.  Same-set
-    adjacency is then adjacency in the sorted permutation, so ``prev``
-    and ``cur`` are the parallel item indexes where ``cur`` directly
-    follows ``prev`` in its set's sequence, both are P0 snoops, and both
-    name the same block.  For a plain EJ/VEJ every such ``cur`` is a
-    pure repeat-hit; an HJ also requires ``prev`` to have passed its IJ.
-    """
-
-    def build() -> dict:
-        items = _span_items(segment, lo, hi)
-        b, code = items["b"], items["code"]
-        idx = ((b >> pre_shift) & set_mask).astype(_np.uint16)
-        # int32 halves the memo; a span never holds 2**31 items.
-        order = _np.argsort(idx, kind="stable").astype(_np.int32)
-        idx_s = idx[order]
-        b_s = b[order]
-        code_s = code[order]
-        pair = (
-            (idx_s[1:] == idx_s[:-1])
-            & (b_s[1:] == b_s[:-1])
-            & (code_s[1:] == 0)
-            & (code_s[:-1] == 0)
-        )
-        return {
-            "order": order,
-            "idx_s": idx_s,
-            "prev": order[:-1][pair],
-            "cur": order[1:][pair],
-        }
-
-    return segment.shared(("pairs", lo, hi, pre_shift, set_mask), build)
-
-
-def _set_groups(items: dict, pairs: dict, dups, stop: int, ok) -> dict:
-    """The residual items of a span, grouped set-major.
-
-    Keeps the items of ``pairs["order"]`` that are not repeat-hits
-    (``dups``) and come before item ``stop``, so the grouping reuses the
-    one argsort of :func:`_span_pairs`.  Returns ``gids`` (the set index
-    of each group), ``bounds`` (group slice boundaries), and the item
-    blocks, codes and IJ verdicts (``ok``, or ``None`` without an IJ)
-    permuted set-major as plain Python lists — within a group, items
-    keep their original relative order, which is all a machine can
-    observe.
-    """
-    order, idx_s = pairs["order"], pairs["idx_s"]
-    live = order < stop
-    if dups.size:
-        keep = _np.ones(order.size, dtype=bool)
-        keep[dups] = False
-        live &= keep[order]
-    order = order[live]
-    idx_s = idx_s[live]
-    n = order.size
-    if n == 0:
-        return {"gids": [], "bounds": [0], "b": [], "code": [], "ok": None}
-    first = _np.empty(n, dtype=bool)
-    first[0] = True
-    _np.not_equal(idx_s[1:], idx_s[:-1], out=first[1:])
-    fpos = _np.flatnonzero(first)
-    bounds = fpos.tolist()
-    bounds.append(n)
-    # Plain Python lists: the machines slice them directly (C-level list
-    # slicing), and memoisation shares the one conversion between every
-    # bank replaying the segment.
-    return {
-        "gids": idx_s[fpos].tolist(),
-        "bounds": bounds,
-        "b": items["b"][order].tolist(),
-        "code": items["code"][order].tolist(),
-        "ok": None if ok is None else ok[order].tolist(),
-    }
 
 
 def _lane_profile(
@@ -656,81 +571,85 @@ class _IncludeReplayer(VectorReplayer):
 _ALL_PASS = repeat(True)
 
 
-def _stack_machine(stack: list, blist, clist, oklist, ways: int):
-    """Run one EJ set's items through its MRU-first stack.
+def _stack_walk(stacks: list, ways: int, set_mask: int, b, code, ok):
+    """Walk a span's items in stream order through per-set EJ stacks.
 
-    A stack holds the set's valid blocks in recency order; that is the
-    whole observable state.  Insertion on a full set pops the list tail
-    (the LRU entry); allocation removes the block wherever it sits (the
-    concrete array keeps the way's recency slot, but a slot only becomes
-    observable once re-filled, at MRU).  ``oklist`` is the IJ verdict
-    per item.  Returns ``(entry_writes, filtered)``, or ``None`` on a
-    safety violation.
+    The Python twin of ``ej_walk`` in ``exclude_machine.c``.  A stack
+    holds its set's valid blocks MRU-first; that is the whole observable
+    state.  Insertion on a full set pops the list tail (the LRU entry);
+    allocation removes the block wherever it sits (the concrete array
+    keeps the way's recency slot, but a slot only becomes observable
+    once re-filled, at MRU).  ``ok`` is the IJ verdict per item.
+    Returns ``(i, entry_writes, filtered)``: the index of the first
+    safety violation (or -1) and the counts strictly before it.
     """
     entry_writes = filtered = 0
-    for b, c, ok in zip(blist, clist, oklist):
+    for i, (blk, c, passed) in enumerate(zip(b, code, ok)):
+        stack = stacks[blk & set_mask]
         if c == 0:  # P0 snoop
-            if b in stack:  # EJ hit filters, IJ moot
-                if stack[0] != b:
-                    stack.remove(b)
-                    stack.insert(0, b)
+            if blk in stack:  # EJ hit filters, IJ moot
+                if stack[0] != blk:
+                    stack.remove(blk)
+                    stack.insert(0, blk)
                 filtered += 1
-            elif ok:  # both passed: the outcome allocates an entry
+            elif passed:  # both passed: the outcome allocates an entry
                 if len(stack) == ways:
                     stack.pop()
-                stack.insert(0, b)
+                stack.insert(0, blk)
                 entry_writes += 1
             else:  # IJ filtered; EJ learns nothing
                 filtered += 1
         elif c == 2:  # alloc: invalidate any entry claiming absence
-            if b in stack:
-                stack.remove(b)
+            if blk in stack:
+                stack.remove(blk)
                 entry_writes += 1
-        else:  # P1 snoop: filtering from either side is a violation
-            if b in stack or not ok:
-                return None
-    return entry_writes, filtered
+        elif blk in stack or not passed:  # P1 snoop filtered: violation
+            return i, entry_writes, filtered
+    return -1, entry_writes, filtered
 
 
-def _vector_machine(vecs: dict, blist, clist, oklist, vshift, vmask, ways):
-    """Run one VEJ set's items through its ``chunk -> vector`` dict.
+def _vector_walk(
+    vectors: list, ways: int, set_mask: int, vshift: int, vmask: int,
+    b, code, ok,
+):
+    """Walk a span's items in stream order through per-set VEJ dicts.
 
-    Same abstract-stack argument as the EJ, at chunk granularity — but a
-    dict preserves insertion order, so it encodes recency *and* the
-    presence vectors: the LRU chunk is the first key, a touch is
+    The Python twin of ``vej_walk`` in ``exclude_machine.c``.  Same
+    abstract-stack argument as the EJ, at chunk granularity — but a dict
+    preserves insertion order, so it encodes recency *and* the presence
+    vectors: the LRU chunk is the first key, a touch is
     pop-and-reinsert, and a value update in place (the alloc path) keeps
     the entry's recency slot just like the concrete array keeps an
-    invalidated way's LRU slot.  ``oklist`` is the IJ verdict per item.
-    Returns ``(entry_writes, filtered)``, or ``None`` on a safety
-    violation.
+    invalidated way's LRU slot.  Returns what :func:`_stack_walk` does.
     """
     entry_writes = filtered = 0
-    for b, c, ok in zip(blist, clist, oklist):
-        chunk = b >> vshift
+    for i, (blk, c, passed) in enumerate(zip(b, code, ok)):
+        chunk = blk >> vshift
+        vecs = vectors[chunk & set_mask]
         if c == 0:  # P0 snoop
             vector = vecs.pop(chunk, None)
             if vector is not None:  # chunk hit: the probe touches LRU
-                bit = 1 << (b & vmask)
+                bit = 1 << (blk & vmask)
                 if vector & bit:
                     vecs[chunk] = vector
                     filtered += 1
-                elif ok:
+                elif passed:
                     vecs[chunk] = vector | bit
                     entry_writes += 1
                 else:  # IJ filtered; the touch still happened
                     vecs[chunk] = vector
                     filtered += 1
-            elif ok:  # chunk miss: allocate a fresh entry
+            elif passed:  # chunk miss: allocate a fresh entry
                 if len(vecs) == ways:
                     del vecs[next(iter(vecs))]
-                vecs[chunk] = 1 << (b & vmask)
+                vecs[chunk] = 1 << (blk & vmask)
                 entry_writes += 1
             else:
                 filtered += 1
         elif c == 2:  # alloc: clear the PV bit (safety-critical)
             vector = vecs.get(chunk)
             if vector is not None:
-                vector &= ~(1 << (b & vmask))
+                vector &= ~(1 << (blk & vmask))
                 if vector == 0:
                     del vecs[chunk]
                 else:
@@ -740,11 +659,68 @@ def _vector_machine(vecs: dict, blist, clist, oklist, vshift, vmask, ways):
             vector = vecs.pop(chunk, None)
             if vector is not None:
                 vecs[chunk] = vector
-                if vector & (1 << (b & vmask)):
-                    return None
-            if not ok:
-                return None
-    return entry_writes, filtered
+                if vector & (1 << (blk & vmask)):
+                    return i, entry_writes, filtered
+            if not passed:
+                return i, entry_writes, filtered
+    return -1, entry_writes, filtered
+
+
+def _python_walk(walk, *state):
+    """A span walk running the Python ``walk`` over per-set ``state``."""
+
+    def run(segment: PackedSegment, lo: int, hi: int, items: dict, ok, stop):
+        # Plain lists iterate far faster than arrays; every bank on the
+        # Python walk shares one conversion per span.
+        b, code = segment.shared(
+            ("itemlists", lo, hi),
+            lambda: (items["b"].tolist(), items["code"].tolist()),
+        )
+        return walk(
+            *state, b[:stop] if stop < len(b) else b, code,
+            _ALL_PASS if ok is None else ok.tolist(),
+        )
+
+    return run
+
+
+def _compiled_walk(function, *state):
+    """A span walk calling the compiled ``function`` over flat ``state``."""
+    out = _np.zeros(2, dtype=_np.int64)
+    args = [
+        value.ctypes.data if isinstance(value, _np.ndarray) else value
+        for value in state
+    ]
+
+    def run(segment: PackedSegment, lo: int, hi: int, items: dict, ok, stop):
+        # The C walk reads ``stop`` contiguous items of these exact types
+        # (no copies: the span items are built that way).
+        b = _np.ascontiguousarray(items["b"], dtype=_np.int64)
+        code = _np.ascontiguousarray(items["code"], dtype=_np.int64)
+        if ok is not None:
+            ok = _np.ascontiguousarray(ok, dtype=_np.bool_)
+        verdicts = b.size if ok is None else ok.size
+        if not stop <= b.size == code.size == verdicts:
+            raise ValueError("exclude walk items disagree in length")
+        i = function(
+            *args, b.ctypes.data, code.ctypes.data,
+            None if ok is None else ok.ctypes.data, stop, out.ctypes.data,
+        )
+        return i, int(out[0]), int(out[1])
+
+    run.state = state  # the rows must outlive every call
+    return run
+
+
+def _flat_rows(entries: list, ways: int, dtype):
+    """Per-set entry lists as fixed ``ways``-wide rows plus fill counts."""
+    rows = _np.zeros((len(entries), ways), dtype=dtype)
+    fill = _np.zeros(len(entries), dtype=_np.int32)
+    for index, row in enumerate(entries):
+        if row:
+            rows[index, : len(row)] = row
+            fill[index] = len(row)
+    return rows, fill
 
 
 class _ExcludeReplayer(VectorReplayer):
@@ -758,9 +734,13 @@ class _ExcludeReplayer(VectorReplayer):
     ``pbit_writes`` the include component — exactly the composition of
     :meth:`repro.core.hybrid.HybridJetty.energy_counts`.
 
-    An IJ underflow truncates the items at the underflow position so the
-    oracle's first-error-wins ordering holds: a safety violation earlier
-    in the span raises first, one later never gets the chance.
+    The machine is the compiled walk when :mod:`repro.core._cmachine`
+    loaded its library (``compiled`` is then true), else the Python walk
+    over the same items; a VEJ with vectors wider than the C kernel's
+    ``uint64`` always takes the Python walk.  An IJ underflow stops the
+    walk at the underflow position so the oracle's first-error-wins
+    ordering holds: a safety violation earlier in the span raises first,
+    one later never gets the chance.
     """
 
     def __init__(
@@ -772,68 +752,62 @@ class _ExcludeReplayer(VectorReplayer):
         if type(snoop_filter) is HybridJetty:
             exclude = snoop_filter.exclude
             self._lanes = _IncludeLanes(snoop_filter.include)
+        ways, set_mask = exclude.ways, exclude._index_mask
+        lib = _cmachine.library()
         if type(exclude) is VectorExcludeJetty:
-            self._pre_shift = exclude._vec_shift
-            self._state = _warm_vectors(exclude)
-            self._machine = _vector_machine
-            self._args = (exclude._vec_shift, exclude._vec_mask, exclude.ways)
+            vectors = _warm_vectors(exclude)
+            geometry = (ways, set_mask, exclude._vec_shift, exclude._vec_mask)
+            self.compiled = (
+                lib is not None and exclude.vector_bits <= _MAX_VECTOR_BITS
+            )
+            if self.compiled:
+                rows, fill = _flat_rows(
+                    [list(v) for v in vectors], ways, _np.int64
+                )
+                vecs, _ = _flat_rows(
+                    [list(v.values()) for v in vectors], ways, _np.uint64
+                )
+                self._walk = _compiled_walk(
+                    lib.vej_walk, rows, vecs, fill, *geometry
+                )
+            else:
+                self._walk = _python_walk(_vector_walk, vectors, *geometry)
         else:
-            self._pre_shift = 0
-            self._state = _warm_stacks(exclude)
-            self._machine = _stack_machine
-            self._args = (exclude.ways,)
-        self._set_mask = exclude._index_mask
+            stacks = _warm_stacks(exclude)
+            self.compiled = lib is not None
+            if self.compiled:
+                rows, fill = _flat_rows(stacks, ways, _np.int64)
+                self._walk = _compiled_walk(
+                    lib.ej_walk, rows, fill, ways, set_mask
+                )
+            else:
+                self._walk = _python_walk(
+                    _stack_walk, stacks, ways, set_mask
+                )
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
         items = _span_items(segment, lo, hi)
-        pre_shift, set_mask = self._pre_shift, self._set_mask
-        pairs = _span_pairs(segment, lo, hi, pre_shift, set_mask)
-        dups = pairs["cur"]
-        stop = items["b"].size
+        pos = items["pos"]
+        stop = pos.size
         under_k = -1
+        ok = None
         lanes = self._lanes
-        if lanes is None:
-            ok = None
-            # Repeat-hits, and so the grouping, depend only on the set
-            # geometry: every bank of this geometry shares one grouping.
-            groups = segment.shared(
-                ("exgroup", lo, hi, pre_shift, set_mask),
-                lambda: _set_groups(items, pairs, dups, stop, None),
-            )
-        else:
+        if lanes is not None:
             sp = lanes.span(segment, lo, hi)
             under_k = sp["under_k"]
-            ok = sp["all_pass"][items["pos"]]
-            # A repeat is pure only if the previous snoop passed the IJ:
-            # only then is its entry guaranteed to sit at MRU.
-            dups = dups[ok[pairs["prev"]]]
+            ok = sp["all_pass"][pos]
             if under_k >= 0:
-                stop = int(_np.searchsorted(items["pos"], under_k))
-            groups = _set_groups(items, pairs, dups, stop, ok)
-        state, machine, args = self._state, self._machine, self._args
-        bounds = groups["bounds"]
-        b_s, code_s, ok_s = groups["b"], groups["code"], groups["ok"]
-        entry_writes = filtered = 0
-        touched = []
-        for gi, g in enumerate(groups["gids"]):
-            a, z = bounds[gi], bounds[gi + 1]
-            touched.append((g, state[g].copy()))
-            res = machine(
-                state[g], b_s[a:z], code_s[a:z],
-                _ALL_PASS if ok_s is None else ok_s[a:z], *args,
-            )
-            if res is None:
-                for set_index, saved in touched:
-                    state[set_index] = saved
-                raise self._post_mortem(s, items, dups, stop, ok)
-            entry_writes += res[0]
-            filtered += res[1]
+                stop = int(_np.searchsorted(pos, under_k))
+        i, entry_writes, filtered = self._walk(
+            segment, lo, hi, items, ok, stop
+        )
+        if i >= 0:
+            self._flush_prefix(s, int(pos[i]), filtered)
+            raise self._safety_error(int(items["b"][i]))
         if under_k >= 0:
-            filtered += int((dups < stop).sum())
             self._flush_prefix(s, under_k, filtered)
             raise lanes.underflow_error(int(s["blocks"][under_k]))
-        filtered += dups.size
         self._flush_span(s, filtered)
         counts = self.counts
         counts.probes += s["n_snoops"]
@@ -845,34 +819,3 @@ class _ExcludeReplayer(VectorReplayer):
             )
             counts.pbit_writes += sp["pbw"]
             lanes.commit(s, sp)
-
-    def _post_mortem(
-        self, s: dict, items: dict, dups, stop: int, ok
-    ) -> FilterSafetyError:
-        """The stream-order first violation, with oracle accounting.
-
-        Sets are independent, so a violation found group-wise is one in
-        stream order too — but possibly not the first.  With the touched
-        sets restored, the residual items go through the same machine in
-        stream order, one item per call; the first violating call
-        flushes the span prefix up to its snoop, and its error is
-        returned for the caller to raise.
-        """
-        keep = _np.ones(stop, dtype=bool)
-        keep[dups[dups < stop]] = False
-        b, code, pos = items["b"], items["code"], items["pos"]
-        state, machine, args = self._state, self._machine, self._args
-        pre_shift, set_mask = self._pre_shift, self._set_mask
-        filtered = 0
-        for i in _np.flatnonzero(keep).tolist():
-            block = int(b[i])
-            res = machine(
-                state[(block >> pre_shift) & set_mask],
-                (block,), (int(code[i]),),
-                _ALL_PASS if ok is None else (bool(ok[i]),), *args,
-            )
-            if res is None:
-                filtered += int((dups < i).sum())
-                self._flush_prefix(s, int(pos[i]), filtered)
-                return self._safety_error(block)
-            filtered += res[1]

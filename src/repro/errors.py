@@ -40,6 +40,15 @@ class FilterSafetyError(ReproError):
     """
 
 
+class InvariantError(ReproError):
+    """A result broke a conservation law every correct run obeys.
+
+    Checked in the production path just before evaluations are stored
+    (:func:`repro.core.stats.check_evaluations`): a violation means a
+    replay kernel miscounted, so the row is refused rather than stored.
+    """
+
+
 class TraceError(ReproError):
     """A malformed trace or access stream was supplied to the simulator."""
 

@@ -18,7 +18,10 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
-from repro.errors import ConfigurationError
+from repro.core import vector_replay
+from repro.core.base import FilterEventCounts
+from repro.core.stats import CoverageStats, FilterEvaluation, check_evaluations
+from repro.errors import ConfigurationError, InvariantError
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
 WORKLOAD_A = "test-runner-a"
@@ -255,3 +258,64 @@ class TestStore:
         ev_full = full.evaluations[(WORKLOAD_A, "EJ-8x2", 1)]
         ev_small = reduced.evaluations[(WORKLOAD_A, "EJ-8x2", 1)]
         assert ev_full.coverage.snoops != ev_small.coverage.snoops
+
+
+class TestProductionInvariants:
+    """The conservation laws checked just before evaluations are stored."""
+
+    @staticmethod
+    def _evaluation(name="EJ-8x2", snoops=10):
+        return FilterEvaluation(
+            filter_name=name,
+            coverage=CoverageStats(
+                snoops=snoops, snoop_would_hit=3,
+                snoop_would_miss=snoops - 3, filtered=5,
+            ),
+            events=FilterEventCounts(probes=snoops, filtered=5),
+            storage_bits=0,
+        )
+
+    @pytest.mark.parametrize(("law", "part", "field", "value"), [
+        ("would-hit", "coverage", "snoop_would_hit", 4),
+        ("filtered <= would-miss", "coverage", "filtered", 8),
+        ("filtered <= would-miss", "coverage", "filtered", -1),
+        ("events.filtered", "events", "filtered", 4),
+        ("events.probes", "events", "probes", 11),
+    ])
+    def test_each_law_is_checked(self, law, part, field, value):
+        check_evaluations([self._evaluation(), self._evaluation("IJ-8x4x7")])
+        evaluation = self._evaluation()
+        setattr(getattr(evaluation, part), field, value)
+        with pytest.raises(InvariantError, match=law):
+            check_evaluations([evaluation])
+
+    def test_filters_of_one_trace_see_equal_snoops(self):
+        with pytest.raises(InvariantError, match="equal snoops"):
+            check_evaluations([self._evaluation(), self._evaluation(snoops=9)])
+
+    @pytest.mark.skipif(
+        not vector_replay.numpy_available(),
+        reason="miscounts inside the vector kernels",
+    )
+    def test_miscounting_kernel_stores_no_eval(self, monkeypatch):
+        """A kernel that miscounts one snoop per span must not land a row."""
+        flush = vector_replay.VectorReplayer._flush_span
+
+        def miscount(self, s, filtered):
+            flush(self, s, filtered)
+            if self.snoop_filter.name == "EJ-8x2":
+                self.stats.snoops += 1
+
+        monkeypatch.setattr(
+            vector_replay.VectorReplayer, "_flush_span", miscount
+        )
+        store = ExperimentStore()
+        with pytest.raises(InvariantError, match="EJ-8x2"):
+            runner.run_sweep(
+                (WORKLOAD_A,), ("EJ-8x2", "IJ-8x4x7"),
+                experiment_store=store, replay=True, kernel="numpy",
+            )
+        assert not [
+            entry for entry in store.entries()
+            if entry.kind == "eval" and entry.filter_name == "EJ-8x2"
+        ]

@@ -17,6 +17,9 @@ is the CI job proving the optional dependency really is optional.
 
 from __future__ import annotations
 
+import logging
+import shutil
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,7 @@ from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import simulate_streaming
-from repro.core import vector_replay
+from repro.core import _cmachine, vector_replay
 from repro.core.config import build_filter
 from repro.core.exclude import ExcludeJetty
 from repro.core.stats import (
@@ -178,6 +181,19 @@ def _single_filter(name: str):
 
 def _snoop(block, would_hit=False, present=False):
     return pack_event(SNOOP, block, (2 if present else 0) | (1 if would_hit else 0))
+
+
+@pytest.fixture(scope="class")
+def python_walk():
+    """Force the Python walks — the no-compiler fallback — by clearing
+    the loaded exclude-machine library.  Class-scoped rather than
+    monkeypatched so that hypothesis tests can use it."""
+    saved = _cmachine._lib
+    _cmachine._lib = None
+    try:
+        yield
+    finally:
+        _cmachine._lib = saved
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +359,11 @@ class TestErrorParity:
         assert (oracle.allocs, oracle.evicts) == (1, 2)
 
 
+@pytest.mark.usefixtures("python_walk")
+class TestErrorParityPythonWalk(TestErrorParity):
+    """The same cases on the Python walks."""
+
+
 # ----------------------------------------------------------------------
 # Regression: the oracle itself must flush locals when it raises
 # ----------------------------------------------------------------------
@@ -382,17 +403,15 @@ class TestOracleFlushOnRaise:
 
 
 # ----------------------------------------------------------------------
-# Grouped per-set loops: error ordering and fast-forward warm starts
+# Stream-order walks: error ordering and fast-forward warm starts
 # ----------------------------------------------------------------------
 
 @requires_numpy
-class TestGroupedLoopErrorOrder:
-    """The EJ/VEJ/HJ kernels replay residual items set by set; a
-    violation discovered group-wise must still surface as the
-    *original-order first* violation — the grouped pass restores the
-    touched sets and feeds the residual items to the same per-set
-    machine in stream order, one item per call, for oracle-exact error
-    accounting."""
+class TestStreamOrderFirstError:
+    """The EJ/VEJ/HJ kernels walk each span in stream order across all
+    sets; with violations pending in two sets, the one that comes first
+    in the stream must raise — not the one in the lower-indexed set —
+    with the oracle's flushed statistics up to that snoop."""
 
     @pytest.mark.parametrize(
         "filter_name",
@@ -400,8 +419,8 @@ class TestGroupedLoopErrorOrder:
          "HJ(IJ-8x4x7, VEJ-16x2-4)"),
     )
     def test_interleaved_per_set_violations(self, filter_name):
-        # Two violating sets: the lower-indexed set's group is processed
-        # first, but its violation comes *later* in stream order.
+        # Two violating sets: the lower-indexed set's violation comes
+        # *later* in stream order.
         high, low = 0x409, 0x102
         events = [
             _snoop(high),                 # allocates in the high set
@@ -423,6 +442,11 @@ class TestGroupedLoopErrorOrder:
         assert f"block {high:#x}" in messages[1]
         assert vars(vector.stats) == vars(oracle.stats)
         assert vector.stats.snoops == 4  # flushed up to the first violation
+
+
+@pytest.mark.usefixtures("python_walk")
+class TestStreamOrderFirstErrorPythonWalk(TestStreamOrderFirstError):
+    """The same cases on the Python walks."""
 
 
 #: Blocks crowding a few sets of every ``PARITY_FILTERS`` geometry: the
@@ -486,10 +510,18 @@ class TestRandomDifferential:
          _snoop(0x0)],
         [],
     ))
-    # A repeat-hit before a violation: the stream-order post-mortem
-    # must still count it as filtered.
+    # A repeat-hit before a violation must count as filtered in the
+    # statistics flushed on the raise.
     @example(feed=(
         [_snoop(0x40), _snoop(0x40), _snoop(0x40, present=True)], [],
+    ))
+    # A P1 snoop hitting a VEJ chunk (another of its blocks recorded
+    # absent) still touches the set's LRU order, so the next conflict
+    # evicts the other chunk and 0x0 stays filtered.
+    @example(feed=(
+        [_snoop(0x0), _snoop(0x40), _snoop(0x1, present=True),
+         _snoop(0x100), _snoop(0x0)],
+        [],
     ))
     @settings(max_examples=60, deadline=None)
     def test_vector_kernel_matches_oracle(self, filter_name, feed):
@@ -511,6 +543,11 @@ class TestRandomDifferential:
         assert (vector.allocs, vector.evicts) == (
             oracle.allocs, oracle.evicts
         )
+
+
+@pytest.mark.usefixtures("python_walk")
+class TestRandomDifferentialPythonWalk(TestRandomDifferential):
+    """The same cases on the Python walks."""
 
 
 @requires_numpy
@@ -548,6 +585,11 @@ class TestWarmStartParity:
                     assert store_mod.encode_eval(replayer.finish()) == (
                         expected
                     ), (filter_name, node_id, make)
+
+
+@pytest.mark.usefixtures("python_walk")
+class TestWarmStartParityPythonWalk(TestWarmStartParity):
+    """The same cases on the Python walks."""
 
 
 # ----------------------------------------------------------------------
@@ -611,10 +653,27 @@ class TestKernelSelection:
         assert vector_replay.replayer_for(Tweaked(16, 2), 0) is None
 
     @requires_numpy
-    def test_oversized_geometries_fall_back(self):
-        big = ExcludeJetty(1 << 17, 1)  # sets beyond the uint16 sort keys
-        assert vector_replay.replayer_for(big, 0) is None
-        assert vector_replay.replayer_for(ExcludeJetty(1 << 16, 1), 0) is not None
+    def test_oversized_geometries_fall_back(self, golden_streams):
+        """IJ lanes beyond the ``uint16`` sort keys fall back to the
+        oracle; exclude structures of any set count vectorise, and VEJ
+        vectors wider than the C kernel's ``uint64`` take the Python
+        walk.  Either way the payload is the oracle's."""
+        wide_ij = _single_filter("IJ-17x1x7")
+        assert vector_replay.replayer_for(wide_ij, 0) is None
+        events = list(golden_streams["vector-golden-mix"][0].events)
+        loaded = _cmachine.library() is not None
+        for make, compiled in (
+            (lambda: ExcludeJetty(1 << 17, 1), loaded),
+            (lambda: _single_filter("VEJ-16x2-128"), False),
+        ):
+            oracle = EventReplayer(make(), 0)
+            vector = vector_replay.replayer_for(make(), 0)
+            assert vector is not None and vector.compiled is compiled
+            for replayer in (oracle, vector):
+                replayer.feed(events)
+            assert store_mod.encode_eval(vector.finish()) == (
+                store_mod.encode_eval(oracle.finish())
+            )
 
     @requires_numpy
     def test_vector_replayers_refuse_checkpointing(self):
@@ -633,6 +692,54 @@ class TestKernelSelection:
         assert segment.shared("k", lambda: built.append(1) or "value") == "value"
         assert segment.shared("k", lambda: built.append(2) or "other") == "value"
         assert built == [1]
+
+
+# ----------------------------------------------------------------------
+# The compiled exclude machines' loader
+# ----------------------------------------------------------------------
+
+class TestCompiledMachineLoader:
+    def test_loads_wherever_a_compiler_exists(self):
+        """Fails rather than skips: a host with ``cc`` must never run
+        only the Python walks without anyone noticing."""
+        if shutil.which("cc") is None:
+            return
+        assert _cmachine.library() is not None
+
+    @requires_numpy
+    def test_broken_compiler_falls_back(
+        self, monkeypatch, tmp_path, caplog, golden_streams
+    ):
+        monkeypatch.setattr(
+            _cmachine, "compiler", lambda: [str(tmp_path / "no-cc")]
+        )
+        monkeypatch.setattr(_cmachine, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_cmachine, "_lib", _cmachine._UNLOADED)
+        streams = golden_streams["vector-golden-mix"]
+        with caplog.at_level(logging.WARNING, logger="repro.cmachine"):
+            payloads = {
+                name: _replay_bytes(name, streams, "numpy", 1 << 18)
+                for name in PARITY_FILTERS
+            }
+        assert _cmachine._lib is None
+        warnings = [r for r in caplog.records if r.name == "repro.cmachine"]
+        assert len(warnings) == 1
+        assert "no-cc" in warnings[0].getMessage()
+        for name, payload in payloads.items():
+            assert payload == _replay_bytes(name, streams, "python", 1 << 18)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+    def test_second_load_reuses_the_cached_library(self, monkeypatch, tmp_path):
+        builds = []
+        build = _cmachine._build
+        monkeypatch.setattr(
+            _cmachine, "_build",
+            lambda *args: builds.append(args) or build(*args),
+        )
+        assert _cmachine.load(tmp_path) is not None
+        assert _cmachine.load(tmp_path) is not None
+        assert len(builds) == 1
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
 
 # ----------------------------------------------------------------------
