@@ -319,7 +319,9 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     ``n_phases`` synthetic phase boundaries emitted mid-run and
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
-    phase accounting alone.  Each variant takes the best of
+    phase accounting alone.  The banks run the ``auto`` kernel, the
+    live default, so the A/B times the vector replayers where NumPy is
+    installed.  Each variant takes the best of
     ``repeats`` runs to damp scheduler noise — the budget (3%) is
     smaller than cross-run noise on a busy machine.
     """
@@ -333,7 +335,7 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
             spec, n_cpus=SCALED_SYSTEM.n_cpus, seed=1
         )
         banks = [
-            runner._build_bank(f, SCALED_SYSTEM, phase_names=names)
+            runner._build_bank(f, SCALED_SYSTEM, "auto", phase_names=names)
             for f in FILTERS
         ]
         started = time.perf_counter()

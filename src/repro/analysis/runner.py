@@ -104,10 +104,10 @@ from repro.coherence.smp import (
 from repro.core.config import build_filter
 from repro.core.stats import (
     FilterEvaluation,
-    REPLAY_KERNELS,
     StreamingFilterBank,
     TraceReader,
     check_evaluations,
+    check_kernel,
     replay_trace,
 )
 from repro.errors import (
@@ -222,18 +222,17 @@ def _build_filters(filter_name: str, system: SystemConfig) -> list:
 def _build_bank(
     filter_name: str,
     system: SystemConfig,
-    kernel: str = "python",
+    kernel: str,
     phase_names: tuple[str, ...] = (),
     filter_states=None,
 ) -> StreamingFilterBank:
-    """One live filter bank: a freshly built filter per node.
+    """One filter bank, live or replaying: a freshly built filter per node.
 
     ``kernel`` selects the replay kernel per node (see
-    :data:`repro.core.stats.REPLAY_KERNELS`).  Live-streaming and
-    checkpointed call sites keep the default ``"python"`` — the vector
-    kernels neither drive live filters nor snapshot; replay call sites
-    pass the caller's choice (``"auto"`` by default).  ``phase_names``
-    labels PHASE-marker splits in the finished evaluations.
+    :data:`repro.core.stats.REPLAY_KERNELS`): live, checkpointed and
+    replay call sites all pass the run's choice (``"auto"`` by default).
+    ``phase_names`` labels PHASE-marker splits in the finished
+    evaluations.
 
     ``filter_states`` (one snapshot per node, from a fast-forward row)
     restores warmed state into the filters *before* the bank wires its
@@ -436,6 +435,7 @@ def _run_simulation(
     filter_names: tuple[str, ...],
     chunk_size: int,
     *,
+    kernel: str = "auto",
     checkpoint_every: int | None = None,
     experiment_store: ExperimentStore | None = None,
     new_sink=None,
@@ -444,6 +444,9 @@ def _run_simulation(
 ) -> tuple[SimResult, dict[str, FilterEvaluation], TraceSink | None,
            str | None]:
     """One streaming run of ``spec`` with ``filter_names`` attached live.
+
+    Every bank evaluates on ``kernel`` (see :func:`_build_bank`); its
+    checkpoints restore under any kernel.
 
     ``new_sink`` (a zero-argument :class:`TraceSink` factory) makes the
     run a recording of trace ``tkey``; a fresh recording first drops any
@@ -468,14 +471,16 @@ def _run_simulation(
     marks, phase_names = _phase_plan(spec)
 
     def build_fresh():
-        # One StreamingFilterBank per configuration.  (A fused
-        # all-filters bank that decodes each shard once was prototyped
-        # and measured *slower*: replay cost is dominated by the
-        # per-filter probe/update callbacks.)
+        # One StreamingFilterBank per configuration, each wrapping its
+        # own node shards.  Sharing one decoded PackedSegment per shard
+        # across the banks was measured on stream-em3d: peak RSS rose
+        # 13% for no time gain at four filters.
         return (
             SMPSystem(system_cfg),
             {
-                name: _build_bank(name, system_cfg, phase_names=phase_names)
+                name: _build_bank(
+                    name, system_cfg, kernel, phase_names=phase_names
+                )
                 for name in filter_names
             },
             None if new_sink is None else new_sink(),
@@ -829,6 +834,7 @@ def execute_streams(
     backend: str | None = None,
     specs: dict[str, WorkloadSpec] | None = None,
     checkpoint_every: int | None = None,
+    kernel: str = "auto",
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
     fault_plan=None,
@@ -853,7 +859,13 @@ def execute_streams(
     respawned task resumes at the dead worker's last watermark instead
     of access 0.  Results are byte-identical either way; completed runs
     retire their checkpoint chains.
+
+    ``kernel`` selects the live banks' replay kernel, as it does for
+    :func:`execute_replays`; results and checkpoints are the same bytes
+    under every kernel, so a pass checkpointed under one resumes under
+    another.
     """
+    check_kernel(kernel)  # before any task runs
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
@@ -891,7 +903,8 @@ def execute_streams(
             names = tuple(filters.values())
         tasks.append((
             path, specs[job.workload], job.system, job.seed, names, pairs,
-            dict(chunk_size=job.chunk_size, checkpoint_every=checkpoint_every),
+            dict(chunk_size=job.chunk_size, kernel=kernel,
+                 checkpoint_every=checkpoint_every),
         ))
 
     outcomes = _map_tasks(
@@ -1005,8 +1018,10 @@ def record_trace(
         experiment_store.delete_trace(tkey)
         sink = new_sink()
         families = sorted(set(warm_filters) | set(DEFAULT_SWEEP_FILTERS))
+        # The per-event kernel: the fast-forward row stores each
+        # filter's concrete way layout, which only a driven filter has.
         warm_banks = {
-            name: _build_bank(name, system) for name in families
+            name: _build_bank(name, system, "python") for name in families
         }
         snapshots: dict[str, list[dict]] = {}
 
@@ -1374,11 +1389,7 @@ def execute_replays(
     Evaluations are byte-identical across kernels by the parity
     contract, so kernel choice never participates in store keys.
     """
-    if kernel not in REPLAY_KERNELS:
-        raise ConfigurationError(
-            f"unknown replay kernel {kernel!r}; choose one of "
-            f"{', '.join(REPLAY_KERNELS)}"
-        )
+    check_kernel(kernel)
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
@@ -1533,14 +1544,9 @@ class StreamOutcome:
 
 
 def _reject_stream_options(
-    stream: bool, kernel: str, codec: str, measured_only: bool
+    stream: bool, codec: str, measured_only: bool
 ) -> None:
-    """Refuse the replay-only knobs on a streamed run."""
-    if stream and kernel != "auto":
-        raise ConfigurationError(
-            "kernel selection applies to replay sweeps only: streamed "
-            "runs drive live filters through the python path"
-        )
+    """Refuse the recording-only knobs on a streamed run."""
     if stream and (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only):
         raise ConfigurationError(
             "codec and measured-only selection apply to replay sweeps "
@@ -1583,7 +1589,7 @@ def evaluate(
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
-    _reject_stream_options(stream, kernel, codec, measured_only)
+    _reject_stream_options(stream, codec, measured_only)
 
     filters = tuple(filters)
     run = dict(
@@ -1592,7 +1598,8 @@ def evaluate(
     )
     if stream:
         report = execute_streams(
-            [StreamJob(spec.name, filters, system, seed, chunk_size)], **run
+            [StreamJob(spec.name, filters, system, seed, chunk_size)],
+            kernel=kernel, **run,
         )
     else:
         report = execute_replays(
@@ -1678,12 +1685,13 @@ def run_sweep(
     the same flags resumes from its latest checkpoint and still lands
     byte-identical results.
 
-    ``kernel``, ``codec`` and ``measured_only`` apply to the replay mode
-    only: the replay kernel (``"auto"`` vectorises supported families
-    when NumPy is importable), the segment wire format of any *new*
-    recording, and measured-region-only capture with a fast-forward
-    snapshot.  Like ``chunk_size`` they are execution hints: results are
-    byte-identical either way and no store key changes.
+    ``kernel`` selects the filter kernel of both modes (``"auto"``
+    vectorises supported families when NumPy is importable).  ``codec``
+    and ``measured_only`` apply to the replay mode only: the segment
+    wire format of any *new* recording, and measured-region-only
+    capture with a fast-forward snapshot.  Like ``chunk_size`` they are
+    execution hints: results are byte-identical either way and no store
+    key changes.
 
     ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
     execution (see :func:`_map_tasks`).  When tasks are quarantined the
@@ -1696,7 +1704,7 @@ def run_sweep(
             "choose stream=True or replay=True, not both: streaming "
             "discards events as they are consumed, replay persists them"
         )
-    _reject_stream_options(stream, kernel, codec, measured_only)
+    _reject_stream_options(stream, codec, measured_only)
     if experiment_store is None:
         from repro.analysis import experiments
 
@@ -1725,7 +1733,7 @@ def run_sweep(
                 for workload in workloads
                 for seed in seeds
             ],
-            **run,
+            kernel=kernel, **run,
         )
     else:
         report = execute_replays(

@@ -1027,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: no deadline)")
     p_sweep.add_argument("--kernel", default="auto",
                          choices=REPLAY_KERNELS,
-                         help="replay kernel (not with --stream): auto "
+                         help="filter kernel, replayed or --stream: auto "
                          "vectorises supported filter families with NumPy "
                          "when available; results are byte-identical "
                          "across kernels")

@@ -58,13 +58,16 @@ The replay cross-checks the JETTY safety guarantee on every filtered
 snoop and raises :class:`~repro.errors.FilterSafetyError` on a
 violation.
 
-Replay comes in two shapes sharing one kernel (:class:`EventReplayer`):
+Replay comes in two shapes sharing one set of kernels — the per-event
+:class:`EventReplayer` oracle and the vectorised replayers of
+:mod:`repro.core.vector_replay`, chosen per bank by :data:`REPLAY_KERNELS`:
 
 * **streaming** — a :class:`StreamingFilterBank` is attached to a live
   simulation (:func:`repro.coherence.smp.simulate_streaming`) and is fed
   bounded event *shards* as they are produced, so no event is ever
   retained beyond its shard.  Feeding a stream's events in one call or
-  split at arbitrary shard boundaries yields bit-identical evaluations;
+  split at arbitrary shard boundaries yields bit-identical evaluations,
+  and either kernel snapshots into one checkpoint format;
 * **trace replay** — :func:`replay_trace` drives any number of
   :class:`StreamingFilterBank` objects from a :class:`TraceReader` over
   a *persisted* recording (the ``sim-events`` store kind), so a new
@@ -85,13 +88,24 @@ from dataclasses import dataclass, field
 from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.errors import ConfigurationError, FilterSafetyError, InvariantError
 
-#: Kernel selectors accepted by :class:`StreamingFilterBank`:
+#: Kernel selectors accepted by :class:`StreamingFilterBank`, live or
+#: replaying, checkpointed or not:
 #: ``"python"`` — the per-event :class:`EventReplayer` loop everywhere;
 #: ``"numpy"`` — vectorised kernels for every supported filter family,
 #: failing loudly when NumPy is unavailable;
 #: ``"auto"`` — vectorised where supported *and* NumPy imports, the
 #: per-event loop otherwise.
 REPLAY_KERNELS = ("python", "numpy", "auto")
+
+
+def check_kernel(kernel: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``kernel`` is known."""
+    if kernel not in REPLAY_KERNELS:
+        raise ConfigurationError(
+            f"unknown replay kernel {kernel!r}; choose one of "
+            f"{', '.join(REPLAY_KERNELS)}"
+        )
+
 
 #: Event kind tags (bits 0-1 of a packed event).
 SNOOP = 0
@@ -452,15 +466,16 @@ def _bound_hook(snoop_filter: SnoopFilter, public: str, hook: str):
     return None
 
 
-class EventReplayer:
-    """Incrementally replay one node's event stream through one filter.
+class Replayer:
+    """What both replay kernels share: totals, phase marks, checkpoints.
 
-    The replayer is the shared kernel of live and trace-replay
-    evaluation: :meth:`feed` may be called once with a complete event
-    list or many times with consecutive shards — filter state, coverage
-    statistics, and the MARKER warm-up reset carry across calls, so the
-    result of :meth:`finish` depends only on the concatenation of all
-    fed events, never on where the shard boundaries fell.
+    A replayer evaluates one node's event stream through one filter.
+    :class:`EventReplayer` drives the filter object per event; the
+    vectorised replayers (:mod:`repro.core.vector_replay`) keep private
+    state and only *export* it into the filter for a snapshot.  Both
+    keep their coverage totals and PHASE snapshots here, finish into the
+    same :class:`FilterEvaluation`, and checkpoint in one format, so a
+    snapshot taken under either kernel restores into either.
     """
 
     def __init__(
@@ -475,6 +490,78 @@ class EventReplayer:
         self.phase_names = tuple(phase_names)
         #: ``(phase_index, cumulative totals)`` at each PHASE marker.
         self._phase_marks: list = []
+
+    def _totals(self) -> tuple:
+        """``(snoops, would_hit, would_miss, filtered, allocs, evicts)``."""
+        stats = self.stats
+        return (
+            stats.snoops, stats.snoop_would_hit, stats.snoop_would_miss,
+            stats.filtered, self.allocs, self.evicts,
+        )
+
+    def _event_counts(self) -> FilterEventCounts:
+        """The filter's energy-model counts accumulated so far."""
+        return self.snoop_filter.energy_counts()
+
+    def finish(self) -> FilterEvaluation:
+        """Package the accumulated statistics of everything fed so far."""
+        return FilterEvaluation(
+            filter_name=self.snoop_filter.name,
+            coverage=self.stats,
+            events=self._event_counts(),
+            storage_bits=self.snoop_filter.storage_bits(),
+            allocs=self.allocs,
+            evicts=self.evicts,
+            phases=phases_from_marks(
+                self._phase_marks, self._totals(), self.phase_names
+            ),
+        )
+
+    def snapshot(self) -> dict:
+        """Serialisable replay state: coverage counters plus filter state.
+
+        Together with the filter's own :meth:`~repro.core.base.
+        SnoopFilter.snapshot`, this captures everything a feed
+        accumulates — restoring it and feeding the remaining events
+        finishes with exactly the evaluation an uninterrupted replay
+        produces.
+        """
+        state = {
+            "stats": vars(self.stats).copy(),
+            "allocs": self.allocs,
+            "evicts": self.evicts,
+            "filter": self.snoop_filter.snapshot(),
+        }
+        # Key present only when marks exist: pre-phase checkpoint payloads
+        # keep their exact shape, and plain-workload snapshots stay small.
+        if self._phase_marks:
+            state["phases"] = [
+                [index, list(totals)] for index, totals in self._phase_marks
+            ]
+        return state
+
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot taken from an identically configured replayer."""
+        self.stats = CoverageStats(**state["stats"])
+        self.allocs = state["allocs"]
+        self.evicts = state["evicts"]
+        self._phase_marks = [
+            (index, tuple(totals))
+            for index, totals in state.get("phases", ())
+        ]
+        self.snoop_filter.restore(state["filter"])
+
+
+class EventReplayer(Replayer):
+    """Incrementally replay one node's event stream through one filter.
+
+    The per-event kernel and the oracle every other kernel is pinned
+    to: :meth:`feed` may be called once with a complete event list or
+    many times with consecutive shards — filter state, coverage
+    statistics, and the MARKER warm-up reset carry across calls, so the
+    result of :meth:`finish` depends only on the concatenation of all
+    fed events, never on where the shard boundaries fell.
+    """
 
     def feed(self, events) -> None:
         """Consume one batch of packed events (a whole stream or shard).
@@ -539,12 +626,7 @@ class EventReplayer:
                     self.evicts += evicts
                     snoops = would_hit = would_miss = filtered = 0
                     allocs = evicts = 0
-                    self._phase_marks.append((
-                        event >> 4,
-                        (stats.snoops, stats.snoop_would_hit,
-                         stats.snoop_would_miss, stats.filtered,
-                         self.allocs, self.evicts),
-                    ))
+                    self._phase_marks.append((event >> 4, self._totals()))
                 else:  # MARKER: warm-up ends, statistics restart, state persists.
                     snoops = would_hit = would_miss = filtered = 0
                     allocs = evicts = 0
@@ -565,64 +647,11 @@ class EventReplayer:
         """Consume a shared decoded segment (see :class:`PackedSegment`)."""
         self.feed(segment.python_events())
 
-    def finish(self) -> FilterEvaluation:
-        """Package the accumulated statistics of everything fed so far."""
-        stats = self.stats
-        return FilterEvaluation(
-            filter_name=self.snoop_filter.name,
-            coverage=stats,
-            events=self.snoop_filter.energy_counts(),
-            storage_bits=self.snoop_filter.storage_bits(),
-            allocs=self.allocs,
-            evicts=self.evicts,
-            phases=phases_from_marks(
-                self._phase_marks,
-                (stats.snoops, stats.snoop_would_hit,
-                 stats.snoop_would_miss, stats.filtered,
-                 self.allocs, self.evicts),
-                self.phase_names,
-            ),
-        )
-
-    def snapshot(self) -> dict:
-        """Serialisable replay state: coverage counters plus filter state.
-
-        Together with the filter's own :meth:`~repro.core.base.
-        SnoopFilter.snapshot`, this captures everything :meth:`feed`
-        accumulates — restoring it and feeding the remaining events
-        finishes with exactly the evaluation an uninterrupted replay
-        produces.
-        """
-        state = {
-            "stats": vars(self.stats).copy(),
-            "allocs": self.allocs,
-            "evicts": self.evicts,
-            "filter": self.snoop_filter.snapshot(),
-        }
-        # Key present only when marks exist: pre-phase checkpoint payloads
-        # keep their exact shape, and plain-workload snapshots stay small.
-        if self._phase_marks:
-            state["phases"] = [
-                [index, list(totals)] for index, totals in self._phase_marks
-            ]
-        return state
-
-    def restore(self, state: dict) -> None:
-        """Adopt a snapshot taken from an identically configured replayer."""
-        self.stats = CoverageStats(**state["stats"])
-        self.allocs = state["allocs"]
-        self.evicts = state["evicts"]
-        self._phase_marks = [
-            (index, tuple(totals))
-            for index, totals in state.get("phases", ())
-        ]
-        self.snoop_filter.restore(state["filter"])
-
 
 class StreamingFilterBank:
     """One filter configuration evaluated live across all nodes.
 
-    A bank holds one freshly built filter (and its :class:`EventReplayer`)
+    A bank holds one freshly built filter (and its :class:`Replayer`)
     per node and implements the shard-consumer interface expected by
     :func:`repro.coherence.smp.simulate_streaming`: each
     :meth:`consume` call receives the per-node event shards of one chunk,
@@ -637,21 +666,18 @@ class StreamingFilterBank:
     replayer per filter, falling back to the per-event loop for filter
     families the vector kernels do not cover.  ``"numpy"`` raises when
     NumPy is missing, ``"auto"`` silently degrades.  Whatever the
-    kernel, evaluations are byte-identical; only checkpointing
-    (:meth:`snapshot`/:meth:`restore`) requires ``"python"``.
+    kernel, evaluations are byte-identical, and :meth:`snapshot` /
+    :meth:`restore` move state between kernels: a bank checkpointed
+    under one resumes under another.
     """
 
     def __init__(
         self,
         filters: list[SnoopFilter],
-        kernel: str = "python",
+        kernel: str = "auto",
         phase_names=(),
     ) -> None:
-        if kernel not in REPLAY_KERNELS:
-            raise ConfigurationError(
-                f"unknown replay kernel {kernel!r}; choose from "
-                f"{', '.join(REPLAY_KERNELS)}"
-            )
+        check_kernel(kernel)
         self.kernel = kernel
         phase_names = tuple(phase_names)
         self.replayers: list = []

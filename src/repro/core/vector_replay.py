@@ -29,8 +29,9 @@ Per family:
   machine for the EJ (each set a bounded MRU-first list of valid blocks)
   and a vector machine for the VEJ (each set its valid chunks LRU-first
   with their presence vectors).  That is the whole *observable* state
-  of a set (way indexes are never reported and replay never
-  snapshots).  Each machine also takes the IJ verdict per item.  A
+  of a set: way indexes are never reported, and a snapshot writes the
+  entries into ways ``0..k-1`` in recency order.  Each machine also
+  takes the IJ verdict per item.  A
   hybrid puts an IJ in front of the exclude structure and filters when
   either side does, so a plain EJ/VEJ is the same machine behind an IJ
   that passes every snoop, and an HJ feeds it its IJ lanes'
@@ -50,7 +51,11 @@ Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
 unchanged).  This is what lets measured-region-only traces replay from
 a restored fast-forward snapshot: the runner restores the warmed state
-into the filter objects and the kernels pick it up from there.
+into the filter objects and the kernels pick it up from there.  The
+same import resumes a checkpoint, and :meth:`VectorReplayer.snapshot`
+runs it backwards — it *exports* the replayer's state into the wrapped
+filter and takes the filter's own snapshot — so checkpoints have one
+format whichever kernel wrote or reads them.
 
 Everything else (hashed-include, null filters, oversized geometries,
 subclasses) falls back to the per-event loop — selection happens in
@@ -64,6 +69,7 @@ Python kernel.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from itertools import repeat
 
 from repro.core import _cmachine
@@ -71,15 +77,9 @@ from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.core.exclude import ExcludeJetty
 from repro.core.hybrid import HybridJetty
 from repro.core.include import IncludeJetty
-from repro.core.stats import (
-    CoverageStats,
-    FilterEvaluation,
-    MARKER,
-    PackedSegment,
-    phases_from_marks,
-)
+from repro.core.stats import CoverageStats, MARKER, PackedSegment, Replayer
 from repro.core.vector_exclude import VectorExcludeJetty
-from repro.errors import CoherenceError, ConfigurationError, FilterSafetyError
+from repro.errors import CoherenceError, FilterSafetyError
 
 try:  # pragma: no cover - exercised via the numpy-free CI job
     import numpy as _np
@@ -257,6 +257,38 @@ def _warm_vectors(exclude: VectorExcludeJetty) -> list[dict[int, int]]:
     return vectors
 
 
+def _padded(row: list, ways: int, fill) -> list:
+    return row + [fill] * (ways - len(row))
+
+
+def _export_stacks(exclude: ExcludeJetty, stacks) -> None:
+    """Write MRU-first stacks into an EJ: ways ``0..k-1``, LRU order
+    ``[0..ways-1]`` — the inverse of :func:`_warm_stacks`.
+
+    Any layout with the same valid blocks in the same recency order
+    behaves identically from here on, because ``_find_victim`` takes an
+    invalid way before the LRU one.
+    """
+    ways = exclude.ways
+    exclude._restore_state({
+        "tags": [_padded(list(stack), ways, None) for stack in stacks],
+        "lru": [list(range(ways))] * len(stacks),
+    })
+
+
+def _export_vectors(exclude: VectorExcludeJetty, vectors) -> None:
+    """Write per-set LRU-first chunk->vector dicts into a VEJ, reversed
+    into ways ``0..k-1`` — the inverse of :func:`_warm_vectors`, by the
+    argument of :func:`_export_stacks`."""
+    ways = exclude.ways
+    mru = [list(entries.items())[::-1] for entries in vectors]
+    exclude._restore_state({
+        "chunks": [_padded([c for c, _ in row], ways, None) for row in mru],
+        "vectors": [_padded([v for _, v in row], ways, 0) for row in mru],
+        "lru": [list(range(ways))] * len(mru),
+    })
+
+
 class _IncludeLanes:
     """The vectorised counter machinery of one :class:`IncludeJetty`.
 
@@ -368,6 +400,12 @@ class _IncludeLanes:
             f"{self.include.name}: eviction without a matching allocation"
         )
 
+    def export(self) -> None:
+        """Write the lane counters into the wrapped IJ (for a snapshot)."""
+        self.include._restore_state(
+            {"counters": [counters.tolist() for counters in self._counters]}
+        )
+
     def commit(self, s: dict, span: dict) -> None:
         """Fold the span's allocate/evict deltas into the lane counters."""
         for counters, delta in zip(self._counters, span["deltas"]):
@@ -384,33 +422,51 @@ class _IncludeLanes:
 # ----------------------------------------------------------------------
 
 
-class VectorReplayer:
+class VectorReplayer(Replayer):
     """Base vector replayer: marker splitting, flushing, error parity.
 
     Mirrors the :class:`~repro.core.stats.EventReplayer` surface
-    (``feed`` / ``feed_segment`` / ``finish``) so
-    :class:`~repro.core.stats.StreamingFilterBank` can hold either
-    interchangeably.  The wrapped filter object is *never driven* — the
-    replayer keeps private state and synthesises the
-    :class:`FilterEventCounts` itself, so the filter's own ``counts``
-    stay zero.  Checkpointing is unsupported (checkpointed paths use the
-    Python kernel), and :meth:`snapshot`/:meth:`restore` say so loudly.
+    (``feed`` / ``feed_segment`` / ``finish`` / ``snapshot`` /
+    ``restore``) so :class:`~repro.core.stats.StreamingFilterBank` can
+    hold either interchangeably, live or replaying.  The wrapped filter
+    object is *never driven* — the replayer keeps private state and
+    synthesises the :class:`FilterEventCounts` itself.  A subclass
+    reads its state out of the filter in :meth:`_import` (at
+    construction and after a restore) and writes it back in
+    :meth:`_export`, so :meth:`snapshot` is the filter's own snapshot
+    in exactly the oracle's checkpoint shape.
     """
 
     def __init__(
         self, snoop_filter: SnoopFilter, node_id: int, phase_names=()
     ) -> None:
-        self.snoop_filter = snoop_filter
-        self.node_id = node_id
-        self.stats = CoverageStats()
-        self.allocs = 0
-        self.evicts = 0
+        super().__init__(snoop_filter, node_id, phase_names)
         self.counts = FilterEventCounts()
-        self.phase_names = tuple(phase_names)
-        #: ``(phase_index, cumulative totals)`` at each PHASE marker —
-        #: the same snapshot shape the oracle keeps, so both kernels
-        #: derive their per-phase splits through one builder.
-        self._phase_marks: list = []
+        self._import()
+
+    def _import(self) -> None:
+        """Adopt the wrapped filter's storage state."""
+        raise NotImplementedError
+
+    def _export(self) -> None:
+        """Write the replayer's storage state into the wrapped filter,
+        whose ``counts`` already hold the synthesised counts."""
+        raise NotImplementedError
+
+    def _event_counts(self) -> FilterEventCounts:
+        return self.counts
+
+    def snapshot(self) -> dict:
+        """The :class:`EventReplayer` snapshot of the same replay."""
+        self.snoop_filter.counts = replace(self.counts)
+        self._export()
+        return super().snapshot()
+
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot taken under either kernel."""
+        super().restore(state)
+        self._import()
+        self.counts = replace(self.snoop_filter.energy_counts())
 
     def feed(self, events) -> None:
         """Consume one batch of packed events (any iterable shape)."""
@@ -441,13 +497,7 @@ class VectorReplayer:
                 self._span(segment, lo, marker)
             event = int(arr[marker])
             if event & 0b1100:  # PHASE: close the running slice.
-                stats = self.stats
-                self._phase_marks.append((
-                    event >> 4,
-                    (stats.snoops, stats.snoop_would_hit,
-                     stats.snoop_would_miss, stats.filtered,
-                     self.allocs, self.evicts),
-                ))
+                self._phase_marks.append((event >> 4, self._totals()))
             else:  # warm-up MARKER: statistics restart, state persists.
                 self.stats = CoverageStats()
                 self.allocs = self.evicts = 0
@@ -456,37 +506,6 @@ class VectorReplayer:
             lo = marker + 1
         if n > lo:
             self._span(segment, lo, n)
-
-    def finish(self) -> FilterEvaluation:
-        """Package the accumulated statistics of everything fed so far."""
-        stats = self.stats
-        return FilterEvaluation(
-            filter_name=self.snoop_filter.name,
-            coverage=stats,
-            events=self.counts,
-            storage_bits=self.snoop_filter.storage_bits(),
-            allocs=self.allocs,
-            evicts=self.evicts,
-            phases=phases_from_marks(
-                self._phase_marks,
-                (stats.snoops, stats.snoop_would_hit,
-                 stats.snoop_would_miss, stats.filtered,
-                 self.allocs, self.evicts),
-                self.phase_names,
-            ),
-        )
-
-    def snapshot(self) -> dict:
-        raise ConfigurationError(
-            "the numpy replay kernel does not support checkpointing; "
-            "use the python kernel"
-        )
-
-    def restore(self, state) -> None:
-        raise ConfigurationError(
-            "the numpy replay kernel does not support checkpointing; "
-            "use the python kernel"
-        )
 
     # -- shared accounting helpers -------------------------------------
 
@@ -531,11 +550,11 @@ class VectorReplayer:
 class _IncludeReplayer(VectorReplayer):
     """Fully vectorised IJ replay — no per-event Python loop at all."""
 
-    def __init__(
-        self, snoop_filter: IncludeJetty, node_id: int, phase_names=()
-    ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
-        self._lanes = _IncludeLanes(snoop_filter)
+    def _import(self) -> None:
+        self._lanes = _IncludeLanes(self.snoop_filter)
+
+    def _export(self) -> None:
+        self._lanes.export()
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
@@ -681,6 +700,7 @@ def _python_walk(walk, *state):
             _ALL_PASS if ok is None else ok.tolist(),
         )
 
+    run.state = state  # read back by a snapshot
     return run
 
 
@@ -743,15 +763,13 @@ class _ExcludeReplayer(VectorReplayer):
     one later never gets the chance.
     """
 
-    def __init__(
-        self, snoop_filter: SnoopFilter, node_id: int, phase_names=()
-    ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
-        exclude = snoop_filter
+    def _import(self) -> None:
+        snoop_filter = exclude = self.snoop_filter
         self._lanes = None
         if type(snoop_filter) is HybridJetty:
             exclude = snoop_filter.exclude
             self._lanes = _IncludeLanes(snoop_filter.include)
+        self._exclude = exclude
         ways, set_mask = exclude.ways, exclude._index_mask
         lib = _cmachine.library()
         if type(exclude) is VectorExcludeJetty:
@@ -784,6 +802,44 @@ class _ExcludeReplayer(VectorReplayer):
                 self._walk = _python_walk(
                     _stack_walk, stacks, ways, set_mask
                 )
+
+    def _export(self) -> None:
+        exclude, state = self._exclude, self._walk.state
+        vej = type(exclude) is VectorExcludeJetty
+        if not self.compiled:  # the Python walk's stacks or dicts
+            sets = state[0]
+        elif vej:  # flat (rows, vecs, fill, ...)
+            rows, vecs, fill = state[:3]
+            sets = [
+                dict(zip(rows[index, :n].tolist(), vecs[index, :n].tolist()))
+                for index, n in enumerate(fill.tolist())
+            ]
+        else:  # flat (rows, fill, ...)
+            rows, fill = state[:2]
+            sets = [
+                rows[index, :n].tolist()
+                for index, n in enumerate(fill.tolist())
+            ]
+        if vej:
+            _export_vectors(exclude, sets)
+        else:
+            _export_stacks(exclude, sets)
+        if self._lanes is not None:
+            self._lanes.export()
+            # Split the counts along HybridJetty.energy_counts(): the
+            # hybrid counts lookups, each component the storage updates
+            # it prices.
+            counts, hybrid = self.counts, self.snoop_filter
+            hybrid.counts = FilterEventCounts(
+                probes=counts.probes, filtered=counts.filtered
+            )
+            exclude.counts = FilterEventCounts(
+                entry_writes=counts.entry_writes
+            )
+            hybrid.include.counts = FilterEventCounts(
+                cnt_updates=counts.cnt_updates,
+                pbit_writes=counts.pbit_writes,
+            )
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)

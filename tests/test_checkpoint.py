@@ -337,6 +337,37 @@ class TestStreamKillResumeByteIdentity:
                     f"divergence for {filter_name} chunk={chunk_size} K={k}"
                 )
 
+    @pytest.mark.parametrize("filter_name", FAMILIES)
+    def test_checkpoint_resumes_under_the_other_kernel(self, filter_name):
+        """One checkpoint format: a pass killed under the python kernel
+        resumes under auto, and the reverse, to the clean run's bytes —
+        inside warm-up and mid-chunk in the measured region."""
+        clean = ExperimentStore()
+        runner.execute_streams(
+            _stream_jobs(filter_name, 1_000_000),
+            experiment_store=clean, specs=SPECS,
+        )
+        reference = clean.dump()
+        for first, second in (("python", "auto"), ("auto", "python")):
+            for k in (600, 1300):
+                interrupted = ExperimentStore()
+                with kill_after_checkpoints(interrupted, 1):
+                    with pytest.raises(KeyboardInterrupt):
+                        runner.execute_streams(
+                            _stream_jobs(filter_name, 1777),
+                            experiment_store=interrupted, specs=SPECS,
+                            checkpoint_every=k, kernel=first,
+                        )
+                report = runner.execute_streams(
+                    _stream_jobs(filter_name, 512),
+                    experiment_store=interrupted, specs=SPECS,
+                    checkpoint_every=k, kernel=second,
+                )
+                assert report.checkpoints_resumed == 1
+                assert interrupted.dump() == reference, (
+                    f"divergence for {filter_name} {first}->{second} K={k}"
+                )
+
     def test_live_chain_is_pruned_to_newest_two_watermarks(self):
         """A long run must not accumulate one row per watermark: only
         the newest snapshot plus one fallback stay live."""

@@ -461,7 +461,7 @@ def _memory_trace() -> list[tuple[int, int, bool]]:
 
 
 def _streamed_peak(system, base, n_accesses: int) -> tuple[int, int]:
-    bank = runner._build_bank("EJ-8x2", system)
+    bank = runner._build_bank("EJ-8x2", system, "auto")
     stream = itertools.islice(itertools.cycle(base), n_accesses)
     tracemalloc.start()
     result = simulate_streaming(

@@ -593,6 +593,121 @@ class TestWarmStartParityPythonWalk(TestWarmStartParity):
 
 
 # ----------------------------------------------------------------------
+# Checkpoints: one snapshot format, restorable under either kernel
+# ----------------------------------------------------------------------
+
+def _oracle_replayer(filter_name, node_id, names):
+    return EventReplayer(_single_filter(filter_name), node_id, names)
+
+
+def _vector_replayer(filter_name, node_id, names):
+    replayer = vector_replay.replayer_for(
+        _single_filter(filter_name), node_id, names
+    )
+    assert replayer is not None
+    return replayer
+
+
+def _cuts(events) -> dict[str, int]:
+    """Snapshot positions around one node's warm-up and PHASE markers."""
+    warm = events.index(pack_event(MARKER, 0))
+    phases = [
+        index for index, event in enumerate(events)
+        if event & 0b11 == MARKER and event & 0b1100
+    ]
+    assert len(phases) >= 2 and warm < phases[0]
+    return {
+        "in warm-up": warm // 2,
+        "right after the warm-up MARKER": warm + 1,
+        "inside the first phase": (phases[0] + phases[1]) // 2,
+        "right after the second PHASE marker": phases[1] + 1,
+        "near the end": len(events) - 7,
+    }
+
+
+@requires_numpy
+class TestSnapshotRoundTrip:
+    """A vector replayer's snapshot is the oracle's checkpoint format:
+    taken mid-stream by either kernel and restored into a fresh replayer
+    of either kernel, the continued replay finishes with the oracle's
+    uninterrupted payload."""
+
+    KERNELS = {"python": _oracle_replayer, "numpy": _vector_replayer}
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_every_kernel_pair_resumes_to_the_oracle(
+        self, suite_streams, filter_name
+    ):
+        names = SUITE_SPEC.phase_names()
+        for node_id, stream in enumerate(suite_streams[:2]):
+            events = list(stream.events)
+            full = _oracle_replayer(filter_name, node_id, names)
+            full.feed(events)
+            expected = store_mod.encode_eval(full.finish())
+            for where, cut in _cuts(events).items():
+                for writer, make_writer in self.KERNELS.items():
+                    before = make_writer(filter_name, node_id, names)
+                    before.feed(events[: cut // 2])
+                    before.feed(events[cut // 2 : cut])
+                    state = store_mod.decode_checkpoint(
+                        store_mod.encode_checkpoint(before.snapshot())
+                    )
+                    for reader, make_reader in self.KERNELS.items():
+                        after = make_reader(filter_name, node_id, names)
+                        after.restore(state)
+                        after.feed(events[cut:])
+                        assert store_mod.encode_eval(after.finish()) == (
+                            expected
+                        ), (filter_name, node_id, where, writer, reader)
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_snapshot_has_the_oracle_shape(self, suite_streams, filter_name):
+        """Same keys, totals and phase marks; the filter snapshot prices
+        the same energy counts (way placement is free to differ)."""
+        names = SUITE_SPEC.phase_names()
+        events = list(suite_streams[0].events)
+        cut = _cuts(events)["right after the second PHASE marker"]
+        states = []
+        for make in self.KERNELS.values():
+            replayer = make(filter_name, 0, names)
+            replayer.feed(events[:cut])
+            states.append(replayer.snapshot())
+        oracle, vector = states
+        assert vector.keys() == oracle.keys() and "phases" in vector
+        for key in ("stats", "allocs", "evicts", "phases"):
+            assert vector[key] == oracle[key], key
+        counts = []
+        for state in states:
+            restored = _single_filter(filter_name)
+            restored.restore(state["filter"])
+            counts.append(vars(restored.energy_counts()))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_vector_snapshot_is_idempotent(self, suite_streams, filter_name):
+        """Restoring a vector snapshot and snapshotting again changes
+        nothing, and snapshotting never disturbs the running replay."""
+        events = list(suite_streams[1].events)
+        cut = _cuts(events)["inside the first phase"]
+        replayer = _vector_replayer(filter_name, 1, ())
+        replayer.feed(events[:cut])
+        state = replayer.snapshot()
+        clone = _vector_replayer(filter_name, 1, ())
+        clone.restore(state)
+        assert clone.snapshot() == state
+        replayer.feed(events[cut:])
+        clone.feed(events[cut:])
+        assert store_mod.encode_eval(clone.finish()) == (
+            store_mod.encode_eval(replayer.finish())
+        )
+
+
+@pytest.mark.usefixtures("python_walk")
+class TestSnapshotRoundTripPythonWalk(TestSnapshotRoundTrip):
+    """The same cases on the Python walks."""
+
+
+# ----------------------------------------------------------------------
 # Kernel / fallback selection
 # ----------------------------------------------------------------------
 
@@ -676,14 +791,6 @@ class TestKernelSelection:
             )
 
     @requires_numpy
-    def test_vector_replayers_refuse_checkpointing(self):
-        replayer = vector_replay.replayer_for(_single_filter("EJ-16x2"), 0)
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            replayer.snapshot()
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            replayer.restore({})
-
-    @requires_numpy
     def test_packed_segment_shares_the_decoded_array(self):
         segment = PackedSegment([_snoop(0x40), pack_event(ALLOC, 0x50)])
         first = segment.array()
@@ -759,13 +866,38 @@ class TestRunnerKernelWiring:
                 [], experiment_store=ExperimentStore(), kernel="bogus"
             )
 
-    def test_sweep_kernel_requires_replay_mode(self):
-        with pytest.raises(ConfigurationError, match="replay sweeps only"):
-            runner.run_sweep(
-                (self.WORKLOAD,), ("EJ-16x2",),
-                experiment_store=ExperimentStore(),
-                stream=True, kernel="numpy",
-            )
+    def test_streamed_rows_are_kernel_invariant(self):
+        """Live banks run the chosen kernel: every kernel and chunk size
+        stores the same bytes, phase splits included."""
+        filters = (
+            *runner.DEFAULT_SWEEP_FILTERS, "HJ(IJ-10x4x7, VEJ-32x4-8)",
+        )
+        specs = {self.WORKLOAD: WORKLOADS[self.WORKLOAD],
+                 SUITE_SPEC.name: SUITE_SPEC}
+        kernels = (
+            REPLAY_KERNELS if vector_replay.numpy_available()
+            else ("python", "auto")
+        )
+        dumps = {}
+        for kernel in kernels:
+            for chunk in (512, 1_777):
+                store = ExperimentStore()
+                runner.execute_streams(
+                    [runner.StreamJob(name, filters, SCALED_SYSTEM, 1, chunk)
+                     for name in specs],
+                    experiment_store=store, specs=specs, kernel=kernel,
+                )
+                dumps[kernel, chunk] = store.dump()
+                for name in filters:
+                    phases = store.get_eval(store_mod.eval_key(
+                        SUITE_SPEC, name, SCALED_SYSTEM, 1
+                    )).phases
+                    assert set(phases) == set(SUITE_SPEC.phase_names())
+                store.close()
+        reference = dumps["python", 512]
+        assert len(reference) == len(specs) * (len(filters) + 1)
+        for run, dump in dumps.items():
+            assert dump == reference, run
 
     @requires_numpy
     def test_replay_sweep_rows_are_kernel_invariant(self, tmp_path):
