@@ -54,6 +54,7 @@ import platform
 import sys
 import tempfile
 import time
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,30 +183,49 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
     return entry
 
 
+def _raw_v1_bytes(store: ExperimentStore) -> int:
+    """Stored trace bytes had every segment been written as legacy raw-v1.
+
+    The raw-v1 reference of the trace-economics ratios: zlib level 6
+    over each stored segment's decoded little-endian packed events (the
+    raw-v1 wire format), plus the manifest rows unchanged.
+    """
+    from repro.analysis import store as store_mod
+
+    total = 0
+    for e in store.entries():
+        if e.kind != store_mod.TRACE_KIND:
+            continue
+        if e.filter_name is None:  # manifest row
+            total += e.payload_bytes
+            continue
+        events = store_mod.decode_trace_segment(store.get_blob(e.key))
+        if sys.byteorder == "big":  # pragma: no cover - exotic platforms
+            events.byteswap()
+        total += len(zlib.compress(events.tobytes(), 6))
+    return total
+
+
 def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
     """Trace-economics A/B: stored bytes and replay rates per variant.
 
-    Three cold records of the same ``(workload, seed)`` into separate
-    scratch stores — full trace under ``raw-v1``, full trace under
-    ``delta-v1``, and measured-region-only under ``delta-v1`` (warm-up
-    events replaced by a fast-forward filter-state snapshot) — each
-    followed by a warm serial replay of all four filter configurations.
-    Reports per-variant stored trace bytes (manifest + segments +
-    fast-forward rows), bytes/access, record and replay rates; the
-    headline ratios (``delta_vs_raw_bytes``,
-    ``measured_delta_vs_raw_bytes`` — the CI gate's number — and
-    ``measured_replay_speedup``); and whether every filter's evaluation
-    payload is byte-identical across all three variants (the
-    correctness contract the codecs and fast-forward must uphold).
+    Two cold records of the same ``(workload, seed)`` into separate
+    scratch stores — the full trace, and the measured region only
+    (warm-up events replaced by a fast-forward filter-state snapshot) —
+    each followed by a warm serial replay of all four filter
+    configurations.  Both are written in delta-v1, the only segment
+    encoder; ``raw_full`` is the full trace's size had its segments
+    been written in legacy raw-v1 (see :func:`_raw_v1_bytes`).  Reports
+    per-variant stored trace bytes (manifest + segments + fast-forward
+    rows), bytes/access, record and replay rates; the headline ratios
+    (``delta_vs_raw_bytes``, ``measured_delta_vs_raw_bytes`` — the CI
+    gate's number — and ``measured_replay_speedup``); and whether every
+    filter's evaluation payload is byte-identical across both variants
+    (the correctness contract fast-forward must uphold).
     """
     from repro.analysis import store as store_mod
 
     spec = _sized(name, n_accesses, warmup)
-    variants = (
-        ("raw_full", "raw-v1", False),
-        ("delta_full", "delta-v1", False),
-        ("delta_measured", "delta-v1", True),
-    )
     entry: dict = {
         "workload": name,
         "accesses": n_accesses,
@@ -214,13 +234,13 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
         "variants": {},
     }
     eval_blobs: dict[str, dict[str, bytes]] = {}
-    for key, codec, measured_only in variants:
+    for key, measured_only in (("delta_full", False),
+                               ("delta_measured", True)):
         with tempfile.TemporaryDirectory() as tmp:
             store = ExperimentStore(Path(tmp) / f"bench-{key}.sqlite")
             started = time.perf_counter()
             runner.execute_replays(
-                [runner.ReplayJob(name, (), codec=codec,
-                                  measured_only=measured_only)],
+                [runner.ReplayJob(name, (), measured_only=measured_only)],
                 experiment_store=store, specs={name: spec},
             )
             record_elapsed = time.perf_counter() - started
@@ -228,10 +248,11 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
                 e.payload_bytes for e in store.entries()
                 if e.kind in (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
             )
+            if not measured_only:
+                raw_bytes = _raw_v1_bytes(store)
             started = time.perf_counter()
             runner.execute_replays(
-                [runner.ReplayJob(name, FILTERS, codec=codec,
-                                  measured_only=measured_only)],
+                [runner.ReplayJob(name, FILTERS, measured_only=measured_only)],
                 experiment_store=store, backend="serial", specs={name: spec},
             )
             replay_elapsed = time.perf_counter() - started
@@ -243,7 +264,7 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
             }
             store.close()
         entry["variants"][key] = {
-            "codec": codec,
+            "codec": "delta-v1",
             "measured_only": measured_only,
             "trace_bytes": trace_bytes,
             "bytes_per_access": round(trace_bytes / n_accesses, 3),
@@ -252,22 +273,24 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
             "replay_seconds": round(replay_elapsed, 3),
             "replay_accesses_per_sec": round(n_accesses / replay_elapsed),
         }
-    raw = entry["variants"]["raw_full"]
+    entry["variants"]["raw_full"] = {
+        "codec": "raw-v1",
+        "measured_only": False,
+        "trace_bytes": raw_bytes,
+        "bytes_per_access": round(raw_bytes / n_accesses, 3),
+    }
     delta = entry["variants"]["delta_full"]
     measured = entry["variants"]["delta_measured"]
-    entry["delta_vs_raw_bytes"] = round(
-        delta["trace_bytes"] / raw["trace_bytes"], 3
-    )
+    entry["delta_vs_raw_bytes"] = round(delta["trace_bytes"] / raw_bytes, 3)
     entry["measured_delta_vs_raw_bytes"] = round(
-        measured["trace_bytes"] / raw["trace_bytes"], 3
+        measured["trace_bytes"] / raw_bytes, 3
     )
     entry["measured_replay_speedup"] = round(
-        raw["replay_seconds"] / measured["replay_seconds"], 2
+        delta["replay_seconds"] / measured["replay_seconds"], 2
     )
     entry["eval_payloads_identical"] = all(
-        eval_blobs["raw_full"][f] is not None
-        and eval_blobs["raw_full"][f] == eval_blobs["delta_full"][f]
-        and eval_blobs["raw_full"][f] == eval_blobs["delta_measured"][f]
+        eval_blobs["delta_full"][f] is not None
+        and eval_blobs["delta_full"][f] == eval_blobs["delta_measured"][f]
         for f in FILTERS
     )
     return entry
@@ -460,8 +483,8 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
         # one the throughput modes use.
         eco_warm = max(s_warm, s_acc // 4)
         print(f"trace economics em3d: {s_acc:,} accesses "
-              f"({eco_warm:,} warm-up), raw-v1 vs delta-v1 vs "
-              "measured-only ...", flush=True)
+              f"({eco_warm:,} warm-up), full vs measured-only delta-v1 "
+              "against a raw-v1 reference ...", flush=True)
         entry = measure_trace_economics("em3d", s_acc, eco_warm)
         results["trace_economics"]["em3d"] = entry
         raw = entry["variants"]["raw_full"]
@@ -637,12 +660,12 @@ def main(argv: list[str] | None = None) -> int:
                         "(requires --assert-supervision-overhead)")
     parser.add_argument("--assert-trace-bytes-per-access", type=float,
                         default=None, metavar="RATIO",
-                        help="also A/B trace codecs on em3d (raw-v1 full "
-                        "vs delta-v1 full vs measured-only delta-v1) and "
-                        "fail when the measured-only delta archive "
-                        "exceeds RATIO x the raw-v1 full archive's bytes, "
-                        "or when any variant's eval payloads diverge "
-                        "(e.g. 0.75 for the CI budget)")
+                        help="also A/B full vs measured-only delta-v1 "
+                        "em3d traces and fail when the measured-only "
+                        "archive exceeds RATIO x the full trace's raw-v1 "
+                        "size (zlib-6 over its decoded segments), or when "
+                        "the variants' eval payloads diverge (e.g. 0.75 "
+                        "for the CI budget)")
     parser.add_argument("--trace-economics-only", action="store_true",
                         help="measure only the trace-economics A/B, "
                         "skipping the streamed/replay modes "
@@ -803,8 +826,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.assert_trace_bytes_per_access is not None:
         for name, entry in results.get("trace_economics", {}).items():
             if not entry["eval_payloads_identical"]:
-                print(f"FAIL: {name} eval payloads diverge across trace "
-                      "codec / measured-only variants", file=sys.stderr)
+                print(f"FAIL: {name} eval payloads diverge between the "
+                      "full and measured-only traces", file=sys.stderr)
                 return 1
             ratio = entry["measured_delta_vs_raw_bytes"]
             if ratio > args.assert_trace_bytes_per_access:

@@ -47,7 +47,7 @@ produces *bitwise identical* store payloads to a serial run of the same
 jobs; the determinism tests diff the two stores byte for byte.  The
 contract extends across modes: for the same ``(spec, system, seed)`` a
 streamed evaluation's payload is byte-identical to a replayed one's,
-whatever the chunk size, kernel, codec, or worker count, which is why
+whatever the chunk size, kernel, or worker count, which is why
 both modes share one ``eval`` keyspace.
 
 **Checkpointing.**  Streamed runs and recordings accept a
@@ -151,12 +151,11 @@ class ReplayJob:
     absent from all keys.  An empty ``filter_names`` is a pure record
     job.
 
-    ``codec`` picks the segment wire format for a *new* recording (see
-    :data:`repro.analysis.store.SEGMENT_CODECS`) and ``measured_only``
-    records only post-warm-up events plus a fast-forward snapshot of
-    the warmed filter state.  Both are execution hints like
-    ``chunk_size``: replays decode whatever is stored, evaluations are
-    byte-identical either way, and neither appears in any store key.
+    ``measured_only`` records only post-warm-up events plus a
+    fast-forward snapshot of the warmed filter state.  It is an
+    execution hint like ``chunk_size``: replays decode whatever is
+    stored, evaluations are byte-identical either way, and it appears
+    in no store key.
     """
 
     workload: str
@@ -164,7 +163,6 @@ class ReplayJob:
     system: SystemConfig = SCALED_SYSTEM
     seed: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    codec: str = store_mod.DEFAULT_SEGMENT_CODEC
     measured_only: bool = False
     #: Extra filter configurations to warm (and snapshot) during a
     #: measured-only recording, beyond ``filter_names`` and the default
@@ -936,7 +934,6 @@ def record_trace(
     checkpoint_every: int | None = None,
     report: ExecutionReport | None = None,
     segment_events: int = TRACE_SEGMENT_EVENTS,
-    codec: str = store_mod.DEFAULT_SEGMENT_CODEC,
     measured_only: bool = False,
     warm_filters: tuple[str, ...] = (),
 ) -> SimResult:
@@ -952,11 +949,6 @@ def record_trace(
     trace key are dropped first: stale segments from an interrupted or
     partially collected recording must never mix with fresh ones.
     Returns the metrics-only result.
-
-    ``codec`` selects the segment wire format (see
-    :data:`repro.analysis.store.SEGMENT_CODECS`); replays sniff it per
-    segment, so the choice never appears in a key and mixed-codec
-    stores stay warm.
 
     With ``measured_only=True`` (requires a warm-up), only post-warm-up
     events are recorded: live per-node filter banks for ``warm_filters``
@@ -977,17 +969,12 @@ def record_trace(
     previous watermark.  Either way the recorded bytes equal an
     uninterrupted recording's exactly.
     """
-    if codec not in store_mod.SEGMENT_CODECS:
-        raise ConfigurationError(
-            f"unknown trace segment codec {codec!r}; choose one of "
-            f"{', '.join(store_mod.SEGMENT_CODECS)}"
-        )
     tkey = store_mod.trace_key(spec, system, seed)
 
     def write_segment(node_id: int, index: int, raw: bytes) -> None:
         experiment_store.put_blob(
             store_mod.trace_segment_key(tkey, node_id, index),
-            store_mod.encode_trace_segment(raw, codec),
+            store_mod.encode_trace_segment(raw),
             kind=store_mod.TRACE_KIND,
             workload=spec.name,
             filter_name=tkey,
@@ -1064,10 +1051,6 @@ def record_trace(
         "events_per_node": list(sink.events_per_node),
         "metrics": store_mod.sim_metrics_to_dict(metrics),
     }
-    if codec != store_mod.DEFAULT_SEGMENT_CODEC:
-        # Informational only (decode sniffs per segment); omitted at the
-        # default so pre-codec recordings' manifest bytes are unchanged.
-        manifest["codec"] = codec
     if measured_only:
         manifest["measured_only"] = True
         manifest["warmup"] = warmup
@@ -1180,24 +1163,19 @@ def _warm_states_for(
 
 
 def transcode_trace(
-    experiment_store: ExperimentStore, tkey: str, codec: str
+    experiment_store: ExperimentStore, tkey: str
 ) -> tuple[int, int]:
-    """Rewrite one stored trace's segments under ``codec``, in place.
+    """Rewrite one stored trace's legacy raw-v1 segments as delta-v1.
 
-    Decode-and-re-encode every segment (byte-exact round trip — the
-    packed events, and therefore every replay, are unchanged), update
-    the manifest's codec note, and return ``(bytes_before,
-    bytes_after)`` over the rewritten segment rows.  Keys never change:
-    the codec is an encoding detail, so evaluations stay warm and
-    mixed-codec archives converge row by row.  Each segment is rewritten
-    with one ``INSERT OR REPLACE`` — an interrupted transcode leaves a
-    mixed-codec trace that still replays correctly.
+    The one-way migration for stores recorded before delta-v1 became the
+    only encoder: every raw-v1 segment is decoded and re-encoded
+    (byte-exact round trip — the packed events, and therefore every
+    replay, are unchanged); delta-v1 segments are left alone.  Returns
+    ``(bytes_before, bytes_after)`` over the trace's segment rows.  Keys
+    never change, so evaluations stay warm, and each segment is
+    rewritten with one ``INSERT OR REPLACE`` — an interrupted transcode
+    leaves a mixed trace that still replays correctly.
     """
-    if codec not in store_mod.SEGMENT_CODECS:
-        raise ConfigurationError(
-            f"unknown trace segment codec {codec!r}; choose one of "
-            f"{', '.join(store_mod.SEGMENT_CODECS)}"
-        )
     loaded = load_trace(experiment_store, tkey)
     if loaded is None:
         raise ConfigurationError(
@@ -1210,10 +1188,9 @@ def transcode_trace(
         for key in node_keys:
             blob = experiment_store.get_blob(key)
             before += len(blob)
-            if store_mod.segment_codec(blob) != codec:
+            if store_mod.segment_codec(blob) == "raw-v1":
                 events = store_mod.decode_trace_segment(blob)
-                raw = events.tobytes()
-                blob = store_mod.encode_trace_segment(raw, codec)
+                blob = store_mod.encode_trace_segment(events.tobytes())
                 experiment_store.put_blob(
                     key, blob,
                     kind=store_mod.TRACE_KIND,
@@ -1223,20 +1200,6 @@ def transcode_trace(
                     seed=manifest["seed"],
                 )
             after += len(blob)
-    if manifest.get("codec", store_mod.DEFAULT_SEGMENT_CODEC) != codec:
-        if codec == store_mod.DEFAULT_SEGMENT_CODEC:
-            manifest.pop("codec", None)
-        else:
-            manifest["codec"] = codec
-        experiment_store.put_blob(
-            tkey,
-            store_mod.encode_trace_manifest(manifest),
-            kind=store_mod.TRACE_KIND,
-            workload=manifest["workload"],
-            filter_name=None,
-            n_cpus=manifest["n_cpus"],
-            seed=manifest["seed"],
-        )
     return before, after
 
 
@@ -1460,7 +1423,6 @@ def execute_replays(
         (path, specs[job.workload], job.system, job.seed, dict(
             chunk_size=job.chunk_size,
             checkpoint_every=checkpoint_every,
-            codec=job.codec,
             measured_only=job.measured_only,
             warm_filters=names + job.warm_filters,
         ))
@@ -1543,14 +1505,12 @@ class StreamOutcome:
         return self.evaluations[filter_name].coverage.coverage
 
 
-def _reject_stream_options(
-    stream: bool, codec: str, measured_only: bool
-) -> None:
-    """Refuse the recording-only knobs on a streamed run."""
-    if stream and (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only):
+def _reject_stream_options(stream: bool, measured_only: bool) -> None:
+    """Refuse the recording-only knob on a streamed run."""
+    if stream and measured_only:
         raise ConfigurationError(
-            "codec and measured-only selection apply to replay sweeps "
-            "only: a streamed run records no trace"
+            "measured-only selection applies to replay sweeps only: a "
+            "streamed run records no trace"
         )
 
 
@@ -1566,7 +1526,6 @@ def evaluate(
     backend: str | None = None,
     experiment_store: ExperimentStore | None = None,
     kernel: str = "auto",
-    codec: str = store_mod.DEFAULT_SEGMENT_CODEC,
     measured_only: bool = False,
 ) -> StreamOutcome:
     """Evaluate N filters against one workload, store-backed.
@@ -1574,9 +1533,9 @@ def evaluate(
     By default the first call records the configuration's trace (one
     streaming simulation), and every call after that, with these
     filters or any others, only replays stored segments, fanning out
-    across ``workers`` when a parallel backend is selected.  ``codec``
-    and ``measured_only`` shape a *new* recording only; an
-    already-stored trace replays as recorded.
+    across ``workers`` when a parallel backend is selected.
+    ``measured_only`` shapes a *new* recording only; an already-stored
+    trace replays as recorded.
 
     With ``stream=True`` all ``filters`` ride the live snoop stream of
     one simulation instead and nothing but results is persisted.  Either
@@ -1589,7 +1548,7 @@ def evaluate(
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
-    _reject_stream_options(stream, codec, measured_only)
+    _reject_stream_options(stream, measured_only)
 
     filters = tuple(filters)
     run = dict(
@@ -1604,7 +1563,7 @@ def evaluate(
     else:
         report = execute_replays(
             [ReplayJob(spec.name, filters, system, seed, chunk_size,
-                       codec, measured_only)],
+                       measured_only)],
             kernel=kernel, **run,
         )
     metrics = experiment_store.get_sim_metrics(
@@ -1656,7 +1615,6 @@ def run_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_every: int | None = None,
     kernel: str = "auto",
-    codec: str = store_mod.DEFAULT_SEGMENT_CODEC,
     measured_only: bool = False,
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
@@ -1686,12 +1644,11 @@ def run_sweep(
     byte-identical results.
 
     ``kernel`` selects the filter kernel of both modes (``"auto"``
-    vectorises supported families when NumPy is importable).  ``codec``
-    and ``measured_only`` apply to the replay mode only: the segment
-    wire format of any *new* recording, and measured-region-only
-    capture with a fast-forward snapshot.  Like ``chunk_size`` they are
-    execution hints: results are byte-identical either way and no store
-    key changes.
+    vectorises supported families when NumPy is importable).
+    ``measured_only`` applies to the replay mode only: any *new*
+    recording captures the measured region only, with a fast-forward
+    snapshot.  Like ``chunk_size`` it is an execution hint: results are
+    byte-identical either way and no store key changes.
 
     ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
     execution (see :func:`_map_tasks`).  When tasks are quarantined the
@@ -1704,7 +1661,7 @@ def run_sweep(
             "choose stream=True or replay=True, not both: streaming "
             "discards events as they are consumed, replay persists them"
         )
-    _reject_stream_options(stream, codec, measured_only)
+    _reject_stream_options(stream, measured_only)
     if experiment_store is None:
         from repro.analysis import experiments
 
@@ -1740,7 +1697,7 @@ def run_sweep(
             [
                 ReplayJob(
                     workload, tuple(filters), system, seed, chunk_size,
-                    codec, measured_only,
+                    measured_only,
                 )
                 for workload in workloads
                 for seed in seeds

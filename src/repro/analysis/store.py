@@ -553,28 +553,21 @@ def decode_checkpoint(blob: bytes) -> dict:
         return state
 
 
-#: Registered per-segment trace codecs, in introduction order.
+#: Segment wire formats.  Every segment is written as ``delta-v1``: each
+#: event splits into three planes — kind bits, flag bits, and the block
+#: address — and block addresses are stored as zig-zag + varint coded
+#: first differences before zlib.  Workload address streams are
+#: overwhelmingly local, so the delta plane collapses from 8 bytes per
+#: event to 1–2.  Stores written before delta-v1 hold ``raw-v1``
+#: segments (zlib over the little-endian packed ``array('q')`` bytes):
+#: they still decode, and ``trace transcode`` rewrites them.  The format
+#: lives in the segment bytes themselves (a magic first byte), never in
+#: :func:`trace_key` — a transcoded archive keeps its key and mixed
+#: stores stay warm.
 #:
-#: ``raw-v1`` is the original wire format: zlib over the little-endian
-#: packed ``array('q')`` bytes (every pre-codec store is a raw-v1 store).
-#: ``delta-v1`` splits each event into three planes — kind bits, flag
-#: bits, and the block address — and stores block addresses as zig-zag +
-#: varint coded first differences before zlib.  Workload address streams
-#: are overwhelmingly local, so the delta plane collapses from 8 bytes
-#: per event to 1–2, which is where the archive-byte win comes from.
-#: The codec id lives in the segment bytes themselves (a magic first
-#: byte) and in the trace *manifest*, never in :func:`trace_key` — a
-#: transcoded archive keeps its key and mixed-codec stores stay warm.
-SEGMENT_CODECS = ("raw-v1", "delta-v1")
-
-#: Codec used when the caller does not ask for one; keeps every existing
-#: recording path byte-identical to pre-codec stores.
-DEFAULT_SEGMENT_CODEC = "raw-v1"
-
 #: First byte of a delta-v1 segment blob.  zlib streams with a 32K
 #: window (the only kind ``zlib.compress`` emits) always start 0x78, so
-#: a single sniff byte cleanly separates the two wire formats without
-#: touching raw-v1 bytes.
+#: a single sniff byte cleanly separates the two wire formats.
 _DELTA_V1_MAGIC = 0xD7
 
 
@@ -624,6 +617,8 @@ def _varints_decode_py(data: bytes, count: int) -> list[int]:
                 raise ValueError(
                     f"delta-v1 varint stream truncated at value {index}"
                 )
+            if shift > 63:
+                raise ValueError(f"delta-v1 varint {index} exceeds 64 bits")
             byte = data[position]
             position += 1
             value |= (byte & 0x7F) << shift
@@ -636,46 +631,71 @@ def _varints_decode_py(data: bytes, count: int) -> list[int]:
     return values
 
 
-def _varints_encode_np(values) -> bytes:
-    """Vectorised LEB128 bytes of a uint64 array (NumPy path)."""
-    n = len(values)
-    if n == 0:
-        return b""
-    nbytes = _np.ones(n, dtype=_np.int64)
-    for k in range(1, 10):
-        nbytes += values >= (_np.uint64(1) << _np.uint64(7 * k))
-    ends = _np.cumsum(nbytes)
-    starts = ends - nbytes
-    owner = _np.repeat(_np.arange(n), nbytes)
-    offset = _np.arange(int(ends[-1])) - starts[owner]
-    groups = (values[owner] >> (offset * 7).astype(_np.uint64)) & _np.uint64(0x7F)
-    cont = _np.where(offset == nbytes[owner] - 1, 0, 0x80)
-    return (groups.astype(_np.uint16) | cont).astype(_np.uint8).tobytes()
+def _varints_encode_np(values, prefix: int):
+    """A uint8 buffer of ``prefix`` unset bytes, then ``values``' LEB128.
+
+    Each value's first byte position comes from a running sum of the
+    byte counts; the bytes are then written one byte position at a time
+    over the values still in flight, so no temporary is ever sized per
+    output byte.
+    """
+    limits = _np.uint64(1) << _np.arange(7, 64, 7, dtype=_np.uint64)
+    lengths = _np.searchsorted(limits, values, side="right") + 1
+    position = _np.cumsum(lengths)
+    total = int(position[-1]) if position.size else 0
+    out = _np.empty(prefix + total, dtype=_np.uint8)
+    position -= lengths
+    position += prefix
+    rest = values
+    while position.size:
+        more = rest > 0x7F
+        group = rest.astype(_np.uint8)
+        group &= 0x7F
+        group |= more.view(_np.uint8) << 7
+        out[position] = group
+        position = position[more] + 1
+        rest = rest[more] >> 7
+    return out
 
 
-def _varints_decode_np(data: bytes, count: int):
-    """Vectorised LEB128 decode of exactly ``count`` values (uint64)."""
-    raw = _np.frombuffer(data, dtype=_np.uint8)
-    ends = _np.flatnonzero((raw & 0x80) == 0)
-    if ends.size != count or (count and int(ends[-1]) != raw.size - 1):
+def _varints_decode_np(raw, count: int):
+    """Vectorised LEB128 decode of exactly ``count`` values (uint64).
+
+    ``raw`` is a uint8 array.  Each value's first byte is read at once;
+    continuation bytes are ORed in one byte position at a time over the
+    values still open.
+    """
+    bounds = _np.flatnonzero(raw < 0x80)  # each value's final byte
+    if bounds.size != count or (count and int(bounds[-1]) != raw.size - 1):
         raise ValueError(
-            f"delta-v1 varint stream holds {ends.size} value(s), "
+            f"delta-v1 varint stream holds {bounds.size} value(s), "
             f"expected {count}"
         )
     if count == 0:
         if raw.size:
             raise ValueError("delta-v1 varint stream has trailing bytes")
         return _np.zeros(0, dtype=_np.uint64)
-    lengths = _np.diff(ends, prepend=_np.int64(-1))
-    starts = ends - lengths + 1
-    owner = _np.repeat(_np.arange(count), lengths)
-    offset = _np.arange(raw.size) - starts[owner]
-    groups = (raw & 0x7F).astype(_np.uint64) << (offset * 7).astype(_np.uint64)
-    return _np.bitwise_or.reduceat(groups, starts)
+    bounds[1:] = bounds[:-1] + 1  # now each value's first byte
+    bounds[0] = 0
+    group = raw[bounds]
+    values = (group & 0x7F).astype(_np.uint64)
+    open_ = _np.flatnonzero(group >= 0x80)
+    position = bounds[open_] + 1
+    shift = 7
+    while open_.size:
+        if shift > 63:
+            raise ValueError("delta-v1 varint exceeds 64 bits")
+        group = raw[position]
+        values[open_] |= (group & 0x7F).astype(_np.uint64) << shift
+        more = group >= 0x80
+        open_ = open_[more]
+        position = position[more] + 1
+        shift += 7
+    return values
 
 
-def _delta_planes_encode(raw: bytes) -> bytes:
-    """The delta-v1 inner payload (pre-zlib) of one segment.
+def _delta_planes_encode(raw: bytes):
+    """The delta-v1 inner payload (pre-zlib) of one segment, bytes-like.
 
     Layout: ``<QB`` header (event count, region shift), a kinds plane
     (one byte per event, bits 0-1 of the packed word), a flags plane
@@ -692,35 +712,33 @@ def _delta_planes_encode(raw: bytes) -> bytes:
     n = len(raw) // 8
     header = struct.pack("<QB", n, _DELTA_V1_REGION_SHIFT)
     if _np is not None:
-        events = _np.frombuffer(raw, dtype="<i8").astype(_np.int64, copy=False)
-        kinds = events & 3
-        flags = (events >> 2) & 3
-        blocks = events >> 4
-        regions = blocks >> _DELTA_V1_REGION_SHIFT
-        chain = (kinds << 50) | regions
+        low = _np.frombuffer(raw, dtype=_np.uint8)[::8]  # kind, flag bits
+        kinds = low & 3
+        values = _np.empty(2 * n, dtype=_np.uint64)
+        regions = values[:n].view(_np.int64)
+        blocks = _np.frombuffer(raw, dtype="<i8") >> 4
+        _np.right_shift(blocks, _DELTA_V1_REGION_SHIFT, out=regions)
+        chain = _np.left_shift(kinds, 50, dtype=_np.int64)
+        chain |= regions
         order = _np.argsort(chain, kind="stable")
-        chain_sorted = chain[order]
-        deltas_sorted = _np.diff(blocks[order], prepend=_np.int64(0))
-        firsts = _np.flatnonzero(
-            _np.diff(chain_sorted, prepend=_np.int64(-1)) != 0
-        )
-        deltas_sorted[firsts] = blocks[order][firsts]
-        deltas = _np.empty_like(deltas_sorted)
-        deltas[order] = deltas_sorted
-        zigzag = (
-            (deltas.astype(_np.uint64) << _np.uint64(1))
-            ^ (deltas >> _np.int64(63)).astype(_np.uint64)
-        )
-        values = _np.concatenate(
-            [regions.astype(_np.uint64)]
-            + [zigzag[kinds == kind] for kind in range(4)]
-        )
-        return (
-            header
-            + kinds.astype(_np.uint8).tobytes()
-            + flags.astype(_np.uint8).tobytes()
-            + _varints_encode_np(values)
-        )
+        chain = chain[order]
+        blocks = blocks[order]
+        deltas = _np.empty_like(blocks)
+        deltas[:1] = blocks[:1]
+        _np.subtract(blocks[1:], blocks[:-1], out=deltas[1:])
+        heads = _np.flatnonzero(chain[1:] != chain[:-1]) + 1
+        deltas[heads] = blocks[heads]
+        sign = deltas >> 63
+        deltas <<= 1
+        deltas ^= sign  # zig-zag, read back as uint64
+        blocks[order] = deltas  # stream order
+        _np.take(blocks.view(_np.uint64), _np.argsort(kinds, kind="stable"),
+                 out=values[n:])
+        out = _varints_encode_np(values, 9 + 2 * n)
+        out[:9] = _np.frombuffer(header, dtype=_np.uint8)
+        out[9:9 + n] = kinds
+        _np.bitwise_and(low >> 2, 3, out=out[9 + n:9 + 2 * n])
+        return out
     events = array("q")
     events.frombytes(raw)
     if sys.byteorder == "big":  # pragma: no cover - exotic platforms
@@ -759,47 +777,46 @@ def _delta_planes_decode(inner: bytes) -> array:
             f"delta-v1 segment planes truncated: "
             f"{len(inner)} byte(s) for {n} event(s)"
         )
-    kinds_plane = inner[9:9 + n]
-    flags_plane = inner[9 + n:9 + 2 * n]
-    varints = inner[9 + 2 * n:]
+    # Both planes hold 2-bit fields.  A kinds plane of values 0..3 also
+    # claims exactly the n zig-zag deltas the stream carries, none left
+    # over and none missing.
+    if inner[9:9 + 2 * n].translate(None, b"\x00\x01\x02\x03"):
+        raise ValueError("delta-v1 kind or flag plane holds a value above 3")
     if _np is not None:
-        kinds = _np.frombuffer(kinds_plane, dtype=_np.uint8).astype(_np.int64)
-        flags = _np.frombuffer(flags_plane, dtype=_np.uint8).astype(_np.int64)
-        values = _varints_decode_np(varints, 2 * n)
+        buf = _np.frombuffer(inner, dtype=_np.uint8)
+        kinds = buf[9:9 + n]
+        flags = buf[9 + n:9 + 2 * n]
+        values = _varints_decode_np(buf[9 + 2 * n:], 2 * n)
         if n == 0:
             return array("q")
-        regions = values[:n].astype(_np.int64)
         zigzag = values[n:]
-        deltas = _np.empty(n, dtype=_np.int64)
-        cursor = 0
-        for kind in range(4):
-            positions = _np.flatnonzero(kinds == kind)
-            chunk = zigzag[cursor:cursor + positions.size]
-            cursor += positions.size
-            deltas[positions] = (
-                (chunk >> _np.uint64(1)).astype(_np.int64)
-                ^ -(chunk & _np.uint64(1)).astype(_np.int64)
-            )
-        chain = (kinds << 50) | regions
+        sign = zigzag & 1
+        _np.negative(sign, out=sign)
+        zigzag >>= 1
+        zigzag ^= sign
+        blocks = _np.empty(n, dtype=_np.int64)
+        blocks[_np.argsort(kinds, kind="stable")] = zigzag.view(_np.int64)
+        chain = _np.left_shift(kinds, 50, dtype=_np.int64)
+        chain |= values[:n].view(_np.int64)
         order = _np.argsort(chain, kind="stable")
-        chain_sorted = chain[order]
-        deltas_sorted = deltas[order]
-        firsts = _np.flatnonzero(
-            _np.diff(chain_sorted, prepend=_np.int64(-1)) != 0
-        )
-        lengths = _np.diff(_np.append(firsts, n))
-        running = _np.cumsum(deltas_sorted)
-        bases = _np.where(firsts == 0, 0, running[firsts - 1])
-        blocks_sorted = running - _np.repeat(bases, lengths)
-        blocks = _np.empty_like(blocks_sorted)
-        blocks[order] = blocks_sorted
-        events_np = (blocks << 4) | (flags << 2) | kinds
+        chain = chain[order]
+        deltas = blocks[order]
+        # Per-chain prefix sum in place: each chain head is offset by the
+        # previous chain's total, so one running sum restarts per chain.
+        heads = _np.flatnonzero(chain[1:] != chain[:-1]) + 1
+        totals = _np.add.reduceat(deltas, _np.append(0, heads))
+        deltas[heads] -= totals[:-1]
+        _np.cumsum(deltas, out=deltas)
+        blocks[order] = deltas
+        blocks <<= 4
+        blocks |= flags << 2
+        blocks |= kinds
         events = array("q")
-        events.frombytes(events_np.astype("<i8").tobytes())
-        if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-            events.byteswap()
+        events.frombytes(blocks.view(_np.uint8))
         return events
-    values = _varints_decode_py(varints, 2 * n)
+    values = _varints_decode_py(inner[9 + 2 * n:], 2 * n)
+    kinds_plane = inner[9:9 + n]
+    flags_plane = inner[9 + n:9 + 2 * n]
     regions = values[:n]
     cursors = [n]
     for kind in range(3):
@@ -818,29 +835,20 @@ def _delta_planes_decode(inner: bytes) -> array:
     return events
 
 
-def encode_trace_segment(raw: bytes, codec: str = DEFAULT_SEGMENT_CODEC) -> bytes:
-    """Compress one segment of native-order packed-event bytes.
+def encode_trace_segment(raw: bytes) -> bytes:
+    """Compress one segment of native-order packed-event bytes (delta-v1).
 
     On-disk byte order is little-endian (the byte swap is a no-op on
     every mainstream platform), so a trace recorded on one machine
-    replays on any other.  ``codec`` picks the wire format — see
-    :data:`SEGMENT_CODECS`; ``raw-v1`` output is byte-identical to every
-    pre-codec store's segments.
+    replays on any other.
     """
-    if codec == "raw-v1":
-        return zlib.compress(_le_event_bytes(raw), 6)
-    if codec == "delta-v1":
-        return bytes([_DELTA_V1_MAGIC]) + zlib.compress(
-            _delta_planes_encode(raw), 6
-        )
-    raise ConfigurationError(
-        f"unknown trace segment codec {codec!r}; "
-        f"known codecs: {', '.join(SEGMENT_CODECS)}"
+    return bytes([_DELTA_V1_MAGIC]) + zlib.compress(
+        _delta_planes_encode(raw), 6
     )
 
 
 def segment_codec(blob: bytes) -> str:
-    """The codec one stored segment blob was written with (sniffed)."""
+    """The wire format one stored segment blob was written in (sniffed)."""
     if blob[:1] == bytes([_DELTA_V1_MAGIC]):
         return "delta-v1"
     return "raw-v1"
@@ -849,9 +857,10 @@ def segment_codec(blob: bytes) -> str:
 def decode_trace_segment(blob: bytes) -> array:
     """Decode one segment back into an ``array('q')`` of packed events.
 
-    The codec is sniffed from the blob itself (see :func:`segment_codec`),
-    so readers never need to know how an archive was written — mixed-codec
-    and transcoded stores replay transparently.
+    The wire format is sniffed from the blob itself (see
+    :func:`segment_codec`), so readers never need to know how an archive
+    was written — legacy raw-v1, mixed and transcoded stores replay
+    transparently.
     """
     with _decoding("sim-events segment"):
         if blob[:1] == bytes([_DELTA_V1_MAGIC]):

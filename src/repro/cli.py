@@ -228,6 +228,22 @@ def _trace_accounting(store) -> tuple[dict[str, dict], dict[str, tuple[int, int]
     return per_trace, groups  # leftover groups have no manifest: orphans
 
 
+def _trace_codec(store, tkey: str) -> str:
+    """The wire format(s) of one trace's stored segments, ``+``-joined.
+
+    Read from the segment bytes themselves: a store recorded before
+    delta-v1 holds raw-v1 segments, and an interrupted transcode leaves
+    a trace holding both.
+    """
+    from repro.analysis import store as store_mod
+
+    codecs = {
+        store_mod.segment_codec(store.get_blob(key))
+        for key in store.group_keys(store_mod.TRACE_KIND, tkey)
+    }
+    return "+".join(sorted(codecs))
+
+
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.analysis import store as store_mod
 
@@ -241,8 +257,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
             parse_filter_name(filter_name)
     report = runner.execute_replays(
         [runner.ReplayJob(spec.name, (), system, args.seed, args.chunk_size,
-                          args.codec, args.measured_only,
-                          tuple(args.warm_filters or ()))],
+                          args.measured_only, tuple(args.warm_filters or ()))],
         experiment_store=store, specs={spec.name: spec},
     )
     tkey = store_mod.trace_key(spec, system, args.seed)
@@ -266,10 +281,10 @@ def _cmd_trace_transcode(args: argparse.Namespace) -> int:
     system = _trace_system(args)
     store = experiments.get_store()
     tkey = store_mod.trace_key(spec, system, args.seed)
-    before, after = runner.transcode_trace(store, tkey, args.codec)
+    before, after = runner.transcode_trace(store, tkey)
     ratio = after / before if before else 1.0
     print(f"transcoded: {spec.name} seed {args.seed} on {system.n_cpus} CPUs "
-          f"to {args.codec} — segment bytes {before:,} -> {after:,} "
+          f"to delta-v1 — segment bytes {before:,} -> {after:,} "
           f"({ratio:.2f}x)")
     return 0
 
@@ -287,7 +302,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         workers=args.workers, backend=args.backend,
         experiment_store=experiments.get_store(),
         kernel=args.kernel,
-        codec=args.codec,
         measured_only=args.measured_only,
     )
     headers = ["filter", "coverage"]
@@ -336,7 +350,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             str(entry.seed),
             f"{manifest['metrics']['accesses']:,}",
             f"{sum(manifest['events_per_node']):,}",
-            manifest.get("codec", store_mod.DEFAULT_SEGMENT_CODEC),
+            _trace_codec(store, entry.key),
             "measured" if manifest.get("measured_only") else "full",
             segments,
             f"{nbytes / 1024:.1f} KiB",
@@ -382,7 +396,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         checkpoint_every=args.checkpoint_every,
         kernel=args.kernel,
-        codec=args.codec,
         measured_only=args.measured_only,
         task_timeout=args.task_timeout,
     )
@@ -544,8 +557,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         value = getattr(args, field)
         if value is not None:
             request[field] = value
-    if args.codec is not None:
-        request["codec"] = args.codec
     if args.measured_only:
         request["measured_only"] = True
     status = client.submit(**request)
@@ -644,7 +655,7 @@ def _print_trace_economics(store) -> None:
         accesses = manifest.get("metrics", {}).get("accesses", 0)
         if not accesses:
             continue
-        codec = manifest.get("codec", store_mod.DEFAULT_SEGMENT_CODEC)
+        codec = _trace_codec(store, entry.key)
         mode = "measured" if manifest.get("measured_only") else "full"
         print(f"  trace {entry.workload} seed {entry.seed} "
               f"({entry.n_cpus}-way, {codec}, {mode}): "
@@ -893,14 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cpus", type=int, default=None,
                        help="SMP width (default: the scaled system's 4)")
 
-    from repro.analysis.store import DEFAULT_SEGMENT_CODEC, SEGMENT_CODECS
-
-    def _codec_overrides(p) -> None:
-        p.add_argument("--codec", default=DEFAULT_SEGMENT_CODEC,
-                       choices=sorted(SEGMENT_CODECS),
-                       help="segment wire format for a *new* recording "
-                       "(delta-v1 shrinks dense traces; decoded events "
-                       "and replay results are byte-identical)")
+    def _measured_only_override(p) -> None:
         p.add_argument("--measured-only", action="store_true",
                        help="record only the measured region, persisting "
                        "a fast-forward snapshot of the warmed filter "
@@ -913,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_record.add_argument("workload")
     _trace_overrides(t_record)
-    _codec_overrides(t_record)
+    _measured_only_override(t_record)
     t_record.add_argument("--chunk-size", type=_positive_count,
                           default=runner.DEFAULT_CHUNK_SIZE,
                           help="recording pass chunk size (memory knob; "
@@ -927,14 +931,11 @@ def build_parser() -> argparse.ArgumentParser:
     t_record.set_defaults(func=_cmd_trace_record)
 
     t_transcode = trace_sub.add_parser(
-        "transcode", help="rewrite a stored trace's segments under "
-        "another codec, in place (keys and replays unchanged)"
+        "transcode", help="rewrite a stored trace's legacy raw-v1 "
+        "segments as delta-v1, in place (keys and replays unchanged)"
     )
     t_transcode.add_argument("workload")
     _trace_overrides(t_transcode)
-    t_transcode.add_argument("--codec", default=None, required=True,
-                             choices=sorted(SEGMENT_CODECS),
-                             help="target segment wire format")
     t_transcode.set_defaults(func=_cmd_trace_transcode)
 
     t_replay = trace_sub.add_parser(
@@ -957,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="replay kernel: auto vectorises supported "
                           "filter families with NumPy when available; "
                           "results are byte-identical across kernels")
-    _codec_overrides(t_replay)
+    _measured_only_override(t_replay)
     t_replay.set_defaults(func=_cmd_trace_replay)
 
     t_info = trace_sub.add_parser(
@@ -1031,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "vectorises supported filter families with NumPy "
                          "when available; results are byte-identical "
                          "across kernels")
-    _codec_overrides(p_sweep)
+    _measured_only_override(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_matrix = sub.add_parser(
@@ -1182,10 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="named workload transformation")
     p_submit.add_argument("--stream", action="store_true",
                           help="streamed shards instead of record/replay")
-    p_submit.add_argument("--codec", default=None,
-                          choices=sorted(SEGMENT_CODECS),
-                          help="segment wire format for new recordings "
-                          "(replay submissions only)")
     p_submit.add_argument("--measured-only", action="store_true",
                           help="record only measured regions with a "
                           "fast-forward snapshot (replay submissions only)")

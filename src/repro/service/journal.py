@@ -35,9 +35,7 @@ import hashlib
 import json
 
 from repro.analysis.store import (
-    DEFAULT_SEGMENT_CODEC,
     JOB_KIND,
-    SEGMENT_CODECS,
     ExperimentStore,
     decode_job,
     encode_job,
@@ -134,19 +132,6 @@ def normalize_request(payload: dict) -> dict:
     if preset is not None:
         _require(isinstance(preset, str), "'preset' must be a string")
         request["preset"] = preset
-    codec = payload.get("codec")
-    if codec is not None:
-        _require(
-            codec in SEGMENT_CODECS,
-            f"'codec' must be one of {sorted(SEGMENT_CODECS)}, got {codec!r}",
-        )
-        if codec != DEFAULT_SEGMENT_CODEC:
-            _require(
-                mode == "replay",
-                "'codec' applies to replay submissions only "
-                "(streamed shards record no trace)",
-            )
-            request["codec"] = codec
     if payload.get("measured_only"):
         _require(
             payload.get("measured_only") is True,
@@ -166,7 +151,7 @@ def shard_fingerprint(shard: dict) -> str:
 
     Exactly the fields that participate in the shard's store keys:
     execution hints (``chunk_size``, ``checkpoint_every``, and the
-    trace-economics knobs ``codec``/``measured_only``) are excluded
+    trace-economics knob ``measured_only``) are excluded
     because results are invariant to them by the determinism contract —
     two submissions differing only in hints share shards, and a shard
     recorded measured-only satisfies a later full-trace submission
@@ -203,7 +188,7 @@ def build_shards(request: dict) -> list[dict]:
             }
             for field in ("accesses", "warmup", "preset", "cpus",
                           "chunk_size", "checkpoint_every",
-                          "codec", "measured_only"):
+                          "measured_only"):
                 if field in request:
                     shard[field] = request[field]
             shard["id"] = shard_fingerprint(shard)

@@ -101,11 +101,6 @@ class ServiceWorker:
                 checkpoint_every=shard.get("checkpoint_every"),
                 workers=1,
                 backend="serial",
-                **(
-                    {"codec": shard["codec"]}
-                    if shard.get("codec")
-                    else {}
-                ),
                 measured_only=bool(shard.get("measured_only")),
                 **(
                     {"chunk_size": shard["chunk_size"]}

@@ -379,22 +379,27 @@ class TestResilienceCommands:
 
 
 class TestTraceEconomicsCommands:
-    """``--codec`` / ``--measured-only`` / ``transcode`` and the
-    stored-vs-decoded accounting in ``trace info`` / ``cache info``."""
+    """``--measured-only`` / ``transcode`` and the stored-vs-decoded
+    accounting in ``trace info`` / ``cache info``."""
 
-    def test_codec_choices_are_validated(self, capsys):
+    @pytest.mark.parametrize("command", [
+        ["trace", "record", "test-tiny"],
+        ["trace", "replay", "test-tiny"],
+        ["trace", "transcode", "test-tiny"],
+        ["sweep"],
+        ["submit"],
+    ])
+    def test_there_is_no_codec_option(self, command, capsys):
+        """delta-v1 is the only segment encoder: nothing to choose."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["trace", "record", "test-tiny", "--codec", "rle-v9"]
-            )
+            build_parser().parse_args(command + ["--codec", "delta-v1"])
 
     def test_record_replay_measured_only_with_warm_filters(
         self, tmp_path, capsys
     ):
         store = str(tmp_path / "mo.sqlite")
         assert main(["--store", store, "trace", "record", "test-tiny",
-                     "--codec", "delta-v1", "--measured-only",
-                     "--warm-filters", "EJ-8x2"]) == 0
+                     "--measured-only", "--warm-filters", "EJ-8x2"]) == 0
         out = capsys.readouterr().out
         assert "recorded: test-tiny" in out
         assert "(measured region only)" in out
@@ -410,26 +415,50 @@ class TestTraceEconomicsCommands:
         assert "delta-v1" in out
         assert "measured" in out
 
-    def test_transcode_command_round_trips(self, tmp_path, capsys):
+    def test_transcode_migrates_a_legacy_raw_v1_trace(
+        self, tmp_path, capsys
+    ):
+        from repro.analysis import store as store_mod
+        from tests.test_trace_codecs import _legacy_raw_v1
+
         store = str(tmp_path / "tc.sqlite")
         assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
-        capsys.readouterr()
-        assert main(["--store", store, "trace", "transcode", "test-tiny",
-                     "--codec", "delta-v1"]) == 0
+        # Rewrite the segments as a store recorded before delta-v1
+        # holds them.
+        with ExperimentStore(store) as legacy:
+            for entry in legacy.entries():
+                if (entry.kind == store_mod.TRACE_KIND
+                        and entry.filter_name is not None):
+                    events = store_mod.decode_trace_segment(
+                        legacy.get_blob(entry.key)
+                    )
+                    legacy.put_blob(
+                        entry.key, _legacy_raw_v1(events),
+                        kind=entry.kind, workload=entry.workload,
+                        filter_name=entry.filter_name,
+                        n_cpus=entry.n_cpus, seed=entry.seed,
+                    )
+        assert main(["--store", store, "trace", "info"]) == 0
+        assert "raw-v1" in capsys.readouterr().out
+        assert main(["--store", store, "trace", "transcode",
+                     "test-tiny"]) == 0
         out = capsys.readouterr().out
         assert "transcoded: test-tiny" in out
+        assert "to delta-v1" in out
         assert "segment bytes" in out
         # The transcoded trace still replays with zero simulations.
         assert main(["--store", store, "trace", "replay", "test-tiny",
                      "--filters", "EJ-8x2"]) == 0
         assert "sims: 0 run" in capsys.readouterr().out
         assert main(["--store", store, "trace", "info"]) == 0
-        assert "delta-v1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "delta-v1" in out
+        assert "raw-v1" not in out
 
     def test_transcode_without_a_trace_fails_loudly(self, tmp_path, capsys):
         store = str(tmp_path / "empty.sqlite")
-        assert main(["--store", store, "trace", "transcode", "test-tiny",
-                     "--codec", "delta-v1"]) == 2
+        assert main(["--store", store, "trace", "transcode",
+                     "test-tiny"]) == 2
         assert "nothing to transcode" in capsys.readouterr().err
 
     def test_trace_info_flags_incomplete_and_orphaned(self, tmp_path, capsys):
@@ -467,8 +496,7 @@ class TestTraceEconomicsCommands:
         self, tmp_path, capsys
     ):
         store = str(tmp_path / "eco.sqlite")
-        assert main(["--store", store, "trace", "record", "test-tiny",
-                     "--codec", "delta-v1"]) == 0
+        assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
         capsys.readouterr()
         assert main(["--store", store, "cache", "info"]) == 0
         out = capsys.readouterr().out

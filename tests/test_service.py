@@ -29,6 +29,8 @@ from repro.service import (
     normalize_request,
     shard_satisfied,
 )
+from repro.service.journal import shard_fingerprint
+from repro.service.worker import ServiceWorker
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
 WORKLOAD_A = "test-svc-a"
@@ -185,17 +187,17 @@ def test_job_identity_invariant_under_ordering():
 
 
 def test_normalize_request_trace_economics_fields():
-    # The default codec is an implicit no-op: never stored.
-    plain = normalize_request(make_request(codec="raw-v1"))
-    assert "codec" not in plain
-    tuned = normalize_request(make_request(codec="delta-v1",
-                                           measured_only=True))
-    assert tuned["codec"] == "delta-v1"
+    tuned = normalize_request(make_request(measured_only=True))
     assert tuned["measured_only"] is True
-    with pytest.raises(ServiceError, match="'codec' must be one of"):
-        normalize_request(make_request(codec="rle-v9"))
-    with pytest.raises(ServiceError, match="replay submissions only"):
-        normalize_request(make_request(mode="stream", codec="delta-v1"))
+    # There is one segment encoder: a ``codec`` field is ignored like
+    # any unknown field, whatever its value or the mode.
+    for over in ({"codec": "delta-v1"}, {"codec": "rle-v9"},
+                 {"codec": "raw-v1", "mode": "stream"}):
+        assert normalize_request(make_request(**over)) == (
+            normalize_request(make_request(**{
+                k: v for k, v in over.items() if k != "codec"
+            }))
+        )
     with pytest.raises(ServiceError, match="replay submissions only"):
         normalize_request(make_request(mode="stream", measured_only=True))
     with pytest.raises(ServiceError, match="must be a boolean"):
@@ -203,8 +205,8 @@ def test_normalize_request_trace_economics_fields():
 
 
 def test_shard_identity_ignores_trace_economics_hints():
-    """codec/measured_only are execution hints: results are invariant to
-    them, so two submissions differing only in hints share shards."""
+    """measured_only is an execution hint: results are invariant to it,
+    so two submissions differing only in hints share shards."""
     plain = JobJournal.new_record(normalize_request(make_request()))
     tuned = JobJournal.new_record(normalize_request(make_request(
         codec="delta-v1", measured_only=True,
@@ -212,10 +214,38 @@ def test_shard_identity_ignores_trace_economics_hints():
     assert [s["id"] for s in plain["shards"]] == (
         [s["id"] for s in tuned["shards"]]
     )
-    # ...but the granted shard still carries the hints for the worker.
-    assert all(s["codec"] == "delta-v1" and s["measured_only"] is True
-               for s in tuned["shards"])
-    assert all("codec" not in s for s in plain["shards"])
+    # ...but the granted shard still carries the hint for the worker.
+    assert all(s["measured_only"] is True for s in tuned["shards"])
+    assert all("codec" not in s for s in tuned["shards"])
+
+
+def test_shard_journaled_with_a_codec_still_runs(tmp_path):
+    """A journal written while shards carried a ``codec`` hint recovers:
+    the shard leases, keeps its fingerprint, and the worker runs it."""
+    path = tmp_path / "svc.sqlite"
+    store = ExperimentStore(path)
+    record = JobJournal.new_record(normalize_request(
+        make_request(workloads=(WORKLOAD_A,))
+    ))
+    record["request"]["codec"] = "delta-v1"
+    for shard in record["shards"]:
+        shard["codec"] = "delta-v1"
+    JobJournal(store).persist(record)
+    store.close()
+
+    reopened = ExperimentStore(path)
+    service = SweepService(reopened)
+    journaled = service.jobs[record["job"]]["shards"][0]
+    assert journaled["codec"] == "delta-v1"
+    grant = service.lease("w1")
+    assert grant["shard"]["id"] == shard_fingerprint(journaled) == (
+        record["shards"][0]["id"]
+    )
+    # The worker runs the shard as journaled, hint and all.
+    ServiceWorker("http://unused", str(path))._execute(journaled)
+    assert service.complete("w1", grant["lease"]) == "done"
+    assert service.job_status(record["job"])["state"] == "done"
+    reopened.close()
 
 
 def test_journal_round_trip_strips_runtime_state(tmp_path):

@@ -1,39 +1,48 @@
-"""Trace-economics tests: segment codecs, transcoding, fast-forward.
+"""Trace-economics tests: the segment wire format, transcoding, fast-forward.
 
-The codec layer's contract is that wire format is *pure encoding*: any
-codec, any chunk size, any transcode history must replay to the exact
-evaluation bytes the live streamed path produces.  Measured-only
-recording adds a second contract: replacing the warm-up events with a
-fast-forward snapshot of the warmed filter state may change stored
-bytes and wall time, never a result payload.
+Every segment is written as delta-v1; legacy raw-v1 segments (every
+store recorded before delta-v1 became the only encoder) still decode.
+The contract is that wire format is *pure encoding*: any chunk size,
+any mix of legacy and delta segments, any transcode history must
+replay to the exact evaluation bytes the live streamed path produces.
+Measured-only recording adds a second contract: replacing the warm-up
+events with a fast-forward snapshot of the warmed filter state may
+change stored bytes and wall time, never a result payload.
 
 Pinned here:
 
-* **wire format** — raw-v1 stays byte-identical to every pre-codec
-  store; delta-v1 round-trips arbitrary packed events (empty, single,
-  marker-only, 59-bit blocks), self-identifies via its magic byte, and
-  encodes to the same bytes on the NumPy and pure-Python paths;
+* **wire format** — delta-v1 round-trips arbitrary packed events
+  (empty, single, marker-only, 59-bit blocks, region boundaries),
+  self-identifies via its magic byte, and encodes and decodes to the
+  same bytes on the NumPy and pure-Python paths; raw-v1 blobs built the
+  legacy way still decode; crafted corrupt planes raise
+  :class:`StoreCorruptionError` on both paths and fail ``cache fsck``;
 * **replay byte-identity** — every filter family x chunk size
-  {512, 1777} x codec {raw-v1, delta-v1} equals live streaming,
-  including a PHASE-marker-mid-segment suite trace and a transcoded
-  legacy store;
+  {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
+  suite trace, a mixed raw-v1/delta-v1 trace and a transcoded legacy
+  store;
 * **fast-forward plumbing** — snapshot rows share the trace's GC /
-  delete / fsck unit, chunk size and codec never reach a key, and an
-  unwarmed family is a loud error naming the fix.
+  delete / fsck unit, chunk size never reaches a key, and an unwarmed
+  family is a loud error naming the fix.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 import zlib
 from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
+from repro.cli import main
 from repro.coherence.config import SCALED_SYSTEM
 from repro.core import vector_replay
 from repro.errors import ConfigurationError, StoreCorruptionError
@@ -53,8 +62,6 @@ FAMILY_FILTERS = (
 #: Tiny power of two and a prime: segment and shard boundaries never
 #: align with anything in the workload.
 CHUNK_SIZES = (512, 1_777)
-
-CODECS = store_mod.SEGMENT_CODECS
 
 requires_numpy = pytest.mark.skipif(
     not vector_replay.numpy_available(),
@@ -128,8 +135,40 @@ def _segment_keys_flat(store, tkey):
     return manifest, [key for node in segment_keys for key in node]
 
 
+def _legacy_raw_v1(events: array) -> bytes:
+    """A raw-v1 segment blob, built the way pre-delta stores wrote them:
+    zlib level 6 over the little-endian packed events."""
+    events = array("q", events)
+    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
+        events.byteswap()
+    return zlib.compress(events.tobytes(), 6)
+
+
+def _rewrite_as_raw_v1(store, tkey, keys) -> None:
+    """Turn stored delta-v1 segments back into legacy raw-v1 rows."""
+    spec = WORKLOADS[WORKLOAD]
+    for key in keys:
+        events = store_mod.decode_trace_segment(store.get_blob(key))
+        store.put_blob(
+            key, _legacy_raw_v1(events), kind=store_mod.TRACE_KIND,
+            workload=spec.name, filter_name=tkey,
+            n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
+        )
+
+
+@contextlib.contextmanager
+def _pure_python_codec():
+    """Run the codec without NumPy (the no-numpy CI job's path)."""
+    saved = store_mod._np
+    store_mod._np = None
+    try:
+        yield
+    finally:
+        store_mod._np = saved
+
+
 # ----------------------------------------------------------------------
-# Wire format: round trips, magic dispatch, path parity
+# Wire format: round trips, magic dispatch, path parity, corruption
 # ----------------------------------------------------------------------
 
 EDGE_SEGMENTS = {
@@ -149,14 +188,39 @@ EDGE_SEGMENTS = {
     ],
 }
 
+#: Block numbers that stress the delta chains: small local ones,
+#: either side of a 2**12-block region boundary, and the top of the
+#: 59-bit range ``array('q')`` storage holds.
+_BLOCKS = st.one_of(
+    st.integers(0, 1 << 16),
+    st.builds(
+        lambda region, step: max(0, (region << 12) + step),
+        st.integers(0, 1 << 20), st.sampled_from((-1, 0, 1)),
+    ),
+    st.integers((1 << 59) - (1 << 13), (1 << 59) - 1),
+)
+
+_EVENTS = st.one_of(
+    st.builds(_pack, st.integers(0, 3), st.integers(0, 3), _BLOCKS),
+    # PHASE markers: flag 1, phase index in the block bits.
+    st.builds(lambda index: _pack(3, 1, index), st.integers(0, 7)),
+)
+
 
 class TestCodecWireFormat:
     @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_edge_segments_round_trip(self, codec, name):
+    def test_edge_segments_round_trip(self, name):
         events = array("q", EDGE_SEGMENTS[name])
-        blob = store_mod.encode_trace_segment(events.tobytes(), codec)
-        assert store_mod.segment_codec(blob) == codec
+        blob = store_mod.encode_trace_segment(events.tobytes())
+        assert store_mod.segment_codec(blob) == "delta-v1"
+        assert store_mod.decode_trace_segment(blob) == events
+        assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
+    def test_legacy_raw_v1_segments_still_decode(self, name):
+        events = array("q", EDGE_SEGMENTS[name])
+        blob = _legacy_raw_v1(events)
+        assert store_mod.segment_codec(blob) == "raw-v1"
         assert store_mod.decode_trace_segment(blob) == events
         assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
 
@@ -166,27 +230,14 @@ class TestCodecWireFormat:
             _pack(rng.randrange(4), rng.randrange(4), rng.randrange(1 << 40))
             for _ in range(5_000)
         ])
-        raw = events.tobytes()
-        decoded = {
-            codec: store_mod.decode_trace_segment(
-                store_mod.encode_trace_segment(raw, codec)
-            )
-            for codec in CODECS
-        }
-        assert decoded["raw-v1"] == decoded["delta-v1"] == events
-
-    def test_raw_v1_is_the_legacy_wire_format(self):
-        """Pre-codec stores are raw-v1 stores: identical bytes."""
-        raw = array("q", [_pack(0, 0, 7), _pack(1, 1, 8)]).tobytes()
-        assert store_mod.encode_trace_segment(raw) == zlib.compress(raw, 6)
-        assert store_mod.encode_trace_segment(raw, "raw-v1") == (
-            zlib.compress(raw, 6)
-        )
+        delta = store_mod.encode_trace_segment(events.tobytes())
+        assert store_mod.decode_trace_segment(delta) == events
+        assert store_mod.decode_trace_segment(_legacy_raw_v1(events)) == events
 
     def test_magic_byte_separates_the_formats(self):
         # zlib streams always open 0x78; the delta magic must not.
-        assert store_mod.encode_trace_segment(b"", "raw-v1")[0] == 0x78
-        assert store_mod.encode_trace_segment(b"", "delta-v1")[0] == 0xD7
+        assert _legacy_raw_v1(array("q"))[0] == 0x78
+        assert store_mod.encode_trace_segment(b"")[0] == 0xD7
 
     def test_delta_wins_on_a_local_stream(self):
         """Sequential blocks: the delta plane collapses, raw does not."""
@@ -195,16 +246,8 @@ class TestCodecWireFormat:
             for base in (0, 1 << 30, 1 << 45)
             for step in range(2_000)
         ])
-        raw_blob = store_mod.encode_trace_segment(events.tobytes(), "raw-v1")
-        delta_blob = store_mod.encode_trace_segment(
-            events.tobytes(), "delta-v1"
-        )
-        assert len(delta_blob) < len(raw_blob) // 2
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match="unknown trace segment codec"):
-            store_mod.encode_trace_segment(b"", "rle-v9")
+        delta_blob = store_mod.encode_trace_segment(events.tobytes())
+        assert len(delta_blob) < len(_legacy_raw_v1(events)) // 2
 
     def test_truncated_delta_segment_is_corruption(self):
         blob = bytes([0xD7]) + zlib.compress(b"\x01")
@@ -212,71 +255,152 @@ class TestCodecWireFormat:
             store_mod.decode_trace_segment(blob)
 
     @requires_numpy
-    def test_numpy_and_python_paths_produce_identical_bytes(
-        self, monkeypatch
-    ):
-        rng = random.Random(11)
-        block = 0
-        events = array("q")
-        for _ in range(4_000):
-            block = max(0, block + rng.randrange(-3, 5))
-            events.append(_pack(rng.randrange(4), rng.randrange(4), block))
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_EVENTS, max_size=300))
+    @example([])
+    @example([_pack(0, 1, 42)])
+    @example([_pack(3, 1, 0)])
+    def test_numpy_and_python_paths_produce_identical_bytes(self, packed):
+        events = array("q", packed)
         raw = events.tobytes()
-        with_np = store_mod.encode_trace_segment(raw, "delta-v1")
-        with monkeypatch.context() as patched:
-            patched.setattr(store_mod, "_np", None)
-            without_np = store_mod.encode_trace_segment(raw, "delta-v1")
+        with_np = store_mod.encode_trace_segment(raw)
+        np_decoded = store_mod.decode_trace_segment(with_np)
+        with _pure_python_codec():
+            without_np = store_mod.encode_trace_segment(raw)
             python_decoded = store_mod.decode_trace_segment(with_np)
         assert with_np == without_np
-        assert python_decoded == events
-        assert store_mod.decode_trace_segment(without_np) == events
+        assert np_decoded == python_decoded == events
+
+
+def _crafted_blob(case: str) -> bytes:
+    """A delta-v1 blob of three events with one plane corrupted."""
+    events = array("q", [_pack(0, 0, 5), _pack(1, 1, 9), _pack(2, 2, 4096)])
+    blob = store_mod.encode_trace_segment(events.tobytes())
+    inner = bytearray(zlib.decompress(blob[1:]))
+    if case == "kind":
+        inner[9 + 1] = 5  # kinds plane starts after the 9-byte header
+    elif case == "flag":
+        inner[9 + len(events) + 1] = 4
+    elif case == "leftover-zigzag":  # one more value than the planes claim
+        inner.append(0x01)
+    else:  # the first region id as an 11-byte varint, past 64 bits
+        varints = 9 + 2 * len(events)
+        inner[varints:varints + 1] = b"\x80" * 10 + b"\x00"
+    return bytes([0xD7]) + zlib.compress(bytes(inner), 6)
+
+
+CORRUPTIONS = ("kind", "flag", "leftover-zigzag", "overlong-varint")
+
+
+class TestCorruptPlanes:
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    @pytest.mark.parametrize("path", [
+        pytest.param("numpy", marks=requires_numpy), "python",
+    ])
+    def test_crafted_planes_are_corruption(self, case, path):
+        blob = _crafted_blob(case)
+        with (_pure_python_codec() if path == "python"
+              else contextlib.nullcontext()):
+            with pytest.raises(StoreCorruptionError):
+                store_mod.decode_trace_segment(blob)
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_cache_fsck_removes_a_trace_with_a_crafted_segment(
+        self, tmp_path, capsys, case
+    ):
+        path = str(tmp_path / f"crafted-{case}.sqlite")
+        with ExperimentStore(path) as store:
+            runner.execute_replays(
+                [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+            )
+            tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
+            _manifest, keys = _segment_keys_flat(store, tkey)
+            store.put_blob(
+                keys[0], _crafted_blob(case), kind=store_mod.TRACE_KIND,
+                workload=WORKLOAD, filter_name=tkey,
+                n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
+            )
+        assert main(["--store", path, "cache", "fsck"]) == 1
+        out = capsys.readouterr().out
+        assert f"corrupt: {keys[0][:16]}" in out
+        with ExperimentStore(path) as store:
+            assert runner.load_trace(store, tkey) is None
+            assert store.fsck().clean
 
 
 # ----------------------------------------------------------------------
-# Replay byte-identity: family x chunk size x codec vs live streaming
+# Replay byte-identity: family x chunk size vs live streaming
 # ----------------------------------------------------------------------
+
+def _assert_matches_live(store, spec, filters=FAMILY_FILTERS):
+    metrics_blob, payloads = _live_payloads(spec, filters)
+    mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
+    assert store.get_blob(mkey) == metrics_blob
+    for name in filters:
+        ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
+        assert store.get_blob(ekey) == payloads[name], name
+
 
 class TestCodecReplayByteIdentity:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_every_family_matches_live_stream(
-        self, tmp_path, chunk_size, codec
-    ):
-        store = ExperimentStore(tmp_path / f"{codec}-{chunk_size}.sqlite")
+    def test_every_family_matches_live_stream(self, tmp_path, chunk_size):
+        store = ExperimentStore(tmp_path / f"delta-{chunk_size}.sqlite")
         result = runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
-            replay=True, chunk_size=chunk_size, codec=codec,
+            replay=True, chunk_size=chunk_size,
         )
         assert result.report.sims_run == 1
         assert result.report.evals_run == len(FAMILY_FILTERS)
         spec = WORKLOADS[WORKLOAD]
-        metrics_blob, payloads = _live_payloads(spec, FAMILY_FILTERS)
-        mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
-        assert store.get_blob(mkey) == metrics_blob
-        for name in FAMILY_FILTERS:
-            ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
-            assert store.get_blob(ekey) == payloads[name], (
-                name, chunk_size, codec
-            )
-        # The store really holds the requested wire format.
+        _assert_matches_live(store, spec)
+        # The store really holds delta-v1, and the manifest says nothing
+        # about the wire format.
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
         manifest, segment_keys = _segment_keys_flat(store, tkey)
-        assert manifest.get("codec", store_mod.DEFAULT_SEGMENT_CODEC) == codec
+        assert "codec" not in manifest
         for key in segment_keys:
-            assert store_mod.segment_codec(store.get_blob(key)) == codec
+            assert store_mod.segment_codec(store.get_blob(key)) == "delta-v1"
 
     def test_delta_trace_rows_are_chunk_size_invariant(self, tmp_path):
-        """The codec keeps the recording-chunk invariance raw-v1 has."""
         dumps = []
         for chunk_size in CHUNK_SIZES:
             store = ExperimentStore(tmp_path / f"ci{chunk_size}.sqlite")
             runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, (), chunk_size=chunk_size,
-                                  codec="delta-v1")],
+                [runner.ReplayJob(WORKLOAD, (), chunk_size=chunk_size)],
                 experiment_store=store,
             )
             dumps.append(_rows(store, store_mod.TRACE_KIND))
         assert dumps[0] == dumps[1]
+
+    def test_mixed_raw_and_delta_trace_replays_identically(
+        self, tmp_path, capsys
+    ):
+        """A trace holding legacy raw-v1 and delta-v1 segments side by
+        side (an interrupted transcode) replays byte-exactly."""
+        path = tmp_path / "mixed.sqlite"
+        store = ExperimentStore(path)
+        spec = WORKLOADS[WORKLOAD]
+        runner.record_trace(
+            spec, SCALED_SYSTEM, 1, experiment_store=store,
+            segment_events=256,
+        )
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        _manifest, segment_keys = _segment_keys_flat(store, tkey)
+        _rewrite_as_raw_v1(store, tkey, segment_keys[::2])
+        assert {
+            store_mod.segment_codec(store.get_blob(key))
+            for key in segment_keys
+        } == {"raw-v1", "delta-v1"}
+        report = runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
+            experiment_store=store,
+        )
+        assert report.sims_run == 0
+        _assert_matches_live(store, spec)
+        store.close()
+        # Inspection reads the wire format from the segments themselves.
+        assert main(["--store", str(path), "trace", "info"]) == 0
+        assert "delta-v1+raw-v1" in capsys.readouterr().out
 
     def test_phase_marker_mid_segment_replays_identically(self, tmp_path):
         """A suite's PHASE markers land inside 64-event segments; the
@@ -284,7 +408,7 @@ class TestCodecReplayByteIdentity:
         store = ExperimentStore(tmp_path / "suite.sqlite")
         runner.record_trace(
             SUITE, SCALED_SYSTEM, 1, experiment_store=store,
-            codec="delta-v1", segment_events=64,
+            segment_events=64,
         )
         tkey = store_mod.trace_key(SUITE, SCALED_SYSTEM, 1)
         manifest, segment_keys = _segment_keys_flat(store, tkey)
@@ -309,23 +433,25 @@ class TestCodecReplayByteIdentity:
 
 class TestTranscode:
     def _legacy_store(self, tmp_path):
-        """A raw-v1 store with warm evaluations (every pre-codec store)."""
+        """A store as recorded before delta-v1: raw-v1 segments, warm
+        evaluations.  Returns it with its trace key and the delta-v1
+        trace rows the same recording makes today."""
         store = ExperimentStore(tmp_path / "legacy.sqlite")
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
             replay=True,
         )
-        return store, store_mod.trace_key(
-            WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1
-        )
+        tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
+        delta_rows = _rows(store, store_mod.TRACE_KIND)
+        _rewrite_as_raw_v1(store, tkey, _segment_keys_flat(store, tkey)[1])
+        return store, tkey, delta_rows
 
     def test_transcoded_legacy_store_replays_identically(self, tmp_path):
-        store, tkey = self._legacy_store(tmp_path)
+        store, tkey, _delta_rows = self._legacy_store(tmp_path)
         evals_before = _rows(store, "eval")
-        before, after = runner.transcode_trace(store, tkey, "delta-v1")
-        assert before > 0 and after > 0
-        manifest, segment_keys = _segment_keys_flat(store, tkey)
-        assert manifest["codec"] == "delta-v1"
+        before, after = runner.transcode_trace(store, tkey)
+        assert before > after > 0
+        _manifest, segment_keys = _segment_keys_flat(store, tkey)
         for key in segment_keys:
             assert store_mod.segment_codec(store.get_blob(key)) == "delta-v1"
         # Keys never changed: the trace is warm, fresh replays of old
@@ -336,45 +462,54 @@ class TestTranscode:
             experiment_store=store,
         )
         assert report.sims_run == 0
-        _metrics_blob, payloads = _live_payloads(
-            WORKLOADS[WORKLOAD], FAMILY_FILTERS
-        )
         after_rows = _rows(store, "eval")
         for key, blob in evals_before.items():
             assert after_rows[key] == blob
-        for name in FAMILY_FILTERS:
-            ekey = store_mod.eval_key(
-                WORKLOADS[WORKLOAD], name, SCALED_SYSTEM, 1
-            )
-            assert after_rows[ekey] == payloads[name], name
+        _assert_matches_live(store, WORKLOADS[WORKLOAD])
 
-    def test_transcode_is_idempotent_and_reversible(self, tmp_path):
-        store, tkey = self._legacy_store(tmp_path)
-        original = _rows(store, store_mod.TRACE_KIND)
-        runner.transcode_trace(store, tkey, "delta-v1")
-        assert _rows(store, store_mod.TRACE_KIND) != original
-        before, after = runner.transcode_trace(store, tkey, "delta-v1")
+    def test_transcode_is_one_way_and_idempotent(self, tmp_path):
+        store, tkey, delta_rows = self._legacy_store(tmp_path)
+        assert _rows(store, store_mod.TRACE_KIND) != delta_rows
+        runner.transcode_trace(store, tkey)
+        # Byte-exact: the rows a fresh delta-v1 recording writes.
+        assert _rows(store, store_mod.TRACE_KIND) == delta_rows
+        before, after = runner.transcode_trace(store, tkey)
         assert before == after  # nothing left to rewrite
-        # Back to raw-v1: byte-exact original rows, codec note dropped.
-        runner.transcode_trace(store, tkey, "raw-v1")
-        assert _rows(store, store_mod.TRACE_KIND) == original
+        assert _rows(store, store_mod.TRACE_KIND) == delta_rows
 
     def test_transcode_missing_trace_rejected(self, tmp_path):
         store = ExperimentStore()
         with pytest.raises(ConfigurationError, match="nothing to transcode"):
-            runner.transcode_trace(store, "no-such-trace", "delta-v1")
-
-    def test_transcode_unknown_codec_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match="unknown trace segment codec"):
-            runner.transcode_trace(ExperimentStore(), "any", "rle-v9")
+            runner.transcode_trace(store, "no-such-trace")
 
     def test_transcoded_store_passes_fsck(self, tmp_path):
-        store, tkey = self._legacy_store(tmp_path)
-        runner.transcode_trace(store, tkey, "delta-v1")
+        store, tkey, _delta_rows = self._legacy_store(tmp_path)
+        runner.transcode_trace(store, tkey)
         report = store.fsck()
         assert report.corrupt == ()
         assert report.removed == 0
+
+    def test_manifest_with_a_codec_note_still_loads(self, tmp_path):
+        """Manifests written by the ``--codec`` era carry a ``codec``
+        note; they load, replay and transcode like any other."""
+        store, tkey, _delta_rows = self._legacy_store(tmp_path)
+        manifest, _keys = _segment_keys_flat(store, tkey)
+        manifest["codec"] = "delta-v1"
+        spec = WORKLOADS[WORKLOAD]
+        store.put_blob(
+            tkey, store_mod.encode_trace_manifest(manifest),
+            kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
+            n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
+        )
+        runner.transcode_trace(store, tkey)
+        store.delete_kind("eval")
+        report = runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
+            experiment_store=store,
+        )
+        assert report.sims_run == 0
+        _assert_matches_live(store, spec)
+        assert store.fsck().clean
 
 
 # ----------------------------------------------------------------------
@@ -391,8 +526,7 @@ class TestMeasuredOnly:
         store = ExperimentStore(tmp_path / f"mo-{kernel}.sqlite")
         outcome = runner.evaluate(
             spec, SCALED_SYSTEM, FAMILY_FILTERS, 1,
-            experiment_store=store, kernel=kernel,
-            codec="delta-v1", measured_only=True,
+            experiment_store=store, kernel=kernel, measured_only=True,
         )
         metrics_blob, payloads = _live_payloads(spec, FAMILY_FILTERS)
         mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
@@ -410,12 +544,11 @@ class TestMeasuredOnly:
             [runner.ReplayJob(WORKLOAD, ())], experiment_store=full,
         )
         runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), codec="delta-v1",
-                              measured_only=True)],
+            [runner.ReplayJob(WORKLOAD, (), measured_only=True)],
             experiment_store=measured,
         )
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
-        full_manifest, _ = _segment_keys_flat(full, tkey)
+        full_manifest, full_keys = _segment_keys_flat(full, tkey)
         manifest, _ = _segment_keys_flat(measured, tkey)
         assert "measured_only" not in full_manifest
         assert manifest["measured_only"] is True
@@ -430,11 +563,18 @@ class TestMeasuredOnly:
         def archive_bytes(store):
             return sum(e.payload_bytes for e in store.entries()
                        if e.kind in trace_kinds)
-        assert archive_bytes(measured) < archive_bytes(full)
+        # Smaller than the full trace as legacy raw-v1 stores hold it.
+        full_raw_v1 = len(full.get_blob(tkey)) + sum(
+            len(_legacy_raw_v1(
+                store_mod.decode_trace_segment(full.get_blob(key))
+            ))
+            for key in full_keys
+        )
+        assert archive_bytes(measured) < full_raw_v1
 
     def test_rows_are_chunk_size_invariant(self, tmp_path):
         """Chunk size shapes neither the snapshot nor the segments —
-        which is why neither it nor the codec appears in any key."""
+        which is why it appears in no key."""
         dumps = []
         for chunk_size in CHUNK_SIZES:
             store = ExperimentStore(tmp_path / f"mc{chunk_size}.sqlite")
@@ -456,7 +596,7 @@ class TestMeasuredOnly:
         store = ExperimentStore(tmp_path / "suite-mo.sqlite")
         runner.record_trace(
             SUITE, SCALED_SYSTEM, 1, experiment_store=store,
-            codec="delta-v1", measured_only=True,
+            measured_only=True,
             warm_filters=FAMILY_FILTERS,
         )
         report = runner.execute_replays(
@@ -531,12 +671,7 @@ class TestMeasuredOnly:
                 measured_only=True, checkpoint_every=500,
             )
 
-    def test_codec_flags_need_a_replay_sweep(self):
-        with pytest.raises(ConfigurationError, match="replay sweeps only"):
-            runner.run_sweep(
-                (WORKLOAD,), ("EJ-8x2",), stream=True,
-                experiment_store=ExperimentStore(), codec="delta-v1",
-            )
+    def test_measured_only_needs_a_replay_sweep(self):
         with pytest.raises(ConfigurationError, match="replay sweeps only"):
             runner.run_sweep(
                 (WORKLOAD,), ("EJ-8x2",), stream=True,
@@ -552,8 +687,7 @@ class TestFastForwardLifecycle:
     def _measured_store(self, tmp_path, name="ff"):
         store = ExperimentStore(tmp_path / f"{name}.sqlite")
         runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), codec="delta-v1",
-                              measured_only=True)],
+            [runner.ReplayJob(WORKLOAD, (), measured_only=True)],
             experiment_store=store,
         )
         spec = WORKLOADS[WORKLOAD]

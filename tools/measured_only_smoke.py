@@ -1,14 +1,13 @@
 """CI smoke: measured-only recording must replay byte-identically.
 
 Runs the same (workload, seed) replay sweep twice into separate scratch
-stores — once as a full trace under the default ``raw-v1`` codec, once
-measured-region-only under ``delta-v1`` (warm-up events replaced by a
-fast-forward snapshot of the warmed filter state) — and requires every
-filter configuration's *stored evaluation payload* to be byte-identical
+stores — once as a full trace, once measured-region-only (warm-up
+events replaced by a fast-forward snapshot of the warmed filter state),
+both in the one segment encoding, delta-v1 — and requires every filter
+configuration's *stored evaluation payload* to be byte-identical
 between the two, under every available replay kernel.  That is the
-whole correctness contract of the trace-economics layer: codecs and
-fast-forward may only change stored bytes and wall time, never a
-result.
+whole correctness contract of fast-forward: it may only change stored
+bytes and wall time, never a result.
 
 Prints ``eval payloads byte-identical: yes`` on success (the CI step
 greps for it) and exits non-zero on any divergence.
@@ -35,13 +34,13 @@ SEED = 3
 FILTERS = runner.DEFAULT_SWEEP_FILTERS
 
 
-def _sweep(store: ExperimentStore, *, codec: str, measured_only: bool,
+def _sweep(store: ExperimentStore, *, measured_only: bool,
            kernel: str) -> float:
     started = time.perf_counter()
     runner.run_sweep(
         [WORKLOAD], FILTERS, seeds=(SEED,), replay=True,
         experiment_store=store, accesses=ACCESSES, warmup=WARMUP,
-        codec=codec, measured_only=measured_only, kernel=kernel,
+        measured_only=measured_only, kernel=kernel,
         backend="serial",
     )
     return time.perf_counter() - started
@@ -62,10 +61,9 @@ def main() -> int:
         for kernel in kernels:
             full.delete_kind("eval")
             measured.delete_kind("eval")
-            full_elapsed = _sweep(full, codec="raw-v1", measured_only=False,
-                                  kernel=kernel)
-            measured_elapsed = _sweep(measured, codec="delta-v1",
-                                      measured_only=True, kernel=kernel)
+            full_elapsed = _sweep(full, measured_only=False, kernel=kernel)
+            measured_elapsed = _sweep(measured, measured_only=True,
+                                      kernel=kernel)
             for name in FILTERS:
                 ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, SEED)
                 a = full.get_blob(ekey)
@@ -75,16 +73,16 @@ def main() -> int:
                     print(f"DIVERGENCE [{kernel}] {name}: full-trace and "
                           "measured-only eval payloads differ",
                           file=sys.stderr)
-            print(f"[{kernel}] full raw-v1 sweep {full_elapsed:.2f}s, "
-                  f"measured-only delta-v1 sweep {measured_elapsed:.2f}s "
+            print(f"[{kernel}] full sweep {full_elapsed:.2f}s, "
+                  f"measured-only sweep {measured_elapsed:.2f}s "
                   f"({len(FILTERS)} filters)", flush=True)
         trace_kinds = (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
         full_bytes = sum(e.payload_bytes for e in full.entries()
                          if e.kind in trace_kinds)
         measured_bytes = sum(e.payload_bytes for e in measured.entries()
                              if e.kind in trace_kinds)
-        print(f"archive bytes: full raw-v1 {full_bytes:,}, measured-only "
-              f"delta-v1 {measured_bytes:,} "
+        print(f"archive bytes: full {full_bytes:,}, measured-only "
+              f"{measured_bytes:,} "
               f"(x{measured_bytes / full_bytes:.2f})")
         full.close()
         measured.close()
