@@ -105,11 +105,11 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
     The replay numbers use the same accesses/second accounting as the
     live modes, so ``replay_accesses_per_sec / streamed accesses_per_sec``
     is exactly the wall-clock speedup a warm filter sweep enjoys over
-    re-simulating.  The warm replay is measured once per available
-    kernel (``replay_python_*``, and ``replay_numpy_*`` when NumPy is
-    importable); the canonical ``replay_*`` / ``accesses_per_sec``
-    numbers are the default ``auto`` kernel's — the throughput a plain
-    replay sweep actually gets.
+    re-simulating.  The warm replay is measured on the per-event oracle
+    (``replay_python_*``, NumPy hidden from the vector kernels) and, when
+    NumPy is importable, on the default banks (``replay_numpy_*``); the
+    canonical ``replay_*`` / ``accesses_per_sec`` numbers are the
+    default banks' — the throughput a plain replay sweep actually gets.
     """
     from repro.core import vector_replay
 
@@ -129,17 +129,24 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
         elapsed_by_kernel = {}
         for kernel in kernels:
             store.delete_kind("eval")
-            started = time.perf_counter()
-            runner.execute_replays(
-                [runner.ReplayJob(name, FILTERS)],
-                experiment_store=store, backend="serial", specs={name: spec},
-                kernel=kernel,
-            )
-            elapsed_by_kernel[kernel] = time.perf_counter() - started
+            saved = vector_replay._np
+            if kernel == "python":
+                # Every bank falls back to the oracle without NumPy.
+                vector_replay._np = None
+            try:
+                started = time.perf_counter()
+                runner.execute_replays(
+                    [runner.ReplayJob(name, FILTERS)],
+                    experiment_store=store, backend="serial",
+                    specs={name: spec},
+                )
+                elapsed_by_kernel[kernel] = time.perf_counter() - started
+            finally:
+                vector_replay._np = saved
 
-        # What "auto" resolves to on this machine: numpy when available.
-        auto_kernel = kernels[-1]
-        replay_elapsed = elapsed_by_kernel[auto_kernel]
+        # What a plain replay runs here: numpy whenever it imports.
+        default_kernel = kernels[-1]
+        replay_elapsed = elapsed_by_kernel[default_kernel]
         entry = {
             "workload": name,
             "accesses": n_accesses,
@@ -147,7 +154,7 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
             "filters": len(FILTERS),
             "record_seconds": round(record_elapsed, 3),
             "record_accesses_per_sec": round(n_accesses / record_elapsed),
-            "replay_kernel": auto_kernel,
+            "replay_kernel": default_kernel,
             "replay_seconds": round(replay_elapsed, 3),
             "replay_accesses_per_sec": round(n_accesses / replay_elapsed),
             # The uniform cross-mode key: every mode's entry reports its
@@ -342,11 +349,10 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     ``n_phases`` synthetic phase boundaries emitted mid-run and
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
-    phase accounting alone.  The banks run the ``auto`` kernel, the
-    live default, so the A/B times the vector replayers where NumPy is
-    installed.  Each variant takes the best of
-    ``repeats`` runs to damp scheduler noise — the budget (3%) is
-    smaller than cross-run noise on a busy machine.
+    phase accounting alone.  The banks run the live default, so the
+    A/B times the vector replayers where NumPy is installed.  Each
+    variant takes the best of ``repeats`` runs to damp scheduler noise —
+    the budget (3%) is smaller than cross-run noise on a busy machine.
     """
     from repro.coherence.smp import simulate_streaming
     from repro.traces.workloads import simulate_workload_accesses
@@ -358,7 +364,7 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
             spec, n_cpus=SCALED_SYSTEM.n_cpus, seed=1
         )
         banks = [
-            runner._build_bank(f, SCALED_SYSTEM, "auto", phase_names=names)
+            runner._build_bank(f, SCALED_SYSTEM, phase_names=names)
             for f in FILTERS
         ]
         started = time.perf_counter()
@@ -430,7 +436,7 @@ def measure_supervision_overhead(name: str, n_accesses: int, warmup: int,
         tasks = [
             (path, segments, SCALED_SYSTEM,
              [(store_mod.eval_key(spec, f, SCALED_SYSTEM, 1), f)],
-             "auto", phase_names, None)
+             phase_names, None)
             for f in FILTERS
         ]
 

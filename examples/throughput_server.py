@@ -13,9 +13,8 @@ The evaluation uses the record-once / replay-many path: the SMP is
 simulated exactly once, with a :class:`~repro.coherence.smp.TraceSink`
 packing the coherence events into in-memory segments as the run
 advances, and every filter configuration then replays the recorded
-trace through a :class:`~repro.core.stats.StreamingFilterBank` with the
-``auto`` kernel (vectorised with NumPy where available, byte-identical
-either way).  Four filters therefore cost one simulation plus four
+trace through a :class:`~repro.core.stats.StreamingFilterBank`
+(vectorised with NumPy where available, byte-identical either way).  Four filters therefore cost one simulation plus four
 cheap replays — not four simulations.
 
     python examples/throughput_server.py
@@ -91,8 +90,7 @@ def replay_filter(name: str, segments: list) -> "FilterEvaluation":
                 addr_bits=SCALED_SYSTEM.block_address_bits,
             )
             for _cpu in range(SCALED_SYSTEM.n_cpus)
-        ],
-        kernel="auto",
+        ]
     )
 
     def fetch(node_id: int, index: int) -> array:

@@ -47,7 +47,7 @@ produces *bitwise identical* store payloads to a serial run of the same
 jobs; the determinism tests diff the two stores byte for byte.  The
 contract extends across modes: for the same ``(spec, system, seed)`` a
 streamed evaluation's payload is byte-identical to a replayed one's,
-whatever the chunk size, kernel, or worker count, which is why
+whatever the chunk size, replayer, or worker count, which is why
 both modes share one ``eval`` keyspace.
 
 **Checkpointing.**  Streamed runs and recordings accept a
@@ -107,7 +107,6 @@ from repro.core.stats import (
     StreamingFilterBank,
     TraceReader,
     check_evaluations,
-    check_kernel,
     replay_trace,
 )
 from repro.errors import (
@@ -220,17 +219,15 @@ def _build_filters(filter_name: str, system: SystemConfig) -> list:
 def _build_bank(
     filter_name: str,
     system: SystemConfig,
-    kernel: str,
     phase_names: tuple[str, ...] = (),
     filter_states=None,
 ) -> StreamingFilterBank:
     """One filter bank, live or replaying: a freshly built filter per node.
 
-    ``kernel`` selects the replay kernel per node (see
-    :data:`repro.core.stats.REPLAY_KERNELS`): live, checkpointed and
-    replay call sites all pass the run's choice (``"auto"`` by default).
-    ``phase_names`` labels PHASE-marker splits in the finished
-    evaluations.
+    Live, checkpointed and replay call sites all build banks here, so
+    every path picks its per-node replayers the same way (see
+    :class:`~repro.core.stats.StreamingFilterBank`).  ``phase_names``
+    labels PHASE-marker splits in the finished evaluations.
 
     ``filter_states`` (one snapshot per node, from a fast-forward row)
     restores warmed state into the filters *before* the bank wires its
@@ -246,11 +243,7 @@ def _build_bank(
             )
         for snoop_filter, state in zip(filters, filter_states):
             snoop_filter.restore(state)
-    return StreamingFilterBank(
-        filters,
-        kernel=kernel,
-        phase_names=phase_names,
-    )
+    return StreamingFilterBank(filters, phase_names=phase_names)
 
 
 def compute_stream(
@@ -433,7 +426,6 @@ def _run_simulation(
     filter_names: tuple[str, ...],
     chunk_size: int,
     *,
-    kernel: str = "auto",
     checkpoint_every: int | None = None,
     experiment_store: ExperimentStore | None = None,
     new_sink=None,
@@ -442,9 +434,6 @@ def _run_simulation(
 ) -> tuple[SimResult, dict[str, FilterEvaluation], TraceSink | None,
            str | None]:
     """One streaming run of ``spec`` with ``filter_names`` attached live.
-
-    Every bank evaluates on ``kernel`` (see :func:`_build_bank`); its
-    checkpoints restore under any kernel.
 
     ``new_sink`` (a zero-argument :class:`TraceSink` factory) makes the
     run a recording of trace ``tkey``; a fresh recording first drops any
@@ -476,9 +465,7 @@ def _run_simulation(
         return (
             SMPSystem(system_cfg),
             {
-                name: _build_bank(
-                    name, system_cfg, kernel, phase_names=phase_names
-                )
+                name: _build_bank(name, system_cfg, phase_names=phase_names)
                 for name in filter_names
             },
             None if new_sink is None else new_sink(),
@@ -832,7 +819,6 @@ def execute_streams(
     backend: str | None = None,
     specs: dict[str, WorkloadSpec] | None = None,
     checkpoint_every: int | None = None,
-    kernel: str = "auto",
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
     fault_plan=None,
@@ -857,13 +843,7 @@ def execute_streams(
     respawned task resumes at the dead worker's last watermark instead
     of access 0.  Results are byte-identical either way; completed runs
     retire their checkpoint chains.
-
-    ``kernel`` selects the live banks' replay kernel, as it does for
-    :func:`execute_replays`; results and checkpoints are the same bytes
-    under every kernel, so a pass checkpointed under one resumes under
-    another.
     """
-    check_kernel(kernel)  # before any task runs
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
@@ -901,8 +881,7 @@ def execute_streams(
             names = tuple(filters.values())
         tasks.append((
             path, specs[job.workload], job.system, job.seed, names, pairs,
-            dict(chunk_size=job.chunk_size, kernel=kernel,
-                 checkpoint_every=checkpoint_every),
+            dict(chunk_size=job.chunk_size, checkpoint_every=checkpoint_every),
         ))
 
     outcomes = _map_tasks(
@@ -1005,17 +984,16 @@ def record_trace(
         experiment_store.delete_trace(tkey)
         sink = new_sink()
         families = sorted(set(warm_filters) | set(DEFAULT_SWEEP_FILTERS))
-        # The per-event kernel: the fast-forward row stores each
-        # filter's concrete way layout, which only a driven filter has.
-        warm_banks = {
-            name: _build_bank(name, system, "python") for name in families
-        }
+        warm_banks = {name: _build_bank(name, system) for name in families}
         snapshots: dict[str, list[dict]] = {}
 
         def capture(_system) -> None:
             for name, bank in warm_banks.items():
                 states = []
                 for replayer in bank.replayers:
+                    # A vector replayer keeps its state private until a
+                    # snapshot exports it into the wrapped filter.
+                    replayer.snapshot()
                     snoop_filter = replayer.snoop_filter
                     # Canonical zero-count snapshots: replay resets the
                     # counts at the warm-up MARKER anyway, and zeroing
@@ -1235,7 +1213,7 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
     its per-node fast-forward snapshots; the banks restore them before
     consuming the recorded measurement stream.
     """
-    path, segments, system, pairs, kernel, phase_names, warm_states = task
+    path, segments, system, pairs, phase_names, warm_states = task
     connection = None
     if path is not None:
         # Percent-encode the filesystem path: a raw '?', '#', or '%' in
@@ -1265,7 +1243,9 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
                 label="replay-segment-fetch",
             )
             if row is None:
-                raise ConfigurationError(
+                # load_trace checked presence; a vanish since then is
+                # corruption, as for the fast-forward row.
+                raise StoreCorruptionError(
                     f"trace segment {index} of node {node_id} vanished "
                     "from the store mid-replay"
                 )
@@ -1277,7 +1257,7 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
     try:
         banks = [
             (ekey, _build_bank(
-                name, system, kernel, phase_names,
+                name, system, phase_names,
                 filter_states=(
                     None if warm_states is None else warm_states[name]
                 ),
@@ -1322,7 +1302,6 @@ def execute_replays(
     backend: str | None = None,
     specs: dict[str, WorkloadSpec] | None = None,
     checkpoint_every: int | None = None,
-    kernel: str = "auto",
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
     fault_plan=None,
@@ -1345,14 +1324,7 @@ def execute_replays(
     interrupted recording resumes at its last durable segment (see
     :func:`record_trace`) rather than re-recording from scratch.
     Replays need no checkpoints: they are already cheap restarts.
-
-    ``kernel`` selects the replay kernel (``"auto"`` vectorises
-    supported filter families when NumPy is importable and falls back
-    per family otherwise; see :data:`repro.core.stats.REPLAY_KERNELS`).
-    Evaluations are byte-identical across kernels by the parity
-    contract, so kernel choice never participates in store keys.
     """
-    check_kernel(kernel)
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
@@ -1464,15 +1436,14 @@ def execute_replays(
         warm_states = _warm_states_for(experiment_store, manifest, pairs)
         if parallel and len(pairs) > 1:
             tasks.extend(
-                (path, segments, job.system, [pair], kernel, phase_names,
+                (path, segments, job.system, [pair], phase_names,
                  None if warm_states is None
                  else {pair[1]: warm_states[pair[1]]})
                 for pair in pairs
             )
         else:
             tasks.append(
-                (path, segments, job.system, pairs, kernel, phase_names,
-                 warm_states)
+                (path, segments, job.system, pairs, phase_names, warm_states)
             )
     for results in _map_tasks(
         _replay_task, tasks, workers, backend, stage="replay", **supervision
@@ -1525,7 +1496,6 @@ def evaluate(
     workers: int = 1,
     backend: str | None = None,
     experiment_store: ExperimentStore | None = None,
-    kernel: str = "auto",
     measured_only: bool = False,
 ) -> StreamOutcome:
     """Evaluate N filters against one workload, store-backed.
@@ -1557,14 +1527,13 @@ def evaluate(
     )
     if stream:
         report = execute_streams(
-            [StreamJob(spec.name, filters, system, seed, chunk_size)],
-            kernel=kernel, **run,
+            [StreamJob(spec.name, filters, system, seed, chunk_size)], **run
         )
     else:
         report = execute_replays(
             [ReplayJob(spec.name, filters, system, seed, chunk_size,
                        measured_only)],
-            kernel=kernel, **run,
+            **run,
         )
     metrics = experiment_store.get_sim_metrics(
         store_mod.sim_metrics_key(spec, system, seed)
@@ -1614,7 +1583,6 @@ def run_sweep(
     backend: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_every: int | None = None,
-    kernel: str = "auto",
     measured_only: bool = False,
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
@@ -1643,8 +1611,6 @@ def run_sweep(
     the same flags resumes from its latest checkpoint and still lands
     byte-identical results.
 
-    ``kernel`` selects the filter kernel of both modes (``"auto"``
-    vectorises supported families when NumPy is importable).
     ``measured_only`` applies to the replay mode only: any *new*
     recording captures the measured region only, with a fast-forward
     snapshot.  Like ``chunk_size`` it is an execution hint: results are
@@ -1690,7 +1656,7 @@ def run_sweep(
                 for workload in workloads
                 for seed in seeds
             ],
-            kernel=kernel, **run,
+            **run,
         )
     else:
         report = execute_replays(
@@ -1702,7 +1668,7 @@ def run_sweep(
                 for workload in workloads
                 for seed in seeds
             ],
-            kernel=kernel, **run,
+            **run,
         )
 
     result = SweepResult(report=report)

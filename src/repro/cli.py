@@ -28,7 +28,6 @@ import sys
 
 from repro.analysis import experiments, figures, report, runner, tables
 from repro.coherence.config import SCALED_SYSTEM
-from repro.core.stats import REPLAY_KERNELS
 from repro.traces.workloads import PRESETS, WORKLOADS
 from repro.utils.text import format_percent, render_table
 
@@ -301,7 +300,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         spec, system, tuple(filters), args.seed,
         workers=args.workers, backend=args.backend,
         experiment_store=experiments.get_store(),
-        kernel=args.kernel,
         measured_only=args.measured_only,
     )
     headers = ["filter", "coverage"]
@@ -317,6 +315,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     from repro.analysis import store as store_mod
     from repro.analysis.store import TRACE_KIND
+    from repro.errors import StoreCorruptionError
 
     store = experiments.get_store()
     manifests = [
@@ -333,17 +332,30 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     headers = ["workload", "cpus", "seed", "accesses", "events", "codec",
                "mode", "segments", "size"]
     rows = []
+    undecodable = 0
     for entry in manifests:
-        manifest = store_mod.decode_trace_manifest(store.get_blob(entry.key))
         info = acct.get(entry.key, {"segments": 0, "segment_bytes": 0,
                                     "manifest_bytes": entry.payload_bytes})
-        expected = sum(manifest["segments_per_node"])
         present = info["segments"]
+        nbytes = info["segment_bytes"] + info["manifest_bytes"]
+        try:
+            manifest = store_mod.decode_trace_manifest(
+                store.get_blob(entry.key)
+            )
+        except StoreCorruptionError:
+            # Inspection renders damaged rows; removing them is fsck's job.
+            undecodable += 1
+            rows.append([
+                entry.workload, str(entry.n_cpus), str(entry.seed),
+                "(undecodable)", "?", "?", "?", str(present),
+                f"{nbytes / 1024:.1f} KiB",
+            ])
+            continue
+        expected = sum(manifest["segments_per_node"])
         segments = (
             str(expected) if present == expected
             else f"{present}/{expected} (incomplete)"
         )
-        nbytes = info["segment_bytes"] + info["manifest_bytes"]
         rows.append([
             entry.workload,
             str(entry.n_cpus),
@@ -357,6 +369,9 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         ])
     if rows:
         print(render_table(headers, rows, title="recorded traces (sim-events)"))
+    if undecodable:
+        print(f"{undecodable} undecodable manifest(s): `cache fsck` "
+              "removes them with their segments")
     if orphans and args.workload is None:
         print("orphaned segments (no manifest — partial record; "
               "cache fsck removes them):")
@@ -395,7 +410,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         backend=args.backend,
         chunk_size=args.chunk_size,
         checkpoint_every=args.checkpoint_every,
-        kernel=args.kernel,
         measured_only=args.measured_only,
         task_timeout=args.task_timeout,
     )
@@ -953,11 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=runner.EXECUTOR_BACKENDS,
                           help="executor backend for replay fan-out "
                           "(default: process)")
-    t_replay.add_argument("--kernel", default="auto",
-                          choices=REPLAY_KERNELS,
-                          help="replay kernel: auto vectorises supported "
-                          "filter families with NumPy when available; "
-                          "results are byte-identical across kernels")
     _measured_only_override(t_replay)
     t_replay.set_defaults(func=_cmd_trace_replay)
 
@@ -1026,12 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-task deadline under the process backend; "
                          "overdue workers are killed and the task retried "
                          "(default: no deadline)")
-    p_sweep.add_argument("--kernel", default="auto",
-                         choices=REPLAY_KERNELS,
-                         help="filter kernel, replayed or --stream: auto "
-                         "vectorises supported filter families with NumPy "
-                         "when available; results are byte-identical "
-                         "across kernels")
     _measured_only_override(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -58,16 +58,16 @@ The replay cross-checks the JETTY safety guarantee on every filtered
 snoop and raises :class:`~repro.errors.FilterSafetyError` on a
 violation.
 
-Replay comes in two shapes sharing one set of kernels — the per-event
-:class:`EventReplayer` oracle and the vectorised replayers of
-:mod:`repro.core.vector_replay`, chosen per bank by :data:`REPLAY_KERNELS`:
+Replay comes in two shapes sharing one set of kernels — the vectorised
+replayers of :mod:`repro.core.vector_replay` wherever they cover a
+filter, and the per-event :class:`EventReplayer` oracle everywhere else:
 
 * **streaming** — a :class:`StreamingFilterBank` is attached to a live
   simulation (:func:`repro.coherence.smp.simulate_streaming`) and is fed
   bounded event *shards* as they are produced, so no event is ever
   retained beyond its shard.  Feeding a stream's events in one call or
   split at arbitrary shard boundaries yields bit-identical evaluations,
-  and either kernel snapshots into one checkpoint format;
+  and every replayer snapshots into one checkpoint format;
 * **trace replay** — :func:`replay_trace` drives any number of
   :class:`StreamingFilterBank` objects from a :class:`TraceReader` over
   a *persisted* recording (the ``sim-events`` store kind), so a new
@@ -87,25 +87,6 @@ from dataclasses import dataclass, field
 
 from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.errors import ConfigurationError, FilterSafetyError, InvariantError
-
-#: Kernel selectors accepted by :class:`StreamingFilterBank`, live or
-#: replaying, checkpointed or not:
-#: ``"python"`` — the per-event :class:`EventReplayer` loop everywhere;
-#: ``"numpy"`` — vectorised kernels for every supported filter family,
-#: failing loudly when NumPy is unavailable;
-#: ``"auto"`` — vectorised where supported *and* NumPy imports, the
-#: per-event loop otherwise.
-REPLAY_KERNELS = ("python", "numpy", "auto")
-
-
-def check_kernel(kernel: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``kernel`` is known."""
-    if kernel not in REPLAY_KERNELS:
-        raise ConfigurationError(
-            f"unknown replay kernel {kernel!r}; choose one of "
-            f"{', '.join(REPLAY_KERNELS)}"
-        )
-
 
 #: Event kind tags (bits 0-1 of a packed event).
 SNOOP = 0
@@ -390,7 +371,7 @@ class PackedSegment:
             except ImportError as exc:  # pragma: no cover - numpy-less env
                 raise ConfigurationError(
                     "NumPy is required for vectorised replay but is not "
-                    "installed; use the python replay kernel"
+                    "installed"
                 ) from exc
             events = self.events
             if isinstance(events, array) and events.itemsize == 8:
@@ -659,47 +640,27 @@ class StreamingFilterBank:
     attached to the same simulation, which is how N filters are evaluated
     in a single pass with O(chunk) memory.
 
-    ``kernel`` selects the per-node replay engine (:data:`REPLAY_KERNELS`):
-    ``"python"`` builds the per-event :class:`EventReplayer` loop for
-    every node; ``"numpy"`` and ``"auto"`` ask
-    :func:`repro.core.vector_replay.replayer_for` for a vectorised
-    replayer per filter, falling back to the per-event loop for filter
-    families the vector kernels do not cover.  ``"numpy"`` raises when
-    NumPy is missing, ``"auto"`` silently degrades.  Whatever the
-    kernel, evaluations are byte-identical, and :meth:`snapshot` /
-    :meth:`restore` move state between kernels: a bank checkpointed
-    under one resumes under another.
+    Each node gets the vectorised replayer
+    :func:`repro.core.vector_replay.replayer_for` builds for its filter,
+    or the per-event :class:`EventReplayer` when it returns ``None`` (an
+    unvectorised family, a subclass, an oversized geometry, or no
+    NumPy).  Evaluations are byte-identical either way, and
+    :meth:`snapshot` / :meth:`restore` share one format: a bank
+    checkpointed with one set of replayers resumes under another.
     """
 
     def __init__(
         self,
         filters: list[SnoopFilter],
-        kernel: str = "auto",
         phase_names=(),
     ) -> None:
-        check_kernel(kernel)
-        self.kernel = kernel
+        from repro.core import vector_replay
+
         phase_names = tuple(phase_names)
         self.replayers: list = []
-        if kernel == "python":
-            replayer_for = None
-        else:
-            from repro.core import vector_replay
-
-            if not vector_replay.numpy_available():
-                if kernel == "numpy":
-                    raise ConfigurationError(
-                        "the numpy replay kernel requires NumPy, which is "
-                        "not installed; use the python kernel"
-                    )
-                replayer_for = None  # auto: degrade to the per-event loop
-            else:
-                replayer_for = vector_replay.replayer_for
         for node_id, snoop_filter in enumerate(filters):
-            replayer = (
-                replayer_for(snoop_filter, node_id, phase_names)
-                if replayer_for is not None
-                else None
+            replayer = vector_replay.replayer_for(
+                snoop_filter, node_id, phase_names
             )
             if replayer is None:
                 replayer = EventReplayer(snoop_filter, node_id, phase_names)

@@ -59,11 +59,15 @@ format whichever kernel wrote or reads them.
 
 Everything else (hashed-include, null filters, oversized geometries,
 subclasses) falls back to the per-event loop — selection happens in
-:func:`replayer_for`, which returns ``None`` for unsupported filters.
+:func:`replayer_for`, which every
+:class:`~repro.core.stats.StreamingFilterBank` asks per node and which
+returns ``None`` for unsupported filters.  There is no other switch.
 
 NumPy is an optional dependency: when it is missing,
-:func:`numpy_available` is ``False`` and every caller degrades to the
-Python kernel.
+:func:`numpy_available` is ``False``, :func:`replayer_for` returns
+``None`` for every filter, and every bank runs the oracle.  The parity
+tests reach the oracle through that same seam, by setting ``_np`` to
+``None``.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ try:  # pragma: no cover - exercised via the numpy-free CI job
 except ImportError:  # pragma: no cover
     _np = None
 
-#: IJ counter-index spaces above this fall back to the Python kernel: the
+#: IJ counter-index spaces above this fall back to the oracle: the
 #: lane profiles sort ``uint16`` counter indexes (sorting 16-bit keys is
 #: severalfold faster than 64-bit ones).  Exclude structures take any set
 #: count.

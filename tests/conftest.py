@@ -7,11 +7,13 @@ within a few hundred accesses.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
 from repro.coherence.config import CacheConfig, SystemConfig
+from repro.core import vector_replay
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -22,6 +24,29 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="rewrite tests/golden/*.json from the current implementation "
         "instead of comparing against it (review the diff before committing)",
     )
+
+
+@contextlib.contextmanager
+def oracle_replay(enabled: bool = True):
+    """Build every filter bank inside on the per-event oracle.
+
+    Hides NumPy from the vector kernels, so ``replayer_for`` returns
+    ``None`` for every filter and each bank falls back to
+    :class:`~repro.core.stats.EventReplayer`.  Process workers need not
+    see the patch, so runner calls inside use the serial backend.  With
+    ``enabled`` false the banks keep their default replayers.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(vector_replay, "_np", None)
+        yield
+
+
+@pytest.fixture
+def oracle_banks():
+    """Every bank the test builds runs the oracle (:func:`oracle_replay`)."""
+    with oracle_replay():
+        yield
 
 
 @pytest.fixture

@@ -48,6 +48,7 @@ from repro.traces.workloads import (
     simulate_workload_accesses,
 )
 from repro.utils.lru import LRUTracker
+from tests.conftest import oracle_replay
 
 #: One representative of every filter family, sized for a tiny workload.
 FAMILIES = (
@@ -339,33 +340,36 @@ class TestStreamKillResumeByteIdentity:
 
     @pytest.mark.parametrize("filter_name", FAMILIES)
     def test_checkpoint_resumes_under_the_other_kernel(self, filter_name):
-        """One checkpoint format: a pass killed under the python kernel
-        resumes under auto, and the reverse, to the clean run's bytes —
-        inside warm-up and mid-chunk in the measured region."""
+        """One checkpoint format: a pass killed on oracle banks resumes
+        on the default replayers, and the reverse, to the clean run's
+        bytes — inside warm-up and mid-chunk in the measured region."""
         clean = ExperimentStore()
         runner.execute_streams(
             _stream_jobs(filter_name, 1_000_000),
             experiment_store=clean, specs=SPECS,
         )
         reference = clean.dump()
-        for first, second in (("python", "auto"), ("auto", "python")):
+        for first, second in ((True, False), (False, True)):
             for k in (600, 1300):
                 interrupted = ExperimentStore()
-                with kill_after_checkpoints(interrupted, 1):
+                killed = kill_after_checkpoints(interrupted, 1)
+                with killed, oracle_replay(first):
                     with pytest.raises(KeyboardInterrupt):
                         runner.execute_streams(
                             _stream_jobs(filter_name, 1777),
                             experiment_store=interrupted, specs=SPECS,
-                            checkpoint_every=k, kernel=first,
+                            checkpoint_every=k, backend="serial",
                         )
-                report = runner.execute_streams(
-                    _stream_jobs(filter_name, 512),
-                    experiment_store=interrupted, specs=SPECS,
-                    checkpoint_every=k, kernel=second,
-                )
+                with oracle_replay(second):
+                    report = runner.execute_streams(
+                        _stream_jobs(filter_name, 512),
+                        experiment_store=interrupted, specs=SPECS,
+                        checkpoint_every=k, backend="serial",
+                    )
                 assert report.checkpoints_resumed == 1
                 assert interrupted.dump() == reference, (
-                    f"divergence for {filter_name} {first}->{second} K={k}"
+                    f"divergence for {filter_name} oracle {first}->{second} "
+                    f"K={k}"
                 )
 
     def test_live_chain_is_pruned_to_newest_two_watermarks(self):

@@ -394,6 +394,17 @@ class TestTraceEconomicsCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--codec", "delta-v1"])
 
+    @pytest.mark.parametrize("command", [
+        ["sweep"],
+        ["trace", "replay", "test-tiny"],
+    ])
+    def test_there_is_no_kernel_option(self, command, capsys):
+        """Each bank picks its replayers itself: nothing to choose."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--kernel", "python"])
+        assert exit_info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
     def test_record_replay_measured_only_with_warm_filters(
         self, tmp_path, capsys
     ):
@@ -491,6 +502,41 @@ class TestTraceEconomicsCommands:
         out = capsys.readouterr().out
         assert "orphaned segments" in out
         assert "cache fsck removes them" in out
+
+    def test_trace_info_lists_around_a_corrupt_manifest(
+        self, tmp_path, capsys
+    ):
+        from repro.analysis import store as store_mod
+        from repro.coherence.config import SCALED_SYSTEM
+
+        store_path = str(tmp_path / "corrupt.sqlite")
+        for seed in ("1", "2"):
+            assert main(["--store", store_path, "--seed", seed, "trace",
+                         "record", "test-tiny"]) == 0
+        capsys.readouterr()
+        spec = WORKLOADS["test-tiny"]
+        with ExperimentStore(store_path) as surgery:
+            tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 2)
+            entry = next(e for e in surgery.entries() if e.key == tkey)
+            surgery.put_blob(
+                tkey, b"not a manifest", kind=entry.kind,
+                workload=entry.workload, filter_name=None,
+                n_cpus=entry.n_cpus, seed=entry.seed,
+            )
+        assert main(["--store", store_path, "trace", "info"]) == 0
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if "test-tiny" in line]
+        assert len(rows) == 2
+        assert sum("(undecodable)" in row for row in rows) == 1
+        assert sum("delta-v1" in row for row in rows) == 1
+        assert "cache fsck" in out
+        # fsck removes the damaged trace; the intact one stays listed.
+        assert main(["--store", store_path, "cache", "fsck"]) == 1
+        capsys.readouterr()
+        assert main(["--store", store_path, "trace", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "(undecodable)" not in out
+        assert sum("test-tiny" in line for line in out.splitlines()) == 1
 
     def test_cache_info_reports_stored_vs_decoded_economics(
         self, tmp_path, capsys

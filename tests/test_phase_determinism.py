@@ -2,7 +2,7 @@
 
 The phase-structured suite DSL threads PHASE markers through every
 execution mode the engine has — live streaming at any chunk size, the
-python and numpy replay kernels over recorded traces, and checkpointed
+default and oracle replay banks over recorded traces, and checkpointed
 runs killed mid-phase and resumed.  The determinism contract extends to
 the per-phase splits: for the same (suite, system, seed), every mode
 must store the **byte-identical** encoded :class:`FilterEvaluation`
@@ -25,6 +25,7 @@ from repro.analysis.store import CHECKPOINT_KIND, ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.core import vector_replay
 from repro.traces.suite import Phase, Suite
+from tests.conftest import oracle_replay
 
 requires_numpy = pytest.mark.skipif(
     not vector_replay.numpy_available(),
@@ -97,14 +98,18 @@ def _streamed_payloads(spec, chunk_size, **kwargs):
     }
 
 
-def _replayed_payloads(spec, kernel):
-    """``filter -> encoded bytes`` via record-once/replay-many."""
+def _replayed_payloads(spec, oracle=False):
+    """``filter -> encoded bytes`` via record-once/replay-many.
+
+    ``oracle`` runs every bank on the per-event oracle.
+    """
     store = ExperimentStore()
     try:
-        outcome = runner.evaluate(
-            spec, SCALED_SYSTEM, FILTERS, SEED,
-            experiment_store=store, kernel=kernel,
-        )
+        with oracle_replay(oracle):
+            outcome = runner.evaluate(
+                spec, SCALED_SYSTEM, FILTERS, SEED,
+                experiment_store=store, backend="serial",
+            )
         return {
             name: store_mod.encode_eval(evaluation)
             for name, evaluation in outcome.evaluations.items()
@@ -156,12 +161,12 @@ class TestPhaseDeterminism:
             )
 
     def test_live_stream_matches_recorded_replay(self, baselines, suite_name):
-        payloads = _replayed_payloads(SUITES[suite_name], "python")
+        payloads = _replayed_payloads(SUITES[suite_name], oracle=True)
         assert payloads == baselines[suite_name]
 
     @requires_numpy
-    def test_python_and_numpy_kernels_agree(self, baselines, suite_name):
-        payloads = _replayed_payloads(SUITES[suite_name], "numpy")
+    def test_default_and_oracle_banks_agree(self, baselines, suite_name):
+        payloads = _replayed_payloads(SUITES[suite_name])
         assert payloads == baselines[suite_name]
 
     @pytest.mark.parametrize("cadence", (1_150, 1_300, 1_500))

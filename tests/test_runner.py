@@ -313,7 +313,7 @@ class TestProductionInvariants:
         with pytest.raises(InvariantError, match="EJ-8x2"):
             runner.run_sweep(
                 (WORKLOAD_A,), ("EJ-8x2", "IJ-8x4x7"),
-                experiment_store=store, replay=True, kernel="numpy",
+                experiment_store=store, replay=True,
             )
         assert not [
             entry for entry in store.entries()

@@ -48,6 +48,7 @@ from repro.core import vector_replay
 from repro.errors import ConfigurationError, StoreCorruptionError
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
+from tests.conftest import oracle_replay
 
 WORKLOAD = "test-trace-codecs"
 
@@ -65,7 +66,7 @@ CHUNK_SIZES = (512, 1_777)
 
 requires_numpy = pytest.mark.skipif(
     not vector_replay.numpy_available(),
-    reason="the numpy kernel and the vectorised codec path need NumPy",
+    reason="the vector kernels and the vectorised codec path need NumPy",
 )
 
 _PAPER = PaperReference(1.0, 1.0, 0.9, 0.5, 1.0, (1.0, 0.0, 0.0, 0.0), 1.0, 0.5)
@@ -517,24 +518,72 @@ class TestTranscode:
 # ----------------------------------------------------------------------
 
 class TestMeasuredOnly:
-    @pytest.mark.parametrize("kernel", [
-        "python",
-        pytest.param("numpy", marks=requires_numpy),
+    @pytest.mark.parametrize("oracle", [
+        pytest.param(True, id="oracle"),
+        pytest.param(False, id="default", marks=requires_numpy),
     ])
-    def test_every_family_byte_identical_to_live(self, tmp_path, kernel):
+    def test_every_family_byte_identical_to_live(self, tmp_path, oracle):
         spec = WORKLOADS[WORKLOAD]
-        store = ExperimentStore(tmp_path / f"mo-{kernel}.sqlite")
-        outcome = runner.evaluate(
-            spec, SCALED_SYSTEM, FAMILY_FILTERS, 1,
-            experiment_store=store, kernel=kernel, measured_only=True,
-        )
+        store = ExperimentStore(tmp_path / f"mo-{oracle}.sqlite")
+        with oracle_replay(oracle):
+            outcome = runner.evaluate(
+                spec, SCALED_SYSTEM, FAMILY_FILTERS, 1,
+                experiment_store=store, backend="serial",
+                measured_only=True,
+            )
         metrics_blob, payloads = _live_payloads(spec, FAMILY_FILTERS)
         mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
         assert store.get_blob(mkey) == metrics_blob
         for name in FAMILY_FILTERS:
             assert store_mod.encode_eval(outcome.evaluations[name]) == (
                 payloads[name]
-            ), (name, kernel)
+            ), (name, oracle)
+
+    @requires_numpy
+    def test_either_warm_layout_replays_under_either_bank(self, tmp_path):
+        """Stores recorded with oracle warm banks hold each filter's
+        driven way layout; vector warm banks export the canonical one.
+        Both fast-forward rows replay, on default and oracle banks, to
+        the full trace's bytes."""
+        spec = WORKLOADS[WORKLOAD]
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        full = ExperimentStore(tmp_path / "full.sqlite")
+        runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
+            experiment_store=full,
+        )
+        reference = _rows(full, "eval")
+        assert len(reference) == len(FAMILY_FILTERS)
+        fast_forward = {}
+        for recorded_on_oracle in (True, False):
+            store = ExperimentStore(
+                tmp_path / f"warm-{recorded_on_oracle}.sqlite"
+            )
+            with oracle_replay(recorded_on_oracle):
+                runner.execute_replays(
+                    [runner.ReplayJob(WORKLOAD, (), measured_only=True,
+                                      warm_filters=FAMILY_FILTERS)],
+                    experiment_store=store, backend="serial",
+                )
+            fast_forward[recorded_on_oracle] = _rows(
+                store, store_mod.FAST_FORWARD_KIND
+            )
+            for replayed_on_oracle in (True, False):
+                store.delete_kind("eval")
+                with oracle_replay(replayed_on_oracle):
+                    report = runner.execute_replays(
+                        [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
+                        experiment_store=store, backend="serial",
+                    )
+                assert report.sims_run == 0
+                assert _rows(store, "eval") == reference, (
+                    recorded_on_oracle, replayed_on_oracle
+                )
+            assert _segment_keys_flat(store, tkey)[0]["measured_only"]
+            store.close()
+        # Same key, different layouts: both row shapes were exercised.
+        assert fast_forward[True].keys() == fast_forward[False].keys()
+        assert fast_forward[True] != fast_forward[False]
 
     def test_archive_is_smaller_and_manifest_says_why(self, tmp_path):
         spec = WORKLOADS[WORKLOAD]

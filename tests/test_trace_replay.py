@@ -26,7 +26,7 @@ from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import TraceSink
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StoreCorruptionError
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 from tests.conftest import put_legacy_sim_row
 
@@ -290,6 +290,28 @@ class TestTraceStorage:
         )
         assert report.sims_run == 1  # re-recorded, not replayed from a stump
         assert _rows(store, store_mod.TRACE_KIND) == before
+
+    def test_segment_vanished_mid_replay_is_corruption(
+        self, trace_workload, tmp_path
+    ):
+        """A segment deleted between load_trace and the worker's fetch
+        is a damaged store, like a vanished fast-forward row."""
+        store = ExperimentStore(tmp_path / "vanish.sqlite")
+        runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        )
+        spec = WORKLOADS[WORKLOAD]
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        _manifest, segment_keys = runner.load_trace(store, tkey)
+        ekey = store_mod.eval_key(spec, "EJ-8x2", SCALED_SYSTEM, 1)
+        task = (
+            str(store.path), segment_keys, SCALED_SYSTEM,
+            [(ekey, "EJ-8x2")], (), None,
+        )
+        assert runner._replay_task(task)[0][0] == ekey
+        store.delete_key(segment_keys[-1][-1])
+        with pytest.raises(StoreCorruptionError, match="vanished"):
+            runner._replay_task(task)
 
     def test_metrics_row_restored_from_manifest(self, trace_workload, tmp_path):
         store = ExperimentStore(tmp_path / "metrics.sqlite")

@@ -11,7 +11,7 @@ a batch.  Unsupported families must *fall back* to the oracle rather
 than silently vectorise.
 
 Everything here also runs (reduced) on a NumPy-free interpreter: the
-fallback-selection and python-kernel cases need no NumPy at all, which
+fallback-selection and oracle cases need no NumPy at all, which
 is the CI job proving the optional dependency really is optional.
 """
 
@@ -40,7 +40,6 @@ from repro.core.stats import (
     NodeEventStream,
     PHASE_FLAG,
     PackedSegment,
-    REPLAY_KERNELS,
     SNOOP,
     StreamingFilterBank,
     pack_event,
@@ -48,7 +47,6 @@ from repro.core.stats import (
 from repro.traces.suite import Phase, Suite
 from repro.errors import (
     CoherenceError,
-    ConfigurationError,
     FilterSafetyError,
 )
 from repro.traces.workloads import (
@@ -57,6 +55,7 @@ from repro.traces.workloads import (
     WorkloadSpec,
     simulate_workload_accesses,
 )
+from tests.conftest import oracle_replay
 from tests.test_streaming import _CollectingSink
 
 requires_numpy = pytest.mark.skipif(
@@ -158,17 +157,23 @@ def golden_streams():
             del WORKLOADS[spec.name]
 
 
-def _replay_bytes(filter_name, streams, kernel, chunk, phase_names=()):
-    """Encoded evaluation of one filter over per-node streams, batched."""
-    bank = StreamingFilterBank(
-        runner._build_filters(filter_name, SCALED_SYSTEM), kernel=kernel,
-        phase_names=phase_names,
-    )
-    for node_id, stream in enumerate(streams):
-        events = stream.events
-        for lo in range(0, len(events), chunk):
-            bank.feed_node(node_id, events[lo:lo + chunk])
-    return store_mod.encode_eval(bank.finish())
+def _replay_bytes(filter_name, streams, chunk, phase_names=(), *,
+                  oracle=False):
+    """Encoded evaluation of one filter over per-node streams, batched.
+
+    ``oracle`` runs the bank on the per-event oracle instead of the
+    default replayers.
+    """
+    with oracle_replay(oracle):
+        bank = StreamingFilterBank(
+            runner._build_filters(filter_name, SCALED_SYSTEM),
+            phase_names=phase_names,
+        )
+        for node_id, stream in enumerate(streams):
+            events = stream.events
+            for lo in range(0, len(events), chunk):
+                bank.feed_node(node_id, events[lo:lo + chunk])
+        return store_mod.encode_eval(bank.finish())
 
 
 def _single_filter(name: str):
@@ -207,16 +212,16 @@ class TestOracleParity:
     def test_golden_byte_identity(self, golden_streams, filter_name, chunk):
         """Every family, every golden, every batch size: identical bytes."""
         for workload, streams in golden_streams.items():
-            oracle = _replay_bytes(filter_name, streams, "python", chunk)
-            vector = _replay_bytes(filter_name, streams, "numpy", chunk)
+            oracle = _replay_bytes(filter_name, streams, chunk, oracle=True)
+            vector = _replay_bytes(filter_name, streams, chunk)
             assert vector == oracle, (workload, filter_name, chunk)
 
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
     def test_batch_boundaries_never_matter(self, golden_streams, filter_name):
-        """The numpy kernel is batch-size invariant, like the oracle."""
+        """The vector kernels are batch-size invariant, like the oracle."""
         streams = next(iter(golden_streams.values()))
         payloads = {
-            _replay_bytes(filter_name, streams, "numpy", chunk)
+            _replay_bytes(filter_name, streams, chunk)
             for chunk in CHUNK_SIZES
         }
         assert len(payloads) == 1
@@ -251,10 +256,9 @@ class TestOracleParity:
     def test_phase_marker_mid_segment(self, suite_streams, filter_name, chunk):
         """PHASE markers inside a segment: identical bytes, phases split."""
         names = SUITE_SPEC.phase_names()
-        oracle = _replay_bytes(filter_name, suite_streams, "python", chunk,
-                               names)
-        vector = _replay_bytes(filter_name, suite_streams, "numpy", chunk,
-                               names)
+        oracle = _replay_bytes(filter_name, suite_streams, chunk, names,
+                               oracle=True)
+        vector = _replay_bytes(filter_name, suite_streams, chunk, names)
         assert vector == oracle, (filter_name, chunk)
         evaluation = store_mod.decode_eval(vector)
         # Canonical encoding sorts keys; consumers look phases up by name.
@@ -712,38 +716,26 @@ class TestSnapshotRoundTripPythonWalk(TestSnapshotRoundTrip):
 # ----------------------------------------------------------------------
 
 class TestKernelSelection:
-    def test_python_kernel_never_vectorises(self):
-        bank = StreamingFilterBank(
-            runner._build_filters("EJ-16x2", SCALED_SYSTEM), kernel="python"
-        )
-        assert all(type(r) is EventReplayer for r in bank.replayers)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown replay kernel"):
-            StreamingFilterBank([], kernel="fortran")
-        assert set(REPLAY_KERNELS) == {"python", "numpy", "auto"}
-
-    def test_numpy_kernel_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(vector_replay, "_np", None)
-        with pytest.raises(ConfigurationError, match="requires NumPy"):
-            StreamingFilterBank(
-                runner._build_filters("EJ-16x2", SCALED_SYSTEM),
-                kernel="numpy",
+    def test_oracle_banks_never_vectorise(self, oracle_banks):
+        for name in PARITY_FILTERS:
+            bank = StreamingFilterBank(
+                runner._build_filters(name, SCALED_SYSTEM)
             )
+            assert all(type(r) is EventReplayer for r in bank.replayers), name
 
-    def test_auto_degrades_without_numpy(self, monkeypatch):
+    def test_degrades_without_numpy(self, monkeypatch):
         monkeypatch.setattr(vector_replay, "_np", None)
         assert not vector_replay.numpy_available()
         bank = StreamingFilterBank(
-            runner._build_filters("EJ-16x2", SCALED_SYSTEM), kernel="auto"
+            runner._build_filters("EJ-16x2", SCALED_SYSTEM)
         )
         assert all(type(r) is EventReplayer for r in bank.replayers)
 
     @requires_numpy
-    def test_auto_vectorises_supported_families(self):
+    def test_vectorises_supported_families(self):
         for name in PARITY_FILTERS:
             bank = StreamingFilterBank(
-                runner._build_filters(name, SCALED_SYSTEM), kernel="auto"
+                runner._build_filters(name, SCALED_SYSTEM)
             )
             assert all(
                 not isinstance(r, EventReplayer) for r in bank.replayers
@@ -754,7 +746,7 @@ class TestKernelSelection:
         """Families the kernels do not cover use the per-event oracle."""
         for name in ("null", "oracle", "HIJ-10x2"):
             bank = StreamingFilterBank(
-                runner._build_filters(name, SCALED_SYSTEM), kernel="auto"
+                runner._build_filters(name, SCALED_SYSTEM)
             )
             assert all(type(r) is EventReplayer for r in bank.replayers), name
 
@@ -825,7 +817,7 @@ class TestCompiledMachineLoader:
         streams = golden_streams["vector-golden-mix"]
         with caplog.at_level(logging.WARNING, logger="repro.cmachine"):
             payloads = {
-                name: _replay_bytes(name, streams, "numpy", 1 << 18)
+                name: _replay_bytes(name, streams, 1 << 18)
                 for name in PARITY_FILTERS
             }
         assert _cmachine._lib is None
@@ -833,7 +825,9 @@ class TestCompiledMachineLoader:
         assert len(warnings) == 1
         assert "no-cc" in warnings[0].getMessage()
         for name, payload in payloads.items():
-            assert payload == _replay_bytes(name, streams, "python", 1 << 18)
+            assert payload == _replay_bytes(
+                name, streams, 1 << 18, oracle=True
+            )
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
     def test_second_load_reuses_the_cached_library(self, monkeypatch, tmp_path):
@@ -850,7 +844,7 @@ class TestCompiledMachineLoader:
 
 
 # ----------------------------------------------------------------------
-# Runner wiring: kernel choice end to end, byte-identical store rows
+# Runner wiring: default and oracle banks end to end, identical rows
 # ----------------------------------------------------------------------
 
 class TestRunnerKernelWiring:
@@ -860,41 +854,34 @@ class TestRunnerKernelWiring:
     def _workloads(self, golden_streams):
         """Reuse the module-scoped golden registration."""
 
-    def test_execute_replays_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigurationError, match="unknown replay kernel"):
-            runner.execute_replays(
-                [], experiment_store=ExperimentStore(), kernel="bogus"
-            )
-
     def test_streamed_rows_are_kernel_invariant(self):
-        """Live banks run the chosen kernel: every kernel and chunk size
-        stores the same bytes, phase splits included."""
+        """Live banks run the default replayers: they and the oracle
+        store the same bytes at every chunk size, phase splits included."""
         filters = (
             *runner.DEFAULT_SWEEP_FILTERS, "HJ(IJ-10x4x7, VEJ-32x4-8)",
         )
         specs = {self.WORKLOAD: WORKLOADS[self.WORKLOAD],
                  SUITE_SPEC.name: SUITE_SPEC}
-        kernels = (
-            REPLAY_KERNELS if vector_replay.numpy_available()
-            else ("python", "auto")
-        )
         dumps = {}
-        for kernel in kernels:
+        for oracle in (True, False):
             for chunk in (512, 1_777):
                 store = ExperimentStore()
-                runner.execute_streams(
-                    [runner.StreamJob(name, filters, SCALED_SYSTEM, 1, chunk)
-                     for name in specs],
-                    experiment_store=store, specs=specs, kernel=kernel,
-                )
-                dumps[kernel, chunk] = store.dump()
+                with oracle_replay(oracle):
+                    runner.execute_streams(
+                        [runner.StreamJob(name, filters, SCALED_SYSTEM, 1,
+                                          chunk)
+                         for name in specs],
+                        experiment_store=store, specs=specs,
+                        backend="serial",
+                    )
+                dumps[oracle, chunk] = store.dump()
                 for name in filters:
                     phases = store.get_eval(store_mod.eval_key(
                         SUITE_SPEC, name, SCALED_SYSTEM, 1
                     )).phases
                     assert set(phases) == set(SUITE_SPEC.phase_names())
                 store.close()
-        reference = dumps["python", 512]
+        reference = dumps[True, 512]
         assert len(reference) == len(specs) * (len(filters) + 1)
         for run, dump in dumps.items():
             assert dump == reference, run
@@ -902,16 +889,17 @@ class TestRunnerKernelWiring:
     @requires_numpy
     def test_replay_sweep_rows_are_kernel_invariant(self, tmp_path):
         rows = {}
-        for kernel in ("python", "numpy"):
-            store = ExperimentStore(tmp_path / f"{kernel}.sqlite")
-            runner.run_sweep(
-                (self.WORKLOAD,), PARITY_FILTERS,
-                experiment_store=store, replay=True, kernel=kernel,
-            )
-            rows[kernel] = {
+        for oracle in (True, False):
+            store = ExperimentStore(tmp_path / f"oracle-{oracle}.sqlite")
+            with oracle_replay(oracle):
+                runner.run_sweep(
+                    (self.WORKLOAD,), PARITY_FILTERS,
+                    experiment_store=store, replay=True, backend="serial",
+                )
+            rows[oracle] = {
                 e.key: store.get_blob(e.key)
                 for e in store.entries() if e.kind == "eval"
             }
             store.close()
-        assert rows["python"] == rows["numpy"]
-        assert len(rows["python"]) == len(PARITY_FILTERS)
+        assert rows[True] == rows[False]
+        assert len(rows[True]) == len(PARITY_FILTERS)

@@ -5,9 +5,10 @@ stores — once as a full trace, once measured-region-only (warm-up
 events replaced by a fast-forward snapshot of the warmed filter state),
 both in the one segment encoding, delta-v1 — and requires every filter
 configuration's *stored evaluation payload* to be byte-identical
-between the two, under every available replay kernel.  That is the
-whole correctness contract of fast-forward: it may only change stored
-bytes and wall time, never a result.
+between the two, on the default banks (which also record both traces)
+and again on the per-event oracle (NumPy hidden from the vector
+kernels).  That is the whole correctness contract of fast-forward: it
+may only change stored bytes and wall time, never a result.
 
 Prints ``eval payloads byte-identical: yes`` on success (the CI step
 greps for it) and exits non-zero on any divergence.
@@ -35,15 +36,21 @@ FILTERS = runner.DEFAULT_SWEEP_FILTERS
 
 
 def _sweep(store: ExperimentStore, *, measured_only: bool,
-           kernel: str) -> float:
-    started = time.perf_counter()
-    runner.run_sweep(
-        [WORKLOAD], FILTERS, seeds=(SEED,), replay=True,
-        experiment_store=store, accesses=ACCESSES, warmup=WARMUP,
-        measured_only=measured_only, kernel=kernel,
-        backend="serial",
-    )
-    return time.perf_counter() - started
+           oracle: bool) -> float:
+    saved = vector_replay._np
+    if oracle:
+        # Every bank falls back to the per-event oracle without NumPy.
+        vector_replay._np = None
+    try:
+        started = time.perf_counter()
+        runner.run_sweep(
+            [WORKLOAD], FILTERS, seeds=(SEED,), replay=True,
+            experiment_store=store, accesses=ACCESSES, warmup=WARMUP,
+            measured_only=measured_only, backend="serial",
+        )
+        return time.perf_counter() - started
+    finally:
+        vector_replay._np = saved
 
 
 def main() -> int:
@@ -51,29 +58,30 @@ def main() -> int:
 
     spec = replace(get_workload(WORKLOAD), n_accesses=ACCESSES,
                    warmup_accesses=WARMUP)
-    kernels = ["python"]
+    passes = ["oracle"]
     if vector_replay.numpy_available():
-        kernels.append("numpy")
+        passes.insert(0, "default")
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         full = ExperimentStore(Path(tmp) / "full.sqlite")
         measured = ExperimentStore(Path(tmp) / "measured.sqlite")
-        for kernel in kernels:
+        for banks in passes:
             full.delete_kind("eval")
             measured.delete_kind("eval")
-            full_elapsed = _sweep(full, measured_only=False, kernel=kernel)
+            oracle = banks == "oracle"
+            full_elapsed = _sweep(full, measured_only=False, oracle=oracle)
             measured_elapsed = _sweep(measured, measured_only=True,
-                                      kernel=kernel)
+                                      oracle=oracle)
             for name in FILTERS:
                 ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, SEED)
                 a = full.get_blob(ekey)
                 b = measured.get_blob(ekey)
                 if a is None or a != b:
                     ok = False
-                    print(f"DIVERGENCE [{kernel}] {name}: full-trace and "
+                    print(f"DIVERGENCE [{banks}] {name}: full-trace and "
                           "measured-only eval payloads differ",
                           file=sys.stderr)
-            print(f"[{kernel}] full sweep {full_elapsed:.2f}s, "
+            print(f"[{banks}] full sweep {full_elapsed:.2f}s, "
                   f"measured-only sweep {measured_elapsed:.2f}s "
                   f"({len(FILTERS)} filters)", flush=True)
         trace_kinds = (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
