@@ -1,4 +1,4 @@
-"""Build and load the compiled exclude machines (``exclude_machine.c``).
+"""Build and load the compiled replay machines (``exclude_machine.c``).
 
 :func:`library` compiles the C source on first use -- never at import --
 with the system C compiler (``cc``, else the interpreter's configured
@@ -12,8 +12,8 @@ workers racing to build it never load a half-written file.
 
 Any failure -- no compiler, a compile error, a timeout, an unwritable
 cache directory, a load error -- logs one warning naming the reason and
-makes :func:`library` return ``None``; the replay kernels then run the
-Python walks, which produce the same bytes.
+makes :func:`library` return ``None``; the replay kernels then replay
+EJ/VEJ/IJ/HJ with the Python walks, which produce the same bytes.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def load(cache_dir: Path | None = None):
         lib = ctypes.CDLL(str(target))
     except Exception as exc:  # any failure degrades to the Python walks
         _logger.warning(
-            "compiled exclude machines unavailable (%s: %s); "
-            "replaying EJ/VEJ/HJ with the Python walks",
+            "compiled replay machines unavailable (%s: %s); "
+            "replaying EJ/VEJ/IJ/HJ with the Python walks",
             type(exc).__name__, exc,
         )
         return None
@@ -86,6 +86,8 @@ def load(cache_dir: Path | None = None):
     lib.vej_walk.restype = _I64
     lib.vej_walk.argtypes = [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR,
                              _PTR, _PTR, _I64, _PTR]
+    lib.ij_walk.restype = _I64
+    lib.ij_walk.argtypes = [_PTR, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]
     return lib
 
 

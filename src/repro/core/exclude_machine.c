@@ -1,24 +1,28 @@
-/* Exclude machines for the EJ/VEJ/HJ replay kernels.
+/* Replay machines for the EJ/VEJ/IJ/HJ replay kernels.
  *
  * Compiled on first use by repro.core._cmachine and driven through
- * ctypes from repro.core.vector_replay._ExcludeReplayer; the Python
- * walks there (_stack_walk, _vector_walk) are line-by-line
- * transliterations of these two functions and the fallback when no
+ * ctypes from repro.core.vector_replay; the Python walks there
+ * (_stack_walk, _vector_walk, _include_walk) are line-by-line
+ * transliterations of these three functions and the fallback when no
  * compiler is available.
  *
- * Each set is a fixed `ways`-wide row of int64 plus an int32 fill
- * count, in flat arrays indexed by set.  An EJ row holds the set's
- * valid blocks MRU-first; a VEJ row holds its valid chunks LRU-first,
- * with the chunks' presence vectors in a parallel uint64 row.  That is
- * the whole observable state of a set: way placement is never
- * reported.
+ * Exclude structures: each set is a fixed `ways`-wide row of int64
+ * plus an int32 fill count, in flat arrays indexed by set.  An EJ row
+ * holds the set's valid blocks MRU-first; a VEJ row holds its valid
+ * chunks LRU-first, with the chunks' presence vectors in a parallel
+ * uint64 row.  That is the whole observable state of a set: way
+ * placement is never reported.
  *
- * A walk consumes one span's items in stream order: block `b[i]`,
- * `code[i]` (0 = P0 snoop, 1 = P1 snoop, 2 = alloc) and the IJ verdict
- * `ok[i]` (NULL when every snoop passes).  It returns the index of the
- * first item that violates the JETTY safety guarantee, or -1, and
- * stores in `out` the entry writes and filtered snoops counted strictly
- * before that item.
+ * An exclude walk consumes one span's items in stream order: block
+ * `b[i]`, `code[i]` (0 = P0 snoop, 1 = P1 snoop, 2 = alloc) and the IJ
+ * verdict `ok[i]` (NULL when every snoop passes).  It returns the index
+ * of the first item that violates the JETTY safety guarantee, or -1,
+ * and stores in `out` the entry writes and filtered snoops counted
+ * strictly before that item.
+ *
+ * The IJ lanes are `n_arrays` int32 counter rows of `mask + 1` entries,
+ * lane j indexed by block bits [j*skip, j*skip + entry_bits).  The
+ * include walk consumes a span's packed events themselves.
  */
 
 #include <stdint.h>
@@ -150,4 +154,45 @@ int64_t vej_walk(int64_t *rows, uint64_t *vecs, int32_t *fill,
     out[0] = entry_writes;
     out[1] = filtered;
     return -1;
+}
+
+/* Walk one span's packed events in stream order over the IJ lanes,
+ * updating the counters in place and writing each snoop's verdict to
+ * `ok` (1 elsewhere; skipped when NULL).  Returns the index of the
+ * first underflowing EVICT or lane-filtered P1 snoop, or -1, with the
+ * filtered snoops and presence-bit transitions before it in `out`. */
+int64_t ij_walk(int32_t *counters, int64_t n_arrays, int64_t skip,
+                int64_t mask, const int64_t *e, int64_t n, uint8_t *ok,
+                int64_t *out)
+{
+    int64_t filtered = 0, pbit_writes = 0, i;
+    for (i = 0; i < n; i++) {
+        int64_t kind = e[i] & 3, blk = e[i] >> 4;
+        int passed = 1, error = 0;
+        for (int64_t j = 0; j < n_arrays && passed && !error; j++) {
+            /* Index fields past bit 63 read as zero, as in Python. */
+            int64_t shift = j * skip;
+            int32_t *c = counters + j * (mask + 1)
+                         + (shift < 64 ? (blk >> shift) & mask : 0);
+            if (kind == 0)             /* snoop: presence bit set? */
+                passed = *c != 0;
+            else if (kind == 1)        /* alloc: one increment per lane */
+                pbit_writes += (*c)++ == 0;
+            else if (*c == 0)          /* evict: underflow */
+                error = 1;
+            else                       /* evict: one decrement per lane */
+                pbit_writes += --(*c) == 0;
+        }
+        if (!passed && (e[i] & 8))     /* P1 snoop filtered: violation */
+            error = 1;
+        else if (!passed)
+            filtered++;
+        if (ok)
+            ok[i] = passed;
+        if (error)
+            break;
+    }
+    out[0] = filtered;
+    out[1] = pbit_writes;
+    return i < n ? i : -1;
 }

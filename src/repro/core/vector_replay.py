@@ -4,9 +4,9 @@ The per-event loop in :class:`repro.core.stats.EventReplayer` pays the
 full interpreter dispatch price — decode, probe call, hook call — for
 every packed event.  On snoop-dense traces (em3d-class) that loop is the
 replay bottleneck.  The replayers here consume a whole packed segment as
-a NumPy ``int64`` array instead and evaluate it with shift/mask/argsort/
-cumsum/bincount arithmetic, dropping into a sequential walk only where
-order-dependent LRU state genuinely requires one.
+a NumPy ``int64`` array instead: span tallies are mask arithmetic, and
+the order-dependent filter state (IJ counters, EJ/VEJ recency) is one
+small compiled walk per span in stream order.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
 for every supported filter family it reproduces the oracle
@@ -18,13 +18,11 @@ IJ counter underflow.  The oracle-parity suite
 
 Per family:
 
-* **IJ** — fully vectorised.  A lane's counter value *before* each event
-  is a grouped running sum over events hitting the same counter index:
-  stable-argsort the per-event indexes (cast to ``uint16`` — severalfold
-  faster than sorting ``int64`` keys), cumsum the +1/-1
-  allocate/evict deltas in sorted order, and subtract each group's
-  starting prefix.  Presence (``counter > 0``) at every snoop, pbit
-  transitions, and underflow positions all read off that array.
+* **IJ** — the *include walk*: each span's packed events in stream
+  order over the lanes' counters, updated in place, stopping at the
+  first underflowing EVICT or lane-filtered P1 snoop.  After every span
+  the lanes' totals are checked against the allocs and evicts walked
+  (:class:`~repro.errors.InvariantError` on a break).
 * **EJ / VEJ / HJ** — one exclude *machine* per structure: a stack
   machine for the EJ (each set a bounded MRU-first list of valid blocks)
   and a vector machine for the VEJ (each set its valid chunks LRU-first
@@ -34,18 +32,20 @@ Per family:
   takes the IJ verdict per item.  A
   hybrid puts an IJ in front of the exclude structure and filters when
   either side does, so a plain EJ/VEJ is the same machine behind an IJ
-  that passes every snoop, and an HJ feeds it its IJ lanes'
-  ``all_pass`` verdicts, vectorised as above.
+  that passes every snoop, and an HJ feeds it its include walk's
+  verdicts.
 
   One span body serves all three.  It walks the span's SNOOP/ALLOC
-  items in stream order — up to an IJ underflow for an HJ — and the
-  walk stops at the first safety violation, returning its index and
-  the counts before it, so the flushed statistics match the oracle's
-  exactly.  The walk is ``exclude_machine.c``, compiled on first use
-  and loaded by :mod:`repro.core._cmachine`; when no compiler is
-  available (or a VEJ's vectors are wider than 64 bits) the same span
-  body runs a line-by-line Python transliteration over per-set lists
-  and dicts instead.  Both produce the same bytes.
+  items in stream order — up to the include walk's first error for an
+  HJ — and the walk stops at the first safety violation, returning its
+  index and the counts before it, so the flushed statistics match the
+  oracle's exactly.
+
+Every walk is in ``exclude_machine.c``, compiled on first use and loaded
+by :mod:`repro.core._cmachine`; when no compiler is available (or a
+VEJ's vectors are wider than 64 bits) the same span bodies run
+line-by-line Python transliterations over lists and dicts instead.
+Both produce the same bytes.
 
 Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
@@ -57,11 +57,10 @@ runs it backwards — it *exports* the replayer's state into the wrapped
 filter and takes the filter's own snapshot — so checkpoints have one
 format whichever kernel wrote or reads them.
 
-Everything else (hashed-include, null filters, oversized geometries,
-subclasses) falls back to the per-event loop — selection happens in
-:func:`replayer_for`, which every
-:class:`~repro.core.stats.StreamingFilterBank` asks per node and which
-returns ``None`` for unsupported filters.  There is no other switch.
+Everything else (hashed-include, null filters, subclasses) falls back
+to the per-event loop — selection happens in :func:`replayer_for`,
+which every :class:`~repro.core.stats.StreamingFilterBank` asks per
+node and which returns ``None`` for unsupported filters.  There is no other switch.
 
 NumPy is an optional dependency: when it is missing,
 :func:`numpy_available` is ``False``, :func:`replayer_for` returns
@@ -72,7 +71,6 @@ tests reach the oracle through that same seam, by setting ``_np`` to
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from itertools import repeat
 
@@ -83,18 +81,12 @@ from repro.core.hybrid import HybridJetty
 from repro.core.include import IncludeJetty
 from repro.core.stats import CoverageStats, MARKER, PackedSegment, Replayer
 from repro.core.vector_exclude import VectorExcludeJetty
-from repro.errors import CoherenceError, FilterSafetyError
+from repro.errors import CoherenceError, FilterSafetyError, InvariantError
 
 try:  # pragma: no cover - exercised via the numpy-free CI job
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: IJ counter-index spaces above this fall back to the oracle: the
-#: lane profiles sort ``uint16`` counter indexes (sorting 16-bit keys is
-#: severalfold faster than 64-bit ones).  Exclude structures take any set
-#: count.
-_MAX_INDEX_SPACE = 1 << 16
 
 #: VEJ presence vectors wider than this run the Python walk: the
 #: compiled machine holds each vector in one ``uint64``.
@@ -119,16 +111,13 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
     if kind is ExcludeJetty or kind is VectorExcludeJetty:
         return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     if kind is IncludeJetty:
-        if 1 << snoop_filter.entry_bits <= _MAX_INDEX_SPACE:
-            return _IncludeReplayer(snoop_filter, node_id, phase_names)
-    elif kind is HybridJetty:
-        include, exclude = snoop_filter.include, snoop_filter.exclude
-        if (
-            type(include) is IncludeJetty
-            and 1 << include.entry_bits <= _MAX_INDEX_SPACE
-            and type(exclude) in (ExcludeJetty, VectorExcludeJetty)
-        ):
-            return _ExcludeReplayer(snoop_filter, node_id, phase_names)
+        return _IncludeReplayer(snoop_filter, node_id, phase_names)
+    if (
+        kind is HybridJetty
+        and type(snoop_filter.include) is IncludeJetty
+        and type(snoop_filter.exclude) in (ExcludeJetty, VectorExcludeJetty)
+    ):
+        return _ExcludeReplayer(snoop_filter, node_id, phase_names)
     return None
 
 
@@ -139,7 +128,7 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
 
 
 def _span_stats(segment: PackedSegment, lo: int, hi: int) -> dict:
-    """Kind masks, flag masks, blocks, and tallies for one span."""
+    """Kind masks and tallies for one span."""
 
     def build() -> dict:
         e = segment.array()[lo:hi]
@@ -147,23 +136,14 @@ def _span_stats(segment: PackedSegment, lo: int, hi: int) -> dict:
         snoop_m = kind == 0
         alloc_m = kind == 1
         evict_m = kind == 2
-        pbit = (e & 8) != 0
         wh_m = snoop_m & ((e & 4) != 0)
         n_allocs = int(alloc_m.sum())
         n_evicts = int(evict_m.sum())
         return {
-            "blocks": e >> 4,
             "snoop_m": snoop_m,
             "alloc_m": alloc_m,
             "evict_m": evict_m,
-            "pbit": pbit,
             "wh_m": wh_m,
-            # +1 per ALLOC, -1 per EVICT, 0 per SNOOP: the per-counter
-            # running sums below are cumsums of this in sorted order.
-            # int32 throughout the lane math — counters are bounded by
-            # the cached-block population and spans by the segment size,
-            # and the narrower lanes are measurably faster.
-            "delta": alloc_m.astype(_np.int32) - evict_m,
             "n_snoops": (hi - lo) - n_allocs - n_evicts,
             "n_would_hit": int(wh_m.sum()),
             "n_allocs": n_allocs,
@@ -186,44 +166,9 @@ def _span_items(segment: PackedSegment, lo: int, hi: int) -> dict:
         e = segment.array()[lo:hi]
         pos = _np.flatnonzero(s["snoop_m"] | s["alloc_m"])
         code = (((e & 3) << 1) | ((e >> 3) & 1))[pos]
-        return {"pos": pos, "b": s["blocks"][pos], "code": code}
+        return {"pos": pos, "b": e[pos] >> 4, "code": code}
 
     return segment.shared(("items", lo, hi), build)
-
-
-def _lane_profile(
-    segment: PackedSegment, lo: int, hi: int, shift: int, entry_bits: int
-):
-    """State-independent running-sum profile of one IJ lane over a span.
-
-    Returns ``(idx, order, idx_s, rel_s)`` where ``idx`` is each event's
-    counter index, ``order``/``idx_s`` the stable sort by index, and
-    ``rel_s[i]`` the net +1/-1 delta of *earlier same-index events in
-    this span* — so a lane's counter value before sorted event ``i`` is
-    ``counters[idx_s[i]] + rel_s[i]`` whatever the carried-in counters
-    are.  Keyed only on geometry, the profile is shared between an IJ
-    bank and any HJ bank wrapping the same IJ configuration.
-    """
-
-    def build():
-        s = _span_stats(segment, lo, hi)
-        m = (1 << entry_bits) - 1
-        idx = ((s["blocks"] >> shift) & m).astype(_np.uint16)
-        order = _np.argsort(idx, kind="stable")
-        idx_s = idx[order]
-        d_s = s["delta"][order]
-        cs = _np.cumsum(d_s)
-        excl = cs - d_s  # prefix sum excluding the event itself
-        n = idx_s.size
-        first = _np.empty(n, dtype=bool)
-        first[0] = True
-        _np.not_equal(idx_s[1:], idx_s[:-1], out=first[1:])
-        fpos = _np.flatnonzero(first)
-        reps = _np.diff(_np.append(fpos, n))
-        rel_s = excl - _np.repeat(excl[fpos], reps)
-        return idx, order, idx_s, rel_s
-
-    return segment.shared(("lane", lo, hi, shift, entry_bits), build)
 
 
 def _warm_stacks(exclude: ExcludeJetty) -> list[list[int]]:
@@ -294,109 +239,67 @@ def _export_vectors(exclude: VectorExcludeJetty, vectors) -> None:
 
 
 class _IncludeLanes:
-    """The vectorised counter machinery of one :class:`IncludeJetty`.
+    """The counter lanes of one :class:`IncludeJetty` and their walk.
 
-    Owns the persistent per-lane counter arrays (the only IJ state) and
-    evaluates whole spans: per-event pre-values, the ANDed presence
-    verdict at snoops, pbit-transition counts, underflow detection, and
-    the end-of-span counter commit.
-
-    The whole span evaluation is memoised on the segment under a key
-    that names the lane geometry *and* the event history folded into
-    the counters so far — two banks whose IJs share a configuration
-    (an ``IJ-AxBxC`` bank and an ``HJ(IJ-AxBxC, ...)`` bank replaying
-    the same trace) necessarily carry identical counter state at every
-    span boundary, so the second bank reuses the first's evaluation
-    wholesale instead of re-sorting every lane.
+    The lanes (one row per sub-array, the only IJ state) are an ``int32``
+    array walked by ``ij_walk`` once :mod:`repro.core._cmachine` loaded,
+    else lists walked by :func:`_include_walk`.  Each alloc adds one to
+    every lane and each evict takes one away, so :meth:`commit` checks
+    that every lane totals the imported total plus the allocs minus the
+    evicts walked so far (tallies warm-up MARKERs do not reset).
     """
 
     __slots__ = (
-        "include", "_counters", "_events", "_allocs", "_evicts", "_seed"
+        "include", "counters", "_lib", "_lanes", "_mask", "_out",
+        "_imported", "_allocs", "_evicts",
     )
 
     def __init__(self, include: IncludeJetty) -> None:
         self.include = include
+        self._mask = (1 << include.entry_bits) - 1
+        self._lib = _cmachine.library()
         # Import the wrapped filter's current counters: zeros for a
         # freshly built IJ, the warmed lanes for a fast-forwarded one.
-        self._counters = [
-            _np.asarray(counters, dtype=_np.int32)
-            for counters in include._counters
-        ]
-        # Committed-history fingerprint, part of the sharing key: equal
-        # geometry + equal *initial state* + equal history => equal
-        # counter state.  The seed digest distinguishes warm starts —
-        # all cold lanes of one geometry share one digest, so the
-        # IJ-and-HJ sharing of cold replays is untouched.
-        self._seed = hashlib.sha256(
-            b"".join(counters.tobytes() for counters in self._counters)
-        ).hexdigest()[:16]
-        self._events = 0
-        self._allocs = 0
-        self._evicts = 0
+        if self._lib is None:
+            self.counters = [list(counters) for counters in include._counters]
+            self._lanes = tuple(zip(self.counters, include._shifts))
+        else:
+            self.counters = _np.array(include._counters, dtype=_np.int32)
+            if self.counters.shape != (include.n_arrays, self._mask + 1):
+                raise InvariantError(f"{include.name}: malformed lanes")
+            self._out = _np.zeros(2, dtype=_np.int64)
+        self._imported = sum(include._counters[0])
+        self._allocs = self._evicts = 0
 
-    def span(self, segment: PackedSegment, lo: int, hi: int) -> dict:
-        """Evaluate one span; returns the shared evaluation record.
-
-        ``all_pass[i]`` — every lane counter nonzero before event ``i``
-        (meaningful at snoop positions); ``under_k`` — span position of
-        the first underflowing EVICT, or -1; ``pbw`` — presence-bit
-        transitions over the whole span; ``deltas`` — per-lane counter
-        deltas for :meth:`commit`.  ``all_pass`` values after an
-        underflow position are garbage; callers never read past it.
-        """
-        include = self.include
-        key = (
-            "ijspan", lo, hi,
-            include.entry_bits, include.n_arrays, include.skip,
-            self._seed, self._events, self._allocs, self._evicts,
+    def walk(self, segment: PackedSegment, lo: int, hi: int, ok=None):
+        """Walk span ``[lo, hi)``: the first error's index (or -1) and the
+        filtered snoops and pbit writes before it.  ``ok``, one bool per
+        event, receives the verdicts."""
+        if self._lib is None:
+            verdicts = bytearray(hi - lo)
+            result = _include_walk(
+                self._lanes, self._mask, segment.boxed()[lo:hi], verdicts
+            )
+            if ok is not None:
+                ok[:] = _np.frombuffer(verdicts, dtype=_np.bool_)
+            return result
+        # The C walk reads ``hi - lo`` int64 events and writes as many
+        # verdicts (no copies: a segment array is built that way).
+        events = _np.ascontiguousarray(segment.array()[lo:hi], _np.int64)
+        if ok is not None and not (
+            ok.dtype == _np.bool_ and ok.flags.c_contiguous
+            and ok.size == events.size
+        ):
+            raise InvariantError(
+                "include walk verdicts are not one contiguous bool per event"
+            )
+        out = self._out
+        k = self._lib.ij_walk(
+            self.counters.ctypes.data, len(self.counters),
+            self.include.skip, self._mask, events.ctypes.data, events.size,
+            None if ok is None else ok.ctypes.data, out.ctypes.data,
         )
-
-        def build() -> dict:
-            s = _span_stats(segment, lo, hi)
-            alloc_m, evict_m = s["alloc_m"], s["evict_m"]
-            size = self._counters[0].size
-            all_pass = None
-            pres = []
-            idxs = []
-            for counters, shift in zip(self._counters, include._shifts):
-                idx, order, idx_s, rel_s = _lane_profile(
-                    segment, lo, hi, shift, include.entry_bits
-                )
-                pre_s = counters[idx_s] + rel_s
-                pre = _np.empty_like(pre_s)
-                pre[order] = pre_s
-                ok = pre > 0
-                all_pass = ok if all_pass is None else all_pass & ok
-                pres.append(pre)
-                idxs.append(idx)
-            under_k = -1
-            if s["n_evicts"]:
-                under = None
-                for pre in pres:
-                    zero = evict_m & (pre == 0)
-                    under = zero if under is None else under | zero
-                where = _np.flatnonzero(under)
-                if where.size:
-                    under_k = int(where[0])
-            pbw = 0
-            for pre in pres:
-                pbw += int((alloc_m & (pre == 0)).sum())
-                pbw += int((evict_m & (pre == 1)).sum())
-            deltas = [
-                (
-                    _np.bincount(idx[alloc_m], minlength=size)
-                    - _np.bincount(idx[evict_m], minlength=size)
-                ).astype(_np.int32)
-                for idx in idxs
-            ]
-            return {
-                "all_pass": all_pass,
-                "under_k": under_k,
-                "pbw": pbw,
-                "deltas": deltas,
-            }
-
-        return segment.shared(key, build)
+        return k, int(out[0]), int(out[1])
 
     def underflow_error(self, block: int) -> CoherenceError:
         return CoherenceError(
@@ -406,19 +309,26 @@ class _IncludeLanes:
 
     def export(self) -> None:
         """Write the lane counters into the wrapped IJ (for a snapshot)."""
-        self.include._restore_state(
-            {"counters": [counters.tolist() for counters in self._counters]}
-        )
+        counters = self.counters
+        if self._lib is not None:
+            counters = counters.tolist()
+        self.include._restore_state({"counters": counters})
 
-    def commit(self, s: dict, span: dict) -> None:
-        """Fold the span's allocate/evict deltas into the lane counters."""
-        for counters, delta in zip(self._counters, span["deltas"]):
-            counters += delta
-        self._events += (
-            s["n_snoops"] + s["n_allocs"] + s["n_evicts"]
-        )
+    def commit(self, s: dict) -> None:
+        """Tally a walked span and check lane conservation."""
         self._allocs += s["n_allocs"]
         self._evicts += s["n_evicts"]
+        if self._lib is None:
+            totals = [sum(lane) for lane in self.counters]
+        else:
+            totals = self.counters.sum(axis=1).tolist()
+        expected = self._imported + self._allocs - self._evicts
+        if totals.count(expected) != len(totals):
+            raise InvariantError(
+                f"{self.include.name} lane counter totals {totals} break "
+                f"conservation: {self._imported} imported + "
+                f"{self._allocs} allocs - {self._evicts} evicts = {expected}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +462,7 @@ class VectorReplayer(Replayer):
 
 
 class _IncludeReplayer(VectorReplayer):
-    """Fully vectorised IJ replay — no per-event Python loop at all."""
+    """IJ replay: the include walk over each span, nothing else."""
 
     def _import(self) -> None:
         self._lanes = _IncludeLanes(self.snoop_filter)
@@ -563,22 +473,13 @@ class _IncludeReplayer(VectorReplayer):
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
         lanes = self._lanes
-        sp = lanes.span(segment, lo, hi)
-        filtered_m = s["snoop_m"] & ~sp["all_pass"]
-        viol_k = -1
-        viol = _np.flatnonzero(filtered_m & s["pbit"])
-        if viol.size:
-            viol_k = int(viol[0])
-        under_k = sp["under_k"]
-        # First error wins; pre-values (and thus both detections) are
-        # exact up to the earlier of the two positions.
-        if viol_k >= 0 and (under_k < 0 or viol_k < under_k):
-            self._flush_prefix(s, viol_k, int(filtered_m[:viol_k].sum()))
-            raise self._safety_error(int(s["blocks"][viol_k]))
-        if under_k >= 0:
-            self._flush_prefix(s, under_k, int(filtered_m[:under_k].sum()))
-            raise lanes.underflow_error(int(s["blocks"][under_k]))
-        filtered = int(filtered_m.sum())
+        k, filtered, pbit_writes = lanes.walk(segment, lo, hi)
+        if k >= 0:
+            self._flush_prefix(s, k, filtered)
+            block = int(segment.array()[lo + k]) >> 4
+            if s["evict_m"][k]:
+                raise lanes.underflow_error(block)
+            raise self._safety_error(block)
         self._flush_span(s, filtered)
         counts = self.counts
         counts.probes += s["n_snoops"]
@@ -586,8 +487,8 @@ class _IncludeReplayer(VectorReplayer):
         counts.cnt_updates += self.snoop_filter.n_arrays * (
             s["n_allocs"] + s["n_evicts"]
         )
-        counts.pbit_writes += sp["pbw"]
-        lanes.commit(s, sp)
+        counts.pbit_writes += pbit_writes
+        lanes.commit(s)
 
 
 #: The IJ verdict of a plain EJ/VEJ: every snoop passes.
@@ -689,6 +590,52 @@ def _vector_walk(
     return -1, entry_writes, filtered
 
 
+def _include_walk(lanes, mask: int, events, ok):
+    """Walk a span's packed events in stream order over IJ lanes.
+
+    The Python twin of ``ij_walk`` in ``exclude_machine.c``.  ``lanes``
+    pairs each sub-array's counter list with its index shift; the
+    counters update in place.  ``ok[i]`` gets each snoop's
+    all-lanes-nonzero verdict (1 elsewhere).  Returns
+    ``(i, filtered, pbit_writes)``: the index of the first EVICT that
+    underflows or P1 snoop the lanes filter (or -1), and the counts
+    strictly before it.
+    """
+    filtered = pbit_writes = 0
+    for i, event in enumerate(events):
+        kind = event & 3
+        block = event >> 4
+        if kind == 0:  # snoop: every presence bit set?
+            passed = True
+            for counters, shift in lanes:
+                if not counters[(block >> shift) & mask]:
+                    passed = False
+                    break
+            ok[i] = passed
+            if not passed:
+                if event & 8:  # P1 snoop filtered: violation
+                    return i, filtered, pbit_writes
+                filtered += 1
+            continue
+        ok[i] = True
+        if kind == 1:  # alloc: one increment per lane
+            for counters, shift in lanes:
+                index = (block >> shift) & mask
+                if not counters[index]:
+                    pbit_writes += 1
+                counters[index] += 1
+        else:  # evict: one decrement per lane
+            for counters, shift in lanes:
+                index = (block >> shift) & mask
+                value = counters[index]
+                if not value:  # underflow
+                    return i, filtered, pbit_writes
+                counters[index] = value - 1
+                if value == 1:
+                    pbit_writes += 1
+    return -1, filtered, pbit_writes
+
+
 def _python_walk(walk, *state):
     """A span walk running the Python ``walk`` over per-set ``state``."""
 
@@ -725,7 +672,7 @@ def _compiled_walk(function, *state):
             ok = _np.ascontiguousarray(ok, dtype=_np.bool_)
         verdicts = b.size if ok is None else ok.size
         if not stop <= b.size == code.size == verdicts:
-            raise ValueError("exclude walk items disagree in length")
+            raise InvariantError("exclude walk items disagree in length")
         i = function(
             *args, b.ctypes.data, code.ctypes.data,
             None if ok is None else ok.ctypes.data, stop, out.ctypes.data,
@@ -751,7 +698,7 @@ class _ExcludeReplayer(VectorReplayer):
     """EJ, VEJ and HJ replay: one exclude machine behind one span body.
 
     A plain EJ/VEJ runs its machine behind an all-pass IJ verdict; an HJ
-    runs its exclude component's machine behind vectorised IJ lanes and
+    runs its exclude component's machine behind its IJ's include walk and
     owns the hybrid's filtered accounting (a snoop is filtered unless
     both components pass).  ``filtered``/``probes`` count the filter,
     ``entry_writes`` the exclude structure, ``cnt_updates``/
@@ -761,10 +708,11 @@ class _ExcludeReplayer(VectorReplayer):
     The machine is the compiled walk when :mod:`repro.core._cmachine`
     loaded its library (``compiled`` is then true), else the Python walk
     over the same items; a VEJ with vectors wider than the C kernel's
-    ``uint64`` always takes the Python walk.  An IJ underflow stops the
-    walk at the underflow position so the oracle's first-error-wins
-    ordering holds: a safety violation earlier in the span raises first,
-    one later never gets the chance.
+    ``uint64`` always takes the Python walk.  The include walk runs
+    first and stops at its first error; the exclude walk then stops
+    there too, so the oracle's first-error-wins ordering holds: a safety
+    violation earlier in the span raises first, one later never gets the
+    chance.
     """
 
     def _import(self) -> None:
@@ -850,24 +798,27 @@ class _ExcludeReplayer(VectorReplayer):
         items = _span_items(segment, lo, hi)
         pos = items["pos"]
         stop = pos.size
-        under_k = -1
+        k = -1
         ok = None
         lanes = self._lanes
         if lanes is not None:
-            sp = lanes.span(segment, lo, hi)
-            under_k = sp["under_k"]
-            ok = sp["all_pass"][pos]
-            if under_k >= 0:
-                stop = int(_np.searchsorted(pos, under_k))
+            verdicts = _np.empty(hi - lo, dtype=_np.bool_)
+            k, _, pbit_writes = lanes.walk(segment, lo, hi, verdicts)
+            ok = verdicts[pos]
+            if k >= 0:
+                # Items end before an underflowing EVICT (never an item)
+                # and at a P1 snoop the IJ filtered, which the exclude
+                # walk then reports as the violation.
+                stop = int(_np.searchsorted(pos, k, side="right"))
         i, entry_writes, filtered = self._walk(
             segment, lo, hi, items, ok, stop
         )
         if i >= 0:
             self._flush_prefix(s, int(pos[i]), filtered)
             raise self._safety_error(int(items["b"][i]))
-        if under_k >= 0:
-            self._flush_prefix(s, under_k, filtered)
-            raise lanes.underflow_error(int(s["blocks"][under_k]))
+        if k >= 0:
+            self._flush_prefix(s, k, filtered)
+            raise lanes.underflow_error(int(segment.array()[lo + k]) >> 4)
         self._flush_span(s, filtered)
         counts = self.counts
         counts.probes += s["n_snoops"]
@@ -877,5 +828,5 @@ class _ExcludeReplayer(VectorReplayer):
             counts.cnt_updates += lanes.include.n_arrays * (
                 s["n_allocs"] + s["n_evicts"]
             )
-            counts.pbit_writes += sp["pbw"]
-            lanes.commit(s, sp)
+            counts.pbit_writes += pbit_writes
+            lanes.commit(s)

@@ -18,7 +18,7 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
-from repro.core import vector_replay
+from repro.core import _cmachine, vector_replay
 from repro.core.base import FilterEventCounts
 from repro.core.stats import CoverageStats, FilterEvaluation, check_evaluations
 from repro.errors import ConfigurationError, InvariantError
@@ -318,4 +318,37 @@ class TestProductionInvariants:
         assert not [
             entry for entry in store.entries()
             if entry.kind == "eval" and entry.filter_name == "EJ-8x2"
+        ]
+
+    @pytest.mark.skipif(
+        not vector_replay.numpy_available(),
+        reason="miscounts inside the vector kernels",
+    )
+    @pytest.mark.parametrize("compiled", (True, False), ids=("cc", "python"))
+    def test_lane_conservation_break_stores_no_eval(
+        self, monkeypatch, compiled
+    ):
+        """An include walk that leaves one counter off by one is caught by
+        the lanes' conservation check alone: no row for that filter."""
+        if not compiled:
+            monkeypatch.setattr(_cmachine, "_lib", None)
+        elif _cmachine.library() is None:
+            pytest.skip("needs the compiled walks")
+        walk = vector_replay._IncludeLanes.walk
+
+        def bumped(lanes, *args):
+            result = walk(lanes, *args)
+            lanes.counters[0][0] += 1
+            return result
+
+        monkeypatch.setattr(vector_replay._IncludeLanes, "walk", bumped)
+        store = ExperimentStore()
+        with pytest.raises(InvariantError, match="IJ-8x4x7 lane counter"):
+            runner.run_sweep(
+                (WORKLOAD_A,), ("EJ-8x2", "IJ-8x4x7"),
+                experiment_store=store, replay=True,
+            )
+        assert not [
+            entry for entry in store.entries()
+            if entry.kind == "eval" and entry.filter_name == "IJ-8x4x7"
         ]

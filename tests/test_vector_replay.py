@@ -48,6 +48,7 @@ from repro.traces.suite import Phase, Suite
 from repro.errors import (
     CoherenceError,
     FilterSafetyError,
+    InvariantError,
 )
 from repro.traces.workloads import (
     WORKLOADS,
@@ -527,6 +528,19 @@ class TestRandomDifferential:
          _snoop(0x100), _snoop(0x0)],
         [],
     ))
+    # An IJ-filtered P1 snoop (0x0's lane-1 counter is still zero) and
+    # an underflowing EVICT (0x4's lane-0 counter) in one span, in both
+    # orders: whichever comes first in the stream raises.
+    @example(feed=(
+        [pack_event(ALLOC, 0x100), _snoop(0x40),
+         _snoop(0x0, present=True), pack_event(EVICT, 0x4)],
+        [],
+    ))
+    @example(feed=(
+        [pack_event(ALLOC, 0x100), _snoop(0x40), pack_event(EVICT, 0x4),
+         _snoop(0x0, present=True)],
+        [],
+    ))
     @settings(max_examples=60, deadline=None)
     def test_vector_kernel_matches_oracle(self, filter_name, feed):
         events, cuts = feed
@@ -760,22 +774,28 @@ class TestKernelSelection:
         assert vector_replay.replayer_for(Tweaked(16, 2), 0) is None
 
     @requires_numpy
-    def test_oversized_geometries_fall_back(self, golden_streams):
-        """IJ lanes beyond the ``uint16`` sort keys fall back to the
-        oracle; exclude structures of any set count vectorise, and VEJ
-        vectors wider than the C kernel's ``uint64`` take the Python
-        walk.  Either way the payload is the oracle's."""
-        wide_ij = _single_filter("IJ-17x1x7")
-        assert vector_replay.replayer_for(wide_ij, 0) is None
+    @pytest.mark.parametrize("python", (False, True), ids=("cc", "python"))
+    def test_oversized_geometries_vectorise(
+        self, golden_streams, monkeypatch, python
+    ):
+        """IJ lanes of any index space and exclude structures of any set
+        count vectorise; VEJ vectors wider than the C kernel's
+        ``uint64`` take the Python walk.  On either walk the payload is
+        the oracle's."""
+        if python:
+            monkeypatch.setattr(_cmachine, "_lib", None)
         events = list(golden_streams["vector-golden-mix"][0].events)
         loaded = _cmachine.library() is not None
         for make, compiled in (
+            (lambda: _single_filter("IJ-17x1x7"), None),
+            (lambda: _single_filter("HJ(IJ-17x1x7, EJ-16x2)"), loaded),
             (lambda: ExcludeJetty(1 << 17, 1), loaded),
             (lambda: _single_filter("VEJ-16x2-128"), False),
         ):
             oracle = EventReplayer(make(), 0)
             vector = vector_replay.replayer_for(make(), 0)
-            assert vector is not None and vector.compiled is compiled
+            assert vector is not None
+            assert getattr(vector, "compiled", None) is compiled
             for replayer in (oracle, vector):
                 replayer.feed(events)
             assert store_mod.encode_eval(vector.finish()) == (
@@ -794,7 +814,7 @@ class TestKernelSelection:
 
 
 # ----------------------------------------------------------------------
-# The compiled exclude machines' loader
+# The compiled replay machines' loader
 # ----------------------------------------------------------------------
 
 class TestCompiledMachineLoader:
@@ -803,7 +823,33 @@ class TestCompiledMachineLoader:
         only the Python walks without anyone noticing."""
         if shutil.which("cc") is None:
             return
-        assert _cmachine.library() is not None
+        lib = _cmachine.library()
+        assert lib is not None
+        for walk in ("ej_walk", "vej_walk", "ij_walk"):
+            assert hasattr(lib, walk), walk
+
+    @requires_numpy
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+    def test_malformed_walk_buffers_are_typed(self):
+        """The compiled wrappers refuse buffers the C walks would overrun
+        with an :class:`InvariantError`, never a bare ``ValueError``."""
+        lib = _cmachine.library()
+        np = vector_replay._np
+        segment = PackedSegment([_snoop(0x40), pack_event(ALLOC, 0x50)])
+        ej = vector_replay._compiled_walk(
+            lib.ej_walk, np.zeros((4, 2), dtype=np.int64),
+            np.zeros(4, dtype=np.int32), 2, 3,
+        )
+        items = {"b": np.array([0x40, 0x50]), "code": np.array([0])}
+        with pytest.raises(InvariantError, match="exclude walk items"):
+            ej(segment, 0, 2, items, None, 1)
+        lanes = vector_replay._IncludeLanes(_single_filter("IJ-8x4x7"))
+        with pytest.raises(InvariantError, match="include walk verdicts"):
+            lanes.walk(segment, 0, 2, np.zeros(1, dtype=bool))
+        short = _single_filter("IJ-8x4x7")
+        short._restore_state({"counters": [[0] * 255] * 4})
+        with pytest.raises(InvariantError, match="malformed lanes"):
+            vector_replay._IncludeLanes(short)
 
     @requires_numpy
     def test_broken_compiler_falls_back(
