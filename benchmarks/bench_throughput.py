@@ -106,12 +106,13 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
     live modes, so ``replay_accesses_per_sec / streamed accesses_per_sec``
     is exactly the wall-clock speedup a warm filter sweep enjoys over
     re-simulating.  The warm replay is measured on the per-event oracle
-    (``replay_python_*``, NumPy hidden from the vector kernels) and, when
-    NumPy is importable, on the default banks (``replay_numpy_*``); the
-    canonical ``replay_*`` / ``accesses_per_sec`` numbers are the
-    default banks' — the throughput a plain replay sweep actually gets.
+    (``replay_python_*``, the native core hidden) and, when the native
+    core loads, on the default banks' compiled kernels
+    (``replay_native_*``); the canonical ``replay_*`` /
+    ``accesses_per_sec`` numbers are the default banks' — the throughput
+    a plain replay sweep actually gets.
     """
-    from repro.core import vector_replay
+    from repro.core import _cmachine
 
     spec = _sized(name, n_accesses, warmup)
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,15 +125,15 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
         record_elapsed = time.perf_counter() - started
 
         kernels = ["python"]
-        if vector_replay.numpy_available():
-            kernels.append("numpy")
+        if _cmachine.library() is not None:
+            kernels.append("native")
         elapsed_by_kernel = {}
         for kernel in kernels:
             store.delete_kind("eval")
-            saved = vector_replay._np
+            saved = _cmachine.library()
             if kernel == "python":
-                # Every bank falls back to the oracle without NumPy.
-                vector_replay._np = None
+                # Every bank falls back to the oracle without the core.
+                _cmachine._lib = None
             try:
                 started = time.perf_counter()
                 runner.execute_replays(
@@ -142,9 +143,9 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
                 )
                 elapsed_by_kernel[kernel] = time.perf_counter() - started
             finally:
-                vector_replay._np = saved
+                _cmachine._lib = saved
 
-        # What a plain replay runs here: numpy whenever it imports.
+        # What a plain replay runs here: native whenever it loads.
         default_kernel = kernels[-1]
         replay_elapsed = elapsed_by_kernel[default_kernel]
         entry = {
@@ -547,10 +548,10 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
                 f"{entry['replay_accesses_per_sec']:,} acc/s "
                 f"({entry['replay_seconds']}s, {entry['replay_kernel']} "
                 "kernel)")
-        if "replay_numpy_accesses_per_sec" in entry:
-            ratio = (entry["replay_numpy_accesses_per_sec"]
+        if "replay_native_accesses_per_sec" in entry:
+            ratio = (entry["replay_native_accesses_per_sec"]
                      / entry["replay_python_accesses_per_sec"])
-            line += f"; numpy vs python x{ratio:.2f}"
+            line += f"; native vs python x{ratio:.2f}"
         print(line, flush=True)
     if checkpoint_every is not None:
         results["checkpoint"] = {}

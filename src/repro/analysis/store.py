@@ -73,6 +73,7 @@ from repro.analysis.resilience import SQLITE_RETRY_POLICY, retry_call
 from repro.coherence.config import SystemConfig
 from repro.errors import ConfigurationError, StoreCorruptionError
 from repro.coherence.metrics import BusStats, NodeStats, SimResult
+from repro.core import _cmachine
 from repro.core.base import FilterEventCounts
 from repro.core.stats import (
     CoverageStats,
@@ -80,11 +81,6 @@ from repro.core.stats import (
     PhaseStats,
 )
 from repro.traces.workloads import WorkloadSpec
-
-try:  # NumPy is optional; the codec keeps a byte-identical pure path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 _logger = logging.getLogger("repro.store")
 
@@ -571,16 +567,6 @@ def decode_checkpoint(blob: bytes) -> dict:
 _DELTA_V1_MAGIC = 0xD7
 
 
-def _le_event_bytes(raw: bytes) -> bytes:
-    """Native-order packed-event bytes as little-endian on-disk bytes."""
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        events = array("q")
-        events.frombytes(raw)
-        events.byteswap()
-        raw = events.tobytes()
-    return raw
-
-
 #: Address-region granularity of the delta-v1 chain key, in block-address
 #: bits: events are delta-chained per ``(kind, block >> shift)`` so the
 #: interleaved per-pattern streams (each CPU's streaming sweep, each
@@ -617,10 +603,10 @@ def _varints_decode_py(data: bytes, count: int) -> list[int]:
                 raise ValueError(
                     f"delta-v1 varint stream truncated at value {index}"
                 )
-            if shift > 63:
-                raise ValueError(f"delta-v1 varint {index} exceeds 64 bits")
             byte = data[position]
             position += 1
+            if shift == 63 and byte > 1:
+                raise ValueError(f"delta-v1 varint {index} exceeds 64 bits")
             value |= (byte & 0x7F) << shift
             shift += 7
             if not byte & 0x80:
@@ -628,69 +614,6 @@ def _varints_decode_py(data: bytes, count: int) -> list[int]:
         values.append(value)
     if position != len(data):
         raise ValueError("delta-v1 varint stream has trailing bytes")
-    return values
-
-
-def _varints_encode_np(values, prefix: int):
-    """A uint8 buffer of ``prefix`` unset bytes, then ``values``' LEB128.
-
-    Each value's first byte position comes from a running sum of the
-    byte counts; the bytes are then written one byte position at a time
-    over the values still in flight, so no temporary is ever sized per
-    output byte.
-    """
-    limits = _np.uint64(1) << _np.arange(7, 64, 7, dtype=_np.uint64)
-    lengths = _np.searchsorted(limits, values, side="right") + 1
-    position = _np.cumsum(lengths)
-    total = int(position[-1]) if position.size else 0
-    out = _np.empty(prefix + total, dtype=_np.uint8)
-    position -= lengths
-    position += prefix
-    rest = values
-    while position.size:
-        more = rest > 0x7F
-        group = rest.astype(_np.uint8)
-        group &= 0x7F
-        group |= more.view(_np.uint8) << 7
-        out[position] = group
-        position = position[more] + 1
-        rest = rest[more] >> 7
-    return out
-
-
-def _varints_decode_np(raw, count: int):
-    """Vectorised LEB128 decode of exactly ``count`` values (uint64).
-
-    ``raw`` is a uint8 array.  Each value's first byte is read at once;
-    continuation bytes are ORed in one byte position at a time over the
-    values still open.
-    """
-    bounds = _np.flatnonzero(raw < 0x80)  # each value's final byte
-    if bounds.size != count or (count and int(bounds[-1]) != raw.size - 1):
-        raise ValueError(
-            f"delta-v1 varint stream holds {bounds.size} value(s), "
-            f"expected {count}"
-        )
-    if count == 0:
-        if raw.size:
-            raise ValueError("delta-v1 varint stream has trailing bytes")
-        return _np.zeros(0, dtype=_np.uint64)
-    bounds[1:] = bounds[:-1] + 1  # now each value's first byte
-    bounds[0] = 0
-    group = raw[bounds]
-    values = (group & 0x7F).astype(_np.uint64)
-    open_ = _np.flatnonzero(group >= 0x80)
-    position = bounds[open_] + 1
-    shift = 7
-    while open_.size:
-        if shift > 63:
-            raise ValueError("delta-v1 varint exceeds 64 bits")
-        group = raw[position]
-        values[open_] |= (group & 0x7F).astype(_np.uint64) << shift
-        more = group >= 0x80
-        open_ = open_[more]
-        position = position[more] + 1
-        shift += 7
     return values
 
 
@@ -705,44 +628,25 @@ def _delta_planes_encode(raw: bytes):
     order.  A delta is taken against the previous block in the same
     ``(kind, region)`` chain (0 before the first), which is what turns
     the interleaved access patterns back into the near-sequential
-    per-pattern streams the simulator generated.  Both the NumPy and the
-    pure-Python path produce these exact bytes.
+    per-pattern streams the simulator generated.  ``delta_encode`` in
+    the native core writes these bytes when it loads; the pure-Python
+    passes below are the fallback and the spec, and produce the same.
     """
-    raw = _le_event_bytes(raw)
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} segment bytes are not whole events")
     n = len(raw) // 8
+    lib = _cmachine.library()
+    if lib is not None:
+        # Each of the 2n varints takes at most 10 bytes.
+        out = array("B", bytes(9 + 22 * n))
+        size = lib.delta_encode(raw, n, _DELTA_V1_REGION_SHIFT,
+                                out.buffer_info()[0])
+        if size < 0:
+            raise MemoryError("delta-v1 encode out of memory")
+        return memoryview(out)[:size]
     header = struct.pack("<QB", n, _DELTA_V1_REGION_SHIFT)
-    if _np is not None:
-        low = _np.frombuffer(raw, dtype=_np.uint8)[::8]  # kind, flag bits
-        kinds = low & 3
-        values = _np.empty(2 * n, dtype=_np.uint64)
-        regions = values[:n].view(_np.int64)
-        blocks = _np.frombuffer(raw, dtype="<i8") >> 4
-        _np.right_shift(blocks, _DELTA_V1_REGION_SHIFT, out=regions)
-        chain = _np.left_shift(kinds, 50, dtype=_np.int64)
-        chain |= regions
-        order = _np.argsort(chain, kind="stable")
-        chain = chain[order]
-        blocks = blocks[order]
-        deltas = _np.empty_like(blocks)
-        deltas[:1] = blocks[:1]
-        _np.subtract(blocks[1:], blocks[:-1], out=deltas[1:])
-        heads = _np.flatnonzero(chain[1:] != chain[:-1]) + 1
-        deltas[heads] = blocks[heads]
-        sign = deltas >> 63
-        deltas <<= 1
-        deltas ^= sign  # zig-zag, read back as uint64
-        blocks[order] = deltas  # stream order
-        _np.take(blocks.view(_np.uint64), _np.argsort(kinds, kind="stable"),
-                 out=values[n:])
-        out = _varints_encode_np(values, 9 + 2 * n)
-        out[:9] = _np.frombuffer(header, dtype=_np.uint8)
-        out[9:9 + n] = kinds
-        _np.bitwise_and(low >> 2, 3, out=out[9 + n:9 + 2 * n])
-        return out
     events = array("q")
     events.frombytes(raw)
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        events.byteswap()
     kinds = bytes(event & 3 for event in events)
     flags = bytes((event >> 2) & 3 for event in events)
     values: list[int] = []
@@ -752,7 +656,7 @@ def _delta_planes_encode(raw: bytes):
         kind = event & 3
         block = event >> 4
         region = block >> _DELTA_V1_REGION_SHIFT
-        values.append(region)
+        values.append(region & 0xFFFFFFFFFFFFFFFF)
         delta = block - previous.get((kind, region), 0)
         previous[(kind, region)] = block
         per_kind[kind].append(
@@ -761,6 +665,18 @@ def _delta_planes_encode(raw: bytes):
     for zigzags in per_kind:
         values.extend(zigzags)
     return header + kinds + flags + _varints_encode_py(values)
+
+
+#: ``delta_decode``'s failures, by its return code.
+_DELTA_DECODE_ERRORS = {
+    -1: "delta-v1 varint stream truncated",
+    -2: "delta-v1 varint exceeds 64 bits",
+    -3: "delta-v1 varint stream has trailing bytes",
+    -4: "delta-v1 block out of range",
+}
+
+#: Packed events hold blocks in ``[-2**59, 2**59)``.
+_BLOCK_LIMIT = 1 << 59
 
 
 def _delta_planes_decode(inner: bytes) -> array:
@@ -782,37 +698,15 @@ def _delta_planes_decode(inner: bytes) -> array:
     # over and none missing.
     if inner[9:9 + 2 * n].translate(None, b"\x00\x01\x02\x03"):
         raise ValueError("delta-v1 kind or flag plane holds a value above 3")
-    if _np is not None:
-        buf = _np.frombuffer(inner, dtype=_np.uint8)
-        kinds = buf[9:9 + n]
-        flags = buf[9 + n:9 + 2 * n]
-        values = _varints_decode_np(buf[9 + 2 * n:], 2 * n)
-        if n == 0:
-            return array("q")
-        zigzag = values[n:]
-        sign = zigzag & 1
-        _np.negative(sign, out=sign)
-        zigzag >>= 1
-        zigzag ^= sign
-        blocks = _np.empty(n, dtype=_np.int64)
-        blocks[_np.argsort(kinds, kind="stable")] = zigzag.view(_np.int64)
-        chain = _np.left_shift(kinds, 50, dtype=_np.int64)
-        chain |= values[:n].view(_np.int64)
-        order = _np.argsort(chain, kind="stable")
-        chain = chain[order]
-        deltas = blocks[order]
-        # Per-chain prefix sum in place: each chain head is offset by the
-        # previous chain's total, so one running sum restarts per chain.
-        heads = _np.flatnonzero(chain[1:] != chain[:-1]) + 1
-        totals = _np.add.reduceat(deltas, _np.append(0, heads))
-        deltas[heads] -= totals[:-1]
-        _np.cumsum(deltas, out=deltas)
-        blocks[order] = deltas
-        blocks <<= 4
-        blocks |= flags << 2
-        blocks |= kinds
-        events = array("q")
-        events.frombytes(blocks.view(_np.uint8))
+    lib = _cmachine.library()
+    if lib is not None:
+        events = array("q", bytes(8 * n))
+        status = lib.delta_decode(inner, len(inner), n,
+                                  events.buffer_info()[0])
+        if status == -5:
+            raise MemoryError("delta-v1 decode out of memory")
+        if status:
+            raise ValueError(_DELTA_DECODE_ERRORS[status])
         return events
     values = _varints_decode_py(inner[9 + 2 * n:], 2 * n)
     kinds_plane = inner[9:9 + n]
@@ -830,6 +724,8 @@ def _delta_planes_decode(inner: bytes) -> array:
         delta = (zz >> 1) ^ -(zz & 1)
         chain = (kind, regions[index])
         block = previous.get(chain, 0) + delta
+        if not -_BLOCK_LIMIT <= block < _BLOCK_LIMIT:
+            raise ValueError(f"delta-v1 block {index} out of range")
         previous[chain] = block
         events.append((block << 4) | (flags_plane[index] << 2) | kind)
     return events
@@ -838,9 +734,8 @@ def _delta_planes_decode(inner: bytes) -> array:
 def encode_trace_segment(raw: bytes) -> bytes:
     """Compress one segment of native-order packed-event bytes (delta-v1).
 
-    On-disk byte order is little-endian (the byte swap is a no-op on
-    every mainstream platform), so a trace recorded on one machine
-    replays on any other.
+    The delta-v1 bytes do not depend on the host's byte order, so a trace
+    recorded on one machine replays on any other.
     """
     return bytes([_DELTA_V1_MAGIC]) + zlib.compress(
         _delta_planes_encode(raw), 6

@@ -1,19 +1,22 @@
-"""Build and load the compiled replay machines (``exclude_machine.c``).
+"""Build and load the native core (``machine.c``).
 
 :func:`library` compiles the C source on first use -- never at import --
 with the system C compiler (``cc``, else the interpreter's configured
 ``sysconfig`` ``CC``) and ``-O2 -shared -fPIC``, and loads the result with
 :mod:`ctypes`.  The shared object is cached beside this module as
-``__pycache__/exclude_machine-<hash>.so``, the hash covering the source
-and the compile command, so an edited source or another compiler builds
-afresh and every later process loads the cached file.  It is written
-under a temporary name and renamed into place, so concurrent pool
-workers racing to build it never load a half-written file.
+``__pycache__/machine-<hash>.so``, the hash covering the source and the
+compile command, so an edited source or another compiler builds afresh
+and every later process loads the cached file.  It is written under a
+temporary name and renamed into place, so concurrent pool workers racing
+to build it never load a half-written file.
 
-Any failure -- no compiler, a compile error, a timeout, an unwritable
-cache directory, a load error -- logs one warning naming the reason and
-makes :func:`library` return ``None``; the replay kernels then replay
-EJ/VEJ/IJ/HJ with the Python walks, which produce the same bytes.
+The library is the one switch between the two tiers.  Loaded, EJ/VEJ/
+IJ/HJ filters replay on its walk and trace segments code through its
+delta-v1 passes.  Any failure -- no compiler, a compile error, a
+timeout, an unwritable cache directory, a load error -- logs one warning
+naming the reason and makes :func:`library` return ``None``: every
+filter then replays on the per-event oracle and segments code in pure
+Python, which produce the same bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 
 _logger = logging.getLogger("repro.cmachine")
 
-SOURCE = Path(__file__).with_name("exclude_machine.c")
+SOURCE = Path(__file__).with_name("machine.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 COMPILE_TIMEOUT_S = 120
 
@@ -40,9 +43,21 @@ _lib = _UNLOADED
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 
+#: Every function the library exports: its result and argument types.
+SIGNATURES = {
+    # walk(events, lo, hi, out, lanes, n_arrays, skip, lane_mask, rows,
+    #      vecs, fill, ways, set_mask, vshift, vmask)
+    "walk": (_I64, [_PTR, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR,
+                    _PTR, _PTR, _I64, _I64, _I64, _I64]),
+    # delta_encode(raw, n, shift, out)
+    "delta_encode": (_I64, [_PTR, _I64, _I64, _PTR]),
+    # delta_decode(inner, len, n, events)
+    "delta_decode": (_I64, [_PTR, _I64, _I64, _PTR]),
+}
+
 
 def library():
-    """The loaded machine library, or ``None`` to run the Python walks."""
+    """The loaded library, or ``None`` for the oracle and the Python codec."""
     global _lib
     if _lib is _UNLOADED:
         _lib = load()
@@ -69,25 +84,21 @@ def load(cache_dir: Path | None = None):
         tag = hashlib.sha256(
             source + "\0".join(command).encode()
         ).hexdigest()[:16]
-        target = Path(cache_dir or CACHE_DIR) / f"exclude_machine-{tag}.so"
+        target = Path(cache_dir or CACHE_DIR) / f"machine-{tag}.so"
         if not target.exists():
             _build(command, target)
         lib = ctypes.CDLL(str(target))
-    except Exception as exc:  # any failure degrades to the Python walks
+    except Exception as exc:  # any failure degrades to the Python tier
         _logger.warning(
-            "compiled replay machines unavailable (%s: %s); "
-            "replaying EJ/VEJ/IJ/HJ with the Python walks",
+            "native core unavailable (%s: %s); replaying every filter on "
+            "the per-event oracle and coding trace segments in Python",
             type(exc).__name__, exc,
         )
         return None
-    lib.ej_walk.restype = _I64
-    lib.ej_walk.argtypes = [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _I64,
-                            _PTR]
-    lib.vej_walk.restype = _I64
-    lib.vej_walk.argtypes = [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR,
-                             _PTR, _PTR, _I64, _PTR]
-    lib.ij_walk.restype = _I64
-    lib.ij_walk.argtypes = [_PTR, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]
+    for name, (restype, argtypes) in SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
     return lib
 
 

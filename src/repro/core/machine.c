@@ -1,0 +1,401 @@
+/* The native core: the EJ/VEJ/IJ/HJ replay walk and the delta-v1
+ * trace-segment codec.
+ *
+ * Compiled on first use by repro.core._cmachine and driven through
+ * ctypes from repro.core.vector_replay (the walk) and
+ * repro.analysis.store (the codec).  Without a compiler neither runs:
+ * filters replay on the per-event oracle and segments code in the
+ * pure-Python passes, which produce the same bytes.
+ *
+ * Exclude structures: each set is a fixed `ways`-wide row of int64
+ * plus an int32 fill count, in flat arrays indexed by set.  An EJ row
+ * holds the set's valid blocks MRU-first; a VEJ row holds its valid
+ * chunks LRU-first, with the chunks' presence vectors in a parallel
+ * uint64 row.  That is the whole observable state of a set: way
+ * placement is never reported.
+ *
+ * The IJ lanes are `n_arrays` int32 counter rows of `lane_mask + 1`
+ * entries, lane j indexed by block bits [j*skip, j*skip + entry_bits).
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* One exclude structure and the counts it takes during a walk. */
+typedef struct {
+    int64_t *rows;
+    uint64_t *vecs;                    /* NULL for an EJ */
+    int32_t *fill;
+    int64_t ways, set_mask, vshift, vmask;
+    int64_t entry_writes, filtered;
+} machine;
+
+/* Step the IJ lanes by one event.  A snoop returns its verdict (1 when
+ * every presence bit is set); an alloc or evict updates one counter per
+ * lane and returns 1, or -1 for an evict that underflows. */
+static int lanes_step(int32_t *lanes, int64_t n_arrays, int64_t skip,
+                      int64_t lane_mask, int64_t kind, int64_t blk,
+                      int64_t *pbit_writes)
+{
+    for (int64_t j = 0; j < n_arrays; j++) {
+        /* Index fields past bit 63 read as zero, as in Python. */
+        int64_t shift = j * skip;
+        int32_t *c = lanes + j * (lane_mask + 1)
+                     + (shift < 64 ? (blk >> shift) & lane_mask : 0);
+        if (kind == 0) {               /* snoop: presence bit set? */
+            if (*c == 0)
+                return 0;
+        } else if (kind == 1) {        /* alloc: one increment per lane */
+            *pbit_writes += (*c)++ == 0;
+        } else if (*c == 0) {          /* evict: underflow */
+            return -1;
+        } else {                       /* evict: one decrement per lane */
+            *pbit_writes += --(*c) == 0;
+        }
+    }
+    return 1;
+}
+
+/* One EJ item: `code` 0 = P0 snoop, 1 = P1 snoop, 2 = alloc, `passed`
+ * the IJ verdict.  Returns 1 for a P1 snoop the filter would filter. */
+static int ej_step(machine *m, int64_t blk, int code, int passed)
+{
+    int64_t *row = m->rows + (blk & m->set_mask) * m->ways;
+    int32_t *len = m->fill + (blk & m->set_mask);
+    int32_t at = 0;
+    while (at < *len && row[at] != blk)
+        at++;
+    int hit = at < *len;
+    if (code == 0) {                   /* P0 snoop */
+        if (hit) {                     /* EJ hit filters, IJ moot */
+            for (; at > 0; at--)
+                row[at] = row[at - 1];
+            row[0] = blk;
+            m->filtered++;
+        } else if (passed) {           /* both passed: allocate at MRU */
+            if (*len < m->ways)
+                (*len)++;
+            for (at = *len - 1; at > 0; at--)
+                row[at] = row[at - 1];
+            row[0] = blk;
+            m->entry_writes++;
+        } else {                       /* IJ filtered; EJ learns nothing */
+            m->filtered++;
+        }
+    } else if (code == 2) {            /* alloc: drop the entry */
+        if (hit) {
+            for ((*len)--; at < *len; at++)
+                row[at] = row[at + 1];
+            m->entry_writes++;
+        }
+    } else if (hit || !passed) {       /* P1 snoop filtered: violation */
+        return 1;
+    }
+    return 0;
+}
+
+/* Move entry `at` of a VEJ row to the MRU end, keeping its vector. */
+static void vej_touch(int64_t *row, uint64_t *vec, int32_t len, int32_t at)
+{
+    int64_t chunk = row[at];
+    uint64_t vector = vec[at];
+    for (; at < len - 1; at++) {
+        row[at] = row[at + 1];
+        vec[at] = vec[at + 1];
+    }
+    row[at] = chunk;
+    vec[at] = vector;
+}
+
+/* Remove entry `at` of a VEJ row, closing the gap. */
+static void vej_drop(int64_t *row, uint64_t *vec, int32_t *len, int32_t at)
+{
+    for ((*len)--; at < *len; at++) {
+        row[at] = row[at + 1];
+        vec[at] = vec[at + 1];
+    }
+}
+
+/* One VEJ item, as ej_step. */
+static int vej_step(machine *m, int64_t blk, int code, int passed)
+{
+    int64_t chunk = blk >> m->vshift;
+    uint64_t bit = (uint64_t)1 << (blk & m->vmask);
+    int64_t *row = m->rows + (chunk & m->set_mask) * m->ways;
+    uint64_t *vec = m->vecs + (chunk & m->set_mask) * m->ways;
+    int32_t *len = m->fill + (chunk & m->set_mask);
+    int32_t at = 0;
+    while (at < *len && row[at] != chunk)
+        at++;
+    int hit = at < *len;
+    if (code == 0) {                   /* P0 snoop */
+        if (hit) {                     /* chunk hit: the probe touches LRU */
+            vej_touch(row, vec, *len, at);
+            if (vec[*len - 1] & bit) {
+                m->filtered++;
+            } else if (passed) {
+                vec[*len - 1] |= bit;
+                m->entry_writes++;
+            } else {                   /* IJ filtered; the touch stays */
+                m->filtered++;
+            }
+        } else if (passed) {           /* chunk miss: allocate at MRU */
+            if (*len == m->ways)
+                vej_drop(row, vec, len, 0);
+            row[*len] = chunk;
+            vec[*len] = bit;
+            (*len)++;
+            m->entry_writes++;
+        } else {
+            m->filtered++;
+        }
+    } else if (code == 2) {            /* alloc: clear the PV bit in place */
+        if (hit) {
+            vec[at] &= ~bit;
+            if (vec[at] == 0)
+                vej_drop(row, vec, len, at);
+            m->entry_writes++;
+        }
+    } else {                           /* P1 snoop */
+        if (hit)
+            vej_touch(row, vec, *len, at);
+        if ((hit && (vec[*len - 1] & bit)) || !passed)
+            return 1;
+    }
+    return 0;
+}
+
+/* Walk packed events e[lo, hi) in stream order through one filter: the
+ * IJ lanes (NULL for none), then the exclude structure (`rows` NULL for
+ * none, `vecs` NULL for an EJ).  A hybrid filters a snoop when either
+ * side does, and its exclude side sees the lanes' verdict.
+ *
+ * Stops at the first MARKER or error (an underflowing EVICT, or a P1
+ * snoop the filter would filter) and returns its index, else `hi`.
+ * `out` receives the span's tallies -- snoops, would-hit snoops,
+ * allocs, evicts -- over every event up to and including the stopping
+ * one (a MARKER counts as none), then the filtered snoops, entry writes
+ * and presence-bit writes before it. */
+int64_t walk(const int64_t *e, int64_t lo, int64_t hi, int64_t *out,
+             int32_t *lanes, int64_t n_arrays, int64_t skip,
+             int64_t lane_mask, int64_t *rows, uint64_t *vecs,
+             int32_t *fill, int64_t ways, int64_t set_mask, int64_t vshift,
+             int64_t vmask)
+{
+    machine m = {rows, vecs, fill, ways, set_mask, vshift, vmask, 0, 0};
+    int64_t tally[4] = {0, 0, 0, 0}, pbit_writes = 0, filtered = 0, i;
+    for (i = lo; i < hi; i++) {
+        int64_t kind = e[i] & 3, blk = e[i] >> 4;
+        int passed = 1;
+        if (kind == 3)                 /* MARKER: the caller's to handle */
+            break;
+        if (kind == 0) {
+            tally[0]++;
+            tally[1] += (e[i] >> 2) & 1;
+        } else {
+            tally[kind + 1]++;
+        }
+        if (lanes) {
+            passed = lanes_step(lanes, n_arrays, skip, lane_mask, kind, blk,
+                                &pbit_writes);
+            if (passed < 0)
+                break;
+        }
+        if (kind == 2)                 /* no exclude structure hooks evicts */
+            continue;
+        if (rows) {
+            int code = kind == 1 ? 2 : (int)((e[i] >> 3) & 1);
+            if (vecs ? vej_step(&m, blk, code, passed)
+                     : ej_step(&m, blk, code, passed))
+                break;
+        } else if (!passed) {
+            if (e[i] & 8)              /* P1 snoop filtered: violation */
+                break;
+            filtered++;
+        }
+    }
+    out[0] = tally[0];
+    out[1] = tally[1];
+    out[2] = tally[2];
+    out[3] = tally[3];
+    out[4] = filtered + m.filtered;
+    out[5] = m.entry_writes;
+    out[6] = pbit_writes;
+    return i;
+}
+
+/* ------------------------------------------------------------------ */
+/* delta-v1 planes (the layout is documented in repro.analysis.store)  */
+/* ------------------------------------------------------------------ */
+
+/* The last block of each (kind, region) delta chain: an open-addressed
+ * table that doubles at half load. */
+typedef struct {
+    uint64_t region;
+    int64_t block;
+    uint8_t used, kind;
+} link;
+
+typedef struct {
+    link *slots;
+    uint64_t mask, count;
+} chains;
+
+static int chains_init(chains *c, uint64_t size)
+{
+    c->slots = calloc(size, sizeof *c->slots);
+    c->mask = size - 1;
+    c->count = 0;
+    return c->slots != NULL;
+}
+
+/* The slot of chain (kind, region), claimed with block 0 when new;
+ * NULL when the table cannot grow. */
+static link *chains_at(chains *c, int kind, uint64_t region)
+{
+    uint64_t h = (region ^ ((uint64_t)kind << 62)) * 0x9E3779B97F4A7C15ULL;
+    link *s;
+    for (h ^= h >> 29;; h++) {
+        s = c->slots + (h & c->mask);
+        if (!s->used || (s->region == region && s->kind == kind))
+            break;
+    }
+    if (s->used)
+        return s;
+    if (2 * (c->count + 1) > c->mask + 1) {
+        chains old = *c;
+        if (!chains_init(c, 2 * (old.mask + 1))) {
+            *c = old;
+            return NULL;
+        }
+        for (uint64_t j = 0; j <= old.mask; j++)
+            if (old.slots[j].used)
+                *chains_at(c, old.slots[j].kind, old.slots[j].region) =
+                    old.slots[j];
+        free(old.slots);
+        return chains_at(c, kind, region);
+    }
+    c->count++;
+    s->used = 1;
+    s->kind = (uint8_t)kind;
+    s->region = region;
+    s->block = 0;
+    return s;
+}
+
+static uint8_t *put_varint(uint8_t *p, uint64_t value)
+{
+    for (; value > 0x7F; value >>= 7)
+        *p++ = (uint8_t)(value | 0x80);
+    *p++ = (uint8_t)value;
+    return p;
+}
+
+/* Encode n native-order packed events (`raw`, any alignment) into
+ * `out`, which holds 9 + 22 * n bytes: the header, the kinds and flags
+ * planes, then the region ids and each kind's zig-zag deltas as LEB128.
+ * Returns the byte count written, or -1 out of memory. */
+int64_t delta_encode(const uint8_t *raw, int64_t n, int64_t shift,
+                     uint8_t *out)
+{
+    uint64_t *zigzag = malloc((n ? n : 1) * sizeof *zigzag);
+    chains c;
+    if (!zigzag || !chains_init(&c, 64)) {
+        free(zigzag);
+        return -1;
+    }
+    uint8_t *p = out + 9 + 2 * n;
+    for (int i = 0; i < 8; i++)        /* <Q event count, then the shift */
+        out[i] = (uint8_t)((uint64_t)n >> (8 * i));
+    out[8] = (uint8_t)shift;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t event, blk;
+        memcpy(&event, raw + 8 * i, 8);
+        blk = event >> 4;
+        out[9 + i] = event & 3;
+        out[9 + n + i] = (event >> 2) & 3;
+        uint64_t region = (uint64_t)(blk >> shift);
+        link *s = chains_at(&c, (int)(event & 3), region);
+        if (!s) {
+            free(zigzag);
+            free(c.slots);
+            return -1;
+        }
+        int64_t delta = blk - s->block;
+        s->block = blk;
+        zigzag[i] = ((uint64_t)delta << 1) ^ (uint64_t)(delta >> 63);
+        p = put_varint(p, region);
+    }
+    free(c.slots);
+    for (int kind = 0; kind < 4; kind++)
+        for (int64_t i = 0; i < n; i++)
+            if (out[9 + i] == kind)
+                p = put_varint(p, zigzag[i]);
+    free(zigzag);
+    return p - out;
+}
+
+/* Decode the planes of `inner` (`len` bytes, whose header, plane sizes
+ * and 2-bit plane values the caller has checked) into n packed events.
+ * Returns 0, or the first failure: -1 the varint stream is truncated,
+ * -2 a varint exceeds 64 bits, -3 the stream has trailing bytes, -4 a
+ * block leaves the 60-bit range a packed event holds, -5 out of
+ * memory. */
+int64_t delta_decode(const uint8_t *inner, int64_t len, int64_t n,
+                     int64_t *events)
+{
+    const uint8_t *kinds = inner + 9, *flags = inner + 9 + n;
+    const uint8_t *p = inner + 9 + 2 * n, *end = inner + len;
+    const int64_t limit = (int64_t)1 << 59;
+    uint64_t *values = malloc((n ? 2 * n : 1) * sizeof *values);
+    int64_t cursor[4] = {n, n, n, n}, status = 0;
+    chains c;
+    if (!values || !chains_init(&c, 64)) {
+        free(values);
+        return -5;
+    }
+    for (int64_t k = 0; k < 2 * n && !status; k++) {
+        uint64_t value = 0;
+        int at = 0;
+        uint8_t byte;
+        do {
+            if (p == end) {
+                status = -1;
+                break;
+            }
+            byte = *p++;
+            if (at == 63 && byte > 1) {
+                status = -2;
+                break;
+            }
+            value |= (uint64_t)(byte & 0x7F) << at;
+            at += 7;
+        } while (byte & 0x80);
+        values[k] = value;
+    }
+    if (!status && p != end)
+        status = -3;
+    for (int64_t i = 0; i < n && !status; i++)
+        for (int kind = kinds[i] + 1; kind < 4; kind++)
+            cursor[kind]++;
+    for (int64_t i = 0; i < n && !status; i++) {
+        uint64_t zz = values[cursor[kinds[i]]++];
+        int64_t delta = (int64_t)(zz >> 1) ^ -(int64_t)(zz & 1);
+        link *s = chains_at(&c, kinds[i], values[i]);
+        if (!s) {
+            status = -5;
+        } else if (delta < -2 * limit || delta > 2 * limit
+                   || s->block + delta < -limit
+                   || s->block + delta >= limit) {
+            status = -4;
+        } else {
+            s->block += delta;
+            events[i] = (int64_t)((uint64_t)s->block << 4)
+                        | (int64_t)(flags[i] << 2) | kinds[i];
+        }
+    }
+    free(values);
+    free(c.slots);
+    return status;
+}

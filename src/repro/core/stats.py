@@ -58,7 +58,7 @@ The replay cross-checks the JETTY safety guarantee on every filtered
 snoop and raises :class:`~repro.errors.FilterSafetyError` on a
 violation.
 
-Replay comes in two shapes sharing one set of kernels — the vectorised
+Replay comes in two shapes sharing one set of kernels — the compiled
 replayers of :mod:`repro.core.vector_replay` wherever they cover a
 filter, and the per-event :class:`EventReplayer` oracle everywhere else:
 
@@ -321,27 +321,22 @@ class PackedSegment:
     """One batch of packed events, decoded once and shared by many banks.
 
     Replaying a trace through F filter banks means F passes over every
-    segment; each pass wants the events in a different shape — the
-    per-event Python loop iterates boxed ints, the vectorised kernels
-    want a NumPy ``int64`` view plus family-specific derived arrays.
-    Wrapping the segment once lets every consumer build its shape once
-    and share it: :meth:`boxed` caches the boxed-int list, :meth:`array`
-    the zero-copy NumPy view, and :meth:`shared` memoises arbitrary
-    derived values (kind masks, per-span item lists) under caller keys.
+    segment.  The compiled replayers read the events' ``array('q')``
+    buffer itself; the per-event Python loop iterates boxed ints, and
+    :meth:`boxed` caches the boxed-int list so that every oracle bank on
+    the segment shares one.
 
     The wrapper is pure presentation — it never mutates the events — so
     feeding a ``PackedSegment`` is byte-equivalent to feeding the raw
     iterable it wraps.
     """
 
-    __slots__ = ("events", "_boxed", "_array", "_cache")
+    __slots__ = ("events", "_boxed")
 
     def __init__(self, events) -> None:
         #: The packed events as fed (``array('q')``, list, or sequence).
         self.events = events
         self._boxed = None
-        self._array = None
-        self._cache: dict = {}
 
     def boxed(self) -> list:
         """The events as a list of ints (each boxed exactly once)."""
@@ -358,35 +353,6 @@ class PackedSegment:
         the box-once-iff-shared policy of :func:`replay_trace`.
         """
         return self._boxed if self._boxed is not None else self.events
-
-    def array(self):
-        """The events as a NumPy ``int64`` array (zero-copy when packed).
-
-        Raises :class:`ConfigurationError` when NumPy is unavailable —
-        callers gate on :func:`repro.core.vector_replay.numpy_available`.
-        """
-        if self._array is None:
-            try:
-                import numpy
-            except ImportError as exc:  # pragma: no cover - numpy-less env
-                raise ConfigurationError(
-                    "NumPy is required for vectorised replay but is not "
-                    "installed"
-                ) from exc
-            events = self.events
-            if isinstance(events, array) and events.itemsize == 8:
-                self._array = numpy.frombuffer(memoryview(events), numpy.int64)
-            else:
-                self._array = numpy.asarray(events, dtype=numpy.int64)
-        return self._array
-
-    def shared(self, key, build):
-        """Memoise ``build()`` under ``key`` for every bank on this segment."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build()
-            return value
 
 
 def phases_from_marks(marks, totals, phase_names) -> dict:
@@ -452,7 +418,7 @@ class Replayer:
 
     A replayer evaluates one node's event stream through one filter.
     :class:`EventReplayer` drives the filter object per event; the
-    vectorised replayers (:mod:`repro.core.vector_replay`) keep private
+    compiled replayers (:mod:`repro.core.vector_replay`) keep private
     state and only *export* it into the filter for a snapshot.  Both
     keep their coverage totals and PHASE snapshots here, finish into the
     same :class:`FilterEvaluation`, and checkpoint in one format, so a
@@ -640,11 +606,11 @@ class StreamingFilterBank:
     attached to the same simulation, which is how N filters are evaluated
     in a single pass with O(chunk) memory.
 
-    Each node gets the vectorised replayer
+    Each node gets the compiled replayer
     :func:`repro.core.vector_replay.replayer_for` builds for its filter,
     or the per-event :class:`EventReplayer` when it returns ``None`` (an
-    unvectorised family, a subclass, an oversized geometry, or no
-    NumPy).  Evaluations are byte-identical either way, and
+    uncompiled family, a subclass, an oversized geometry, or no native
+    core).  Evaluations are byte-identical either way, and
     :meth:`snapshot` / :meth:`restore` share one format: a bank
     checkpointed with one set of replayers resumes under another.
     """
@@ -760,8 +726,8 @@ def replay_trace(reader: TraceReader, banks) -> None:
         # Box each packed event once when two or more banks will walk
         # the segment with the per-event Python loop: iterating an
         # array('q') allocates a fresh int per element per pass, while
-        # a list pass just borrows references.  Vectorised replayers
-        # read the NumPy view instead and never need the boxed list.
+        # a list pass just borrows references.  Compiled replayers
+        # read the array's buffer instead and never need the boxed list.
         python_banks = sum(
             1
             for bank in banks

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.coherence.config import CacheConfig, SystemConfig
-from repro.core import vector_replay
+from repro.core import _cmachine
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -30,15 +30,16 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def oracle_replay(enabled: bool = True):
     """Build every filter bank inside on the per-event oracle.
 
-    Hides NumPy from the vector kernels, so ``replayer_for`` returns
-    ``None`` for every filter and each bank falls back to
-    :class:`~repro.core.stats.EventReplayer`.  Process workers need not
-    see the patch, so runner calls inside use the serial backend.  With
-    ``enabled`` false the banks keep their default replayers.
+    Hides the native core, so ``replayer_for`` returns ``None`` for
+    every filter and each bank falls back to
+    :class:`~repro.core.stats.EventReplayer` (and segments code in pure
+    Python).  Process workers need not see the patch, so runner calls
+    inside use the serial backend.  With ``enabled`` false the banks keep
+    their default replayers.
     """
     with pytest.MonkeyPatch.context() as patch:
         if enabled:
-            patch.setattr(vector_replay, "_np", None)
+            patch.setattr(_cmachine, "_lib", None)
         yield
 
 

@@ -23,13 +23,13 @@ import pytest
 from repro.analysis import runner, store as store_mod
 from repro.analysis.store import CHECKPOINT_KIND, ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
-from repro.core import vector_replay
+from repro.core import _cmachine
 from repro.traces.suite import Phase, Suite
 from tests.conftest import oracle_replay
 
-requires_numpy = pytest.mark.skipif(
-    not vector_replay.numpy_available(),
-    reason="the vector kernels need NumPy",
+requires_native = pytest.mark.skipif(
+    _cmachine.library() is None,
+    reason="the compiled kernels need a C compiler",
 )
 
 #: One member of each vectorisable family the matrix sweeps.
@@ -164,7 +164,7 @@ class TestPhaseDeterminism:
         payloads = _replayed_payloads(SUITES[suite_name], oracle=True)
         assert payloads == baselines[suite_name]
 
-    @requires_numpy
+    @requires_native
     def test_default_and_oracle_banks_agree(self, baselines, suite_name):
         payloads = _replayed_payloads(SUITES[suite_name])
         assert payloads == baselines[suite_name]

@@ -294,21 +294,20 @@ class TestProductionInvariants:
             check_evaluations([self._evaluation(), self._evaluation(snoops=9)])
 
     @pytest.mark.skipif(
-        not vector_replay.numpy_available(),
-        reason="miscounts inside the vector kernels",
+        _cmachine.library() is None,
+        reason="miscounts inside the compiled kernels",
     )
     def test_miscounting_kernel_stores_no_eval(self, monkeypatch):
         """A kernel that miscounts one snoop per span must not land a row."""
-        flush = vector_replay.VectorReplayer._flush_span
+        walk = vector_replay.VectorReplayer._walk
 
-        def miscount(self, s, filtered):
-            flush(self, s, filtered)
+        def miscount(self, *args):
+            stop = walk(self, *args)
             if self.snoop_filter.name == "EJ-8x2":
                 self.stats.snoops += 1
+            return stop
 
-        monkeypatch.setattr(
-            vector_replay.VectorReplayer, "_flush_span", miscount
-        )
+        monkeypatch.setattr(vector_replay.VectorReplayer, "_walk", miscount)
         store = ExperimentStore()
         with pytest.raises(InvariantError, match="EJ-8x2"):
             runner.run_sweep(
@@ -321,27 +320,21 @@ class TestProductionInvariants:
         ]
 
     @pytest.mark.skipif(
-        not vector_replay.numpy_available(),
-        reason="miscounts inside the vector kernels",
+        _cmachine.library() is None,
+        reason="miscounts inside the compiled kernels",
     )
-    @pytest.mark.parametrize("compiled", (True, False), ids=("cc", "python"))
-    def test_lane_conservation_break_stores_no_eval(
-        self, monkeypatch, compiled
-    ):
+    def test_lane_conservation_break_stores_no_eval(self, monkeypatch):
         """An include walk that leaves one counter off by one is caught by
         the lanes' conservation check alone: no row for that filter."""
-        if not compiled:
-            monkeypatch.setattr(_cmachine, "_lib", None)
-        elif _cmachine.library() is None:
-            pytest.skip("needs the compiled walks")
-        walk = vector_replay._IncludeLanes.walk
+        walk = vector_replay.VectorReplayer._walk
 
-        def bumped(lanes, *args):
-            result = walk(lanes, *args)
-            lanes.counters[0][0] += 1
-            return result
+        def bumped(self, *args):
+            stop = walk(self, *args)
+            if self._lanes is not None:
+                self._lanes[0] += 1
+            return stop
 
-        monkeypatch.setattr(vector_replay._IncludeLanes, "walk", bumped)
+        monkeypatch.setattr(vector_replay.VectorReplayer, "_walk", bumped)
         store = ExperimentStore()
         with pytest.raises(InvariantError, match="IJ-8x4x7 lane counter"):
             runner.run_sweep(

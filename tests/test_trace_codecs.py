@@ -12,10 +12,11 @@ change stored bytes and wall time, never a result payload.
 Pinned here:
 
 * **wire format** — delta-v1 round-trips arbitrary packed events
-  (empty, single, marker-only, 59-bit blocks, region boundaries),
-  self-identifies via its magic byte, and encodes and decodes to the
-  same bytes on the NumPy and pure-Python paths; raw-v1 blobs built the
-  legacy way still decode; crafted corrupt planes raise
+  (empty, single, marker-only, 59-bit blocks, negative deltas, region
+  boundaries) on both codec tiers, self-identifies via its magic byte,
+  and encodes and decodes to the same bytes on the native and
+  pure-Python paths; raw-v1 blobs built the legacy way still decode;
+  crafted corrupt planes raise
   :class:`StoreCorruptionError` on both paths and fail ``cache fsck``;
 * **replay byte-identity** — every filter family x chunk size
   {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
@@ -44,7 +45,7 @@ from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.cli import main
 from repro.coherence.config import SCALED_SYSTEM
-from repro.core import vector_replay
+from repro.core import _cmachine
 from repro.errors import ConfigurationError, StoreCorruptionError
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
@@ -64,9 +65,9 @@ FAMILY_FILTERS = (
 #: align with anything in the workload.
 CHUNK_SIZES = (512, 1_777)
 
-requires_numpy = pytest.mark.skipif(
-    not vector_replay.numpy_available(),
-    reason="the vector kernels and the vectorised codec path need NumPy",
+requires_native = pytest.mark.skipif(
+    _cmachine.library() is None,
+    reason="the compiled kernels and the native codec need a C compiler",
 )
 
 _PAPER = PaperReference(1.0, 1.0, 0.9, 0.5, 1.0, (1.0, 0.0, 0.0, 0.0), 1.0, 0.5)
@@ -159,13 +160,14 @@ def _rewrite_as_raw_v1(store, tkey, keys) -> None:
 
 @contextlib.contextmanager
 def _pure_python_codec():
-    """Run the codec without NumPy (the no-numpy CI job's path)."""
-    saved = store_mod._np
-    store_mod._np = None
+    """Run the codec without the native core (the no-compiler CI job's
+    path)."""
+    saved = _cmachine._lib
+    _cmachine._lib = None
     try:
         yield
     finally:
-        store_mod._np = saved
+        _cmachine._lib = saved
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +188,11 @@ EDGE_SEGMENTS = {
     "all-kinds": [
         _pack(kind, flag, 4096 * kind + flag)
         for kind in range(4) for flag in range(4)
+    ],
+    # Negative deltas: each chain walks down its region.
+    "descending": [
+        _pack(kind, 0, block)
+        for block in (4095, 4094, 17, 3, 0) for kind in (0, 2)
     ],
 }
 
@@ -208,14 +215,28 @@ _EVENTS = st.one_of(
 )
 
 
+def _codec_path(path: str):
+    """The codec of one tier: ``native`` (the default where the core
+    loads) or ``python`` (the spec, with the core hidden)."""
+    if path == "python":
+        return _pure_python_codec()
+    return contextlib.nullcontext()
+
+
+#: Both codec tiers; the native one needs the compiled core.
+CODEC_PATHS = [pytest.param("native", marks=requires_native), "python"]
+
+
 class TestCodecWireFormat:
     @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
-    def test_edge_segments_round_trip(self, name):
+    @pytest.mark.parametrize("path", CODEC_PATHS)
+    def test_edge_segments_round_trip(self, name, path):
         events = array("q", EDGE_SEGMENTS[name])
-        blob = store_mod.encode_trace_segment(events.tobytes())
-        assert store_mod.segment_codec(blob) == "delta-v1"
-        assert store_mod.decode_trace_segment(blob) == events
-        assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
+        with _codec_path(path):
+            blob = store_mod.encode_trace_segment(events.tobytes())
+            assert store_mod.segment_codec(blob) == "delta-v1"
+            assert store_mod.decode_trace_segment(blob) == events
+            assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
 
     @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
     def test_legacy_raw_v1_segments_still_decode(self, name):
@@ -255,22 +276,22 @@ class TestCodecWireFormat:
         with pytest.raises(StoreCorruptionError):
             store_mod.decode_trace_segment(blob)
 
-    @requires_numpy
+    @requires_native
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_EVENTS, max_size=300))
     @example([])
     @example([_pack(0, 1, 42)])
     @example([_pack(3, 1, 0)])
-    def test_numpy_and_python_paths_produce_identical_bytes(self, packed):
+    def test_native_and_python_paths_produce_identical_bytes(self, packed):
         events = array("q", packed)
         raw = events.tobytes()
-        with_np = store_mod.encode_trace_segment(raw)
-        np_decoded = store_mod.decode_trace_segment(with_np)
+        native = store_mod.encode_trace_segment(raw)
+        native_decoded = store_mod.decode_trace_segment(native)
         with _pure_python_codec():
-            without_np = store_mod.encode_trace_segment(raw)
-            python_decoded = store_mod.decode_trace_segment(with_np)
-        assert with_np == without_np
-        assert np_decoded == python_decoded == events
+            python = store_mod.encode_trace_segment(raw)
+            python_decoded = store_mod.decode_trace_segment(native)
+        assert native == python
+        assert native_decoded == python_decoded == events
 
 
 def _crafted_blob(case: str) -> bytes:
@@ -278,30 +299,41 @@ def _crafted_blob(case: str) -> bytes:
     events = array("q", [_pack(0, 0, 5), _pack(1, 1, 9), _pack(2, 2, 4096)])
     blob = store_mod.encode_trace_segment(events.tobytes())
     inner = bytearray(zlib.decompress(blob[1:]))
+    varints = 9 + 2 * len(events)  # the regions, then kinds 0..2's deltas
     if case == "kind":
         inner[9 + 1] = 5  # kinds plane starts after the 9-byte header
     elif case == "flag":
         inner[9 + len(events) + 1] = 4
     elif case == "leftover-zigzag":  # one more value than the planes claim
         inner.append(0x01)
-    else:  # the first region id as an 11-byte varint, past 64 bits
-        varints = 9 + 2 * len(events)
+    elif case == "overlong-varint":  # the first region id in 11 bytes
         inner[varints:varints + 1] = b"\x80" * 10 + b"\x00"
+    elif case == "varint-past-64-bits":  # 10 bytes, a value >= 2**64
+        inner[varints:varints + 1] = b"\xff" * 9 + b"\x02"
+    elif case == "truncated-varints":  # the last delta loses its last byte
+        del inner[-1]
+    elif case == "region-shift":  # a header shift past the 60-bit blocks
+        inner[8] = 61
+    else:  # block-out-of-range: the first block's delta is 2**61
+        inner[varints + 3:varints + 4] = store_mod._varints_encode_py(
+            [1 << 62]
+        )
     return bytes([0xD7]) + zlib.compress(bytes(inner), 6)
 
 
-CORRUPTIONS = ("kind", "flag", "leftover-zigzag", "overlong-varint")
+CORRUPTIONS = (
+    "kind", "flag", "leftover-zigzag", "overlong-varint",
+    "varint-past-64-bits", "block-out-of-range", "truncated-varints",
+    "region-shift",
+)
 
 
 class TestCorruptPlanes:
     @pytest.mark.parametrize("case", CORRUPTIONS)
-    @pytest.mark.parametrize("path", [
-        pytest.param("numpy", marks=requires_numpy), "python",
-    ])
+    @pytest.mark.parametrize("path", CODEC_PATHS)
     def test_crafted_planes_are_corruption(self, case, path):
         blob = _crafted_blob(case)
-        with (_pure_python_codec() if path == "python"
-              else contextlib.nullcontext()):
+        with _codec_path(path):
             with pytest.raises(StoreCorruptionError):
                 store_mod.decode_trace_segment(blob)
 
@@ -520,7 +552,7 @@ class TestTranscode:
 class TestMeasuredOnly:
     @pytest.mark.parametrize("oracle", [
         pytest.param(True, id="oracle"),
-        pytest.param(False, id="default", marks=requires_numpy),
+        pytest.param(False, id="default", marks=requires_native),
     ])
     def test_every_family_byte_identical_to_live(self, tmp_path, oracle):
         spec = WORKLOADS[WORKLOAD]
@@ -539,7 +571,7 @@ class TestMeasuredOnly:
                 payloads[name]
             ), (name, oracle)
 
-    @requires_numpy
+    @requires_native
     def test_either_warm_layout_replays_under_either_bank(self, tmp_path):
         """Stores recorded with oracle warm banks hold each filter's
         driven way layout; vector warm banks export the canonical one.

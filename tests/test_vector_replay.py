@@ -1,6 +1,6 @@
-"""Oracle-parity suite for the vectorised NumPy replay kernels.
+"""Oracle-parity suite for the compiled replay kernels.
 
-The vector kernels (:mod:`repro.core.vector_replay`) are exact
+The compiled kernels (:mod:`repro.core.vector_replay`) are exact
 re-implementations, not approximations: for every supported filter
 family they must reproduce the per-event Python oracle
 (:class:`~repro.core.stats.EventReplayer`) **byte for byte** — the same
@@ -10,15 +10,22 @@ safety violation or IJ underflow, and MARKER warm-up resets anywhere in
 a batch.  Unsupported families must *fall back* to the oracle rather
 than silently vectorise.
 
-Everything here also runs (reduced) on a NumPy-free interpreter: the
-fallback-selection and oracle cases need no NumPy at all, which
-is the CI job proving the optional dependency really is optional.
+Everything here also runs (reduced) without a C compiler: the
+fallback-selection and oracle cases need no native core at all, which
+is the CI job proving the compiler really is optional.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import shutil
+import sqlite3
+import subprocess
+import sys
+import textwrap
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,8 +45,8 @@ from repro.core.stats import (
     EventReplayer,
     MARKER,
     NodeEventStream,
-    PHASE_FLAG,
     PackedSegment,
+    PHASE_FLAG,
     SNOOP,
     StreamingFilterBank,
     pack_event,
@@ -59,9 +66,9 @@ from repro.traces.workloads import (
 from tests.conftest import oracle_replay
 from tests.test_streaming import _CollectingSink
 
-requires_numpy = pytest.mark.skipif(
-    not vector_replay.numpy_available(),
-    reason="the vector kernels need NumPy",
+requires_native = pytest.mark.skipif(
+    _cmachine.library() is None,
+    reason="the compiled kernels need a C compiler",
 )
 
 #: One member of each supported family, both hybrid flavours included.
@@ -189,24 +196,11 @@ def _snoop(block, would_hit=False, present=False):
     return pack_event(SNOOP, block, (2 if present else 0) | (1 if would_hit else 0))
 
 
-@pytest.fixture(scope="class")
-def python_walk():
-    """Force the Python walks — the no-compiler fallback — by clearing
-    the loaded exclude-machine library.  Class-scoped rather than
-    monkeypatched so that hypothesis tests can use it."""
-    saved = _cmachine._lib
-    _cmachine._lib = None
-    try:
-        yield
-    finally:
-        _cmachine._lib = saved
-
-
 # ----------------------------------------------------------------------
 # Byte-identity against the oracle
 # ----------------------------------------------------------------------
 
-@requires_numpy
+@requires_native
 class TestOracleParity:
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
@@ -306,7 +300,7 @@ class TestOracleParity:
 # Error parity: same exception, same message, same flushed statistics
 # ----------------------------------------------------------------------
 
-@requires_numpy
+@requires_native
 class TestErrorParity:
     def _both(self, filter_name, events):
         """Feed both kernels; return (oracle, vector, exceptions)."""
@@ -364,11 +358,6 @@ class TestErrorParity:
         assert (oracle.allocs, oracle.evicts) == (1, 2)
 
 
-@pytest.mark.usefixtures("python_walk")
-class TestErrorParityPythonWalk(TestErrorParity):
-    """The same cases on the Python walks."""
-
-
 # ----------------------------------------------------------------------
 # Regression: the oracle itself must flush locals when it raises
 # ----------------------------------------------------------------------
@@ -411,7 +400,7 @@ class TestOracleFlushOnRaise:
 # Stream-order walks: error ordering and fast-forward warm starts
 # ----------------------------------------------------------------------
 
-@requires_numpy
+@requires_native
 class TestStreamOrderFirstError:
     """The EJ/VEJ/HJ kernels walk each span in stream order across all
     sets; with violations pending in two sets, the one that comes first
@@ -449,9 +438,115 @@ class TestStreamOrderFirstError:
         assert vector.stats.snoops == 4  # flushed up to the first violation
 
 
-@pytest.mark.usefixtures("python_walk")
-class TestStreamOrderFirstErrorPythonWalk(TestStreamOrderFirstError):
-    """The same cases on the Python walks."""
+# ----------------------------------------------------------------------
+# The walk's span contract: bounds, stops, flushed tallies
+# ----------------------------------------------------------------------
+
+#: Clean traffic for one span: a repeat, a would-hit snoop, and a P1
+#: snoop of a block between its ALLOC and EVICT (safe in every family).
+_SPAN = [
+    _snoop(0x40), _snoop(0x40, would_hit=True), pack_event(ALLOC, 0x81),
+    _snoop(0x81, present=True), pack_event(EVICT, 0x81), _snoop(0x50),
+    _snoop(0x40),
+]
+
+
+def _violation(block=0x300):
+    """A P0 then a P1 snoop of ``block``: a safety violation in every
+    ``PARITY_FILTERS`` family (the exclude side allocated the block on
+    the P0 snoop; a lone IJ's lanes for it are still zero)."""
+    return [_snoop(block), _snoop(block, present=True)]
+
+
+def _vector(filter_name):
+    replayer = vector_replay.replayer_for(_single_filter(filter_name), 0)
+    assert replayer is not None
+    return replayer
+
+
+def _oracle_fed(filter_name, events):
+    oracle = EventReplayer(_single_filter(filter_name), 0)
+    oracle.feed(list(events))
+    return oracle
+
+
+def _payload(replayer) -> bytes:
+    return store_mod.encode_eval(replayer.finish())
+
+
+#: Every shape ``feed`` accepts, built from one event list.
+FEED_SHAPES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda events: (event for event in events),
+    "array": lambda events: array("q", events),
+    "segment-of-list": lambda events: PackedSegment(list(events)),
+    "segment-of-array": lambda events: PackedSegment(array("q", events)),
+}
+
+
+@requires_native
+class TestWalkSpans:
+    """``VectorReplayer._walk`` reads exactly ``events[lo:hi]`` of the
+    buffer it is handed, returns the index of the first MARKER (``hi``
+    when none), raises at the first error, and flushes the oracle's
+    tallies for every event it consumed, the stopping one included."""
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_span_bounds_are_honoured(self, filter_name):
+        # A violation on either side: reading past either bound raises.
+        events = array("q", [*_violation(), *_SPAN, *_violation()])
+        lo, hi = 2, 2 + len(_SPAN)
+        vector = _vector(filter_name)
+        assert vector._walk(events, events.buffer_info()[0], lo, hi) == hi
+        assert _payload(vector) == _payload(_oracle_fed(filter_name, _SPAN))
+
+    @pytest.mark.parametrize("marker", [
+        pytest.param(pack_event(MARKER, 0), id="warm-up"),
+        pytest.param(pack_event(MARKER, 1, PHASE_FLAG), id="phase"),
+    ])
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_walk_stops_at_a_marker(self, filter_name, marker):
+        events = array("q", [*_SPAN, marker, *_violation()])
+        vector = _vector(filter_name)
+        stop = vector._walk(events, events.buffer_info()[0], 0, len(events))
+        assert stop == len(_SPAN) and events[stop] == marker
+        assert _payload(vector) == _payload(_oracle_fed(filter_name, _SPAN))
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_error_stop_flushes_through_the_violating_snoop(
+        self, filter_name
+    ):
+        span = [*_SPAN, *_violation()]
+        events = array("q", [pack_event(MARKER, 0), *span, _snoop(0x500)])
+        vector = _vector(filter_name)
+        with pytest.raises(FilterSafetyError) as raised:
+            vector._walk(events, events.buffer_info()[0], 1, len(events))
+        oracle = EventReplayer(_single_filter(filter_name), 0)
+        with pytest.raises(FilterSafetyError) as expected:
+            oracle.feed(span)
+        assert str(raised.value) == str(expected.value)
+        assert vars(vector.stats) == vars(oracle.stats)
+        assert vector.stats.snoops == 7  # the violating snoop is tallied
+        assert (vector.allocs, vector.evicts) == (
+            oracle.allocs, oracle.evicts
+        ) == (1, 1)
+
+    @pytest.mark.parametrize("shape", sorted(FEED_SHAPES))
+    def test_feed_accepts_every_event_shape(self, golden_streams, shape):
+        """Sequences, generators, ``array('q')`` buffers and segments
+        wrapping them all replay to the oracle's bytes, and a buffer the
+        walk reads in place is left untouched."""
+        filter_name = "HJ(IJ-8x4x7, VEJ-16x2-4)"
+        events = list(golden_streams["vector-golden-mix"][0].events)
+        batch = FEED_SHAPES[shape](events)
+        vector = _vector(filter_name)
+        vector.feed(batch)
+        assert _payload(vector) == _payload(_oracle_fed(filter_name, events))
+        if type(batch) is PackedSegment:
+            batch = batch.events
+        if type(batch) is array:
+            assert batch == array("q", events)
 
 
 #: Blocks crowding a few sets of every ``PARITY_FILTERS`` geometry: the
@@ -498,7 +593,7 @@ def _feed_batches(replayer, events, cuts):
     return None
 
 
-@requires_numpy
+@requires_native
 class TestRandomDifferential:
     """Random short streams over a few crowded sets, fed in random batch
     sizes: the vector kernel either encodes the oracle's evaluation
@@ -563,12 +658,7 @@ class TestRandomDifferential:
         )
 
 
-@pytest.mark.usefixtures("python_walk")
-class TestRandomDifferentialPythonWalk(TestRandomDifferential):
-    """The same cases on the Python walks."""
-
-
-@requires_numpy
+@requires_native
 class TestWarmStartParity:
     """Restoring a warmed snapshot into fresh filters (the fast-forward
     replay path) must reproduce the cold full-stream feed byte for byte,
@@ -605,11 +695,6 @@ class TestWarmStartParity:
                     ), (filter_name, node_id, make)
 
 
-@pytest.mark.usefixtures("python_walk")
-class TestWarmStartParityPythonWalk(TestWarmStartParity):
-    """The same cases on the Python walks."""
-
-
 # ----------------------------------------------------------------------
 # Checkpoints: one snapshot format, restorable under either kernel
 # ----------------------------------------------------------------------
@@ -643,7 +728,7 @@ def _cuts(events) -> dict[str, int]:
     }
 
 
-@requires_numpy
+@requires_native
 class TestSnapshotRoundTrip:
     """A vector replayer's snapshot is the oracle's checkpoint format:
     taken mid-stream by either kernel and restored into a fresh replayer
@@ -720,11 +805,6 @@ class TestSnapshotRoundTrip:
         )
 
 
-@pytest.mark.usefixtures("python_walk")
-class TestSnapshotRoundTripPythonWalk(TestSnapshotRoundTrip):
-    """The same cases on the Python walks."""
-
-
 # ----------------------------------------------------------------------
 # Kernel / fallback selection
 # ----------------------------------------------------------------------
@@ -737,15 +817,15 @@ class TestKernelSelection:
             )
             assert all(type(r) is EventReplayer for r in bank.replayers), name
 
-    def test_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_replay, "_np", None)
-        assert not vector_replay.numpy_available()
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_degrades_without_the_native_core(self, monkeypatch, filter_name):
+        monkeypatch.setattr(_cmachine, "_lib", None)
         bank = StreamingFilterBank(
-            runner._build_filters("EJ-16x2", SCALED_SYSTEM)
+            runner._build_filters(filter_name, SCALED_SYSTEM)
         )
         assert all(type(r) is EventReplayer for r in bank.replayers)
 
-    @requires_numpy
+    @requires_native
     def test_vectorises_supported_families(self):
         for name in PARITY_FILTERS:
             bank = StreamingFilterBank(
@@ -755,7 +835,7 @@ class TestKernelSelection:
                 not isinstance(r, EventReplayer) for r in bank.replayers
             ), name
 
-    @requires_numpy
+    @requires_native
     def test_order_sensitive_families_fall_back(self):
         """Families the kernels do not cover use the per-event oracle."""
         for name in ("null", "oracle", "HIJ-10x2"):
@@ -764,7 +844,7 @@ class TestKernelSelection:
             )
             assert all(type(r) is EventReplayer for r in bank.replayers), name
 
-    @requires_numpy
+    @requires_native
     def test_subclasses_fall_back(self):
         """Exact-type dispatch: a subclass may override anything the
         kernels hard-code, so it must not be silently vectorised."""
@@ -773,85 +853,57 @@ class TestKernelSelection:
 
         assert vector_replay.replayer_for(Tweaked(16, 2), 0) is None
 
-    @requires_numpy
-    @pytest.mark.parametrize("python", (False, True), ids=("cc", "python"))
-    def test_oversized_geometries_vectorise(
-        self, golden_streams, monkeypatch, python
-    ):
+    @requires_native
+    def test_oversized_geometries_vectorise(self, golden_streams):
         """IJ lanes of any index space and exclude structures of any set
-        count vectorise; VEJ vectors wider than the C kernel's
-        ``uint64`` take the Python walk.  On either walk the payload is
-        the oracle's."""
-        if python:
-            monkeypatch.setattr(_cmachine, "_lib", None)
+        count compile, with the oracle's payload; VEJ vectors wider than
+        the walk's ``uint64`` take the oracle."""
         events = list(golden_streams["vector-golden-mix"][0].events)
-        loaded = _cmachine.library() is not None
-        for make, compiled in (
-            (lambda: _single_filter("IJ-17x1x7"), None),
-            (lambda: _single_filter("HJ(IJ-17x1x7, EJ-16x2)"), loaded),
-            (lambda: ExcludeJetty(1 << 17, 1), loaded),
-            (lambda: _single_filter("VEJ-16x2-128"), False),
+        for make in (
+            lambda: _single_filter("IJ-17x1x7"),
+            lambda: _single_filter("HJ(IJ-17x1x7, EJ-16x2)"),
+            lambda: ExcludeJetty(1 << 17, 1),
         ):
             oracle = EventReplayer(make(), 0)
             vector = vector_replay.replayer_for(make(), 0)
             assert vector is not None
-            assert getattr(vector, "compiled", None) is compiled
             for replayer in (oracle, vector):
                 replayer.feed(events)
             assert store_mod.encode_eval(vector.finish()) == (
                 store_mod.encode_eval(oracle.finish())
             )
-
-    @requires_numpy
-    def test_packed_segment_shares_the_decoded_array(self):
-        segment = PackedSegment([_snoop(0x40), pack_event(ALLOC, 0x50)])
-        first = segment.array()
-        assert segment.array() is first
-        built = []
-        assert segment.shared("k", lambda: built.append(1) or "value") == "value"
-        assert segment.shared("k", lambda: built.append(2) or "other") == "value"
-        assert built == [1]
+        for name in ("VEJ-16x2-128", "HJ(IJ-8x4x7, VEJ-16x2-128)"):
+            assert vector_replay.replayer_for(_single_filter(name), 0) is None
 
 
 # ----------------------------------------------------------------------
-# The compiled replay machines' loader
+# The native core's loader
 # ----------------------------------------------------------------------
 
 class TestCompiledMachineLoader:
     def test_loads_wherever_a_compiler_exists(self):
         """Fails rather than skips: a host with ``cc`` must never run
-        only the Python walks without anyone noticing."""
+        only the oracle and the Python codec without anyone noticing."""
         if shutil.which("cc") is None:
             return
         lib = _cmachine.library()
         assert lib is not None
-        for walk in ("ej_walk", "vej_walk", "ij_walk"):
-            assert hasattr(lib, walk), walk
+        for name in ("walk", "delta_encode", "delta_decode"):
+            assert hasattr(lib, name), name
 
-    @requires_numpy
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
-    def test_malformed_walk_buffers_are_typed(self):
-        """The compiled wrappers refuse buffers the C walks would overrun
-        with an :class:`InvariantError`, never a bare ``ValueError``."""
-        lib = _cmachine.library()
-        np = vector_replay._np
-        segment = PackedSegment([_snoop(0x40), pack_event(ALLOC, 0x50)])
-        ej = vector_replay._compiled_walk(
-            lib.ej_walk, np.zeros((4, 2), dtype=np.int64),
-            np.zeros(4, dtype=np.int32), 2, 3,
-        )
-        items = {"b": np.array([0x40, 0x50]), "code": np.array([0])}
-        with pytest.raises(InvariantError, match="exclude walk items"):
-            ej(segment, 0, 2, items, None, 1)
-        lanes = vector_replay._IncludeLanes(_single_filter("IJ-8x4x7"))
-        with pytest.raises(InvariantError, match="include walk verdicts"):
-            lanes.walk(segment, 0, 2, np.zeros(1, dtype=bool))
+    @requires_native
+    def test_malformed_filter_state_is_typed(self):
+        """Replayers refuse filter state the walk would overrun with an
+        :class:`InvariantError`, never a bare ``ValueError``."""
         short = _single_filter("IJ-8x4x7")
         short._restore_state({"counters": [[0] * 255] * 4})
         with pytest.raises(InvariantError, match="malformed lanes"):
-            vector_replay._IncludeLanes(short)
+            vector_replay.replayer_for(short, 0)
+        crowded = _single_filter("EJ-16x2")
+        crowded._tags = crowded._tags[:-1]
+        with pytest.raises(InvariantError, match="malformed sets"):
+            vector_replay.replayer_for(crowded, 0)
 
-    @requires_numpy
     def test_broken_compiler_falls_back(
         self, monkeypatch, tmp_path, caplog, golden_streams
     ):
@@ -932,7 +984,7 @@ class TestRunnerKernelWiring:
         for run, dump in dumps.items():
             assert dump == reference, run
 
-    @requires_numpy
+    @requires_native
     def test_replay_sweep_rows_are_kernel_invariant(self, tmp_path):
         rows = {}
         for oracle in (True, False):
@@ -949,3 +1001,67 @@ class TestRunnerKernelWiring:
             store.close()
         assert rows[True] == rows[False]
         assert len(rows[True]) == len(PARITY_FILTERS)
+
+
+#: A small replay sweep over one member of each compiled family.
+_SWEEP_ARGS = [
+    "sweep", "--replay", "--workers", "1", "--workloads", "lu",
+    "--filters", "EJ-32x4", "VEJ-32x4-8", "IJ-10x4x7",
+    "HJ(IJ-10x4x7, EJ-32x4)", "--accesses", "10000", "--warmup", "3000",
+]
+
+
+def _cli_sweep(store, prologue: str, epilogue: str = "") -> dict:
+    """Run ``_SWEEP_ARGS`` into ``store`` in a fresh interpreter, with
+    ``prologue`` run before anything imports; the stored eval rows."""
+    script = textwrap.dedent(prologue) + textwrap.dedent(f"""
+        from repro.cli import main
+        assert main(["--store", {str(store)!r}, *{_SWEEP_ARGS!r}]) == 0
+    """) + textwrap.dedent(epilogue)
+    path = [str(Path(_cmachine.__file__).parents[2])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    with sqlite3.connect(store) as db:
+        return dict(db.execute(
+            "SELECT key, payload FROM results WHERE kind = 'eval'"
+        ).fetchall())
+
+
+@requires_native
+class TestNumpyOffTheResultPath:
+    """NumPy serves only ``.npz`` export: a replay sweep runs the same
+    compiled kernels, and stores the oracle's bytes, when it cannot be
+    imported, and never imports it when it can."""
+
+    def test_sweep_without_numpy_matches_the_oracle(self, tmp_path):
+        compiled = _cli_sweep(tmp_path / "no-numpy.sqlite", f"""
+            import sys
+            sys.modules["numpy"] = None
+            from repro.analysis import runner
+            from repro.coherence.config import SCALED_SYSTEM
+            from repro.core import vector_replay
+            for name in {_SWEEP_ARGS[7:11]!r}:
+                for node, f in enumerate(
+                    runner._build_filters(name, SCALED_SYSTEM)
+                ):
+                    replayer = vector_replay.replayer_for(f, node)
+                    assert type(replayer) is vector_replay.VectorReplayer
+        """)
+        oracle = _cli_sweep(tmp_path / "oracle.sqlite", """
+            from repro.core import _cmachine
+            _cmachine._lib = None
+        """)
+        assert len(compiled) == 4
+        assert compiled == oracle
+
+    def test_sweep_never_imports_numpy(self, tmp_path):
+        _cli_sweep(tmp_path / "default.sqlite", "", """
+            import sys
+            assert "numpy" not in sys.modules
+        """)

@@ -6,8 +6,7 @@ events replaced by a fast-forward snapshot of the warmed filter state),
 both in the one segment encoding, delta-v1 — and requires every filter
 configuration's *stored evaluation payload* to be byte-identical
 between the two, on the default banks (which also record both traces)
-and again on the per-event oracle (NumPy hidden from the vector
-kernels).  That is the whole correctness contract of fast-forward: it
+and again on the per-event oracle (the native core hidden).  That is the whole correctness contract of fast-forward: it
 may only change stored bytes and wall time, never a result.
 
 Prints ``eval payloads byte-identical: yes`` on success (the CI step
@@ -25,7 +24,7 @@ from repro.analysis import runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
-from repro.core import vector_replay
+from repro.core import _cmachine
 from repro.traces.workloads import get_workload
 
 WORKLOAD = "em3d"
@@ -37,10 +36,10 @@ FILTERS = runner.DEFAULT_SWEEP_FILTERS
 
 def _sweep(store: ExperimentStore, *, measured_only: bool,
            oracle: bool) -> float:
-    saved = vector_replay._np
+    saved = _cmachine.library()
     if oracle:
-        # Every bank falls back to the per-event oracle without NumPy.
-        vector_replay._np = None
+        # Every bank falls back to the per-event oracle without the core.
+        _cmachine._lib = None
     try:
         started = time.perf_counter()
         runner.run_sweep(
@@ -50,7 +49,7 @@ def _sweep(store: ExperimentStore, *, measured_only: bool,
         )
         return time.perf_counter() - started
     finally:
-        vector_replay._np = saved
+        _cmachine._lib = saved
 
 
 def main() -> int:
@@ -59,7 +58,7 @@ def main() -> int:
     spec = replace(get_workload(WORKLOAD), n_accesses=ACCESSES,
                    warmup_accesses=WARMUP)
     passes = ["oracle"]
-    if vector_replay.numpy_available():
+    if _cmachine.library() is not None:
         passes.insert(0, "default")
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
