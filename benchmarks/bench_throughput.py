@@ -194,7 +194,7 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
 def _raw_v1_bytes(store: ExperimentStore) -> int:
     """Stored trace bytes had every segment been written as legacy raw-v1.
 
-    The raw-v1 reference of the trace-economics ratios: zlib level 6
+    The raw-v1 reference of the trace-economics ratio: zlib level 6
     over each stored segment's decoded little-endian packed events (the
     raw-v1 wire format), plus the manifest rows unchanged.
     """
@@ -215,93 +215,62 @@ def _raw_v1_bytes(store: ExperimentStore) -> int:
 
 
 def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
-    """Trace-economics A/B: stored bytes and replay rates per variant.
+    """Trace economics: the delta-v1 archive against a raw-v1 reference.
 
-    Two cold records of the same ``(workload, seed)`` into separate
-    scratch stores — the full trace, and the measured region only
-    (warm-up events replaced by a fast-forward filter-state snapshot) —
-    each followed by a warm serial replay of all four filter
-    configurations.  Both are written in delta-v1, the only segment
-    encoder; ``raw_full`` is the full trace's size had its segments
-    been written in legacy raw-v1 (see :func:`_raw_v1_bytes`).  Reports
-    per-variant stored trace bytes (manifest + segments + fast-forward
-    rows), bytes/access, record and replay rates; the headline ratios
-    (``delta_vs_raw_bytes``, ``measured_delta_vs_raw_bytes`` — the CI
-    gate's number — and ``measured_replay_speedup``); and whether every
-    filter's evaluation payload is byte-identical across both variants
-    (the correctness contract fast-forward must uphold).
+    One cold record of ``(workload, seed)`` into a scratch store, then a
+    warm serial replay of all four filter configurations.  Segments are
+    written in delta-v1, the only segment encoder; ``raw_full`` is the
+    same trace's size had its segments been written in legacy raw-v1
+    (see :func:`_raw_v1_bytes`).  Reports stored trace bytes (manifest +
+    segments), bytes/access, record and replay rates, and the headline
+    ratio ``delta_vs_raw_bytes`` (the CI gate's number).
     """
     from repro.analysis import store as store_mod
 
     spec = _sized(name, n_accesses, warmup)
-    entry: dict = {
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ExperimentStore(Path(tmp) / "bench-delta_full.sqlite")
+        started = time.perf_counter()
+        runner.execute_replays(
+            [runner.ReplayJob(name, ())],
+            experiment_store=store, specs={name: spec},
+        )
+        record_elapsed = time.perf_counter() - started
+        trace_bytes = sum(
+            e.payload_bytes for e in store.entries()
+            if e.kind == store_mod.TRACE_KIND
+        )
+        raw_bytes = _raw_v1_bytes(store)
+        started = time.perf_counter()
+        runner.execute_replays(
+            [runner.ReplayJob(name, FILTERS)],
+            experiment_store=store, backend="serial", specs={name: spec},
+        )
+        replay_elapsed = time.perf_counter() - started
+        store.close()
+    return {
         "workload": name,
         "accesses": n_accesses,
         "warmup": warmup,
         "filters": len(FILTERS),
-        "variants": {},
+        "variants": {
+            "delta_full": {
+                "codec": "delta-v1",
+                "trace_bytes": trace_bytes,
+                "bytes_per_access": round(trace_bytes / n_accesses, 3),
+                "record_seconds": round(record_elapsed, 3),
+                "record_accesses_per_sec": round(n_accesses / record_elapsed),
+                "replay_seconds": round(replay_elapsed, 3),
+                "replay_accesses_per_sec": round(n_accesses / replay_elapsed),
+            },
+            "raw_full": {
+                "codec": "raw-v1",
+                "trace_bytes": raw_bytes,
+                "bytes_per_access": round(raw_bytes / n_accesses, 3),
+            },
+        },
+        "delta_vs_raw_bytes": round(trace_bytes / raw_bytes, 3),
     }
-    eval_blobs: dict[str, dict[str, bytes]] = {}
-    for key, measured_only in (("delta_full", False),
-                               ("delta_measured", True)):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = ExperimentStore(Path(tmp) / f"bench-{key}.sqlite")
-            started = time.perf_counter()
-            runner.execute_replays(
-                [runner.ReplayJob(name, (), measured_only=measured_only)],
-                experiment_store=store, specs={name: spec},
-            )
-            record_elapsed = time.perf_counter() - started
-            trace_bytes = sum(
-                e.payload_bytes for e in store.entries()
-                if e.kind in (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
-            )
-            if not measured_only:
-                raw_bytes = _raw_v1_bytes(store)
-            started = time.perf_counter()
-            runner.execute_replays(
-                [runner.ReplayJob(name, FILTERS, measured_only=measured_only)],
-                experiment_store=store, backend="serial", specs={name: spec},
-            )
-            replay_elapsed = time.perf_counter() - started
-            eval_blobs[key] = {
-                f: store.get_blob(
-                    store_mod.eval_key(spec, f, SCALED_SYSTEM, 1)
-                )
-                for f in FILTERS
-            }
-            store.close()
-        entry["variants"][key] = {
-            "codec": "delta-v1",
-            "measured_only": measured_only,
-            "trace_bytes": trace_bytes,
-            "bytes_per_access": round(trace_bytes / n_accesses, 3),
-            "record_seconds": round(record_elapsed, 3),
-            "record_accesses_per_sec": round(n_accesses / record_elapsed),
-            "replay_seconds": round(replay_elapsed, 3),
-            "replay_accesses_per_sec": round(n_accesses / replay_elapsed),
-        }
-    entry["variants"]["raw_full"] = {
-        "codec": "raw-v1",
-        "measured_only": False,
-        "trace_bytes": raw_bytes,
-        "bytes_per_access": round(raw_bytes / n_accesses, 3),
-    }
-    delta = entry["variants"]["delta_full"]
-    measured = entry["variants"]["delta_measured"]
-    entry["delta_vs_raw_bytes"] = round(delta["trace_bytes"] / raw_bytes, 3)
-    entry["measured_delta_vs_raw_bytes"] = round(
-        measured["trace_bytes"] / raw_bytes, 3
-    )
-    entry["measured_replay_speedup"] = round(
-        delta["replay_seconds"] / measured["replay_seconds"], 2
-    )
-    entry["eval_payloads_identical"] = all(
-        eval_blobs["delta_full"][f] is not None
-        and eval_blobs["delta_full"][f] == eval_blobs["delta_measured"][f]
-        for f in FILTERS
-    )
-    return entry
 
 
 def measure_checkpointed(name: str, n_accesses: int, warmup: int,
@@ -484,27 +453,19 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
     results: dict = {"streamed": {}, "replay": {}}
     if trace_economics:
         results["trace_economics"] = {}
-        # A warm-up of a quarter of the run: the measured-region mode
-        # exists to skip warm-up, so the A/B needs a warm-up fraction
-        # representative of filter-warming methodology, not the token
-        # one the throughput modes use.
+        # A warm-up of a quarter of the run: a filter-warming fraction
+        # representative of the workloads, not the token one the
+        # throughput modes use.
         eco_warm = max(s_warm, s_acc // 4)
         print(f"trace economics em3d: {s_acc:,} accesses "
-              f"({eco_warm:,} warm-up), full vs measured-only delta-v1 "
-              "against a raw-v1 reference ...", flush=True)
+              f"({eco_warm:,} warm-up), delta-v1 against a raw-v1 "
+              "reference ...", flush=True)
         entry = measure_trace_economics("em3d", s_acc, eco_warm)
         results["trace_economics"]["em3d"] = entry
         raw = entry["variants"]["raw_full"]
-        measured = entry["variants"]["delta_measured"]
-        print(f"  raw-v1 full {raw['trace_bytes']:,} B "
-              f"({raw['bytes_per_access']} B/access); delta-v1 full "
-              f"x{entry['delta_vs_raw_bytes']}; measured-only delta "
-              f"{measured['trace_bytes']:,} B = "
-              f"x{entry['measured_delta_vs_raw_bytes']} of raw, replay "
-              f"x{entry['measured_replay_speedup']} faster")
-        print("  eval payloads byte-identical: "
-              + ("yes" if entry["eval_payloads_identical"] else "NO"),
-              flush=True)
+        print(f"  raw-v1 {raw['trace_bytes']:,} B "
+              f"({raw['bytes_per_access']} B/access); delta-v1 "
+              f"x{entry['delta_vs_raw_bytes']} of raw", flush=True)
     if trace_economics_only:
         return results
     if phase_overhead:
@@ -667,14 +628,12 @@ def main(argv: list[str] | None = None) -> int:
                         "(requires --assert-supervision-overhead)")
     parser.add_argument("--assert-trace-bytes-per-access", type=float,
                         default=None, metavar="RATIO",
-                        help="also A/B full vs measured-only delta-v1 "
-                        "em3d traces and fail when the measured-only "
-                        "archive exceeds RATIO x the full trace's raw-v1 "
-                        "size (zlib-6 over its decoded segments), or when "
-                        "the variants' eval payloads diverge (e.g. 0.75 "
-                        "for the CI budget)")
+                        help="also record an em3d trace and fail when its "
+                        "delta-v1 archive exceeds RATIO x the same "
+                        "trace's raw-v1 size (zlib-6 over its decoded "
+                        "segments; e.g. 0.80 for the CI budget)")
     parser.add_argument("--trace-economics-only", action="store_true",
-                        help="measure only the trace-economics A/B, "
+                        help="measure only the trace economics, "
                         "skipping the streamed/replay modes "
                         "(requires --assert-trace-bytes-per-access)")
     args = parser.parse_args(argv)
@@ -744,12 +703,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     if "trace_economics" in results:
         document["trace_bytes_ratio"] = {
-            name: {
-                "delta_vs_raw": entry["delta_vs_raw_bytes"],
-                "measured_delta_vs_raw": entry["measured_delta_vs_raw_bytes"],
-                "measured_replay_speedup": entry["measured_replay_speedup"],
-                "eval_payloads_identical": entry["eval_payloads_identical"],
-            }
+            name: {"delta_vs_raw": entry["delta_vs_raw_bytes"]}
             for name, entry in results["trace_economics"].items()
         }
 
@@ -832,14 +786,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     if args.assert_trace_bytes_per_access is not None:
         for name, entry in results.get("trace_economics", {}).items():
-            if not entry["eval_payloads_identical"]:
-                print(f"FAIL: {name} eval payloads diverge between the "
-                      "full and measured-only traces", file=sys.stderr)
-                return 1
-            ratio = entry["measured_delta_vs_raw_bytes"]
+            ratio = entry["delta_vs_raw_bytes"]
             if ratio > args.assert_trace_bytes_per_access:
-                print(f"FAIL: {name} measured-only delta-v1 archive is "
-                      f"x{ratio} of the raw-v1 full archive, above the "
+                print(f"FAIL: {name} delta-v1 archive is x{ratio} of its "
+                      f"raw-v1 size, above the "
                       f"x{args.assert_trace_bytes_per_access} budget",
                       file=sys.stderr)
                 return 1

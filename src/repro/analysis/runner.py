@@ -149,12 +149,6 @@ class ReplayJob:
     change a stored byte (segments are cut at fixed event counts) and is
     absent from all keys.  An empty ``filter_names`` is a pure record
     job.
-
-    ``measured_only`` records only post-warm-up events plus a
-    fast-forward snapshot of the warmed filter state.  It is an
-    execution hint like ``chunk_size``: replays decode whatever is
-    stored, evaluations are byte-identical either way, and it appears
-    in no store key.
     """
 
     workload: str
@@ -162,11 +156,6 @@ class ReplayJob:
     system: SystemConfig = SCALED_SYSTEM
     seed: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    measured_only: bool = False
-    #: Extra filter configurations to warm (and snapshot) during a
-    #: measured-only recording, beyond ``filter_names`` and the default
-    #: sweep set — a pure record job names its future replay targets here.
-    warm_filters: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -220,7 +209,6 @@ def _build_bank(
     filter_name: str,
     system: SystemConfig,
     phase_names: tuple[str, ...] = (),
-    filter_states=None,
 ) -> StreamingFilterBank:
     """One filter bank, live or replaying: a freshly built filter per node.
 
@@ -228,22 +216,10 @@ def _build_bank(
     every path picks its per-node replayers the same way (see
     :class:`~repro.core.stats.StreamingFilterBank`).  ``phase_names``
     labels PHASE-marker splits in the finished evaluations.
-
-    ``filter_states`` (one snapshot per node, from a fast-forward row)
-    restores warmed state into the filters *before* the bank wires its
-    replayers — the vector kernels import filter state at construction,
-    so the restore must happen first.
     """
-    filters = _build_filters(filter_name, system)
-    if filter_states is not None:
-        if len(filter_states) != len(filters):
-            raise ConfigurationError(
-                f"fast-forward snapshot covers {len(filter_states)} "
-                f"node(s), system has {len(filters)}"
-            )
-        for snoop_filter, state in zip(filters, filter_states):
-            snoop_filter.restore(state)
-    return StreamingFilterBank(filters, phase_names=phase_names)
+    return StreamingFilterBank(
+        _build_filters(filter_name, system), phase_names=phase_names
+    )
 
 
 def compute_stream(
@@ -913,8 +889,6 @@ def record_trace(
     checkpoint_every: int | None = None,
     report: ExecutionReport | None = None,
     segment_events: int = TRACE_SEGMENT_EVENTS,
-    measured_only: bool = False,
-    warm_filters: tuple[str, ...] = (),
 ) -> SimResult:
     """Simulate once, persisting the packed event shards as a trace.
 
@@ -928,16 +902,6 @@ def record_trace(
     trace key are dropped first: stale segments from an interrupted or
     partially collected recording must never mix with fresh ones.
     Returns the metrics-only result.
-
-    With ``measured_only=True`` (requires a warm-up), only post-warm-up
-    events are recorded: live per-node filter banks for ``warm_filters``
-    plus the default sweep set consume the warm-up shards, their warmed
-    state is snapshotted at ``begin_measurement`` into a ``fast-forward``
-    store row (written *before* the manifest, so a manifest always
-    implies its snapshot landed), and replays restore that state instead
-    of re-replaying warm-up.  Evaluations stay byte-identical to a
-    full-trace replay per the determinism contract — pinned per family
-    by the codec test suite.
 
     With ``checkpoint_every``, the recording snapshots its state (the
     machine *and* the sink's segment watermarks) at that access cadence;
@@ -964,61 +928,12 @@ def record_trace(
     def new_sink() -> TraceSink:
         return TraceSink(system.n_cpus, write_segment, segment_events)
 
-    chain = None
-    if measured_only:
-        if checkpoint_every is not None:
-            raise ConfigurationError(
-                "measured-only recording does not support "
-                "checkpoint_every: the warm-up filter banks are not "
-                "part of the checkpoint protocol"
-            )
-        stream, warmup = simulate_workload_accesses(
-            spec, n_cpus=system.n_cpus, seed=seed
-        )
-        if warmup <= 0:
-            raise ConfigurationError(
-                f"measured-only recording of {spec.name!r} needs a "
-                "positive warm-up: with none there is no state to "
-                "fast-forward over"
-            )
-        experiment_store.delete_trace(tkey)
-        sink = new_sink()
-        families = sorted(set(warm_filters) | set(DEFAULT_SWEEP_FILTERS))
-        warm_banks = {name: _build_bank(name, system) for name in families}
-        snapshots: dict[str, list[dict]] = {}
-
-        def capture(_system) -> None:
-            for name, bank in warm_banks.items():
-                states = []
-                for replayer in bank.replayers:
-                    # A vector replayer keeps its state private until a
-                    # snapshot exports it into the wrapped filter.
-                    replayer.snapshot()
-                    snoop_filter = replayer.snoop_filter
-                    # Canonical zero-count snapshots: replay resets the
-                    # counts at the warm-up MARKER anyway, and zeroing
-                    # here keeps the payload independent of warm-up
-                    # event tallies.
-                    snoop_filter.reset_counts()
-                    states.append(snoop_filter.snapshot())
-                snapshots[name] = states
-
-        metrics = simulate_streaming(
-            system, stream, spec.name,
-            warmup=warmup, chunk_size=chunk_size,
-            warmup_sinks=list(warm_banks.values()),
-            measurement_sinks=[sink],
-            on_measurement=capture,
-            phase_marks=_phase_plan(spec)[0],
-        )
-        ffkey = store_mod.fast_forward_key(spec, system, seed, warmup)
-    else:
-        metrics, _evaluations, sink, chain = _run_simulation(
-            spec, system, seed, (), chunk_size,
-            checkpoint_every=checkpoint_every,
-            experiment_store=experiment_store,
-            new_sink=new_sink, tkey=tkey, report=report,
-        )
+    metrics, _evaluations, sink, chain = _run_simulation(
+        spec, system, seed, (), chunk_size,
+        checkpoint_every=checkpoint_every,
+        experiment_store=experiment_store,
+        new_sink=new_sink, tkey=tkey, report=report,
+    )
     segments_per_node = sink.finish()
     manifest = {
         "version": 1,
@@ -1029,30 +944,6 @@ def record_trace(
         "events_per_node": list(sink.events_per_node),
         "metrics": store_mod.sim_metrics_to_dict(metrics),
     }
-    if measured_only:
-        manifest["measured_only"] = True
-        manifest["warmup"] = warmup
-        manifest["fast_forward"] = ffkey
-        # Durability ladder: the snapshot lands before the manifest that
-        # references it, so a crash between the writes leaves a trace
-        # that merely looks unrecorded — never one that replays without
-        # its warm state.
-        experiment_store.put_blob(
-            ffkey,
-            store_mod.encode_fast_forward({
-                "version": 1,
-                "workload": spec.name,
-                "n_cpus": system.n_cpus,
-                "seed": seed,
-                "warmup": warmup,
-                "filters": snapshots,
-            }),
-            kind=store_mod.FAST_FORWARD_KIND,
-            workload=spec.name,
-            filter_name=tkey,
-            n_cpus=system.n_cpus,
-            seed=seed,
-        )
     experiment_store.put_blob(
         tkey,
         store_mod.encode_trace_manifest(manifest),
@@ -1087,11 +978,11 @@ def load_trace(
     if blob is None:
         return None
     manifest = store_mod.decode_trace_manifest(blob)
-    if manifest.get("measured_only") and not experiment_store.contains(
-        manifest["fast_forward"]
-    ):
-        # A measured-only trace without its warm state cannot replay
-        # byte-identically; treat it like any other incomplete trace.
+    if manifest.get("measured_only"):
+        # Older stores hold measured-only traces (warm-up events swapped
+        # for a filter-state snapshot) that replay no longer restores;
+        # they look absent, so the next replay re-records a full trace
+        # under the same key.
         return None
     segment_keys = [
         [store_mod.trace_segment_key(tkey, node_id, index)
@@ -1103,41 +994,6 @@ def load_trace(
             if not experiment_store.contains(key):
                 return None
     return manifest, segment_keys
-
-
-def _warm_states_for(
-    experiment_store: ExperimentStore,
-    manifest: dict,
-    pairs: list[tuple[str, str]],
-) -> dict[str, list[dict]] | None:
-    """The fast-forward states a replay of ``pairs`` needs, or ``None``.
-
-    Full-trace manifests need none.  For a measured-only trace every
-    requested filter family must have been warmed at record time — a
-    family the snapshot lacks cannot replay byte-identically, so the
-    error names the fix (re-record with the family in the warm set)
-    rather than silently evaluating from cold state.
-    """
-    if not manifest.get("measured_only"):
-        return None
-    blob = experiment_store.get_blob(manifest["fast_forward"])
-    if blob is None:
-        # load_trace checked presence; a vanish since then is corruption.
-        raise StoreCorruptionError(
-            "fast-forward snapshot vanished from the store mid-replay"
-        )
-    payload = store_mod.decode_fast_forward(blob)
-    states = payload["filters"]
-    missing = sorted({name for _ekey, name in pairs} - set(states))
-    if missing:
-        raise ConfigurationError(
-            f"measured-only trace of {manifest['workload']!r} has no "
-            f"fast-forward state for filter(s) {', '.join(missing)}; "
-            "re-record the trace with these filters in the warm set "
-            "(they are warmed automatically when requested at record "
-            "time)"
-        )
-    return {name: states[name] for _ekey, name in pairs}
 
 
 def transcode_trace(
@@ -1208,12 +1064,8 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
     crosses the process boundary) or per-node lists of already-compressed
     blobs (in-memory stores).  Each segment is decoded once and fed to
     every requested bank via the shared :func:`replay_trace` kernel.
-
-    ``warm_states`` (measured-only traces) maps each task filter name to
-    its per-node fast-forward snapshots; the banks restore them before
-    consuming the recorded measurement stream.
     """
-    path, segments, system, pairs, phase_names, warm_states = task
+    path, segments, system, pairs, phase_names = task
     connection = None
     if path is not None:
         # Percent-encode the filesystem path: a raw '?', '#', or '%' in
@@ -1244,7 +1096,7 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
             )
             if row is None:
                 # load_trace checked presence; a vanish since then is
-                # corruption, as for the fast-forward row.
+                # corruption.
                 raise StoreCorruptionError(
                     f"trace segment {index} of node {node_id} vanished "
                     "from the store mid-replay"
@@ -1256,12 +1108,7 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
 
     try:
         banks = [
-            (ekey, _build_bank(
-                name, system, phase_names,
-                filter_states=(
-                    None if warm_states is None else warm_states[name]
-                ),
-            ))
+            (ekey, _build_bank(name, system, phase_names))
             for ekey, name in pairs
         ]
         reader = TraceReader([len(keys) for keys in segments], fetch)
@@ -1388,23 +1235,21 @@ def execute_replays(
             # pure record job asked for the trace itself.
             report.sims_cached += 1
         else:
-            recordings.append((tkey, pairs, job, tuple(filters.values())))
+            recordings.append((tkey, pairs, job))
 
     path = None if experiment_store.path is None else str(experiment_store.path)
     record_tasks = [
         (path, specs[job.workload], job.system, job.seed, dict(
             chunk_size=job.chunk_size,
             checkpoint_every=checkpoint_every,
-            measured_only=job.measured_only,
-            warm_filters=names + job.warm_filters,
         ))
-        for _tkey, _pairs, job, names in recordings
+        for _tkey, _pairs, job in recordings
     ]
     outcomes = _map_tasks(
         _record_task, record_tasks, workers, backend, stage="record",
         inline_store=experiment_store, **supervision
     )
-    for (tkey, pairs, job, _names), outcome in zip(recordings, outcomes):
+    for (tkey, pairs, job), outcome in zip(recordings, outcomes):
         if outcome is QUARANTINED:
             _logger.warning(
                 "skipping %d evaluation(s): recording %s was quarantined",
@@ -1430,21 +1275,16 @@ def execute_replays(
         ekey: grouped[tkey] for tkey in grouped for ekey in grouped[tkey][1]
     }
     tasks = []
-    for tkey, (manifest, segment_keys), pairs, job in units:
+    for tkey, (_manifest, segment_keys), pairs, job in units:
         path, segments = _segment_payload(experiment_store, segment_keys)
         phase_names = _phase_plan(specs[job.workload])[1]
-        warm_states = _warm_states_for(experiment_store, manifest, pairs)
         if parallel and len(pairs) > 1:
             tasks.extend(
-                (path, segments, job.system, [pair], phase_names,
-                 None if warm_states is None
-                 else {pair[1]: warm_states[pair[1]]})
+                (path, segments, job.system, [pair], phase_names)
                 for pair in pairs
             )
         else:
-            tasks.append(
-                (path, segments, job.system, pairs, phase_names, warm_states)
-            )
+            tasks.append((path, segments, job.system, pairs, phase_names))
     for results in _map_tasks(
         _replay_task, tasks, workers, backend, stage="replay", **supervision
     ):
@@ -1476,15 +1316,6 @@ class StreamOutcome:
         return self.evaluations[filter_name].coverage.coverage
 
 
-def _reject_stream_options(stream: bool, measured_only: bool) -> None:
-    """Refuse the recording-only knob on a streamed run."""
-    if stream and measured_only:
-        raise ConfigurationError(
-            "measured-only selection applies to replay sweeps only: a "
-            "streamed run records no trace"
-        )
-
-
 def evaluate(
     spec: WorkloadSpec | str,
     system: SystemConfig = SCALED_SYSTEM,
@@ -1496,7 +1327,6 @@ def evaluate(
     workers: int = 1,
     backend: str | None = None,
     experiment_store: ExperimentStore | None = None,
-    measured_only: bool = False,
 ) -> StreamOutcome:
     """Evaluate N filters against one workload, store-backed.
 
@@ -1504,8 +1334,6 @@ def evaluate(
     streaming simulation), and every call after that, with these
     filters or any others, only replays stored segments, fanning out
     across ``workers`` when a parallel backend is selected.
-    ``measured_only`` shapes a *new* recording only; an already-stored
-    trace replays as recorded.
 
     With ``stream=True`` all ``filters`` ride the live snoop stream of
     one simulation instead and nothing but results is persisted.  Either
@@ -1518,7 +1346,6 @@ def evaluate(
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
-    _reject_stream_options(stream, measured_only)
 
     filters = tuple(filters)
     run = dict(
@@ -1531,9 +1358,7 @@ def evaluate(
         )
     else:
         report = execute_replays(
-            [ReplayJob(spec.name, filters, system, seed, chunk_size,
-                       measured_only)],
-            **run,
+            [ReplayJob(spec.name, filters, system, seed, chunk_size)], **run
         )
     metrics = experiment_store.get_sim_metrics(
         store_mod.sim_metrics_key(spec, system, seed)
@@ -1583,7 +1408,6 @@ def run_sweep(
     backend: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_every: int | None = None,
-    measured_only: bool = False,
     policy: RetryPolicy | None = None,
     task_timeout: float | None = None,
     fault_plan=None,
@@ -1611,11 +1435,6 @@ def run_sweep(
     the same flags resumes from its latest checkpoint and still lands
     byte-identical results.
 
-    ``measured_only`` applies to the replay mode only: any *new*
-    recording captures the measured region only, with a fast-forward
-    snapshot.  Like ``chunk_size`` it is an execution hint: results are
-    byte-identical either way and no store key changes.
-
     ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
     execution (see :func:`_map_tasks`).  When tasks are quarantined the
     sweep returns *partial* results: the affected ``(workload, filter,
@@ -1627,7 +1446,6 @@ def run_sweep(
             "choose stream=True or replay=True, not both: streaming "
             "discards events as they are consumed, replay persists them"
         )
-    _reject_stream_options(stream, measured_only)
     if experiment_store is None:
         from repro.analysis import experiments
 
@@ -1661,10 +1479,7 @@ def run_sweep(
     else:
         report = execute_replays(
             [
-                ReplayJob(
-                    workload, tuple(filters), system, seed, chunk_size,
-                    measured_only,
-                )
+                ReplayJob(workload, tuple(filters), system, seed, chunk_size)
                 for workload in workloads
                 for seed in seeds
             ],

@@ -16,16 +16,16 @@ statistics of one simulation), ``eval`` (one :class:`FilterEvaluation`
 replay, which is what lets both modes share warm evaluations),
 ``sim-events`` (a persisted *trace*: the packed event shards of one
 simulation, recorded once so any number of filter configurations can
-replay them later without re-simulating), ``fast-forward`` (warmed
-filter state of a measured-only trace), ``checkpoint`` (a mid-run
+replay them later without re-simulating), ``checkpoint`` (a mid-run
 snapshot of an in-flight simulation — caches, write buffers, bus,
 filter banks, trace-sink watermarks, and generator state — keyed by the
 run's chain plus the access watermark, so a killed paper-scale run
 resumes from its latest durable point instead of restarting from zero),
 ``matrix``, ``job``, and ``quarantined``.  Rows of a *retired* kind
 (:data:`RETIRED_KINDS`: ``sim``, the full event-list recordings of the
-removed buffered mode) are never decoded: ``fsck`` reports them and
-``gc`` evicts them first.
+removed buffered mode, and ``fast-forward``, the warmed filter state of
+the removed measured-only recordings) are never decoded: ``fsck``
+reports them and ``gc`` evicts them first.
 
 A trace is several rows of kind ``sim-events`` sharing one key prefix:
 a *manifest* row (``filter IS NULL``) under :func:`trace_key` holding
@@ -97,10 +97,13 @@ TRACE_KIND = "sim-events"
 
 #: Result kinds no code writes or reads any more.  ``sim`` held a whole
 #: buffered recording (metrics plus every node's event list as JSON
-#: triples); record → replay superseded it.  Leftover rows are neither
-#: decoded nor treated as corruption: ``fsck`` reports them, ``cache
-#: info`` labels them, and ``gc`` evicts them before anything else.
-RETIRED_KINDS = ("sim",)
+#: triples); record → replay superseded it.  ``fast-forward`` held the
+#: warmed filter state of a measured-only trace (one recorded without
+#: its warm-up events); every trace is now recorded in full.  Leftover
+#: rows are neither decoded nor treated as corruption: ``fsck`` reports
+#: them, ``cache info`` labels them, and ``gc`` evicts them before
+#: anything else.
+RETIRED_KINDS = ("sim", "fast-forward")
 
 #: Result kind of mid-run checkpoints: the serialised snapshot of an
 #: in-flight streamed simulation (caches, write buffers, bus, filter
@@ -135,15 +138,6 @@ QUARANTINE_KIND = "quarantined"
 #: recovers every in-flight job from a plain kind scan.  Added without
 #: a schema bump — the kind only creates rows under fresh keys.
 JOB_KIND = "job"
-
-#: Result kind of measured-region fast-forward snapshots: the warmed
-#: per-family filter states (plus the system snapshot) captured at
-#: ``begin_measurement`` by a ``--measured-only`` recording.  Keyed by
-#: simulation identity plus warm-up length, grouped (via the ``filter``
-#: column) under the trace manifest it belongs to so garbage collection
-#: and ``delete_trace`` treat trace + snapshot as one unit.  Added
-#: without a schema bump — the kind only creates rows under fresh keys.
-FAST_FORWARD_KIND = "fast-forward"
 
 
 # ----------------------------------------------------------------------
@@ -233,27 +227,6 @@ def trace_segment_key(trace: str, node_id: int, index: int) -> str:
         "trace": trace,
         "node": node_id,
         "segment": index,
-    })
-
-
-def fast_forward_key(
-    spec: WorkloadSpec, system: SystemConfig, seed: int, warmup: int
-) -> str:
-    """Store key of one measured-only recording's fast-forward snapshot.
-
-    The fingerprint is the simulation identity (the same fields as
-    :func:`trace_key`) plus the warm-up length: the warmed filter state
-    at ``begin_measurement`` is a pure function of those and nothing
-    else — codec, chunk size, and kernel never appear, by the same
-    argument that keeps them out of every other key.
-    """
-    return _digest({
-        "kind": FAST_FORWARD_KIND,
-        "schema": SCHEMA_VERSION,
-        "spec": spec_fingerprint(spec),
-        "system": system_fingerprint(system),
-        "seed": seed,
-        "warmup": warmup,
     })
 
 
@@ -776,30 +749,6 @@ def decoded_segment_bytes(blob: bytes) -> int:
     return len(decode_trace_segment(blob)) * 8
 
 
-def encode_fast_forward(payload: dict) -> bytes:
-    """Canonical compressed bytes of one fast-forward snapshot."""
-    return zlib.compress(_canonical(payload), 6)
-
-
-def decode_fast_forward(blob: bytes) -> dict:
-    with _decoding(FAST_FORWARD_KIND):
-        payload = json.loads(zlib.decompress(blob))
-        if not isinstance(payload, dict):
-            raise TypeError(
-                f"fast-forward payload must be a dict, got {type(payload)}"
-            )
-        # Every snapshot must carry the warmed per-family filter states
-        # and the warm-up watermark; one without either can never
-        # fast-forward a replay.
-        filters = payload["filters"]
-        if not isinstance(filters, dict):
-            raise TypeError(
-                f"fast-forward filters must be a dict, got {type(filters)}"
-            )
-        int(payload["warmup"])
-        return payload
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -1191,8 +1140,6 @@ class ExperimentStore:
             decode_job(blob)
         elif entry.kind == CHECKPOINT_KIND:
             decode_checkpoint(blob)
-        elif entry.kind == FAST_FORWARD_KIND:
-            decode_fast_forward(blob)
         elif entry.kind == TRACE_KIND:
             if entry.filter_name is None:
                 manifest = decode_trace_manifest(blob)
@@ -1207,13 +1154,6 @@ class ExperimentStore:
                     )
                     if segment_key not in present
                 ]
-                # A measured-only manifest names the fast-forward row
-                # replay depends on; a trace whose snapshot vanished can
-                # never restore the warmed state, so it is corrupt as a
-                # unit, exactly like a trace missing a segment.
-                ff_key = manifest.get("fast_forward")
-                if ff_key is not None and ff_key not in present:
-                    missing.append(ff_key)
                 if missing:
                     raise StoreCorruptionError(
                         f"trace {entry.key} is missing {len(missing)} "
@@ -1263,11 +1203,7 @@ class ExperimentStore:
             except StoreCorruptionError as error:
                 _logger.warning("fsck: %s", error)
                 corrupt.append(entry.key)
-                if entry.kind in (TRACE_KIND, FAST_FORWARD_KIND):
-                    # Fast-forward snapshots group under their trace via
-                    # the filter column, so a corrupt snapshot dooms the
-                    # trace it serves (and vice versa) — the pair is one
-                    # replayable unit.
+                if entry.kind == TRACE_KIND:
                     trace = (
                         entry.key
                         if entry.filter_name is None
@@ -1276,8 +1212,7 @@ class ExperimentStore:
                     doomed.add(trace)
                     doomed.update(
                         group_key for group_key in present
-                        if by_key[group_key].kind in (TRACE_KIND,
-                                                      FAST_FORWARD_KIND)
+                        if by_key[group_key].kind == TRACE_KIND
                         and by_key[group_key].filter_name == trace
                     )
                 else:
@@ -1328,7 +1263,7 @@ class ExperimentStore:
         for key, kind, filter_name, size, used in rows:
             group = (
                 filter_name
-                if kind in (TRACE_KIND, CHECKPOINT_KIND, FAST_FORWARD_KIND)
+                if kind in (TRACE_KIND, CHECKPOINT_KIND)
                 and filter_name is not None
                 else key
             )
@@ -1433,18 +1368,22 @@ class ExperimentStore:
         return removed, freed
 
     def delete_trace(self, trace: str) -> int:
-        """Drop a trace's manifest, segments, and fast-forward snapshot.
+        """Drop a trace's manifest and every row grouped under it.
 
-        Used before re-recording (a partially garbage-collected or
-        interrupted recording must never mix stale segments with fresh
-        ones) and harmless when nothing is stored under the key.
+        Rows whose ``filter`` column carries the trace key belong to it,
+        whatever their kind: its segments, and the snapshot rows of
+        older measured-only recordings.  Quarantined copies keep that
+        column too but are left for post-mortem.  Used before
+        re-recording (a partially garbage-collected or interrupted
+        recording must never mix stale segments with fresh ones) and
+        harmless when nothing is stored under the key.
         Returns rows removed.
         """
         self._flush_touches()
         cursor = self._db.execute(
             "DELETE FROM results WHERE key = ? "
-            "OR (kind IN (?, ?) AND filter = ?)",
-            (trace, TRACE_KIND, FAST_FORWARD_KIND, trace),
+            "OR (filter = ? AND kind != ?)",
+            (trace, trace, QUARANTINE_KIND),
         )
         removed = cursor.rowcount
         self._db.commit()

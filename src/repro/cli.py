@@ -249,14 +249,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     spec = _replay_spec(args)
     system = _trace_system(args)
     store = experiments.get_store()
-    if args.warm_filters:
-        from repro.core.config import parse_filter_name
-
-        for filter_name in args.warm_filters:
-            parse_filter_name(filter_name)
     report = runner.execute_replays(
-        [runner.ReplayJob(spec.name, (), system, args.seed, args.chunk_size,
-                          args.measured_only, tuple(args.warm_filters or ()))],
+        [runner.ReplayJob(spec.name, (), system, args.seed, args.chunk_size)],
         experiment_store=store, specs={spec.name: spec},
     )
     tkey = store_mod.trace_key(spec, system, args.seed)
@@ -265,10 +259,12 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
                            "manifest_bytes": 0})
     nbytes = info["segment_bytes"] + info["manifest_bytes"]
     verb = "recorded" if report.sims_run else "already recorded"
-    mode = " (measured region only)" if args.measured_only else ""
+    # The trace holds the warm-up as well as the measured accesses.
+    accesses = spec.warmup_accesses + spec.n_accesses
     print(f"{verb}: {spec.name} seed {args.seed} on {system.n_cpus} CPUs — "
-          f"{spec.n_accesses:,} accesses{mode}, {info['segments']} segment(s), "
-          f"{nbytes / 1024:.1f} KiB stored")
+          f"{accesses:,} accesses ({spec.warmup_accesses:,} warm-up, "
+          f"{spec.warmup_accesses / max(accesses, 1):.0%}), "
+          f"{info['segments']} segment(s), {nbytes / 1024:.1f} KiB stored")
     print(report.summary())
     return 0
 
@@ -300,7 +296,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         spec, system, tuple(filters), args.seed,
         workers=args.workers, backend=args.backend,
         experiment_store=experiments.get_store(),
-        measured_only=args.measured_only,
     )
     headers = ["filter", "coverage"]
     rows = [[name, format_percent(outcome.coverage(name))] for name in filters]
@@ -330,7 +325,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
               + (f" for workload {args.workload!r}" if args.workload else ""))
         return 0
     headers = ["workload", "cpus", "seed", "accesses", "events", "codec",
-               "mode", "segments", "size"]
+               "segments", "size"]
     rows = []
     undecodable = 0
     for entry in manifests:
@@ -347,7 +342,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             undecodable += 1
             rows.append([
                 entry.workload, str(entry.n_cpus), str(entry.seed),
-                "(undecodable)", "?", "?", "?", str(present),
+                "(undecodable)", "?", "?", str(present),
                 f"{nbytes / 1024:.1f} KiB",
             ])
             continue
@@ -363,7 +358,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             f"{manifest['metrics']['accesses']:,}",
             f"{sum(manifest['events_per_node']):,}",
             _trace_codec(store, entry.key),
-            "measured" if manifest.get("measured_only") else "full",
             segments,
             f"{nbytes / 1024:.1f} KiB",
         ])
@@ -410,7 +404,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         backend=args.backend,
         chunk_size=args.chunk_size,
         checkpoint_every=args.checkpoint_every,
-        measured_only=args.measured_only,
         task_timeout=args.task_timeout,
     )
     headers = ["workload"] + [f"{f} (cov)" for f in filters]
@@ -571,8 +564,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         value = getattr(args, field)
         if value is not None:
             request[field] = value
-    if args.measured_only:
-        request["measured_only"] = True
     status = client.submit(**request)
     print(f"job {status['job'][:12]} {status['state']}: {status['summary']}")
     if not args.wait:
@@ -670,9 +661,8 @@ def _print_trace_economics(store) -> None:
         if not accesses:
             continue
         codec = _trace_codec(store, entry.key)
-        mode = "measured" if manifest.get("measured_only") else "full"
         print(f"  trace {entry.workload} seed {entry.seed} "
-              f"({entry.n_cpus}-way, {codec}, {mode}): "
+              f"({entry.n_cpus}-way, {codec}): "
               f"{nbytes / accesses:.2f} bytes/access "
               f"({nbytes / 1024:.1f} KiB / {accesses:,} accesses)")
 
@@ -918,30 +908,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cpus", type=int, default=None,
                        help="SMP width (default: the scaled system's 4)")
 
-    def _measured_only_override(p) -> None:
-        p.add_argument("--measured-only", action="store_true",
-                       help="record only the measured region, persisting "
-                       "a fast-forward snapshot of the warmed filter "
-                       "state at the measurement boundary (requires a "
-                       "warm-up; replay restores the snapshot instead "
-                       "of replaying warm-up events)")
-
     t_record = trace_sub.add_parser(
         "record", help="simulate once, persisting the packed event shards"
     )
     t_record.add_argument("workload")
     _trace_overrides(t_record)
-    _measured_only_override(t_record)
     t_record.add_argument("--chunk-size", type=_positive_count,
                           default=runner.DEFAULT_CHUNK_SIZE,
                           help="recording pass chunk size (memory knob; "
                           "never changes the stored bytes)")
-    t_record.add_argument("--warm-filters", nargs="+", default=None,
-                          metavar="FILTER",
-                          help="measured-only: extra filter configs to "
-                          "warm and snapshot besides the default sweep "
-                          "set (replaying a config absent from the "
-                          "snapshot requires re-recording)")
     t_record.set_defaults(func=_cmd_trace_record)
 
     t_transcode = trace_sub.add_parser(
@@ -967,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=runner.EXECUTOR_BACKENDS,
                           help="executor backend for replay fan-out "
                           "(default: process)")
-    _measured_only_override(t_replay)
     t_replay.set_defaults(func=_cmd_trace_replay)
 
     t_info = trace_sub.add_parser(
@@ -1035,7 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-task deadline under the process backend; "
                          "overdue workers are killed and the task retried "
                          "(default: no deadline)")
-    _measured_only_override(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_matrix = sub.add_parser(
@@ -1186,9 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="named workload transformation")
     p_submit.add_argument("--stream", action="store_true",
                           help="streamed shards instead of record/replay")
-    p_submit.add_argument("--measured-only", action="store_true",
-                          help="record only measured regions with a "
-                          "fast-forward snapshot (replay submissions only)")
     p_submit.add_argument("--wait", action="store_true",
                           help="poll until the job settles, then render "
                           "the coverage table")

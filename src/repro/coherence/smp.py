@@ -525,9 +525,6 @@ def simulate_streaming(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     sinks: Iterable[ShardConsumer] = (),
     phase_marks=(),
-    warmup_sinks: Iterable[ShardConsumer] = (),
-    measurement_sinks: Iterable[ShardConsumer] = (),
-    on_measurement=None,
     *,
     start: int = 0,
     checkpoint_every: int | None = None,
@@ -564,27 +561,9 @@ def simulate_streaming(
     uninterrupted run emits next.  Markers are emitted *between* chunks
     and ride at the front of the next shard (or the final residue), at
     the same place in the event sequence whatever the chunk size.
-
-    ``sinks`` see every shard.  ``warmup_sinks`` stop receiving shards at
-    ``begin_measurement`` and ``measurement_sinks`` start there (the
-    warm-up MARKER rides at the front of the first *measurement* shard,
-    so a measurement-only consumer still observes the statistics reset
-    exactly where a full-stream consumer does); ``on_measurement`` is
-    called with the system at the same boundary, after warm-up sinks are
-    detached and before any measurement shard is cut.  Together these
-    are the measured-region-only recording hooks: warm-up sinks carry
-    the filter banks whose warmed state gets snapshotted by the
-    callback, measurement sinks carry the trace sink that records only
-    post-marker events.
     """
     system = config if isinstance(config, SMPSystem) else SMPSystem(config)
-    always = list(sinks)
-    warmup_sinks = list(warmup_sinks)
-    measurement_sinks = list(measurement_sinks)
-    if warmup <= 0 and (warmup_sinks or measurement_sinks or on_measurement):
-        raise TraceError(
-            "measurement-boundary hooks require a positive warm-up"
-        )
+    sinks = list(sinks)
     end = 0
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -592,7 +571,6 @@ def simulate_streaming(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         end = start + accesses.remaining
-    active = always + (measurement_sinks if start > warmup else warmup_sinks)
     iterator = iter(accesses)
     position = start
     for stop, action in _boundary_schedule(
@@ -602,27 +580,24 @@ def simulate_streaming(
             for shard in system.run_chunked(
                 iterator, chunk_size, limit=stop - position
             ):
-                for sink in active:
+                for sink in sinks:
                     sink.consume(shard)
             position = stop
         if action == _SAVE:
             on_checkpoint(system, position)
         elif action == _MEASURE:
             system.begin_measurement()
-            active = always + measurement_sinks
-            if on_measurement is not None:
-                on_measurement(system)
         else:
             system.mark_phase(action)
     for shard in system.run_chunked(iterator, chunk_size):
-        for sink in active:
+        for sink in sinks:
             sink.consume(shard)
     # A warm-up or PHASE marker (and nothing else) can remain pending
     # when the region after it is empty or the stream ended exactly at a
     # boundary.
     residue = system.take_shard()
     if any(stream.events for stream in residue):
-        for sink in active:
+        for sink in sinks:
             sink.consume(residue)
     system.finish()
     return system.result(workload)

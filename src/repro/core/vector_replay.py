@@ -32,13 +32,12 @@ walked (:class:`~repro.errors.InvariantError` on a break).
 
 Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
-unchanged).  This is what lets measured-region-only traces replay from
-a restored fast-forward snapshot: the runner restores the warmed state
-into the filter objects and the kernels pick it up from there.  The
-same import resumes a checkpoint, and :meth:`VectorReplayer.snapshot`
-runs it backwards — it *exports* the replayer's state into the wrapped
-filter and takes the filter's own snapshot — so checkpoints have one
-format whichever kernel wrote or reads them.
+unchanged) and again in :meth:`VectorReplayer.restore`, after the
+filter object adopts a checkpoint's state: that is how a resumed run's
+kernels pick up warmed filters.  :meth:`VectorReplayer.snapshot` runs
+the import backwards — it *exports* the replayer's state into the
+wrapped filter and takes the filter's own snapshot — so checkpoints
+have one format whichever kernel wrote or reads them.
 
 Everything else (hashed-include, null filters, subclasses, VEJ vectors
 wider than the walk's ``uint64``) falls back to the per-event loop —
@@ -105,7 +104,7 @@ def _warm_stacks(exclude: ExcludeJetty) -> list[list[int]]:
     """Per-set MRU-first stacks importing an EJ's current contents.
 
     A freshly built filter has no valid entries, so the cold path gets
-    the empty stacks it always had; a restored (fast-forwarded) filter
+    the empty stacks it always had; a filter restored from a checkpoint
     contributes its valid entries in recency order — way placement and
     invalid ways are unobservable to replay, exactly the abstraction
     the stack model is built on.
@@ -221,8 +220,8 @@ class VectorReplayer(Replayer):
                 len(lane) != size for lane in counters
             ):
                 raise InvariantError(f"{include.name}: malformed lanes")
-            # Zeros for a freshly built IJ, the warmed lanes for a
-            # fast-forwarded one.
+            # Zeros for a freshly built IJ, the warmed lanes for one
+            # restored from a checkpoint.
             self._lanes = array("i", chain.from_iterable(counters))
             self._n_arrays = include.n_arrays
             self._imported = sum(counters[0])

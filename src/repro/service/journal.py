@@ -132,17 +132,6 @@ def normalize_request(payload: dict) -> dict:
     if preset is not None:
         _require(isinstance(preset, str), "'preset' must be a string")
         request["preset"] = preset
-    if payload.get("measured_only"):
-        _require(
-            payload.get("measured_only") is True,
-            "'measured_only' must be a boolean",
-        )
-        _require(
-            mode == "replay",
-            "'measured_only' applies to replay submissions only "
-            "(streamed shards record no trace)",
-        )
-        request["measured_only"] = True
     return request
 
 
@@ -150,12 +139,9 @@ def shard_fingerprint(shard: dict) -> str:
     """Content hash of one shard's result-determining fields.
 
     Exactly the fields that participate in the shard's store keys:
-    execution hints (``chunk_size``, ``checkpoint_every``, and the
-    trace-economics knob ``measured_only``) are excluded
+    execution hints (``chunk_size``, ``checkpoint_every``) are excluded
     because results are invariant to them by the determinism contract —
-    two submissions differing only in hints share shards, and a shard
-    recorded measured-only satisfies a later full-trace submission
-    byte-for-byte (and vice versa).
+    two submissions differing only in hints share shards.
     """
     return hashlib.sha256(json.dumps({
         "workload": shard["workload"],
@@ -187,8 +173,7 @@ def build_shards(request: dict) -> list[dict]:
                 "mode": request["mode"],
             }
             for field in ("accesses", "warmup", "preset", "cpus",
-                          "chunk_size", "checkpoint_every",
-                          "measured_only"):
+                          "chunk_size", "checkpoint_every"):
                 if field in request:
                     shard[field] = request[field]
             shard["id"] = shard_fingerprint(shard)

@@ -101,7 +101,6 @@ class ServiceWorker:
                 checkpoint_every=shard.get("checkpoint_every"),
                 workers=1,
                 backend="serial",
-                measured_only=bool(shard.get("measured_only")),
                 **(
                     {"chunk_size": shard["chunk_size"]}
                     if shard.get("chunk_size")

@@ -92,7 +92,9 @@ class TestCommands:
         store = str(tmp_path / "traces.sqlite")
         assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
         out = capsys.readouterr().out
-        assert "recorded: test-tiny" in out
+        # The count is what the trace holds: warm-up plus measured.
+        assert ("recorded: test-tiny seed 1 on 4 CPUs — 5,000 accesses "
+                "(1,000 warm-up, 20%)") in out
         assert "sims: 1 run" in out
         # A second record is a warm no-op.
         assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
@@ -379,20 +381,26 @@ class TestResilienceCommands:
 
 
 class TestTraceEconomicsCommands:
-    """``--measured-only`` / ``transcode`` and the stored-vs-decoded
-    accounting in ``trace info`` / ``cache info``."""
+    """``transcode`` and the stored-vs-decoded accounting in ``trace
+    info`` / ``cache info``."""
 
     @pytest.mark.parametrize("command", [
-        ["trace", "record", "test-tiny"],
-        ["trace", "replay", "test-tiny"],
-        ["trace", "transcode", "test-tiny"],
-        ["sweep"],
-        ["submit"],
+        ["trace", "record", "test-tiny", "--codec", "delta-v1"],
+        ["trace", "replay", "test-tiny", "--codec", "delta-v1"],
+        ["trace", "transcode", "test-tiny", "--codec", "delta-v1"],
+        ["sweep", "--codec", "delta-v1"],
+        ["submit", "--codec", "delta-v1"],
+        ["trace", "record", "test-tiny", "--measured-only"],
+        ["trace", "replay", "test-tiny", "--measured-only"],
+        ["sweep", "--measured-only"],
+        ["submit", "--measured-only"],
+        ["trace", "record", "test-tiny", "--warm-filters", "EJ-8x2"],
     ])
     def test_there_is_no_codec_option(self, command, capsys):
-        """delta-v1 is the only segment encoder: nothing to choose."""
+        """delta-v1 is the only segment encoder and every trace is
+        recorded in full, warm-up included: nothing to choose."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(command + ["--codec", "delta-v1"])
+            build_parser().parse_args(command)
 
     @pytest.mark.parametrize("command", [
         ["sweep"],
@@ -404,27 +412,6 @@ class TestTraceEconomicsCommands:
             main(command + ["--kernel", "python"])
         assert exit_info.value.code == 2
         assert "--kernel" in capsys.readouterr().err
-
-    def test_record_replay_measured_only_with_warm_filters(
-        self, tmp_path, capsys
-    ):
-        store = str(tmp_path / "mo.sqlite")
-        assert main(["--store", store, "trace", "record", "test-tiny",
-                     "--measured-only", "--warm-filters", "EJ-8x2"]) == 0
-        out = capsys.readouterr().out
-        assert "recorded: test-tiny" in out
-        assert "(measured region only)" in out
-        # The warmed family replays without any new simulation.
-        assert main(["--store", store, "trace", "replay", "test-tiny",
-                     "--filters", "EJ-8x2"]) == 0
-        out = capsys.readouterr().out
-        assert "sims: 0 run" in out
-        assert "evals: 1 run" in out
-        # trace info reports the wire format and the recording mode.
-        assert main(["--store", store, "trace", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "delta-v1" in out
-        assert "measured" in out
 
     def test_transcode_migrates_a_legacy_raw_v1_trace(
         self, tmp_path, capsys

@@ -23,7 +23,13 @@ from repro.analysis.resilience import (
     raise_if_quarantined,
     retry_call,
 )
-from repro.analysis.store import QUARANTINE_KIND, TRACE_KIND, ExperimentStore
+from repro.analysis.store import (
+    QUARANTINE_KIND,
+    TRACE_KIND,
+    ExperimentStore,
+    trace_key,
+)
+from repro.coherence.config import SCALED_SYSTEM
 from repro.errors import (
     ConfigurationError,
     ExecutionError,
@@ -426,6 +432,27 @@ class TestFsck:
         assert not any(e.kind == TRACE_KIND for e in store.entries())
         # Evals survive: only the trace unit was doomed.
         assert any(e.kind == "eval" for e in store.entries())
+
+    def test_quarantined_trace_rows_survive_re_recording(self):
+        store = ExperimentStore()
+        spec = WORKLOADS[WORKLOAD_A]
+        job = runner.ReplayJob(WORKLOAD_A, FILTERS)
+        runner.execute_replays(
+            [job], experiment_store=store, specs={WORKLOAD_A: spec},
+        )
+        corrupt_blobs(store, seed=1, fraction=0.0, kinds=(TRACE_KIND,))
+        store.fsck(quarantine=True)
+        tkey = trace_key(spec, SCALED_SYSTEM, 1)
+        # Quarantined segment copies keep the trace key as their group.
+        segments = store.group_keys(QUARANTINE_KIND, tkey)
+        assert segments
+        store.delete_kind("eval")
+        report = runner.execute_replays(
+            [job], experiment_store=store, specs={WORKLOAD_A: spec},
+        )
+        assert report.sims_run == 1
+        # Re-recording drops the trace's rows, never its post-mortem copies.
+        assert store.group_keys(QUARANTINE_KIND, tkey) == segments
 
 
 class TestChaosHarness:

@@ -187,26 +187,24 @@ def test_job_identity_invariant_under_ordering():
 
 
 def test_normalize_request_trace_economics_fields():
-    tuned = normalize_request(make_request(measured_only=True))
-    assert tuned["measured_only"] is True
-    # There is one segment encoder: a ``codec`` field is ignored like
-    # any unknown field, whatever its value or the mode.
+    # There is one segment encoder and one kind of trace: ``codec`` and
+    # ``measured_only`` fields are ignored like any unknown field,
+    # whatever their value or the mode.
     for over in ({"codec": "delta-v1"}, {"codec": "rle-v9"},
-                 {"codec": "raw-v1", "mode": "stream"}):
+                 {"codec": "raw-v1", "mode": "stream"},
+                 {"measured_only": True}, {"measured_only": "yes"},
+                 {"measured_only": True, "mode": "stream"}):
         assert normalize_request(make_request(**over)) == (
             normalize_request(make_request(**{
-                k: v for k, v in over.items() if k != "codec"
+                k: v for k, v in over.items()
+                if k not in ("codec", "measured_only")
             }))
         )
-    with pytest.raises(ServiceError, match="replay submissions only"):
-        normalize_request(make_request(mode="stream", measured_only=True))
-    with pytest.raises(ServiceError, match="must be a boolean"):
-        normalize_request(make_request(measured_only="yes"))
 
 
 def test_shard_identity_ignores_trace_economics_hints():
-    """measured_only is an execution hint: results are invariant to it,
-    so two submissions differing only in hints share shards."""
+    """Retired trace-economics fields reach no shard: two submissions
+    differing only in them share shards."""
     plain = JobJournal.new_record(normalize_request(make_request()))
     tuned = JobJournal.new_record(normalize_request(make_request(
         codec="delta-v1", measured_only=True,
@@ -214,22 +212,23 @@ def test_shard_identity_ignores_trace_economics_hints():
     assert [s["id"] for s in plain["shards"]] == (
         [s["id"] for s in tuned["shards"]]
     )
-    # ...but the granted shard still carries the hint for the worker.
-    assert all(s["measured_only"] is True for s in tuned["shards"])
-    assert all("codec" not in s for s in tuned["shards"])
+    assert all("codec" not in s and "measured_only" not in s
+               for s in tuned["shards"])
 
 
 def test_shard_journaled_with_a_codec_still_runs(tmp_path):
-    """A journal written while shards carried a ``codec`` hint recovers:
-    the shard leases, keeps its fingerprint, and the worker runs it."""
+    """A journal written while shards carried a ``codec`` or a
+    ``measured_only`` hint recovers: the shard leases, keeps its
+    fingerprint, and the worker runs it as a plain replay shard."""
     path = tmp_path / "svc.sqlite"
     store = ExperimentStore(path)
     record = JobJournal.new_record(normalize_request(
         make_request(workloads=(WORKLOAD_A,))
     ))
-    record["request"]["codec"] = "delta-v1"
+    hints = {"codec": "delta-v1", "measured_only": True}
+    record["request"].update(hints)
     for shard in record["shards"]:
-        shard["codec"] = "delta-v1"
+        shard.update(hints)
     JobJournal(store).persist(record)
     store.close()
 
@@ -237,11 +236,12 @@ def test_shard_journaled_with_a_codec_still_runs(tmp_path):
     service = SweepService(reopened)
     journaled = service.jobs[record["job"]]["shards"][0]
     assert journaled["codec"] == "delta-v1"
+    assert journaled["measured_only"] is True
     grant = service.lease("w1")
     assert grant["shard"]["id"] == shard_fingerprint(journaled) == (
         record["shards"][0]["id"]
     )
-    # The worker runs the shard as journaled, hint and all.
+    # The worker runs the shard as journaled, hints and all.
     ServiceWorker("http://unused", str(path))._execute(journaled)
     assert service.complete("w1", grant["lease"]) == "done"
     assert service.job_status(record["job"])["state"] == "done"

@@ -1,13 +1,10 @@
-"""Trace-economics tests: the segment wire format, transcoding, fast-forward.
+"""Trace-economics tests: the segment wire format, transcoding, old stores.
 
 Every segment is written as delta-v1; legacy raw-v1 segments (every
 store recorded before delta-v1 became the only encoder) still decode.
 The contract is that wire format is *pure encoding*: any chunk size,
 any mix of legacy and delta segments, any transcode history must
 replay to the exact evaluation bytes the live streamed path produces.
-Measured-only recording adds a second contract: replacing the warm-up
-events with a fast-forward snapshot of the warmed filter state may
-change stored bytes and wall time, never a result payload.
 
 Pinned here:
 
@@ -22,9 +19,11 @@ Pinned here:
   {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
   suite trace, a mixed raw-v1/delta-v1 trace and a transcoded legacy
   store;
-* **fast-forward plumbing** — snapshot rows share the trace's GC /
-  delete / fsck unit, chunk size never reaches a key, and an unwarmed
-  family is a loud error naming the fix.
+* **measured-only stores** — a store holding an older measured-only
+  trace (warm-up events swapped for a ``fast-forward`` row) serves its
+  stored evaluations, re-records a full trace when a replay needs one,
+  and has its retired snapshot row reported by ``fsck`` and evicted
+  first by ``gc``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import random
 import sys
 import zlib
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,10 +44,10 @@ from repro.analysis.store import ExperimentStore
 from repro.cli import main
 from repro.coherence.config import SCALED_SYSTEM
 from repro.core import _cmachine
+from repro.core.stats import MARKER, EventReplayer, pack_event
 from repro.errors import ConfigurationError, StoreCorruptionError
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
-from tests.conftest import oracle_replay
 
 WORKLOAD = "test-trace-codecs"
 
@@ -546,274 +544,154 @@ class TestTranscode:
 
 
 # ----------------------------------------------------------------------
-# Measured-only recording + fast-forward snapshots
+# Stores holding a measured-only trace keep working
 # ----------------------------------------------------------------------
 
-class TestMeasuredOnly:
-    @pytest.mark.parametrize("oracle", [
-        pytest.param(True, id="oracle"),
-        pytest.param(False, id="default", marks=requires_native),
-    ])
-    def test_every_family_byte_identical_to_live(self, tmp_path, oracle):
-        spec = WORKLOADS[WORKLOAD]
-        store = ExperimentStore(tmp_path / f"mo-{oracle}.sqlite")
-        with oracle_replay(oracle):
-            outcome = runner.evaluate(
-                spec, SCALED_SYSTEM, FAMILY_FILTERS, 1,
-                experiment_store=store, backend="serial",
-                measured_only=True,
+#: Filters whose evaluations the measured-only store already holds.
+STORED_FILTERS = ("EJ-32x4", "IJ-8x4x7")
+
+
+def _measured_only_store(tmp_path):
+    """A store as an older measured-only recording left it.
+
+    Such a recording kept only the events from the warm-up MARKER on,
+    plus a ``fast-forward`` row of filter state warmed over the rest;
+    its manifest says so, and its evaluations equal a full trace's.
+    Returns ``(store, trace_key, fast_forward_key)``.
+    """
+    spec = WORKLOADS[WORKLOAD]
+    n_cpus = SCALED_SYSTEM.n_cpus
+    full = ExperimentStore()
+    runner.execute_replays(
+        [runner.ReplayJob(WORKLOAD, STORED_FILTERS)], experiment_store=full,
+    )
+    tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+    manifest, segment_keys = runner.load_trace(full, tkey)
+    store = ExperimentStore(tmp_path / "measured-only.sqlite")
+    for entry in full.entries():
+        if entry.kind in ("sim-metrics", "eval"):
+            store.put_blob(
+                entry.key, full.get_blob(entry.key), kind=entry.kind,
+                workload=entry.workload, filter_name=entry.filter_name,
+                n_cpus=n_cpus, seed=1,
             )
-        metrics_blob, payloads = _live_payloads(spec, FAMILY_FILTERS)
-        mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
-        assert store.get_blob(mkey) == metrics_blob
-        for name in FAMILY_FILTERS:
-            assert store_mod.encode_eval(outcome.evaluations[name]) == (
-                payloads[name]
-            ), (name, oracle)
-
-    @requires_native
-    def test_either_warm_layout_replays_under_either_bank(self, tmp_path):
-        """Stores recorded with oracle warm banks hold each filter's
-        driven way layout; vector warm banks export the canonical one.
-        Both fast-forward rows replay, on default and oracle banks, to
-        the full trace's bytes."""
-        spec = WORKLOADS[WORKLOAD]
-        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
-        full = ExperimentStore(tmp_path / "full.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
-            experiment_store=full,
-        )
-        reference = _rows(full, "eval")
-        assert len(reference) == len(FAMILY_FILTERS)
-        fast_forward = {}
-        for recorded_on_oracle in (True, False):
-            store = ExperimentStore(
-                tmp_path / f"warm-{recorded_on_oracle}.sqlite"
+    marker = pack_event(MARKER, 0)
+    warm_states = {name: [] for name in runner.DEFAULT_SWEEP_FILTERS}
+    measured_counts = []
+    for node_id, keys in enumerate(segment_keys):
+        events = array("q")
+        for key in keys:
+            events.extend(store_mod.decode_trace_segment(full.get_blob(key)))
+        cut = events.index(marker)
+        for name, states in warm_states.items():
+            warmer = EventReplayer(
+                runner._build_filters(name, SCALED_SYSTEM)[node_id], node_id
             )
-            with oracle_replay(recorded_on_oracle):
-                runner.execute_replays(
-                    [runner.ReplayJob(WORKLOAD, (), measured_only=True,
-                                      warm_filters=FAMILY_FILTERS)],
-                    experiment_store=store, backend="serial",
-                )
-            fast_forward[recorded_on_oracle] = _rows(
-                store, store_mod.FAST_FORWARD_KIND
-            )
-            for replayed_on_oracle in (True, False):
-                store.delete_kind("eval")
-                with oracle_replay(replayed_on_oracle):
-                    report = runner.execute_replays(
-                        [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
-                        experiment_store=store, backend="serial",
-                    )
-                assert report.sims_run == 0
-                assert _rows(store, "eval") == reference, (
-                    recorded_on_oracle, replayed_on_oracle
-                )
-            assert _segment_keys_flat(store, tkey)[0]["measured_only"]
-            store.close()
-        # Same key, different layouts: both row shapes were exercised.
-        assert fast_forward[True].keys() == fast_forward[False].keys()
-        assert fast_forward[True] != fast_forward[False]
-
-    def test_archive_is_smaller_and_manifest_says_why(self, tmp_path):
-        spec = WORKLOADS[WORKLOAD]
-        full = ExperimentStore(tmp_path / "full.sqlite")
-        measured = ExperimentStore(tmp_path / "measured.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=full,
+            warmer.feed(list(events[:cut]))
+            warmer.snoop_filter.reset_counts()
+            states.append(warmer.snoop_filter.snapshot())
+        measured = events[cut:]
+        measured_counts.append(len(measured))
+        store.put_blob(
+            store_mod.trace_segment_key(tkey, node_id, 0),
+            store_mod.encode_trace_segment(measured.tobytes()),
+            kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=tkey,
+            n_cpus=n_cpus, seed=1,
         )
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), measured_only=True)],
-            experiment_store=measured,
-        )
-        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
-        full_manifest, full_keys = _segment_keys_flat(full, tkey)
-        manifest, _ = _segment_keys_flat(measured, tkey)
-        assert "measured_only" not in full_manifest
-        assert manifest["measured_only"] is True
-        assert manifest["warmup"] > 0
-        assert manifest["fast_forward"] == store_mod.fast_forward_key(
-            spec, SCALED_SYSTEM, 1, manifest["warmup"]
-        )
-        assert sum(manifest["events_per_node"]) < (
-            sum(full_manifest["events_per_node"])
-        )
-        trace_kinds = (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
-        def archive_bytes(store):
-            return sum(e.payload_bytes for e in store.entries()
-                       if e.kind in trace_kinds)
-        # Smaller than the full trace as legacy raw-v1 stores hold it.
-        full_raw_v1 = len(full.get_blob(tkey)) + sum(
-            len(_legacy_raw_v1(
-                store_mod.decode_trace_segment(full.get_blob(key))
-            ))
-            for key in full_keys
-        )
-        assert archive_bytes(measured) < full_raw_v1
+    full.close()
+    warmup = spec.warmup_accesses
+    ffkey = store_mod._digest({
+        "kind": "fast-forward",
+        "schema": store_mod.SCHEMA_VERSION,
+        "spec": store_mod.spec_fingerprint(spec),
+        "system": store_mod.system_fingerprint(SCALED_SYSTEM),
+        "seed": 1,
+        "warmup": warmup,
+    })
+    manifest = dict(
+        manifest, segments_per_node=[1] * n_cpus,
+        events_per_node=measured_counts,
+        measured_only=True, warmup=warmup, fast_forward=ffkey,
+    )
+    store.put_blob(
+        tkey, store_mod.encode_trace_manifest(manifest),
+        kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
+        n_cpus=n_cpus, seed=1,
+    )
+    # Written last, so the snapshot is the most recently used row.
+    store.put_blob(
+        ffkey,
+        zlib.compress(store_mod._canonical({
+            "version": 1, "workload": spec.name, "n_cpus": n_cpus,
+            "seed": 1, "warmup": warmup, "filters": warm_states,
+        }), 6),
+        kind="fast-forward", workload=spec.name, filter_name=tkey,
+        n_cpus=n_cpus, seed=1,
+    )
+    return store, tkey, ffkey
 
-    def test_rows_are_chunk_size_invariant(self, tmp_path):
-        """Chunk size shapes neither the snapshot nor the segments —
-        which is why it appears in no key."""
-        dumps = []
-        for chunk_size in CHUNK_SIZES:
-            store = ExperimentStore(tmp_path / f"mc{chunk_size}.sqlite")
-            runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, (), chunk_size=chunk_size,
-                                  measured_only=True)],
-                experiment_store=store,
-            )
-            dumps.append((
-                _rows(store, store_mod.TRACE_KIND),
-                _rows(store, store_mod.FAST_FORWARD_KIND),
-            ))
-        assert dumps[0] == dumps[1]
-        assert len(dumps[0][1]) == 1  # exactly one snapshot row
-
-    def test_phased_suite_measured_only_matches_live(self, tmp_path):
-        """PHASE markers inside the measured region survive the
-        fast-forward path with their per-phase splits intact."""
-        store = ExperimentStore(tmp_path / "suite-mo.sqlite")
-        runner.record_trace(
-            SUITE, SCALED_SYSTEM, 1, experiment_store=store,
-            measured_only=True,
-            warm_filters=FAMILY_FILTERS,
-        )
-        report = runner.execute_replays(
-            [runner.ReplayJob(SUITE.name, FAMILY_FILTERS)],
-            experiment_store=store, specs={SUITE.name: SUITE},
-        )
-        assert report.sims_run == 0
-        _metrics_blob, payloads = _live_payloads(SUITE, FAMILY_FILTERS)
-        for name in FAMILY_FILTERS:
-            ekey = store_mod.eval_key(SUITE, name, SCALED_SYSTEM, 1)
-            assert store.get_blob(ekey) == payloads[name], name
-
-    def test_unwarmed_family_is_a_loud_error(self, tmp_path):
-        store = ExperimentStore(tmp_path / "unwarmed.sqlite")
-        # Record-only: the warm set is just DEFAULT_SWEEP_FILTERS.
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), measured_only=True)],
-            experiment_store=store,
-        )
-        with pytest.raises(ConfigurationError, match="warm set"):
-            runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, ("EJ-8x2",))],
-                experiment_store=store,
-            )
-
-    def test_warm_filters_extend_the_snapshot(self, tmp_path):
-        store = ExperimentStore(tmp_path / "warmext.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), measured_only=True,
-                              warm_filters=("EJ-8x2",))],
-            experiment_store=store,
-        )
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ("EJ-8x2",))],
-            experiment_store=store,
-        )
-        assert report.sims_run == 0 and report.evals_run == 1
-        spec = WORKLOADS[WORKLOAD]
-        _metrics_blob, payloads = _live_payloads(spec, ("EJ-8x2",))
-        ekey = store_mod.eval_key(spec, "EJ-8x2", SCALED_SYSTEM, 1)
-        assert store.get_blob(ekey) == payloads["EJ-8x2"]
-
-    def test_requested_filters_are_warmed_automatically(self, tmp_path):
-        """A replay job's own filters always make it into the warm set."""
-        store = ExperimentStore(tmp_path / "auto.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ("EJ-8x2",), measured_only=True)],
-            experiment_store=store,
-        )
-        ffkey = _segment_keys_flat(
-            store, store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
-        )[0]["fast_forward"]
-        payload = store_mod.decode_fast_forward(store.get_blob(ffkey))
-        assert "EJ-8x2" in payload["filters"]
-        for name in runner.DEFAULT_SWEEP_FILTERS:
-            assert name in payload["filters"]
-
-    def test_no_warmup_rejected(self):
-        spec = replace(WORKLOADS[WORKLOAD], warmup_accesses=0)
-        with pytest.raises(ConfigurationError, match="positive warm-up"):
-            runner.record_trace(
-                spec, SCALED_SYSTEM, 1,
-                experiment_store=ExperimentStore(), measured_only=True,
-            )
-
-    def test_checkpointing_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match="checkpoint_every"):
-            runner.record_trace(
-                WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1,
-                experiment_store=ExperimentStore(),
-                measured_only=True, checkpoint_every=500,
-            )
-
-    def test_measured_only_needs_a_replay_sweep(self):
-        with pytest.raises(ConfigurationError, match="replay sweeps only"):
-            runner.run_sweep(
-                (WORKLOAD,), ("EJ-8x2",), stream=True,
-                experiment_store=ExperimentStore(), measured_only=True,
-            )
-
-
-# ----------------------------------------------------------------------
-# The snapshot row shares the trace's lifecycle unit
-# ----------------------------------------------------------------------
 
 class TestFastForwardLifecycle:
-    def _measured_store(self, tmp_path, name="ff"):
-        store = ExperimentStore(tmp_path / f"{name}.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, (), measured_only=True)],
-            experiment_store=store,
-        )
-        spec = WORKLOADS[WORKLOAD]
-        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
-        manifest, _ = _segment_keys_flat(store, tkey)
-        return store, tkey, manifest["fast_forward"]
+    """A measured-only trace is never replayed: it reads as absent, so
+    the next replay that needs it re-records a full trace under the
+    same key, and its leftover ``fast-forward`` row is a retired kind
+    that ``fsck`` reports and ``gc`` evicts first."""
 
-    def test_measured_store_passes_fsck(self, tmp_path):
-        store, _tkey, _ffkey = self._measured_store(tmp_path)
+    def test_stored_evals_need_no_simulation(self, tmp_path):
+        store, tkey, _ffkey = _measured_only_store(tmp_path)
+        assert runner.load_trace(store, tkey) is None
+        result = runner.run_sweep(
+            (WORKLOAD,), STORED_FILTERS, experiment_store=store,
+        )
+        assert result.report.sims_run == 0
+        assert result.report.evals_run == 0
+
+    def test_a_new_filter_re_records_a_full_trace(self, tmp_path):
+        store, tkey, _ffkey = _measured_only_store(tmp_path)
+        filters = STORED_FILTERS + ("HJ(IJ-8x4x7, EJ-8x2)",)
+        result = runner.run_sweep((WORKLOAD,), filters, experiment_store=store)
+        assert result.report.sims_run == 1
+        assert result.report.evals_run == 1
+        assert not _rows(store, "fast-forward")
+        assert "measured_only" not in _segment_keys_flat(store, tkey)[0]
+        fresh = ExperimentStore(tmp_path / "fresh.sqlite")
+        runner.run_sweep((WORKLOAD,), filters, experiment_store=fresh)
+        for kind in ("eval", store_mod.TRACE_KIND):
+            assert _rows(store, kind) == _rows(fresh, kind), kind
+
+    def test_vanished_snapshot_makes_the_trace_absent(self, tmp_path):
+        # The state gc leaves behind: it evicts the retired row first.
+        store, tkey, _ffkey = _measured_only_store(tmp_path)
+        assert store.delete_kind("fast-forward") == 1
+        assert runner.load_trace(store, tkey) is None
+        report = runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store
+        )
+        assert report.sims_run == 1
+        manifest, _segment_keys = runner.load_trace(store, tkey)
+        assert "measured_only" not in manifest
+
+    def test_measured_store_passes_fsck(self, tmp_path, capsys):
+        store, _tkey, ffkey = _measured_only_store(tmp_path)
         report = store.fsck()
         assert report.corrupt == ()
         assert report.removed == 0
+        assert report.retired == (ffkey,)
+        assert main(["--store", str(store.path), "cache", "fsck"]) == 0
+        out = capsys.readouterr().out
+        assert "store clean" in out
+        assert "1 row(s) of retired kind sim/fast-forward" in out
+
+    def test_gc_evicts_the_snapshot_first(self, tmp_path):
+        store, _tkey, ffkey = _measured_only_store(tmp_path)
+        rows = store.dump()
+        snapshot = rows.pop(ffkey)
+        budget = store.stats().payload_bytes - len(snapshot)
+        assert store.gc(budget) == (1, len(snapshot))
+        assert store.dump() == rows
 
     def test_delete_trace_removes_the_snapshot(self, tmp_path):
-        store, tkey, ffkey = self._measured_store(tmp_path)
-        assert store.contains(ffkey)
-        removed = store.delete_trace(tkey)
-        assert removed > 1
+        store, tkey, ffkey = _measured_only_store(tmp_path)
+        assert store.delete_trace(tkey) == 2 + SCALED_SYSTEM.n_cpus
         assert not store.contains(ffkey)
-        assert not _rows(store, store_mod.FAST_FORWARD_KIND)
-        assert runner.load_trace(store, tkey) is None
-
-    def test_corrupt_snapshot_dooms_the_whole_trace(self, tmp_path):
-        store, tkey, ffkey = self._measured_store(tmp_path)
-        spec = WORKLOADS[WORKLOAD]
-        store.put_blob(
-            ffkey, b"\x00garbage", kind=store_mod.FAST_FORWARD_KIND,
-            workload=spec.name, filter_name=tkey,
-            n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
-        )
-        report = store.fsck()
-        assert report.removed > 1  # snapshot AND manifest AND segments
-        assert not any(
-            e.kind in (store_mod.TRACE_KIND, store_mod.FAST_FORWARD_KIND)
-            for e in store.entries()
-        )
-
-    def test_vanished_snapshot_makes_the_trace_absent(self, tmp_path):
-        store, tkey, ffkey = self._measured_store(tmp_path)
-        store.delete_key(ffkey)
-        assert runner.load_trace(store, tkey) is None
-        # ... so the next replay re-records rather than replaying cold.
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ("EJ-32x4",), measured_only=True)],
-            experiment_store=store,
-        )
-        assert report.sims_run == 1
-        assert runner.load_trace(store, tkey) is not None
+        assert not _rows(store, store_mod.TRACE_KIND)

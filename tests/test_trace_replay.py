@@ -295,7 +295,7 @@ class TestTraceStorage:
         self, trace_workload, tmp_path
     ):
         """A segment deleted between load_trace and the worker's fetch
-        is a damaged store, like a vanished fast-forward row."""
+        is a damaged store."""
         store = ExperimentStore(tmp_path / "vanish.sqlite")
         runner.execute_replays(
             [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
@@ -306,7 +306,7 @@ class TestTraceStorage:
         ekey = store_mod.eval_key(spec, "EJ-8x2", SCALED_SYSTEM, 1)
         task = (
             str(store.path), segment_keys, SCALED_SYSTEM,
-            [(ekey, "EJ-8x2")], (), None,
+            [(ekey, "EJ-8x2")], (),
         )
         assert runner._replay_task(task)[0][0] == ekey
         store.delete_key(segment_keys[-1][-1])

@@ -397,7 +397,7 @@ class TestOracleFlushOnRaise:
 
 
 # ----------------------------------------------------------------------
-# Stream-order walks: error ordering and fast-forward warm starts
+# Stream-order walks: error ordering and checkpoint warm starts
 # ----------------------------------------------------------------------
 
 @requires_native
@@ -660,8 +660,8 @@ class TestRandomDifferential:
 
 @requires_native
 class TestWarmStartParity:
-    """Restoring a warmed snapshot into fresh filters (the fast-forward
-    replay path) must reproduce the cold full-stream feed byte for byte,
+    """Restoring a warmed snapshot into fresh filters (what checkpoint
+    resume does) must reproduce the cold full-stream feed byte for byte,
     on the oracle and on the vector kernels alike."""
 
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
@@ -678,8 +678,8 @@ class TestWarmStartParity:
                 expected = store_mod.encode_eval(full.finish())
 
                 # Warm through the MARKER (stats reset, state kept),
-                # snapshot, restore into fresh filters — exactly what a
-                # measured-only record + replay does.
+                # snapshot, restore into fresh filters — the filter half
+                # of a checkpoint resume.
                 warmer = EventReplayer(_single_filter(filter_name), node_id)
                 warmer.feed(list(warm))
                 state = warmer.snoop_filter.snapshot()
