@@ -17,7 +17,7 @@ zero replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis import store as store_mod
 from repro.analysis.runner import DEFAULT_SWEEP_FILTERS, run_sweep
@@ -26,6 +26,7 @@ from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.coherence.smp import DEFAULT_CHUNK_SIZE
 from repro.errors import WorkloadError
 from repro.traces.suite import SUITE_ORDER, SUITES
+from repro.traces.workloads import override_spec
 from repro.utils.text import format_percent, render_table
 
 
@@ -142,11 +143,7 @@ def evaluate_matrix(
             raise WorkloadError(
                 f"unknown profile suite {name!r}; choose from {sorted(SUITES)}"
             )
-        if accesses is not None:
-            suite = replace(suite, n_accesses=accesses)
-        if warmup is not None:
-            suite = replace(suite, warmup_accesses=warmup)
-        specs[name] = suite
+        specs[name] = override_spec(suite, accesses=accesses, warmup=warmup)
 
     mkey = store_mod.matrix_key(
         [specs[name] for name in names], filters, system, seed

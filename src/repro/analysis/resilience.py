@@ -269,10 +269,6 @@ class AttemptTracker:
         self._attempts.pop(label, None)
 
 
-class _PoolCreationError(Exception):
-    """Internal: the requested pool backend could not be constructed."""
-
-
 # How often the supervision loop wakes to check deadlines even when no
 # future has completed.  Deadline enforcement is therefore accurate to
 # within this granularity.

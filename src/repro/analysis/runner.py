@@ -78,7 +78,7 @@ import sqlite3
 import time
 import urllib.parse
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from repro.analysis import store as store_mod
@@ -116,8 +116,8 @@ from repro.errors import (
 )
 from repro.traces.workloads import (
     WorkloadSpec,
-    apply_preset,
     get_workload,
+    override_spec,
     resume_stream,
     simulate_workload_accesses,
     stream_fingerprint,
@@ -264,6 +264,12 @@ def compute_stream(
 # One streaming run, checkpointed or not (mid-run snapshot / resume)
 # ----------------------------------------------------------------------
 
+#: Layout of a checkpoint snapshot.  Version 2: the ``stream`` field
+#: pickles the phased :class:`~repro.traces.synth.MixStream`; a chain
+#: written under any other version is discarded and the run restarts.
+_SNAPSHOT_VERSION = 2
+
+
 def _load_latest_checkpoint(
     experiment_store: ExperimentStore, chain: str, validate=None
 ) -> tuple[str, dict] | None:
@@ -285,7 +291,7 @@ def _load_latest_checkpoint(
         try:
             state = store_mod.decode_checkpoint(blob)
             position = int(state["position"])
-            usable = state.get("version") == 1
+            usable = state.get("version") == _SNAPSHOT_VERSION
         except (StoreCorruptionError, KeyError, ValueError, TypeError) as error:
             # Corrupt or structurally wrong snapshot: fall back one
             # watermark, loudly — silent swallowing hid corruption.
@@ -383,8 +389,9 @@ def _resume_latest(
         except (ReproError, KeyError, ValueError, TypeError,
                 IndexError) as error:
             # Structural damage surfaces as TraceError or
-            # StoreCorruptionError from the layers' restore methods, a
-            # diverged stream fingerprint as ConfigurationError,
+            # StoreCorruptionError from the layers' restore methods, an
+            # unreadable stream pickle or a diverged stream fingerprint
+            # as ConfigurationError,
             # missing/mistyped fields as the builtin errors.
             _logger.warning(
                 "checkpoint %s failed to restore (%s: %s); "
@@ -478,7 +485,7 @@ def _run_simulation(
         def save(machine: SMPSystem, position: int) -> None:
             save_started = time.perf_counter()
             state = {
-                "version": 1,
+                "version": _SNAPSHOT_VERSION,
                 "workload": spec.name,
                 "n_cpus": system_cfg.n_cpus,
                 "seed": seed,
@@ -1453,14 +1460,9 @@ def run_sweep(
 
     specs: dict[str, WorkloadSpec] = {}
     for name in workloads:
-        spec = get_workload(name)
-        if preset is not None:
-            spec = apply_preset(spec, preset)
-        if accesses is not None:
-            spec = replace(spec, n_accesses=accesses)
-        if warmup is not None:
-            spec = replace(spec, warmup_accesses=warmup)
-        specs[name] = spec
+        specs[name] = override_spec(
+            get_workload(name), preset=preset, accesses=accesses, warmup=warmup
+        )
 
     run = dict(
         experiment_store=experiment_store, workers=workers,

@@ -177,16 +177,11 @@ def _replay_spec(args: argparse.Namespace):
     Record and replay must apply identical overrides or their store keys
     would never meet — one helper keeps them in lockstep.
     """
-    from dataclasses import replace as dc_replace
+    from repro.traces.workloads import get_workload, override_spec
 
-    from repro.traces.workloads import get_workload
-
-    spec = get_workload(args.workload)
-    if args.accesses is not None:
-        spec = dc_replace(spec, n_accesses=args.accesses)
-    if args.warmup is not None:
-        spec = dc_replace(spec, warmup_accesses=args.warmup)
-    return spec
+    return override_spec(
+        get_workload(args.workload), accesses=args.accesses, warmup=args.warmup
+    )
 
 
 def _trace_system(args: argparse.Namespace):

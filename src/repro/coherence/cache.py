@@ -64,10 +64,6 @@ class Frame:
         self.states: list[MOESI] = [MOESI.I] * n_subblocks
         self.in_l1: list[bool] = [False] * n_subblocks
 
-    def any_valid(self) -> bool:
-        """True when at least one subblock holds a copy."""
-        return any(s is not MOESI.I for s in self.states)
-
     def dirty_subblocks(self) -> list[tuple[int, MOESI]]:
         """``(index, state)`` of subblocks whose copy differs from memory.
 

@@ -48,7 +48,6 @@ import base64
 import heapq
 import itertools
 import zlib
-from array import array
 from collections.abc import Iterable, Iterator
 from typing import Protocol
 
@@ -195,25 +194,6 @@ class TraceSink:
                 buffer.clear()
         return list(self._next_index)
 
-    @staticmethod
-    def decode_segment(raw: bytes) -> array:
-        """Inverse of the bytes handed to ``write_segment``.
-
-        Turns one segment of raw native-order packed-event bytes back
-        into the ``array('q')`` the event streams produced.  Storage
-        codecs (compression, cross-endian normalisation) live in
-        :mod:`repro.analysis.store`; this helper is the raw-byte layer
-        only, for consumers holding uncompressed segment bytes.
-        """
-        if len(raw) % TraceSink._ITEMSIZE:
-            raise TraceError(
-                f"segment byte length {len(raw)} is not a multiple of "
-                f"the {TraceSink._ITEMSIZE}-byte packed event size"
-            )
-        events = array("q")
-        events.frombytes(raw)
-        return events
-
     def snapshot(self) -> dict:
         """Serialisable sink state: buffered tails plus segment watermarks.
 
@@ -307,13 +287,8 @@ class SMPSystem:
     # ------------------------------------------------------------------
 
     def access(self, cpu: int, address: int, is_write: bool) -> None:
-        """Run one processor access to completion."""
-        if not 0 <= cpu < self.config.n_cpus:
-            raise TraceError(
-                f"access for CPU {cpu} on a {self.config.n_cpus}-way system"
-            )
-        self.accesses += 1
-        self.nodes[cpu].local_access(address, is_write)
+        """Run one processor access to completion (a batch of one)."""
+        self._run_batch(((cpu, address, is_write),))
 
     def _run_batch(self, batch) -> None:
         """The per-access hot loop over one materialised batch.

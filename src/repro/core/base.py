@@ -23,7 +23,7 @@ The interface deliberately mirrors how a JETTY is wired in hardware:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -59,13 +59,6 @@ class FilterEventCounts:
             cnt_updates=self.cnt_updates + other.cnt_updates,
             pbit_writes=self.pbit_writes + other.pbit_writes,
         )
-
-
-@dataclass
-class _ProbeRecord:
-    """Mutable counters grouped for cheap attribute access in hot loops."""
-
-    counts: FilterEventCounts = field(default_factory=FilterEventCounts)
 
 
 class SnoopFilter(ABC):

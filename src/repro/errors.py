@@ -129,16 +129,6 @@ class QueueFullError(ServiceError):
         self.retry_after = retry_after
 
 
-class LeaseError(ServiceError):
-    """A worker presented an unknown, expired, or stolen lease token.
-
-    Stale completions are *expected* under churn (the lease expired and
-    the shard was reassigned while the original worker kept computing);
-    the server answers them without side effects because the worker's
-    store writes are content-addressed and therefore harmless.
-    """
-
-
 class StoreCorruptionError(ReproError):
     """A stored payload failed validation (zlib, JSON, or structure).
 

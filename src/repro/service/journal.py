@@ -46,7 +46,7 @@ from repro.analysis.store import (
 from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.core.config import build_filter
 from repro.errors import ServiceError
-from repro.traces.workloads import WorkloadSpec, apply_preset, get_workload
+from repro.traces.workloads import WorkloadSpec, get_workload, override_spec
 
 #: The shard state machine's vocabulary, in lifecycle order.
 SHARD_STATES = ("submitted", "leased", "done", "quarantined")
@@ -186,20 +186,16 @@ def build_shards(request: dict) -> list[dict]:
 def resolve_spec(shard: dict) -> WorkloadSpec:
     """The shard's effective workload spec (preset and sizing applied).
 
-    Mirrors :func:`repro.analysis.runner.run_sweep`'s override order
-    exactly — preset first, then access counts — so the keys computed
+    Uses :func:`~repro.traces.workloads.override_spec`, as
+    :func:`repro.analysis.runner.run_sweep` does, so the keys computed
     here are the keys the worker's sweep will write under.
     """
-    from dataclasses import replace
-
-    spec = get_workload(shard["workload"])
-    if shard.get("preset") is not None:
-        spec = apply_preset(spec, shard["preset"])
-    if shard.get("accesses") is not None:
-        spec = replace(spec, n_accesses=shard["accesses"])
-    if shard.get("warmup") is not None:
-        spec = replace(spec, warmup_accesses=shard["warmup"])
-    return spec
+    return override_spec(
+        get_workload(shard["workload"]),
+        preset=shard.get("preset"),
+        accesses=shard.get("accesses"),
+        warmup=shard.get("warmup"),
+    )
 
 
 def resolve_system(shard: dict) -> SystemConfig:

@@ -39,6 +39,7 @@ from repro.traces.workloads import (
     apply_preset,
     build_workload_stream,
     get_workload,
+    override_spec,
     resume_stream,
     stream_fingerprint,
 )
@@ -55,7 +56,6 @@ from repro.traces.suite import (  # noqa: E402 — needs profiles loaded
     PhaseSpec,
     Suite,
     SuiteSpec,
-    SuiteStream,
     canonical_suite,
 )
 
@@ -79,7 +79,6 @@ __all__ = [
     "StreamingSweep",
     "Suite",
     "SuiteSpec",
-    "SuiteStream",
     "WORKLOADS",
     "WorkloadMix",
     "WorkloadSpec",
@@ -88,6 +87,7 @@ __all__ = [
     "canonical_suite",
     "get_profile",
     "get_workload",
+    "override_spec",
     "random_interleave",
     "resume_stream",
     "round_robin",

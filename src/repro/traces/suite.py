@@ -26,19 +26,12 @@ not absolute counts.
 
 from __future__ import annotations
 
-import pickle
-import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.traces.profiles import PROFILES, SharingProfile, get_profile
-from repro.traces.synth.mix import check_stream_fingerprint
-from repro.traces.workloads import (
-    PaperReference,
-    WorkloadSpec,
-    build_recipe_mix,
-)
+from repro.traces.workloads import PaperReference, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,8 @@ class SuiteSpec(WorkloadSpec):
     Everything spec-shaped downstream (``run_sweep``, the experiment
     store, ``replace(spec, n_accesses=...)`` overrides) works unchanged;
     the phase structure only surfaces where it must — stream building
-    (:func:`build_suite_stream`), PHASE-mark scheduling
-    (:meth:`phase_marks`), and the store's spec fingerprint.
+    (:func:`~repro.traces.workloads.build_workload_stream`), PHASE-mark
+    scheduling (:meth:`phase_marks`), and the store's spec fingerprint.
     """
 
     phases: tuple[PhaseSpec, ...] = ()
@@ -178,118 +171,6 @@ def Suite(
         recipe=(),
         phases=phases,
     )
-
-
-class SuiteStream(Iterator[tuple[int, int, bool]]):
-    """Concatenated per-phase streams behind the MixStream cursor protocol.
-
-    Each phase gets its own freshly built mix and
-    :class:`~repro.traces.synth.MixStream` (independent pattern state
-    and RNG, deterministically seeded per phase); this cursor walks them
-    in order.  ``take``/``chunks``/iteration/``checkpoint``/``resume``
-    behave exactly like a single MixStream, so the simulation engine and
-    checkpoint ladder are phase-agnostic.
-    """
-
-    def __init__(self, streams, fingerprint: str | None = None) -> None:
-        if not streams:
-            raise ConfigurationError("a suite stream needs at least one phase")
-        self._streams = list(streams)
-        self._cursor = 0
-        #: Suite-level identity (see workloads.stream_fingerprint);
-        #: rides inside every checkpoint, validated on resume.
-        self.fingerprint = fingerprint
-
-    @property
-    def remaining(self) -> int:
-        return sum(s.remaining for s in self._streams[self._cursor:])
-
-    @property
-    def position(self) -> int:
-        return sum(s.position for s in self._streams[: self._cursor + 1])
-
-    def __next__(self) -> tuple[int, int, bool]:
-        while self._cursor < len(self._streams):
-            stream = self._streams[self._cursor]
-            if stream.remaining > 0:
-                return next(stream)
-            self._cursor += 1
-        raise StopIteration
-
-    def take(self, count: int) -> list[tuple[int, int, bool]]:
-        """Pop up to ``count`` accesses, crossing phase boundaries."""
-        first = self._streams[self._cursor].take(count)
-        if self._streams[self._cursor].remaining > 0 or self._cursor + 1 >= len(
-            self._streams
-        ):
-            return first
-        # Phase exhausted mid-batch: stitch from the following phases.
-        out = first
-        while len(out) < count and self._cursor + 1 < len(self._streams):
-            self._cursor += 1
-            out.extend(self._streams[self._cursor].take(count - len(out)))
-        return out
-
-    def chunks(self, chunk_size: int):
-        """Yield the remaining accesses as bounded, in-order chunks."""
-        if chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        while True:
-            chunk = self.take(chunk_size)
-            if not chunk:
-                return
-            yield chunk
-
-    def checkpoint(self) -> bytes:
-        """Serialise all phase cursors (consumed phases included)."""
-        return pickle.dumps(self)
-
-    @staticmethod
-    def resume(blob: bytes, fingerprint: str | None = None) -> "SuiteStream":
-        """Rebuild from :meth:`checkpoint`, validating suite identity.
-
-        Same contract (and the same pickle trust caveat) as
-        :meth:`repro.traces.synth.MixStream.resume`.
-        """
-        stream = pickle.loads(blob)
-        if not isinstance(stream, SuiteStream):
-            raise ConfigurationError(
-                f"not a SuiteStream checkpoint: {type(stream).__name__}"
-            )
-        check_stream_fingerprint(stream, fingerprint)
-        return stream
-
-
-def build_suite_stream(
-    spec: SuiteSpec,
-    n_cpus: int = 4,
-    n_accesses: int | None = None,
-    seed: int = 0,
-    include_warmup: bool = False,
-    fingerprint: str | None = None,
-) -> SuiteStream:
-    """Build the concatenated access stream for a suite.
-
-    Phase ``i`` draws from its own mix seeded by the suite seed mixed
-    with the phase's index and name — reordering, renaming, or resizing
-    any phase changes exactly the streams it should.  Warm-up accesses
-    (when included) extend phase 0's stream, matching
-    :meth:`SuiteSpec.phase_marks` placing mark 0 at the warm-up
-    boundary.
-    """
-    n = spec.n_accesses if n_accesses is None else n_accesses
-    starts = spec.phase_starts(n)
-    ends = starts[1:] + (n,)
-    lengths = [end - start for start, end in zip(starts, ends)]
-    if include_warmup:
-        lengths[0] += spec.warmup_accesses
-    base = seed * 1_000_003 + zlib.crc32(spec.name.encode())
-    streams = []
-    for index, (phase, length) in enumerate(zip(spec.phases, lengths)):
-        mix = build_recipe_mix(phase.recipe, phase.repeat_frac, n_cpus)
-        phase_seed = base + zlib.crc32(f"{index}:{phase.name}".encode())
-        streams.append(mix.generate(length, seed=phase_seed))
-    return SuiteStream(streams, fingerprint=fingerprint)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Weighted mixing of sharing patterns into a full workload stream.
 
 :meth:`WorkloadMix.generate` returns a :class:`MixStream` — a resumable
-cursor that can be consumed whole, drained in bounded chunks
-(:meth:`MixStream.take` / :meth:`MixStream.chunks`), or checkpointed and
-resumed later with its complete RNG and pattern state intact.  The
-streaming simulation engine relies on this: a paper-scale trace is never
-materialised, and an interrupted run can restart generation from the
-last checkpoint instead of the beginning.
+cursor that can be consumed whole, drained in bounded batches
+(:meth:`MixStream.take`), or checkpointed and resumed later with its
+complete RNG and pattern state intact.  The streaming simulation
+engine relies on this: a paper-scale trace is never materialised, and an
+interrupted run can restart generation from the last checkpoint instead
+of the beginning.
 """
 
 from __future__ import annotations
@@ -67,148 +67,107 @@ class WorkloadMix:
     ) -> "MixStream":
         """Return a resumable stream of ``n_accesses`` accesses.
 
-        The stream is an iterator (drop-in for the old generator) drawing
-        every random decision from a single seeded RNG, so equal seeds
+        The stream is a one-phase :class:`MixStream` drawing every
+        random decision from a single seeded RNG, so equal seeds
         reproduce equal streams.  Note that the mix's patterns are
         stateful and shared: interleaving two streams over the *same*
         mix instance correlates them — build a fresh mix per stream.
         ``fingerprint`` stamps the stream with the identity of the spec
-        that built it, validated on :meth:`MixStream.resume`.
+        that built it, validated by
+        :func:`repro.traces.workloads.resume_stream`.
         """
-        return MixStream(self, n_accesses, seed, fingerprint=fingerprint)
+        return MixStream([(self, n_accesses, seed)], fingerprint=fingerprint)
 
 
 class MixStream(Iterator[tuple[int, int, bool]]):
-    """A resumable cursor over one :class:`WorkloadMix` access stream.
+    """A resumable cursor over an ordered list of mix phases.
 
-    Supports three consumption styles on top of plain iteration:
+    Each phase is ``(mix, n_accesses, seed)``: ``n_accesses`` accesses
+    drawn from ``mix`` with a fresh ``random.Random(seed)`` and fresh
+    repeat memory.  A plain workload is one phase; a suite is one phase
+    per slice (see :func:`repro.traces.workloads.build_workload_stream`).
 
-    * :meth:`take` — pop the next bounded chunk as a list;
-    * :meth:`chunks` — iterate the rest of the stream chunk by chunk;
-    * :meth:`checkpoint` / :meth:`resume` — serialise the complete
-      generation state (RNG state, per-pattern cursors, repeat memory,
-      position) so a later process can continue the stream exactly where
-      this one stopped, without regenerating the prefix.
+    :meth:`take` is the one draw loop: iteration pops through it one
+    access at a time, :func:`repro.coherence.smp.iter_batches` drains it
+    in bounded batches, and :meth:`checkpoint` serialises the complete
+    generation state (phase cursor, RNG, pattern state, repeat memory,
+    position) for :func:`repro.traces.workloads.resume_stream` to
+    continue exactly where this one stopped.
     """
 
     def __init__(
         self,
-        mix: WorkloadMix,
-        n_accesses: int,
-        seed: int = 0,
+        phases: Sequence[tuple[WorkloadMix, int, int]],
         fingerprint: str | None = None,
     ) -> None:
-        self.mix = mix
-        self.remaining = n_accesses
+        self._phases = list(phases)
+        self.remaining = sum(count for _mix, count, _seed in self._phases)
         self.position = 0
         #: Identity of the spec/profile that built this stream (a stable
         #: content hash).  Rides inside every checkpoint so resume can
         #: refuse a checkpoint generated under a different configuration
         #: instead of silently continuing a diverged stream.
         self.fingerprint = fingerprint
-        self._rng = random.Random(seed)
+        self._phase = -1
+        self._left = 0  # accesses left in the current phase
+        self._mix: WorkloadMix | None = None
+        self._rng: random.Random | None = None
         self._last: tuple[int, int, bool] | None = None
 
+    def _start_next_phase(self) -> None:
+        self._phase += 1
+        self._mix, self._left, seed = self._phases[self._phase]
+        self._rng = random.Random(seed)
+        self._last = None
+
     def __next__(self) -> tuple[int, int, bool]:
-        if self.remaining <= 0:
+        batch = self.take(1)
+        if not batch:
             raise StopIteration
-        self.remaining -= 1
-        self.position += 1
-        rng = self._rng
-        last = self._last
-        if last is not None and rng.random() < self.mix.repeat_frac:
-            cpu, address, _w = last
-            return cpu, address, False
-        self._last = self.mix._pick(rng).next_access(rng)
-        return self._last
+        return batch[0]
 
     def take(self, count: int) -> list[tuple[int, int, bool]]:
         """Pop up to ``count`` accesses (shorter only at end of stream).
 
         This is the batch fast path the simulation engine drives
         (:func:`repro.coherence.smp.iter_batches`): the batch list is
-        preallocated and filled by an inline copy of the :meth:`__next__`
-        logic with the RNG, repeat fraction, and pattern picker hoisted
-        to locals — identical draw sequence, none of the per-access
-        iterator-frame overhead.
+        preallocated and, one phase span at a time, filled by a loop
+        with the RNG, repeat fraction, and pattern picker hoisted to
+        locals — no per-access iterator-frame overhead.
         """
         n = min(count, self.remaining)
         if n <= 0:
             return []
         out: list[tuple[int, int, bool]] = [None] * n  # type: ignore[list-item]
-        rand = self._rng.random
-        rng = self._rng
-        mix = self.mix
-        repeat_frac = mix.repeat_frac
-        pick = mix._pick
-        last = self._last
-        for i in range(n):
-            if last is not None and rand() < repeat_frac:
-                cpu, address, _w = last
-                out[i] = (cpu, address, False)
-            else:
-                last = pick(rng).next_access(rng)
-                out[i] = last
-        self._last = last
+        i = 0
+        while i < n:
+            while self._left == 0:
+                self._start_next_phase()
+            stop = i + min(n - i, self._left)
+            rand = self._rng.random
+            rng = self._rng
+            mix = self._mix
+            repeat_frac = mix.repeat_frac
+            pick = mix._pick
+            last = self._last
+            for j in range(i, stop):
+                if last is not None and rand() < repeat_frac:
+                    cpu, address, _w = last
+                    out[j] = (cpu, address, False)
+                else:
+                    last = pick(rng).next_access(rng)
+                    out[j] = last
+            self._last = last
+            self._left -= stop - i
+            i = stop
         self.remaining -= n
         self.position += n
         return out
 
-    def chunks(self, chunk_size: int) -> Iterator[list[tuple[int, int, bool]]]:
-        """Yield the remaining accesses as bounded, in-order chunks."""
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        while True:
-            chunk = self.take(chunk_size)
-            if not chunk:
-                return
-            yield chunk
-
     def checkpoint(self) -> bytes:
-        """Serialise the full generation state (RNG, patterns, position)."""
-        return pickle.dumps(self)
+        """Serialise the full generation state (RNG, patterns, position).
 
-    @staticmethod
-    def resume(blob: bytes, fingerprint: str | None = None) -> "MixStream":
-        """Rebuild a stream from :meth:`checkpoint`; continues exactly.
-
-        With ``fingerprint``, the checkpointed stream's own fingerprint
-        must match or :class:`ConfigurationError` is raised — resuming a
-        checkpoint that was generated under a different profile or spec
-        would silently produce a diverged access stream, the one failure
-        the byte-identical determinism contract cannot detect downstream.
-
-        .. warning:: ``blob`` is a pickle and is executed on load —
-           resume only checkpoints you wrote yourself, from storage you
-           trust, exactly like any other pickle-based checkpoint file.
-           The checks below catch mix-ups (wrong file fed back, stale
-           chain under a changed spec), not tampering.
+        .. warning:: the blob is a pickle — resume only checkpoints you
+           wrote yourself, from storage you trust.
         """
-        stream = pickle.loads(blob)
-        if not isinstance(stream, MixStream):
-            raise ConfigurationError(
-                f"not a MixStream checkpoint: {type(stream).__name__}"
-            )
-        check_stream_fingerprint(stream, fingerprint)
-        return stream
-
-
-def check_stream_fingerprint(stream, fingerprint: str | None) -> None:
-    """Refuse a resumed stream whose spec fingerprint does not match.
-
-    ``None`` skips the check (legacy call sites that carry no identity);
-    a checkpoint written before fingerprints existed reads as ``None``
-    and never matches a requested fingerprint — stale chains fail loudly
-    rather than generating a diverged stream.
-    """
-    if fingerprint is None:
-        return
-    found = getattr(stream, "fingerprint", None)
-    if found != fingerprint:
-        raise ConfigurationError(
-            "stream checkpoint fingerprint mismatch: checkpoint carries "
-            f"{found!r}, resume expects {fingerprint!r} — refusing to "
-            "continue a stream generated under a different configuration"
-        )
+        return pickle.dumps(self)

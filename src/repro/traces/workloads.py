@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,6 @@ from repro.traces.synth import (
     StreamingSweep,
     WorkloadMix,
 )
-from repro.traces.synth.mix import check_stream_fingerprint
 
 #: Spacing between pattern regions (4 MB) — far enough apart that region
 #: identity is visible in block-address bits 16 and up.
@@ -150,7 +150,7 @@ def build_recipe_mix(
 
     The shared factory behind :meth:`WorkloadSpec.build_mix`, the
     sharing-profile library (:mod:`repro.traces.profiles`), and each
-    phase of a suite (:mod:`repro.traces.suite`): every caller gets its
+    phase of a suite (:func:`build_workload_stream`): every caller gets its
     own deterministic region layout starting from region 0.
     """
     allocator = _RegionAllocator()
@@ -504,23 +504,27 @@ def build_workload_stream(
     n_accesses: int | None = None,
     seed: int = 0,
     include_warmup: bool = False,
-):
+) -> MixStream:
     """Generate the interleaved access stream for one workload.
 
     The returned :class:`~repro.traces.synth.MixStream` is a lazy,
-    resumable cursor: iterate it whole, drain it in bounded chunks
-    (``stream.chunks(n)``), or checkpoint/resume it — paper-scale traces
-    are never materialised.
+    resumable cursor: iterate it whole, drain it in bounded batches
+    (``stream.take(n)``), or checkpoint it and continue with
+    :func:`resume_stream` — paper-scale traces are never materialised.
 
     With ``include_warmup`` the stream is prefixed by the spec's warm-up
     accesses (pass ``warmup=spec.warmup_accesses`` to
     :func:`repro.coherence.smp.simulate_streaming` to exclude them from
     statistics).
 
-    Phase-structured suites (:class:`repro.traces.suite.SuiteSpec`)
-    return a :class:`repro.traces.suite.SuiteStream` — same cursor
-    protocol, one per-phase sub-stream concatenated per the suite's
-    scaled phase schedule.
+    A plain workload is one phase.  A phase-structured suite
+    (:class:`repro.traces.suite.SuiteSpec`) gets one phase per slice of
+    its scaled schedule, each drawn from its own mix seeded by the
+    stream seed mixed with the phase's index and name — reordering,
+    renaming, or resizing any phase changes exactly the accesses it
+    should.  Warm-up extends phase 0, matching
+    :meth:`~repro.traces.suite.SuiteSpec.phase_marks` placing mark 0 at
+    the warm-up boundary.
     """
     if isinstance(spec, str):
         spec = get_workload(spec)
@@ -531,47 +535,70 @@ def build_workload_stream(
         n_accesses=n_accesses,
         include_warmup=include_warmup,
     )
-    if getattr(spec, "phases", ()):
-        from repro.traces.suite import build_suite_stream
-
-        return build_suite_stream(
-            spec,
-            n_cpus=n_cpus,
-            n_accesses=n_accesses,
-            seed=seed,
-            include_warmup=include_warmup,
-            fingerprint=fingerprint,
-        )
-    mix = spec.build_mix(n_cpus)
-    count = spec.n_accesses if n_accesses is None else n_accesses
-    if include_warmup:
-        count += spec.warmup_accesses
+    n = spec.n_accesses if n_accesses is None else n_accesses
     # Distinct (but process-independent) seed per workload so equal seeds
     # do not correlate streams across workloads.
-    stream_seed = seed * 1_000_003 + zlib.crc32(spec.name.encode())
-    return mix.generate(count, seed=stream_seed, fingerprint=fingerprint)
+    base = seed * 1_000_003 + zlib.crc32(spec.name.encode())
+    suite_phases = getattr(spec, "phases", ())
+    if suite_phases:
+        starts = spec.phase_starts(n)
+        phases = [
+            (
+                build_recipe_mix(phase.recipe, phase.repeat_frac, n_cpus),
+                end - start,
+                base + zlib.crc32(f"{index}:{phase.name}".encode()),
+            )
+            for index, (phase, start, end) in enumerate(
+                zip(suite_phases, starts, starts[1:] + (n,))
+            )
+        ]
+    else:
+        phases = [(spec.build_mix(n_cpus), n, base)]
+    if include_warmup:
+        mix, count, phase_seed = phases[0]
+        phases[0] = (mix, count + spec.warmup_accesses, phase_seed)
+    return MixStream(phases, fingerprint=fingerprint)
 
 
-def resume_stream(blob: bytes, fingerprint: str | None = None):
-    """Resume any checkpointed access stream, validating its identity.
+def resume_stream(blob: bytes, fingerprint: str | None = None) -> MixStream:
+    """Continue a stream from its :meth:`MixStream.checkpoint` blob.
 
-    Dispatch-free counterpart to :meth:`MixStream.resume` /
-    :meth:`SuiteStream.resume`: accepts a checkpoint from either stream
-    type and, when ``fingerprint`` is given (from
-    :func:`stream_fingerprint` with the resume-side spec/seed/topology),
-    refuses a checkpoint generated under a different configuration with
-    :class:`~repro.errors.ConfigurationError`.
+    Any blob that does not unpickle to a :class:`MixStream` raises
+    :class:`~repro.errors.ConfigurationError`.  With ``fingerprint``
+    (from :func:`stream_fingerprint` with the resume-side
+    spec/seed/topology), the checkpointed stream's own fingerprint must
+    match too — resuming a checkpoint generated under a different
+    profile or spec would silently produce a diverged access stream,
+    the one failure the byte-identical determinism contract cannot
+    detect downstream.  A checkpoint written before fingerprints
+    existed never matches a requested one.
+
+    .. warning:: ``blob`` is a pickle and is executed on load — resume
+       only checkpoints you wrote yourself, from storage you trust.
+       The checks catch mix-ups (wrong or damaged file fed back, stale
+       chain under a changed spec), not tampering.
     """
-    import pickle
-
-    from repro.traces.suite import SuiteStream
-
-    stream = pickle.loads(blob)
-    if not isinstance(stream, (MixStream, SuiteStream)):
+    try:
+        stream = pickle.loads(blob)
+    except Exception as error:
+        # Damaged pickle bytes can raise nearly any type (UnpicklingError,
+        # EOFError, ValueError, ImportError, MemoryError, ...); all mean
+        # the same thing here: this checkpoint cannot be resumed.
+        raise ConfigurationError(
+            f"unreadable stream checkpoint ({type(error).__name__}: {error})"
+        ) from error
+    if not isinstance(stream, MixStream):
         raise ConfigurationError(
             f"not a stream checkpoint: {type(stream).__name__}"
         )
-    check_stream_fingerprint(stream, fingerprint)
+    if fingerprint is not None:
+        found = getattr(stream, "fingerprint", None)
+        if found != fingerprint:
+            raise ConfigurationError(
+                "stream checkpoint fingerprint mismatch: checkpoint carries "
+                f"{found!r}, resume expects {fingerprint!r} — refusing to "
+                "continue a stream generated under a different configuration"
+            )
     return stream
 
 
@@ -625,3 +652,27 @@ def apply_preset(spec: WorkloadSpec, preset: str) -> WorkloadSpec:
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
         ) from None
     return transform(spec)
+
+
+def override_spec(
+    spec: WorkloadSpec,
+    *,
+    preset: str | None = None,
+    accesses: int | None = None,
+    warmup: int | None = None,
+) -> WorkloadSpec:
+    """Apply the run-time overrides to ``spec`` in their one order.
+
+    ``preset`` first, then ``accesses`` (``n_accesses``), then
+    ``warmup`` (``warmup_accesses``); ``None`` leaves that field alone.
+    Every entry point that sizes a spec — sweeps, service shards, trace
+    commands, the evaluation matrix — goes through here, so equal flags
+    always meet under equal store keys.
+    """
+    if preset is not None:
+        spec = apply_preset(spec, preset)
+    if accesses is not None:
+        spec = replace(spec, n_accesses=accesses)
+    if warmup is not None:
+        spec = replace(spec, warmup_accesses=warmup)
+    return spec

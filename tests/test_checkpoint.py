@@ -19,6 +19,7 @@ Mid-run checkpointing rests on three claims, all pinned here:
 
 from __future__ import annotations
 
+import base64
 import zlib
 from contextlib import contextmanager
 from dataclasses import replace
@@ -523,6 +524,19 @@ def _chain_states(store):
     ]
 
 
+def _damage_system(state):
+    state["system"] = {"accesses": 0, "nodes": [], "bus": {}}
+
+
+def _truncate_stream(state):
+    blob = base64.b64decode(state["stream"])
+    state["stream"] = base64.b64encode(blob[: len(blob) // 2]).decode("ascii")
+
+
+def _snapshot_version_1(state):
+    state["version"] = 1
+
+
 class TestRecordingKillResume:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_interrupted_recording_resumes_at_last_segment(self, chunk_size):
@@ -625,10 +639,24 @@ class TestRecordingKillResume:
         assert report.resumed_accesses < newest["position"]
         assert interrupted.dump() == clean.dump()
 
-    def test_structurally_invalid_checkpoint_never_bricks_the_chain(self):
+    @pytest.mark.parametrize(
+        "damage, every_checkpoint, resumed_at",
+        [
+            (_damage_system, False, 900),
+            (_truncate_stream, False, 900),
+            (_snapshot_version_1, True, 0),
+        ],
+        ids=["damaged system", "truncated stream pickle", "snapshot version 1"],
+    )
+    def test_structurally_invalid_checkpoint_never_bricks_the_chain(
+        self, damage, every_checkpoint, resumed_at
+    ):
         """A checkpoint that decodes as JSON but cannot *restore* (wrong
-        structure) is deleted like any other bad row — the run falls to
-        the previous watermark instead of crashing on every rerun."""
+        structure, an unreadable stream pickle) is deleted like any other
+        bad row — the run falls to the previous watermark instead of
+        crashing on every rerun.  A chain written under an older
+        snapshot version is discarded whole: the run restarts from access
+        zero."""
         clean = ExperimentStore()
         _record(clean)
         interrupted = ExperimentStore()
@@ -639,23 +667,25 @@ class TestRecordingKillResume:
             SPEC, SCALED_SYSTEM, 1, (), True
         )
         keys = interrupted.group_keys(CHECKPOINT_KIND, chain)
-        newest_key = max(
-            keys,
-            key=lambda k: store_mod.decode_checkpoint(
-                interrupted.get_blob(k)
-            )["position"],
-        )
-        state = store_mod.decode_checkpoint(interrupted.get_blob(newest_key))
-        state["system"] = {"accesses": 0, "nodes": [], "bus": {}}  # damaged
-        interrupted.put_blob(
-            newest_key, store_mod.encode_checkpoint(state),
-            kind=CHECKPOINT_KIND, workload=SPEC.name, filter_name=chain,
-            n_cpus=4, seed=1,
-        )
+        if not every_checkpoint:
+            keys = [max(
+                keys,
+                key=lambda k: store_mod.decode_checkpoint(
+                    interrupted.get_blob(k)
+                )["position"],
+            )]
+        for key in keys:
+            state = store_mod.decode_checkpoint(interrupted.get_blob(key))
+            damage(state)
+            interrupted.put_blob(
+                key, store_mod.encode_checkpoint(state),
+                kind=CHECKPOINT_KIND, workload=SPEC.name, filter_name=chain,
+                n_cpus=4, seed=1,
+            )
         report = runner.ExecutionReport()
         _record(interrupted, checkpoint_every=900, report=report)
-        assert report.checkpoints_resumed == 1
-        assert report.resumed_accesses == 900  # the previous watermark
+        assert report.checkpoints_resumed == (resumed_at > 0)
+        assert report.resumed_accesses == resumed_at
         assert interrupted.dump() == clean.dump()
 
     def test_corrupt_checkpoint_payloads_restart_from_scratch(self):

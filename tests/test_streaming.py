@@ -28,7 +28,7 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM, SystemConfig
-from repro.coherence.smp import SMPSystem, simulate_streaming
+from repro.coherence.smp import SMPSystem, iter_batches, simulate_streaming
 from repro.core.config import build_filter
 from repro.core.stats import (
     KIND_MASK,
@@ -37,7 +37,6 @@ from repro.core.stats import (
     StreamingFilterBank,
 )
 from repro.errors import ConfigurationError
-from repro.traces.synth import MixStream
 from repro.traces.workloads import (
     WORKLOADS,
     PaperReference,
@@ -45,6 +44,8 @@ from repro.traces.workloads import (
     apply_preset,
     build_workload_stream,
     get_workload,
+    resume_stream,
+    stream_fingerprint,
 )
 from tests.test_golden_metrics import CASES, GOLDEN_WORKLOADS, golden_path
 
@@ -405,7 +406,7 @@ class TestMixStream:
         prefix = stream.take(2_000)
         blob = stream.checkpoint()
         rest_here = list(stream)
-        resumed = MixStream.resume(blob)
+        resumed = resume_stream(blob)
         assert resumed.position == 2_000
         rest_there = list(resumed)
         assert rest_there == rest_here
@@ -413,17 +414,33 @@ class TestMixStream:
 
     def test_chunks_cover_stream_exactly_once(self):
         whole = list(build_workload_stream("lu", seed=2))
-        chunks = list(build_workload_stream("lu", seed=2).chunks(997))
+        chunks = list(iter_batches(build_workload_stream("lu", seed=2), 997))
         assert [len(c) for c in chunks[:-1]] == [997] * (len(chunks) - 1)
         assert [a for c in chunks for a in c] == whole
 
     def test_resume_rejects_foreign_blobs(self):
         import pickle
 
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
-            MixStream.resume(pickle.dumps({"not": "a stream"}))
+            resume_stream(pickle.dumps({"not": "a stream"}))
+        blob = build_workload_stream("lu", seed=2).checkpoint()
+        with pytest.raises(ConfigurationError, match="unreadable"):
+            resume_stream(blob[: len(blob) // 2])
+
+    def test_phased_stream_resumes_across_phase_boundaries(self):
+        """A suite is one phased cursor: batches that straddle phase
+        boundaries, single-access iteration, and a checkpoint taken
+        mid-phase all yield the same accesses."""
+        spec = get_workload("flip-hot-txn-burst")
+        kwargs = dict(n_accesses=3_000, seed=4, include_warmup=True)
+        whole = build_workload_stream(spec, **kwargs).take(10**6)
+        assert len(whole) == 3_000 + spec.warmup_accesses
+        stream = build_workload_stream(spec, **kwargs)
+        head = [next(stream) for _ in range(spec.warmup_accesses + 1_500)]
+        fingerprint = stream_fingerprint(spec, **kwargs)
+        resumed = resume_stream(stream.checkpoint(), fingerprint)
+        tail = [a for batch in iter_batches(resumed, 701) for a in batch]
+        assert head + tail == whole
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +478,7 @@ def _memory_trace() -> list[tuple[int, int, bool]]:
 
 
 def _streamed_peak(system, base, n_accesses: int) -> tuple[int, int]:
-    bank = runner._build_bank("EJ-8x2", system, "auto")
+    bank = runner._build_bank("EJ-8x2", system)
     stream = itertools.islice(itertools.cycle(base), n_accesses)
     tracemalloc.start()
     result = simulate_streaming(
