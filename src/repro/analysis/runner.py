@@ -264,10 +264,12 @@ def compute_stream(
 # One streaming run, checkpointed or not (mid-run snapshot / resume)
 # ----------------------------------------------------------------------
 
-#: Layout of a checkpoint snapshot.  Version 2: the ``stream`` field
-#: pickles the phased :class:`~repro.traces.synth.MixStream`; a chain
-#: written under any other version is discarded and the run restarts.
-_SNAPSHOT_VERSION = 2
+#: Layout of a checkpoint snapshot.  Version 3: the ``stream`` field
+#: pickles the phased :class:`~repro.traces.synth.MixStream` with its
+#: MT19937 state and pattern state in flat arrays, and each L1 snapshots
+#: its line words; a chain written under any other version is discarded
+#: and the run restarts.
+_SNAPSHOT_VERSION = 3
 
 
 def _load_latest_checkpoint(

@@ -6,28 +6,31 @@ Two structures live here:
   per subblock, an ``in_l1`` inclusion hint per subblock, LRU replacement.
 * :class:`L1Cache` — the L1 model: direct-mapped (or set-associative)
   array of blocks sized to the L2 coherence unit, with dirty and writable
-  bits.  Coherence state proper lives in the L2; the L1 ``writable`` bit
-  mirrors whether the L2 granted write permission (M/E).
+  bits, kept as one flat ``array('q')`` of line words.  Coherence state
+  proper lives in the L2; the L1 ``writable`` bit mirrors whether the L2
+  granted write permission (M/E).
 
 Addresses handed to these classes are **block numbers** (byte address
 shifted right by the block offset), produced by :class:`CacheGeometry`.
 
-**Tag-probe fast path.**  Both caches keep a flat ``{block: frame}``
-index beside the per-set way arrays, so :meth:`SetAssocCache.find` /
-:meth:`L1Cache.find` are one dict lookup instead of an O(ways) scan —
-``find`` is called on every processor access and every snoop, making it
-the hottest function in the simulator.  The index is maintained on every
-structural change (allocate, fill, invalidate, deallocate); the way
-arrays remain the ground truth for victim selection and the invariant
-checker.
+**Tag-probe fast path.**  The L2 keeps a flat ``{block: frame}`` index
+beside its per-set way arrays, so :meth:`SetAssocCache.find` is one dict
+lookup instead of an O(ways) scan — it runs on every L1 miss and every
+snoop.  The index is maintained on every structural change (allocate,
+deallocate); the way arrays remain the ground truth for victim
+selection and the invariant checker.  The L1 needs no index: its hits
+resolve in the run loop's scan of its line words
+(:meth:`repro.coherence.smp.SMPSystem._run_batch`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.coherence.config import CacheConfig
 from repro.coherence.states import MOESI
+from repro.errors import TraceError
 from repro.utils.bitops import mask
 from repro.utils.lru import LRUTracker
 
@@ -247,114 +250,110 @@ class SetAssocCache:
         )
 
 
-class L1Frame:
-    """One L1 block (equal to the L2 coherence unit)."""
-
-    __slots__ = ("block", "way", "dirty", "writable")
-
-    def __init__(self, block: int, writable: bool, way: int = 0) -> None:
-        self.block = block
-        self.way = way
-        self.dirty = False
-        self.writable = writable
+#: An L1 line word: ``block << LINE_SHIFT | writable << 1 | dirty``.
+LINE_SHIFT = 2
+DIRTY = 1
+WRITABLE = 2
+#: The line word of an empty slot (no block shifts to a negative tag).
+EMPTY = -1
 
 
 class L1Cache:
-    """The first-level cache: valid/dirty/writable per block, LRU."""
+    """The first-level cache: one packed line word per slot, LRU.
+
+    :attr:`lines` holds ``n_sets * ways`` words, slot ``set * ways +
+    way``, each the resident block with its dirty and writable bits
+    (:data:`DIRTY`, :data:`WRITABLE`) or :data:`EMPTY`.  That buffer,
+    plus the LRU orders of a set-associative L1, is the whole state: the
+    native L1-hit loop (``l1_run`` in ``repro/core/machine.c``) reads it
+    in place for direct-mapped L1s, and :class:`CacheNode` updates it on
+    the miss path.  It is never resized, so its address stays valid.
+    """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.geometry = CacheGeometry(config)
-        self._sets: list[list[L1Frame | None]] = [
-            [None] * config.ways for _ in range(config.n_sets)
-        ]
+        self.ways = config.ways
+        self.lines = array("q", [EMPTY]) * (config.n_sets * config.ways)
         self._lru: list[LRUTracker] = [
             LRUTracker(config.ways) for _ in range(config.n_sets)
         ]
-        self._by_block: dict[int, L1Frame] = {}
         self._set_mask = (1 << config.index_bits) - 1
         self._multiway = config.ways > 1
 
-    def find(self, block: int, touch: bool = True) -> L1Frame | None:
-        frame = self._by_block.get(block)
-        if frame is not None and touch and self._multiway:
-            self._lru[block & self._set_mask].touch(frame.way)
-        return frame
+    def find(self, block: int, touch: bool = True) -> int:
+        """The slot holding ``block``, or -1 on a miss.
 
-    def fill(self, block: int, writable: bool) -> L1Frame | None:
-        """Install ``block``; return the displaced frame (for writeback).
-
-        Re-filling a resident block (e.g. after a write-permission upgrade)
-        refreshes its permission in place instead of installing a duplicate.
+        Direct-mapped caches probe one slot and skip the LRU
+        bookkeeping entirely — a one-way recency order cannot change.
         """
         set_index = block & self._set_mask
-        lru = self._lru[set_index]
-        frame = self._by_block.get(block)
-        if frame is not None:
-            frame.writable = writable
-            if self._multiway:
-                lru.touch(frame.way)
-            return None
-        ways = self._sets[set_index]
-        victim_way = None
-        for way, frame in enumerate(ways):
-            if frame is None:
-                victim_way = way
-                break
-        displaced = None
-        if victim_way is None:
-            victim_way = lru.victim()
-            displaced = ways[victim_way]
-            assert displaced is not None
-            del self._by_block[displaced.block]
-        installed = L1Frame(block, writable, victim_way)
-        ways[victim_way] = installed
-        self._by_block[block] = installed
-        lru.touch(victim_way)
-        return displaced
+        if not self._multiway:
+            return set_index if self.lines[set_index] >> LINE_SHIFT == block else -1
+        first = set_index * self.ways
+        for slot in range(first, first + self.ways):
+            if self.lines[slot] >> LINE_SHIFT == block:
+                if touch:
+                    self._lru[set_index].touch(slot - first)
+                return slot
+        return -1
 
-    def invalidate(self, block: int) -> L1Frame | None:
-        """Remove ``block`` if present; return the dropped frame.
+    def fill(
+        self, block: int, writable: bool, dirty: bool = False
+    ) -> tuple[int, bool] | None:
+        """Install ``block``; return the displaced ``(block, dirty)``.
+
+        Re-filling a resident block (e.g. after a write-permission upgrade)
+        refreshes its permission in place instead of installing a
+        duplicate, and never cleans it.
+        """
+        lines = self.lines
+        set_index = block & self._set_mask
+        bits = (WRITABLE if writable else 0) | (DIRTY if dirty else 0)
+        slot = self.find(block, touch=self._multiway)
+        if slot >= 0:
+            lines[slot] = lines[slot] & ~WRITABLE | bits
+            return None
+        if self._multiway:
+            first = set_index * self.ways
+            lru = self._lru[set_index]
+            for way in range(self.ways):
+                if lines[first + way] == EMPTY:
+                    break
+            else:
+                way = lru.victim()
+            lru.touch(way)
+            slot = first + way
+        else:
+            slot = set_index
+        victim = lines[slot]
+        lines[slot] = block << LINE_SHIFT | bits
+        if victim == EMPTY:
+            return None
+        return victim >> LINE_SHIFT, bool(victim & DIRTY)
+
+    def invalidate(self, block: int) -> int | None:
+        """Remove ``block`` if present; return its dropped line word.
 
         Like :meth:`SetAssocCache.deallocate`, the freed way is retired
         to the LRU end so the next fill prefers it over evicting a live
         block.
         """
-        frame = self._by_block.pop(block, None)
-        if frame is None:
+        slot = self.find(block, touch=False)
+        if slot < 0:
             return None
-        set_index = block & self._set_mask
-        self._sets[set_index][frame.way] = None
-        self._lru[set_index].retire(frame.way)
-        return frame
+        line = self.lines[slot]
+        self.lines[slot] = EMPTY
+        self._lru[block & self._set_mask].retire(slot % self.ways)
+        return line
 
     def resident_blocks(self) -> list[int]:
-        return [
-            frame.block
-            for ways in self._sets
-            for frame in ways
-            if frame is not None
-        ]
+        return [line >> LINE_SHIFT for line in self.lines if line != EMPTY]
 
     def snapshot(self) -> dict:
-        """Serialisable logical state (see :meth:`SetAssocCache.snapshot`).
-
-        Frames are ``[block, way, dirty, writable]`` with the two flag
-        bits as 0/1 ints.
-        """
-        frames = []
-        for ways in self._sets:
-            for frame in ways:
-                if frame is None:
-                    continue
-                frames.append([
-                    frame.block,
-                    frame.way,
-                    int(frame.dirty),
-                    int(frame.writable),
-                ])
+        """Serialisable logical state: the line words plus LRU orders."""
         return {
-            "frames": frames,
+            "lines": self.lines.tolist(),
             "lru": (
                 [tracker.snapshot() for tracker in self._lru]
                 if self._multiway else None
@@ -362,17 +361,16 @@ class L1Cache:
         }
 
     def restore(self, state: dict) -> None:
-        """Adopt a snapshot; ``_by_block`` is rebuilt in place (the
-        :class:`~repro.coherence.smp.SMPSystem` fast path aliases it)."""
-        for ways in self._sets:
-            for way in range(len(ways)):
-                ways[way] = None
-        self._by_block.clear()
-        for block, way, dirty, writable in state["frames"]:
-            frame = L1Frame(block, bool(writable), way)
-            frame.dirty = bool(dirty)
-            self._sets[block & self._set_mask][way] = frame
-            self._by_block[block] = frame
+        """Adopt a snapshot, writing :attr:`lines` in place (the native
+        L1-hit loop holds its address)."""
+        lines = state["lines"]
+        if len(lines) != len(self.lines):
+            raise TraceError(
+                f"L1 snapshot has {len(lines)} slots, the cache "
+                f"{len(self.lines)}"
+            )
+        for slot, line in enumerate(lines):
+            self.lines[slot] = line
         if self._multiway:
             for tracker, order in zip(self._lru, state["lru"]):
                 tracker.restore(order)

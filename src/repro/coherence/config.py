@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
+from repro.traces.access import MAX_CPUS
 from repro.utils.bitops import ilog2, is_power_of_two
 
 
@@ -98,6 +99,11 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_cpus < 2:
             raise ConfigurationError(f"an SMP needs >= 2 CPUs, got {self.n_cpus}")
+        if self.n_cpus > MAX_CPUS:
+            # The CPU field of a packed access is 7 bits wide.
+            raise ConfigurationError(
+                f"at most {MAX_CPUS} CPUs fit a packed access, got {self.n_cpus}"
+            )
         if self.l1.block_bytes != self.l2.subblock_bytes:
             raise ConfigurationError(
                 "the L1 block must equal the L2 coherence unit "

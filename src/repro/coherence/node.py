@@ -17,12 +17,14 @@ always performs the tag probe — a JETTY changes energy, never behaviour —
 and filters consume the stream live or replay it from a recorded trace
 (:class:`repro.core.stats.EventReplayer`).
 
-Hot-path notes: :meth:`local_access` and :meth:`snoop` run once per
-access and once per bus transaction per remote node respectively, so
-both inline their address arithmetic against shift/mask integers
-precomputed in ``__init__`` (no per-access geometry method calls), the
-L1-hit fast path returns before any L2 bookkeeping is touched, and
-events append one precomputed packed integer through a cached
+Hot-path notes: clean hits of direct-mapped L1s never reach the node
+(the run loop counts them against the L1's line words), so
+:meth:`local_access` runs once per L1 miss -- or once per access for a
+set-associative L1 -- and :meth:`snoop` once per bus transaction per
+remote node.  Both inline their address arithmetic against shift/mask
+integers precomputed in ``__init__`` (no per-access geometry method
+calls), the L1-hit path returns before any L2 bookkeeping is touched,
+and events append one precomputed packed integer through a cached
 ``array.append`` bound method (``_emit``).
 
 Modelling notes (kept deliberately explicit):
@@ -40,7 +42,13 @@ Modelling notes (kept deliberately explicit):
 from __future__ import annotations
 
 from repro.coherence.bus import BusOp, BusResult, SnoopReply
-from repro.coherence.cache import Frame, L1Cache, SetAssocCache
+from repro.coherence.cache import (
+    DIRTY,
+    WRITABLE,
+    Frame,
+    L1Cache,
+    SetAssocCache,
+)
 from repro.coherence.config import SystemConfig
 from repro.coherence.metrics import NodeStats
 from repro.coherence.states import MOESI
@@ -100,6 +108,7 @@ class CacheNode:
             self._l2_sub_shift = 0
             self._l2_sub_mask = 0
         self._l1_find = self.l1.find
+        self._l1_lines = self.l1.lines
         #: ``find(block, touch=False)`` is exactly a flat-index lookup,
         #: so the snoop/mirror paths go straight to the dicts.
         self._l2_get = self.l2._by_block.get
@@ -157,22 +166,29 @@ class CacheNode:
     # ==================================================================
 
     def local_access(self, address: int, is_write: bool) -> None:
-        """Perform one load or store issued by the local processor."""
+        """Perform one load or store issued by the local processor.
+
+        The run loop resolves clean hits of direct-mapped L1s itself
+        (:meth:`repro.coherence.smp.SMPSystem._run_batch`); every other
+        access lands here.
+        """
         stats = self.stats
-        frame1 = self._l1_find(address >> self._l1_shift)
-        if frame1 is not None and (not is_write or frame1.writable):
-            # L1 hit — the 97-99% case: no geometry beyond the block
-            # shift, no events, no L2 interaction (except the one-off
-            # silent E->M mirror on the first store to a clean line).
-            stats.l1_hits += 1
-            if is_write:
-                stats.local_writes += 1
-                if not frame1.dirty:
-                    frame1.dirty = True
-                    self._mirror_l1_write(address)
-            else:
-                stats.local_reads += 1
-            return
+        slot = self._l1_find(address >> self._l1_shift)
+        if slot >= 0:
+            line = self._l1_lines[slot]
+            if not is_write or line & WRITABLE:
+                # L1 hit: no geometry beyond the block shift, no events,
+                # no L2 interaction (except the one-off silent E->M
+                # mirror on the first store to a clean line).
+                stats.l1_hits += 1
+                if is_write:
+                    stats.local_writes += 1
+                    if not line & DIRTY:
+                        self._l1_lines[slot] = line | DIRTY
+                        self._mirror_l1_write(address)
+                else:
+                    stats.local_reads += 1
+                return
 
         if is_write:
             stats.local_writes += 1
@@ -226,7 +242,7 @@ class CacheNode:
         for sub_index in evicted.l1_subblocks:
             l1_block = self._l1_block_of(evicted.block, sub_index)
             dropped = self.l1.invalidate(l1_block)
-            if dropped is not None and dropped.dirty:
+            if dropped is not None and dropped & DIRTY:
                 stats.l1_writebacks += 1
 
         if evicted.dirty:
@@ -282,36 +298,32 @@ class CacheNode:
         """Install the serviced subblock into the L1 and track inclusion."""
         l1_block = address >> self._l1_shift
         state = frame.states[sub]
-        displaced = self.l1.fill(l1_block, state is _M or state is _E)
+        displaced = self.l1.fill(l1_block, state is _M or state is _E, is_write)
         frame.in_l1[sub] = True
-        if is_write:
-            installed = self.l1.find(l1_block, touch=False)
-            assert installed is not None
-            installed.dirty = True
 
         if displaced is not None:
-            self._handle_l1_displacement(displaced)
+            self._handle_l1_displacement(*displaced)
 
-    def _handle_l1_displacement(self, displaced) -> None:
+    def _handle_l1_displacement(self, block: int, dirty: bool) -> None:
         """An L1 fill displaced another block: write back and un-hint."""
         stats = self.stats
-        address = displaced.block << self._l1_shift
+        address = block << self._l1_shift
         l2_block = address >> self._l2_shift
         sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
         frame = self._l2_get(l2_block)
         if frame is None:
             raise CoherenceError(
                 f"L1 inclusion violated on node {self.node_id}: displaced L1 "
-                f"block {displaced.block:#x} has no L2 frame"
+                f"block {block:#x} has no L2 frame"
             )
         frame.in_l1[sub] = False
-        if displaced.dirty:
+        if dirty:
             stats.l1_writebacks += 1
             stats.l2_local_data_writes += 1
             # The mirror already holds M for dirty L1 lines.
             if frame.states[sub] is not MOESI.M:
                 raise CoherenceError(
-                    f"dirty L1 block {displaced.block:#x} on node "
+                    f"dirty L1 block {block:#x} on node "
                     f"{self.node_id} backed by L2 state {frame.states[sub].name}"
                 )
 
@@ -424,12 +436,11 @@ class CacheNode:
             # is dirty its data is pulled into the L2 as part of the
             # supply, leaving the L1 copy clean.
             stats.l1_snoop_probes += 1
-            l1_block = self._l1_block_of(frame.block, sub)
-            l1_frame = self.l1.find(l1_block, touch=False)
-            if l1_frame is not None:
-                l1_frame.writable = False
-                if l1_frame.dirty:
-                    l1_frame.dirty = False
+            slot = self.l1.find(self._l1_block_of(frame.block, sub), touch=False)
+            if slot >= 0:
+                line = self._l1_lines[slot]
+                self._l1_lines[slot] = line & ~(WRITABLE | DIRTY)
+                if line & DIRTY:
                     stats.l1_writebacks += 1
         new_state = _READ_DOWNGRADE[state]
         if new_state is not state:

@@ -30,34 +30,51 @@ shards are byte-identical whether the filters ran live or replayed a
 recorded trace (``tests/test_streaming.py`` pins this across chunk
 sizes against the golden suite).
 
-The module also provides :func:`check_coherence_invariants`, used by the
-integration and property-based tests to assert protocol correctness after
-(or during) a run:
+**Self-checks.**  Every :func:`simulate_streaming` run ends with
+:func:`check_simulator_laws` (counter conservation and L1 inclusion),
+so a broken simulator raises :class:`~repro.errors.InvariantError`
+before any result is stored.  The module also provides
+:func:`check_coherence_invariants`, used by the integration and
+property-based tests to assert protocol correctness after (or during) a
+run:
 
 * at most one node holds a subblock in M or E, and then no other node
   holds any valid copy;
 * at most one node holds a subblock in O;
 * L1 contents are included in the L2 (and writable L1 lines are backed by
-  an L2 subblock in M);
+  an L2 subblock in M or E, dirty ones by M);
 * write-buffered copies do not coexist with another cache's M/E copy.
 """
 
 from __future__ import annotations
 
 import base64
+import ctypes
 import heapq
 import itertools
 import zlib
+from array import array
 from collections.abc import Iterable, Iterator
 from typing import Protocol
 
 from repro.coherence.bus import Bus, BusOp, BusStatsCounter
+from repro.coherence.cache import DIRTY, EMPTY, LINE_SHIFT, WRITABLE
 from repro.coherence.config import SystemConfig
 from repro.coherence.metrics import BusStats, NodeStats, SimResult
 from repro.coherence.node import CacheNode
+from repro.core import _cmachine
 from repro.core.stats import NodeEventStream
 from repro.coherence.states import MOESI
-from repro.errors import CoherenceError, TraceError
+from repro.errors import CoherenceError, InvariantError, TraceError
+from repro.traces.access import (
+    ADDRESS_SHIFT,
+    CPU_MASK,
+    CPU_SHIFT,
+    MAX_CPUS,
+    WRITE_BIT,
+    pack_access,
+    pack_accesses,
+)
 
 #: Default accesses per streaming chunk.  Peak event-shard memory is
 #: proportional to this (a few events per access at most), independent of
@@ -77,15 +94,18 @@ def iter_batches(
     source: Iterable[tuple[int, int, bool]],
     batch_size: int,
     limit: int | None = None,
-) -> Iterator[list[tuple[int, int, bool]]]:
-    """Yield bounded in-order batches of accesses from ``source``.
+    n_cpus: int = MAX_CPUS,
+) -> Iterator[array]:
+    """Yield bounded in-order batches of packed accesses from ``source``.
 
     Sources exposing the *batch protocol* — a ``take(count)`` method
-    returning up to ``count`` items, like
+    returning up to ``count`` packed accesses in an ``array('q')``, like
     :class:`repro.traces.synth.MixStream` — are drained through it, so a
-    whole batch materialises in one call instead of three generator
-    frames per access.  Anything else falls back to ``itertools.islice``
-    (which still drives plain iterators from C).  With ``limit``, at
+    whole batch materialises in one call.  Anything else yields
+    ``(cpu, address, is_write)`` tuples, read through
+    ``itertools.islice`` and packed by
+    :func:`repro.traces.access.pack_accesses`, which rejects a CPU
+    outside ``0..n_cpus-1`` or a negative address.  With ``limit``, at
     most that many accesses are consumed in total; a short batch always
     means the source (or the limit) is exhausted.
     """
@@ -95,7 +115,7 @@ def iter_batches(
         if limit is not None:
             iterator = itertools.islice(iterator, limit)
         while True:
-            batch = list(itertools.islice(iterator, batch_size))
+            batch = pack_accesses(itertools.islice(iterator, batch_size), n_cpus)
             if not batch:
                 return
             yield batch
@@ -237,6 +257,20 @@ class TraceSink:
         self.last_segment_crc = list(state["last_segment_crc"])
 
 
+class L1Batch(ctypes.Structure):
+    """A batch on direct-mapped L1s as the native ``l1_run`` reads it
+    (``l1_batch`` in ``repro/core/machine.c``)."""
+
+    _fields_ = [
+        ("accesses", ctypes.c_void_p),
+        ("lines", ctypes.POINTER(ctypes.c_void_p)),
+        ("hits", ctypes.c_void_p),
+        ("n_cpus", ctypes.c_int64),
+        ("set_mask", ctypes.c_int64),
+        ("shift", ctypes.c_int64),
+    ]
+
+
 class SMPSystem:
     """A bus-based symmetric multiprocessor."""
 
@@ -251,15 +285,22 @@ class SMPSystem:
         #: Per-CPU bound ``local_access`` methods — the run loop indexes
         #: this tuple instead of resolving two attributes per access.
         self._handlers = tuple(node.local_access for node in self.nodes)
-        #: For direct-mapped L1s the batch loop resolves read hits inline
-        #: (no LRU order to maintain, so a dict probe fully decides the
-        #: access); set-associative L1s always take ``local_access``.
-        self._l1_maps = (
-            tuple(node.l1._by_block for node in self.nodes)
+        #: For direct-mapped L1s the run loop resolves clean hits itself
+        #: against each node's L1 line words (no LRU order to maintain,
+        #: so one slot decides the access); set-associative L1s always
+        #: take ``local_access``.
+        self._l1_lines = (
+            tuple(node.l1.lines for node in self.nodes)
             if config.l1.ways == 1
             else None
         )
-        self._l1_shift = config.l1.block_offset_bits
+        self._l1_mask = (1 << config.l1.index_bits) - 1
+        self._l1_shift = ADDRESS_SHIFT + config.l1.block_offset_bits
+        #: Per CPU: the read hits and write hits of the running batch,
+        #: folded into ``NodeStats`` once per batch.
+        self._hits = array("q", [0]) * (2 * config.n_cpus)
+        #: The :class:`L1Batch` of the native hit loop, built on first use.
+        self._native: L1Batch | None = None
 
     def _make_broadcast(self, requester: int):
         """Build the closure a node uses to put a transaction on the bus.
@@ -288,65 +329,119 @@ class SMPSystem:
 
     def access(self, cpu: int, address: int, is_write: bool) -> None:
         """Run one processor access to completion (a batch of one)."""
-        self._run_batch(((cpu, address, is_write),))
+        self._run_batch(array("q", [
+            pack_access(cpu, address, is_write, self.config.n_cpus)
+        ]))
 
-    def _run_batch(self, batch) -> None:
-        """The per-access hot loop over one materialised batch.
+    def _run_batch(self, batch: array) -> None:
+        """The per-access hot loop over one batch of packed accesses.
 
-        For direct-mapped L1s the 97-99% case — an L1 hit that needs no
-        permission or dirty-bit transition — is resolved right here with
-        one dict probe and two counter increments, mirroring the head of
-        :meth:`CacheNode.local_access` exactly; everything else falls
-        through to ``local_access``.
+        For direct-mapped L1s the common case — a clean L1 hit: a load
+        of a resident block, or a store to a resident dirty writable one
+        — never leaves the hit loop: the native ``l1_run`` (or, without
+        the native core, its twin :meth:`_l1_hits`) counts it against the
+        L1 line words and stops at the first access that is anything
+        else.  That access goes through ``local_access`` and the loop
+        re-enters after it.  The hits are folded into ``NodeStats`` once
+        per batch; stats objects are only replaced between batches (by
+        :meth:`begin_measurement`).
         """
+        n = len(batch)
         handlers = self._handlers
         n_cpus = len(handlers)
-        l1_maps = self._l1_maps
+        hit_run = None
+        if self._l1_lines is not None:
+            lib = _cmachine.library()
+            if lib is None:
+                hit_run, scan = self._l1_hits, batch
+            else:
+                if self._native is None:
+                    self._native = self._native_batch()
+                self._native.accesses = batch.buffer_info()[0]
+                hit_run, scan = lib.l1_run, ctypes.byref(self._native)
+        i = 0
+        try:
+            while i < n:
+                if hit_run is not None:
+                    i = hit_run(scan, i, n)
+                    if i == n:
+                        break
+                word = batch[i]
+                if word < 0:
+                    raise TraceError(
+                        f"negative address {word >> ADDRESS_SHIFT:#x}"
+                    )
+                cpu = word >> CPU_SHIFT & CPU_MASK
+                if cpu >= n_cpus:
+                    raise TraceError(
+                        f"access for CPU {cpu} on a {n_cpus}-way system"
+                    )
+                handlers[cpu](word >> ADDRESS_SHIFT, word & WRITE_BIT)
+                i += 1
+        finally:
+            self.accesses += i
+            self._fold_hits()
+
+    def _l1_hits(self, batch: array, lo: int, hi: int) -> int:
+        """Count clean L1 hits from ``lo`` on; the first index that is
+        not one (or names no CPU here, or is negative), else ``hi``.
+
+        The Python twin of ``l1_run`` in ``repro/core/machine.c``.
+        """
+        lines = self._l1_lines
+        hits = self._hits
+        n_cpus = len(lines)
+        mask = self._l1_mask
         shift = self._l1_shift
-        count = 0
-        if l1_maps is not None:
-            # Stats objects are only replaced between runs (by
-            # begin_measurement), never inside a batch, so one snapshot
-            # per batch is safe.
-            stats_by_cpu = tuple(node.stats for node in self.nodes)
-            for cpu, address, is_write in batch:
-                if cpu < 0 or cpu >= n_cpus:
-                    raise TraceError(
-                        f"access for CPU {cpu} on a {n_cpus}-way system"
-                    )
-                count += 1
-                frame1 = l1_maps[cpu].get(address >> shift)
-                if frame1 is not None:
-                    if not is_write:
-                        stats = stats_by_cpu[cpu]
-                        stats.l1_hits += 1
-                        stats.local_reads += 1
-                        continue
-                    if frame1.dirty and frame1.writable:
-                        stats = stats_by_cpu[cpu]
-                        stats.l1_hits += 1
-                        stats.local_writes += 1
-                        continue
-                handlers[cpu](address, is_write)
-        else:
-            for cpu, address, is_write in batch:
-                if cpu < 0 or cpu >= n_cpus:
-                    raise TraceError(
-                        f"access for CPU {cpu} on a {n_cpus}-way system"
-                    )
-                count += 1
-                handlers[cpu](address, is_write)
-        self.accesses += count
+        clean = WRITABLE | DIRTY
+        for i in range(lo, hi):
+            word = batch[i]
+            cpu = word >> CPU_SHIFT & CPU_MASK
+            if word < 0 or cpu >= n_cpus:
+                return i
+            block = word >> shift
+            line = lines[cpu][block & mask]
+            if line >> LINE_SHIFT != block:
+                return i
+            is_write = word & WRITE_BIT
+            if is_write and line & clean != clean:
+                return i
+            hits[2 * cpu + is_write] += 1
+        return hi
+
+    def _native_batch(self) -> L1Batch:
+        lines = self._l1_lines
+        return L1Batch(
+            lines=(ctypes.c_void_p * len(lines))(
+                *(line_words.buffer_info()[0] for line_words in lines)
+            ),
+            hits=self._hits.buffer_info()[0],
+            n_cpus=len(lines),
+            set_mask=self._l1_mask,
+            shift=self._l1_shift,
+        )
+
+    def _fold_hits(self) -> None:
+        """Add the batch's counted L1 hits to each node's statistics."""
+        hits = self._hits
+        for cpu, node in enumerate(self.nodes):
+            reads = hits[2 * cpu]
+            writes = hits[2 * cpu + 1]
+            if reads or writes:
+                stats = node.stats
+                stats.l1_hits += reads + writes
+                stats.local_reads += reads
+                stats.local_writes += writes
+                hits[2 * cpu] = hits[2 * cpu + 1] = 0
 
     def snapshot(self) -> dict:
         """Serialisable logical state of the whole machine.
 
         Composes every node's snapshot with the bus counters and the
         measured-access counter.  Everything derived — the handler
-        tuple, the direct-mapped L1 fast-path maps, the per-requester
-        broadcast closures — is rebuilt by :meth:`restore` (or simply
-        stays valid because the underlying dicts are restored in
-        place).
+        tuple, the per-requester broadcast closures, the hit loop's view
+        of the L1 line words — stays valid because the underlying
+        structures are restored in place.
         """
         return {
             "accesses": self.accesses,
@@ -365,11 +460,6 @@ class SMPSystem:
             node.restore(node_state)
         self.bus.restore(state["bus"])
         self.accesses = state["accesses"]
-        # The L1 fast-path maps alias each node's ``_by_block`` dict,
-        # which restores in place; rebuild anyway so a restore can never
-        # depend on that aliasing subtlety.
-        if self._l1_maps is not None:
-            self._l1_maps = tuple(node.l1._by_block for node in self.nodes)
 
     def take_shard(self) -> list[NodeEventStream]:
         """Detach and return every node's pending events as one shard.
@@ -396,7 +486,9 @@ class SMPSystem:
         """
         if chunk_size < 1:
             raise TraceError(f"chunk_size must be >= 1, got {chunk_size}")
-        for batch in iter_batches(accesses, chunk_size, limit):
+        for batch in iter_batches(
+            accesses, chunk_size, limit, self.config.n_cpus
+        ):
             self._run_batch(batch)
             yield self.take_shard()
 
@@ -575,7 +667,36 @@ def simulate_streaming(
         for sink in sinks:
             sink.consume(residue)
     system.finish()
+    check_simulator_laws(system)
     return system.result(workload)
+
+
+def check_simulator_laws(system: SMPSystem) -> None:
+    """Raise :class:`~repro.errors.InvariantError` unless a finished run
+    obeys the laws every correct simulation obeys.
+
+    Checked by :func:`simulate_streaming` before it returns, so a broken
+    run stores no row: every node's L1 hits and misses add up to its
+    local accesses, the nodes' local accesses add up to the system's,
+    and every node keeps L1 inclusion (:func:`_check_inclusion`).  The
+    full :func:`check_coherence_invariants` stays a test-time check.
+    """
+    total = 0
+    for node in system.nodes:
+        stats = node.stats
+        local = stats.local_reads + stats.local_writes
+        if stats.l1_hits + stats.l1_misses != local:
+            raise InvariantError(
+                f"node {node.node_id}: {stats.l1_hits} L1 hits + "
+                f"{stats.l1_misses} misses != {local} local accesses"
+            )
+        total += local
+        _check_inclusion(node)
+    if total != system.accesses:
+        raise InvariantError(
+            f"the nodes ran {total} local accesses, the system "
+            f"{system.accesses}"
+        )
 
 
 def check_coherence_invariants(system: SMPSystem) -> None:
@@ -621,29 +742,32 @@ def check_coherence_invariants(system: SMPSystem) -> None:
 
 
 def _check_inclusion(node: CacheNode) -> None:
-    """Every L1 block must be backed by a valid L2 subblock on its node."""
+    """Every L1 line must be backed by a valid L2 subblock on its node,
+    a writable one by M or E, a dirty one by M
+    (:class:`~repro.errors.InvariantError` otherwise)."""
     ratio_bits = (
         node.l2.geometry.config.block_offset_bits
         - node.l1.geometry.config.block_offset_bits
     )
-    for l1_block in node.l1.resident_blocks():
+    for line in node.l1.lines:
+        if line == EMPTY:
+            continue
+        l1_block = line >> LINE_SHIFT
         l2_block = l1_block >> ratio_bits
         sub = l1_block & ((1 << ratio_bits) - 1)
         frame = node.l2.find(l2_block, touch=False)
         if frame is None or not frame.states[sub].valid:
-            raise CoherenceError(
+            raise InvariantError(
                 f"inclusion violated on node {node.node_id}: L1 block "
                 f"{l1_block:#x} lacks a valid L2 backing subblock"
             )
-        l1_frame = node.l1.find(l1_block, touch=False)
-        assert l1_frame is not None
-        if l1_frame.writable and frame.states[sub] not in (MOESI.M, MOESI.E):
-            raise CoherenceError(
+        if line & WRITABLE and frame.states[sub] not in (MOESI.M, MOESI.E):
+            raise InvariantError(
                 f"writable L1 block {l1_block:#x} on node {node.node_id} "
                 f"backed by L2 state {frame.states[sub].name}"
             )
-        if l1_frame.dirty and frame.states[sub] is not MOESI.M:
-            raise CoherenceError(
+        if line & DIRTY and frame.states[sub] is not MOESI.M:
+            raise InvariantError(
                 f"dirty L1 block {l1_block:#x} on node {node.node_id} "
                 f"backed by L2 state {frame.states[sub].name}"
             )

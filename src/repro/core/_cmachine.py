@@ -2,21 +2,24 @@
 
 :func:`library` compiles the C source on first use -- never at import --
 with the system C compiler (``cc``, else the interpreter's configured
-``sysconfig`` ``CC``) and ``-O2 -shared -fPIC``, and loads the result with
-:mod:`ctypes`.  The shared object is cached beside this module as
-``__pycache__/machine-<hash>.so``, the hash covering the source and the
-compile command, so an edited source or another compiler builds afresh
-and every later process loads the cached file.  It is written under a
-temporary name and renamed into place, so concurrent pool workers racing
-to build it never load a half-written file.
+``sysconfig`` ``CC``) and ``-O2 -ffp-contract=off -shared -fPIC ... -lm``,
+and loads the result with :mod:`ctypes`.  The shared object is cached
+beside this module as ``__pycache__/machine-<hash>.so``, the hash
+covering the source and the compile command, so an edited source or
+another compiler builds afresh and every later process loads the cached
+file.  It is written under a temporary name and renamed into place, so
+concurrent pool workers racing to build it never load a half-written
+file.
 
 The library is the one switch between the two tiers.  Loaded, EJ/VEJ/
-IJ/HJ filters replay on its walk and trace segments code through its
-delta-v1 passes.  Any failure -- no compiler, a compile error, a
-timeout, an unwritable cache directory, a load error -- logs one warning
-naming the reason and makes :func:`library` return ``None``: every
-filter then replays on the per-event oracle and segments code in pure
-Python, which produce the same bytes.
+IJ/HJ filters replay on its walk, trace segments code through its
+delta-v1 passes, streams draw their accesses through its generator and
+direct-mapped L1 hits resolve in its hit loop.  Any failure -- no
+compiler, a compile error, a timeout, an unwritable cache directory, a
+load error -- logs one warning naming the reason and makes
+:func:`library` return ``None``: every filter then replays on the
+per-event oracle, segments code in pure Python and the Python draw and
+hit loops run, which produce the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _logger = logging.getLogger("repro.cmachine")
 SOURCE = Path(__file__).with_name("machine.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 COMPILE_TIMEOUT_S = 120
+#: Linked after the source: the generator's skewed_offset calls the same
+#: libm ``pow()`` as CPython's ``**``.
+LIBRARIES = ("-lm",)
 
 _UNLOADED = object()
 #: The loaded library, ``None`` once loading failed, or ``_UNLOADED``.
@@ -53,6 +59,10 @@ SIGNATURES = {
     "delta_encode": (_I64, [_PTR, _I64, _I64, _PTR]),
     # delta_decode(inner, len, n, events)
     "delta_decode": (_I64, [_PTR, _I64, _I64, _PTR]),
+    # mix_take(mix, out, n)
+    "mix_take": (_I64, [_PTR, _PTR, _I64]),
+    # l1_run(batch, lo, hi)
+    "l1_run": (_I64, [_PTR, _I64, _I64]),
 }
 
 
@@ -80,9 +90,13 @@ def load(cache_dir: Path | None = None):
     """Compile (unless cached) and load the library; ``None`` on failure."""
     try:
         source = SOURCE.read_bytes()
-        command = [*compiler(), "-O2", "-shared", "-fPIC"]
+        # -ffp-contract=off: the generator must round every float step
+        # as CPython does; a contracted FMA (GCC's default wherever FMA
+        # is baseline, e.g. aarch64) would let its draws diverge.
+        command = [*compiler(), "-O2", "-ffp-contract=off", "-shared",
+                   "-fPIC"]
         tag = hashlib.sha256(
-            source + "\0".join(command).encode()
+            source + "\0".join([*command, *LIBRARIES]).encode()
         ).hexdigest()[:16]
         target = Path(cache_dir or CACHE_DIR) / f"machine-{tag}.so"
         if not target.exists():
@@ -91,7 +105,8 @@ def load(cache_dir: Path | None = None):
     except Exception as exc:  # any failure degrades to the Python tier
         _logger.warning(
             "native core unavailable (%s: %s); replaying every filter on "
-            "the per-event oracle and coding trace segments in Python",
+            "the per-event oracle, coding trace segments and drawing and "
+            "simulating accesses in Python",
             type(exc).__name__, exc,
         )
         return None
@@ -115,7 +130,7 @@ def _build(command: list[str], target: Path) -> None:
     partial = Path(name)
     try:
         result = subprocess.run(
-            [*command, "-o", str(partial), str(SOURCE)],
+            [*command, "-o", str(partial), str(SOURCE), *LIBRARIES],
             capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S,
         )
         if result.returncode != 0:

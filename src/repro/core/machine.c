@@ -1,11 +1,13 @@
-/* The native core: the EJ/VEJ/IJ/HJ replay walk and the delta-v1
- * trace-segment codec.
+/* The native core: the EJ/VEJ/IJ/HJ replay walk, the delta-v1
+ * trace-segment codec, the access generator and the L1-hit loop.
  *
  * Compiled on first use by repro.core._cmachine and driven through
- * ctypes from repro.core.vector_replay (the walk) and
- * repro.analysis.store (the codec).  Without a compiler neither runs:
- * filters replay on the per-event oracle and segments code in the
- * pure-Python passes, which produce the same bytes.
+ * ctypes from repro.core.vector_replay (the walk),
+ * repro.analysis.store (the codec), repro.traces.synth.mix (the
+ * generator) and repro.coherence.smp (the L1-hit loop).  Without a
+ * compiler none of them runs: filters replay on the per-event oracle,
+ * segments code in the pure-Python passes, and the Python draw and hit
+ * loops run, which produce the same bytes.
  *
  * Exclude structures: each set is a fixed `ways`-wide row of int64
  * plus an int32 fill count, in flat arrays indexed by set.  An EJ row
@@ -18,6 +20,7 @@
  * entries, lane j indexed by block bits [j*skip, j*skip + entry_bits).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -398,4 +401,245 @@ int64_t delta_decode(const uint8_t *inner, int64_t len, int64_t n,
     free(values);
     free(c.slots);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* Access generation (repro.traces.synth, drawn bit for bit)           */
+/* ------------------------------------------------------------------ */
+
+/* A packed access, as repro.traces.access lays it out. */
+static int64_t pack_access(int64_t cpu, int64_t address, int is_write)
+{
+    return address << 8 | cpu << 1 | is_write;
+}
+
+/* CPython's MT19937: mt[0..623] are the state words and mt[624] the
+ * index, as random.Random.getstate() lists them. */
+static uint32_t mt_next(int64_t *mt)
+{
+    if (mt[624] >= 624) {
+        for (int k = 0; k < 624; k++) {
+            uint32_t y = ((uint32_t)mt[k] & 0x80000000u)
+                         | ((uint32_t)mt[(k + 1) % 624] & 0x7fffffffu);
+            mt[k] = (uint32_t)mt[(k + 397) % 624] ^ (y >> 1)
+                    ^ (y & 1 ? 0x9908b0dfu : 0u);
+        }
+        mt[624] = 0;
+    }
+    uint32_t y = (uint32_t)mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+/* random.random(): 53 bits from two words. */
+static double mt_random(int64_t *mt)
+{
+    uint32_t a = mt_next(mt) >> 5;
+    uint32_t b = mt_next(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random._randbelow(n) for 0 < n < 2**63: getrandbits(n.bit_length())
+ * until below n, one word per try up to 32 bits (so n = 1 still
+ * consumes one), low word first above. */
+static int64_t mt_below(int64_t *mt, int64_t n)
+{
+    int k = 0;
+    uint64_t r;
+    while (k < 63 && (n >> k) != 0)
+        k++;
+    do {
+        if (k <= 32) {
+            r = mt_next(mt) >> (32 - k);
+        } else {
+            r = mt_next(mt);
+            r |= (uint64_t)(mt_next(mt) >> (64 - k)) << 32;
+        }
+    } while (r >= (uint64_t)n);
+    return (int64_t)r;
+}
+
+/* base.skewed_offset: min(int(span * random() ** alpha), span - 1). */
+static int64_t skewed_offset(int64_t *mt, int64_t span, double alpha)
+{
+    int64_t offset = (int64_t)((double)span * pow(mt_random(mt), alpha));
+    return offset < span - 1 ? offset : span - 1;
+}
+
+/* base.geometric_run: a run length of the given mean, tail-bounded. */
+static int64_t geometric_run(int64_t *mt, int64_t mean)
+{
+    if (mean <= 1)
+        return 1;
+    double probability = 1.0 / (double)mean;
+    int64_t length = 1;
+    while (mt_random(mt) > probability)
+        if (++length >= mean * 8)
+            break;
+    return length;
+}
+
+enum { WALK, SWEEP, PAIRS, MIGRATE };
+#define WORD_BYTES 8
+
+/* One pattern (NativePattern in repro.traces.synth.base).  `state` is
+ * the pattern's own array, laid out as its Python draw lays it out;
+ * `words`, `bytes` and `count` mean what its native() says. */
+typedef struct {
+    int64_t kind, n, n_cpus;
+    const int64_t *cpus, *bases;
+    int64_t *state;
+    int64_t words, bytes, count;
+    double write_frac, alpha, remote_frac;
+} pattern;
+
+/* PrivateWorkingSet (and SharedReadOnly): per slot, the next address
+ * and the accesses left in its run. */
+static int64_t walk_draw(const pattern *p, int64_t *mt)
+{
+    int64_t slot = mt_below(mt, p->n);
+    int64_t *cursor = p->state + 2 * slot;
+    int64_t address = cursor[0];
+    if (cursor[1] <= 0 || address >= p->bases[slot] + p->bytes) {
+        address = p->bases[slot]
+                  + skewed_offset(mt, p->words, p->alpha) * WORD_BYTES;
+        cursor[1] = geometric_run(mt, p->count);
+    }
+    cursor[0] = address + WORD_BYTES;
+    cursor[1]--;
+    return pack_access(p->cpus[slot], address,
+                       mt_random(mt) < p->write_frac);
+}
+
+/* StreamingSweep: per slot, the sweep cursor's partition offset. */
+static int64_t sweep_draw(const pattern *p, int64_t *mt)
+{
+    int64_t slot = mt_below(mt, p->n);
+    if (p->remote_frac > 0.0 && mt_random(mt) < p->remote_frac) {
+        int64_t next = slot + 1 == p->n ? 0 : slot + 1;
+        int64_t delta = (1 + mt_below(mt, p->words)) * WORD_BYTES;
+        int64_t offset = (p->state[next] - delta) % p->bytes;
+        if (offset < 0)                /* Python's % is non-negative */
+            offset += p->bytes;
+        return pack_access(p->cpus[slot], p->bases[next] + offset, 0);
+    }
+    int64_t offset = p->state[slot];
+    p->state[slot] = (offset + WORD_BYTES) % p->bytes;
+    return pack_access(p->cpus[slot], p->bases[slot] + offset,
+                       mt_random(mt) < p->write_frac);
+}
+
+/* ProducerConsumer: per pair, producing, word position, repeat. */
+static int64_t pairs_draw(const pattern *p, int64_t *mt)
+{
+    int64_t pair = mt_below(mt, p->n);
+    int64_t *s = p->state + 3 * pair;
+    int64_t address = p->bases[pair] + s[1] * WORD_BYTES;
+    int producing = s[0] != 0;
+    if (producing) {
+        if (++s[1] >= p->words)
+            s[0] = s[1] = 0;
+    } else if (++s[2] >= p->count) {
+        s[2] = 0;
+        if (++s[1] >= p->words) {
+            s[0] = 1;
+            s[1] = 0;
+        }
+    }
+    return pack_access(p->cpus[2 * pair + !producing], address, producing);
+}
+
+/* MigratoryPattern: per object, holder index and accesses done. */
+static int64_t migrate_draw(const pattern *p, int64_t *mt)
+{
+    int64_t obj = mt_below(mt, p->n);
+    int64_t *s = p->state + 2 * obj;
+    int64_t done = s[1], cpu = p->cpus[s[0]];
+    int64_t address = p->bases[0] + obj * p->bytes
+                      + (done % p->words) * WORD_BYTES;
+    int is_write = done > 0 && (done % 2 == 1 || done == p->count - 1);
+    if (++done >= p->count) {
+        s[0] = (s[0] + 1) % p->n_cpus;
+        done = 0;
+    }
+    s[1] = done;
+    return pack_access(cpu, address, is_write);
+}
+
+/* One phase of a MixStream (NativeMix in repro.traces.synth.mix). */
+typedef struct {
+    int64_t *mt;
+    int64_t *last;                     /* repeat memory, -1 for none */
+    const pattern *patterns;
+    const double *bounds;              /* cumulative pick weights */
+    int64_t n_patterns;
+    double repeat_frac;
+} mix;
+
+/* MixStream._draw: n packed accesses into out, advancing the RNG, the
+ * repeat memory and the patterns' states in place.  Returns n. */
+int64_t mix_take(const mix *m, int64_t *out, int64_t n)
+{
+    int64_t last = *m->last;
+    for (int64_t j = 0; j < n; j++) {
+        if (last >= 0 && mt_random(m->mt) < m->repeat_frac) {
+            out[j] = last & ~(int64_t)1;   /* the same access, a load */
+            continue;
+        }
+        double draw = mt_random(m->mt);
+        int64_t k = 0;
+        while (k < m->n_patterns - 1 && !(draw <= m->bounds[k]))
+            k++;
+        const pattern *p = m->patterns + k;
+        switch (p->kind) {
+        case WALK:
+            last = walk_draw(p, m->mt);
+            break;
+        case SWEEP:
+            last = sweep_draw(p, m->mt);
+            break;
+        case PAIRS:
+            last = pairs_draw(p, m->mt);
+            break;
+        default:
+            last = migrate_draw(p, m->mt);
+        }
+        out[j] = last;
+    }
+    *m->last = last;
+    return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* The L1-hit loop (repro.coherence.smp.SMPSystem._run_batch)          */
+/* ------------------------------------------------------------------ */
+
+/* A batch on direct-mapped L1s (L1Batch in repro.coherence.smp).  A
+ * line word is block << 2 | writable << 1 | dirty, -1 when empty. */
+typedef struct {
+    const int64_t *accesses;           /* the packed batch */
+    int64_t *const *lines;             /* per CPU: its L1's line words */
+    int64_t *hits;                     /* per CPU: read hits, write hits */
+    int64_t n_cpus, set_mask, shift;   /* shift: 8 + L1 block offset */
+} l1_batch;
+
+/* Count clean L1 hits from lo on: a load of a resident block, or a
+ * store to a resident dirty writable one.  Returns the index of the
+ * first access that is not one -- or names no CPU of the machine, or
+ * is negative -- else hi. */
+int64_t l1_run(const l1_batch *b, int64_t lo, int64_t hi)
+{
+    int64_t i;
+    for (i = lo; i < hi; i++) {
+        int64_t a = b->accesses[i], cpu = a >> 1 & 0x7F, blk = a >> b->shift;
+        if (a < 0 || cpu >= b->n_cpus)
+            break;
+        int64_t line = b->lines[cpu][blk & b->set_mask];
+        if (line >> 2 != blk || ((a & 1) && (line & 3) != 3))
+            break;
+        b->hits[2 * cpu + (a & 1)]++;
+    }
+    return i;
 }

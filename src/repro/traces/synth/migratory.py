@@ -12,10 +12,19 @@ upgrade traffic of Table 3.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import WORD_BYTES, Pattern
+from repro.traces.access import ADDRESS_SHIFT, CPU_SHIFT
+from repro.traces.synth.base import (
+    MIGRATE,
+    WORD_BYTES,
+    NativePattern,
+    Pattern,
+    address_of,
+    checked_cpus,
+)
 
 
 class MigratoryPattern(Pattern):
@@ -44,31 +53,47 @@ class MigratoryPattern(Pattern):
             raise ConfigurationError("migratory sharing needs >= 2 CPUs")
         if n_objects < 1:
             raise ConfigurationError("need at least one migrating object")
-        self.cpus = tuple(cpus)
+        self.cpus = checked_cpus(cpus, distinct=False)
         self.base = base
+        self._base = array("q", [base])  # the native port's view of it
         self.n_objects = n_objects
         self.object_bytes = object_bytes
         self.holder_accesses = max(2, holder_accesses)
-        # Per object: (holder index into cpus, accesses done this hold).
-        self._state: list[tuple[int, int]] = [(0, 0) for _ in range(n_objects)]
+        #: Per object: holder index into cpus, accesses done this hold.
+        self.state = array("q", [0, 0]) * n_objects
         self._words = max(1, object_bytes // WORD_BYTES)
 
-    def next_access(self, rng: random.Random) -> tuple[int, int, bool]:
+    def draw(self, rng: random.Random) -> int:
         # randrange(n)'s fast path is exactly _randbelow(n) — same draw,
         # no argument parsing (this runs once per generated access).
         obj = rng._randbelow(self.n_objects)
-        holder_index, done = self._state[obj]
+        state = self.state
+        at = 2 * obj
+        holder_index = state[at]
+        done = state[at + 1]
         cpu = self.cpus[holder_index]
 
-        words = self._words
-        address = self.base + obj * self.object_bytes + (done % words) * WORD_BYTES
+        address = (
+            self.base + obj * self.object_bytes
+            + (done % self._words) * WORD_BYTES
+        )
         # Take-over access is a read; later accesses alternate write/read,
         # ending the hold with a write (the critical-section update).
         is_write = done > 0 and (done % 2 == 1 or done == self.holder_accesses - 1)
 
         done += 1
         if done >= self.holder_accesses:
-            holder_index = (holder_index + 1) % len(self.cpus)
+            state[at] = (holder_index + 1) % len(self.cpus)
             done = 0
-        self._state[obj] = (holder_index, done)
-        return cpu, address, is_write
+        state[at + 1] = done
+        return address << ADDRESS_SHIFT | cpu << CPU_SHIFT | is_write
+
+    def native(self) -> NativePattern:
+        # n: objects; n_cpus: the ring; words: words per object; bytes:
+        # the object size; count: accesses per hold.
+        return NativePattern(
+            kind=MIGRATE, n=self.n_objects, n_cpus=len(self.cpus),
+            cpus=address_of(self.cpus), bases=address_of(self._base),
+            state=address_of(self.state), words=self._words,
+            bytes=self.object_bytes, count=self.holder_accesses,
+        )

@@ -1,23 +1,27 @@
 """Weighted mixing of sharing patterns into a full workload stream.
 
 :meth:`WorkloadMix.generate` returns a :class:`MixStream` — a resumable
-cursor that can be consumed whole, drained in bounded batches
-(:meth:`MixStream.take`), or checkpointed and resumed later with its
-complete RNG and pattern state intact.  The streaming simulation
-engine relies on this: a paper-scale trace is never materialised, and an
+cursor that can be consumed whole, drained in bounded batches of packed
+accesses (:meth:`MixStream.take`), or checkpointed and resumed later
+with its complete RNG and pattern state intact.  The streaming
+simulation engine relies on this: a paper-scale trace is never materialised, and an
 interrupted run can restart generation from the last checkpoint instead
 of the beginning.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import pickle
 import random
+from array import array
 from collections.abc import Iterator, Sequence
 
+from repro.core import _cmachine
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import Pattern
+from repro.traces.access import WRITE_BIT, unpack_access
+from repro.traces.synth.base import NativePattern, Pattern, address_of
 
 
 class WorkloadMix:
@@ -62,6 +66,21 @@ class WorkloadMix:
                 return pattern
         return self.patterns[-1]
 
+    def native(self, mt: array, last: array) -> "NativeMix":
+        """This mix drawn with the RNG state ``mt`` and repeat memory
+        ``last``, for the native generator."""
+        count = len(self.patterns)
+        return NativeMix(
+            mt=address_of(mt),
+            last=address_of(last),
+            patterns=(NativePattern * count)(
+                *(pattern.native() for pattern in self.patterns)
+            ),
+            bounds=(ctypes.c_double * count)(*self._cumulative),
+            n_patterns=count,
+            repeat_frac=self.repeat_frac,
+        )
+
     def generate(
         self, n_accesses: int, seed: int = 0, fingerprint: str | None = None
     ) -> "MixStream":
@@ -79,6 +98,29 @@ class WorkloadMix:
         return MixStream([(self, n_accesses, seed)], fingerprint=fingerprint)
 
 
+class NativeMix(ctypes.Structure):
+    """One phase of a stream as the native generator reads it (``mix``
+    in ``machine.c``): the stream's RNG and repeat memory, the mix's
+    patterns and their cumulative pick bounds."""
+
+    _fields_ = [
+        ("mt", ctypes.c_void_p),
+        ("last", ctypes.c_void_p),
+        ("patterns", ctypes.POINTER(NativePattern)),
+        ("bounds", ctypes.POINTER(ctypes.c_double)),
+        ("n_patterns", ctypes.c_int64),
+        ("repeat_frac", ctypes.c_double),
+    ]
+
+
+#: ``random.Random.getstate()`` version tag for the MT19937 state.
+_RNG_VERSION = 3
+
+#: The repeat memory when there is nothing to repeat (no access packs
+#: to a negative word).
+_NO_LAST = -1
+
+
 class MixStream(Iterator[tuple[int, int, bool]]):
     """A resumable cursor over an ordered list of mix phases.
 
@@ -87,12 +129,25 @@ class MixStream(Iterator[tuple[int, int, bool]]):
     repeat memory.  A plain workload is one phase; a suite is one phase
     per slice (see :func:`repro.traces.workloads.build_workload_stream`).
 
-    :meth:`take` is the one draw loop: iteration pops through it one
-    access at a time, :func:`repro.coherence.smp.iter_batches` drains it
-    in bounded batches, and :meth:`checkpoint` serialises the complete
-    generation state (phase cursor, RNG, pattern state, repeat memory,
-    position) for :func:`repro.traces.workloads.resume_stream` to
-    continue exactly where this one stopped.
+    :meth:`take` is the one draw loop: it returns packed accesses
+    (:mod:`repro.traces.access`), iteration unpacks them one at a time,
+    :func:`repro.coherence.smp.iter_batches` drains them in bounded
+    batches, and :meth:`checkpoint` serialises the complete generation
+    state (phase cursor, RNG, pattern state, repeat memory, position)
+    for :func:`repro.traces.workloads.resume_stream` to continue exactly
+    where this one stopped.
+
+    **Two tiers.**  With the native core loaded
+    (:func:`repro.core._cmachine.library`), each phase span is drawn by
+    its ``mix_take``, which reproduces CPython's MT19937 ``random()``
+    and ``_randbelow`` bit for bit; without it the Python loop below
+    draws the same words.  Both advance the same state in place: the
+    624 MT19937 words and index in :attr:`_mt`, the repeat memory in
+    :attr:`_last`, and each pattern's :attr:`~Pattern.state`.  The
+    Python tier draws from a ``random.Random`` (``_rng``) seeded from
+    :attr:`_mt` when it takes over and copied back only when the native
+    tier takes over or the stream is pickled, so a checkpoint written on
+    either tier resumes on the other.
     """
 
     def __init__(
@@ -111,58 +166,90 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         self._phase = -1
         self._left = 0  # accesses left in the current phase
         self._mix: WorkloadMix | None = None
+        self._mt = array("q", bytes(8 * 625))
+        self._last = array("q", [_NO_LAST])
+        #: The Python tier's RNG while it is ahead of ``_mt``, else None.
         self._rng: random.Random | None = None
-        self._last: tuple[int, int, bool] | None = None
+        #: The current phase's :class:`NativeMix`, built on first use.
+        self._native: NativeMix | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        if self._rng is not None:
+            state["_mt"] = array("q", self._rng.getstate()[1])
+        state["_rng"] = state["_native"] = None
+        return state
 
     def _start_next_phase(self) -> None:
         self._phase += 1
         self._mix, self._left, seed = self._phases[self._phase]
         self._rng = random.Random(seed)
-        self._last = None
+        self._last[0] = _NO_LAST
+        self._native = None
 
     def __next__(self) -> tuple[int, int, bool]:
         batch = self.take(1)
         if not batch:
             raise StopIteration
-        return batch[0]
+        return unpack_access(batch[0])
 
-    def take(self, count: int) -> list[tuple[int, int, bool]]:
-        """Pop up to ``count`` accesses (shorter only at end of stream).
+    def take(self, count: int) -> array:
+        """Pop up to ``count`` packed accesses (shorter only at end of
+        stream), as one ``array('q')``.
 
         This is the batch fast path the simulation engine drives
-        (:func:`repro.coherence.smp.iter_batches`): the batch list is
-        preallocated and, one phase span at a time, filled by a loop
-        with the RNG, repeat fraction, and pattern picker hoisted to
-        locals — no per-access iterator-frame overhead.
+        (:func:`repro.coherence.smp.iter_batches`): one phase span at a
+        time is drawn by the native ``mix_take`` or, without the native
+        core, by :meth:`_draw`.
         """
-        n = min(count, self.remaining)
-        if n <= 0:
-            return []
-        out: list[tuple[int, int, bool]] = [None] * n  # type: ignore[list-item]
+        n = max(0, min(count, self.remaining))
+        out = array("q", bytes(8 * n))
+        lib = _cmachine.library()
         i = 0
         while i < n:
             while self._left == 0:
                 self._start_next_phase()
             stop = i + min(n - i, self._left)
-            rand = self._rng.random
-            rng = self._rng
-            mix = self._mix
-            repeat_frac = mix.repeat_frac
-            pick = mix._pick
-            last = self._last
-            for j in range(i, stop):
-                if last is not None and rand() < repeat_frac:
-                    cpu, address, _w = last
-                    out[j] = (cpu, address, False)
-                else:
-                    last = pick(rng).next_access(rng)
-                    out[j] = last
-            self._last = last
+            if lib is None:
+                self._draw(out, i, stop)
+            else:
+                if self._rng is not None:
+                    # An equal-length slice copies in place: the native
+                    # mix keeps this buffer's address.
+                    self._mt[:] = array("q", self._rng.getstate()[1])
+                    self._rng = None
+                if self._native is None:
+                    self._native = self._mix.native(self._mt, self._last)
+                lib.mix_take(
+                    ctypes.byref(self._native),
+                    out.buffer_info()[0] + 8 * i, stop - i,
+                )
             self._left -= stop - i
             i = stop
         self.remaining -= n
         self.position += n
         return out
+
+    def _draw(self, out: array, lo: int, hi: int) -> None:
+        """The Python tier: fill ``out[lo:hi]`` from the current phase,
+        with the RNG, repeat fraction and pattern picker hoisted."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random()
+            rng.setstate((_RNG_VERSION, tuple(self._mt), None))
+        rand = rng.random
+        mix = self._mix
+        repeat_frac = mix.repeat_frac
+        pick = mix._pick
+        last = self._last[0]
+        as_load = ~WRITE_BIT
+        for j in range(lo, hi):
+            if last >= 0 and rand() < repeat_frac:
+                out[j] = last & as_load  # the same access, as a load
+            else:
+                last = pick(rng).draw(rng)
+                out[j] = last
+        self._last[0] = last
 
     def checkpoint(self) -> bytes:
         """Serialise the full generation state (RNG, patterns, position).

@@ -12,17 +12,28 @@ what exclude-JETTYs capture.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import WORD_BYTES, Pattern, geometric_run, skewed_offset
+from repro.traces.access import ADDRESS_SHIFT, CPU_SHIFT
+from repro.traces.synth.base import (
+    WALK,
+    WORD_BYTES,
+    NativePattern,
+    Pattern,
+    address_of,
+    checked_cpus,
+    geometric_run,
+    skewed_offset,
+)
 
 
 class PrivateWorkingSet(Pattern):
     """Each CPU walks its own region with temporal and spatial locality.
 
     Args:
-        cpus: the processors this pattern covers.
+        cpus: the processors this pattern covers (each listed once).
         bases: region base byte address per CPU (same length as ``cpus``).
         ws_bytes: working-set span per CPU.  A span larger than the L2
             produces capacity/conflict misses (and hence snoops).
@@ -45,29 +56,46 @@ class PrivateWorkingSet(Pattern):
             raise ConfigurationError("need one region base per CPU")
         if ws_bytes < WORD_BYTES:
             raise ConfigurationError(f"working set too small: {ws_bytes} B")
-        self.cpus = tuple(cpus)
-        self.bases = tuple(bases)
+        self.cpus = checked_cpus(cpus)
+        self.bases = array("q", bases)
         self.ws_bytes = ws_bytes
         self.write_frac = write_frac
         self.run_mean = run_mean
         self.alpha = alpha
-        # Per-CPU cursor state: (next_address, accesses_left_in_run).
-        self._cursor: dict[int, tuple[int, int]] = {
-            cpu: (base, 0) for cpu, base in zip(cpus, bases)
-        }
+        #: Per slot: the next address and the accesses left in its run.
+        self.state = array("q", [v for base in bases for v in (base, 0)])
         self._n_slots = len(self.cpus)
         self._ws_words = ws_bytes // WORD_BYTES
-        self._limits = tuple(base + ws_bytes for base in self.bases)
+        # Python-tier constants per slot: the run limit, the CPU field.
+        self._limits = tuple(base + ws_bytes for base in bases)
+        self._cpu_bits = tuple(cpu << CPU_SHIFT for cpu in cpus)
 
-    def next_access(self, rng: random.Random) -> tuple[int, int, bool]:
-        # Same draw as randrange(len(cpus)) without its argument parsing;
-        # the slot indexes cpus/bases/limits directly (no .index scan).
+    def draw(self, rng: random.Random) -> int:
+        # Same draw as randrange(len(cpus)) without its argument parsing.
         slot = rng._randbelow(self._n_slots)
-        cpu = self.cpus[slot]
-        address, remaining = self._cursor[cpu]
+        state = self.state
+        at = slot + slot
+        address = state[at]
+        remaining = state[at + 1]
         if remaining <= 0 or address >= self._limits[slot]:
             offset = skewed_offset(rng, self._ws_words, self.alpha)
             address = self.bases[slot] + offset * WORD_BYTES
             remaining = geometric_run(rng, self.run_mean)
-        self._cursor[cpu] = (address + WORD_BYTES, remaining - 1)
-        return cpu, address, rng.random() < self.write_frac
+        state[at] = address + WORD_BYTES
+        state[at + 1] = remaining - 1
+        return (
+            address << ADDRESS_SHIFT
+            | self._cpu_bits[slot]
+            | (rng.random() < self.write_frac)
+        )
+
+    def native(self) -> NativePattern:
+        # words: working-set words; bytes: working-set bytes (the run
+        # limit); count: the mean run length.
+        return NativePattern(
+            kind=WALK, n=self._n_slots, n_cpus=self._n_slots,
+            cpus=address_of(self.cpus), bases=address_of(self.bases),
+            state=address_of(self.state), words=self._ws_words,
+            bytes=self.ws_bytes, count=self.run_mean,
+            write_frac=self.write_frac, alpha=self.alpha,
+        )

@@ -12,10 +12,19 @@ the main source of Table 3's 1-remote-hit mass.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import WORD_BYTES, Pattern
+from repro.traces.access import ADDRESS_SHIFT, CPU_SHIFT
+from repro.traces.synth.base import (
+    PAIRS,
+    WORD_BYTES,
+    NativePattern,
+    Pattern,
+    address_of,
+    checked_cpus,
+)
 
 
 class ProducerConsumer(Pattern):
@@ -41,35 +50,51 @@ class ProducerConsumer(Pattern):
         if buffer_bytes < WORD_BYTES:
             raise ConfigurationError(f"buffer too small: {buffer_bytes} B")
         self.pairs = tuple(pairs)
-        self.bases = tuple(bases)
+        #: Producer then consumer, per pair.
+        self.cpus = checked_cpus(
+            [cpu for pair in self.pairs for cpu in pair], distinct=False
+        )
+        self.bases = array("q", bases)
         self.words = buffer_bytes // WORD_BYTES
         self.consumer_reads = max(1, consumer_reads_per_word)
-        # Per pair: (producing?, word position, repeat counter).
-        self._state: list[tuple[bool, int, int]] = [
-            (True, 0, 0) for _ in self.pairs
-        ]
+        #: Per pair: producing (1) or consuming (0), word position,
+        #: repeat counter.
+        self.state = array("q", [1, 0, 0]) * len(self.pairs)
         self._n_pairs = len(self.pairs)
 
-    def next_access(self, rng: random.Random) -> tuple[int, int, bool]:
+    def draw(self, rng: random.Random) -> int:
         # Same draw as randrange(len(pairs)) without its argument parsing.
         pair_index = rng._randbelow(self._n_pairs)
-        producer, consumer = self.pairs[pair_index]
-        base = self.bases[pair_index]
-        producing, position, repeat = self._state[pair_index]
+        state = self.state
+        at = 3 * pair_index
+        producing = state[at]
+        position = state[at + 1]
 
-        address = base + position * WORD_BYTES
+        address = self.bases[pair_index] + position * WORD_BYTES
         if producing:
-            cpu, is_write = producer, True
+            cpu = self.cpus[2 * pair_index]
             position += 1
             if position >= self.words:
-                producing, position = False, 0
+                state[at] = 0
+                position = 0
         else:
-            cpu, is_write = consumer, False
-            repeat += 1
+            cpu = self.cpus[2 * pair_index + 1]
+            repeat = state[at + 2] + 1
             if repeat >= self.consumer_reads:
                 repeat = 0
                 position += 1
                 if position >= self.words:
-                    producing, position = True, 0
-        self._state[pair_index] = (producing, position, repeat)
-        return cpu, address, is_write
+                    state[at] = 1
+                    position = 0
+            state[at + 2] = repeat
+        state[at + 1] = position
+        return address << ADDRESS_SHIFT | cpu << CPU_SHIFT | producing
+
+    def native(self) -> NativePattern:
+        # words: buffer words; count: reads per word by the consumer.
+        return NativePattern(
+            kind=PAIRS, n=self._n_pairs, n_cpus=len(self.cpus),
+            cpus=address_of(self.cpus), bases=address_of(self.bases),
+            state=address_of(self.state), words=self.words,
+            count=self.consumer_reads,
+        )

@@ -10,18 +10,21 @@ replication, keeping the snoop stream from going fully quiet.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import WORD_BYTES, Pattern, geometric_run, skewed_offset
+from repro.traces.synth.base import WORD_BYTES
+from repro.traces.synth.private import PrivateWorkingSet
 
 
-class SharedReadOnly(Pattern):
+class SharedReadOnly(PrivateWorkingSet):
     """Replicated read sharing over one region.
 
+    The walk is a :class:`PrivateWorkingSet` whose CPUs all start at
+    the same base: each still keeps its own cursor and runs.
+
     Args:
-        cpus: the reading processors.
+        cpus: the reading processors (each listed once).
         base: region base byte address.
         region_bytes: shared-region span.
         write_frac: small fraction of stores (invalidation trickle).
@@ -40,26 +43,9 @@ class SharedReadOnly(Pattern):
     ) -> None:
         if region_bytes < WORD_BYTES:
             raise ConfigurationError(f"region too small: {region_bytes} B")
-        self.cpus = tuple(cpus)
+        super().__init__(
+            cpus, [base] * len(cpus), region_bytes,
+            write_frac=write_frac, run_mean=run_mean, alpha=alpha,
+        )
         self.base = base
         self.region_bytes = region_bytes
-        self.write_frac = write_frac
-        self.run_mean = run_mean
-        self.alpha = alpha
-        self._cursor: dict[int, tuple[int, int]] = {
-            cpu: (base, 0) for cpu in cpus
-        }
-        self._n_slots = len(self.cpus)
-        self._limit = base + region_bytes
-        self._region_words = region_bytes // WORD_BYTES
-
-    def next_access(self, rng: random.Random) -> tuple[int, int, bool]:
-        # Same draw as randrange(len(cpus)) without its argument parsing.
-        cpu = self.cpus[rng._randbelow(self._n_slots)]
-        address, remaining = self._cursor[cpu]
-        if remaining <= 0 or address >= self._limit:
-            offset = skewed_offset(rng, self._region_words, self.alpha)
-            address = self.base + offset * WORD_BYTES
-            remaining = geometric_run(rng, self.run_mean)
-        self._cursor[cpu] = (address + WORD_BYTES, remaining - 1)
-        return cpu, address, rng.random() < self.write_frac

@@ -16,17 +16,26 @@ partition boundary, modelling Em3d's remote graph edges (its input is
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.traces.synth.base import WORD_BYTES, Pattern
+from repro.traces.access import ADDRESS_SHIFT, CPU_SHIFT
+from repro.traces.synth.base import (
+    SWEEP,
+    WORD_BYTES,
+    NativePattern,
+    Pattern,
+    address_of,
+    checked_cpus,
+)
 
 
 class StreamingSweep(Pattern):
     """Cyclic sequential sweeps over per-CPU partitions.
 
     Args:
-        cpus: the sweeping processors.
+        cpus: the sweeping processors (each listed once).
         bases: partition base per CPU.
         partition_bytes: partition span per CPU (should exceed the L2).
         write_frac: fraction of stores (updates written during the sweep).
@@ -48,36 +57,53 @@ class StreamingSweep(Pattern):
             raise ConfigurationError("need one partition base per CPU")
         if partition_bytes < WORD_BYTES:
             raise ConfigurationError(f"partition too small: {partition_bytes} B")
-        self.cpus = tuple(cpus)
-        self.bases = tuple(bases)
+        self.cpus = checked_cpus(cpus)
+        self.bases = array("q", bases)
         self.partition_bytes = partition_bytes
         self.write_frac = write_frac
         self.remote_frac = remote_frac
         self.boundary_bytes = min(boundary_bytes, partition_bytes)
-        self._cursor: dict[int, int] = {cpu: 0 for cpu in cpus}
+        if remote_frac > 0.0 and self.boundary_bytes < WORD_BYTES:
+            raise ConfigurationError(
+                f"ghost-read window too small: {self.boundary_bytes} B"
+            )
+        #: Per slot: the sweep cursor's offset into its partition.
+        self.state = array("q", [0]) * len(self.cpus)
         self._n_slots = len(self.cpus)
         self._boundary_words = self.boundary_bytes // WORD_BYTES
 
-    def next_access(self, rng: random.Random) -> tuple[int, int, bool]:
+    def draw(self, rng: random.Random) -> int:
         # rng._randbelow(n) is exactly what randrange(n) calls for a
         # positive stop — same bits consumed, same value, minus the
         # argument-parsing overhead (this is the per-access hot path).
         slot = rng._randbelow(self._n_slots)
-        cpu = self.cpus[slot]
+        cpu_bits = self.cpus[slot] << CPU_SHIFT
 
         if self.remote_frac > 0.0 and rng.random() < self.remote_frac:
             # Ghost-cell read trailing just behind the neighbour's sweep
             # cursor — data the neighbour touched recently and still
             # caches, so the snoop finds exactly one remote copy.
-            neighbour_slot = slot + 1
-            if neighbour_slot == self._n_slots:
-                neighbour_slot = 0
-            neighbour_cpu = self.cpus[neighbour_slot]
+            neighbour = slot + 1
+            if neighbour == self._n_slots:
+                neighbour = 0
             delta = (1 + rng._randbelow(self._boundary_words)) * WORD_BYTES
-            offset = (self._cursor[neighbour_cpu] - delta) % self.partition_bytes
-            return cpu, self.bases[neighbour_slot] + offset, False
+            offset = (self.state[neighbour] - delta) % self.partition_bytes
+            return (self.bases[neighbour] + offset) << ADDRESS_SHIFT | cpu_bits
 
-        offset = self._cursor[cpu]
-        address = self.bases[slot] + offset
-        self._cursor[cpu] = (offset + WORD_BYTES) % self.partition_bytes
-        return cpu, address, rng.random() < self.write_frac
+        offset = self.state[slot]
+        self.state[slot] = (offset + WORD_BYTES) % self.partition_bytes
+        return (
+            (self.bases[slot] + offset) << ADDRESS_SHIFT
+            | cpu_bits
+            | (rng.random() < self.write_frac)
+        )
+
+    def native(self) -> NativePattern:
+        # words: neighbour-window words; bytes: the partition span.
+        return NativePattern(
+            kind=SWEEP, n=self._n_slots, n_cpus=self._n_slots,
+            cpus=address_of(self.cpus), bases=address_of(self.bases),
+            state=address_of(self.state), words=self._boundary_words,
+            bytes=self.partition_bytes, write_frac=self.write_frac,
+            remote_frac=self.remote_frac,
+        )

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.coherence.cache import CacheGeometry, L1Cache, SetAssocCache
+from repro.coherence.cache import (
+    DIRTY,
+    EMPTY,
+    LINE_SHIFT,
+    WRITABLE,
+    CacheGeometry,
+    L1Cache,
+    SetAssocCache,
+)
 from repro.coherence.config import CacheConfig
 from repro.coherence.states import MOESI
 from repro.errors import ConfigurationError
@@ -143,29 +151,37 @@ class TestL1Cache:
     def test_fill_and_find(self):
         l1 = L1Cache(self.config())
         assert l1.fill(0x5, writable=True) is None
-        frame = l1.find(0x5)
-        assert frame is not None and frame.writable and not frame.dirty
+        slot = l1.find(0x5)
+        assert slot >= 0
+        assert l1.lines[slot] == 0x5 << LINE_SHIFT | WRITABLE  # clean
 
     def test_refill_updates_permission_in_place(self):
         l1 = L1Cache(self.config())
         l1.fill(0x5, writable=False)
         displaced = l1.fill(0x5, writable=True)
         assert displaced is None
-        assert l1.find(0x5).writable
+        assert l1.lines[l1.find(0x5)] & WRITABLE
         assert len(l1.resident_blocks()) == 1
+
+    def test_refill_never_cleans(self):
+        l1 = L1Cache(self.config())
+        l1.fill(0x5, writable=True, dirty=True)
+        l1.fill(0x5, writable=False)
+        assert l1.lines[l1.find(0x5)] == 0x5 << LINE_SHIFT | DIRTY
 
     def test_conflict_displaces(self):
         l1 = L1Cache(self.config())  # 4 sets direct-mapped
-        l1.fill(0x0, writable=False)
+        l1.fill(0x0, writable=False, dirty=True)
         displaced = l1.fill(0x4, writable=False)  # same set
-        assert displaced is not None and displaced.block == 0x0
+        assert displaced == (0x0, True)
 
     def test_invalidate(self):
         l1 = L1Cache(self.config())
         l1.fill(0x5, writable=True)
         dropped = l1.invalidate(0x5)
-        assert dropped is not None and dropped.block == 0x5
-        assert l1.find(0x5) is None
+        assert dropped is not None and dropped >> LINE_SHIFT == 0x5
+        assert l1.find(0x5) == -1
+        assert l1.lines.count(EMPTY) == len(l1.lines)
 
     def test_invalidate_missing_returns_none(self):
         l1 = L1Cache(self.config())

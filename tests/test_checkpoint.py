@@ -29,7 +29,7 @@ import pytest
 from repro.analysis import runner, store as store_mod
 from repro.analysis.store import CHECKPOINT_KIND, ExperimentStore
 from repro.coherence.bus import Bus, BusOp
-from repro.coherence.cache import L1Cache, SetAssocCache
+from repro.coherence.cache import DIRTY, WRITABLE, L1Cache, SetAssocCache
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM
 from repro.coherence.smp import (
     _MEASURE,
@@ -182,14 +182,21 @@ class TestSnapshotUnits:
         config = CacheConfig(capacity_bytes=256, block_bytes=32,
                              subblock_bytes=32, ways=2)
         cache = L1Cache(config)
-        cache.fill(3, writable=True)
-        cache.find(3).dirty = True
+        cache.fill(3, writable=True, dirty=True)
         cache.fill(7, writable=False)
         fresh = L1Cache(config)
+        lines_at = fresh.lines.buffer_info()
         fresh.restore(cache.snapshot())
-        assert fresh.find(3, touch=False).dirty
-        assert fresh.find(3, touch=False).writable
-        assert not fresh.find(7, touch=False).writable
+        # The native hit loop holds the buffer's address.
+        assert fresh.lines.buffer_info() == lines_at
+        assert fresh.lines == cache.lines
+        assert fresh.lines[fresh.find(3, touch=False)] & (DIRTY | WRITABLE) == (
+            DIRTY | WRITABLE
+        )
+        assert not fresh.lines[fresh.find(7, touch=False)] & WRITABLE
+        with pytest.raises(TraceError):
+            L1Cache(CacheConfig(capacity_bytes=128, block_bytes=32,
+                                subblock_bytes=32)).restore(cache.snapshot())
 
     def test_write_buffer_preserves_fifo_order_in_place(self):
         from repro.coherence.states import MOESI

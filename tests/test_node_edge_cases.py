@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.cache import WRITABLE
 from repro.coherence.smp import SMPSystem
 from repro.coherence.states import MOESI
 from repro.errors import CoherenceError
@@ -78,8 +79,8 @@ class TestCoherenceErrorPaths:
         # Corrupt the state behind the model's back: invalidate the L2
         # subblock while the L1 still claims a writable copy.
         frame = node.l2.find(node.l2.geometry.block_number(0x1000))
-        l1_frame = node.l1.find(node.l1.geometry.block_number(0x1000))
-        l1_frame.writable = True
+        slot = node.l1.find(node.l1.geometry.block_number(0x1000))
+        node.l1.lines[slot] |= WRITABLE
         frame.states[0] = MOESI.I
         with pytest.raises(CoherenceError):
             node.local_access(0x1000, True)

@@ -7,6 +7,7 @@ definition (write-invalidate MOESI at subblock granularity).
 
 import pytest
 
+from repro.coherence.cache import DIRTY, WRITABLE
 from repro.coherence.smp import SMPSystem, check_coherence_invariants
 from repro.coherence.states import MOESI
 
@@ -146,20 +147,19 @@ class TestL1Behaviour:
         system = SMPSystem(tiny_system)
         system.access(0, 0x1000, True)
         system.access(1, 0x1000, False)  # downgrade M -> O
-        l1_frame = system.nodes[0].l1.find(
-            system.nodes[0].l1.geometry.block_number(0x1000), touch=False
-        )
-        assert l1_frame is not None
-        assert not l1_frame.writable
-        assert not l1_frame.dirty  # data pulled into L2 during the supply
+        l1 = system.nodes[0].l1
+        slot = l1.find(l1.geometry.block_number(0x1000), touch=False)
+        assert slot >= 0
+        assert not l1.lines[slot] & WRITABLE
+        assert not l1.lines[slot] & DIRTY  # data pulled into L2 during the supply
 
     def test_inclusion_on_l2_eviction(self, tiny_system):
         system = SMPSystem(tiny_system)
         # tiny L2: 32 sets of 64 B; two addresses 2048 apart conflict.
         system.access(0, 0x0000, False)
-        assert system.nodes[0].l1.find(0) is not None
+        assert system.nodes[0].l1.find(0) >= 0
         system.access(0, 0x0000 + 2048, False)  # evicts block 0 from L2
-        assert system.nodes[0].l1.find(0) is None
+        assert system.nodes[0].l1.find(0) == -1
         check_coherence_invariants(system)
 
 

@@ -29,6 +29,7 @@ import pytest
 from repro.analysis import experiments
 from repro.analysis.store import ExperimentStore, evaluation_to_dict
 from repro.errors import WorkloadError
+from repro.traces.access import unpack_access
 from repro.traces.profiles import (
     PROFILE_ORDER,
     PROFILES,
@@ -86,7 +87,8 @@ EXPECTED_FINGERPRINTS = {
 
 def _sample(profile, seed):
     mix = profile.build_mix(N_CPUS)
-    return mix.generate(SAMPLE_ACCESSES, seed=seed).take(SAMPLE_ACCESSES)
+    sample = mix.generate(SAMPLE_ACCESSES, seed=seed).take(SAMPLE_ACCESSES)
+    return [unpack_access(word) for word in sample]
 
 
 def _sharing_stats(accesses):

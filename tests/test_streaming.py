@@ -37,6 +37,7 @@ from repro.core.stats import (
     StreamingFilterBank,
 )
 from repro.errors import ConfigurationError
+from repro.traces.access import pack_access, unpack_access
 from repro.traces.workloads import (
     WORKLOADS,
     PaperReference,
@@ -403,7 +404,7 @@ class TestPaperScalePreset:
 class TestMixStream:
     def test_checkpoint_resume_continues_exactly(self):
         stream = build_workload_stream("fft", seed=5)
-        prefix = stream.take(2_000)
+        prefix = [unpack_access(word) for word in stream.take(2_000)]
         blob = stream.checkpoint()
         rest_here = list(stream)
         resumed = resume_stream(blob)
@@ -416,7 +417,7 @@ class TestMixStream:
         whole = list(build_workload_stream("lu", seed=2))
         chunks = list(iter_batches(build_workload_stream("lu", seed=2), 997))
         assert [len(c) for c in chunks[:-1]] == [997] * (len(chunks) - 1)
-        assert [a for c in chunks for a in c] == whole
+        assert [unpack_access(a) for c in chunks for a in c] == whole
 
     def test_resume_rejects_foreign_blobs(self):
         import pickle
@@ -433,10 +434,11 @@ class TestMixStream:
         mid-phase all yield the same accesses."""
         spec = get_workload("flip-hot-txn-burst")
         kwargs = dict(n_accesses=3_000, seed=4, include_warmup=True)
-        whole = build_workload_stream(spec, **kwargs).take(10**6)
+        whole = build_workload_stream(spec, **kwargs).take(10**6).tolist()
         assert len(whole) == 3_000 + spec.warmup_accesses
         stream = build_workload_stream(spec, **kwargs)
-        head = [next(stream) for _ in range(spec.warmup_accesses + 1_500)]
+        head = [pack_access(*next(stream))
+                for _ in range(spec.warmup_accesses + 1_500)]
         fingerprint = stream_fingerprint(spec, **kwargs)
         resumed = resume_stream(stream.checkpoint(), fingerprint)
         tail = [a for batch in iter_batches(resumed, 701) for a in batch]
