@@ -17,11 +17,12 @@ from repro.traces.synth import ProducerConsumer, WorkloadMix
 
 
 def state_of(system: SMPSystem, cpu: int, address: int) -> str:
-    node = system.nodes[cpu]
-    frame = node.l2.find(node.l2.geometry.block_number(address), touch=False)
+    config = system.nodes[cpu].l2.config
+    frame = system.nodes[cpu].l2.find(address >> config.block_offset_bits)
     if frame is None:
         return "-"
-    return frame.states[node.l2.geometry.subblock_index(address)].name
+    sub = (address >> config.subblock_offset_bits) % config.subblocks_per_block
+    return frame.states[sub].name
 
 
 def walk_through_handoff() -> None:

@@ -58,6 +58,7 @@ __all__ = [
     "QUARANTINED",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "EXECUTOR_BACKENDS",
     "SQLITE_RETRY_POLICY",
     "SupervisedExecutor",
     "backoff_fraction",
@@ -269,6 +270,16 @@ class AttemptTracker:
         self._attempts.pop(label, None)
 
 
+#: The executor backends: ``serial`` runs inline whatever the worker
+#: count, ``process`` is the default supervised process pool (true
+#: parallelism for the CPU-bound simulate/replay kernels, plus crash
+#: detection and per-task deadlines), and ``thread`` is a supervised
+#: thread pool — GIL-bound for the pure-Python kernels, useful when tasks
+#: wait on I/O (store reads over slow storage) or when process spawn cost
+#: dwarfs the task.  When pool creation itself fails the executor
+#: degrades process → thread → serial rather than dying.
+EXECUTOR_BACKENDS = ("serial", "process", "thread")
+
 # How often the supervision loop wakes to check deadlines even when no
 # future has completed.  Deadline enforcement is therefore accurate to
 # within this granularity.
@@ -319,8 +330,11 @@ class SupervisedExecutor:
         fault_plan: Any = None,
         stage: str = "task",
     ) -> None:
-        if backend not in ("serial", "process", "thread"):
-            raise ConfigurationError(f"unknown executor backend: {backend!r}")
+        if backend not in EXECUTOR_BACKENDS:
+            raise ConfigurationError(
+                f"unknown executor backend {backend!r}; "
+                f"choose one of {', '.join(EXECUTOR_BACKENDS)}"
+            )
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"task timeout must be positive, got {timeout}")
         self.workers = max(1, int(workers))
@@ -441,15 +455,14 @@ class SupervisedExecutor:
 
     # -- pooled path ---------------------------------------------------
 
-    def _create_pool(self) -> Tuple[str, Any]:
-        """Build the pool, degrading process → thread → serial.
+    def _create_pool(self, backend: str) -> Tuple[str, Any]:
+        """Build a ``backend`` pool, degrading process → thread → serial.
 
         Degradation triggers only when pool *construction* raises —
         e.g. ``/dev/shm`` unavailable or fork hitting ``EAGAIN`` — the
         failure mode sandboxed CI runners actually exhibit.
         """
 
-        backend = self.backend
         if backend == "process":
             try:
                 return "process", concurrent.futures.ProcessPoolExecutor(self.workers)
@@ -514,7 +527,7 @@ class SupervisedExecutor:
     def _map_pooled(
         self, worker: Callable[[Any], Any], task_list: Sequence[Any]
     ) -> List[Any]:
-        kind, pool = self._create_pool()
+        kind, pool = self._create_pool(self.backend)
         if kind == "serial":
             return [
                 self._run_inline(worker, task, index)
@@ -557,7 +570,7 @@ class SupervisedExecutor:
         def respawn() -> None:
             nonlocal pool, kind, enforce_deadline
             self._kill_pool(pool)
-            kind, pool = self._create_pool()
+            kind, pool = self._create_pool(self.backend)
             enforce_deadline = self.timeout is not None and kind == "process"
 
         try:
@@ -595,14 +608,10 @@ class SupervisedExecutor:
                             attempts[stale_index] -= 1
                             ready.append(stale_index)
                         pending.clear()
-                        self._note_degraded(
-                            kind, "thread" if kind == "process" else "serial", error
-                        )
+                        fallback = "thread" if kind == "process" else "serial"
+                        self._note_degraded(kind, fallback, error)
                         self._kill_pool(pool)
-                        if kind == "process":
-                            kind, pool = self._create_pool_as("thread")
-                        else:
-                            kind, pool = "serial", None
+                        kind, pool = self._create_pool(fallback)
                         enforce_deadline = False
                         break
                     deadline = (
@@ -711,14 +720,6 @@ class SupervisedExecutor:
             if pool is not None:
                 self._kill_pool(pool)
         return results
-
-    def _create_pool_as(self, backend: str) -> Tuple[str, Any]:
-        if backend == "thread":
-            try:
-                return "thread", concurrent.futures.ThreadPoolExecutor(self.workers)
-            except (OSError, RuntimeError) as error:
-                self._note_degraded("thread", "serial", error)
-        return "serial", None
 
 
 def raise_if_quarantined(results: Sequence[Any], stage: str) -> None:

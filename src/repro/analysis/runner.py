@@ -83,6 +83,7 @@ from functools import partial
 
 from repro.analysis import store as store_mod
 from repro.analysis.resilience import (
+    EXECUTOR_BACKENDS,
     QUARANTINED,
     RetryPolicy,
     SQLITE_RETRY_POLICY,
@@ -264,12 +265,13 @@ def compute_stream(
 # One streaming run, checkpointed or not (mid-run snapshot / resume)
 # ----------------------------------------------------------------------
 
-#: Layout of a checkpoint snapshot.  Version 3: the ``stream`` field
+#: Layout of a checkpoint snapshot.  Version 4: the ``stream`` field
 #: pickles the phased :class:`~repro.traces.synth.MixStream` with its
-#: MT19937 state and pattern state in flat arrays, and each L1 snapshots
-#: its line words; a chain written under any other version is discarded
-#: and the run restarts.
-_SNAPSHOT_VERSION = 3
+#: MT19937 state and pattern state in flat arrays, each L1 snapshots its
+#: line words, and each L2 its frames as ``[block, states, in_l1]``
+#: (direct-mapped: no way field, no LRU orders); a chain written under
+#: any other version is discarded and the run restarts.
+_SNAPSHOT_VERSION = 4
 
 
 def _load_latest_checkpoint(
@@ -639,18 +641,6 @@ def _stream_task(task, experiment_store: ExperimentStore | None = None):
     return _store_client(path, experiment_store, work)
 
 
-#: Pluggable executor backends (the runner's ``backend=`` knob):
-#: ``serial`` runs inline whatever the worker count, ``process`` is the
-#: default supervised process pool (true parallelism for the CPU-bound
-#: simulate/replay kernels, plus crash detection and per-task
-#: deadlines), and ``thread`` is a supervised thread pool — GIL-bound
-#: for the pure-Python kernels, useful when tasks wait on I/O (store
-#: reads over slow storage) or when process spawn cost dwarfs the task.
-#: When process-pool creation itself fails the executor degrades
-#: process → thread → serial rather than dying.
-EXECUTOR_BACKENDS = ("serial", "process", "thread")
-
-
 def _map_tasks(
     worker,
     tasks,
@@ -681,15 +671,9 @@ def _map_tasks(
     (if given) is passed to ``worker`` as ``experiment_store=``, so a
     store-writing task writes straight into the parent's store.
     """
-    name = backend or "process"
-    if name not in EXECUTOR_BACKENDS:
-        raise ConfigurationError(
-            f"unknown executor backend {name!r}; "
-            f"choose one of {', '.join(EXECUTOR_BACKENDS)}"
-        )
     executor = SupervisedExecutor(
         min(max(1, workers), max(1, len(tasks))),
-        backend=name,
+        backend=backend or "process",
         policy=policy,
         timeout=task_timeout,
         report=report,

@@ -39,7 +39,7 @@ the simulation chunk size (which is also why chunk size never appears
 in any key).
 
 Keys are content hashes over canonical JSON, so two configurations that
-differ in any field (including L1 associativity, which the old in-process
+differ in any field (including L1 geometry, which the old in-process
 cache key famously omitted) can never collide, and payload bytes are
 deterministic: the same simulation serialises to the same bytes whether it
 ran serially or inside a worker process.

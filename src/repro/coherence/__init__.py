@@ -2,9 +2,9 @@
 
 This package implements the system the paper evaluates JETTY on: a 4-way
 (or 8-way) symmetric multiprocessor with per-processor two-level inclusive
-cache hierarchies, a write-back buffer, a shared snoopy bus, and a MOESI
-write-invalidate protocol maintained at 32-byte subblock granularity
-(paper §4.1, SUN SPARC-like memory system).
+direct-mapped cache hierarchies, a write-back buffer, a shared snoopy bus,
+and a MOESI write-invalidate protocol maintained at 32-byte subblock
+granularity (paper §4.1, SUN SPARC-like memory system).
 
 The simulator is trace-driven and functional: accesses complete atomically
 in interleaved order, which is sufficient because JETTY affects energy but
@@ -15,7 +15,7 @@ filters consume them live or replay them from a recorded trace (see
 """
 
 from repro.coherence.bus import Bus, BusOp
-from repro.coherence.cache import CacheGeometry, SetAssocCache
+from repro.coherence.cache import L2Cache
 from repro.coherence.config import (
     PAPER_SYSTEM,
     SCALED_SYSTEM,
@@ -33,14 +33,13 @@ __all__ = [
     "BusOp",
     "BusStats",
     "CacheConfig",
-    "CacheGeometry",
     "CacheNode",
+    "L2Cache",
     "MOESI",
     "NodeStats",
     "PAPER_SYSTEM",
     "SCALED_SYSTEM",
     "SMPSystem",
-    "SetAssocCache",
     "SimResult",
     "SystemConfig",
     "WriteBuffer",

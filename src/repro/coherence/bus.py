@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.errors import TraceError
+
 
 class BusOp(Enum):
     """Snoopable bus transaction kinds of the write-invalidate protocol."""
@@ -112,12 +114,22 @@ class Bus:
 
     def restore(self, state: dict) -> None:
         """Adopt snapshotted counters (a fresh counter object is fine:
-        :meth:`record_transaction` reads ``self.stats`` dynamically)."""
+        :meth:`record_transaction` reads ``self.stats`` dynamically).
+
+        Raises :class:`~repro.errors.TraceError` unless the remote-hit
+        histogram has one bin per CPU.
+        """
+        histogram = state["remote_hit_histogram"]
+        if len(histogram) != self.n_cpus:
+            raise TraceError(
+                f"bus snapshot has {len(histogram)} remote-hit bin(s), "
+                f"the bus {self.n_cpus}"
+            )
         counter = BusStatsCounter(
             transactions={
                 op: state["transactions"][op.name] for op in BusOp
             },
             writebacks=state["writebacks"],
-            remote_hit_histogram=list(state["remote_hit_histogram"]),
+            remote_hit_histogram=list(histogram),
         )
         self.stats = counter

@@ -27,6 +27,8 @@ class CacheConfig:
 
     ``subblock_bytes == block_bytes`` disables subblocking (each block is
     a single coherence unit), matching the paper's "NSB" configuration.
+    ``ways`` sizes the energy model's tag and data arrays; the simulated
+    machine (:class:`SystemConfig`) takes direct-mapped levels only.
     """
 
     capacity_bytes: int
@@ -82,7 +84,10 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full SMP memory-system configuration."""
+    """Full SMP memory-system configuration.
+
+    Both cache levels are direct-mapped, as in the paper's system.
+    """
 
     n_cpus: int = 4
     l1: CacheConfig = CacheConfig(
@@ -104,6 +109,12 @@ class SystemConfig:
             raise ConfigurationError(
                 f"at most {MAX_CPUS} CPUs fit a packed access, got {self.n_cpus}"
             )
+        for level, cache in (("L1", self.l1), ("L2", self.l2)):
+            if cache.ways != 1:
+                raise ConfigurationError(
+                    f"the simulated {level} is direct-mapped, got "
+                    f"{cache.ways} ways"
+                )
         if self.l1.block_bytes != self.l2.subblock_bytes:
             raise ConfigurationError(
                 "the L1 block must equal the L2 coherence unit "

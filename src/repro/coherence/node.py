@@ -17,15 +17,15 @@ always performs the tag probe — a JETTY changes energy, never behaviour —
 and filters consume the stream live or replay it from a recorded trace
 (:class:`repro.core.stats.EventReplayer`).
 
-Hot-path notes: clean hits of direct-mapped L1s never reach the node
-(the run loop counts them against the L1's line words), so
-:meth:`local_access` runs once per L1 miss -- or once per access for a
-set-associative L1 -- and :meth:`snoop` once per bus transaction per
-remote node.  Both inline their address arithmetic against shift/mask
-integers precomputed in ``__init__`` (no per-access geometry method
-calls), the L1-hit path returns before any L2 bookkeeping is touched,
-and events append one precomputed packed integer through a cached
-``array.append`` bound method (``_emit``).
+Hot-path notes: clean L1 hits never reach the node (the run loop
+counts them against the L1's line words), so :meth:`local_access` runs
+once per L1 miss, permission miss or silent E->M store, and
+:meth:`snoop` once per bus transaction per remote node.  Both inline
+their address arithmetic and the direct-mapped L2's slot-and-tag
+compare against shift/mask integers precomputed in ``__init__`` (no
+per-access geometry method calls), the L1-hit path returns before any
+L2 bookkeeping is touched, and events append one precomputed packed
+integer through a cached ``array.append`` bound method (``_emit``).
 
 Modelling notes (kept deliberately explicit):
 
@@ -47,7 +47,7 @@ from repro.coherence.cache import (
     WRITABLE,
     Frame,
     L1Cache,
-    SetAssocCache,
+    L2Cache,
 )
 from repro.coherence.config import SystemConfig
 from repro.coherence.metrics import NodeStats
@@ -81,7 +81,7 @@ class CacheNode:
         self.node_id = node_id
         self.config = config
         self.l1 = L1Cache(config.l1)
-        self.l2 = SetAssocCache(config.l2)
+        self.l2 = L2Cache(config.l2)
         self.wb = WriteBuffer(config.wb_entries)
         self.stats = NodeStats()
         self.events = NodeEventStream(node_id)
@@ -94,8 +94,8 @@ class CacheNode:
         #: Called on each memory writeback (bus statistics).
         self.on_writeback: Callable[[], None] | None = None
 
-        # Precomputed address arithmetic (the geometry objects stay the
-        # source of truth; these mirror them as plain ints for the two
+        # Precomputed address arithmetic (the configs stay the source of
+        # truth; these mirror them as plain ints for the two
         # per-access/per-snoop hot paths).
         self._l1_shift = config.l1.block_offset_bits
         self._l2_shift = config.l2.block_offset_bits
@@ -109,9 +109,10 @@ class CacheNode:
             self._l2_sub_mask = 0
         self._l1_find = self.l1.find
         self._l1_lines = self.l1.lines
-        #: ``find(block, touch=False)`` is exactly a flat-index lookup,
-        #: so the snoop/mirror paths go straight to the dicts.
-        self._l2_get = self.l2._by_block.get
+        #: The L2's frame list (restored in place, so the alias holds):
+        #: a lookup is ``frames[block & mask]`` plus a tag compare.
+        self._l2_frames = self.l2.frames
+        self._l2_mask = self.l2.mask
         self._wb_get = self.wb._entries.get
         #: Reused per-node snoop reply: a node contributes at most one
         #: reply per transaction and the bus folds the buffer before the
@@ -138,9 +139,9 @@ class CacheNode:
     def restore(self, state: dict) -> None:
         """Adopt a snapshot and rebuild every piece of derived state.
 
-        The caches and write buffer restore their flat indexes in place
-        (the bound ``_l2_get``/``_wb_get`` fast paths alias those
-        dicts); the pending event stream is rebuilt fresh, so the cached
+        The caches and write buffer restore their structures in place
+        (``_l1_lines``, ``_l2_frames`` and the bound ``_wb_get`` alias
+        them); the pending event stream is rebuilt fresh, so the cached
         ``_emit`` append must be re-bound afterwards.
         """
         self.stats = NodeStats(**state["stats"])
@@ -168,7 +169,7 @@ class CacheNode:
     def local_access(self, address: int, is_write: bool) -> None:
         """Perform one load or store issued by the local processor.
 
-        The run loop resolves clean hits of direct-mapped L1s itself
+        The run loop resolves clean L1 hits itself
         (:meth:`repro.coherence.smp.SMPSystem._run_batch`); every other
         access lands here.
         """
@@ -206,8 +207,8 @@ class CacheNode:
         stats.l2_local_accesses += 1
         stats.l2_local_tag_probes += 1
 
-        frame = self.l2.find(l2_block, touch=True)
-        if frame is None:
+        frame = self._l2_frames[l2_block & self._l2_mask]
+        if frame is None or frame.block != l2_block:
             frame = self._handle_tag_miss(l2_block)
         self._service_subblock(frame, address, sub, is_write)
 
@@ -216,10 +217,10 @@ class CacheNode:
         stats = self.stats
         wb_entry = self.wb.remove(l2_block)
 
-        frame, evicted = self.l2.allocate(l2_block)
+        frame, displaced = self.l2.allocate(l2_block)
         stats.l2_block_allocs += 1
-        if evicted is not None:
-            self._retire_victim(evicted)
+        if displaced is not None:
+            self._retire_victim(displaced)
         self._emit((l2_block << BLOCK_SHIFT) | ALLOC)
 
         if wb_entry is not None:
@@ -230,26 +231,28 @@ class CacheNode:
                 frame.states[sub_index] = state
         return frame
 
-    def _retire_victim(self, evicted) -> None:
-        """Push a displaced block towards memory and keep L1 inclusion."""
+    def _retire_victim(self, victim: Frame) -> None:
+        """Push a displaced frame towards memory and keep L1 inclusion."""
         stats = self.stats
         stats.l2_block_evictions += 1
-        self._emit((evicted.block << BLOCK_SHIFT) | EVICT)
+        self._emit((victim.block << BLOCK_SHIFT) | EVICT)
 
         # Inclusion: drop every L1 copy of the victim's subblocks.  Dirty
         # L1 data is newer than the L2 copy; pulling it back is an L1
         # writeback that merges into the outgoing block.
-        for sub_index in evicted.l1_subblocks:
-            l1_block = self._l1_block_of(evicted.block, sub_index)
-            dropped = self.l1.invalidate(l1_block)
-            if dropped is not None and dropped & DIRTY:
-                stats.l1_writebacks += 1
+        for sub_index, in_l1 in enumerate(victim.in_l1):
+            if in_l1:
+                l1_block = self._l1_block_of(victim.block, sub_index)
+                dropped = self.l1.invalidate(l1_block)
+                if dropped is not None and dropped & DIRTY:
+                    stats.l1_writebacks += 1
 
-        if evicted.dirty:
+        dirty = victim.dirty_subblocks()
+        if dirty:
             stats.l2_dirty_evictions += 1
             if self.wb.full:
                 self._drain_one()
-            self.wb.push(evicted.block, evicted.dirty_subblocks)
+            self.wb.push(victim.block, dirty)
             stats.wb_pushes += 1
 
     def _service_subblock(
@@ -310,8 +313,8 @@ class CacheNode:
         address = block << self._l1_shift
         l2_block = address >> self._l2_shift
         sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
-        frame = self._l2_get(l2_block)
-        if frame is None:
+        frame = self._l2_frames[l2_block & self._l2_mask]
+        if frame is None or frame.block != l2_block:
             raise CoherenceError(
                 f"L1 inclusion violated on node {self.node_id}: displaced L1 "
                 f"block {block:#x} has no L2 frame"
@@ -331,8 +334,9 @@ class CacheNode:
         """Reflect a silent E->M upgrade of a writable L1 line into the L2."""
         l2_block = address >> self._l2_shift
         sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
-        frame = self._l2_get(l2_block)
-        if frame is None or frame.states[sub] is _I:
+        frame = self._l2_frames[l2_block & self._l2_mask]
+        if (frame is None or frame.block != l2_block
+                or frame.states[sub] is _I):
             raise CoherenceError(
                 f"L1 writable line {address:#x} on node {self.node_id} "
                 "not backed by a valid L2 subblock"
@@ -395,10 +399,10 @@ class CacheNode:
                     break
 
         # --- L2 tag probe (ground truth; filtering is modelled at replay)
-        frame = self._l2_get(l2_block)
+        frame = self._l2_frames[l2_block & self._l2_mask]
         stats.snoops_observed += 1
         stats.snoop_tag_probes += 1
-        if frame is None:
+        if frame is None or frame.block != l2_block:
             # flag bits: subblock invalid, tag absent.
             self._emit(l2_block << BLOCK_SHIFT)
             stats.snoop_misses += 1
@@ -436,7 +440,7 @@ class CacheNode:
             # is dirty its data is pulled into the L2 as part of the
             # supply, leaving the L1 copy clean.
             stats.l1_snoop_probes += 1
-            slot = self.l1.find(self._l1_block_of(frame.block, sub), touch=False)
+            slot = self._l1_find(self._l1_block_of(frame.block, sub))
             if slot >= 0:
                 line = self._l1_lines[slot]
                 self._l1_lines[slot] = line & ~(WRITABLE | DIRTY)

@@ -258,8 +258,8 @@ class TraceSink:
 
 
 class L1Batch(ctypes.Structure):
-    """A batch on direct-mapped L1s as the native ``l1_run`` reads it
-    (``l1_batch`` in ``repro/core/machine.c``)."""
+    """A batch as the native ``l1_run`` reads it (``l1_batch`` in
+    ``repro/core/machine.c``)."""
 
     _fields_ = [
         ("accesses", ctypes.c_void_p),
@@ -285,16 +285,11 @@ class SMPSystem:
         #: Per-CPU bound ``local_access`` methods — the run loop indexes
         #: this tuple instead of resolving two attributes per access.
         self._handlers = tuple(node.local_access for node in self.nodes)
-        #: For direct-mapped L1s the run loop resolves clean hits itself
-        #: against each node's L1 line words (no LRU order to maintain,
-        #: so one slot decides the access); set-associative L1s always
-        #: take ``local_access``.
-        self._l1_lines = (
-            tuple(node.l1.lines for node in self.nodes)
-            if config.l1.ways == 1
-            else None
-        )
-        self._l1_mask = (1 << config.l1.index_bits) - 1
+        #: The run loop resolves clean hits itself against each node's
+        #: L1 line words (the L1 is direct-mapped, so one slot decides
+        #: the access).
+        self._l1_lines = tuple(node.l1.lines for node in self.nodes)
+        self._l1_mask = config.l1.n_sets - 1
         self._l1_shift = ADDRESS_SHIFT + config.l1.block_offset_bits
         #: Per CPU: the read hits and write hits of the running batch,
         #: folded into ``NodeStats`` once per batch.
@@ -336,36 +331,33 @@ class SMPSystem:
     def _run_batch(self, batch: array) -> None:
         """The per-access hot loop over one batch of packed accesses.
 
-        For direct-mapped L1s the common case — a clean L1 hit: a load
-        of a resident block, or a store to a resident dirty writable one
-        — never leaves the hit loop: the native ``l1_run`` (or, without
-        the native core, its twin :meth:`_l1_hits`) counts it against the
-        L1 line words and stops at the first access that is anything
-        else.  That access goes through ``local_access`` and the loop
-        re-enters after it.  The hits are folded into ``NodeStats`` once
-        per batch; stats objects are only replaced between batches (by
+        The common case — a clean L1 hit: a load of a resident block, or
+        a store to a resident dirty writable one — never leaves the hit
+        loop: the native ``l1_run`` (or, without the native core, its
+        twin :meth:`_l1_hits`) counts it against the L1 line words and
+        stops at the first access that is anything else.  That access
+        goes through ``local_access`` and the loop re-enters after it.
+        The hits are folded into ``NodeStats`` once per batch; stats
+        objects are only replaced between batches (by
         :meth:`begin_measurement`).
         """
         n = len(batch)
         handlers = self._handlers
         n_cpus = len(handlers)
-        hit_run = None
-        if self._l1_lines is not None:
-            lib = _cmachine.library()
-            if lib is None:
-                hit_run, scan = self._l1_hits, batch
-            else:
-                if self._native is None:
-                    self._native = self._native_batch()
-                self._native.accesses = batch.buffer_info()[0]
-                hit_run, scan = lib.l1_run, ctypes.byref(self._native)
+        lib = _cmachine.library()
+        if lib is None:
+            hit_run, scan = self._l1_hits, batch
+        else:
+            if self._native is None:
+                self._native = self._native_batch()
+            self._native.accesses = batch.buffer_info()[0]
+            hit_run, scan = lib.l1_run, ctypes.byref(self._native)
         i = 0
         try:
-            while i < n:
-                if hit_run is not None:
-                    i = hit_run(scan, i, n)
-                    if i == n:
-                        break
+            while True:
+                i = hit_run(scan, i, n)
+                if i == n:
+                    break
                 word = batch[i]
                 if word < 0:
                     raise TraceError(
@@ -700,19 +692,20 @@ def check_simulator_laws(system: SMPSystem) -> None:
 
 
 def check_coherence_invariants(system: SMPSystem) -> None:
-    """Assert global MOESI and inclusion invariants; raise on violation."""
+    """Assert global MOESI and inclusion invariants; raise on violation.
+
+    Walks every node's L2 frames (one per set) and write buffer.
+    """
     per_subblock: dict[tuple[int, int], list[tuple[int, MOESI]]] = {}
     for node in system.nodes:
-        for ways in node.l2._sets:
-            for frame in ways:
-                if frame is None:
-                    continue
-                for sub, state in enumerate(frame.states):
-                    if state is not MOESI.I:
-                        key = (frame.block, sub)
-                        per_subblock.setdefault(key, []).append(
-                            (node.node_id, state)
-                        )
+        for frame in node.l2.frames:
+            if frame is None:
+                continue
+            for sub, state in enumerate(frame.states):
+                if state is not MOESI.I:
+                    per_subblock.setdefault((frame.block, sub), []).append(
+                        (node.node_id, state)
+                    )
         _check_inclusion(node)
 
     wb_copies: dict[tuple[int, int], list[int]] = {}
@@ -746,8 +739,7 @@ def _check_inclusion(node: CacheNode) -> None:
     a writable one by M or E, a dirty one by M
     (:class:`~repro.errors.InvariantError` otherwise)."""
     ratio_bits = (
-        node.l2.geometry.config.block_offset_bits
-        - node.l1.geometry.config.block_offset_bits
+        node.l2.config.block_offset_bits - node.l1.config.block_offset_bits
     )
     for line in node.l1.lines:
         if line == EMPTY:
@@ -755,7 +747,7 @@ def _check_inclusion(node: CacheNode) -> None:
         l1_block = line >> LINE_SHIFT
         l2_block = l1_block >> ratio_bits
         sub = l1_block & ((1 << ratio_bits) - 1)
-        frame = node.l2.find(l2_block, touch=False)
+        frame = node.l2.find(l2_block)
         if frame is None or not frame.states[sub].valid:
             raise InvariantError(
                 f"inclusion violated on node {node.node_id}: L1 block "

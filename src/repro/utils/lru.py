@@ -1,9 +1,8 @@
-"""A small least-recently-used ordering tracker for cache sets.
+"""A small least-recently-used ordering tracker for filter sets.
 
 The tracker maintains a recency ordering over a fixed population of way
 indices (0..ways-1).  It is deliberately independent of what is stored in
-the ways so the cache model can reuse it for both data caches and
-exclude-JETTY arrays.
+the ways, so the exclude-JETTY arrays share it.
 """
 
 from __future__ import annotations
@@ -33,17 +32,6 @@ class LRUTracker:
             return
         order.remove(way)
         order.insert(0, way)
-
-    def retire(self, way: int) -> None:
-        """Mark ``way`` as least recently used (its contents were freed).
-
-        A deallocated way must become the preferred victim; leaving it at
-        its old recency position would let the stale entry shield a live
-        way from eviction.
-        """
-        order = self._order
-        order.remove(way)
-        order.append(way)
 
     def victim(self) -> int:
         """Return the least-recently-used way (does not reorder)."""

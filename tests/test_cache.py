@@ -1,4 +1,4 @@
-"""Unit tests for the set-associative L2 model and the L1 model."""
+"""Unit tests for the direct-mapped L2 and L1 models."""
 
 import pytest
 
@@ -7,19 +7,18 @@ from repro.coherence.cache import (
     EMPTY,
     LINE_SHIFT,
     WRITABLE,
-    CacheGeometry,
     L1Cache,
-    SetAssocCache,
+    L2Cache,
 )
-from repro.coherence.config import CacheConfig
+from repro.coherence.config import CacheConfig, SystemConfig
+from repro.coherence.smp import SMPSystem
 from repro.coherence.states import MOESI
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 
 
-def l2_config(capacity=2048, block=64, subblock=32, ways=1) -> CacheConfig:
+def l2_config(capacity=2048, block=64, subblock=32) -> CacheConfig:
     return CacheConfig(
         capacity_bytes=capacity, block_bytes=block, subblock_bytes=subblock,
-        ways=ways,
     )
 
 
@@ -47,39 +46,72 @@ class TestCacheConfig:
             l2_config(capacity=3000)
 
 
+def l2_system(subblock=32) -> SMPSystem:
+    """A 2-CPU system whose L2 is :func:`l2_config` (32 sets)."""
+    return SMPSystem(SystemConfig(
+        n_cpus=2,
+        l1=CacheConfig(capacity_bytes=256, block_bytes=subblock,
+                       subblock_bytes=subblock),
+        l2=l2_config(subblock=subblock),
+        address_bits=24,
+    ))
+
+
+def valid_subblocks(frame) -> list[int]:
+    return [i for i, state in enumerate(frame.states) if state is not MOESI.I]
+
+
 class TestCacheGeometry:
+    """The address arithmetic the node applies on the L2's geometry."""
+
     def test_block_number(self):
-        geom = CacheGeometry(l2_config())
-        assert geom.block_number(0) == 0
-        assert geom.block_number(63) == 0
-        assert geom.block_number(64) == 1
+        system = l2_system()
+        l2 = system.nodes[0].l2
+        system.access(0, 0, False)
+        system.access(0, 63, False)
+        assert l2.resident_blocks() == [0]
+        system.access(0, 64, False)
+        assert sorted(l2.resident_blocks()) == [0, 1]
 
     def test_subblock_index(self):
-        geom = CacheGeometry(l2_config())
-        assert geom.subblock_index(0) == 0
-        assert geom.subblock_index(31) == 0
-        assert geom.subblock_index(32) == 1
-        assert geom.subblock_index(63) == 1
-        assert geom.subblock_index(64) == 0
+        system = l2_system()
+        l2 = system.nodes[0].l2
+        system.access(0, 31, False)
+        assert valid_subblocks(l2.find(0)) == [0]
+        system.access(0, 32, False)
+        assert valid_subblocks(l2.find(0)) == [0, 1]
+        system.access(0, 64, False)
+        assert valid_subblocks(l2.find(1)) == [0]
+        system.access(0, 64 + 63, False)
+        assert valid_subblocks(l2.find(1)) == [0, 1]
 
     def test_subblock_index_without_subblocking(self):
-        geom = CacheGeometry(l2_config(subblock=64))
-        assert geom.subblock_index(48) == 0
+        system = l2_system(subblock=64)
+        system.access(0, 48, False)
+        frame = system.nodes[0].l2.find(0)
+        assert len(frame.states) == 1
+        assert valid_subblocks(frame) == [0]
 
     def test_set_index_wraps(self):
-        geom = CacheGeometry(l2_config())
-        assert geom.set_index(0) == 0
-        assert geom.set_index(32) == 0
-        assert geom.set_index(33) == 1
+        cache = L2Cache(l2_config())  # 32 sets
+        cache.allocate(0)
+        _frame, displaced = cache.allocate(32)
+        assert displaced is not None and displaced.block == 0
+        _frame, displaced = cache.allocate(33)
+        assert displaced is None
+        assert sorted(cache.resident_blocks()) == [32, 33]
+        assert cache.frames[0].block == 32 and cache.frames[1].block == 33
 
 
 class TestSetAssocCache:
+    """The L2 model, :class:`L2Cache`."""
+
     def test_miss_on_empty(self):
-        cache = SetAssocCache(l2_config())
+        cache = L2Cache(l2_config())
         assert cache.find(0x10) is None
 
     def test_allocate_then_find(self):
-        cache = SetAssocCache(l2_config())
+        cache = L2Cache(l2_config())
         frame, evicted = cache.allocate(0x10)
         assert evicted is None
         assert frame.block == 0x10
@@ -87,61 +119,36 @@ class TestSetAssocCache:
         assert cache.find(0x10) is frame
 
     def test_conflicting_allocation_evicts(self):
-        cache = SetAssocCache(l2_config())  # 32 sets, direct-mapped
+        cache = L2Cache(l2_config())  # 32 sets, direct-mapped
         cache.allocate(0x10)
         frame = cache.find(0x10)
         frame.states[0] = MOESI.M
         _new, evicted = cache.allocate(0x10 + 32)  # same set
         assert evicted is not None
         assert evicted.block == 0x10
-        assert evicted.dirty
-        assert evicted.dirty_subblocks == ((0, MOESI.M),)
+        assert evicted.dirty_subblocks() == ((0, MOESI.M),)
         assert cache.find(0x10) is None
 
     def test_clean_eviction_not_dirty(self):
-        cache = SetAssocCache(l2_config())
+        cache = L2Cache(l2_config())
         cache.allocate(0x10)
         cache.find(0x10).states[1] = MOESI.S
         _new, evicted = cache.allocate(0x10 + 32)
-        assert evicted is not None and not evicted.dirty
-
-    def test_lru_within_set(self):
-        cache = SetAssocCache(l2_config(ways=2))  # 16 sets, 2 ways
-        cache.allocate(0x00)
-        cache.allocate(0x10)  # same set (16-set cache)
-        cache.find(0x00, touch=True)  # refresh block 0
-        _new, evicted = cache.allocate(0x20)
-        assert evicted.block == 0x10
-
-    def test_snoop_find_does_not_touch_lru(self):
-        cache = SetAssocCache(l2_config(ways=2))
-        cache.allocate(0x00)
-        cache.allocate(0x10)
-        cache.find(0x00, touch=False)  # snoop-style lookup
-        _new, evicted = cache.allocate(0x20)
-        assert evicted.block == 0x00  # block 0 was still LRU
-
-    def test_deallocate(self):
-        cache = SetAssocCache(l2_config())
-        cache.allocate(0x10)
-        cache.deallocate(0x10)
-        assert cache.find(0x10) is None
-        assert cache.resident_blocks() == []
+        assert evicted is not None and not evicted.dirty_subblocks()
 
     def test_evicted_l1_subblocks_reported(self):
-        cache = SetAssocCache(l2_config())
+        cache = L2Cache(l2_config())
         frame, _ = cache.allocate(0x10)
         frame.in_l1[1] = True
         _new, evicted = cache.allocate(0x10 + 32)
-        assert evicted.l1_subblocks == (1,)
+        assert evicted.in_l1 == [False, True]
 
-    def test_valid_subblock_count(self):
-        cache = SetAssocCache(l2_config())
-        frame, _ = cache.allocate(0x10)
-        assert cache.valid_subblock_count() == 0
-        frame.states[0] = MOESI.E
-        frame.states[1] = MOESI.S
-        assert cache.valid_subblock_count() == 2
+    def test_restore_rejects_frame_that_does_not_fit(self):
+        cache = L2Cache(l2_config())  # two subblocks per block
+        for frame in ([0x10, "I", 0], [0x10, "III", 0], [-1, "II", 0]):
+            with pytest.raises(TraceError, match="does not fit"):
+                cache.restore({"frames": [frame]})
+        assert cache.resident_blocks() == []
 
 
 class TestL1Cache:

@@ -29,7 +29,14 @@ import pytest
 from repro.analysis import runner, store as store_mod
 from repro.analysis.store import CHECKPOINT_KIND, ExperimentStore
 from repro.coherence.bus import Bus, BusOp
-from repro.coherence.cache import DIRTY, WRITABLE, L1Cache, SetAssocCache
+from repro.coherence.cache import (
+    DIRTY,
+    EMPTY,
+    LINE_SHIFT,
+    WRITABLE,
+    L1Cache,
+    L2Cache,
+)
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM
 from repro.coherence.smp import (
     _MEASURE,
@@ -155,32 +162,36 @@ class TestSnapshotUnits:
 
     def test_l2_restore_rebuilds_index_in_place(self):
         config = CacheConfig(capacity_bytes=1024, block_bytes=64,
-                             subblock_bytes=32, ways=2)
-        cache = SetAssocCache(config)
+                             subblock_bytes=32)
+        cache = L2Cache(config)
         from repro.coherence.states import MOESI
 
-        frame, _evicted = cache.allocate(5)
+        frame, _displaced = cache.allocate(5)
         frame.states[0] = MOESI.M
         frame.in_l1[1] = True
-        cache.allocate(5 + config.n_sets)  # same set, second way
+        cache.allocate(6)  # the next set
         state = cache.snapshot()
 
-        fresh = SetAssocCache(config)
-        index_before = fresh._by_block
+        fresh = L2Cache(config)
+        fresh.allocate(5 + config.n_sets)  # stale: block 5's set
+        frames_before = fresh.frames
         fresh.restore(state)
-        assert fresh._by_block is index_before  # identity must survive
+        assert fresh.frames is frames_before  # identity must survive
+        assert len(fresh.frames) == config.n_sets
         assert sorted(fresh.resident_blocks()) == sorted(cache.resident_blocks())
         restored = fresh.find(5)
         assert restored is not None
         assert restored.states == frame.states
         assert restored.in_l1 == frame.in_l1
-        assert [t.order() for t in fresh._lru] == [
-            t.order() for t in cache._lru
-        ]
+        assert fresh.find(5 + config.n_sets) is None
+        # One frame per set: a second one in block 5's set cannot fit.
+        state["frames"].append([5 + config.n_sets, "II", 0])
+        with pytest.raises(TraceError, match="in set 5"):
+            L2Cache(config).restore(state)
 
     def test_l1_restore_round_trip(self):
         config = CacheConfig(capacity_bytes=256, block_bytes=32,
-                             subblock_bytes=32, ways=2)
+                             subblock_bytes=32)
         cache = L1Cache(config)
         cache.fill(3, writable=True, dirty=True)
         cache.fill(7, writable=False)
@@ -190,13 +201,18 @@ class TestSnapshotUnits:
         # The native hit loop holds the buffer's address.
         assert fresh.lines.buffer_info() == lines_at
         assert fresh.lines == cache.lines
-        assert fresh.lines[fresh.find(3, touch=False)] & (DIRTY | WRITABLE) == (
+        assert fresh.lines[fresh.find(3)] & (DIRTY | WRITABLE) == (
             DIRTY | WRITABLE
         )
-        assert not fresh.lines[fresh.find(7, touch=False)] & WRITABLE
+        assert not fresh.lines[fresh.find(7)] & WRITABLE
         with pytest.raises(TraceError):
             L1Cache(CacheConfig(capacity_bytes=128, block_bytes=32,
                                 subblock_bytes=32)).restore(cache.snapshot())
+        # Block 3 lives in slot 3 only.
+        state = cache.snapshot()
+        state["lines"][3], state["lines"][4] = EMPTY, state["lines"][3]
+        with pytest.raises(TraceError, match="in slot 4"):
+            L1Cache(config).restore(state)
 
     def test_write_buffer_preserves_fifo_order_in_place(self):
         from repro.coherence.states import MOESI
@@ -289,7 +305,8 @@ class TestSnapshotUnits:
         fresh.restore(state)
         for clone in fresh.nodes:
             # The hot paths must alias the restored structures.
-            assert clone._l2_get.__self__ is clone.l2._by_block
+            assert clone._l2_frames is clone.l2.frames
+            assert clone._l1_lines is clone.l1.lines
             assert clone._wb_get.__self__ is clone.wb._entries
             assert clone._emit.__self__ is clone.events.events
         system._run_batch(tail)
@@ -544,6 +561,26 @@ def _snapshot_version_1(state):
     state["version"] = 1
 
 
+def _two_l2_frames_in_one_set(state):
+    """A second frame in an occupied set of a direct-mapped L2."""
+    frames = state["system"]["nodes"][0]["l2"]["frames"]
+    block, states, _in_l1 = frames[0]
+    frames.append([block + SCALED_SYSTEM.l2.n_sets, states, 0])
+
+
+def _narrow_bus_histogram(state):
+    """A remote-hit histogram one bin wide on a 4-CPU bus."""
+    bus = state["system"]["bus"]
+    bus["remote_hit_histogram"] = [sum(bus["remote_hit_histogram"])]
+
+
+def _l1_line_in_the_wrong_slot(state):
+    """An L1 line word whose block does not index its slot."""
+    lines = state["system"]["nodes"][0]["l1"]["lines"]
+    slot = next(i for i, line in enumerate(lines) if line != EMPTY)
+    lines[slot] += 1 << LINE_SHIFT  # the next block, which indexes slot + 1
+
+
 class TestRecordingKillResume:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_interrupted_recording_resumes_at_last_segment(self, chunk_size):
@@ -652,8 +689,13 @@ class TestRecordingKillResume:
             (_damage_system, False, 900),
             (_truncate_stream, False, 900),
             (_snapshot_version_1, True, 0),
+            (_two_l2_frames_in_one_set, False, 900),
+            (_narrow_bus_histogram, False, 900),
+            (_l1_line_in_the_wrong_slot, False, 900),
         ],
-        ids=["damaged system", "truncated stream pickle", "snapshot version 1"],
+        ids=["damaged system", "truncated stream pickle", "snapshot version 1",
+             "two L2 frames in one set", "narrow bus histogram",
+             "L1 line in the wrong slot"],
     )
     def test_structurally_invalid_checkpoint_never_bricks_the_chain(
         self, damage, every_checkpoint, resumed_at

@@ -67,27 +67,29 @@ class TestRunWorkload:
         assert four is not eight
 
     def test_l1_geometry_distinguishes_cache_entries(self):
-        """Regression: the old cache key omitted L1 ways/block geometry,
-        so systems differing only in L1 associativity collided."""
+        """Regression: the old cache key omitted L1 geometry, so systems
+        differing only in their L1 collided."""
         from dataclasses import replace
 
         from repro.analysis import store as store_mod
 
-        direct_mapped = experiments.workload_metrics(TINY_NAME, SCALED_SYSTEM)
-        two_way_l1 = replace(SCALED_SYSTEM, l1=replace(SCALED_SYSTEM.l1, ways=2))
+        small = experiments.workload_metrics(TINY_NAME, SCALED_SYSTEM)
+        big_l1 = replace(SCALED_SYSTEM, l1=replace(
+            SCALED_SYSTEM.l1, capacity_bytes=2 * SCALED_SYSTEM.l1.capacity_bytes
+        ))
         # The store's actual keying path must see every L1 geometry field.
-        assert store_mod.system_fingerprint(two_way_l1) != (
+        assert store_mod.system_fingerprint(big_l1) != (
             store_mod.system_fingerprint(SCALED_SYSTEM)
         )
         spec = WORKLOADS[TINY_NAME]
-        assert store_mod.sim_metrics_key(spec, two_way_l1, 1) != (
+        assert store_mod.sim_metrics_key(spec, big_l1, 1) != (
             store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
         )
-        two_way = experiments.workload_metrics(TINY_NAME, two_way_l1)
-        assert two_way is not direct_mapped
-        # Higher L1 associativity changes L1 behaviour, which a colliding
-        # cache key would have masked entirely.
-        assert vars(two_way.aggregate) != vars(direct_mapped.aggregate)
+        big = experiments.workload_metrics(TINY_NAME, big_l1)
+        assert big is not small
+        # A bigger L1 changes L1 behaviour, which a colliding cache key
+        # would have masked entirely.
+        assert vars(big.aggregate) != vars(small.aggregate)
 
 
 class TestEvaluateFilter:

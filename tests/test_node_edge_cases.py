@@ -78,8 +78,8 @@ class TestCoherenceErrorPaths:
         node = system.nodes[0]
         # Corrupt the state behind the model's back: invalidate the L2
         # subblock while the L1 still claims a writable copy.
-        frame = node.l2.find(node.l2.geometry.block_number(0x1000))
-        slot = node.l1.find(node.l1.geometry.block_number(0x1000))
+        frame = node.l2.find(0x1000 >> tiny_system.l2.block_offset_bits)
+        slot = node.l1.find(0x1000 >> tiny_system.l1.block_offset_bits)
         node.l1.lines[slot] |= WRITABLE
         frame.states[0] = MOESI.I
         with pytest.raises(CoherenceError):

@@ -13,10 +13,9 @@ from repro.coherence.states import MOESI
 
 
 def l2_state(system: SMPSystem, cpu: int, address: int) -> MOESI:
-    node = system.nodes[cpu]
-    block = node.l2.geometry.block_number(address)
-    sub = node.l2.geometry.subblock_index(address)
-    frame = node.l2.find(block, touch=False)
+    config = system.config.l2
+    frame = system.nodes[cpu].l2.find(address >> config.block_offset_bits)
+    sub = (address >> config.subblock_offset_bits) % config.subblocks_per_block
     if frame is None:
         return MOESI.I
     return frame.states[sub]
@@ -148,7 +147,7 @@ class TestL1Behaviour:
         system.access(0, 0x1000, True)
         system.access(1, 0x1000, False)  # downgrade M -> O
         l1 = system.nodes[0].l1
-        slot = l1.find(l1.geometry.block_number(0x1000), touch=False)
+        slot = l1.find(0x1000 >> l1.config.block_offset_bits)
         assert slot >= 0
         assert not l1.lines[slot] & WRITABLE
         assert not l1.lines[slot] & DIRTY  # data pulled into L2 during the supply

@@ -6,7 +6,7 @@ Two contracts:
   mask, and block number (up to 2**60 as plain ints; ``array('q')``
   shard storage covers every simulable address space);
 * the experiment store's LRU garbage collector evicts by recency down
-  to a byte budget, and ``deallocate`` retires freed cache ways.
+  to a byte budget.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import itertools
 import pytest
 
 from repro.analysis.store import ExperimentStore
-from repro.coherence.cache import SetAssocCache
-from repro.coherence.config import CacheConfig
 from repro.core.stats import (
     ALLOC,
     EVICT,
@@ -27,7 +25,6 @@ from repro.core.stats import (
     pack_event,
     unpack_event,
 )
-from repro.utils.lru import LRUTracker
 
 
 class TestPackedRoundTrip:
@@ -168,34 +165,3 @@ class TestStoreGC:
         assert dict(store.stats().bytes_by_kind) == {
             "sim": 10, "eval": 20, "sim-metrics": 30,
         }
-
-
-class TestDeallocateRetiresWay:
-    def test_freed_way_becomes_the_preferred_victim(self):
-        cache = SetAssocCache(
-            CacheConfig(capacity_bytes=256, block_bytes=32,
-                        subblock_bytes=32, ways=4)
-        )
-        # Fill one set (blocks congruent mod n_sets), touching in order:
-        n_sets = cache.config.n_sets
-        blocks = [i * n_sets for i in range(4)]
-        for block in blocks:
-            cache.allocate(block)
-        # blocks[3] is MRU.  Deallocate it: its way must become LRU.
-        cache.deallocate(blocks[3])
-        set_index = 0
-        assert cache._lru[set_index].victim() == 3
-        # The next allocate reuses the freed way without evicting anyone.
-        _frame, evicted = cache.allocate(blocks[3] + 4 * n_sets)
-        assert evicted is None
-        assert sorted(cache.resident_blocks()) == sorted(
-            blocks[:3] + [blocks[3] + 4 * n_sets]
-        )
-
-    def test_lru_retire_moves_way_to_tail(self):
-        tracker = LRUTracker(3)
-        tracker.touch(2)
-        tracker.touch(0)  # order: 0, 2, 1
-        tracker.retire(0)
-        assert tracker.order() == (2, 1, 0)
-        assert tracker.victim() == 0

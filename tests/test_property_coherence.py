@@ -11,7 +11,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coherence.cache import CacheGeometry
 from repro.coherence.config import CacheConfig, SystemConfig
 from repro.coherence.smp import SMPSystem, check_coherence_invariants
 from repro.core.stats import ALLOC, EVICT, SNOOP
@@ -77,8 +76,6 @@ def test_snoop_event_flags_truthful(accesses):
     system = SMPSystem(tiny_config())
     for cpu, word, is_write in accesses:
         system.access(cpu, word * 8, is_write)
-    geometry = CacheGeometry(tiny_config().l2)
-    del geometry
     for node in system.nodes:
         resident: set[int] = set()
         for kind, block, flag in node.events.triples():

@@ -264,6 +264,35 @@ class TestSupervisedExecutor:
         assert executor.map(_square, tasks) == [_square(t) for t in tasks]
         assert report.backend_degraded == "process->thread"
 
+    @pytest.mark.parametrize(
+        "backend, degraded",
+        [("process", "process->thread,thread->serial"),
+         ("thread", "thread->serial")],
+    )
+    def test_degrades_to_serial_when_no_pool_can_be_built(
+        self, monkeypatch, backend, degraded
+    ):
+        import concurrent.futures
+
+        def no_pool(*_args, **_kwargs):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        report = runner.ExecutionReport()
+        executor = SupervisedExecutor(
+            2, backend=backend, policy=FAST, report=report,
+        )
+        tasks = list(range(5))
+        assert executor.map(_square, tasks) == [_square(t) for t in tasks]
+        assert report.backend_degraded == degraded
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown executor") as err:
+            SupervisedExecutor(2, backend="quantum", policy=FAST)
+        for backend in runner.EXECUTOR_BACKENDS:
+            assert backend in str(err.value)
+
 
 class TestSweepFaultTolerance:
     def test_raises_then_byte_identical_to_clean_run(self):

@@ -67,7 +67,7 @@ def test_a_stale_writable_bit_after_a_downgrade_is_caught(
 
     def stale(self, frame, sub, state, reply):
         snoop_read(self, frame, sub, state, reply)
-        slot = self.l1.find(self._l1_block_of(frame.block, sub), touch=False)
+        slot = self.l1.find(self._l1_block_of(frame.block, sub))
         if slot >= 0:
             self.l1.lines[slot] |= WRITABLE
 

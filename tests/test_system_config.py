@@ -1,7 +1,10 @@
 """Unit tests for SystemConfig and its derived transformations."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.store import system_fingerprint
 from repro.coherence.config import (
     PAPER_SYSTEM,
     SCALED_SYSTEM,
@@ -57,6 +60,18 @@ class TestSystemConfig:
     def test_zero_wb_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(wb_entries=0)
+
+    @pytest.mark.parametrize("level", ["l1", "l2"])
+    def test_set_associative_level_rejected(self, level):
+        two_way = replace(getattr(SCALED_SYSTEM, level), ways=2)
+        with pytest.raises(ConfigurationError, match=level.upper()):
+            replace(SCALED_SYSTEM, **{level: two_way})
+
+    def test_fingerprint_keeps_direct_mapped_ways(self):
+        """Store keys hash ``ways: 1`` for both levels, as they always did."""
+        fingerprint = system_fingerprint(SCALED_SYSTEM)
+        assert fingerprint["l1"]["ways"] == 1
+        assert fingerprint["l2"]["ways"] == 1
 
 
 class TestMetrics:
