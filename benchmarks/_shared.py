@@ -44,8 +44,8 @@ def prewarm(
 ) -> runner.ExecutionReport:
     """Batch-run every workload x filter x seed job into the shared store.
 
-    Each (workload, seed) becomes one record-once / replay-many
-    :class:`~repro.analysis.runner.ReplayJob`: the first bench to touch
+    One record-once / replay-many :func:`~repro.analysis.runner.run_sweep`
+    with one job per (workload, seed): the first bench to touch
     a configuration records its packed event shards (one O(chunk)-memory
     streaming pass, exactly as cheap as the previous streamed prewarm),
     and every *subsequent* bench — including ones sweeping filter
@@ -57,16 +57,10 @@ def prewarm(
     any mode satisfy the others.  Returns the execution report (how much
     was fresh work vs already stored).
     """
-    replay_jobs = [
-        runner.ReplayJob(workload, tuple(filters), system, seed)
-        for workload in workloads
-        for seed in seeds
-    ]
-    return runner.execute_replays(
-        replay_jobs,
-        experiment_store=experiments.get_store(),
-        workers=bench_workers(),
-    )
+    return runner.run_sweep(
+        workloads, filters, system=system, seeds=seeds,
+        experiment_store=experiments.get_store(), workers=bench_workers(),
+    ).report
 
 
 def save_exhibit(name: str, text: str) -> Path:

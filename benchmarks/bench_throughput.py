@@ -118,9 +118,8 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(Path(tmp) / "bench-traces.sqlite")
         started = time.perf_counter()
-        runner.execute_replays(
-            [runner.ReplayJob(name, ())],
-            experiment_store=store, specs={name: spec},
+        runner.execute(
+            [runner.SweepJob(spec)], mode="replay", experiment_store=store
         )
         record_elapsed = time.perf_counter() - started
 
@@ -136,10 +135,9 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
                 _cmachine._lib = None
             try:
                 started = time.perf_counter()
-                runner.execute_replays(
-                    [runner.ReplayJob(name, FILTERS)],
+                runner.execute(
+                    [runner.SweepJob(spec, FILTERS)], mode="replay",
                     experiment_store=store, backend="serial",
-                    specs={name: spec},
                 )
                 elapsed_by_kernel[kernel] = time.perf_counter() - started
             finally:
@@ -177,10 +175,9 @@ def measure_replay(name: str, n_accesses: int, warmup: int) -> dict:
             # rerun): one filter configuration per worker task.
             store.delete_kind("eval")
             started = time.perf_counter()
-            runner.execute_replays(
-                [runner.ReplayJob(name, FILTERS)],
+            runner.execute(
+                [runner.SweepJob(spec, FILTERS)], mode="replay",
                 experiment_store=store, workers=2, backend="process",
-                specs={name: spec},
             )
             process_elapsed = time.perf_counter() - started
             entry["replay_process2_seconds"] = round(process_elapsed, 3)
@@ -231,9 +228,8 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(Path(tmp) / "bench-delta_full.sqlite")
         started = time.perf_counter()
-        runner.execute_replays(
-            [runner.ReplayJob(name, ())],
-            experiment_store=store, specs={name: spec},
+        runner.execute(
+            [runner.SweepJob(spec)], mode="replay", experiment_store=store
         )
         record_elapsed = time.perf_counter() - started
         trace_bytes = sum(
@@ -242,9 +238,9 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
         )
         raw_bytes = _raw_v1_bytes(store)
         started = time.perf_counter()
-        runner.execute_replays(
-            [runner.ReplayJob(name, FILTERS)],
-            experiment_store=store, backend="serial", specs={name: spec},
+        runner.execute(
+            [runner.SweepJob(spec, FILTERS)], mode="replay",
+            experiment_store=store, backend="serial",
         )
         replay_elapsed = time.perf_counter() - started
         store.close()
@@ -287,10 +283,9 @@ def measure_checkpointed(name: str, n_accesses: int, warmup: int,
     spec = _sized(name, n_accesses, warmup)
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(Path(tmp) / "bench-checkpoints.sqlite")
-        report = runner.execute_streams(
-            [runner.StreamJob(name, FILTERS, SCALED_SYSTEM, 1)],
-            experiment_store=store, specs={name: spec},
-            checkpoint_every=every,
+        report = runner.execute(
+            [runner.SweepJob(spec, FILTERS)], mode="stream",
+            experiment_store=store, checkpoint_every=every,
         )
         store.close()
     elapsed = report.elapsed_seconds
@@ -320,7 +315,7 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
     phase accounting alone.  The banks run the live default, so the
-    A/B times the vector replayers where NumPy is installed.  Each
+    A/B times the compiled kernels where the native core loads.  Each
     variant takes the best of ``repeats`` runs to damp scheduler noise —
     the budget (3%) is smaller than cross-run noise on a busy machine.
     """
@@ -394,9 +389,8 @@ def measure_supervision_overhead(name: str, n_accesses: int, warmup: int,
     spec = _sized(name, n_accesses, warmup)
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(Path(tmp) / "bench-supervision.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(name, ())],
-            experiment_store=store, specs={name: spec},
+        runner.execute(
+            [runner.SweepJob(spec)], mode="replay", experiment_store=store
         )
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
         loaded = load_trace(store, tkey)
@@ -406,7 +400,7 @@ def measure_supervision_overhead(name: str, n_accesses: int, warmup: int,
         tasks = [
             (path, segments, SCALED_SYSTEM,
              [(store_mod.eval_key(spec, f, SCALED_SYSTEM, 1), f)],
-             phase_names, None)
+             phase_names)
             for f in FILTERS
         ]
 

@@ -15,12 +15,12 @@ per-experiment index in DESIGN.md):
 
 Results live in a persistent :class:`ExperimentStore` keyed by a complete
 configuration fingerprint (workload spec, system geometry, seed), so
-benches, examples, and repeated CLI invocations share runs.  The front
-door is :func:`workload_metrics` (simulation statistics) plus
-:func:`evaluate_filter` / :func:`evaluate` (filter evaluations, recorded
-once and replayed thereafter); the :mod:`repro.analysis.runner` engine
-fans batched sweeps out over supervised workers with
-bitwise-deterministic results.
+benches, examples, and repeated CLI invocations share runs.  Every
+evaluation goes through one front door, :func:`run_sweep` (one
+:class:`SweepJob` per workload and seed, one :func:`execute` call);
+:func:`workload_metrics`, :func:`evaluate_filter` and :func:`evaluate`
+are single cells of it.  The :mod:`repro.analysis.runner` engine fans
+sweeps out over supervised workers with bitwise-deterministic results.
 """
 
 from repro.analysis.analytical import (
@@ -38,11 +38,9 @@ from repro.analysis.experiments import (
     workload_metrics,
 )
 from repro.analysis.runner import (
-    ReplayJob,
-    StreamJob,
+    SweepJob,
     evaluate,
-    execute_replays,
-    execute_streams,
+    execute,
     record_trace,
     run_sweep,
 )
@@ -66,7 +64,6 @@ from repro.analysis.tables import (
 __all__ = [
     "AnalyticalEnergyModel",
     "ExperimentStore",
-    "ReplayJob",
     "SnoopEnergyInputs",
     "build_figure2",
     "build_figure4a",
@@ -78,13 +75,12 @@ __all__ = [
     "build_table2",
     "build_table3",
     "build_table4",
-    "StreamJob",
+    "SweepJob",
     "coverage_for",
     "energy_reduction_for",
     "evaluate",
     "evaluate_filter",
-    "execute_replays",
-    "execute_streams",
+    "execute",
     "get_store",
     "record_trace",
     "render_figure",

@@ -161,14 +161,12 @@ def evaluate_matrix(
         )
 
     result = run_sweep(
-        names,
+        [specs[name] for name in names],
         filters,
         system=system,
         seeds=(seed,),
         workers=workers,
         experiment_store=experiment_store,
-        accesses=accesses,
-        warmup=warmup,
         stream=True,
         backend=backend,
         chunk_size=chunk_size,

@@ -8,9 +8,10 @@ configuration fingerprint (workload spec, full system geometry, seed).
 By default the store is in-memory, but pointing it at a file
 (``set_store(path)`` or the ``REPRO_STORE`` environment variable) makes
 every result durable across invocations.  Batched/parallel execution
-lives in :mod:`repro.analysis.runner`; the front door here is one
-metrics call (:func:`workload_metrics`) and one evaluation call
-(:func:`evaluate_filter`), sharing the same store.
+lives in :mod:`repro.analysis.runner`; the calls here are one metrics
+call (:func:`workload_metrics`) and one evaluation call
+(:func:`evaluate_filter`), each a single cell of its front door,
+:func:`~repro.analysis.runner.run_sweep`, on the same store.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ def workload_metrics(
     The one metrics call for exhibits that read counters (tables,
     stability, energy): it is satisfied by a stored ``sim-metrics`` row
     (written by every recording and streamed run).  On a miss it runs
-    a pure record job through :func:`repro.analysis.runner.evaluate`,
+    a pure record job through the front door
+    (:func:`repro.analysis.runner.evaluate`, one
+    :func:`~repro.analysis.runner.run_sweep` cell with no filters),
     which restores the row from an already-recorded trace's manifest or
     records the trace, so a later :func:`evaluate_filter` on the same
     workload only replays: the workload simulates once.

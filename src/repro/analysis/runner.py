@@ -2,13 +2,13 @@
 
 A JETTY filter sits beside the snoop path and never alters coherence
 behaviour, so sweeping F filter configurations over one ``(workload,
-system, seed)`` re-observes the *same* snoop stream F times.  The engine
-has two execution modes built on that fact, and both land their results
-in an :class:`~repro.analysis.store.ExperimentStore` under the keys they
-share:
+system, seed)`` re-observes the *same* snoop stream F times.  The unit
+of work is a :class:`SweepJob` (N filters over one simulation), the one
+executor is :func:`execute`, and the front door is :func:`run_sweep`.
+``execute`` has two modes built on that fact; both land their results
+in an :class:`~repro.analysis.store.ExperimentStore` under shared keys:
 
-* **record → replay** (the default; :class:`ReplayJob`,
-  :func:`execute_replays`).  The first run records the stream as a
+* ``"replay"`` (the default).  The first run records the stream as a
   persisted trace (kind ``sim-events``: fixed-size compressed segments of
   packed events, written incrementally with O(segment) memory), and
   every filter configuration, including ones invented weeks later,
@@ -17,13 +17,12 @@ share:
   ``replay`` stage; replay workers open the store read-only and decode
   segments independently, so a warm sweep costs O(filters x replay)
   instead of O(filters x simulation).
-* **stream** (``--stream``; :class:`StreamJob`, :func:`execute_streams`).
-  One single pass with every requested filter attached live: the
-  simulation emits bounded event *shards* (see the shard/marker protocol
-  in :mod:`repro.coherence.smp`), every filter consumes each shard as it
-  appears, and only metrics and evaluations are stored.  Memory is
-  O(chunk) and nothing but results is persisted.  Passes run as the
-  supervised ``stream`` stage.
+* ``"stream"`` (``--stream``).  One single pass with every requested
+  filter attached live: the simulation emits bounded event *shards* (see
+  the shard/marker protocol in :mod:`repro.coherence.smp`), every filter
+  consumes each shard as it appears, and only metrics and evaluations
+  are stored.  Memory is O(chunk) and nothing but results is persisted.
+  Passes run as the supervised ``stream`` stage.
 
 Both modes drive the machine through the one loop,
 :func:`repro.coherence.smp.simulate_streaming`, and every simulating
@@ -114,6 +113,7 @@ from repro.errors import (
     ConfigurationError,
     ReproError,
     StoreCorruptionError,
+    TaskQuarantinedError,
 )
 from repro.traces.workloads import (
     WorkloadSpec,
@@ -136,40 +136,24 @@ DEFAULT_SWEEP_FILTERS = (
 )
 
 
-@dataclass(frozen=True)
-class ReplayJob:
-    """Record one simulation's trace once; replay N filters against it.
-
-    The record-once / replay-many unit of work: if the store holds no
-    complete trace for ``(workload, system, seed)``, one streaming
-    simulation runs with a :class:`~repro.coherence.smp.TraceSink`
-    attached, persisting the packed event shards (and the run's metrics)
-    — thereafter, *every* filter evaluation for this configuration is a
-    cheap replay of the stored segments, parallelisable per filter.
-    ``chunk_size`` tunes the recording pass's memory only; it can never
-    change a stored byte (segments are cut at fixed event counts) and is
-    absent from all keys.  An empty ``filter_names`` is a pure record
-    job.
-    """
-
-    workload: str
-    filter_names: tuple[str, ...] = ()
-    system: SystemConfig = SCALED_SYSTEM
-    seed: int = 1
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+#: The two ways :func:`execute` runs a batch of jobs.
+MODES = ("replay", "stream")
 
 
 @dataclass(frozen=True)
-class StreamJob:
-    """One single-pass streaming simulation with N filters attached live.
+class SweepJob:
+    """N filter configurations over one simulation: the unit of work.
 
-    All listed filters are evaluated during the one simulation; memory is
-    O(chunk_size) regardless of the workload's access count.  The chunk
-    size tunes memory/overhead only — by the determinism contract it can
-    never change any stored byte, so it is absent from store keys.
+    ``spec`` is the resolved workload (every override already applied),
+    so the job alone names its simulation ``(spec, system, seed)``.  In
+    ``replay`` mode the simulation is recorded once as a trace and every
+    filter replays it; an empty ``filter_names`` is a pure record job.
+    In ``stream`` mode every filter rides one live pass.  ``chunk_size``
+    tunes memory only: by the determinism contract it can never change a
+    stored byte, so it is absent from all keys.
     """
 
-    workload: str
+    spec: WorkloadSpec
     filter_names: tuple[str, ...] = ()
     system: SystemConfig = SCALED_SYSTEM
     seed: int = 1
@@ -642,16 +626,9 @@ def _stream_task(task, experiment_store: ExperimentStore | None = None):
 
 
 def _map_tasks(
-    worker,
-    tasks,
-    workers: int,
-    backend: str | None = None,
-    *,
-    stage: str = "task",
-    report: "ExecutionReport | None" = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    fault_plan=None,
+    worker, tasks, *, workers: int, backend: str | None, stage: str,
+    report: ExecutionReport, policy: RetryPolicy | None,
+    task_timeout: float | None, fault_plan,
     inline_store: ExperimentStore | None = None,
 ):
     """Run ``worker`` over ``tasks`` on the selected executor backend.
@@ -673,12 +650,8 @@ def _map_tasks(
     """
     executor = SupervisedExecutor(
         min(max(1, workers), max(1, len(tasks))),
-        backend=backend or "process",
-        policy=policy,
-        timeout=task_timeout,
-        report=report,
-        fault_plan=fault_plan,
-        stage=stage,
+        backend=backend or "process", policy=policy, timeout=task_timeout,
+        report=report, fault_plan=fault_plan, stage=stage,
     )
     if inline_store is not None and executor.runs_inline(len(tasks)):
         worker = partial(worker, experiment_store=inline_store)
@@ -766,108 +739,6 @@ class ExecutionReport:
         return text
 
 
-def _spec_for(
-    job: ReplayJob | StreamJob, specs: dict[str, WorkloadSpec]
-) -> WorkloadSpec:
-    spec = specs.get(job.workload)
-    if spec is None:
-        spec = get_workload(job.workload)
-        specs[job.workload] = spec
-    return spec
-
-
-# ----------------------------------------------------------------------
-# Streaming execution
-# ----------------------------------------------------------------------
-
-def execute_streams(
-    stream_jobs: list[StreamJob] | tuple[StreamJob, ...],
-    *,
-    experiment_store: ExperimentStore,
-    workers: int = 1,
-    backend: str | None = None,
-    specs: dict[str, WorkloadSpec] | None = None,
-    checkpoint_every: int | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    fault_plan=None,
-) -> ExecutionReport:
-    """Run every streaming job whose results are not already stored.
-
-    Jobs targeting the same ``(workload, system, seed)`` are fused into
-    one simulation pass evaluating the union of their filters.  A job is
-    skipped entirely when its metrics *and* every requested evaluation
-    are already in the store, including evaluations replayed from a
-    recorded trace, since both modes share the ``eval`` keyspace.
-
-    The passes run as the supervised ``stream`` stage, one store-writing
-    task per pass (see :func:`_stream_task`), under the same retry,
-    deadline and quarantine supervision as recordings.  ``policy`` /
-    ``task_timeout`` / ``fault_plan`` configure it (see
-    :func:`_map_tasks`); a quarantined pass leaves its cells empty.
-
-    With ``checkpoint_every``, each pass snapshots its full state into
-    the store at that access cadence and resumes from the newest stored
-    checkpoint on a warm start (see :func:`_run_simulation`), so a
-    respawned task resumes at the dead worker's last watermark instead
-    of access 0.  Results are byte-identical either way; completed runs
-    retire their checkpoint chains.
-    """
-    started = time.perf_counter()
-    report = ExecutionReport(workers=max(1, workers))
-    specs = specs if specs is not None else {}
-
-    # Fuse jobs by simulation identity; collect each group's filter set.
-    grouped: dict[str, tuple[StreamJob, dict[str, str]]] = {}
-    for job in stream_jobs:
-        spec = _spec_for(job, specs)
-        mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
-        _job, filters = grouped.setdefault(mkey, (job, {}))
-        for name in job.filter_names:
-            filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
-
-    path = None if experiment_store.path is None else str(experiment_store.path)
-    tasks = []
-    for mkey in sorted(grouped):
-        job, filters = grouped[mkey]
-        pairs = []
-        for ekey in sorted(filters):
-            if experiment_store.contains(ekey):
-                report.evals_cached += 1
-            else:
-                pairs.append((ekey, filters[ekey]))
-        if not pairs and experiment_store.contains(mkey):
-            report.sims_cached += 1
-            continue
-        names = tuple(name for _ekey, name in pairs)
-        if checkpoint_every is not None:
-            # A checkpoint chain (and the banks it snapshots) covers the
-            # job's *full* filter union, not just the currently missing
-            # evaluations: deriving it from the warm-state-dependent
-            # subset would orphan the chain if a kill landed between the
-            # metrics and eval writes, silently restarting a
-            # near-complete run from access 0.
-            names = tuple(filters.values())
-        tasks.append((
-            path, specs[job.workload], job.system, job.seed, names, pairs,
-            dict(chunk_size=job.chunk_size, checkpoint_every=checkpoint_every),
-        ))
-
-    outcomes = _map_tasks(
-        _stream_task, tasks, workers, backend, stage="stream",
-        inline_store=experiment_store, report=report, policy=policy,
-        task_timeout=task_timeout, fault_plan=fault_plan,
-    )
-    for (*_task, pairs, _options), outcome in zip(tasks, outcomes):
-        if outcome is QUARANTINED:
-            continue
-        _absorb(experiment_store, report, outcome)
-        report.evals_run += len(pairs)
-
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
-
-
 # ----------------------------------------------------------------------
 # Record-once / replay-many execution (persisted traces)
 # ----------------------------------------------------------------------
@@ -910,11 +781,8 @@ def record_trace(
     def write_segment(node_id: int, index: int, raw: bytes) -> None:
         experiment_store.put_blob(
             store_mod.trace_segment_key(tkey, node_id, index),
-            store_mod.encode_trace_segment(raw),
-            kind=store_mod.TRACE_KIND,
-            workload=spec.name,
-            filter_name=tkey,
-            n_cpus=system.n_cpus,
+            store_mod.encode_trace_segment(raw), kind=store_mod.TRACE_KIND,
+            workload=spec.name, filter_name=tkey, n_cpus=system.n_cpus,
             seed=seed,
         )
 
@@ -938,13 +806,9 @@ def record_trace(
         "metrics": store_mod.sim_metrics_to_dict(metrics),
     }
     experiment_store.put_blob(
-        tkey,
-        store_mod.encode_trace_manifest(manifest),
-        kind=store_mod.TRACE_KIND,
-        workload=spec.name,
-        filter_name=None,
-        n_cpus=system.n_cpus,
-        seed=seed,
+        tkey, store_mod.encode_trace_manifest(manifest),
+        kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
+        n_cpus=system.n_cpus, seed=seed,
     )
     mkey = store_mod.sim_metrics_key(spec, system, seed)
     if not experiment_store.contains(mkey):
@@ -987,47 +851,6 @@ def load_trace(
             if not experiment_store.contains(key):
                 return None
     return manifest, segment_keys
-
-
-def transcode_trace(
-    experiment_store: ExperimentStore, tkey: str
-) -> tuple[int, int]:
-    """Rewrite one stored trace's legacy raw-v1 segments as delta-v1.
-
-    The one-way migration for stores recorded before delta-v1 became the
-    only encoder: every raw-v1 segment is decoded and re-encoded
-    (byte-exact round trip — the packed events, and therefore every
-    replay, are unchanged); delta-v1 segments are left alone.  Returns
-    ``(bytes_before, bytes_after)`` over the trace's segment rows.  Keys
-    never change, so evaluations stay warm, and each segment is
-    rewritten with one ``INSERT OR REPLACE`` — an interrupted transcode
-    leaves a mixed trace that still replays correctly.
-    """
-    loaded = load_trace(experiment_store, tkey)
-    if loaded is None:
-        raise ConfigurationError(
-            "no complete trace stored under this key; nothing to "
-            "transcode"
-        )
-    manifest, segment_keys = loaded
-    before = after = 0
-    for node_keys in segment_keys:
-        for key in node_keys:
-            blob = experiment_store.get_blob(key)
-            before += len(blob)
-            if store_mod.segment_codec(blob) == "raw-v1":
-                events = store_mod.decode_trace_segment(blob)
-                blob = store_mod.encode_trace_segment(events.tobytes())
-                experiment_store.put_blob(
-                    key, blob,
-                    kind=store_mod.TRACE_KIND,
-                    workload=manifest["workload"],
-                    filter_name=tkey,
-                    n_cpus=manifest["n_cpus"],
-                    seed=manifest["seed"],
-                )
-            after += len(blob)
-    return before, after
 
 
 def _segment_payload(
@@ -1134,92 +957,114 @@ def _record_task(task, experiment_store: ExperimentStore | None = None):
     )
 
 
-def execute_replays(
-    replay_jobs: list[ReplayJob] | tuple[ReplayJob, ...],
-    *,
-    experiment_store: ExperimentStore,
-    workers: int = 1,
-    backend: str | None = None,
-    specs: dict[str, WorkloadSpec] | None = None,
-    checkpoint_every: int | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    fault_plan=None,
-) -> ExecutionReport:
-    """Record every missing trace once; replay every missing evaluation.
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
 
-    Jobs targeting the same ``(workload, system, seed)`` are fused onto
-    one trace.  Missing traces are recorded by the supervised ``record``
-    stage, one task per trace, so cold sweeps simulate in parallel under
-    the same retry, deadline, and quarantine supervision as replays (see
-    :func:`_record_task` for where each task writes).  Replays then fan
-    out on the ``replay`` stage: one task per filter configuration when
-    parallel workers are available (each decodes segments
-    independently), or one task per trace when serial (each segment then
-    decodes exactly once for all filters).  A quarantined recording
-    skips the evaluations that depend on it.  Evaluations land under the
-    shared ``eval`` keyspace, byte-identical to live streamed ones.
+@dataclass
+class _Group:
+    """The jobs on one simulation, fused: the first job names the run."""
 
-    ``checkpoint_every`` makes each *recording* checkpointable: an
-    interrupted recording resumes at its last durable segment (see
-    :func:`record_trace`) rather than re-recording from scratch.
-    Replays need no checkpoints: they are already cheap restarts.
+    job: SweepJob
+    mkey: str
+    tkey: str
+    #: ``eval_key -> filter_name`` over the union of the jobs' filters.
+    filters: dict[str, str] = field(default_factory=dict)
+    #: A pure record job (empty ``filter_names``) asked for the trace.
+    record: bool = False
+
+
+def _pending(jobs, mode: str, experiment_store: ExperimentStore,
+             report: ExecutionReport):
+    """Fuse ``jobs`` by simulation; yield each ``(group, missing_pairs)``.
+
+    Groups come in store-key order (the trace key when replaying, the
+    metrics key when streaming), so insertion order never depends on the
+    caller's.  ``missing_pairs`` lists the ``(eval_key, filter_name)``
+    evaluations not yet stored; stored ones count as cached, here for
+    both modes.  Lazily, so each group's presence checks run just
+    before its stage looks at it.
     """
-    started = time.perf_counter()
-    report = ExecutionReport(workers=max(1, workers))
-    specs = specs if specs is not None else {}
-    supervision = dict(
-        report=report, policy=policy,
-        task_timeout=task_timeout, fault_plan=fault_plan,
-    )
-
-    grouped: dict[str, tuple[ReplayJob, dict[str, str]]] = {}
-    #: Trace keys some job *explicitly* asked to record (empty
-    #: filter_names = a pure record job, e.g. ``trace record``): these
-    #: must end up recorded even when nothing else needs the trace.
-    record_requested: set[str] = set()
-    for job in replay_jobs:
-        spec = _spec_for(job, specs)
-        tkey = store_mod.trace_key(spec, job.system, job.seed)
-        _job, filters = grouped.setdefault(tkey, (job, {}))
-        if not job.filter_names:
-            record_requested.add(tkey)
+    groups: dict[str, _Group] = {}
+    for job in jobs:
+        spec, system, seed = job.spec, job.system, job.seed
+        tkey = store_mod.trace_key(spec, system, seed)
+        if tkey not in groups:
+            groups[tkey] = _Group(
+                job, store_mod.sim_metrics_key(spec, system, seed), tkey
+            )
+        group = groups[tkey]
+        group.record = group.record or not job.filter_names
         for name in job.filter_names:
-            filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
-
-    # Phase 1 — find every group's trace (and metrics row), recording
-    # the missing traces on the supervised ``record`` stage.
-    units = []
-    recordings = []
-    for tkey in sorted(grouped):
-        job, filters = grouped[tkey]
-        spec = specs[job.workload]
+            group.filters[store_mod.eval_key(spec, name, system, seed)] = name
+    for group in sorted(groups.values(), key=lambda group: (
+        group.tkey if mode == "replay" else group.mkey
+    )):
         pairs = []
-        for ekey in sorted(filters):
+        for ekey in sorted(group.filters):
             if experiment_store.contains(ekey):
                 report.evals_cached += 1
             else:
-                pairs.append((ekey, filters[ekey]))
-        mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
-        loaded = load_trace(experiment_store, tkey)
+                pairs.append((ekey, group.filters[ekey]))
+        yield group, pairs
+
+
+def _stream_stage(pending, experiment_store, report, run_stage, path,
+                  checkpoint_every) -> None:
+    """One fused live pass per group with anything missing."""
+    tasks = []
+    for group, pairs in pending:
+        if not pairs and experiment_store.contains(group.mkey):
+            report.sims_cached += 1
+            continue
+        names = tuple(name for _ekey, name in pairs)
+        if checkpoint_every is not None:
+            # A checkpoint chain (and the banks it snapshots) covers the
+            # job's *full* filter union, not just the currently missing
+            # evaluations: deriving it from the warm-state-dependent
+            # subset would orphan the chain if a kill landed between the
+            # metrics and eval writes, silently restarting a
+            # near-complete run from access 0.
+            names = tuple(group.filters.values())
+        job = group.job
+        tasks.append((
+            path, job.spec, job.system, job.seed, names, pairs,
+            dict(chunk_size=job.chunk_size, checkpoint_every=checkpoint_every),
+        ))
+    outcomes = run_stage(
+        _stream_task, tasks, stage="stream", inline_store=experiment_store
+    )
+    for (*_task, pairs, _options), outcome in zip(tasks, outcomes):
+        if outcome is not QUARANTINED:
+            _absorb(experiment_store, report, outcome)
+            report.evals_run += len(pairs)
+
+
+def _record_replay_stages(pending, experiment_store, report, run_stage,
+                          path, checkpoint_every, parallel) -> None:
+    """Record every missing trace once, then replay every missing eval."""
+    units = []
+    recordings = []
+    for group, pairs in pending:
+        job = group.job
+        loaded = load_trace(experiment_store, group.tkey)
         if loaded is not None:
             report.sims_cached += 1
-            if not experiment_store.contains(mkey):
+            if not experiment_store.contains(group.mkey):
                 # The manifest embeds the run's metrics, so a trace can
                 # resurrect an evicted sim-metrics row byte-identically.
                 experiment_store.put_sim_metrics_blob(
-                    mkey,
+                    group.mkey,
                     store_mod.encode_sim_metrics_dict(loaded[0]["metrics"]),
-                    workload=spec.name,
-                    n_cpus=job.system.n_cpus,
+                    workload=job.spec.name, n_cpus=job.system.n_cpus,
                     seed=job.seed,
                 )
             if pairs:
-                units.append((tkey, loaded, pairs, job))
+                units.append((group, loaded, pairs))
         elif (
             not pairs
-            and tkey not in record_requested
-            and experiment_store.contains(mkey)
+            and not group.record
+            and experiment_store.contains(group.mkey)
         ):
             # Run-the-misses contract: when every requested evaluation
             # and the metrics row are already stored (e.g. warmed by an
@@ -1228,70 +1073,124 @@ def execute_replays(
             # pure record job asked for the trace itself.
             report.sims_cached += 1
         else:
-            recordings.append((tkey, pairs, job))
+            recordings.append((group, pairs))
 
-    path = None if experiment_store.path is None else str(experiment_store.path)
-    record_tasks = [
-        (path, specs[job.workload], job.system, job.seed, dict(
-            chunk_size=job.chunk_size,
-            checkpoint_every=checkpoint_every,
-        ))
-        for _tkey, _pairs, job in recordings
-    ]
-    outcomes = _map_tasks(
-        _record_task, record_tasks, workers, backend, stage="record",
-        inline_store=experiment_store, **supervision
+    outcomes = run_stage(
+        _record_task,
+        [
+            (path, group.job.spec, group.job.system, group.job.seed, dict(
+                chunk_size=group.job.chunk_size,
+                checkpoint_every=checkpoint_every,
+            ))
+            for group, _pairs in recordings
+        ],
+        stage="record", inline_store=experiment_store,
     )
-    for (tkey, pairs, job), outcome in zip(recordings, outcomes):
+    for (group, pairs), outcome in zip(recordings, outcomes):
         if outcome is QUARANTINED:
             _logger.warning(
                 "skipping %d evaluation(s): recording %s was quarantined",
-                len(pairs), tkey,
+                len(pairs), group.tkey,
             )
             continue
         rows, _counters = outcome
         if rows:
             # Shipped back from a scratch store: like a fresh local
             # recording, never mix with stale rows under this key.
-            experiment_store.delete_trace(tkey)
+            experiment_store.delete_trace(group.tkey)
         _absorb(experiment_store, report, outcome)
         if pairs:
-            loaded = load_trace(experiment_store, tkey)
+            loaded = load_trace(experiment_store, group.tkey)
             assert loaded is not None  # the record stage just wrote it
-            units.append((tkey, loaded, pairs, job))
-    units.sort(key=lambda unit: unit[0])
+            units.append((group, loaded, pairs))
+    units.sort(key=lambda unit: unit[0].tkey)
 
-    # Phase 2 — replay, fanned out per filter configuration.
-    backend_name = backend or "process"
-    parallel = backend_name != "serial" and workers > 1
-    owners = {
-        ekey: grouped[tkey] for tkey in grouped for ekey in grouped[tkey][1]
-    }
+    owners = {}
     tasks = []
-    for tkey, (_manifest, segment_keys), pairs, job in units:
-        path, segments = _segment_payload(experiment_store, segment_keys)
-        phase_names = _phase_plan(specs[job.workload])[1]
-        if parallel and len(pairs) > 1:
-            tasks.extend(
-                (path, segments, job.system, [pair], phase_names)
-                for pair in pairs
-            )
-        else:
-            tasks.append((path, segments, job.system, pairs, phase_names))
-    for results in _map_tasks(
-        _replay_task, tasks, workers, backend, stage="replay", **supervision
-    ):
+    for group, (_manifest, segment_keys), pairs in units:
+        owners.update((ekey, group) for ekey, _name in pairs)
+        segment_path, segments = _segment_payload(experiment_store, segment_keys)
+        system, phase_names = group.job.system, _phase_plan(group.job.spec)[1]
+        fan_out = parallel and len(pairs) > 1
+        tasks.extend(
+            (segment_path, segments, system, chunk, phase_names)
+            for chunk in ([[pair] for pair in pairs] if fan_out else [pairs])
+        )
+    for results in run_stage(_replay_task, tasks, stage="replay"):
         if results is QUARANTINED:
             continue
         for ekey, blob in results:
-            job, filters = owners[ekey]
+            group = owners[ekey]
             experiment_store.put_eval_blob(
-                ekey, blob, workload=specs[job.workload].name,
-                filter_name=filters[ekey],
-                n_cpus=job.system.n_cpus, seed=job.seed,
+                ekey, blob, workload=group.job.spec.name,
+                filter_name=group.filters[ekey],
+                n_cpus=group.job.system.n_cpus, seed=group.job.seed,
             )
             report.evals_run += 1
 
+
+def execute(
+    jobs,
+    *,
+    mode: str,
+    experiment_store: ExperimentStore,
+    workers: int = 1,
+    backend: str | None = None,
+    checkpoint_every: int | None = None,
+    policy: RetryPolicy | None = None,
+    task_timeout: float | None = None,
+    fault_plan=None,
+) -> ExecutionReport:
+    """Run every :class:`SweepJob` whose results are not already stored.
+
+    Jobs targeting the same ``(spec, system, seed)`` are fused into one
+    unit over the union of their filters, and an evaluation already in
+    the store is never recomputed, whichever mode stored it: both modes
+    share the ``eval`` keyspace.
+
+    ``mode="stream"`` runs one live pass per unit with anything missing,
+    as the supervised ``stream`` stage (see :func:`_stream_task`); a
+    unit whose metrics and evaluations are all stored is skipped.
+
+    ``mode="replay"`` records every missing trace once on the ``record``
+    stage (see :func:`_record_task`), then replays the missing
+    evaluations on the ``replay`` stage: one task per filter
+    configuration when parallel workers are available (each decodes
+    segments independently), or one task per trace when serial (each
+    segment then decodes exactly once for all filters).  A pure record
+    job always ends with its trace stored; otherwise a missing trace is
+    recorded only when something needs it.
+
+    ``checkpoint_every`` snapshots each live pass or recording into the
+    store at that access cadence and resumes from the newest stored
+    checkpoint on a warm start (see :func:`_run_simulation`), so a
+    respawned task resumes at the dead worker's last watermark instead
+    of access 0.  A streamed pass's chain covers the unit's full filter
+    union.  Replays need no checkpoints: they are already cheap
+    restarts.
+
+    ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervision
+    (see :func:`_map_tasks`).  A quarantined task leaves its cells empty
+    (a quarantined recording, every evaluation depending on it) and the
+    report's fault counters say why.
+    """
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, not {mode!r}")
+    started = time.perf_counter()
+    report = ExecutionReport(workers=max(1, workers))
+    run_stage = partial(
+        _map_tasks, workers=workers, backend=backend, report=report,
+        policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+    )
+    pending = _pending(jobs, mode, experiment_store, report)
+    path = None if experiment_store.path is None else str(experiment_store.path)
+    if mode == "stream":
+        _stream_stage(pending, experiment_store, report, run_stage, path,
+                      checkpoint_every)
+    else:
+        parallel = (backend or "process") != "serial" and workers > 1
+        _record_replay_stages(pending, experiment_store, report, run_stage,
+                              path, checkpoint_every, parallel)
     report.elapsed_seconds = time.perf_counter() - started
     return report
 
@@ -1323,15 +1222,19 @@ def evaluate(
 ) -> StreamOutcome:
     """Evaluate N filters against one workload, store-backed.
 
-    By default the first call records the configuration's trace (one
-    streaming simulation), and every call after that, with these
-    filters or any others, only replays stored segments, fanning out
-    across ``workers`` when a parallel backend is selected.
+    One cell of :func:`run_sweep` plus its metrics row.  By default the
+    first call records the configuration's trace (one streaming
+    simulation), and every call after that, with these filters or any
+    others, only replays stored segments, fanning out across ``workers``
+    when a parallel backend is selected.  An empty ``filters`` only
+    makes sure the trace and its metrics are stored.
 
     With ``stream=True`` all ``filters`` ride the live snoop stream of
     one simulation instead and nothing but results is persisted.  Either
     way warm evaluations are never recomputed, and the numbers are
-    byte-identical between the modes.
+    byte-identical between the modes.  Raises
+    :class:`~repro.errors.TaskQuarantinedError` naming the missing cells
+    when supervision set a task aside.
     """
     if isinstance(spec, str):
         spec = get_workload(spec)
@@ -1339,32 +1242,32 @@ def evaluate(
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
-
     filters = tuple(filters)
-    run = dict(
-        experiment_store=experiment_store, workers=workers,
-        backend=backend, specs={spec.name: spec},
+    result = run_sweep(
+        [spec], filters, system=system, seeds=(seed,), stream=stream,
+        chunk_size=chunk_size, workers=workers, backend=backend,
+        experiment_store=experiment_store,
     )
-    if stream:
-        report = execute_streams(
-            [StreamJob(spec.name, filters, system, seed, chunk_size)], **run
-        )
-    else:
-        report = execute_replays(
-            [ReplayJob(spec.name, filters, system, seed, chunk_size)], **run
-        )
     metrics = experiment_store.get_sim_metrics(
         store_mod.sim_metrics_key(spec, system, seed)
     )
-    assert metrics is not None  # record/restore guarantees it
-    evaluations = {}
-    for name in filters:
-        evaluation = experiment_store.get_eval(
-            store_mod.eval_key(spec, name, system, seed)
+    cells = {name: (spec.name, name, seed) for name in filters}
+    missing = [name for name, cell in cells.items()
+               if cell not in result.evaluations]
+    if metrics is None:
+        missing.append("metrics")
+    if missing:
+        raise TaskQuarantinedError(
+            f"{spec.name} seed {seed}: quarantined tasks left "
+            f"{', '.join(missing)} missing ({result.report.summary()})"
         )
-        assert evaluation is not None
-        evaluations[name] = evaluation
-    return StreamOutcome(metrics=metrics, evaluations=evaluations, report=report)
+    return StreamOutcome(
+        metrics=metrics,
+        evaluations={
+            name: result.evaluations[cell] for name, cell in cells.items()
+        },
+        report=result.report,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1407,21 +1310,23 @@ def run_sweep(
 ) -> SweepResult:
     """Run a full workload x filter x seed sweep through the store.
 
+    The front door: it builds one :class:`SweepJob` per (workload, seed)
+    and makes one :func:`execute` call.  ``workloads`` holds names or
+    :class:`~repro.traces.workloads.WorkloadSpec` objects; result cells
+    are keyed by the name as given (a spec's ``name``).
     ``accesses``/``warmup`` shrink every workload spec (smoke runs) and
     ``preset`` applies a named spec transformation first (e.g.
     ``"paper-scale"``); every override participates in the store key, so
     modified runs never collide with stock ones.
 
-    By default each (workload, seed) becomes a :class:`ReplayJob`: the
-    first sweep records the trace once, and every later sweep, with any
-    filter set, replays it without simulating, fanning recordings and
-    filter configs out across ``workers`` on the chosen ``backend``.
-    ``replay=True`` is the explicit spelling of that default.  With
-    ``stream=True`` each (workload, seed) becomes one single-pass
-    :class:`StreamJob` evaluating all filters live and persisting no
-    trace.  Evaluations land under the same store keys in both modes
-    (they are byte-identical by the determinism contract), so the modes
-    warm each other.
+    By default (``replay=True`` spells it out) the first sweep records
+    each trace once, and every later sweep, with any filter set, replays
+    it without simulating, fanning recordings and filter configs out
+    across ``workers`` on the chosen ``backend``.  With ``stream=True``
+    each (workload, seed) is one live pass evaluating all filters and
+    persisting no trace.  Evaluations land under the same store keys in
+    both modes (they are byte-identical by the determinism contract), so
+    the modes warm each other.
 
     ``checkpoint_every`` snapshots each in-flight simulation into the
     store every N accesses, so a killed paper-scale sweep restarted with
@@ -1439,56 +1344,46 @@ def run_sweep(
             "choose stream=True or replay=True, not both: streaming "
             "discards events as they are consumed, replay persists them"
         )
+    mode = "stream" if stream else "replay"
     if experiment_store is None:
         from repro.analysis import experiments
 
         experiment_store = experiments.get_store()
 
-    specs: dict[str, WorkloadSpec] = {}
-    for name in workloads:
-        specs[name] = override_spec(
-            get_workload(name), preset=preset, accesses=accesses, warmup=warmup
-        )
-
-    run = dict(
-        experiment_store=experiment_store, workers=workers,
-        backend=backend, specs=specs, checkpoint_every=checkpoint_every,
-        policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+    filters = tuple(filters)
+    resolved = []  # (label, spec): cells are keyed by the workload as given
+    for workload in workloads:
+        if isinstance(workload, str):
+            label, spec = workload, get_workload(workload)
+        else:
+            label, spec = workload.name, workload
+        resolved.append((label, override_spec(
+            spec, preset=preset, accesses=accesses, warmup=warmup
+        )))
+    report = execute(
+        [
+            SweepJob(spec, filters, system, seed, chunk_size)
+            for _label, spec in resolved
+            for seed in seeds
+        ],
+        mode=mode, experiment_store=experiment_store, workers=workers,
+        backend=backend, checkpoint_every=checkpoint_every, policy=policy,
+        task_timeout=task_timeout, fault_plan=fault_plan,
     )
-    if stream:
-        report = execute_streams(
-            [
-                StreamJob(workload, tuple(filters), system, seed, chunk_size)
-                for workload in workloads
-                for seed in seeds
-            ],
-            **run,
-        )
-    else:
-        report = execute_replays(
-            [
-                ReplayJob(workload, tuple(filters), system, seed, chunk_size)
-                for workload in workloads
-                for seed in seeds
-            ],
-            **run,
-        )
 
     result = SweepResult(report=report)
-    for workload in workloads:
+    for label, spec in resolved:
         for filter_name in filters:
             for seed in seeds:
-                key = store_mod.eval_key(
-                    specs[workload], filter_name, system, seed
-                )
+                key = store_mod.eval_key(spec, filter_name, system, seed)
                 evaluation = experiment_store.get_eval(key)
                 if evaluation is None:
                     # Only quarantine may leave a cell empty — anything
                     # else is a bug worth crashing on.
                     assert report.quarantined, (
-                        f"evaluation missing for {workload}/{filter_name}"
+                        f"evaluation missing for {label}/{filter_name}"
                         f"/seed {seed} without a quarantine"
                     )
                     continue
-                result.evaluations[(workload, filter_name, seed)] = evaluation
+                result.evaluations[(label, filter_name, seed)] = evaluation
     return result

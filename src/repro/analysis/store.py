@@ -33,10 +33,10 @@ per-node segment counts plus the run's metrics, and one *segment* row
 per :func:`trace_segment_key` whose ``filter`` column carries the
 manifest's key (the grouping handle garbage collection uses to evict a
 trace atomically — a trace with a missing segment is useless).  Segment
-payloads are zlib-compressed raw ``array('q')`` bytes, little-endian on
-disk, cut at exact event counts so the stored bytes are independent of
-the simulation chunk size (which is also why chunk size never appears
-in any key).
+payloads are ``delta-v1`` (see :func:`encode_trace_segment`), cut at
+exact event counts so the stored bytes are independent of the
+simulation chunk size (which is also why chunk size never appears in
+any key).
 
 Keys are content hashes over canonical JSON, so two configurations that
 differ in any field (including L1 geometry, which the old in-process
@@ -63,7 +63,6 @@ import json
 import logging
 import sqlite3
 import struct
-import sys
 import zlib
 from array import array
 from dataclasses import asdict, dataclass
@@ -522,21 +521,16 @@ def decode_checkpoint(blob: bytes) -> dict:
         return state
 
 
-#: Segment wire formats.  Every segment is written as ``delta-v1``: each
-#: event splits into three planes — kind bits, flag bits, and the block
-#: address — and block addresses are stored as zig-zag + varint coded
-#: first differences before zlib.  Workload address streams are
-#: overwhelmingly local, so the delta plane collapses from 8 bytes per
-#: event to 1–2.  Stores written before delta-v1 hold ``raw-v1``
-#: segments (zlib over the little-endian packed ``array('q')`` bytes):
-#: they still decode, and ``trace transcode`` rewrites them.  The format
-#: lives in the segment bytes themselves (a magic first byte), never in
-#: :func:`trace_key` — a transcoded archive keeps its key and mixed
-#: stores stay warm.
+#: The segment wire format, ``delta-v1``: each event splits into three
+#: planes — kind bits, flag bits, and the block address — and block
+#: addresses are stored as zig-zag + varint coded first differences
+#: before zlib.  Workload address streams are overwhelmingly local, so
+#: the delta plane collapses from 8 bytes per event to 1–2.
 #:
-#: First byte of a delta-v1 segment blob.  zlib streams with a 32K
-#: window (the only kind ``zlib.compress`` emits) always start 0x78, so
-#: a single sniff byte cleanly separates the two wire formats.
+#: First byte of every segment blob.  A blob without it (such as a
+#: ``raw-v1`` segment from before delta-v1: a bare zlib stream, first
+#: byte 0x78) is corrupt, so ``fsck`` removes its trace and the next
+#: sweep re-records it under the same key.
 _DELTA_V1_MAGIC = 0xD7
 
 
@@ -715,29 +709,15 @@ def encode_trace_segment(raw: bytes) -> bytes:
     )
 
 
-def segment_codec(blob: bytes) -> str:
-    """The wire format one stored segment blob was written in (sniffed)."""
-    if blob[:1] == bytes([_DELTA_V1_MAGIC]):
-        return "delta-v1"
-    return "raw-v1"
-
-
 def decode_trace_segment(blob: bytes) -> array:
-    """Decode one segment back into an ``array('q')`` of packed events.
-
-    The wire format is sniffed from the blob itself (see
-    :func:`segment_codec`), so readers never need to know how an archive
-    was written — legacy raw-v1, mixed and transcoded stores replay
-    transparently.
-    """
+    """Decode one delta-v1 segment back into an ``array('q')`` of events."""
     with _decoding("sim-events segment"):
-        if blob[:1] == bytes([_DELTA_V1_MAGIC]):
-            return _delta_planes_decode(zlib.decompress(blob[1:]))
-        events = array("q")
-        events.frombytes(zlib.decompress(blob))
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        events.byteswap()
-    return events
+        if blob[:1] != bytes([_DELTA_V1_MAGIC]):
+            raise ValueError(
+                f"not a delta-v1 segment (first byte {blob[:1].hex() or 'none'}"
+                "); `cache fsck` removes its trace"
+            )
+        return _delta_planes_decode(zlib.decompress(blob[1:]))
 
 
 def decoded_segment_bytes(blob: bytes) -> int:

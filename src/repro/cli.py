@@ -158,19 +158,6 @@ def _cmd_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_save(args: argparse.Namespace) -> int:
-    from repro.traces.io import save_trace, trace_length
-    from repro.traces.workloads import build_workload_stream
-
-    stream = build_workload_stream(
-        args.workload, n_accesses=args.accesses, seed=args.seed
-    )
-    count = save_trace(args.path, stream)
-    print(f"wrote {count:,} accesses ({trace_length(args.path):,} verified) "
-          f"to {args.path}")
-    return 0
-
-
 def _replay_spec(args: argparse.Namespace):
     """The (possibly access-count-overridden) spec a trace command targets.
 
@@ -222,32 +209,16 @@ def _trace_accounting(store) -> tuple[dict[str, dict], dict[str, tuple[int, int]
     return per_trace, groups  # leftover groups have no manifest: orphans
 
 
-def _trace_codec(store, tkey: str) -> str:
-    """The wire format(s) of one trace's stored segments, ``+``-joined.
-
-    Read from the segment bytes themselves: a store recorded before
-    delta-v1 holds raw-v1 segments, and an interrupted transcode leaves
-    a trace holding both.
-    """
-    from repro.analysis import store as store_mod
-
-    codecs = {
-        store_mod.segment_codec(store.get_blob(key))
-        for key in store.group_keys(store_mod.TRACE_KIND, tkey)
-    }
-    return "+".join(sorted(codecs))
-
-
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.analysis import store as store_mod
 
     spec = _replay_spec(args)
     system = _trace_system(args)
     store = experiments.get_store()
-    report = runner.execute_replays(
-        [runner.ReplayJob(spec.name, (), system, args.seed, args.chunk_size)],
-        experiment_store=store, specs={spec.name: spec},
-    )
+    report = runner.run_sweep(
+        [spec], (), system=system, seeds=(args.seed,), experiment_store=store,
+        chunk_size=args.chunk_size,
+    ).report
     tkey = store_mod.trace_key(spec, system, args.seed)
     acct, _ = _trace_accounting(store)
     info = acct.get(tkey, {"segments": 0, "segment_bytes": 0,
@@ -261,21 +232,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
           f"{spec.warmup_accesses / max(accesses, 1):.0%}), "
           f"{info['segments']} segment(s), {nbytes / 1024:.1f} KiB stored")
     print(report.summary())
-    return 0
-
-
-def _cmd_trace_transcode(args: argparse.Namespace) -> int:
-    from repro.analysis import store as store_mod
-
-    spec = _replay_spec(args)
-    system = _trace_system(args)
-    store = experiments.get_store()
-    tkey = store_mod.trace_key(spec, system, args.seed)
-    before, after = runner.transcode_trace(store, tkey)
-    ratio = after / before if before else 1.0
-    print(f"transcoded: {spec.name} seed {args.seed} on {system.n_cpus} CPUs "
-          f"to delta-v1 — segment bytes {before:,} -> {after:,} "
-          f"({ratio:.2f}x)")
     return 0
 
 
@@ -319,8 +275,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         print("no recorded traces"
               + (f" for workload {args.workload!r}" if args.workload else ""))
         return 0
-    headers = ["workload", "cpus", "seed", "accesses", "events", "codec",
-               "segments", "size"]
+    headers = ["workload", "cpus", "seed", "accesses", "events", "segments",
+               "size"]
     rows = []
     undecodable = 0
     for entry in manifests:
@@ -337,7 +293,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             undecodable += 1
             rows.append([
                 entry.workload, str(entry.n_cpus), str(entry.seed),
-                "(undecodable)", "?", "?", str(present),
+                "(undecodable)", "?", str(present),
                 f"{nbytes / 1024:.1f} KiB",
             ])
             continue
@@ -352,7 +308,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
             str(entry.seed),
             f"{manifest['metrics']['accesses']:,}",
             f"{sum(manifest['events_per_node']):,}",
-            _trace_codec(store, entry.key),
             segments,
             f"{nbytes / 1024:.1f} KiB",
         ])
@@ -655,9 +610,8 @@ def _print_trace_economics(store) -> None:
         accesses = manifest.get("metrics", {}).get("accesses", 0)
         if not accesses:
             continue
-        codec = _trace_codec(store, entry.key)
         print(f"  trace {entry.workload} seed {entry.seed} "
-              f"({entry.n_cpus}-way, {codec}): "
+              f"({entry.n_cpus}-way): "
               f"{nbytes / accesses:.2f} bytes/access "
               f"({nbytes / 1024:.1f} KiB / {accesses:,} accesses)")
 
@@ -890,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="record, replay, inspect, or archive workload traces",
+        help="record, replay, or inspect workload traces",
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
 
@@ -914,14 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "never changes the stored bytes)")
     t_record.set_defaults(func=_cmd_trace_record)
 
-    t_transcode = trace_sub.add_parser(
-        "transcode", help="rewrite a stored trace's legacy raw-v1 "
-        "segments as delta-v1, in place (keys and replays unchanged)"
-    )
-    t_transcode.add_argument("workload")
-    _trace_overrides(t_transcode)
-    t_transcode.set_defaults(func=_cmd_trace_transcode)
-
     t_replay = trace_sub.add_parser(
         "replay", help="evaluate filters against a recorded trace "
         "(records it first if missing)"
@@ -944,15 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_info.add_argument("workload", nargs="?", default=None)
     t_info.set_defaults(func=_cmd_trace_info)
-
-    t_save = trace_sub.add_parser(
-        "save", help="archive a workload trace to a .npz file"
-    )
-    t_save.add_argument("workload")
-    t_save.add_argument("path")
-    t_save.add_argument("--accesses", type=_count, default=None,
-                        help="override the workload's access count")
-    t_save.set_defaults(func=_cmd_trace_save)
 
     p_sweep = sub.add_parser(
         "sweep", help="run a workload x filter sweep on N worker processes"

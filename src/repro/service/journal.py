@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.analysis.runner import MODES
 from repro.analysis.store import (
     JOB_KIND,
     ExperimentStore,
@@ -50,10 +51,6 @@ from repro.traces.workloads import WorkloadSpec, get_workload, override_spec
 
 #: The shard state machine's vocabulary, in lifecycle order.
 SHARD_STATES = ("submitted", "leased", "done", "quarantined")
-
-#: Execution modes a shard may request: the engine's two modes,
-#: record → replay (the default) and live streaming.
-SHARD_MODES = ("replay", "stream")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -108,8 +105,8 @@ def normalize_request(payload: dict) -> dict:
             seed_list.append(seed)
     mode = payload.get("mode", "replay")
     _require(
-        mode in SHARD_MODES,
-        f"mode must be one of {SHARD_MODES}, got {mode!r}",
+        mode in MODES,
+        f"mode must be one of {MODES}, got {mode!r}",
     )
     request = {
         "workloads": canonical,
@@ -160,8 +157,8 @@ def build_shards(request: dict) -> list[dict]:
 
     One shard per ``(workload, seed)`` pair carrying the full filter
     list — the same unit the sweep runner fans out, so a lease maps
-    onto exactly one :class:`~repro.analysis.runner.ReplayJob` or
-    :class:`~repro.analysis.runner.StreamJob`.
+    onto exactly one :class:`~repro.analysis.runner.SweepJob`, run in
+    the shard's mode.
     """
     shards = []
     for workload in request["workloads"]:

@@ -30,7 +30,9 @@ import time
 
 from repro.analysis.runner import run_sweep
 from repro.analysis.store import ExperimentStore
+from repro.coherence.smp import DEFAULT_CHUNK_SIZE
 from repro.service.client import http_json
+from repro.service.journal import resolve_spec, resolve_system
 
 
 def _log(name: str, message: str) -> None:
@@ -89,23 +91,16 @@ class ServiceWorker:
         store = ExperimentStore(self.store_path)
         try:
             result = run_sweep(
-                [shard["workload"]],
+                [resolve_spec(shard)],
                 tuple(shard["filters"]),
+                system=resolve_system(shard),
                 seeds=(shard["seed"],),
                 experiment_store=store,
-                accesses=shard.get("accesses"),
-                warmup=shard.get("warmup"),
-                preset=shard.get("preset"),
-                replay=shard["mode"] == "replay",
-                stream=shard["mode"] == "stream",
                 checkpoint_every=shard.get("checkpoint_every"),
                 workers=1,
                 backend="serial",
-                **(
-                    {"chunk_size": shard["chunk_size"]}
-                    if shard.get("chunk_size")
-                    else {}
-                ),
+                chunk_size=shard.get("chunk_size") or DEFAULT_CHUNK_SIZE,
+                **{shard["mode"]: True},
             )
         finally:
             store.close()

@@ -98,7 +98,6 @@ SPEC = WorkloadSpec(
         ("migratory", dict(weight=0.4, n_objects=16)),
     ),
 )
-SPECS = {SPEC.name: SPEC}
 
 
 @contextmanager
@@ -127,8 +126,8 @@ def kill_after_checkpoints(store: ExperimentStore, n: int):
 
 
 def _stream_jobs(filter_name: str, chunk_size: int):
-    return [runner.StreamJob(SPEC.name, (filter_name,), SCALED_SYSTEM, 1,
-                             chunk_size)]
+    return [runner.SweepJob(SPEC, (filter_name,), SCALED_SYSTEM, 1,
+                            chunk_size)]
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +334,9 @@ class TestStreamKillResumeByteIdentity:
         Every payload byte (``sim-metrics`` and ``eval``) must match.
         """
         clean = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs(filter_name, 1_000_000),
-            experiment_store=clean, specs=SPECS,
+            mode="stream", experiment_store=clean,
         )
         reference = clean.dump()
         for chunk_size in CHUNK_SIZES:
@@ -345,16 +344,16 @@ class TestStreamKillResumeByteIdentity:
                 interrupted = ExperimentStore()
                 with kill_after_checkpoints(interrupted, 1):
                     with pytest.raises(KeyboardInterrupt):
-                        runner.execute_streams(
+                        runner.execute(
                             _stream_jobs(filter_name, chunk_size),
-                            experiment_store=interrupted, specs=SPECS,
+                            mode="stream", experiment_store=interrupted,
                             checkpoint_every=k,
                         )
                 assert interrupted.stats().checkpoints == 1
                 resume_chunk = 512 if chunk_size != 512 else 1777
-                report = runner.execute_streams(
+                report = runner.execute(
                     _stream_jobs(filter_name, resume_chunk),
-                    experiment_store=interrupted, specs=SPECS,
+                    mode="stream", experiment_store=interrupted,
                     checkpoint_every=k,
                 )
                 assert report.checkpoints_resumed == 1
@@ -369,9 +368,9 @@ class TestStreamKillResumeByteIdentity:
         on the default replayers, and the reverse, to the clean run's
         bytes — inside warm-up and mid-chunk in the measured region."""
         clean = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs(filter_name, 1_000_000),
-            experiment_store=clean, specs=SPECS,
+            mode="stream", experiment_store=clean,
         )
         reference = clean.dump()
         for first, second in ((True, False), (False, True)):
@@ -380,15 +379,15 @@ class TestStreamKillResumeByteIdentity:
                 killed = kill_after_checkpoints(interrupted, 1)
                 with killed, oracle_replay(first):
                     with pytest.raises(KeyboardInterrupt):
-                        runner.execute_streams(
+                        runner.execute(
                             _stream_jobs(filter_name, 1777),
-                            experiment_store=interrupted, specs=SPECS,
+                            mode="stream", experiment_store=interrupted,
                             checkpoint_every=k, backend="serial",
                         )
                 with oracle_replay(second):
-                    report = runner.execute_streams(
+                    report = runner.execute(
                         _stream_jobs(filter_name, 512),
-                        experiment_store=interrupted, specs=SPECS,
+                        mode="stream", experiment_store=interrupted,
                         checkpoint_every=k, backend="serial",
                     )
                 assert report.checkpoints_resumed == 1
@@ -403,9 +402,9 @@ class TestStreamKillResumeByteIdentity:
         interrupted = ExperimentStore()
         with kill_after_checkpoints(interrupted, 4):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     _stream_jobs("EJ-8x2", 512),
-                    experiment_store=interrupted, specs=SPECS,
+                    mode="stream", experiment_store=interrupted,
                     checkpoint_every=900,
                 )
         chain = store_mod.checkpoint_chain_key(
@@ -427,15 +426,15 @@ class TestStreamKillResumeByteIdentity:
         warmed between kill and resume (here: copied in from another
         store) must not orphan the checkpoint chain."""
         filters = ("EJ-8x2", "IJ-6x2x3")
-        jobs = [runner.StreamJob(SPEC.name, filters, SCALED_SYSTEM, 1, 512)]
+        jobs = [runner.SweepJob(SPEC, filters, SCALED_SYSTEM, 1, 512)]
         clean = ExperimentStore()
-        runner.execute_streams(jobs, experiment_store=clean, specs=SPECS)
+        runner.execute(jobs, mode="stream", experiment_store=clean,)
 
         interrupted = ExperimentStore()
         with kill_after_checkpoints(interrupted, 2):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
-                    jobs, experiment_store=interrupted, specs=SPECS,
+                runner.execute(
+                    jobs, mode="stream", experiment_store=interrupted,
                     checkpoint_every=900,
                 )
         ekey = store_mod.eval_key(SPEC, "EJ-8x2", SCALED_SYSTEM, 1)
@@ -443,8 +442,8 @@ class TestStreamKillResumeByteIdentity:
             ekey, clean.get_blob(ekey), kind="eval", workload=SPEC.name,
             filter_name="EJ-8x2", n_cpus=4, seed=1,
         )
-        report = runner.execute_streams(
-            jobs, experiment_store=interrupted, specs=SPECS,
+        report = runner.execute(
+            jobs, mode="stream", experiment_store=interrupted,
             checkpoint_every=900,
         )
         assert report.checkpoints_resumed == 1
@@ -455,13 +454,13 @@ class TestStreamKillResumeByteIdentity:
         """checkpoint_every alone never changes any stored byte, and a
         completed run leaves no checkpoint rows behind."""
         clean = ExperimentStore()
-        runner.execute_streams(
-            _stream_jobs("EJ-8x2", 1777), experiment_store=clean, specs=SPECS,
+        runner.execute(
+            _stream_jobs("EJ-8x2", 1777), mode="stream", experiment_store=clean,
         )
         checkpointed = ExperimentStore()
-        report = runner.execute_streams(
-            _stream_jobs("EJ-8x2", 512), experiment_store=checkpointed,
-            specs=SPECS, checkpoint_every=700,
+        report = runner.execute(
+            _stream_jobs("EJ-8x2", 512), mode="stream",
+            experiment_store=checkpointed, checkpoint_every=700,
         )
         assert report.checkpoints_written > 0
         assert checkpointed.stats().checkpoints == 0  # chain retired
@@ -473,15 +472,15 @@ class TestStreamKillResumeByteIdentity:
         result rows back, and the parent store ends byte-identical to
         a serial run with no chain left behind."""
         jobs = [
-            runner.StreamJob(SPEC.name, ("EJ-8x2", "IJ-6x2x3"),
-                             SCALED_SYSTEM, seed, 512)
+            runner.SweepJob(SPEC, ("EJ-8x2", "IJ-6x2x3"),
+                            SCALED_SYSTEM, seed, 512)
             for seed in (1, 2)
         ]
         serial = ExperimentStore()
-        runner.execute_streams(jobs, experiment_store=serial, specs=SPECS)
+        runner.execute(jobs, mode="stream", experiment_store=serial,)
         pooled = ExperimentStore()
-        report = runner.execute_streams(
-            jobs, experiment_store=pooled, specs=SPECS,
+        report = runner.execute(
+            jobs, mode="stream", experiment_store=pooled,
             workers=2, backend="process", checkpoint_every=700,
         )
         assert report.sims_run == 2
@@ -769,14 +768,13 @@ class TestRecordingKillResume:
             with pytest.raises(KeyboardInterrupt):
                 _record(interrupted, checkpoint_every=1_300)
         _record(interrupted, checkpoint_every=1_300)
-        runner.execute_replays(
-            [runner.ReplayJob(SPEC.name, ("EJ-8x2",), SCALED_SYSTEM, 1)],
-            experiment_store=interrupted, specs=SPECS,
+        runner.execute(
+            [runner.SweepJob(SPEC, ("EJ-8x2",), SCALED_SYSTEM, 1)],
+            mode="replay", experiment_store=interrupted,
         )
         streamed = ExperimentStore()
-        runner.execute_streams(
-            _stream_jobs("EJ-8x2", 512), experiment_store=streamed,
-            specs=SPECS,
+        runner.execute(
+            _stream_jobs("EJ-8x2", 512), mode="stream", experiment_store=streamed,
         )
         ekey = store_mod.eval_key(SPEC, "EJ-8x2", SCALED_SYSTEM, 1)
         assert interrupted.get_blob(ekey) == streamed.get_blob(ekey)
@@ -836,8 +834,8 @@ class TestCheckpointStoreHygiene:
         interrupted_jobs = _stream_jobs("EJ-8x2", 512)
         with kill_after_checkpoints(store, 1):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
-                    interrupted_jobs, experiment_store=store, specs=SPECS,
+                runner.execute(
+                    interrupted_jobs, mode="stream", experiment_store=store,
                     checkpoint_every=1_000,
                 )
         stats = store.stats()
@@ -848,22 +846,22 @@ class TestCheckpointStoreHygiene:
         """A chain written to SQLite resumes after a process 'restart'
         (store close + reopen), byte-identical to a clean run."""
         clean = ExperimentStore()
-        runner.execute_streams(
-            _stream_jobs("EJ-8x2", 1777), experiment_store=clean, specs=SPECS,
+        runner.execute(
+            _stream_jobs("EJ-8x2", 1777), mode="stream", experiment_store=clean,
         )
         path = tmp_path / "resume.sqlite"
         first = ExperimentStore(path)
         with kill_after_checkpoints(first, 1):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
-                    _stream_jobs("EJ-8x2", 512), experiment_store=first,
-                    specs=SPECS, checkpoint_every=1_300,
+                runner.execute(
+                    _stream_jobs("EJ-8x2", 512), mode="stream",
+                    experiment_store=first, checkpoint_every=1_300,
                 )
         first.close()
         second = ExperimentStore(path)
-        report = runner.execute_streams(
-            _stream_jobs("EJ-8x2", 1777), experiment_store=second,
-            specs=SPECS, checkpoint_every=1_300,
+        report = runner.execute(
+            _stream_jobs("EJ-8x2", 1777), mode="stream",
+            experiment_store=second, checkpoint_every=1_300,
         )
         assert report.checkpoints_resumed == 1
         assert second.dump() == clean.dump()

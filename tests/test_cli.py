@@ -79,15 +79,6 @@ class TestCommands:
     def test_size_command_unreachable(self, capsys):
         assert main(["size", "1.0", "test-tiny"]) == 1
 
-    def test_trace_save_command(self, tmp_path, capsys):
-        pytest.importorskip("numpy", reason=".npz archiving needs NumPy")
-        path = str(tmp_path / "t.npz")
-        assert main(["trace", "save", "test-tiny", path,
-                     "--accesses", "200"]) == 0
-        from repro.traces.io import trace_length
-
-        assert trace_length(path) == 200
-
     def test_trace_record_replay_info(self, tmp_path, capsys):
         store = str(tmp_path / "traces.sqlite")
         assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
@@ -199,10 +190,9 @@ class TestCommands:
 
         store.put_blob = bomb
         with pytest.raises(KeyboardInterrupt):
-            runner_mod.execute_streams(
-                [runner_mod.StreamJob(spec.name, ("EJ-8x2",))],
-                experiment_store=store, specs={spec.name: spec},
-                checkpoint_every=1_500,
+            runner_mod.execute(
+                [runner_mod.SweepJob(spec, ("EJ-8x2",))], mode="stream",
+                experiment_store=store, checkpoint_every=1_500,
             )
         store.put_blob = original
 
@@ -381,8 +371,8 @@ class TestResilienceCommands:
 
 
 class TestTraceEconomicsCommands:
-    """``transcode`` and the stored-vs-decoded accounting in ``trace
-    info`` / ``cache info``."""
+    """The stored-vs-decoded accounting in ``trace info`` / ``cache
+    info``, and the options and commands that are gone."""
 
     @pytest.mark.parametrize("command", [
         ["trace", "record", "test-tiny", "--codec", "delta-v1"],
@@ -403,6 +393,18 @@ class TestTraceEconomicsCommands:
             build_parser().parse_args(command)
 
     @pytest.mark.parametrize("command", [
+        ["trace", "transcode", "test-tiny"],
+        ["trace", "save", "test-tiny", "t.npz"],
+    ])
+    def test_removed_trace_commands_are_gone(self, command, capsys):
+        """Segments have one wire format and traces one archive, the
+        store: there is no migration and no ``.npz`` export."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
         ["sweep"],
         ["trace", "replay", "test-tiny"],
     ])
@@ -412,52 +414,6 @@ class TestTraceEconomicsCommands:
             main(command + ["--kernel", "python"])
         assert exit_info.value.code == 2
         assert "--kernel" in capsys.readouterr().err
-
-    def test_transcode_migrates_a_legacy_raw_v1_trace(
-        self, tmp_path, capsys
-    ):
-        from repro.analysis import store as store_mod
-        from tests.test_trace_codecs import _legacy_raw_v1
-
-        store = str(tmp_path / "tc.sqlite")
-        assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
-        # Rewrite the segments as a store recorded before delta-v1
-        # holds them.
-        with ExperimentStore(store) as legacy:
-            for entry in legacy.entries():
-                if (entry.kind == store_mod.TRACE_KIND
-                        and entry.filter_name is not None):
-                    events = store_mod.decode_trace_segment(
-                        legacy.get_blob(entry.key)
-                    )
-                    legacy.put_blob(
-                        entry.key, _legacy_raw_v1(events),
-                        kind=entry.kind, workload=entry.workload,
-                        filter_name=entry.filter_name,
-                        n_cpus=entry.n_cpus, seed=entry.seed,
-                    )
-        assert main(["--store", store, "trace", "info"]) == 0
-        assert "raw-v1" in capsys.readouterr().out
-        assert main(["--store", store, "trace", "transcode",
-                     "test-tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "transcoded: test-tiny" in out
-        assert "to delta-v1" in out
-        assert "segment bytes" in out
-        # The transcoded trace still replays with zero simulations.
-        assert main(["--store", store, "trace", "replay", "test-tiny",
-                     "--filters", "EJ-8x2"]) == 0
-        assert "sims: 0 run" in capsys.readouterr().out
-        assert main(["--store", store, "trace", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "delta-v1" in out
-        assert "raw-v1" not in out
-
-    def test_transcode_without_a_trace_fails_loudly(self, tmp_path, capsys):
-        store = str(tmp_path / "empty.sqlite")
-        assert main(["--store", store, "trace", "transcode",
-                     "test-tiny"]) == 2
-        assert "nothing to transcode" in capsys.readouterr().err
 
     def test_trace_info_flags_incomplete_and_orphaned(self, tmp_path, capsys):
         from repro.analysis import store as store_mod
@@ -515,7 +471,7 @@ class TestTraceEconomicsCommands:
         rows = [line for line in out.splitlines() if "test-tiny" in line]
         assert len(rows) == 2
         assert sum("(undecodable)" in row for row in rows) == 1
-        assert sum("delta-v1" in row for row in rows) == 1
+        assert sum("?" not in row for row in rows) == 1
         assert "cache fsck" in out
         # fsck removes the damaged trace; the intact one stays listed.
         assert main(["--store", store_path, "cache", "fsck"]) == 1
@@ -535,5 +491,5 @@ class TestTraceEconomicsCommands:
         out = capsys.readouterr().out
         assert "KiB stored /" in out
         assert "KiB decoded" in out
+        assert "trace test-tiny seed 1 (4-way): " in out
         assert "bytes/access" in out
-        assert "delta-v1" in out

@@ -397,6 +397,35 @@ class TestSweepFaultTolerance:
         for key, blob in store.dump().items():
             assert reference[key] == blob
 
+    @pytest.mark.parametrize("stage", ("record", "replay", "stream"))
+    def test_evaluate_names_the_cells_a_quarantine_left_empty(
+        self, monkeypatch, stage
+    ):
+        """``evaluate`` wants every cell: a quarantined task raises
+        TaskQuarantinedError naming what is missing (a bare assert would
+        vanish under ``python -O``)."""
+        execute = runner.execute
+        plan = FaultPlan(name="poison", seed=11, poison=((stage, 0),))
+
+        def poisoned(jobs, **kwargs):
+            return execute(jobs, **{
+                **kwargs, "fault_plan": plan,
+                "policy": RetryPolicy(max_attempts=2, base_delay=0.001,
+                                      seed=11),
+            })
+
+        monkeypatch.setattr(runner, "execute", poisoned)
+        with pytest.raises(TaskQuarantinedError) as raised:
+            runner.evaluate(
+                WORKLOAD_A, filters=FILTERS, stream=stage == "stream",
+                backend="serial", experiment_store=ExperimentStore(),
+            )
+        message = str(raised.value)
+        assert f"{WORKLOAD_A} seed 1" in message
+        assert all(name in message for name in FILTERS)
+        assert ("metrics" in message) == (stage != "replay")
+        assert "1 quarantined" in message
+
     def test_clean_report_summary_has_no_fault_segment(self):
         result = sweep_into(ExperimentStore())
         assert "faults:" not in result.report.summary()
@@ -448,9 +477,9 @@ class TestFsck:
     def test_corrupt_trace_segment_dooms_the_whole_trace_unit(self):
         store = ExperimentStore()
         spec = WORKLOADS[WORKLOAD_A]
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD_A, FILTERS)],
-            experiment_store=store, specs={WORKLOAD_A: spec},
+        runner.execute(
+            [runner.SweepJob(spec, FILTERS)],
+            mode="replay", experiment_store=store,
         )
         trace_rows = [e for e in store.entries() if e.kind == TRACE_KIND]
         assert len(trace_rows) > 1  # manifest plus at least one segment
@@ -465,9 +494,9 @@ class TestFsck:
     def test_quarantined_trace_rows_survive_re_recording(self):
         store = ExperimentStore()
         spec = WORKLOADS[WORKLOAD_A]
-        job = runner.ReplayJob(WORKLOAD_A, FILTERS)
-        runner.execute_replays(
-            [job], experiment_store=store, specs={WORKLOAD_A: spec},
+        job = runner.SweepJob(spec, FILTERS)
+        runner.execute(
+            [job], mode="replay", experiment_store=store,
         )
         corrupt_blobs(store, seed=1, fraction=0.0, kinds=(TRACE_KIND,))
         store.fsck(quarantine=True)
@@ -476,8 +505,8 @@ class TestFsck:
         segments = store.group_keys(QUARANTINE_KIND, tkey)
         assert segments
         store.delete_kind("eval")
-        report = runner.execute_replays(
-            [job], experiment_store=store, specs={WORKLOAD_A: spec},
+        report = runner.execute(
+            [job], mode="replay", experiment_store=store,
         )
         assert report.sims_run == 1
         # Re-recording drops the trace's rows, never its post-mortem copies.
@@ -520,9 +549,9 @@ class TestReplayStoreContention:
         monkeypatch.setattr(sqlite3, "connect", flaky_connect)
         store = ExperimentStore(tmp_path / "traces.sqlite")
         spec = WORKLOADS[WORKLOAD_A]
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD_A, FILTERS)],
-            experiment_store=store, specs={WORKLOAD_A: spec},
+        report = runner.execute(
+            [runner.SweepJob(spec, FILTERS)],
+            mode="replay", experiment_store=store,
         )
         assert calls["n"] == 2  # the retry path actually ran
         assert report.evals_run == len(FILTERS)

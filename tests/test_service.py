@@ -29,7 +29,11 @@ from repro.service import (
     normalize_request,
     shard_satisfied,
 )
-from repro.service.journal import shard_fingerprint
+from repro.service.journal import (
+    resolve_spec,
+    resolve_system,
+    shard_fingerprint,
+)
 from repro.service.worker import ServiceWorker
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
@@ -106,17 +110,14 @@ def make_request(filters=FILTERS, workloads=(WORKLOAD_A, WORKLOAD_B),
 def execute_shard(store: ExperimentStore, shard: dict) -> None:
     """What a worker does with a granted shard, inline and serial."""
     runner.run_sweep(
-        [shard["workload"]],
+        [resolve_spec(shard)],
         tuple(shard["filters"]),
+        system=resolve_system(shard),
         seeds=(shard["seed"],),
         experiment_store=store,
-        accesses=shard.get("accesses"),
-        warmup=shard.get("warmup"),
-        preset=shard.get("preset"),
-        replay=shard["mode"] == "replay",
-        stream=shard["mode"] == "stream",
         workers=1,
         backend="serial",
+        **{shard["mode"]: True},
     )
 
 
@@ -246,6 +247,20 @@ def test_shard_journaled_with_a_codec_still_runs(tmp_path):
     assert service.complete("w1", grant["lease"]) == "done"
     assert service.job_status(record["job"])["state"] == "done"
     reopened.close()
+
+
+def test_worker_runs_a_shard_on_its_cpu_count(tmp_path):
+    """A shard's ``cpus`` reaches the worker's sweep, so its results
+    land under the keys the server verifies the completion against."""
+    path = tmp_path / "svc.sqlite"
+    store = ExperimentStore(path)
+    service = SweepService(store)
+    service.submit(make_request(workloads=(WORKLOAD_A,), cpus=2))
+    grant = service.lease("w1")
+    assert grant["shard"]["cpus"] == 2
+    ServiceWorker("http://unused", str(path))._execute(grant["shard"])
+    assert service.complete("w1", grant["lease"]) == "done"
+    store.close()
 
 
 def test_journal_round_trip_strips_runtime_state(tmp_path):

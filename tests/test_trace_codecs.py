@@ -1,10 +1,8 @@
-"""Trace-economics tests: the segment wire format, transcoding, old stores.
+"""Trace-economics tests: the segment wire format and old stores.
 
-Every segment is written as delta-v1; legacy raw-v1 segments (every
-store recorded before delta-v1 became the only encoder) still decode.
-The contract is that wire format is *pure encoding*: any chunk size,
-any mix of legacy and delta segments, any transcode history must
-replay to the exact evaluation bytes the live streamed path produces.
+Every segment is written and read as delta-v1.  The contract is that
+wire format is *pure encoding*: any chunk size must replay to the exact
+evaluation bytes the live streamed path produces.
 
 Pinned here:
 
@@ -12,13 +10,16 @@ Pinned here:
   (empty, single, marker-only, 59-bit blocks, negative deltas, region
   boundaries) on both codec tiers, self-identifies via its magic byte,
   and encodes and decodes to the same bytes on the native and
-  pure-Python paths; raw-v1 blobs built the legacy way still decode;
-  crafted corrupt planes raise
-  :class:`StoreCorruptionError` on both paths and fail ``cache fsck``;
+  pure-Python paths; crafted corrupt planes and legacy raw-v1 blobs
+  raise :class:`StoreCorruptionError` on both paths and fail
+  ``cache fsck``;
 * **replay byte-identity** — every filter family x chunk size
   {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
-  suite trace, a mixed raw-v1/delta-v1 trace and a transcoded legacy
-  store;
+  suite trace;
+* **legacy stores** — a store recorded before delta-v1 loses its raw-v1
+  traces to ``cache fsck`` and re-records them under the same keys,
+  byte-identical to a clean store; a manifest with a ``codec`` note
+  still loads;
 * **measured-only stores** — a store holding an older measured-only
   trace (warm-up events swapped for a ``fast-forward`` row) serves its
   stored evaluations, re-records a full trace when a replay needs one,
@@ -45,7 +46,7 @@ from repro.cli import main
 from repro.coherence.config import SCALED_SYSTEM
 from repro.core import _cmachine
 from repro.core.stats import MARKER, EventReplayer, pack_event
-from repro.errors import ConfigurationError, StoreCorruptionError
+from repro.errors import StoreCorruptionError
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
@@ -232,17 +233,18 @@ class TestCodecWireFormat:
         events = array("q", EDGE_SEGMENTS[name])
         with _codec_path(path):
             blob = store_mod.encode_trace_segment(events.tobytes())
-            assert store_mod.segment_codec(blob) == "delta-v1"
+            assert blob[0] == 0xD7
             assert store_mod.decode_trace_segment(blob) == events
             assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
 
     @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
-    def test_legacy_raw_v1_segments_still_decode(self, name):
-        events = array("q", EDGE_SEGMENTS[name])
-        blob = _legacy_raw_v1(events)
-        assert store_mod.segment_codec(blob) == "raw-v1"
-        assert store_mod.decode_trace_segment(blob) == events
-        assert store_mod.decoded_segment_bytes(blob) == 8 * len(events)
+    @pytest.mark.parametrize("path", CODEC_PATHS)
+    def test_legacy_raw_v1_segments_are_corruption(self, name, path):
+        blob = _legacy_raw_v1(array("q", EDGE_SEGMENTS[name]))
+        with _codec_path(path):
+            with pytest.raises(StoreCorruptionError,
+                               match="not a delta-v1 segment"):
+                store_mod.decode_trace_segment(blob)
 
     def test_random_events_round_trip_identically(self):
         rng = random.Random(7)
@@ -252,10 +254,10 @@ class TestCodecWireFormat:
         ])
         delta = store_mod.encode_trace_segment(events.tobytes())
         assert store_mod.decode_trace_segment(delta) == events
-        assert store_mod.decode_trace_segment(_legacy_raw_v1(events)) == events
 
     def test_magic_byte_separates_the_formats(self):
-        # zlib streams always open 0x78; the delta magic must not.
+        # zlib streams always open 0x78; the delta magic must not, so a
+        # legacy raw-v1 blob can never pass for a delta-v1 one.
         assert _legacy_raw_v1(array("q"))[0] == 0x78
         assert store_mod.encode_trace_segment(b"")[0] == 0xD7
 
@@ -341,8 +343,9 @@ class TestCorruptPlanes:
     ):
         path = str(tmp_path / f"crafted-{case}.sqlite")
         with ExperimentStore(path) as store:
-            runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+            runner.execute(
+                [runner.SweepJob(WORKLOADS[WORKLOAD])], mode="replay",
+                experiment_store=store,
             )
             tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
             _manifest, keys = _segment_keys_flat(store, tkey)
@@ -390,48 +393,18 @@ class TestCodecReplayByteIdentity:
         manifest, segment_keys = _segment_keys_flat(store, tkey)
         assert "codec" not in manifest
         for key in segment_keys:
-            assert store_mod.segment_codec(store.get_blob(key)) == "delta-v1"
+            assert store.get_blob(key)[0] == 0xD7
 
     def test_delta_trace_rows_are_chunk_size_invariant(self, tmp_path):
         dumps = []
         for chunk_size in CHUNK_SIZES:
             store = ExperimentStore(tmp_path / f"ci{chunk_size}.sqlite")
-            runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, (), chunk_size=chunk_size)],
-                experiment_store=store,
+            runner.execute(
+                [runner.SweepJob(WORKLOADS[WORKLOAD], (), chunk_size=chunk_size)],
+                mode="replay", experiment_store=store,
             )
             dumps.append(_rows(store, store_mod.TRACE_KIND))
         assert dumps[0] == dumps[1]
-
-    def test_mixed_raw_and_delta_trace_replays_identically(
-        self, tmp_path, capsys
-    ):
-        """A trace holding legacy raw-v1 and delta-v1 segments side by
-        side (an interrupted transcode) replays byte-exactly."""
-        path = tmp_path / "mixed.sqlite"
-        store = ExperimentStore(path)
-        spec = WORKLOADS[WORKLOAD]
-        runner.record_trace(
-            spec, SCALED_SYSTEM, 1, experiment_store=store,
-            segment_events=256,
-        )
-        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
-        _manifest, segment_keys = _segment_keys_flat(store, tkey)
-        _rewrite_as_raw_v1(store, tkey, segment_keys[::2])
-        assert {
-            store_mod.segment_codec(store.get_blob(key))
-            for key in segment_keys
-        } == {"raw-v1", "delta-v1"}
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
-            experiment_store=store,
-        )
-        assert report.sims_run == 0
-        _assert_matches_live(store, spec)
-        store.close()
-        # Inspection reads the wire format from the segments themselves.
-        assert main(["--store", str(path), "trace", "info"]) == 0
-        assert "delta-v1+raw-v1" in capsys.readouterr().out
 
     def test_phase_marker_mid_segment_replays_identically(self, tmp_path):
         """A suite's PHASE markers land inside 64-event segments; the
@@ -444,9 +417,9 @@ class TestCodecReplayByteIdentity:
         tkey = store_mod.trace_key(SUITE, SCALED_SYSTEM, 1)
         manifest, segment_keys = _segment_keys_flat(store, tkey)
         assert any(c > 1 for c in manifest["segments_per_node"])
-        report = runner.execute_replays(
-            [runner.ReplayJob(SUITE.name, FAMILY_FILTERS)],
-            experiment_store=store, specs={SUITE.name: SUITE},
+        report = runner.execute(
+            [runner.SweepJob(SUITE, FAMILY_FILTERS)],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 0  # the recorded delta trace serves
         _metrics_blob, payloads = _live_payloads(SUITE, FAMILY_FILTERS)
@@ -459,84 +432,68 @@ class TestCodecReplayByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Transcoding: legacy stores converge without losing a byte of meaning
+# Legacy stores: raw-v1 traces are doomed and re-recorded
 # ----------------------------------------------------------------------
 
-class TestTranscode:
-    def _legacy_store(self, tmp_path):
-        """A store as recorded before delta-v1: raw-v1 segments, warm
-        evaluations.  Returns it with its trace key and the delta-v1
-        trace rows the same recording makes today."""
-        store = ExperimentStore(tmp_path / "legacy.sqlite")
+class TestLegacyStores:
+    def test_raw_v1_trace_is_doomed_and_re_recorded(self, tmp_path, capsys):
+        """A store recorded before delta-v1: its raw-v1 segments are
+        corruption on both codec tiers, ``cache fsck`` removes the whole
+        trace, and the next sweep re-records it under the same key, its
+        rows byte-identical to a clean store's."""
+        clean = ExperimentStore()
+        runner.run_sweep(
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=clean, replay=True
+        )
+        path = tmp_path / "legacy.sqlite"
+        with ExperimentStore(path) as store:
+            runner.run_sweep(
+                (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
+                replay=True,
+            )
+            tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
+            _manifest, keys = _segment_keys_flat(store, tkey)
+            _rewrite_as_raw_v1(store, tkey, keys)
+            blob = store.get_blob(keys[0])
+        tiers = ["python"] + ["native"] * (_cmachine.library() is not None)
+        for tier in tiers:
+            with _codec_path(tier):
+                with pytest.raises(StoreCorruptionError):
+                    store_mod.decode_trace_segment(blob)
+        assert main(["--store", str(path), "cache", "fsck"]) == 1
+        assert f"corrupt: {keys[0][:16]}" in capsys.readouterr().out
+        with ExperimentStore(path) as store:
+            assert runner.load_trace(store, tkey) is None
+            result = runner.run_sweep(
+                (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
+                replay=True,
+            )
+            assert result.report.sims_run == 1
+            assert result.report.evals_cached == 2
+            assert store.fsck().clean
+            assert store.dump() == clean.dump()
+
+    def test_manifest_with_a_codec_note_still_loads(self, tmp_path):
+        """Manifests written by the ``--codec`` era carry a ``codec``
+        note; they load and replay like any other."""
+        store = ExperimentStore(tmp_path / "noted.sqlite")
+        spec = WORKLOADS[WORKLOAD]
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
             replay=True,
         )
-        tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
-        delta_rows = _rows(store, store_mod.TRACE_KIND)
-        _rewrite_as_raw_v1(store, tkey, _segment_keys_flat(store, tkey)[1])
-        return store, tkey, delta_rows
-
-    def test_transcoded_legacy_store_replays_identically(self, tmp_path):
-        store, tkey, _delta_rows = self._legacy_store(tmp_path)
-        evals_before = _rows(store, "eval")
-        before, after = runner.transcode_trace(store, tkey)
-        assert before > after > 0
-        _manifest, segment_keys = _segment_keys_flat(store, tkey)
-        for key in segment_keys:
-            assert store_mod.segment_codec(store.get_blob(key)) == "delta-v1"
-        # Keys never changed: the trace is warm, fresh replays of old
-        # AND new filters land the same bytes as before the transcode.
-        store.delete_kind("eval")
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
-            experiment_store=store,
-        )
-        assert report.sims_run == 0
-        after_rows = _rows(store, "eval")
-        for key, blob in evals_before.items():
-            assert after_rows[key] == blob
-        _assert_matches_live(store, WORKLOADS[WORKLOAD])
-
-    def test_transcode_is_one_way_and_idempotent(self, tmp_path):
-        store, tkey, delta_rows = self._legacy_store(tmp_path)
-        assert _rows(store, store_mod.TRACE_KIND) != delta_rows
-        runner.transcode_trace(store, tkey)
-        # Byte-exact: the rows a fresh delta-v1 recording writes.
-        assert _rows(store, store_mod.TRACE_KIND) == delta_rows
-        before, after = runner.transcode_trace(store, tkey)
-        assert before == after  # nothing left to rewrite
-        assert _rows(store, store_mod.TRACE_KIND) == delta_rows
-
-    def test_transcode_missing_trace_rejected(self, tmp_path):
-        store = ExperimentStore()
-        with pytest.raises(ConfigurationError, match="nothing to transcode"):
-            runner.transcode_trace(store, "no-such-trace")
-
-    def test_transcoded_store_passes_fsck(self, tmp_path):
-        store, tkey, _delta_rows = self._legacy_store(tmp_path)
-        runner.transcode_trace(store, tkey)
-        report = store.fsck()
-        assert report.corrupt == ()
-        assert report.removed == 0
-
-    def test_manifest_with_a_codec_note_still_loads(self, tmp_path):
-        """Manifests written by the ``--codec`` era carry a ``codec``
-        note; they load, replay and transcode like any other."""
-        store, tkey, _delta_rows = self._legacy_store(tmp_path)
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
         manifest, _keys = _segment_keys_flat(store, tkey)
         manifest["codec"] = "delta-v1"
-        spec = WORKLOADS[WORKLOAD]
         store.put_blob(
             tkey, store_mod.encode_trace_manifest(manifest),
             kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
             n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
         )
-        runner.transcode_trace(store, tkey)
         store.delete_kind("eval")
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS)],
-            experiment_store=store,
+        report = runner.execute(
+            [runner.SweepJob(spec, FAMILY_FILTERS)],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 0
         _assert_matches_live(store, spec)
@@ -562,8 +519,9 @@ def _measured_only_store(tmp_path):
     spec = WORKLOADS[WORKLOAD]
     n_cpus = SCALED_SYSTEM.n_cpus
     full = ExperimentStore()
-    runner.execute_replays(
-        [runner.ReplayJob(WORKLOAD, STORED_FILTERS)], experiment_store=full,
+    runner.execute(
+        [runner.SweepJob(spec, STORED_FILTERS)], mode="replay",
+        experiment_store=full,
     )
     tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
     manifest, segment_keys = runner.load_trace(full, tkey)
@@ -664,8 +622,9 @@ class TestFastForwardLifecycle:
         store, tkey, _ffkey = _measured_only_store(tmp_path)
         assert store.delete_kind("fast-forward") == 1
         assert runner.load_trace(store, tkey) is None
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store
+        report = runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD])], mode="replay",
+            experiment_store=store,
         )
         assert report.sims_run == 1
         manifest, _segment_keys = runner.load_trace(store, tkey)

@@ -159,6 +159,13 @@ class TestReplayByteIdentity:
                 stream=True, replay=True,
             )
 
+    def test_unknown_mode_rejected(self, trace_workload):
+        with pytest.raises(ConfigurationError, match="mode must be one of"):
+            runner.execute(
+                [runner.SweepJob(trace_workload, ("EJ-8x2",))],
+                mode="live", experiment_store=ExperimentStore(),
+            )
+
 
 # ----------------------------------------------------------------------
 # Trace storage: chunk invariance, warm skips, self-healing
@@ -170,9 +177,10 @@ class TestTraceStorage:
         dumps = []
         for chunk_size in CHUNK_SIZES:
             store = ExperimentStore(tmp_path / f"c{chunk_size}.sqlite")
-            runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, (), SCALED_SYSTEM, 1, chunk_size)],
-                experiment_store=store,
+            runner.execute(
+                [runner.SweepJob(WORKLOADS[WORKLOAD], (), SCALED_SYSTEM, 1,
+                                 chunk_size)],
+                mode="replay", experiment_store=store,
             )
             dumps.append(_rows(store, store_mod.TRACE_KIND))
         assert dumps[0] == dumps[1] == dumps[2]
@@ -242,16 +250,17 @@ class TestTraceStorage:
                     "nothing to replay -> nothing to record"
                 ),
             )
-            report = runner.execute_replays(
-                [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS[:2])],
-                experiment_store=store,
+            report = runner.execute(
+                [runner.SweepJob(WORKLOADS[WORKLOAD], FAMILY_FILTERS[:2])],
+                mode="replay", experiment_store=store,
             )
         assert report.sims_run == 0
         assert report.sims_cached == 1
         assert report.evals_cached == 2
         # A *pure record* job, by contrast, explicitly wants the trace.
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        report = runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 1
         assert store.stats().traces == 1
@@ -269,8 +278,9 @@ class TestTraceStorage:
 
     def test_partial_trace_is_rerecorded(self, trace_workload, tmp_path):
         store = ExperimentStore(tmp_path / "partial.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         spec = WORKLOADS[WORKLOAD]
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
@@ -285,8 +295,9 @@ class TestTraceStorage:
         )
         store._db.commit()
         assert runner.load_trace(store, tkey) is None
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ("EJ-8x2",))], experiment_store=store,
+        report = runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ("EJ-8x2",))],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 1  # re-recorded, not replayed from a stump
         assert _rows(store, store_mod.TRACE_KIND) == before
@@ -297,8 +308,9 @@ class TestTraceStorage:
         """A segment deleted between load_trace and the worker's fetch
         is a damaged store."""
         store = ExperimentStore(tmp_path / "vanish.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         spec = WORKLOADS[WORKLOAD]
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
@@ -315,8 +327,9 @@ class TestTraceStorage:
 
     def test_metrics_row_restored_from_manifest(self, trace_workload, tmp_path):
         store = ExperimentStore(tmp_path / "metrics.sqlite")
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         spec = WORKLOADS[WORKLOAD]
         mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
@@ -328,8 +341,9 @@ class TestTraceStorage:
         store._db.commit()
         store._live.pop(mkey, None)
         assert store.get_blob(mkey) is None
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        report = runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 0  # the manifest alone restores it
         assert store.get_blob(mkey) == original
@@ -451,8 +465,9 @@ class TestStoreAccounting:
         assert store.stats().traces == 1
         assert store.delete_kind("eval") == 0  # idempotent
         # The trace still serves fresh replays after the purge.
-        report = runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ("EJ-8x2",))], experiment_store=store,
+        report = runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ("EJ-8x2",))],
+            mode="replay", experiment_store=store,
         )
         assert report.sims_run == 0 and report.evals_run == 1
 
@@ -493,8 +508,9 @@ class TestFrontDoorFastPaths:
         self, trace_workload, monkeypatch
     ):
         store = experiments.get_store()
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, ())], experiment_store=store,
+        runner.execute(
+            [runner.SweepJob(WORKLOADS[WORKLOAD], ())],
+            mode="replay", experiment_store=store,
         )
         spec = WORKLOADS[WORKLOAD]
         mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
@@ -523,6 +539,142 @@ class TestFrontDoorFastPaths:
             )
 
 
+# ----------------------------------------------------------------------
+# One job type, one executor: the contract both modes share
+# ----------------------------------------------------------------------
+
+class TestOneExecutor:
+    @pytest.mark.parametrize("mode", runner.MODES)
+    def test_jobs_on_one_simulation_fuse(self, trace_workload, mode):
+        """Overlapping filter sets on one simulation: one pass, the
+        union of the filters evaluated once each."""
+        store = ExperimentStore()
+        report = runner.execute(
+            [
+                runner.SweepJob(trace_workload, FAMILY_FILTERS[:2]),
+                runner.SweepJob(trace_workload, FAMILY_FILTERS[1:3]),
+            ],
+            mode=mode, experiment_store=store,
+        )
+        assert report.sims_run == 1
+        assert report.evals_run == 3
+        assert report.evals_cached == 0
+        assert store.stats().traces == (1 if mode == "replay" else 0)
+
+    @pytest.mark.parametrize("mode", runner.MODES)
+    def test_job_order_never_changes_stored_bytes(
+        self, trace_workload, tmp_path, mode
+    ):
+        jobs = [
+            runner.SweepJob(trace_workload, FAMILY_FILTERS[:2], seed=1),
+            runner.SweepJob(trace_workload, FAMILY_FILTERS[2:], seed=2),
+            runner.SweepJob(trace_workload, FAMILY_FILTERS[::-1], seed=2),
+        ]
+        forward = ExperimentStore(tmp_path / "forward.sqlite")
+        backward = ExperimentStore(tmp_path / "backward.sqlite")
+        runner.execute(jobs, mode=mode, experiment_store=forward)
+        runner.execute(jobs[::-1], mode=mode, experiment_store=backward)
+        assert forward.dump() == backward.dump()
+
+    @pytest.mark.parametrize("first, second", [
+        ("replay", "stream"), ("stream", "replay"),
+    ])
+    def test_modes_warm_each_other(
+        self, trace_workload, monkeypatch, first, second
+    ):
+        """Both modes share the eval keyspace: what one stored, the
+        other serves without simulating."""
+        store = ExperimentStore()
+        jobs = [runner.SweepJob(trace_workload, FAMILY_FILTERS)]
+        runner.execute(jobs, mode=first, experiment_store=store)
+        for simulation in ("compute_stream", "simulate_streaming"):
+            monkeypatch.setattr(
+                runner, simulation,
+                lambda *a, **k: pytest.fail("a warm store must not simulate"),
+            )
+        report = runner.execute(jobs, mode=second, experiment_store=store)
+        assert report.sims_run == 0
+        assert report.sims_cached == 1
+        assert report.evals_run == 0
+        assert report.evals_cached == len(FAMILY_FILTERS)
+
+    @pytest.mark.parametrize("mode", runner.MODES)
+    def test_empty_batch_does_nothing(self, mode):
+        store = ExperimentStore()
+        report = runner.execute([], mode=mode, experiment_store=store)
+        assert (report.sims_run, report.sims_cached) == (0, 0)
+        assert (report.evals_run, report.evals_cached) == (0, 0)
+        assert store.dump() == {}
+
+    def test_pure_record_job_fuses_with_a_filter_job(self, trace_workload):
+        store = ExperimentStore()
+        report = runner.execute(
+            [
+                runner.SweepJob(trace_workload, ()),
+                runner.SweepJob(trace_workload, ("EJ-8x2",)),
+            ],
+            mode="replay", experiment_store=store,
+        )
+        assert report.sims_run == 1
+        assert report.evals_run == 1
+        assert store.stats().traces == 1
+
+    def test_run_sweep_takes_an_unregistered_spec(self, trace_workload):
+        """A spec the registry never saw: cells keyed by its name, bytes
+        equal to the live computation's."""
+        from dataclasses import replace
+
+        spec = replace(trace_workload, name="unregistered-spec")
+        assert spec.name not in WORKLOADS
+        store = ExperimentStore()
+        result = runner.run_sweep(
+            [spec], FAMILY_FILTERS[:2], experiment_store=store,
+        )
+        assert set(result.evaluations) == {
+            (spec.name, name, 1) for name in FAMILY_FILTERS[:2]
+        }
+        _metrics, evaluations = runner.compute_stream(
+            spec, SCALED_SYSTEM, 1, FAMILY_FILTERS[:2]
+        )
+        for name in FAMILY_FILTERS[:2]:
+            ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
+            assert store.get_blob(ekey) == (
+                store_mod.encode_eval(evaluations[name])
+            )
+
+    def test_names_and_specs_meet_under_equal_keys(
+        self, trace_workload, tmp_path
+    ):
+        """Overrides apply to a spec exactly as to its name, so the two
+        spellings of one sweep warm each other."""
+        by_name = ExperimentStore(tmp_path / "name.sqlite")
+        by_spec = ExperimentStore(tmp_path / "spec.sqlite")
+        overrides = dict(accesses=2_000, warmup=500)
+        runner.run_sweep(
+            [WORKLOAD], ("EJ-8x2",), experiment_store=by_name, **overrides,
+        )
+        runner.run_sweep(
+            [trace_workload], ("EJ-8x2",), experiment_store=by_spec,
+            **overrides,
+        )
+        assert by_name.dump() == by_spec.dump()
+        report = runner.run_sweep(
+            [trace_workload], ("EJ-8x2",), experiment_store=by_name,
+            **overrides,
+        ).report
+        assert (report.sims_run, report.evals_run) == (0, 0)
+        assert report.evals_cached == 1
+
+    @pytest.mark.parametrize("stream", (False, True))
+    def test_evaluate_without_filters_stores_the_run(
+        self, trace_workload, stream
+    ):
+        outcome = runner.evaluate(WORKLOAD, filters=(), stream=stream)
+        assert outcome.evaluations == {}
+        assert outcome.metrics.accesses == trace_workload.n_accesses
+        assert experiments.get_store().stats().traces == (0 if stream else 1)
+
+
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,
     reason="parallel replay speedup needs a multi-core runner",
@@ -540,17 +692,15 @@ def test_process_backend_beats_serial_on_multicore(trace_workload, tmp_path):
     spec = replace(WORKLOADS[WORKLOAD], n_accesses=120_000,
                    warmup_accesses=10_000)
     store = ExperimentStore(tmp_path / "speed.sqlite")
-    runner.execute_replays(
-        [runner.ReplayJob(WORKLOAD, ())],
-        experiment_store=store, specs={WORKLOAD: spec},
+    runner.execute(
+        [runner.SweepJob(spec)], mode="replay", experiment_store=store,
     )
 
     def timed(workers, backend, seed_filters):
         started = time.perf_counter()
-        runner.execute_replays(
-            [runner.ReplayJob(WORKLOAD, seed_filters)],
+        runner.execute(
+            [runner.SweepJob(spec, seed_filters)], mode="replay",
             experiment_store=store, workers=workers, backend=backend,
-            specs={WORKLOAD: spec},
         )
         return time.perf_counter() - started
 

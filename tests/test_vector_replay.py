@@ -965,11 +965,11 @@ class TestRunnerKernelWiring:
             for chunk in (512, 1_777):
                 store = ExperimentStore()
                 with oracle_replay(oracle):
-                    runner.execute_streams(
-                        [runner.StreamJob(name, filters, SCALED_SYSTEM, 1,
-                                          chunk)
-                         for name in specs],
-                        experiment_store=store, specs=specs,
+                    runner.execute(
+                        [runner.SweepJob(spec, filters, SCALED_SYSTEM, 1,
+                                         chunk)
+                         for spec in specs.values()],
+                        mode="stream", experiment_store=store,
                         backend="serial",
                     )
                 dumps[oracle, chunk] = store.dump()
@@ -1035,7 +1035,7 @@ def _cli_sweep(store, prologue: str, epilogue: str = "") -> dict:
 
 @requires_native
 class TestNumpyOffTheResultPath:
-    """NumPy serves only ``.npz`` export: a replay sweep runs the same
+    """Nothing in the package imports NumPy: a replay sweep runs the same
     compiled kernels, and stores the oracle's bytes, when it cannot be
     imported, and never imports it when it can."""
 
