@@ -668,27 +668,65 @@ def check_simulator_laws(system: SMPSystem) -> None:
     obeys the laws every correct simulation obeys.
 
     Checked by :func:`simulate_streaming` before it returns, so a broken
-    run stores no row: every node's L1 hits and misses add up to its
-    local accesses, the nodes' local accesses add up to the system's,
-    and every node keeps L1 inclusion (:func:`_check_inclusion`).  The
-    full :func:`check_coherence_invariants` stays a test-time check.
+    run stores no row.  Processor side: every node's L1 hits and misses
+    add up to its local accesses, each L1 miss is one local L2 access
+    (a hit or a miss), the nodes' local accesses add up to the system's,
+    and every node keeps L1 inclusion (:func:`_check_inclusion`).  Bus
+    side: every L2 subblock miss and upgrade is one bus transaction and
+    one remote-hit histogram entry, every node snoops every transaction
+    but its own (one write-buffer probe and one tag probe, a hit or a
+    miss, each), and every write-buffer drain is one bus writeback.
+    The full :func:`check_coherence_invariants` stays a test-time check.
     """
-    total = 0
+    bus = system.bus.stats
+    transactions = sum(bus.transactions.values())
+    upgrades = bus.transactions[BusOp.UPGRADE]
+    total = requests = issued_upgrades = drains = 0
     for node in system.nodes:
         stats = node.stats
+        where = f"node {node.node_id}"
         local = stats.local_reads + stats.local_writes
         if stats.l1_hits + stats.l1_misses != local:
             raise InvariantError(
-                f"node {node.node_id}: {stats.l1_hits} L1 hits + "
+                f"{where}: {stats.l1_hits} L1 hits + "
                 f"{stats.l1_misses} misses != {local} local accesses"
             )
+        _expect_equal(where, l1_misses=stats.l1_misses,
+                      l2_local_accesses=stats.l2_local_accesses,
+                      l2_local_hits_and_misses=(
+                          stats.l2_local_hits + stats.l2_local_misses))
+        own = stats.l2_local_misses + stats.upgrades_issued
+        _expect_equal(where, wb_probes=stats.wb_probes,
+                      snoop_tag_probes=stats.snoop_tag_probes,
+                      snoops_observed=stats.snoops_observed,
+                      snoop_hits_and_misses=(
+                          stats.snoop_hits + stats.snoop_misses),
+                      others_bus_transactions=transactions - own)
         total += local
+        requests += own
+        issued_upgrades += stats.upgrades_issued
+        drains += stats.wb_drains
         _check_inclusion(node)
     if total != system.accesses:
         raise InvariantError(
             f"the nodes ran {total} local accesses, the system "
             f"{system.accesses}"
         )
+    _expect_equal("the bus", bus_transactions=transactions,
+                  node_misses_and_upgrades=requests,
+                  remote_hit_histogram=sum(bus.remote_hit_histogram))
+    _expect_equal("the bus", bus_upgrades=upgrades,
+                  upgrades_issued=issued_upgrades)
+    _expect_equal("the bus", bus_writebacks=bus.writebacks,
+                  wb_drains=drains)
+
+
+def _expect_equal(where: str, **counts: int) -> None:
+    """Raise :class:`~repro.errors.InvariantError` unless ``counts``
+    (named as the message reports them) are all equal."""
+    if len(set(counts.values())) > 1:
+        listed = ", ".join(f"{name} {value}" for name, value in counts.items())
+        raise InvariantError(f"{where}: expected equal counts, got {listed}")
 
 
 def check_coherence_invariants(system: SMPSystem) -> None:

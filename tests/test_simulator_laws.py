@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import runner
 from repro.analysis.store import ExperimentStore
+from repro.coherence.bus import Bus, SnoopReply
 from repro.coherence.cache import WRITABLE
 from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.coherence.node import CacheNode
@@ -80,7 +81,60 @@ def test_a_stale_writable_bit_after_a_downgrade_is_caught(
         simulate_streaming(tiny_system, accesses)
 
 
+@pytest.fixture
+def dropped_snoop(monkeypatch):
+    """Node 1 misses one bus transaction: its 100th snoop never runs."""
+    snoop = CacheNode.snoop
+    seen = [0]
+
+    def dropping(self, op, address):
+        if self.node_id == 1:
+            seen[0] += 1
+            if seen[0] == 100:
+                return SnoopReply()
+        return snoop(self, op, address)
+
+    monkeypatch.setattr(CacheNode, "snoop", dropping)
+
+
+@pytest.fixture
+def double_counted_transaction(monkeypatch):
+    """The bus counts its 100th transaction twice."""
+    record = Bus.record_transaction
+    seen = [0]
+
+    def doubling(self, op, replies):
+        seen[0] += 1
+        if seen[0] == 100:
+            record(self, op, replies)
+        return record(self, op, replies)
+
+    monkeypatch.setattr(Bus, "record_transaction", doubling)
+
+
+def test_a_dropped_snoop_is_caught(tier, dropped_snoop):
+    with pytest.raises(InvariantError, match="others_bus_transactions"):
+        simulate_streaming(SCALED_SYSTEM, _lu())
+
+
+def test_a_double_counted_transaction_is_caught(
+    tier, double_counted_transaction
+):
+    with pytest.raises(InvariantError, match="bus_transactions"):
+        simulate_streaming(SCALED_SYSTEM, _lu())
+
+
 def test_a_broken_run_stores_no_row(tier, lossy_hit_loop):
+    _assert_the_sweep_stores_no_row()
+
+
+@pytest.mark.parametrize("fault", ["dropped_snoop", "double_counted_transaction"])
+def test_a_broken_bus_run_stores_no_row(tier, fault, request):
+    request.getfixturevalue(fault)
+    _assert_the_sweep_stores_no_row()
+
+
+def _assert_the_sweep_stores_no_row():
     store = ExperimentStore()
     with pytest.raises(InvariantError):
         runner.run_sweep(
