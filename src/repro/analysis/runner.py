@@ -871,8 +871,12 @@ def _segment_payload(
     ]
 
 
-def _replay_task(task) -> list[tuple[str, bytes]]:
+def _replay_task(task) -> list[tuple[str, bytes]] | StoreCorruptionError:
     """Worker entry: replay one trace through one or more filters.
+
+    Returns the encoded evaluations, or the :class:`StoreCorruptionError`
+    of a segment that is gone or does not decode, so that the caller
+    dooms and re-records the trace.
 
     ``segments`` is either per-node lists of *store keys* (``path`` set:
     the worker opens the store file read-only — with SQLite's mmap I/O
@@ -928,7 +932,10 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
             for ekey, name in pairs
         ]
         reader = TraceReader([len(keys) for keys in segments], fetch)
-        replay_trace(reader, [bank for _ekey, bank in banks])
+        try:
+            replay_trace(reader, [bank for _ekey, bank in banks])
+        except StoreCorruptionError as error:
+            return error
         evaluations = [(ekey, bank.finish()) for ekey, bank in banks]
         check_evaluations([evaluation for _ekey, evaluation in evaluations])
         return [
@@ -1075,6 +1082,36 @@ def _record_replay_stages(pending, experiment_store, report, run_stage,
         else:
             recordings.append((group, pairs))
 
+    units.extend(_record_stage(recordings, experiment_store, report,
+                               run_stage, path, checkpoint_every))
+    doomed = _replay_stage(units, experiment_store, report, run_stage,
+                           parallel)
+    if doomed:
+        # A trace with a corrupt segment is as good as absent: drop it
+        # whole, record it afresh, and replay what it failed to serve.
+        recorded = {group.tkey for group, _pairs in recordings}
+        for group, _pairs in doomed:
+            _logger.warning(
+                "trace %s has a corrupt segment; re-recording it", group.tkey
+            )
+            experiment_store.delete_trace(group.tkey)
+            if group.tkey not in recorded:
+                report.sims_cached -= 1
+        units = _record_stage(doomed, experiment_store, report, run_stage,
+                              path, checkpoint_every)
+        doomed = _replay_stage(units, experiment_store, report, run_stage,
+                               parallel)
+        if doomed:
+            raise StoreCorruptionError(
+                f"trace {doomed[0][0].tkey} came out of a fresh recording "
+                "with a corrupt segment"
+            )
+
+
+def _record_stage(recordings, experiment_store, report, run_stage, path,
+                  checkpoint_every) -> list:
+    """Record each ``(group, pairs)`` trace on the ``record`` stage; the
+    ``(group, loaded, pairs)`` replay units of those with pairs."""
     outcomes = run_stage(
         _record_task,
         [
@@ -1086,6 +1123,7 @@ def _record_replay_stages(pending, experiment_store, report, run_stage,
         ],
         stage="record", inline_store=experiment_store,
     )
+    units = []
     for (group, pairs), outcome in zip(recordings, outcomes):
         if outcome is QUARANTINED:
             _logger.warning(
@@ -1103,8 +1141,15 @@ def _record_replay_stages(pending, experiment_store, report, run_stage,
             loaded = load_trace(experiment_store, group.tkey)
             assert loaded is not None  # the record stage just wrote it
             units.append((group, loaded, pairs))
-    units.sort(key=lambda unit: unit[0].tkey)
+    return units
 
+
+def _replay_stage(units, experiment_store, report, run_stage,
+                  parallel) -> list:
+    """Replay the ``(group, loaded, pairs)`` units on the ``replay``
+    stage and store their evaluations; the ``(group, pairs)`` of every
+    trace a segment of which turned out corrupt."""
+    units = sorted(units, key=lambda unit: unit[0].tkey)
     owners = {}
     tasks = []
     for group, (_manifest, segment_keys), pairs in units:
@@ -1116,8 +1161,15 @@ def _record_replay_stages(pending, experiment_store, report, run_stage,
             (segment_path, segments, system, chunk, phase_names)
             for chunk in ([[pair] for pair in pairs] if fan_out else [pairs])
         )
-    for results in run_stage(_replay_task, tasks, stage="replay"):
+    doomed: dict[str, tuple] = {}
+    for task, results in zip(tasks, run_stage(_replay_task, tasks,
+                                              stage="replay")):
         if results is QUARANTINED:
+            continue
+        if isinstance(results, StoreCorruptionError):
+            group = owners[task[3][0][0]]
+            _logger.warning("replaying %s: %s", group.tkey, results)
+            doomed.setdefault(group.tkey, (group, []))[1].extend(task[3])
             continue
         for ekey, blob in results:
             group = owners[ekey]
@@ -1127,6 +1179,7 @@ def _record_replay_stages(pending, experiment_store, report, run_stage,
                 n_cpus=group.job.system.n_cpus, seed=group.job.seed,
             )
             report.evals_run += 1
+    return list(doomed.values())
 
 
 def execute(
