@@ -51,6 +51,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -306,7 +307,7 @@ def measure_checkpointed(name: str, n_accesses: int, warmup: int,
 
 
 def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
-                           n_phases: int = 4, repeats: int = 3) -> dict:
+                           n_phases: int = 4, pairs: int = 31) -> dict:
     """Per-phase accounting price on the streamed path.
 
     Two streamed runs over byte-identical access streams (same spec,
@@ -315,9 +316,13 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
     phase accounting alone.  The banks run the live default, so the
-    A/B times the compiled kernels where the native core loads.  Each
-    variant takes the best of ``repeats`` runs to damp scheduler noise —
-    the budget (3%) is smaller than cross-run noise on a busy machine.
+    A/B times the compiled kernels where the native core loads.
+
+    The runs are short (tens of milliseconds), so the two variants run
+    as ``pairs`` interleaved pairs, alternating which goes first, and
+    the overhead is the median of the per-pair ratios: host drift
+    slower than one pair cancels within it, and a pair hit by a
+    scheduler hiccup is an outlier the median ignores.
     """
     from repro.coherence.smp import simulate_streaming
     from repro.traces.workloads import simulate_workload_accesses
@@ -345,18 +350,27 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
         warmup + (i * n_accesses) // n_phases for i in range(n_phases)
     )
     names = tuple(f"q{i}" for i in range(n_phases))
-    plain = min(one_run((), ()) for _ in range(repeats))
-    phased = min(one_run(marks, names) for _ in range(repeats))
-    overhead = max(0.0, phased / plain - 1.0)
+    plain, phased = [], []
+    for pair in range(pairs):
+        if pair % 2:
+            phased.append(one_run(marks, names))
+            plain.append(one_run((), ()))
+        else:
+            plain.append(one_run((), ()))
+            phased.append(one_run(marks, names))
+    ratios = sorted(b / a for a, b in zip(plain, phased))
+    overhead = max(0.0, ratios[pairs // 2] - 1.0)
     return {
         "workload": name,
         "accesses": n_accesses,
         "warmup": warmup,
         "filters": len(FILTERS),
         "phases": n_phases,
-        "repeats": repeats,
-        "plain_seconds": round(plain, 3),
-        "phased_seconds": round(phased, 3),
+        "pairs": pairs,
+        "plain_seconds": round(statistics.median(plain), 4),
+        "phased_seconds": round(statistics.median(phased), 4),
+        "ratio_quartiles": [round(ratios[pairs // 4], 4),
+                            round(ratios[3 * pairs // 4], 4)],
         "overhead_frac": round(overhead, 4),
     }
 
