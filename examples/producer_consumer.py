@@ -18,11 +18,13 @@ from repro.traces.synth import ProducerConsumer, WorkloadMix
 
 def state_of(system: SMPSystem, cpu: int, address: int) -> str:
     config = system.nodes[cpu].l2.config
-    frame = system.nodes[cpu].l2.find(address >> config.block_offset_bits)
-    if frame is None:
+    states = system.nodes[cpu].l2.subblock_states(
+        address >> config.block_offset_bits
+    )
+    if states is None:
         return "-"
     sub = (address >> config.subblock_offset_bits) % config.subblocks_per_block
-    return frame.states[sub].name
+    return states[sub].name
 
 
 def walk_through_handoff() -> None:

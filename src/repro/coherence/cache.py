@@ -3,9 +3,8 @@
 Both levels are direct-mapped, as in the paper's system (§4.1: a 64 KB
 direct-mapped L1 and a 1 MB direct-mapped L2):
 
-* :class:`L2Cache` — the L2 model: one frame per set, each with one tag
-  per block, a MOESI state per subblock and an ``in_l1`` inclusion hint
-  per subblock.
+* :class:`L2Cache` — the L2 model: per set one tag, a MOESI state per
+  subblock and a bitmask of ``in_l1`` inclusion hints, in flat buffers.
 * :class:`L1Cache` — the L1 model: one packed line word per set, sized
   to the L2 coherence unit, with dirty and writable bits, kept in one
   flat ``array('q')``.  Coherence state proper lives in the L2; the L1
@@ -13,10 +12,10 @@ direct-mapped L1 and a 1 MB direct-mapped L2):
 
 Addresses handed to these classes are **block numbers** (byte address
 shifted right by the level's block offset).  Block ``b`` can only live in
-set ``b & mask``, so every lookup is one list index plus a tag compare —
-:class:`~repro.coherence.node.CacheNode` inlines that compare on its
-miss and snoop paths, and the run loop resolves L1 hits against the line
-words (:meth:`repro.coherence.smp.SMPSystem._run_batch`).
+set ``b & mask``, so every lookup is one buffer index plus a tag
+compare — :class:`~repro.coherence.node.CacheNode` inlines that compare
+on its miss and snoop paths, and the native core does the same on the
+same buffers (:meth:`repro.coherence.smp.SMPSystem._run_batch`).
 """
 
 from __future__ import annotations
@@ -28,112 +27,111 @@ from repro.coherence.states import MOESI
 from repro.errors import TraceError
 
 
-class Frame:
-    """One allocated L2 block frame."""
-
-    __slots__ = ("block", "states", "in_l1")
-
-    def __init__(self, block: int, n_subblocks: int) -> None:
-        self.block = block
-        self.states: list[MOESI] = [MOESI.I] * n_subblocks
-        self.in_l1: list[bool] = [False] * n_subblocks
-
-    def dirty_subblocks(self) -> tuple[tuple[int, MOESI], ...]:
-        """``(index, state)`` of subblocks whose copy differs from memory.
-
-        The state travels with the data into the write buffer so a
-        reclaimed Owned copy is restored as Owned, never promoted to
-        Modified (which would manufacture exclusivity).
-        """
-        return tuple((i, s) for i, s in enumerate(self.states) if s.dirty)
+#: An L1 line word: ``block << LINE_SHIFT | writable << 1 | dirty``.
+LINE_SHIFT = 2
+DIRTY = 1
+WRITABLE = 2
+#: The line word or tag of an empty slot (no block is negative).
+EMPTY = -1
 
 
 class L2Cache:
-    """The direct-mapped, subblocked second-level cache.
+    """The direct-mapped, subblocked second-level cache, as flat buffers.
 
-    :attr:`frames` holds one :class:`Frame` (or None) per set.  The list
-    is never rebound — :meth:`restore` rewrites it in place — so the
-    node's hot paths can alias it.
+    Three buffers hold the whole state, indexed by set:
+
+    * :attr:`tags` -- an ``array('q')``, the resident block or
+      :data:`EMPTY`;
+    * :attr:`states` -- a ``bytearray``, ``n_subblocks`` MOESI codes per
+      set (:class:`~repro.coherence.states.MOESI` values);
+    * :attr:`in_l1` -- an ``array('Q')``, per set a bitmask of the
+      subblocks the L1 may hold (the inclusion hints).
+
+    :class:`~repro.coherence.node.CacheNode` and the native core
+    (``repro/core/machine.c``) both work on these buffers in place.  They
+    are never resized -- :meth:`restore` rewrites them in place -- so
+    their addresses stay valid.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.frames: list[Frame | None] = [None] * config.n_sets
+        self.n_subblocks = config.subblocks_per_block
+        self.tags = array("q", [EMPTY]) * config.n_sets
+        self.states = bytearray(config.n_sets * self.n_subblocks)
+        self.in_l1 = array("Q", [0]) * config.n_sets
         self.mask = config.n_sets - 1
 
-    def find(self, block: int) -> Frame | None:
-        """Return the frame holding ``block``, or None on a tag miss."""
-        frame = self.frames[block & self.mask]
-        return frame if frame is not None and frame.block == block else None
-
-    def allocate(self, block: int) -> tuple[Frame, Frame | None]:
-        """Install a fresh frame for ``block`` in its set.
-
-        Returns the frame (all subblocks Invalid) and the frame it
-        displaced, or None if the set was empty.  The caller owns writing
-        back the displaced frame's dirty subblocks and maintaining L1
-        inclusion.
-        """
+    def find(self, block: int) -> int:
+        """The set holding ``block``, or -1 on a tag miss."""
         slot = block & self.mask
-        displaced = self.frames[slot]
-        frame = self.frames[slot] = Frame(block, self.config.subblocks_per_block)
-        return frame, displaced
+        return slot if self.tags[slot] == block else -1
+
+    def subblock_states(self, block: int) -> list[MOESI] | None:
+        """The MOESI state of each subblock of ``block``, or None when
+        it is not resident (tests/inspection)."""
+        slot = self.find(block)
+        if slot < 0:
+            return None
+        n = self.n_subblocks
+        return [MOESI(code) for code in self.states[slot * n:(slot + 1) * n]]
 
     def resident_blocks(self) -> list[int]:
         """All currently allocated block numbers (tests/inspection)."""
-        return [frame.block for frame in self.frames if frame is not None]
+        return [block for block in self.tags if block != EMPTY]
 
     def snapshot(self) -> dict:
-        """Serialisable logical state: the resident frames.
+        """Serialisable logical state: the resident frames, in set order.
 
         Each frame is ``[block, states, in_l1]`` with the MOESI states
         joined into a string of one-letter names and the L1 inclusion
-        hints packed into a bitmask — compact enough that checkpointing a
+        hints as their bitmask -- compact enough that checkpointing a
         paper-scale run stays cheap.
         """
+        n = self.n_subblocks
+        states = self.states
         return {"frames": [
             [
-                frame.block,
-                "".join(s.name for s in frame.states),
-                sum(1 << i for i, bit in enumerate(frame.in_l1) if bit),
+                block,
+                "".join(_NAMES[code] for code in states[slot * n:(slot + 1) * n]),
+                self.in_l1[slot],
             ]
-            for frame in self.frames
-            if frame is not None
+            for slot, block in enumerate(self.tags)
+            if block != EMPTY
         ]}
 
     def restore(self, state: dict) -> None:
-        """Adopt a snapshot, rewriting :attr:`frames` in place.
+        """Adopt a snapshot, rewriting the buffers in place.
 
         Raises :class:`~repro.errors.TraceError` for a frame this cache
         cannot hold: a negative block, the wrong number of subblocks, or
         a second frame in an occupied set.
         """
-        n_subblocks = self.config.subblocks_per_block
-        frames: list[Frame | None] = [None] * len(self.frames)
-        for block, states, in_l1 in state["frames"]:
+        n = self.n_subblocks
+        tags = array("q", [EMPTY]) * len(self.tags)
+        states = bytearray(len(self.states))
+        in_l1 = array("Q", [0]) * len(self.in_l1)
+        for block, names, hints in state["frames"]:
             slot = block & self.mask
-            if block < 0 or len(states) != n_subblocks:
+            if block < 0 or len(names) != n:
                 raise TraceError(
-                    f"L2 snapshot frame {block:#x} with {len(states)} "
+                    f"L2 snapshot frame {block:#x} with {len(names)} "
                     f"subblock(s) does not fit this cache"
                 )
-            if frames[slot] is not None:
+            if tags[slot] != EMPTY:
                 raise TraceError(
-                    f"L2 snapshot holds blocks {frames[slot].block:#x} and "
+                    f"L2 snapshot holds blocks {tags[slot]:#x} and "
                     f"{block:#x} in set {slot}"
                 )
-            frame = frames[slot] = Frame(block, n_subblocks)
-            frame.states = [MOESI[name] for name in states]
-            frame.in_l1 = [bool(in_l1 >> i & 1) for i in range(n_subblocks)]
-        self.frames[:] = frames
+            tags[slot] = block
+            states[slot * n:(slot + 1) * n] = bytes(MOESI[name] for name in names)
+            in_l1[slot] = hints
+        self.tags[:] = tags
+        self.states[:] = states
+        self.in_l1[:] = in_l1
 
 
-#: An L1 line word: ``block << LINE_SHIFT | writable << 1 | dirty``.
-LINE_SHIFT = 2
-DIRTY = 1
-WRITABLE = 2
-#: The line word of an empty slot (no block shifts to a negative tag).
-EMPTY = -1
+#: One-letter MOESI names by code, as snapshots spell states.
+_NAMES = "".join(state.name for state in MOESI)
 
 
 class L1Cache:
@@ -141,10 +139,9 @@ class L1Cache:
 
     :attr:`lines` holds ``n_sets`` words, each the resident block with
     its dirty and writable bits (:data:`DIRTY`, :data:`WRITABLE`) or
-    :data:`EMPTY`.  That buffer is the whole state: the native L1-hit
-    loop (``l1_run`` in ``repro/core/machine.c``) reads it in place, and
-    :class:`CacheNode` updates it on the miss path.  It is never
-    resized, so its address stays valid.
+    :data:`EMPTY`.  That buffer is the whole state: the native core
+    (``repro/core/machine.c``) and :class:`CacheNode` both work on it in
+    place.  It is never resized, so its address stays valid.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -196,7 +193,7 @@ class L1Cache:
 
     def restore(self, state: dict) -> None:
         """Adopt a snapshot, writing :attr:`lines` in place (the native
-        L1-hit loop holds its address).
+        core holds its address).
 
         Raises :class:`~repro.errors.TraceError` for a snapshot of
         another size or a line whose block does not index its slot.

@@ -123,6 +123,12 @@ class SystemConfig:
             )
         if self.wb_entries < 1:
             raise ConfigurationError("write buffer needs >= 1 entry")
+        if self.l2.subblocks_per_block > 64:
+            # The L2 keeps a block's L1-inclusion hints in one 64-bit mask.
+            raise ConfigurationError(
+                f"at most 64 L2 subblocks per block, got "
+                f"{self.l2.subblocks_per_block}"
+            )
 
     @property
     def block_address_bits(self) -> int:

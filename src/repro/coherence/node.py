@@ -17,6 +17,18 @@ always performs the tag probe — a JETTY changes energy, never behaviour —
 and filters consume the stream live or replay it from a recorded trace
 (:class:`repro.core.stats.EventReplayer`).
 
+**Two tiers, one state.**  The node's whole state is flat buffers: the
+L1's line words, the L2's tags, subblock MOESI codes and in-L1 masks
+(:class:`~repro.coherence.cache.L2Cache`), and the write buffer's FIFO
+(:class:`~repro.coherence.writebuffer.WriteBuffer`).  With the native
+core loaded, ``smp_run`` in ``repro/core/machine.c`` runs this whole
+protocol -- both sides, for every node, and the bus -- on those same
+buffers in place (:meth:`repro.coherence.smp.SMPSystem._run_batch`);
+this class is then only its reference and the no-compiler tier.  The
+two are step-for-step twins: they count the same statistics and emit
+the same events in the same order, and report the same
+:data:`VIOLATIONS`, so a run can switch tiers between any two batches.
+
 Hot-path notes: clean L1 hits never reach the node (the run loop
 counts them against the L1's line words), so :meth:`local_access` runs
 once per L1 miss, permission miss or silent E->M store, and
@@ -42,13 +54,7 @@ Modelling notes (kept deliberately explicit):
 from __future__ import annotations
 
 from repro.coherence.bus import BusOp, BusResult, SnoopReply
-from repro.coherence.cache import (
-    DIRTY,
-    WRITABLE,
-    Frame,
-    L1Cache,
-    L2Cache,
-)
+from repro.coherence.cache import DIRTY, WRITABLE, L1Cache, L2Cache
 from repro.coherence.config import SystemConfig
 from repro.coherence.metrics import NodeStats
 from repro.coherence.states import MOESI
@@ -59,19 +65,34 @@ from typing import Callable
 
 Broadcast = Callable[[BusOp, int], BusResult]
 
-#: Hot-path aliases: identity checks against these beat the MOESI
-#: property descriptors (a Python call per ``state.valid``/``.writable``).
-_I = MOESI.I
-_M = MOESI.M
-_E = MOESI.E
+#: Hot-path aliases: MOESI codes as the flat L2 and write buffer store
+#: them (a dirty state, M or O, is a code >= ``_O``).
+_I = int(MOESI.I)
+_S = int(MOESI.S)
+_E = int(MOESI.E)
+_O = int(MOESI.O)
+_M = int(MOESI.M)
 
-#: BusRd downgrade table (M supplies and becomes Owned, E demotes to S).
-_READ_DOWNGRADE = {
-    MOESI.M: MOESI.O,
-    MOESI.O: MOESI.O,
-    MOESI.E: MOESI.S,
-    MOESI.S: MOESI.S,
+#: BusRd downgrade by code (M supplies and becomes Owned, E demotes to S).
+_READ_DOWNGRADE = (_I, _S, _S, _O, _O)
+
+#: The protocol violations both tiers detect, by the code the native
+#: core reports them with; formatted with ``node``, ``block`` and
+#: ``state`` (a MOESI name).
+VIOLATIONS = {
+    2: "L1 inclusion violated on node {node}: displaced L1 block "
+       "{block:#x} has no L2 frame",
+    3: "dirty L1 block {block:#x} on node {node} backed by L2 state {state}",
+    4: "L1 writable line {block:#x} on node {node} not backed by a valid "
+       "L2 subblock",
 }
+
+
+def violation(code: int, node: int, block: int, state: int = _I) -> CoherenceError:
+    """The :class:`~repro.errors.CoherenceError` for violation ``code``."""
+    return CoherenceError(VIOLATIONS[code].format(
+        node=node, block=block, state=MOESI(state).name
+    ))
 
 
 class CacheNode:
@@ -82,7 +103,7 @@ class CacheNode:
         self.config = config
         self.l1 = L1Cache(config.l1)
         self.l2 = L2Cache(config.l2)
-        self.wb = WriteBuffer(config.wb_entries)
+        self.wb = WriteBuffer(config.wb_entries, config.l2.subblocks_per_block)
         self.stats = NodeStats()
         self.events = NodeEventStream(node_id)
         #: Cached ``events.events.append`` (refreshed when the stream is
@@ -99,21 +120,16 @@ class CacheNode:
         # per-access/per-snoop hot paths).
         self._l1_shift = config.l1.block_offset_bits
         self._l2_shift = config.l2.block_offset_bits
-        if config.l2.subblocked:
-            self._l2_sub_shift = config.l2.subblock_offset_bits
-            self._l2_sub_mask = (
-                1 << (config.l2.block_offset_bits - config.l2.subblock_offset_bits)
-            ) - 1
-        else:
-            self._l2_sub_shift = 0
-            self._l2_sub_mask = 0
+        self._n_sub = config.l2.subblocks_per_block
+        self._l2_sub_mask = self._n_sub - 1
         self._l1_find = self.l1.find
         self._l1_lines = self.l1.lines
-        #: The L2's frame list (restored in place, so the alias holds):
-        #: a lookup is ``frames[block & mask]`` plus a tag compare.
-        self._l2_frames = self.l2.frames
+        #: The L2's buffers (restored in place, so the aliases hold): a
+        #: lookup is ``tags[block & mask]`` plus a compare.
+        self._l2_tags = self.l2.tags
+        self._l2_states = self.l2.states
+        self._l2_in_l1 = self.l2.in_l1
         self._l2_mask = self.l2.mask
-        self._wb_get = self.wb._entries.get
         #: Reused per-node snoop reply: a node contributes at most one
         #: reply per transaction and the bus folds the buffer before the
         #: next one starts, so no allocation per snoop is needed.
@@ -139,10 +155,10 @@ class CacheNode:
     def restore(self, state: dict) -> None:
         """Adopt a snapshot and rebuild every piece of derived state.
 
-        The caches and write buffer restore their structures in place
-        (``_l1_lines``, ``_l2_frames`` and the bound ``_wb_get`` alias
-        them); the pending event stream is rebuilt fresh, so the cached
-        ``_emit`` append must be re-bound afterwards.
+        The caches and write buffer restore their buffers in place
+        (``_l1_lines`` and the ``_l2_*`` aliases, and the native core,
+        hold them); the pending event stream is rebuilt fresh, so the
+        cached ``_emit`` append must be re-bound afterwards.
         """
         self.stats = NodeStats(**state["stats"])
         self.l1.restore(state["l1"])
@@ -202,85 +218,92 @@ class CacheNode:
         """Service an L1 miss (or write-permission miss) at the L2."""
         stats = self.stats
         l2_block = address >> self._l2_shift
-        sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
+        sub = (address >> self._l1_shift) & self._l2_sub_mask
 
         stats.l2_local_accesses += 1
         stats.l2_local_tag_probes += 1
 
-        frame = self._l2_frames[l2_block & self._l2_mask]
-        if frame is None or frame.block != l2_block:
-            frame = self._handle_tag_miss(l2_block)
-        self._service_subblock(frame, address, sub, is_write)
+        slot = l2_block & self._l2_mask
+        if self._l2_tags[slot] != l2_block:
+            self._handle_tag_miss(l2_block, slot)
+        self._service_subblock(slot, address, sub, is_write)
 
-    def _handle_tag_miss(self, l2_block: int) -> Frame:
-        """Allocate an L2 frame, reclaiming from the WB when possible."""
+    def _handle_tag_miss(self, l2_block: int, slot: int) -> None:
+        """Allocate the L2 frame in ``slot``, reclaiming from the WB when
+        possible."""
         stats = self.stats
-        wb_entry = self.wb.remove(l2_block)
+        reclaimed = self.wb.remove(l2_block)
 
-        frame, displaced = self.l2.allocate(l2_block)
         stats.l2_block_allocs += 1
-        if displaced is not None:
-            self._retire_victim(displaced)
+        if self._l2_tags[slot] >= 0:
+            self._retire_victim(slot)
+        n = self._n_sub
+        self._l2_tags[slot] = l2_block
+        # Reclaim the dirty subblocks with their original states so an
+        # Owned copy is not silently promoted to Modified.
+        self._l2_states[slot * n:(slot + 1) * n] = reclaimed or bytes(n)
+        self._l2_in_l1[slot] = 0
         self._emit((l2_block << BLOCK_SHIFT) | ALLOC)
-
-        if wb_entry is not None:
-            # Reclaim the dirty subblocks with their original states so an
-            # Owned copy is not silently promoted to Modified.
+        if reclaimed is not None:
             stats.wb_reclaims += 1
-            for sub_index, state in wb_entry.dirty_subblocks:
-                frame.states[sub_index] = state
-        return frame
 
-    def _retire_victim(self, victim: Frame) -> None:
-        """Push a displaced frame towards memory and keep L1 inclusion."""
+    def _retire_victim(self, slot: int) -> None:
+        """Push the frame in ``slot`` towards memory and keep L1
+        inclusion (the caller then reuses the slot)."""
         stats = self.stats
+        victim = self._l2_tags[slot]
         stats.l2_block_evictions += 1
-        self._emit((victim.block << BLOCK_SHIFT) | EVICT)
+        self._emit((victim << BLOCK_SHIFT) | EVICT)
 
         # Inclusion: drop every L1 copy of the victim's subblocks.  Dirty
         # L1 data is newer than the L2 copy; pulling it back is an L1
         # writeback that merges into the outgoing block.
-        for sub_index, in_l1 in enumerate(victim.in_l1):
-            if in_l1:
-                l1_block = self._l1_block_of(victim.block, sub_index)
-                dropped = self.l1.invalidate(l1_block)
+        hints = self._l2_in_l1[slot]
+        sub = 0
+        while hints:
+            if hints & 1:
+                dropped = self.l1.invalidate(self._l1_block_of(victim, sub))
                 if dropped is not None and dropped & DIRTY:
                     stats.l1_writebacks += 1
+            hints >>= 1
+            sub += 1
 
-        dirty = victim.dirty_subblocks()
-        if dirty:
+        n = self._n_sub
+        states = self._l2_states[slot * n:(slot + 1) * n]
+        if max(states) >= _O:
             stats.l2_dirty_evictions += 1
             if self.wb.full:
                 self._drain_one()
-            self.wb.push(victim.block, dirty)
+            self.wb.push(victim, states)
             stats.wb_pushes += 1
 
     def _service_subblock(
-        self, frame: Frame, address: int, sub: int, is_write: bool
+        self, slot: int, address: int, sub: int, is_write: bool
     ) -> None:
-        """Complete the access now that a frame for the block exists."""
+        """Complete the access now that the frame in ``slot`` holds the
+        block."""
         stats = self.stats
-        state = frame.states[sub]
+        states = self._l2_states
+        index = slot * self._n_sub + sub
+        state = states[index]
 
-        if state is not _I and (
-            not is_write or state is _M or state is _E
-        ):
+        if state and (not is_write or state == _M or state == _E):
             stats.l2_local_hits += 1
             stats.l2_local_data_reads += 1
             if is_write:
-                frame.states[sub] = MOESI.M
-            self._fill_l1(frame, address, sub, is_write)
+                states[index] = _M
+            self._fill_l1(slot, address, sub, is_write)
             return
 
-        if state is not _I and is_write:
+        if state and is_write:
             # Write hit on a shared subblock (S or O): bus upgrade.
             stats.l2_local_hits += 1
             stats.upgrades_issued += 1
             self._broadcast(BusOp.UPGRADE, address)
-            frame.states[sub] = MOESI.M
+            states[index] = _M
             stats.l2_local_tag_updates += 1
             stats.l2_local_data_reads += 1
-            self._fill_l1(frame, address, sub, is_write)
+            self._fill_l1(slot, address, sub, is_write)
             return
 
         # Subblock miss (tag may or may not have just been allocated).
@@ -288,21 +311,22 @@ class CacheNode:
         op = BusOp.READ_X if is_write else BusOp.READ
         result = self._broadcast(op, address)
         if is_write:
-            frame.states[sub] = MOESI.M
+            states[index] = _M
         elif result.remote_hits > 0:
-            frame.states[sub] = MOESI.S
+            states[index] = _S
         else:
-            frame.states[sub] = MOESI.E
+            states[index] = _E
         stats.l2_local_tag_updates += 1
         stats.l2_local_data_writes += 1
-        self._fill_l1(frame, address, sub, is_write)
+        self._fill_l1(slot, address, sub, is_write)
 
-    def _fill_l1(self, frame: Frame, address: int, sub: int, is_write: bool) -> None:
+    def _fill_l1(self, slot: int, address: int, sub: int, is_write: bool) -> None:
         """Install the serviced subblock into the L1 and track inclusion."""
-        l1_block = address >> self._l1_shift
-        state = frame.states[sub]
-        displaced = self.l1.fill(l1_block, state is _M or state is _E, is_write)
-        frame.in_l1[sub] = True
+        state = self._l2_states[slot * self._n_sub + sub]
+        displaced = self.l1.fill(
+            address >> self._l1_shift, state == _M or state == _E, is_write
+        )
+        self._l2_in_l1[slot] |= 1 << sub
 
         if displaced is not None:
             self._handle_l1_displacement(*displaced)
@@ -310,38 +334,30 @@ class CacheNode:
     def _handle_l1_displacement(self, block: int, dirty: bool) -> None:
         """An L1 fill displaced another block: write back and un-hint."""
         stats = self.stats
-        address = block << self._l1_shift
-        l2_block = address >> self._l2_shift
-        sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
-        frame = self._l2_frames[l2_block & self._l2_mask]
-        if frame is None or frame.block != l2_block:
-            raise CoherenceError(
-                f"L1 inclusion violated on node {self.node_id}: displaced L1 "
-                f"block {block:#x} has no L2 frame"
-            )
-        frame.in_l1[sub] = False
+        ratio_bits = self._l2_shift - self._l1_shift
+        l2_block = block >> ratio_bits
+        sub = block & self._l2_sub_mask
+        slot = l2_block & self._l2_mask
+        if self._l2_tags[slot] != l2_block:
+            raise violation(2, self.node_id, block)
+        self._l2_in_l1[slot] &= ~(1 << sub)
         if dirty:
             stats.l1_writebacks += 1
             stats.l2_local_data_writes += 1
             # The mirror already holds M for dirty L1 lines.
-            if frame.states[sub] is not MOESI.M:
-                raise CoherenceError(
-                    f"dirty L1 block {block:#x} on node "
-                    f"{self.node_id} backed by L2 state {frame.states[sub].name}"
-                )
+            state = self._l2_states[slot * self._n_sub + sub]
+            if state != _M:
+                raise violation(3, self.node_id, block, state)
 
     def _mirror_l1_write(self, address: int) -> None:
         """Reflect a silent E->M upgrade of a writable L1 line into the L2."""
         l2_block = address >> self._l2_shift
-        sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
-        frame = self._l2_frames[l2_block & self._l2_mask]
-        if (frame is None or frame.block != l2_block
-                or frame.states[sub] is _I):
-            raise CoherenceError(
-                f"L1 writable line {address:#x} on node {self.node_id} "
-                "not backed by a valid L2 subblock"
-            )
-        frame.states[sub] = MOESI.M
+        sub = (address >> self._l1_shift) & self._l2_sub_mask
+        slot = l2_block & self._l2_mask
+        index = slot * self._n_sub + sub
+        if self._l2_tags[slot] != l2_block or not self._l2_states[index]:
+            raise violation(4, self.node_id, address)
+        self._l2_states[index] = _M
 
     def _broadcast(self, op: BusOp, address: int) -> BusResult:
         if self.broadcast is None:
@@ -357,7 +373,7 @@ class CacheNode:
 
     def drain_write_buffer(self) -> None:
         """Flush all pending writebacks (end of simulation)."""
-        for _entry in self.wb.drain_all():
+        for _block in self.wb.drain_all():
             self.stats.wb_drains += 1
             if self.on_writeback is not None:
                 self.on_writeback()
@@ -380,41 +396,39 @@ class CacheNode:
         """
         stats = self.stats
         l2_block = address >> self._l2_shift
-        sub = (address >> self._l2_sub_shift) & self._l2_sub_mask
+        sub = (address >> self._l1_shift) & self._l2_sub_mask
         reply = self._reply
         reply.hit = False
         reply.supplied = False
 
         # --- Write buffer: probed on every snoop, never filtered -------
         stats.wb_probes += 1
-        wb_entry = self._wb_get(l2_block)
-        if wb_entry is not None:
-            for sub_index, _state in wb_entry.dirty_subblocks:
-                if sub_index == sub:
-                    stats.wb_hits += 1
-                    reply.hit = True
-                    reply.supplied = True
-                    if op is not BusOp.READ:  # READ_X or UPGRADE
-                        self._cancel_wb_subblock(l2_block, sub)
-                    break
+        wb = self.wb
+        at = wb.find(l2_block)
+        if at >= 0 and wb.states[at * self._n_sub + sub]:
+            stats.wb_hits += 1
+            reply.hit = True
+            reply.supplied = True
+            if op is not BusOp.READ:  # READ_X or UPGRADE
+                self._cancel_wb_subblock(l2_block, sub)
 
         # --- L2 tag probe (ground truth; filtering is modelled at replay)
-        frame = self._l2_frames[l2_block & self._l2_mask]
+        slot = l2_block & self._l2_mask
         stats.snoops_observed += 1
         stats.snoop_tag_probes += 1
-        if frame is None or frame.block != l2_block:
+        if self._l2_tags[slot] != l2_block:
             # flag bits: subblock invalid, tag absent.
             self._emit(l2_block << BLOCK_SHIFT)
             stats.snoop_misses += 1
             return reply
 
-        state = frame.states[sub]
-        sub_hit = state is not _I
-        flag = 3 if sub_hit else 2  # bit 0: subblock valid; bit 1: tag present
+        index = slot * self._n_sub + sub
+        state = self._l2_states[index]
+        flag = 3 if state else 2  # bit 0: subblock valid; bit 1: tag present
         self._emit((l2_block << BLOCK_SHIFT) | (flag << FLAG_SHIFT))
 
         stats.snoop_block_present += 1
-        if sub_hit:
+        if state:
             stats.snoop_hits += 1
         else:
             stats.snoop_misses += 1
@@ -422,67 +436,54 @@ class CacheNode:
 
         reply.hit = True
         if op is BusOp.READ:
-            self._snoop_read(frame, sub, state, reply)
+            self._snoop_read(slot, sub, state, reply)
         else:
-            self._snoop_invalidate(frame, l2_block, sub, state, op, reply)
+            self._snoop_invalidate(slot, sub, state, op, reply)
         return reply
 
     def _snoop_read(
-        self, frame: Frame, sub: int, state: MOESI, reply: SnoopReply
+        self, slot: int, sub: int, state: int, reply: SnoopReply
     ) -> None:
         """BusRd: supply data if owner, downgrade exclusivity."""
         stats = self.stats
-        if state.owner:
+        if state >= _O:
             reply.supplied = True
             stats.snoop_data_supplies += 1
-        if frame.in_l1[sub]:
+        if self._l2_in_l1[slot] >> sub & 1:
             # The L1 may hold write permission; revoke it.  If the L1 line
             # is dirty its data is pulled into the L2 as part of the
             # supply, leaving the L1 copy clean.
             stats.l1_snoop_probes += 1
-            slot = self._l1_find(self._l1_block_of(frame.block, sub))
-            if slot >= 0:
-                line = self._l1_lines[slot]
-                self._l1_lines[slot] = line & ~(WRITABLE | DIRTY)
+            l1_slot = self._l1_find(self._l1_block_of(self._l2_tags[slot], sub))
+            if l1_slot >= 0:
+                line = self._l1_lines[l1_slot]
+                self._l1_lines[l1_slot] = line & ~(WRITABLE | DIRTY)
                 if line & DIRTY:
                     stats.l1_writebacks += 1
         new_state = _READ_DOWNGRADE[state]
-        if new_state is not state:
-            frame.states[sub] = new_state
+        if new_state != state:
+            self._l2_states[slot * self._n_sub + sub] = new_state
             stats.snoop_state_updates += 1
 
     def _snoop_invalidate(
-        self,
-        frame: Frame,
-        l2_block: int,
-        sub: int,
-        state: MOESI,
-        op: BusOp,
-        reply: SnoopReply,
+        self, slot: int, sub: int, state: int, op: BusOp, reply: SnoopReply
     ) -> None:
         """BusRdX / BusUpgr: invalidate our copy, supplying data for RdX."""
         stats = self.stats
-        if op is BusOp.READ_X and state.owner:
+        if op is BusOp.READ_X and state >= _O:
             reply.supplied = True
             stats.snoop_data_supplies += 1
-        if frame.in_l1[sub]:
+        if self._l2_in_l1[slot] >> sub & 1:
             stats.l1_snoop_probes += 1
-            self.l1.invalidate(self._l1_block_of(l2_block, sub))
-            frame.in_l1[sub] = False
-        frame.states[sub] = MOESI.I
+            self.l1.invalidate(self._l1_block_of(self._l2_tags[slot], sub))
+            self._l2_in_l1[slot] &= ~(1 << sub)
+        self._l2_states[slot * self._n_sub + sub] = _I
         stats.snoop_state_updates += 1
 
     def _cancel_wb_subblock(self, l2_block: int, sub: int) -> None:
-        """Drop a write-buffered subblock whose ownership a snoop took."""
-        entry = self.wb.remove(l2_block)
-        if entry is None:
-            return
-        remaining = tuple(
-            (sub_index, state)
-            for sub_index, state in entry.dirty_subblocks
-            if sub_index != sub
-        )
-        if remaining:
-            if self.wb.full:
-                self._drain_one()
+        """Drop a write-buffered subblock whose ownership a snoop took;
+        the rest of the entry moves to the back of the FIFO."""
+        remaining = bytearray(self.wb.remove(l2_block))
+        remaining[sub] = _I
+        if any(remaining):
             self.wb.push(l2_block, remaining)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import base64
 import ctypes
+import dataclasses
 import heapq
 import itertools
 import zlib
@@ -61,7 +62,7 @@ from repro.coherence.bus import Bus, BusOp, BusStatsCounter
 from repro.coherence.cache import DIRTY, EMPTY, LINE_SHIFT, WRITABLE
 from repro.coherence.config import SystemConfig
 from repro.coherence.metrics import BusStats, NodeStats, SimResult
-from repro.coherence.node import CacheNode
+from repro.coherence.node import CacheNode, violation
 from repro.core import _cmachine
 from repro.core.stats import NodeEventStream
 from repro.coherence.states import MOESI
@@ -88,6 +89,9 @@ DEFAULT_CHUNK_SIZE = 65_536
 #: *new* recording is sliced — old recordings replay through their own
 #: manifests unchanged.
 TRACE_SEGMENT_EVENTS = 1 << 18
+
+#: ``smp_run``'s status for an access the machine cannot run.
+_REJECTED = 1
 
 
 def iter_batches(
@@ -257,18 +261,60 @@ class TraceSink:
         self.last_segment_crc = list(state["last_segment_crc"])
 
 
-class L1Batch(ctypes.Structure):
-    """A batch as the native ``l1_run`` reads it (``l1_batch`` in
+#: ``NodeStats`` counters in field order: the layout of a node's row of
+#: counter deltas, which the native core counts into.
+STAT_FIELDS = tuple(field.name for field in dataclasses.fields(NodeStats))
+#: Where the hit loops count: ``local_reads`` and ``local_writes`` lead
+#: a row, so a hit counts at ``row + is_write``.
+_L1_HITS = STAT_FIELDS.index("l1_hits")
+assert STAT_FIELDS[:2] == ("local_reads", "local_writes")
+#: Packed events per node the native core may emit between two drains
+#: of its scratch (32 KiB per node).
+EVENT_SCRATCH = 4096
+
+
+class _NativeNode(ctypes.Structure):
+    """One node as the native core sees it (``cnode`` in
+    ``repro/core/machine.c``): addresses of the node's buffers and of its
+    rows of counter deltas and event scratch."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "lines", "tags", "states", "in_l1", "wb_tags", "wb_states",
+        "stats", "events", "n_events",
+    )]
+
+
+class NativeMachine(ctypes.Structure):
+    """A machine as ``smp_run`` reads it (``smp`` in
     ``repro/core/machine.c``)."""
 
     _fields_ = [
         ("accesses", ctypes.c_void_p),
-        ("lines", ctypes.POINTER(ctypes.c_void_p)),
-        ("hits", ctypes.c_void_p),
-        ("n_cpus", ctypes.c_int64),
-        ("set_mask", ctypes.c_int64),
-        ("shift", ctypes.c_int64),
+        ("nodes", ctypes.POINTER(_NativeNode)),
+        ("bus", ctypes.c_void_p),
+        *((name, ctypes.c_int64) for name in (
+            "n_cpus", "n_sub", "wb_entries", "scratch",
+            "l1_mask", "l1_shift", "l2_mask", "l2_shift",
+            "status", "err_node", "err_block", "err_state",
+        )),
     ]
+
+
+def _address(buffer) -> int:
+    """The address of an ``array`` or ``bytearray``'s items."""
+    if isinstance(buffer, bytearray):
+        return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+    return buffer.buffer_info()[0]
+
+
+def _rejection(word: int, n_cpus: int) -> TraceError:
+    """The error for a packed access this machine cannot run."""
+    if word < 0:
+        return TraceError(f"negative address {word >> ADDRESS_SHIFT:#x}")
+    return TraceError(
+        f"access for CPU {word >> CPU_SHIFT & CPU_MASK} on a "
+        f"{n_cpus}-way system"
+    )
 
 
 class SMPSystem:
@@ -291,11 +337,16 @@ class SMPSystem:
         self._l1_lines = tuple(node.l1.lines for node in self.nodes)
         self._l1_mask = config.l1.n_sets - 1
         self._l1_shift = ADDRESS_SHIFT + config.l1.block_offset_bits
-        #: Per CPU: the read hits and write hits of the running batch,
-        #: folded into ``NodeStats`` once per batch.
-        self._hits = array("q", [0]) * (2 * config.n_cpus)
-        #: The :class:`L1Batch` of the native hit loop, built on first use.
-        self._native: L1Batch | None = None
+        #: Per CPU, a row of ``NodeStats`` counter deltas (in
+        #: :data:`STAT_FIELDS` order), and the bus's deltas (one per
+        #: :class:`BusOp`, the writebacks, the remote-hit histogram):
+        #: what the hit loops and the native core count, folded into the
+        #: statistics objects once per batch.
+        self._deltas = array("q", [0]) * (len(STAT_FIELDS) * config.n_cpus)
+        self._bus_deltas = array("q", [0]) * (len(BusOp) + 1 + config.n_cpus)
+        #: The :class:`NativeMachine` over this machine's buffers, built
+        #: on the first native batch (see :meth:`_bind_native`).
+        self._native: NativeMachine | None = None
 
     def _make_broadcast(self, requester: int):
         """Build the closure a node uses to put a transaction on the bus.
@@ -329,59 +380,69 @@ class SMPSystem:
         ]))
 
     def _run_batch(self, batch: array) -> None:
-        """The per-access hot loop over one batch of packed accesses.
+        """Run one batch of packed accesses to completion.
 
-        The common case — a clean L1 hit: a load of a resident block, or
-        a store to a resident dirty writable one — never leaves the hit
-        loop: the native ``l1_run`` (or, without the native core, its
-        twin :meth:`_l1_hits`) counts it against the L1 line words and
-        stops at the first access that is anything else.  That access
-        goes through ``local_access`` and the loop re-enters after it.
-        The hits are folded into ``NodeStats`` once per batch; stats
-        objects are only replaced between batches (by
-        :meth:`begin_measurement`).
+        With the native core loaded, one ``smp_run`` call runs the whole
+        batch -- the L1-hit loop and every miss, write-buffer step,
+        snoop and bus transaction -- on the nodes' buffers in place.  It
+        returns early only to have its event scratch emptied into the
+        nodes' streams (:data:`EVENT_SCRATCH`), at an access this machine
+        cannot run, or at a protocol violation; the last two raise the
+        error the Python tier raises.  Without it, the Python twin of the
+        hit loop (:meth:`_l1_hits`) counts clean L1 hits and stops at
+        every other access, which goes through ``local_access``.  Either
+        way the counted deltas are folded into ``NodeStats`` and the bus
+        counters once per batch (:meth:`_fold`); statistics objects are
+        only replaced between batches (by :meth:`begin_measurement`).
+        The tiers share every buffer, so a run may switch between them
+        at any batch.
         """
         n = len(batch)
-        handlers = self._handlers
-        n_cpus = len(handlers)
+        n_cpus = self.config.n_cpus
         lib = _cmachine.library()
-        if lib is None:
-            hit_run, scan = self._l1_hits, batch
-        else:
-            if self._native is None:
-                self._native = self._native_batch()
-            self._native.accesses = batch.buffer_info()[0]
-            hit_run, scan = lib.l1_run, ctypes.byref(self._native)
         i = 0
         try:
-            while True:
-                i = hit_run(scan, i, n)
-                if i == n:
-                    break
-                word = batch[i]
-                if word < 0:
-                    raise TraceError(
-                        f"negative address {word >> ADDRESS_SHIFT:#x}"
+            if lib is None:
+                handlers = self._handlers
+                while True:
+                    i = self._l1_hits(batch, i, n)
+                    if i == n:
+                        break
+                    word = batch[i]
+                    if word < 0 or word >> CPU_SHIFT & CPU_MASK >= n_cpus:
+                        raise _rejection(word, n_cpus)
+                    handlers[word >> CPU_SHIFT & CPU_MASK](
+                        word >> ADDRESS_SHIFT, word & WRITE_BIT
                     )
-                cpu = word >> CPU_SHIFT & CPU_MASK
-                if cpu >= n_cpus:
-                    raise TraceError(
-                        f"access for CPU {cpu} on a {n_cpus}-way system"
-                    )
-                handlers[cpu](word >> ADDRESS_SHIFT, word & WRITE_BIT)
-                i += 1
+                    i += 1
+            else:
+                native = self._native or self._bind_native()
+                native.accesses = batch.buffer_info()[0]
+                run, machine = lib.smp_run, self._native_ref
+                while True:
+                    i = run(machine, i, n)
+                    self._drain_events()
+                    if native.status == _REJECTED:
+                        raise _rejection(batch[i], n_cpus)
+                    if native.status:
+                        raise violation(native.status, native.err_node,
+                                        native.err_block, native.err_state)
+                    if i == n:
+                        break
         finally:
             self.accesses += i
-            self._fold_hits()
+            self._fold()
 
     def _l1_hits(self, batch: array, lo: int, hi: int) -> int:
         """Count clean L1 hits from ``lo`` on; the first index that is
         not one (or names no CPU here, or is negative), else ``hi``.
 
-        The Python twin of ``l1_run`` in ``repro/core/machine.c``.
+        The Python twin of ``smp_run``'s hit loop in
+        ``repro/core/machine.c``.
         """
         lines = self._l1_lines
-        hits = self._hits
+        deltas = self._deltas
+        width = len(STAT_FIELDS)
         n_cpus = len(lines)
         mask = self._l1_mask
         shift = self._l1_shift
@@ -398,33 +459,81 @@ class SMPSystem:
             is_write = word & WRITE_BIT
             if is_write and line & clean != clean:
                 return i
-            hits[2 * cpu + is_write] += 1
+            row = cpu * width
+            deltas[row + _L1_HITS] += 1
+            deltas[row + is_write] += 1  # local_reads, local_writes
         return hi
 
-    def _native_batch(self) -> L1Batch:
-        lines = self._l1_lines
-        return L1Batch(
-            lines=(ctypes.c_void_p * len(lines))(
-                *(line_words.buffer_info()[0] for line_words in lines)
-            ),
-            hits=self._hits.buffer_info()[0],
-            n_cpus=len(lines),
-            set_mask=self._l1_mask,
-            shift=self._l1_shift,
+    def _bind_native(self) -> NativeMachine:
+        """Build the :class:`NativeMachine` over this machine's buffers,
+        with its per-CPU event scratch and counts."""
+        config = self.config
+        width = len(STAT_FIELDS)
+        scratch = array("q", [0]) * (EVENT_SCRATCH * config.n_cpus)
+        counts = array("q", [0]) * config.n_cpus
+        self._native_nodes = nodes = (_NativeNode * config.n_cpus)(*(
+            _NativeNode(
+                lines=_address(node.l1.lines),
+                tags=_address(node.l2.tags),
+                states=_address(node.l2.states),
+                in_l1=_address(node.l2.in_l1),
+                wb_tags=_address(node.wb.tags),
+                wb_states=_address(node.wb.states),
+                stats=_address(self._deltas) + 8 * width * cpu,
+                events=_address(scratch) + 8 * EVENT_SCRATCH * cpu,
+                n_events=_address(counts) + 8 * cpu,
+            )
+            for cpu, node in enumerate(self.nodes)
+        ))
+        native = NativeMachine(
+            nodes=nodes,
+            bus=_address(self._bus_deltas),
+            n_cpus=config.n_cpus,
+            n_sub=config.l2.subblocks_per_block,
+            wb_entries=config.wb_entries,
+            scratch=EVENT_SCRATCH,
+            l1_mask=config.l1.n_sets - 1,
+            l1_shift=config.l1.block_offset_bits,
+            l2_mask=config.l2.n_sets - 1,
+            l2_shift=config.l2.block_offset_bits,
         )
+        self._native_ref = ctypes.byref(native)
+        self._scratch = memoryview(scratch).cast("B")
+        self._event_counts = counts
+        self._native = native
+        return native
 
-    def _fold_hits(self) -> None:
-        """Add the batch's counted L1 hits to each node's statistics."""
-        hits = self._hits
+    def _drain_events(self) -> None:
+        """Move the native core's scratch events into the nodes' streams."""
+        scratch, counts = self._scratch, self._event_counts
         for cpu, node in enumerate(self.nodes):
-            reads = hits[2 * cpu]
-            writes = hits[2 * cpu + 1]
-            if reads or writes:
-                stats = node.stats
-                stats.l1_hits += reads + writes
-                stats.local_reads += reads
-                stats.local_writes += writes
-                hits[2 * cpu] = hits[2 * cpu + 1] = 0
+            count = counts[cpu]
+            if count:
+                base = 8 * cpu * EVENT_SCRATCH
+                node.events.events.frombytes(scratch[base:base + 8 * count])
+                counts[cpu] = 0
+
+    def _fold(self) -> None:
+        """Add the batch's counted deltas to the statistics objects."""
+        deltas = self._deltas
+        if deltas.count(0) != len(deltas):
+            width = len(STAT_FIELDS)
+            for cpu, node in enumerate(self.nodes):
+                counters = vars(node.stats)
+                row = deltas[cpu * width:(cpu + 1) * width]
+                for name, delta in zip(STAT_FIELDS, row):
+                    counters[name] += delta
+            deltas[:] = array("q", bytes(8 * len(deltas)))
+        bus = self._bus_deltas
+        if bus.count(0) != len(bus):
+            counter = self.bus.stats
+            for op, delta in zip(BusOp, bus):
+                counter.transactions[op] += delta
+            counter.writebacks += bus[len(BusOp)]
+            histogram = counter.remote_hit_histogram
+            for hits, delta in enumerate(bus[len(BusOp) + 1:]):
+                histogram[hits] += delta
+            bus[:] = array("q", bytes(8 * len(bus)))
 
     def snapshot(self) -> dict:
         """Serialisable logical state of the whole machine.
@@ -732,27 +841,22 @@ def _expect_equal(where: str, **counts: int) -> None:
 def check_coherence_invariants(system: SMPSystem) -> None:
     """Assert global MOESI and inclusion invariants; raise on violation.
 
-    Walks every node's L2 frames (one per set) and write buffer.
+    Walks every node's L2 sets and write buffer.
     """
     per_subblock: dict[tuple[int, int], list[tuple[int, MOESI]]] = {}
-    for node in system.nodes:
-        for frame in node.l2.frames:
-            if frame is None:
-                continue
-            for sub, state in enumerate(frame.states):
-                if state is not MOESI.I:
-                    per_subblock.setdefault((frame.block, sub), []).append(
-                        (node.node_id, state)
-                    )
-        _check_inclusion(node)
-
     wb_copies: dict[tuple[int, int], list[int]] = {}
     for node in system.nodes:
-        for block in node.wb.blocks():
-            entry = node.wb.probe(block)
-            assert entry is not None
-            for sub, _state in entry.dirty_subblocks:
-                wb_copies.setdefault((block, sub), []).append(node.node_id)
+        for (block, sub), state in _valid_subblocks(
+            node.l2.tags, node.l2.states, node.l2.n_subblocks
+        ):
+            per_subblock.setdefault((block, sub), []).append(
+                (node.node_id, MOESI(state))
+            )
+        for key, _state in _valid_subblocks(
+            node.wb.tags, node.wb.states, node.wb.n_subblocks
+        ):
+            wb_copies.setdefault(key, []).append(node.node_id)
+        _check_inclusion(node)
 
     for key, holders in per_subblock.items():
         states = [state for _node, state in holders]
@@ -772,32 +876,42 @@ def check_coherence_invariants(system: SMPSystem) -> None:
             )
 
 
+def _valid_subblocks(tags, states, n: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """``((block, sub), code)`` of every non-I code of flat ``tags`` and
+    ``states`` (an L2's or a write buffer's)."""
+    for at, block in enumerate(tags):
+        if block != EMPTY:
+            for sub in range(n):
+                if states[at * n + sub]:
+                    yield (block, sub), states[at * n + sub]
+
+
 def _check_inclusion(node: CacheNode) -> None:
     """Every L1 line must be backed by a valid L2 subblock on its node,
     a writable one by M or E, a dirty one by M
     (:class:`~repro.errors.InvariantError` otherwise)."""
-    ratio_bits = (
-        node.l2.config.block_offset_bits - node.l1.config.block_offset_bits
-    )
+    l2 = node.l2
+    tags, states, mask, n = l2.tags, l2.states, l2.mask, l2.n_subblocks
+    ratio_bits = l2.config.block_offset_bits - node.l1.config.block_offset_bits
     for line in node.l1.lines:
         if line == EMPTY:
             continue
         l1_block = line >> LINE_SHIFT
         l2_block = l1_block >> ratio_bits
-        sub = l1_block & ((1 << ratio_bits) - 1)
-        frame = node.l2.find(l2_block)
-        if frame is None or not frame.states[sub].valid:
+        slot = l2_block & mask
+        state = states[slot * n + (l1_block & (n - 1))]
+        if tags[slot] != l2_block or state == MOESI.I:
             raise InvariantError(
                 f"inclusion violated on node {node.node_id}: L1 block "
                 f"{l1_block:#x} lacks a valid L2 backing subblock"
             )
-        if line & WRITABLE and frame.states[sub] not in (MOESI.M, MOESI.E):
+        if line & WRITABLE and state != MOESI.M and state != MOESI.E:
             raise InvariantError(
                 f"writable L1 block {l1_block:#x} on node {node.node_id} "
-                f"backed by L2 state {frame.states[sub].name}"
+                f"backed by L2 state {MOESI(state).name}"
             )
-        if line & DIRTY and frame.states[sub] is not MOESI.M:
+        if line & DIRTY and state != MOESI.M:
             raise InvariantError(
                 f"dirty L1 block {l1_block:#x} on node {node.node_id} "
-                f"backed by L2 state {frame.states[sub].name}"
+                f"backed by L2 state {MOESI(state).name}"
             )

@@ -13,78 +13,110 @@ memory.  Two properties matter for the paper's evaluation:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from array import array
 
+from repro.coherence.cache import EMPTY
 from repro.coherence.states import MOESI
-from repro.errors import ConfigurationError
-
-
-@dataclass
-class WBEntry:
-    """A dirty block awaiting writeback.
-
-    ``dirty_subblocks`` pairs each dirty subblock index with the MOESI
-    state it held at eviction (M or O), so a local reclaim can restore the
-    state faithfully.
-    """
-
-    block: int
-    dirty_subblocks: tuple[tuple[int, MOESI], ...]
+from repro.errors import ConfigurationError, TraceError
 
 
 class WriteBuffer:
-    """FIFO write-back buffer with CAM-style lookup."""
+    """FIFO write-back buffer with CAM-style lookup, as flat buffers.
 
-    def __init__(self, entries: int) -> None:
+    :attr:`tags` (an ``array('q')``) holds the buffered blocks oldest
+    first, padded with :data:`~repro.coherence.cache.EMPTY`;
+    :attr:`states` (a ``bytearray``) holds ``n_subblocks`` MOESI codes
+    per entry: the state each dirty subblock held at eviction (M or O),
+    so a local reclaim restores an Owned copy as Owned and never
+    manufactures exclusivity, or 0 (I) for a subblock that is not
+    buffered.  :class:`~repro.coherence.node.CacheNode` and the native
+    core (``repro/core/machine.c``) both work on these buffers in place;
+    they are never resized.
+    """
+
+    def __init__(self, entries: int, n_subblocks: int = 1) -> None:
         if entries < 1:
             raise ConfigurationError(f"write buffer needs >= 1 entry, got {entries}")
         self.capacity = entries
-        self._entries: OrderedDict[int, WBEntry] = OrderedDict()
+        self.n_subblocks = n_subblocks
+        self.tags = array("q", [EMPTY]) * entries
+        self.states = bytearray(entries * n_subblocks)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.capacity - self.tags.count(EMPTY)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return self.tags[-1] != EMPTY
 
-    def push(self, block: int, dirty_subblocks: tuple[tuple[int, MOESI], ...]) -> None:
-        """Queue a displaced dirty block.  The caller drains first if full."""
+    def find(self, block: int) -> int:
+        """The FIFO position of ``block``, or -1 (the CAM lookup)."""
+        try:
+            return self.tags.index(block)
+        except ValueError:
+            return -1
+
+    def probe(self, block: int) -> bytes | None:
+        """The buffered MOESI codes of ``block``'s subblocks, or None."""
+        at = self.find(block)
+        if at < 0:
+            return None
+        n = self.n_subblocks
+        return bytes(self.states[at * n:(at + 1) * n])
+
+    def push(self, block: int, states) -> None:
+        """Queue a displaced block with the MOESI codes of its subblocks;
+        the dirty ones (M, O) are buffered.  The caller drains first if
+        full.
+        """
         if self.full:
             raise ConfigurationError("write buffer overflow; drain before push")
-        if block in self._entries:
+        dirty = bytes(code if code >= MOESI.O else 0 for code in states)
+        at = self.find(block)
+        if at >= 0:
             # Re-eviction of a block pushed earlier: the newer states win.
-            previous = self._entries.pop(block)
-            merged = dict(previous.dirty_subblocks)
-            merged.update(dict(dirty_subblocks))
-            dirty_subblocks = tuple(sorted(merged.items()))
-        self._entries[block] = WBEntry(block, dirty_subblocks)
+            previous = self._take(at)
+            dirty = bytes(new or old for new, old in zip(dirty, previous))
+        at = len(self)
+        n = self.n_subblocks
+        self.tags[at] = block
+        self.states[at * n:(at + 1) * n] = dirty
 
-    def probe(self, block: int) -> WBEntry | None:
-        """CAM lookup used by snoops and local reclaim (no reordering)."""
-        return self._entries.get(block)
+    def remove(self, block: int) -> bytes | None:
+        """Take a block out (local reclaim or invalidating snoop); its
+        buffered codes, or None."""
+        at = self.find(block)
+        return None if at < 0 else self._take(at)
 
-    def remove(self, block: int) -> WBEntry | None:
-        """Take a block out (local reclaim or invalidating snoop)."""
-        return self._entries.pop(block, None)
-
-    def drain_oldest(self) -> WBEntry:
-        """Pop the oldest entry for its memory writeback."""
-        if not self._entries:
+    def drain_oldest(self) -> int:
+        """Pop the oldest entry for its memory writeback; its block."""
+        block = self.tags[0]
+        if block == EMPTY:
             raise ConfigurationError("drain on empty write buffer")
-        _block, entry = self._entries.popitem(last=False)
-        return entry
+        self._take(0)
+        return block
 
-    def drain_all(self) -> list[WBEntry]:
-        """Flush everything (end of simulation)."""
-        drained = list(self._entries.values())
-        self._entries.clear()
+    def drain_all(self) -> list[int]:
+        """Flush everything (end of simulation); the drained blocks."""
+        drained = list(self.blocks())
+        self.tags[:] = array("q", [EMPTY]) * self.capacity
+        self.states[:] = bytes(len(self.states))
         return drained
 
     def blocks(self) -> tuple[int, ...]:
-        """Currently buffered block numbers (tests/inspection)."""
-        return tuple(self._entries.keys())
+        """Currently buffered block numbers, oldest first."""
+        return tuple(block for block in self.tags if block != EMPTY)
+
+    def _take(self, at: int) -> bytes:
+        """Remove entry ``at``, closing the gap in place; its codes."""
+        n = self.n_subblocks
+        tags, states = self.tags, self.states
+        taken = bytes(states[at * n:(at + 1) * n])
+        tags[at:-1] = tags[at + 1:]
+        tags[-1] = EMPTY
+        states[at * n:len(states) - n] = states[(at + 1) * n:]
+        states[len(states) - n:] = bytes(n)
+        return taken
 
     def snapshot(self) -> dict:
         """Serialisable logical state: entries in FIFO order.
@@ -93,28 +125,35 @@ class WriteBuffer:
         position is the list position, so drain order survives a
         round trip exactly.
         """
-        return {
-            "entries": [
-                [entry.block,
-                 [[sub, state.name] for sub, state in entry.dirty_subblocks]]
-                for entry in self._entries.values()
-            ]
-        }
+        n = self.n_subblocks
+        return {"entries": [
+            [block, [
+                [sub, MOESI(code).name]
+                for sub, code in enumerate(self.states[at * n:(at + 1) * n])
+                if code
+            ]]
+            for at, block in enumerate(self.blocks())
+        ]}
 
     def restore(self, state: dict) -> None:
-        """Adopt a snapshot, rebuilding ``_entries`` **in place**.
-
-        :class:`~repro.coherence.node.CacheNode` caches a bound
-        ``_entries.get`` for the snoop CAM probe, so the OrderedDict
-        object itself must survive the restore.
-        """
-        if len(state["entries"]) > self.capacity:
+        """Adopt a snapshot, rewriting the buffers in place."""
+        entries = state["entries"]
+        if len(entries) > self.capacity:
             raise ConfigurationError(
-                f"write-buffer snapshot holds {len(state['entries'])} "
+                f"write-buffer snapshot holds {len(entries)} "
                 f"entries, capacity is {self.capacity}"
             )
-        self._entries.clear()
-        for block, dirty in state["entries"]:
-            self._entries[block] = WBEntry(
-                block, tuple((sub, MOESI[name]) for sub, name in dirty)
-            )
+        n = self.n_subblocks
+        tags = array("q", [EMPTY]) * self.capacity
+        states = bytearray(len(self.states))
+        for at, (block, dirty) in enumerate(entries):
+            tags[at] = block
+            for sub, name in dirty:
+                if not 0 <= sub < n:
+                    raise TraceError(
+                        f"write-buffer snapshot entry {block:#x} holds "
+                        f"subblock {sub} of {n}"
+                    )
+                states[at * n + sub] = MOESI[name]
+        self.tags[:] = tags
+        self.states[:] = states

@@ -12,14 +12,15 @@ concurrent pool workers racing to build it never load a half-written
 file.
 
 The library is the one switch between the two tiers.  Loaded, EJ/VEJ/
-IJ/HJ filters replay on its walk, trace segments code through its
-delta-v1 passes, streams draw their accesses through its generator and
-direct-mapped L1 hits resolve in its hit loop.  Any failure -- no
-compiler, a compile error, a timeout, an unwritable cache directory, a
-load error -- logs one warning naming the reason and makes
-:func:`library` return ``None``: every filter then replays on the
-per-event oracle, segments code in pure Python and the Python draw and
-hit loops run, which produce the same bytes.
+IJ/HJ filters replay on its walk, trace segments code through its delta-v1 passes,
+streams draw their accesses through its generator, and the coherence
+simulator runs in its coherence core, one ``smp_run`` call per batch on
+the machine's own cache buffers.  Any failure -- no compiler, a compile
+error, a timeout, an unwritable cache directory, a load error -- logs
+one warning naming the reason and makes :func:`library` return
+``None``: every filter then replays on the per-event oracle, segments
+code in pure Python, and the Python generator and simulator run, which
+produce the same bytes.
 """
 
 from __future__ import annotations
@@ -51,18 +52,16 @@ _PTR = ctypes.c_void_p
 
 #: Every function the library exports: its result and argument types.
 SIGNATURES = {
-    # walk(events, lo, hi, out, lanes, n_arrays, skip, lane_mask, rows,
-    #      vecs, fill, ways, set_mask, vshift, vmask)
-    "walk": (_I64, [_PTR, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR,
-                    _PTR, _PTR, _I64, _I64, _I64, _I64]),
+    # walk(filter, events, lo, hi)
+    "walk": (_I64, [_PTR, _PTR, _I64, _I64]),
     # delta_encode(raw, n, shift, out)
     "delta_encode": (_I64, [_PTR, _I64, _I64, _PTR]),
     # delta_decode(inner, len, n, events)
     "delta_decode": (_I64, [_PTR, _I64, _I64, _PTR]),
     # mix_take(mix, out, n)
     "mix_take": (_I64, [_PTR, _PTR, _I64]),
-    # l1_run(batch, lo, hi)
-    "l1_run": (_I64, [_PTR, _I64, _I64]),
+    # smp_run(machine, lo, hi)
+    "smp_run": (_I64, [_PTR, _I64, _I64]),
 }
 
 
@@ -105,8 +104,8 @@ def load(cache_dir: Path | None = None):
     except Exception as exc:  # any failure degrades to the Python tier
         _logger.warning(
             "native core unavailable (%s: %s); replaying every filter on "
-            "the per-event oracle, coding trace segments and drawing and "
-            "simulating accesses in Python",
+            "the per-event oracle, coding trace segments, drawing accesses "
+            "and simulating the caches, write buffers and bus in Python",
             type(exc).__name__, exc,
         )
         return None

@@ -1,13 +1,15 @@
 /* The native core: the EJ/VEJ/IJ/HJ replay walk, the delta-v1
- * trace-segment codec, the access generator and the L1-hit loop.
+ * trace-segment codec, the access generator and the coherence core.
  *
  * Compiled on first use by repro.core._cmachine and driven through
  * ctypes from repro.core.vector_replay (the walk),
  * repro.analysis.store (the codec), repro.traces.synth.mix (the
- * generator) and repro.coherence.smp (the L1-hit loop).  Without a
- * compiler none of them runs: filters replay on the per-event oracle,
- * segments code in the pure-Python passes, and the Python draw and hit
- * loops run, which produce the same bytes.
+ * generator) and repro.coherence.smp (the coherence core, smp_run: one
+ * call runs a batch of accesses -- L1 hits, misses, the L2, the write
+ * buffers, snoops and the bus -- on the machine's own flat buffers).
+ * Without a compiler none of them runs: filters replay on the
+ * per-event oracle, segments code in the pure-Python passes, and the
+ * Python generator and simulator run, which produce the same bytes.
  *
  * Exclude structures: each set is a fixed `ways`-wide row of int64
  * plus an int32 fill count, in flat arrays indexed by set.  An EJ row
@@ -169,24 +171,37 @@ static int vej_step(machine *m, int64_t blk, int code, int passed)
     return 0;
 }
 
+/* One filter as the walk sees it (WalkContext in
+ * repro.core.vector_replay): the IJ lanes (`lanes` NULL for none), the
+ * exclude structure (`rows` NULL for none, `vecs` NULL for an EJ), and
+ * where the walk reports. */
+typedef struct {
+    int64_t *out;                      /* the span's 7 tallies */
+    int32_t *lanes;
+    int64_t *lane_totals;              /* per lane, its counters' total */
+    int64_t n_arrays, skip, lane_mask;
+    int64_t *rows;
+    uint64_t *vecs;
+    int32_t *fill;
+    int64_t ways, set_mask, vshift, vmask;
+} walk_ctx;
+
 /* Walk packed events e[lo, hi) in stream order through one filter: the
- * IJ lanes (NULL for none), then the exclude structure (`rows` NULL for
- * none, `vecs` NULL for an EJ).  A hybrid filters a snoop when either
- * side does, and its exclude side sees the lanes' verdict.
+ * IJ lanes, then the exclude structure.  A hybrid filters a snoop when
+ * either side does, and its exclude side sees the lanes' verdict.
  *
  * Stops at the first MARKER or error (an underflowing EVICT, or a P1
  * snoop the filter would filter) and returns its index, else `hi`.
  * `out` receives the span's tallies -- snoops, would-hit snoops,
  * allocs, evicts -- over every event up to and including the stopping
  * one (a MARKER counts as none), then the filtered snoops, entry writes
- * and presence-bit writes before it. */
-int64_t walk(const int64_t *e, int64_t lo, int64_t hi, int64_t *out,
-             int32_t *lanes, int64_t n_arrays, int64_t skip,
-             int64_t lane_mask, int64_t *rows, uint64_t *vecs,
-             int32_t *fill, int64_t ways, int64_t set_mask, int64_t vshift,
-             int64_t vmask)
+ * and presence-bit writes before it; `lane_totals` each lane's total
+ * after it, for the caller's conservation check. */
+int64_t walk(const walk_ctx *c, const int64_t *e, int64_t lo, int64_t hi)
 {
-    machine m = {rows, vecs, fill, ways, set_mask, vshift, vmask, 0, 0};
+    machine m = {c->rows, c->vecs, c->fill, c->ways, c->set_mask,
+                 c->vshift, c->vmask, 0, 0};
+    int64_t *out = c->out;
     int64_t tally[4] = {0, 0, 0, 0}, pbit_writes = 0, filtered = 0, i;
     for (i = lo; i < hi; i++) {
         int64_t kind = e[i] & 3, blk = e[i] >> 4;
@@ -199,18 +214,18 @@ int64_t walk(const int64_t *e, int64_t lo, int64_t hi, int64_t *out,
         } else {
             tally[kind + 1]++;
         }
-        if (lanes) {
-            passed = lanes_step(lanes, n_arrays, skip, lane_mask, kind, blk,
-                                &pbit_writes);
+        if (c->lanes) {
+            passed = lanes_step(c->lanes, c->n_arrays, c->skip,
+                                c->lane_mask, kind, blk, &pbit_writes);
             if (passed < 0)
                 break;
         }
         if (kind == 2)                 /* no exclude structure hooks evicts */
             continue;
-        if (rows) {
+        if (c->rows) {
             int code = kind == 1 ? 2 : (int)((e[i] >> 3) & 1);
-            if (vecs ? vej_step(&m, blk, code, passed)
-                     : ej_step(&m, blk, code, passed))
+            if (c->vecs ? vej_step(&m, blk, code, passed)
+                        : ej_step(&m, blk, code, passed))
                 break;
         } else if (!passed) {
             if (e[i] & 8)              /* P1 snoop filtered: violation */
@@ -225,6 +240,13 @@ int64_t walk(const int64_t *e, int64_t lo, int64_t hi, int64_t *out,
     out[4] = filtered + m.filtered;
     out[5] = m.entry_writes;
     out[6] = pbit_writes;
+    for (int64_t j = 0; c->lanes && j < c->n_arrays; j++) {
+        const int32_t *lane = c->lanes + j * (c->lane_mask + 1);
+        int64_t total = 0;
+        for (int64_t k = 0; k <= c->lane_mask; k++)
+            total += lane[k];
+        c->lane_totals[j] = total;
+    }
     return i;
 }
 
@@ -613,33 +635,418 @@ int64_t mix_take(const mix *m, int64_t *out, int64_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* The L1-hit loop (repro.coherence.smp.SMPSystem._run_batch)          */
+/* The coherence core (repro.coherence.node and .bus, step for step)   */
 /* ------------------------------------------------------------------ */
 
-/* A batch on direct-mapped L1s (L1Batch in repro.coherence.smp).  A
- * line word is block << 2 | writable << 1 | dirty, -1 when empty. */
+/* MOESI codes as the flat L2 and write buffer store them: a dirty
+ * (owner) state is >= O_, a writable one E_ or M_. */
+enum { I_, S_, E_, O_, M_ };
+
+/* NodeStats counters, in the dataclass's field order. */
+enum {
+    LOCAL_READS, LOCAL_WRITES, L1_HITS, L1_MISSES, L1_WRITEBACKS,
+    L2_LOCAL_ACCESSES, L2_LOCAL_HITS, L2_LOCAL_MISSES, L2_LOCAL_TAG_PROBES,
+    L2_LOCAL_TAG_UPDATES, L2_LOCAL_DATA_READS, L2_LOCAL_DATA_WRITES,
+    L2_BLOCK_ALLOCS, L2_BLOCK_EVICTIONS, L2_DIRTY_EVICTIONS,
+    UPGRADES_ISSUED, WB_RECLAIMS, SNOOPS_OBSERVED, SNOOP_TAG_PROBES,
+    SNOOP_HITS, SNOOP_MISSES, SNOOP_BLOCK_PRESENT, SNOOP_STATE_UPDATES,
+    SNOOP_DATA_SUPPLIES, L1_SNOOP_PROBES, WB_PROBES, WB_HITS, WB_PUSHES,
+    WB_DRAINS
+};
+
+/* The bus row: one counter per op, the writebacks, then the remote-hit
+ * histogram. */
+enum { READ, READ_X, UPGRADE, WRITEBACKS, HISTOGRAM };
+
+/* Why smp_run stopped before `hi`: codes 2-4 are the protocol
+ * violations of repro.coherence.node.VIOLATIONS. */
+enum { SMP_OK, REJECTED, NO_FRAME, DIRTY_NOT_M, UNBACKED_WRITE };
+
+/* The most subblocks an L2 block has (the in-L1 mask is 64 bits). */
+#define MAX_SUB 64
+
+/* One node: the buffers its Python twin (repro.coherence.node.CacheNode)
+ * works on, shared in place, and its rows of the machine's counter
+ * deltas and event scratch. */
+typedef struct {
+    int64_t *lines;                    /* L1 line words, -1 empty */
+    int64_t *tags;                     /* L2: block per set, -1 empty */
+    uint8_t *states;                   /* L2: n_sub MOESI codes per set */
+    uint64_t *in_l1;                   /* L2: per set, subblocks in the L1 */
+    int64_t *wb_tags;                  /* write buffer, oldest first, -1 */
+    uint8_t *wb_states;                /* n_sub codes per entry, 0 clean */
+    int64_t *stats;                    /* NodeStats counter deltas */
+    int64_t *events;                   /* packed event scratch */
+    int64_t *n_events;                 /* events in the scratch */
+} cnode;
+
+/* A machine (NativeMachine in repro.coherence.smp). */
 typedef struct {
     const int64_t *accesses;           /* the packed batch */
-    int64_t *const *lines;             /* per CPU: its L1's line words */
-    int64_t *hits;                     /* per CPU: read hits, write hits */
-    int64_t n_cpus, set_mask, shift;   /* shift: 8 + L1 block offset */
-} l1_batch;
+    cnode *nodes;
+    int64_t *bus;                      /* bus counter deltas */
+    int64_t n_cpus, n_sub, wb_entries, scratch;
+    int64_t l1_mask, l1_shift, l2_mask, l2_shift;
+    /* out: why the run stopped, and where a violation happened */
+    int64_t status, err_node, err_block, err_state;
+} smp;
 
-/* Count clean L1 hits from lo on: a load of a resident block, or a
- * store to a resident dirty writable one.  Returns the index of the
- * first access that is not one -- or names no CPU of the machine, or
- * is negative -- else hi. */
-int64_t l1_run(const l1_batch *b, int64_t lo, int64_t hi)
+static void emit(cnode *n, int64_t event)
+{
+    n->events[(*n->n_events)++] = event;
+}
+
+/* Record a violation; returns -1 for the caller to pass up. */
+static int fail(smp *m, int64_t status, const cnode *n, int64_t block,
+                int64_t state)
+{
+    m->status = status;
+    m->err_node = n - m->nodes;
+    m->err_block = block;
+    m->err_state = state;
+    return -1;
+}
+
+/* CacheNode._l1_block_of */
+static int64_t l1_block_of(const smp *m, int64_t l2_block, int64_t sub)
+{
+    return l2_block << (m->l2_shift - m->l1_shift) | sub;
+}
+
+/* L1Cache.invalidate: the dropped line word, or -1. */
+static int64_t l1_invalidate(const smp *m, cnode *n, int64_t block)
+{
+    int64_t *line = n->lines + (block & m->l1_mask), dropped = *line;
+    if (dropped >> 2 != block)
+        return -1;
+    *line = -1;
+    return dropped;
+}
+
+/* WriteBuffer.find */
+static int64_t wb_find(const smp *m, const cnode *n, int64_t block)
+{
+    for (int64_t k = 0; k < m->wb_entries && n->wb_tags[k] >= 0; k++)
+        if (n->wb_tags[k] == block)
+            return k;
+    return -1;
+}
+
+static int64_t wb_len(const smp *m, const cnode *n)
+{
+    int64_t k = 0;
+    while (k < m->wb_entries && n->wb_tags[k] >= 0)
+        k++;
+    return k;
+}
+
+/* WriteBuffer._take: remove entry k, closing the gap; its codes go to
+ * `out`. */
+static void wb_take(const smp *m, cnode *n, int64_t k, uint8_t *out)
+{
+    int64_t last = wb_len(m, n) - 1, ns = m->n_sub;
+    memcpy(out, n->wb_states + k * ns, ns);
+    memmove(n->wb_tags + k, n->wb_tags + k + 1, (last - k) * sizeof *n->wb_tags);
+    memmove(n->wb_states + k * ns, n->wb_states + (k + 1) * ns,
+            (last - k) * ns);
+    n->wb_tags[last] = -1;
+    memset(n->wb_states + last * ns, 0, ns);
+}
+
+/* WriteBuffer.push into a buffer that is not full: queue `block` with
+ * the dirty ones of `codes`; a block already buffered merges, its newer
+ * codes winning. */
+static void wb_push(const smp *m, cnode *n, int64_t block,
+                    const uint8_t *codes)
+{
+    uint8_t previous[MAX_SUB] = {0};
+    int64_t ns = m->n_sub, k = wb_find(m, n, block);
+    if (k >= 0)
+        wb_take(m, n, k, previous);
+    k = wb_len(m, n);
+    n->wb_tags[k] = block;
+    for (int64_t s = 0; s < ns; s++)
+        n->wb_states[k * ns + s] = codes[s] >= O_ ? codes[s] : previous[s];
+}
+
+/* CacheNode._drain_one */
+static void drain_one(smp *m, cnode *n)
+{
+    uint8_t gone[MAX_SUB];
+    wb_take(m, n, 0, gone);
+    n->stats[WB_DRAINS]++;
+    m->bus[WRITEBACKS]++;
+}
+
+/* CacheNode.snoop (with _snoop_read, _snoop_invalidate and
+ * _cancel_wb_subblock): 1 when the node holds a valid copy. */
+static int snoop(smp *m, cnode *n, int op, int64_t address)
+{
+    int64_t *st = n->stats, ns = m->n_sub;
+    int64_t l2_block = address >> m->l2_shift;
+    int64_t sub = (address >> m->l1_shift) & (ns - 1);
+    int64_t k, slot = l2_block & m->l2_mask;
+    uint64_t bit = (uint64_t)1 << sub;
+    int hit = 0;
+
+    st[WB_PROBES]++;
+    k = wb_find(m, n, l2_block);
+    if (k >= 0 && n->wb_states[k * ns + sub]) {
+        st[WB_HITS]++;
+        hit = 1;
+        if (op != READ) {              /* the rest moves to the back */
+            uint8_t rest[MAX_SUB];
+            int64_t left = 0;
+            wb_take(m, n, k, rest);
+            rest[sub] = I_;
+            for (int64_t s = 0; s < ns; s++)
+                left |= rest[s];
+            if (left)
+                wb_push(m, n, l2_block, rest);
+        }
+    }
+
+    st[SNOOPS_OBSERVED]++;
+    st[SNOOP_TAG_PROBES]++;
+    if (n->tags[slot] != l2_block) {   /* subblock invalid, tag absent */
+        emit(n, l2_block << 4);
+        st[SNOOP_MISSES]++;
+        return hit;
+    }
+    uint8_t *state = n->states + slot * ns + sub;
+    emit(n, l2_block << 4 | (*state ? 3 : 2) << 2);
+    st[SNOOP_BLOCK_PRESENT]++;
+    if (!*state) {
+        st[SNOOP_MISSES]++;
+        return hit;
+    }
+    st[SNOOP_HITS]++;
+
+    if (op == READ) {                  /* supply if owner, downgrade */
+        uint8_t down = *state == M_ ? O_ : *state == E_ ? S_ : *state;
+        if (*state >= O_)
+            st[SNOOP_DATA_SUPPLIES]++;
+        if (n->in_l1[slot] & bit) {
+            int64_t block = l1_block_of(m, l2_block, sub);
+            int64_t *line = n->lines + (block & m->l1_mask);
+            st[L1_SNOOP_PROBES]++;
+            if (*line >> 2 == block) {
+                if (*line & 1)
+                    st[L1_WRITEBACKS]++;
+                *line &= ~(int64_t)3;
+            }
+        }
+        if (down != *state) {
+            *state = down;
+            st[SNOOP_STATE_UPDATES]++;
+        }
+    } else {                           /* invalidate, supply for RdX */
+        if (op == READ_X && *state >= O_)
+            st[SNOOP_DATA_SUPPLIES]++;
+        if (n->in_l1[slot] & bit) {
+            st[L1_SNOOP_PROBES]++;
+            l1_invalidate(m, n, l1_block_of(m, l2_block, sub));
+            n->in_l1[slot] &= ~bit;
+        }
+        *state = I_;
+        st[SNOOP_STATE_UPDATES]++;
+    }
+    return 1;
+}
+
+/* SMPSystem's broadcast plus Bus.record_transaction: every other node
+ * snoops, in node order; returns the remote hits. */
+static int64_t broadcast(smp *m, const cnode *requester, int op,
+                         int64_t address)
+{
+    int64_t remote_hits = 0;
+    for (cnode *n = m->nodes; n < m->nodes + m->n_cpus; n++)
+        if (n != requester)
+            remote_hits += snoop(m, n, op, address);
+    m->bus[op]++;
+    m->bus[HISTOGRAM + remote_hits]++;
+    return remote_hits;
+}
+
+/* CacheNode._retire_victim: push the frame in `slot` towards memory
+ * and keep L1 inclusion. */
+static void retire_victim(smp *m, cnode *n, int64_t slot)
+{
+    int64_t *st = n->stats, ns = m->n_sub, victim = n->tags[slot];
+    const uint8_t *codes = n->states + slot * ns;
+    int dirty = 0;
+    st[L2_BLOCK_EVICTIONS]++;
+    emit(n, victim << 4 | 2);          /* EVICT */
+    for (int64_t sub = 0; sub < ns; sub++) {
+        if (n->in_l1[slot] >> sub & 1) {
+            int64_t dropped = l1_invalidate(m, n, l1_block_of(m, victim, sub));
+            if (dropped >= 0 && dropped & 1)
+                st[L1_WRITEBACKS]++;
+        }
+        dirty |= codes[sub] >= O_;
+    }
+    if (dirty) {
+        st[L2_DIRTY_EVICTIONS]++;
+        if (n->wb_tags[m->wb_entries - 1] >= 0)
+            drain_one(m, n);
+        wb_push(m, n, victim, codes);
+        st[WB_PUSHES]++;
+    }
+}
+
+/* CacheNode._handle_tag_miss: allocate `slot` to `l2_block`,
+ * reclaiming it from the write buffer when it waits there. */
+static void allocate(smp *m, cnode *n, int64_t l2_block, int64_t slot)
+{
+    uint8_t reclaimed[MAX_SUB] = {0};
+    int64_t ns = m->n_sub, k = wb_find(m, n, l2_block);
+    if (k >= 0)
+        wb_take(m, n, k, reclaimed);
+    n->stats[L2_BLOCK_ALLOCS]++;
+    if (n->tags[slot] >= 0)
+        retire_victim(m, n, slot);
+    n->tags[slot] = l2_block;
+    memcpy(n->states + slot * ns, reclaimed, ns);
+    n->in_l1[slot] = 0;
+    emit(n, l2_block << 4 | 1);        /* ALLOC */
+    if (k >= 0)
+        n->stats[WB_RECLAIMS]++;
+}
+
+/* CacheNode._fill_l1 with L1Cache.fill and
+ * _handle_l1_displacement; -1 at a violation. */
+static int fill_l1(smp *m, cnode *n, int64_t slot, int64_t address,
+                   int64_t sub, int is_write)
+{
+    uint8_t state = n->states[slot * m->n_sub + sub];
+    int64_t block = address >> m->l1_shift;
+    int64_t bits = (state == M_ || state == E_ ? 2 : 0) | is_write;
+    int64_t *line = n->lines + (block & m->l1_mask), victim = *line;
+    if (victim >> 2 == block) {        /* refresh the permission */
+        *line = (victim & ~(int64_t)2) | bits;
+        victim = -1;
+    } else {
+        *line = block << 2 | bits;
+    }
+    n->in_l1[slot] |= (uint64_t)1 << sub;
+    if (victim == -1)
+        return 0;
+
+    int64_t gone = victim >> 2;
+    int64_t l2_block = gone >> (m->l2_shift - m->l1_shift);
+    int64_t gone_slot = l2_block & m->l2_mask;
+    int64_t gone_sub = gone & (m->n_sub - 1);
+    if (n->tags[gone_slot] != l2_block)
+        return fail(m, NO_FRAME, n, gone, I_);
+    n->in_l1[gone_slot] &= ~((uint64_t)1 << gone_sub);
+    if (victim & 1) {                  /* the mirror holds M already */
+        uint8_t backing = n->states[gone_slot * m->n_sub + gone_sub];
+        n->stats[L1_WRITEBACKS]++;
+        n->stats[L2_LOCAL_DATA_WRITES]++;
+        if (backing != M_)
+            return fail(m, DIRTY_NOT_M, n, gone, backing);
+    }
+    return 0;
+}
+
+/* CacheNode._access_l2 with _service_subblock. */
+static int access_l2(smp *m, cnode *n, int64_t address, int is_write)
+{
+    int64_t *st = n->stats, ns = m->n_sub;
+    int64_t l2_block = address >> m->l2_shift;
+    int64_t sub = (address >> m->l1_shift) & (ns - 1);
+    int64_t slot = l2_block & m->l2_mask;
+    st[L2_LOCAL_ACCESSES]++;
+    st[L2_LOCAL_TAG_PROBES]++;
+    if (n->tags[slot] != l2_block)
+        allocate(m, n, l2_block, slot);
+
+    uint8_t *state = n->states + slot * ns + sub;
+    if (*state && (!is_write || *state == M_ || *state == E_)) {
+        st[L2_LOCAL_HITS]++;
+        st[L2_LOCAL_DATA_READS]++;
+        if (is_write)
+            *state = M_;
+    } else if (*state) {               /* a store to S or O: upgrade */
+        st[L2_LOCAL_HITS]++;
+        st[UPGRADES_ISSUED]++;
+        broadcast(m, n, UPGRADE, address);
+        *state = M_;
+        st[L2_LOCAL_TAG_UPDATES]++;
+        st[L2_LOCAL_DATA_READS]++;
+    } else {                           /* subblock miss */
+        st[L2_LOCAL_MISSES]++;
+        int64_t remote = broadcast(m, n, is_write ? READ_X : READ, address);
+        *state = is_write ? M_ : remote > 0 ? S_ : E_;
+        st[L2_LOCAL_TAG_UPDATES]++;
+        st[L2_LOCAL_DATA_WRITES]++;
+    }
+    return fill_l1(m, n, slot, address, sub, is_write);
+}
+
+/* CacheNode.local_access for an access that is not a clean L1 hit: a
+ * miss, a store to a read-only line, or the first store to a clean
+ * writable one (the silent E->M mirror). */
+static int local_access(smp *m, cnode *n, int64_t address, int is_write)
+{
+    int64_t *st = n->stats, block = address >> m->l1_shift;
+    int64_t *line = n->lines + (block & m->l1_mask);
+    if (*line >> 2 == block && (!is_write || *line & 2)) {
+        int64_t l2_block = address >> m->l2_shift;
+        int64_t slot = l2_block & m->l2_mask;
+        uint8_t *state = n->states + slot * m->n_sub
+                         + (block & (m->n_sub - 1));
+        st[L1_HITS]++;
+        st[is_write ? LOCAL_WRITES : LOCAL_READS]++;
+        if (is_write && !(*line & 1)) {
+            *line |= 1;
+            if (n->tags[slot] != l2_block || !*state)
+                return fail(m, UNBACKED_WRITE, n, address, I_);
+            *state = M_;
+        }
+        return 0;
+    }
+    st[is_write ? LOCAL_WRITES : LOCAL_READS]++;
+    st[L1_MISSES]++;
+    return access_l2(m, n, address, is_write);
+}
+
+/* Run accesses lo.. of the batch to completion, each on its node: a
+ * clean L1 hit -- a load of a resident block, or a store to a resident
+ * dirty writable one -- only counts; anything else takes the whole
+ * protocol path.  Returns `hi`, or the index of the access it stopped
+ * at, with `status` saying why: the access names no CPU of the machine
+ * or is negative (nothing of it ran), it hit a protocol violation
+ * (partly run, as its Python twin leaves it), or some node's event
+ * scratch has fewer than 2 free slots -- an access emits at most 2
+ * events on any one node -- so the caller must empty the scratch
+ * before it runs. */
+int64_t smp_run(smp *m, int64_t lo, int64_t hi)
 {
     int64_t i;
     for (i = lo; i < hi; i++) {
-        int64_t a = b->accesses[i], cpu = a >> 1 & 0x7F, blk = a >> b->shift;
-        if (a < 0 || cpu >= b->n_cpus)
-            break;
-        int64_t line = b->lines[cpu][blk & b->set_mask];
-        if (line >> 2 != blk || ((a & 1) && (line & 3) != 3))
-            break;
-        b->hits[2 * cpu + (a & 1)]++;
+        int64_t a = m->accesses[i], cpu = a >> 1 & 0x7F;
+        int64_t address = a >> 8, block = address >> m->l1_shift;
+        int is_write = (int)(a & 1);
+        if (a < 0 || cpu >= m->n_cpus) {
+            m->status = REJECTED;
+            return i;
+        }
+        cnode *n = m->nodes + cpu;
+        int64_t line = n->lines[block & m->l1_mask];
+        if (line >> 2 == block && (!is_write || (line & 3) == 3)) {
+            n->stats[L1_HITS]++;
+            n->stats[is_write ? LOCAL_WRITES : LOCAL_READS]++;
+            continue;
+        }
+        for (cnode *o = m->nodes; o < m->nodes + m->n_cpus; o++)
+            if (*o->n_events > m->scratch - 2) {
+                m->status = SMP_OK;
+                return i;
+            }
+        if (local_access(m, n, address, is_write) < 0)
+            return i;
     }
+    m->status = SMP_OK;
     return i;
 }

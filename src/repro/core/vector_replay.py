@@ -52,6 +52,7 @@ tests reach the oracle through that same seam, by setting
 
 from __future__ import annotations
 
+import ctypes
 from array import array
 from dataclasses import replace
 from itertools import chain
@@ -167,6 +168,24 @@ def _export_vectors(exclude: VectorExcludeJetty, vectors) -> None:
     })
 
 
+class WalkContext(ctypes.Structure):
+    """One filter as the native ``walk`` sees it (``walk_ctx`` in
+    ``repro/core/machine.c``): where it reports, and the flat buffers
+    of the filter's IJ lanes and exclude structure."""
+
+    _fields_ = [
+        ("out", ctypes.c_void_p),
+        ("lanes", ctypes.c_void_p),
+        ("lane_totals", ctypes.c_void_p),
+        *((name, ctypes.c_int64) for name in ("n_arrays", "skip", "lane_mask")),
+        ("rows", ctypes.c_void_p),
+        ("vecs", ctypes.c_void_p),
+        ("fill", ctypes.c_void_p),
+        *((name, ctypes.c_int64)
+          for name in ("ways", "set_mask", "vshift", "vmask")),
+    ]
+
+
 class VectorReplayer(Replayer):
     """IJ, EJ, VEJ and HJ replay on the compiled walk.
 
@@ -210,7 +229,7 @@ class VectorReplayer(Replayer):
         self._include, self._exclude = include, exclude
         #: Allocs minus evicts walked since the import.
         self._walked = 0
-        lanes = (None, 0, 0, 0)
+        context = WalkContext(out=self._out.buffer_info()[0])
         self._lanes = None
         self._n_arrays = 0
         if include is not None:
@@ -224,10 +243,13 @@ class VectorReplayer(Replayer):
             # restored from a checkpoint.
             self._lanes = array("i", chain.from_iterable(counters))
             self._n_arrays = include.n_arrays
+            self._lane_totals = array("q", bytes(8 * include.n_arrays))
             self._imported = sum(counters[0])
-            lanes = (self._lanes.buffer_info()[0], include.n_arrays,
-                     include.skip, size - 1)
-        machine = (None, None, None, 0, 0, 0, 0)
+            context.lanes = self._lanes.buffer_info()[0]
+            context.lane_totals = self._lane_totals.buffer_info()[0]
+            context.n_arrays = include.n_arrays
+            context.skip = include.skip
+            context.lane_mask = size - 1
         if exclude is not None:
             vej = type(exclude) is VectorExcludeJetty
             sets = _warm_vectors(exclude) if vej else _warm_stacks(exclude)
@@ -243,14 +265,15 @@ class VectorReplayer(Replayer):
                 self._rows[base:end] = array("q", entries)
                 if vej:
                     self._vecs[base:end] = array("Q", entries.values())
-            machine = (
-                self._rows.buffer_info()[0],
-                self._vecs.buffer_info()[0] if vej else None,
-                self._fill.buffer_info()[0], ways, n_sets - 1,
-                exclude._vec_shift if vej else 0,
-                exclude._vec_mask if vej else 0,
-            )
-        self._machine = (*lanes, *machine)
+            context.rows = self._rows.buffer_info()[0]
+            context.vecs = self._vecs.buffer_info()[0] if vej else None
+            context.fill = self._fill.buffer_info()[0]
+            context.ways, context.set_mask = ways, n_sets - 1
+            if vej:
+                context.vshift = exclude._vec_shift
+                context.vmask = exclude._vec_mask
+        self._walk_context = context
+        self._context = ctypes.byref(context)
 
     def _export(self) -> None:
         """Write the replayer's storage state into the wrapped filter,
@@ -348,9 +371,7 @@ class VectorReplayer(Replayer):
         first MARKER, flush its tallies and return its index (``hi`` when
         none); raise the oracle's error at the first violation."""
         out = self._out
-        stop = self._lib.walk(
-            address, lo, hi, out.buffer_info()[0], *self._machine
-        )
+        stop = self._lib.walk(self._context, address, lo, hi)
         snoops, would_hit, allocs, evicts, filtered, entry_writes, pbits = out
         stats = self.stats
         stats.snoops += snoops
@@ -385,15 +406,12 @@ class VectorReplayer(Replayer):
         """Check lane conservation: every lane totals the imported total
         plus the allocs minus the evicts walked since (which warm-up
         MARKERs do not reset)."""
-        lanes = self._lanes
-        size = len(lanes) // self._n_arrays
-        totals = [
-            sum(lanes[lo:lo + size]) for lo in range(0, len(lanes), size)
-        ]
+        totals = self._lane_totals  # as the last walk left them
         expected = self._imported + self._walked
         if totals.count(expected) != len(totals):
             raise InvariantError(
-                f"{self._include.name} lane counter totals {totals} break "
+                f"{self._include.name} lane counter totals "
+                f"{totals.tolist()} break "
                 f"conservation: {self._imported} imported + "
                 f"{self._walked} allocs net of evicts = {expected}"
             )

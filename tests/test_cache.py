@@ -57,8 +57,11 @@ def l2_system(subblock=32) -> SMPSystem:
     ))
 
 
-def valid_subblocks(frame) -> list[int]:
-    return [i for i, state in enumerate(frame.states) if state is not MOESI.I]
+def valid_subblocks(l2: L2Cache, block: int) -> list[int]:
+    return [
+        i for i, state in enumerate(l2.subblock_states(block))
+        if state is not MOESI.I
+    ]
 
 
 class TestCacheGeometry:
@@ -77,71 +80,75 @@ class TestCacheGeometry:
         system = l2_system()
         l2 = system.nodes[0].l2
         system.access(0, 31, False)
-        assert valid_subblocks(l2.find(0)) == [0]
+        assert valid_subblocks(l2, 0) == [0]
         system.access(0, 32, False)
-        assert valid_subblocks(l2.find(0)) == [0, 1]
+        assert valid_subblocks(l2, 0) == [0, 1]
         system.access(0, 64, False)
-        assert valid_subblocks(l2.find(1)) == [0]
+        assert valid_subblocks(l2, 1) == [0]
         system.access(0, 64 + 63, False)
-        assert valid_subblocks(l2.find(1)) == [0, 1]
+        assert valid_subblocks(l2, 1) == [0, 1]
 
     def test_subblock_index_without_subblocking(self):
         system = l2_system(subblock=64)
         system.access(0, 48, False)
-        frame = system.nodes[0].l2.find(0)
-        assert len(frame.states) == 1
-        assert valid_subblocks(frame) == [0]
+        l2 = system.nodes[0].l2
+        assert len(l2.subblock_states(0)) == 1
+        assert valid_subblocks(l2, 0) == [0]
 
     def test_set_index_wraps(self):
-        cache = L2Cache(l2_config())  # 32 sets
-        cache.allocate(0)
-        _frame, displaced = cache.allocate(32)
-        assert displaced is not None and displaced.block == 0
-        _frame, displaced = cache.allocate(33)
-        assert displaced is None
-        assert sorted(cache.resident_blocks()) == [32, 33]
-        assert cache.frames[0].block == 32 and cache.frames[1].block == 33
+        system = l2_system()  # 32 sets
+        l2 = system.nodes[0].l2
+        system.access(0, 0, False)
+        system.access(0, 32 * 64, False)
+        assert l2.find(0) == -1
+        system.access(0, 33 * 64, False)
+        assert sorted(l2.resident_blocks()) == [32, 33]
+        assert l2.tags[0] == 32 and l2.tags[1] == 33
 
 
 class TestSetAssocCache:
-    """The L2 model, :class:`L2Cache`."""
+    """The L2 model, :class:`L2Cache`, as the node drives it."""
 
     def test_miss_on_empty(self):
         cache = L2Cache(l2_config())
-        assert cache.find(0x10) is None
+        assert cache.find(0x10) == -1
+        assert cache.subblock_states(0x10) is None
 
     def test_allocate_then_find(self):
-        cache = L2Cache(l2_config())
-        frame, evicted = cache.allocate(0x10)
-        assert evicted is None
-        assert frame.block == 0x10
-        assert all(s is MOESI.I for s in frame.states)
-        assert cache.find(0x10) is frame
+        system = l2_system()
+        cache = system.nodes[0].l2
+        system.access(0, 0x10 * 64 + 32, False)
+        assert cache.find(0x10) == 0x10
+        assert cache.subblock_states(0x10) == [MOESI.I, MOESI.E]
+        assert cache.in_l1[0x10] == 0b10
 
     def test_conflicting_allocation_evicts(self):
-        cache = L2Cache(l2_config())  # 32 sets, direct-mapped
-        cache.allocate(0x10)
-        frame = cache.find(0x10)
-        frame.states[0] = MOESI.M
-        _new, evicted = cache.allocate(0x10 + 32)  # same set
-        assert evicted is not None
-        assert evicted.block == 0x10
-        assert evicted.dirty_subblocks() == ((0, MOESI.M),)
-        assert cache.find(0x10) is None
+        system = l2_system()  # 32 sets, direct-mapped
+        node = system.nodes[0]
+        system.access(0, 0x10 * 64, True)
+        system.access(0, (0x10 + 32) * 64, False)  # same set
+        assert node.stats.l2_block_evictions == 1
+        assert node.wb.probe(0x10) == bytes([MOESI.M, MOESI.I])
+        assert node.l2.find(0x10) == -1
 
     def test_clean_eviction_not_dirty(self):
-        cache = L2Cache(l2_config())
-        cache.allocate(0x10)
-        cache.find(0x10).states[1] = MOESI.S
-        _new, evicted = cache.allocate(0x10 + 32)
-        assert evicted is not None and not evicted.dirty_subblocks()
+        system = l2_system()
+        node = system.nodes[0]
+        system.access(0, 0x10 * 64 + 32, False)
+        system.access(0, (0x10 + 32) * 64, False)
+        assert node.stats.l2_block_evictions == 1
+        assert node.stats.l2_dirty_evictions == 0
+        assert len(node.wb) == 0
 
     def test_evicted_l1_subblocks_reported(self):
-        cache = L2Cache(l2_config())
-        frame, _ = cache.allocate(0x10)
-        frame.in_l1[1] = True
-        _new, evicted = cache.allocate(0x10 + 32)
-        assert evicted.in_l1 == [False, True]
+        system = l2_system()
+        node = system.nodes[0]
+        system.access(0, 0x10 * 64 + 32, True)
+        assert node.l1.find(0x10 * 2 + 1) >= 0
+        system.access(0, (0x10 + 32) * 64, False)
+        # Inclusion: the victim's L1 copy left with it, written back.
+        assert node.l1.find(0x10 * 2 + 1) == -1
+        assert node.stats.l1_writebacks == 1
 
     def test_restore_rejects_frame_that_does_not_fit(self):
         cache = L2Cache(l2_config())  # two subblocks per block

@@ -162,27 +162,30 @@ class TestSnapshotUnits:
     def test_l2_restore_rebuilds_index_in_place(self):
         config = CacheConfig(capacity_bytes=1024, block_bytes=64,
                              subblock_bytes=32)
-        cache = L2Cache(config)
         from repro.coherence.states import MOESI
 
-        frame, _displaced = cache.allocate(5)
-        frame.states[0] = MOESI.M
-        frame.in_l1[1] = True
-        cache.allocate(6)  # the next set
-        state = cache.snapshot()
+        state = {"frames": [[5, "MI", 0b10], [6, "II", 0]]}
+        cache = L2Cache(config)
+        cache.restore(state)
+        assert cache.snapshot() == state
 
         fresh = L2Cache(config)
-        fresh.allocate(5 + config.n_sets)  # stale: block 5's set
-        frames_before = fresh.frames
+        fresh.restore({"frames": [[5 + config.n_sets, "SS", 1]]})  # stale
+        buffers = [buffer.buffer_info() if hasattr(buffer, "buffer_info")
+                   else id(buffer)
+                   for buffer in (fresh.tags, fresh.states, fresh.in_l1)]
         fresh.restore(state)
-        assert fresh.frames is frames_before  # identity must survive
-        assert len(fresh.frames) == config.n_sets
-        assert sorted(fresh.resident_blocks()) == sorted(cache.resident_blocks())
-        restored = fresh.find(5)
-        assert restored is not None
-        assert restored.states == frame.states
-        assert restored.in_l1 == frame.in_l1
-        assert fresh.find(5 + config.n_sets) is None
+        # The native core holds the buffers' addresses.
+        assert buffers == [
+            buffer.buffer_info() if hasattr(buffer, "buffer_info")
+            else id(buffer)
+            for buffer in (fresh.tags, fresh.states, fresh.in_l1)
+        ]
+        assert len(fresh.tags) == config.n_sets
+        assert sorted(fresh.resident_blocks()) == [5, 6]
+        assert fresh.subblock_states(5) == [MOESI.M, MOESI.I]
+        assert fresh.in_l1[fresh.find(5)] == 0b10
+        assert fresh.find(5 + config.n_sets) == -1
         # One frame per set: a second one in block 5's set cannot fit.
         state["frames"].append([5 + config.n_sets, "II", 0])
         with pytest.raises(TraceError, match="in set 5"):
@@ -216,19 +219,24 @@ class TestSnapshotUnits:
     def test_write_buffer_preserves_fifo_order_in_place(self):
         from repro.coherence.states import MOESI
 
-        wb = WriteBuffer(4)
-        wb.push(10, ((0, MOESI.M),))
-        wb.push(11, ((1, MOESI.O),))
-        wb.push(12, ((0, MOESI.M), (1, MOESI.M)))
-        fresh = WriteBuffer(4)
-        entries_before = fresh._entries
+        wb = WriteBuffer(4, n_subblocks=2)
+        wb.push(10, [MOESI.M, MOESI.I])
+        wb.push(11, [MOESI.I, MOESI.O])
+        wb.push(12, [MOESI.M, MOESI.M])
+        assert wb.snapshot()["entries"][1] == [11, [[1, "O"]]]
+        fresh = WriteBuffer(4, n_subblocks=2)
+        tags_at = fresh.tags.buffer_info()
+        states = fresh.states
         fresh.restore(wb.snapshot())
-        assert fresh._entries is entries_before
+        assert fresh.tags.buffer_info() == tags_at
+        assert fresh.states is states
         assert fresh.blocks() == (10, 11, 12)
-        assert fresh.drain_oldest().block == 10
-        assert fresh.probe(12).dirty_subblocks == ((0, MOESI.M), (1, MOESI.M))
+        assert fresh.drain_oldest() == 10
+        assert fresh.probe(12) == bytes([MOESI.M, MOESI.M])
         with pytest.raises(ConfigurationError):
-            WriteBuffer(2).restore(wb.snapshot())
+            WriteBuffer(2, n_subblocks=2).restore(wb.snapshot())
+        with pytest.raises(TraceError, match="subblock 1 of 1"):
+            WriteBuffer(4).restore(wb.snapshot())
 
     def test_bus_counters_round_trip(self):
         bus = Bus(4)
@@ -304,9 +312,10 @@ class TestSnapshotUnits:
         fresh.restore(state)
         for clone in fresh.nodes:
             # The hot paths must alias the restored structures.
-            assert clone._l2_frames is clone.l2.frames
+            assert clone._l2_tags is clone.l2.tags
+            assert clone._l2_states is clone.l2.states
+            assert clone._l2_in_l1 is clone.l2.in_l1
             assert clone._l1_lines is clone.l1.lines
-            assert clone._wb_get.__self__ is clone.wb._entries
             assert clone._emit.__self__ is clone.events.events
         system._run_batch(tail)
         fresh._run_batch(tail)
@@ -601,6 +610,25 @@ class TestRecordingKillResume:
         resume_chunk = 512 if chunk_size != 512 else 1777
         _record(interrupted, checkpoint_every=900, chunk_size=resume_chunk,
                 report=report)
+        assert report.checkpoints_resumed == 1
+        assert report.resumed_accesses == 1_800
+        assert interrupted.dump() == clean.dump()
+
+    @pytest.mark.parametrize("python_first", [False, True])
+    def test_recording_resumes_on_the_other_tier(self, python_first):
+        """One checkpoint format for both simulator tiers: a recording
+        killed on the native core resumes on the Python tier, and the
+        reverse, to an uninterrupted recording's bytes."""
+        clean = ExperimentStore()
+        _record(clean)
+        interrupted = ExperimentStore()
+        with kill_after_checkpoints(interrupted, 2), oracle_replay(python_first):
+            with pytest.raises(KeyboardInterrupt):
+                _record(interrupted, checkpoint_every=900)
+        report = runner.ExecutionReport()
+        with oracle_replay(not python_first):
+            _record(interrupted, checkpoint_every=900, chunk_size=512,
+                    report=report)
         assert report.checkpoints_resumed == 1
         assert report.resumed_accesses == 1_800
         assert interrupted.dump() == clean.dump()

@@ -36,13 +36,10 @@ class TestWriteBufferPressure:
         system.access(0, 0x0000, True)       # subblock 0 dirty
         system.access(0, 0x0000 + 32, True)  # subblock 1 dirty
         system.access(0, 0x0000 + 2048, False)  # evict both to WB
-        entry = system.nodes[0].wb.probe(0)
-        assert entry is not None and len(entry.dirty_subblocks) == 2
+        assert system.nodes[0].wb.probe(0) == bytes([MOESI.M, MOESI.M])
 
         system.access(1, 0x0000, True)  # RdX takes subblock 0 only
-        entry = system.nodes[0].wb.probe(0)
-        assert entry is not None
-        assert dict(entry.dirty_subblocks).keys() == {1}
+        assert system.nodes[0].wb.probe(0) == bytes([MOESI.I, MOESI.M])
 
 
 class TestL1SnoopProbes:
@@ -78,10 +75,10 @@ class TestCoherenceErrorPaths:
         node = system.nodes[0]
         # Corrupt the state behind the model's back: invalidate the L2
         # subblock while the L1 still claims a writable copy.
-        frame = node.l2.find(0x1000 >> tiny_system.l2.block_offset_bits)
+        l2_slot = node.l2.find(0x1000 >> tiny_system.l2.block_offset_bits)
         slot = node.l1.find(0x1000 >> tiny_system.l1.block_offset_bits)
         node.l1.lines[slot] |= WRITABLE
-        frame.states[0] = MOESI.I
+        node.l2.states[l2_slot * node.l2.n_subblocks] = MOESI.I
         with pytest.raises(CoherenceError):
             node.local_access(0x1000, True)
 

@@ -14,11 +14,13 @@ from repro.coherence.states import MOESI
 
 def l2_state(system: SMPSystem, cpu: int, address: int) -> MOESI:
     config = system.config.l2
-    frame = system.nodes[cpu].l2.find(address >> config.block_offset_bits)
+    states = system.nodes[cpu].l2.subblock_states(
+        address >> config.block_offset_bits
+    )
     sub = (address >> config.subblock_offset_bits) % config.subblocks_per_block
-    if frame is None:
+    if states is None:
         return MOESI.I
-    return frame.states[sub]
+    return states[sub]
 
 
 class TestReadPaths:

@@ -3,7 +3,7 @@
 :func:`repro.coherence.smp.check_simulator_laws` runs at the end of
 :func:`~repro.coherence.smp.simulate_streaming`, before any result row
 is written.  A broken hit loop or a broken protocol step must be caught
-by those laws alone, whichever tier ran the L1 hits.
+by those laws alone, whichever tier ran the simulation.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import pytest
 
 from repro.analysis import runner
 from repro.analysis.store import ExperimentStore
-from repro.coherence.bus import Bus, SnoopReply
+from repro.coherence.bus import Bus, BusOp, SnoopReply
 from repro.coherence.cache import WRITABLE
 from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.coherence.node import CacheNode
-from repro.coherence.smp import SMPSystem, simulate_streaming
+from repro.coherence.smp import STAT_FIELDS, SMPSystem, simulate_streaming
 from repro.core import _cmachine
 from repro.errors import ConfigurationError, InvariantError, TraceError
 from repro.traces.access import MAX_CPUS
@@ -25,11 +25,11 @@ from repro.traces.workloads import build_workload_stream
 
 @pytest.fixture(params=["native", "python"])
 def tier(request, monkeypatch):
-    """Run the test on the native hit loop, then on its Python twin."""
+    """Run the test on the native core, then on its Python twin."""
     if request.param == "python":
         monkeypatch.setattr(_cmachine, "_lib", None)
     elif _cmachine.library() is None:
-        pytest.skip("the native hit loop needs a C compiler")
+        pytest.skip("the native core needs a C compiler")
     return request.param
 
 
@@ -37,17 +37,99 @@ def _lu(n_accesses: int = 6_000):
     return build_workload_stream("lu", n_accesses=n_accesses, seed=1)
 
 
-@pytest.fixture
-def lossy_hit_loop(monkeypatch):
-    """Count write hits as L1 hits but drop them from ``local_writes``."""
-    fold = SMPSystem._fold_hits
+def _corrupt_before_fold(monkeypatch, corrupt):
+    """Apply ``corrupt(system)`` to the counted deltas before each fold."""
+    fold = SMPSystem._fold
 
-    def lossy(self):
-        for cpu, node in enumerate(self.nodes):
-            node.stats.local_writes -= self._hits[2 * cpu + 1]
+    def corrupted(self):
+        corrupt(self)
         fold(self)
 
-    monkeypatch.setattr(SMPSystem, "_fold_hits", lossy)
+    monkeypatch.setattr(SMPSystem, "_fold", corrupted)
+
+
+def _row(system, cpu: int) -> int:
+    """Where node ``cpu``'s counter deltas start."""
+    return cpu * len(STAT_FIELDS)
+
+
+def _field(name: str) -> int:
+    return STAT_FIELDS.index(name)
+
+
+@pytest.fixture
+def lossy_hit_loop(monkeypatch):
+    """Each batch drops one counted local write of each node."""
+    writes = _field("local_writes")
+
+    def lossy(system):
+        for cpu in range(system.config.n_cpus):
+            if system._deltas[_row(system, cpu) + writes] > 0:
+                system._deltas[_row(system, cpu) + writes] -= 1
+
+    _corrupt_before_fold(monkeypatch, lossy)
+
+
+@pytest.fixture
+def dropped_snoop(tier, monkeypatch):
+    """Node 1 misses bus transactions: some of its snoops never run.
+
+    On the Python tier every 100th snoop is skipped; the native core's
+    batches each drop one from the counts they hand back.
+    """
+    if tier == "python":
+        snoop = CacheNode.snoop
+        seen = [0]
+
+        def dropping(self, op, address):
+            if self.node_id == 1:
+                seen[0] += 1
+                if seen[0] % 100 == 0:
+                    return SnoopReply()
+            return snoop(self, op, address)
+
+        monkeypatch.setattr(CacheNode, "snoop", dropping)
+        return
+    def drop(system):
+        row = _row(system, 1)
+        deltas = system._deltas
+        if deltas[row + _field("snoops_observed")] == 0:
+            return
+        for name in ("wb_probes", "snoops_observed", "snoop_tag_probes"):
+            deltas[row + _field(name)] -= 1
+        outcome = "snoop_misses" if deltas[row + _field("snoop_misses")] else "snoop_hits"
+        deltas[row + _field(outcome)] -= 1
+
+    _corrupt_before_fold(monkeypatch, drop)
+
+
+@pytest.fixture
+def double_counted_transaction(tier, monkeypatch):
+    """The bus counts transactions twice.
+
+    On the Python tier every 100th; the native core's batches each count
+    one read again in the deltas they hand back.
+    """
+    if tier == "python":
+        record = Bus.record_transaction
+        seen = [0]
+
+        def doubling(self, op, replies):
+            seen[0] += 1
+            if seen[0] % 100 == 0:
+                record(self, op, replies)
+            return record(self, op, replies)
+
+        monkeypatch.setattr(Bus, "record_transaction", doubling)
+        return
+    def double(system):
+        bus = system._bus_deltas
+        if bus[0] == 0:  # the READ count
+            return
+        bus[0] += 1
+        bus[len(BusOp) + 1] += 1  # remote-hit histogram bin 0
+
+    _corrupt_before_fold(monkeypatch, double)
 
 
 def test_a_clean_run_obeys_the_laws(tier):
@@ -61,55 +143,19 @@ def test_a_hit_loop_dropping_local_writes_is_caught(tier, lossy_hit_loop):
         simulate_streaming(SCALED_SYSTEM, _lu())
 
 
-def test_a_stale_writable_bit_after_a_downgrade_is_caught(
-    tier, tiny_system, monkeypatch
-):
-    snoop_read = CacheNode._snoop_read
-
-    def stale(self, frame, sub, state, reply):
-        snoop_read(self, frame, sub, state, reply)
-        slot = self.l1.find(self._l1_block_of(frame.block, sub))
-        if slot >= 0:
-            self.l1.lines[slot] |= WRITABLE
-
-    monkeypatch.setattr(CacheNode, "_snoop_read", stale)
-    # CPU 0 owns the line (the second store a clean hit), CPU 1's read
-    # downgrades it to O, and CPU 0 reads it again from its L1.
-    accesses = [(0, 0x1000, True), (0, 0x1000, True), (1, 0x1000, False),
-                (0, 0x1000, False)]
+def test_a_stale_writable_bit_after_a_downgrade_is_caught(tier, tiny_system):
+    # CPU 0 owns the line (the second store a clean hit) and CPU 1's
+    # read downgrades it to O; a stale writable bit left behind in CPU
+    # 0's L1 is caught when the run ends.
+    system = SMPSystem(tiny_system)
+    for access in [(0, 0x1000, True), (0, 0x1000, True), (1, 0x1000, False)]:
+        system.access(*access)
+    node = system.nodes[0]
+    node.l1.lines[node.l1.find(0x1000 >> tiny_system.l1.block_offset_bits)] |= (
+        WRITABLE
+    )
     with pytest.raises(InvariantError, match="writable L1 block"):
-        simulate_streaming(tiny_system, accesses)
-
-
-@pytest.fixture
-def dropped_snoop(monkeypatch):
-    """Node 1 misses one bus transaction: its 100th snoop never runs."""
-    snoop = CacheNode.snoop
-    seen = [0]
-
-    def dropping(self, op, address):
-        if self.node_id == 1:
-            seen[0] += 1
-            if seen[0] == 100:
-                return SnoopReply()
-        return snoop(self, op, address)
-
-    monkeypatch.setattr(CacheNode, "snoop", dropping)
-
-
-@pytest.fixture
-def double_counted_transaction(monkeypatch):
-    """The bus counts its 100th transaction twice."""
-    record = Bus.record_transaction
-    seen = [0]
-
-    def doubling(self, op, replies):
-        seen[0] += 1
-        if seen[0] == 100:
-            record(self, op, replies)
-        return record(self, op, replies)
-
-    monkeypatch.setattr(Bus, "record_transaction", doubling)
+        simulate_streaming(system, [(0, 0x1000, False)])
 
 
 def test_a_dropped_snoop_is_caught(tier, dropped_snoop):

@@ -61,6 +61,12 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(wb_entries=0)
 
+    def test_more_subblocks_than_the_inclusion_mask_holds_rejected(self):
+        l2 = CacheConfig(capacity_bytes=1 << 16, block_bytes=4096,
+                         subblock_bytes=32)
+        with pytest.raises(ConfigurationError, match="at most 64"):
+            SystemConfig(l2=l2)
+
     @pytest.mark.parametrize("level", ["l1", "l2"])
     def test_set_associative_level_rejected(self, level):
         two_way = replace(getattr(SCALED_SYSTEM, level), ways=2)

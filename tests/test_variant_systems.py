@@ -23,9 +23,9 @@ class TestNoSubblocking:
         system.access(0, 0x1000 + 32, False)
         assert system.bus.stats.snoopable == snoopable
         node = system.nodes[0]
-        frame = node.l2.find(0x1000 >> nsb.l2.block_offset_bits)
-        assert len(frame.states) == 1
-        assert frame.states[0] is MOESI.M
+        assert node.l2.subblock_states(0x1000 >> nsb.l2.block_offset_bits) == [
+            MOESI.M
+        ]
 
     def test_nsb_random_trace_invariants(self, tiny_system):
         nsb = tiny_system.without_subblocking()
@@ -72,8 +72,10 @@ class TestEightWay:
         system.access(0, 0x4000, True)  # upgrade invalidates all seven
         for cpu in range(1, 8):
             node = system.nodes[cpu]
-            frame = node.l2.find(0x4000 >> node.config.l2.block_offset_bits)
-            assert frame is None or frame.states[0] is MOESI.I
+            states = node.l2.subblock_states(
+                0x4000 >> node.config.l2.block_offset_bits
+            )
+            assert states is None or states[0] is MOESI.I
         check_coherence_invariants(system)
 
     def test_histogram_width(self, tiny_system):
