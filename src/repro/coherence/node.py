@@ -124,12 +124,15 @@ class CacheNode:
         self._l2_sub_mask = self._n_sub - 1
         self._l1_find = self.l1.find
         self._l1_lines = self.l1.lines
-        #: The L2's buffers (restored in place, so the aliases hold): a
-        #: lookup is ``tags[block & mask]`` plus a compare.
+        #: The L2's and write buffer's buffers (restored in place, so
+        #: the aliases hold): an L2 lookup is ``tags[block & mask]`` plus
+        #: a compare.
         self._l2_tags = self.l2.tags
         self._l2_states = self.l2.states
         self._l2_in_l1 = self.l2.in_l1
         self._l2_mask = self.l2.mask
+        self._wb_tags = self.wb.tags
+        self._wb_states = self.wb.states
         #: Reused per-node snoop reply: a node contributes at most one
         #: reply per transaction and the bus folds the buffer before the
         #: next one starts, so no allocation per snoop is needed.
@@ -403,9 +406,10 @@ class CacheNode:
 
         # --- Write buffer: probed on every snoop, never filtered -------
         stats.wb_probes += 1
-        wb = self.wb
-        at = wb.find(l2_block)
-        if at >= 0 and wb.states[at * self._n_sub + sub]:
+        wb_tags = self._wb_tags
+        if l2_block in wb_tags and self._wb_states[
+            wb_tags.index(l2_block) * self._n_sub + sub
+        ]:
             stats.wb_hits += 1
             reply.hit = True
             reply.supplied = True

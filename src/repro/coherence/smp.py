@@ -264,10 +264,9 @@ class TraceSink:
 #: ``NodeStats`` counters in field order: the layout of a node's row of
 #: counter deltas, which the native core counts into.
 STAT_FIELDS = tuple(field.name for field in dataclasses.fields(NodeStats))
-#: Where the hit loops count: ``local_reads`` and ``local_writes`` lead
-#: a row, so a hit counts at ``row + is_write``.
 _L1_HITS = STAT_FIELDS.index("l1_hits")
-assert STAT_FIELDS[:2] == ("local_reads", "local_writes")
+_LOCAL_READS = STAT_FIELDS.index("local_reads")
+_LOCAL_WRITES = STAT_FIELDS.index("local_writes")
 #: Packed events per node the native core may emit between two drains
 #: of its scratch (32 KiB per node).
 EVENT_SCRATCH = 4096
@@ -344,6 +343,9 @@ class SMPSystem:
         #: statistics objects once per batch.
         self._deltas = array("q", [0]) * (len(STAT_FIELDS) * config.n_cpus)
         self._bus_deltas = array("q", [0]) * (len(BusOp) + 1 + config.n_cpus)
+        #: Per CPU: the read hits and write hits the Python hit loop
+        #: counted, moved into the delta rows by :meth:`_fold`.
+        self._hits = array("q", [0]) * (2 * config.n_cpus)
         #: The :class:`NativeMachine` over this machine's buffers, built
         #: on the first native batch (see :meth:`_bind_native`).
         self._native: NativeMachine | None = None
@@ -441,8 +443,7 @@ class SMPSystem:
         ``repro/core/machine.c``.
         """
         lines = self._l1_lines
-        deltas = self._deltas
-        width = len(STAT_FIELDS)
+        hits = self._hits
         n_cpus = len(lines)
         mask = self._l1_mask
         shift = self._l1_shift
@@ -459,9 +460,7 @@ class SMPSystem:
             is_write = word & WRITE_BIT
             if is_write and line & clean != clean:
                 return i
-            row = cpu * width
-            deltas[row + _L1_HITS] += 1
-            deltas[row + is_write] += 1  # local_reads, local_writes
+            hits[2 * cpu + is_write] += 1
         return hi
 
     def _bind_native(self) -> NativeMachine:
@@ -471,7 +470,7 @@ class SMPSystem:
         width = len(STAT_FIELDS)
         scratch = array("q", [0]) * (EVENT_SCRATCH * config.n_cpus)
         counts = array("q", [0]) * config.n_cpus
-        self._native_nodes = nodes = (_NativeNode * config.n_cpus)(*(
+        nodes = (_NativeNode * config.n_cpus)(*(
             _NativeNode(
                 lines=_address(node.l1.lines),
                 tags=_address(node.l2.tags),
@@ -515,9 +514,16 @@ class SMPSystem:
 
     def _fold(self) -> None:
         """Add the batch's counted deltas to the statistics objects."""
-        deltas = self._deltas
+        deltas, hits = self._deltas, self._hits
+        width = len(STAT_FIELDS)
+        if hits.count(0) != len(hits):
+            for cpu in range(len(self.nodes)):
+                reads, writes = hits[2 * cpu], hits[2 * cpu + 1]
+                deltas[cpu * width + _L1_HITS] += reads + writes
+                deltas[cpu * width + _LOCAL_READS] += reads
+                deltas[cpu * width + _LOCAL_WRITES] += writes
+            hits[:] = array("q", bytes(8 * len(hits)))
         if deltas.count(0) != len(deltas):
-            width = len(STAT_FIELDS)
             for cpu, node in enumerate(self.nodes):
                 counters = vars(node.stats)
                 row = deltas[cpu * width:(cpu + 1) * width]

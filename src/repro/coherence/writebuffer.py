@@ -51,10 +51,8 @@ class WriteBuffer:
 
     def find(self, block: int) -> int:
         """The FIFO position of ``block``, or -1 (the CAM lookup)."""
-        try:
-            return self.tags.index(block)
-        except ValueError:
-            return -1
+        tags = self.tags
+        return tags.index(block) if block in tags else -1
 
     def probe(self, block: int) -> bytes | None:
         """The buffered MOESI codes of ``block``'s subblocks, or None."""

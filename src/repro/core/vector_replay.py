@@ -272,8 +272,7 @@ class VectorReplayer(Replayer):
             if vej:
                 context.vshift = exclude._vec_shift
                 context.vmask = exclude._vec_mask
-        self._walk_context = context
-        self._context = ctypes.byref(context)
+        self._context = ctypes.byref(context)  # keeps ``context`` alive
 
     def _export(self) -> None:
         """Write the replayer's storage state into the wrapped filter,

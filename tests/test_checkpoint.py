@@ -315,6 +315,8 @@ class TestSnapshotUnits:
             assert clone._l2_tags is clone.l2.tags
             assert clone._l2_states is clone.l2.states
             assert clone._l2_in_l1 is clone.l2.in_l1
+            assert clone._wb_tags is clone.wb.tags
+            assert clone._wb_states is clone.wb.states
             assert clone._l1_lines is clone.l1.lines
             assert clone._emit.__self__ is clone.events.events
         system._run_batch(tail)

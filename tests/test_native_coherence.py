@@ -51,12 +51,6 @@ def run(system: SMPSystem, batch: array, native: bool) -> None:
             system._run_batch(batch)
 
 
-def state(system: SMPSystem) -> dict:
-    """Everything a batch may change: the snapshot (statistics, caches,
-    write buffers, pending events, bus counters)."""
-    return system.snapshot()
-
-
 configs = st.builds(
     lambda n_cpus, l1_sets, l2_sets, n_sub, wb_entries: SystemConfig(
         n_cpus=n_cpus,
@@ -101,7 +95,9 @@ def test_both_tiers_agree_after_every_batch(config, batches, scratch):
             packed = pack(config, batch)
             run(native, packed, native=True)
             run(python, packed, native=False)
-            assert state(native) == state(python)
+            # The snapshot holds statistics, caches, write buffers,
+            # pending events and bus counters.
+            assert native.snapshot() == python.snapshot()
             assert [vars(n.stats) for n in native.nodes] == [
                 vars(n.stats) for n in python.nodes
             ]
@@ -110,7 +106,7 @@ def test_both_tiers_agree_after_every_batch(config, batches, scratch):
             ]
         native.finish()
         python.finish()
-        assert state(native) == state(python)
+        assert native.snapshot() == python.snapshot()
 
 
 @given(config=configs, batches=batches,
@@ -129,8 +125,8 @@ def test_a_run_may_switch_tiers_at_any_batch(config, batches, tiers):
         fresh.restore(restored.snapshot())
         restored = fresh
         run(restored, packed, native=not native)
-        assert state(shared) == state(reference)
-        assert state(restored) == state(reference)
+        assert shared.snapshot() == reference.snapshot()
+        assert restored.snapshot() == reference.snapshot()
 
 
 def tiny() -> SystemConfig:
@@ -204,5 +200,5 @@ def test_a_fault_surfaces_as_the_same_error_on_both_tiers(fault):
         with pytest.raises(error) as raised:
             run(system, array("q", words), native)
         assert str(raised.value) == message
-        after.append(state(system))
+        after.append(system.snapshot())
     assert after[0] == after[1]

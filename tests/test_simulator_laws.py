@@ -59,15 +59,22 @@ def _field(name: str) -> int:
 
 @pytest.fixture
 def lossy_hit_loop(monkeypatch):
-    """Each batch drops one counted local write of each node."""
+    """Each batch that counted local writes on a node loses one of them
+    from its ``local_writes`` (but not from its L1 hits or misses)."""
+    fold = SMPSystem._fold
     writes = _field("local_writes")
 
-    def lossy(system):
-        for cpu in range(system.config.n_cpus):
-            if system._deltas[_row(system, cpu) + writes] > 0:
-                system._deltas[_row(system, cpu) + writes] -= 1
+    def lossy(self):
+        counted = [
+            self._hits[2 * cpu + 1] + self._deltas[_row(self, cpu) + writes]
+            for cpu in range(self.config.n_cpus)
+        ]
+        fold(self)
+        for node, count in zip(self.nodes, counted):
+            if count:
+                node.stats.local_writes -= 1
 
-    _corrupt_before_fold(monkeypatch, lossy)
+    monkeypatch.setattr(SMPSystem, "_fold", lossy)
 
 
 @pytest.fixture
