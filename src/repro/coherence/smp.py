@@ -339,7 +339,7 @@ class SMPSystem:
         #: Per CPU, a row of ``NodeStats`` counter deltas (in
         #: :data:`STAT_FIELDS` order), and the bus's deltas (one per
         #: :class:`BusOp`, the writebacks, the remote-hit histogram):
-        #: what the hit loops and the native core count, folded into the
+        #: what the native core counts, folded into the
         #: statistics objects once per batch.
         self._deltas = array("q", [0]) * (len(STAT_FIELDS) * config.n_cpus)
         self._bus_deltas = array("q", [0]) * (len(BusOp) + 1 + config.n_cpus)
