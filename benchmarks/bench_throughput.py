@@ -306,8 +306,40 @@ def measure_checkpointed(name: str, n_accesses: int, warmup: int,
     }
 
 
+def _paired_overhead(baseline, variant, sides: tuple[str, str],
+                     pairs: int = 31) -> dict:
+    """Time two callables as ``pairs`` interleaved pairs.
+
+    Each call returns its own wall time; ``sides`` names the two
+    medians' ``<side>_seconds`` keys.  The pairs alternate which side
+    goes first, and the overhead is the median of the per-pair
+    ``variant / baseline`` ratios minus one (floored at zero): host drift
+    slower than one pair cancels within it, and a pair hit by a
+    scheduler hiccup is an outlier the median ignores.  The ratios'
+    quartiles show how wide the noise was.
+    """
+    base, other = [], []
+    for pair in range(pairs):
+        if pair % 2:
+            other.append(variant())
+            base.append(baseline())
+        else:
+            base.append(baseline())
+            other.append(variant())
+    ratios = sorted(b / a for a, b in zip(base, other))
+    return {
+        "pairs": pairs,
+        f"{sides[0]}_seconds": round(statistics.median(base), 4),
+        f"{sides[1]}_seconds": round(statistics.median(other), 4),
+        "median_ratio": round(ratios[pairs // 2], 4),
+        "ratio_quartiles": [round(ratios[pairs // 4], 4),
+                            round(ratios[3 * pairs // 4], 4)],
+        "overhead_frac": round(max(0.0, ratios[pairs // 2] - 1.0), 4),
+    }
+
+
 def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
-                           n_phases: int = 4, pairs: int = 31) -> dict:
+                           n_phases: int = 4) -> dict:
     """Per-phase accounting price on the streamed path.
 
     Two streamed runs over byte-identical access streams (same spec,
@@ -316,13 +348,9 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
     phase accounting alone.  The banks run the live default, so the
-    A/B times the compiled kernels where the native core loads.
-
-    The runs are short (tens of milliseconds), so the two variants run
-    as ``pairs`` interleaved pairs, alternating which goes first, and
-    the overhead is the median of the per-pair ratios: host drift
-    slower than one pair cancels within it, and a pair hit by a
-    scheduler hiccup is an outlier the median ignores.
+    A/B times the compiled kernels where the native core loads.  The
+    runs are short (tens of milliseconds), so they are timed as
+    interleaved pairs (see :func:`_paired_overhead`).
     """
     from repro.coherence.smp import simulate_streaming
     from repro.traces.workloads import simulate_workload_accesses
@@ -350,43 +378,30 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
         warmup + (i * n_accesses) // n_phases for i in range(n_phases)
     )
     names = tuple(f"q{i}" for i in range(n_phases))
-    plain, phased = [], []
-    for pair in range(pairs):
-        if pair % 2:
-            phased.append(one_run(marks, names))
-            plain.append(one_run((), ()))
-        else:
-            plain.append(one_run((), ()))
-            phased.append(one_run(marks, names))
-    ratios = sorted(b / a for a, b in zip(plain, phased))
-    overhead = max(0.0, ratios[pairs // 2] - 1.0)
     return {
         "workload": name,
         "accesses": n_accesses,
         "warmup": warmup,
         "filters": len(FILTERS),
         "phases": n_phases,
-        "pairs": pairs,
-        "plain_seconds": round(statistics.median(plain), 4),
-        "phased_seconds": round(statistics.median(phased), 4),
-        "ratio_quartiles": [round(ratios[pairs // 4], 4),
-                            round(ratios[3 * pairs // 4], 4)],
-        "overhead_frac": round(overhead, 4),
+        **_paired_overhead(lambda: one_run((), ()),
+                           lambda: one_run(marks, names),
+                           ("plain", "phased")),
     }
 
 
 def measure_supervision_overhead(name: str, n_accesses: int, warmup: int,
-                                 workers: int = 2, repeats: int = 3) -> dict:
+                                 workers: int = 2, pairs: int = 101) -> dict:
     """Supervision price on a clean replay fan-out: supervised vs raw pool.
 
-    Records one trace, then replays all four filter configurations twice
-    per repeat over the *same* task list: once through
+    Records one trace, then replays all four filter configurations over
+    the *same* task list, once through
     :class:`~repro.analysis.resilience.SupervisedExecutor` (deadlines,
     crash detection, retry bookkeeping armed but never firing) and once
-    through a bare ``ProcessPoolExecutor.map``.  Pool startup is paid by
-    both sides, the tasks are byte-identical, and each side takes the
-    best of ``repeats`` runs — the ratio is the supervision machinery's
-    price alone.  The budget is under 2% on a clean run
+    through a bare ``ProcessPoolExecutor.map``, as interleaved pairs
+    (see :func:`_paired_overhead`).  Pool startup is paid by both sides
+    and the tasks are byte-identical, so the ratio is the supervision
+    machinery's price alone.  The budget is under 2% on a clean run
     (``--assert-supervision-overhead 0.02`` guards it).
     """
     import concurrent.futures
@@ -433,20 +448,16 @@ def measure_supervision_overhead(name: str, n_accesses: int, warmup: int,
             )
             return time.perf_counter() - started
 
-        raw = min(raw_run() for _ in range(repeats))
-        supervised = min(supervised_run() for _ in range(repeats))
+        timed = _paired_overhead(raw_run, supervised_run,
+                                 ("raw", "supervised"), pairs)
         store.close()
-    overhead = max(0.0, supervised / raw - 1.0)
     return {
         "workload": name,
         "accesses": n_accesses,
         "warmup": warmup,
         "filters": len(FILTERS),
         "workers": workers,
-        "repeats": repeats,
-        "raw_seconds": round(raw, 3),
-        "supervised_seconds": round(supervised, 3),
-        "overhead_frac": round(overhead, 4),
+        **timed,
     }
 
 
@@ -484,11 +495,13 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
         results["phase"]["lu"] = entry
         print(f"  plain {entry['plain_seconds']}s, phased "
               f"{entry['phased_seconds']}s = "
-              f"{entry['overhead_frac']:+.1%} overhead")
+              f"{entry['overhead_frac']:+.1%} overhead (median ratio "
+              f"{entry['median_ratio']} of {entry['pairs']} pairs; "
+              f"quartiles {entry['ratio_quartiles']})")
     if supervision_overhead:
         results["supervision"] = {}
         # Floor the run length: the 2% budget is smaller than timer
-        # noise on sub-second measurements, even at best-of-repeats.
+        # noise on the shortest fan-outs, even as a median of pairs.
         sup_acc = max(s_acc, 400_000)
         print(f"supervision lu: {sup_acc:,} accesses, supervised vs raw "
               "process pool on a clean replay fan-out ...", flush=True)
@@ -496,7 +509,9 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
         results["supervision"]["lu"] = entry
         print(f"  raw {entry['raw_seconds']}s, supervised "
               f"{entry['supervised_seconds']}s = "
-              f"{entry['overhead_frac']:+.1%} overhead")
+              f"{entry['overhead_frac']:+.1%} overhead (median ratio "
+              f"{entry['median_ratio']} of {entry['pairs']} pairs; "
+              f"quartiles {entry['ratio_quartiles']})")
     if phase_only or supervision_only:
         return results
     for name in BENCH_WORKLOADS:

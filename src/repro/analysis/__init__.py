@@ -1,7 +1,8 @@
 """Reproduction harness: analytical models, experiments, tables, figures.
 
-Every exhibit in the paper's evaluation maps to one builder here (see the
-per-experiment index in DESIGN.md):
+Every exhibit in the paper's evaluation maps to one builder here; the
+checked table of all of them, with the claims each must keep, is
+:mod:`repro.analysis.exhibits`:
 
 * Table 1  — :func:`repro.analysis.tables.build_table1`
 * Figure 2 — :func:`repro.analysis.figures.build_figure2`
@@ -15,7 +16,7 @@ per-experiment index in DESIGN.md):
 
 Results live in a persistent :class:`ExperimentStore` keyed by a complete
 configuration fingerprint (workload spec, system geometry, seed), so
-benches, examples, and repeated CLI invocations share runs.  Every
+exhibits, examples, and repeated CLI invocations share runs.  Every
 evaluation goes through one front door, :func:`run_sweep` (one
 :class:`SweepJob` per workload and seed, one :func:`execute` call);
 :func:`workload_metrics`, :func:`evaluate_filter` and :func:`evaluate`
@@ -53,7 +54,7 @@ from repro.analysis.figures import (
     build_figure5b,
     build_figure6,
 )
-from repro.analysis.report import render_figure, render_table_rows
+from repro.analysis.report import render_figure
 from repro.analysis.tables import (
     build_table1,
     build_table2,
@@ -84,7 +85,6 @@ __all__ = [
     "get_store",
     "record_trace",
     "render_figure",
-    "render_table_rows",
     "run_sweep",
     "set_store",
     "snoop_miss_energy_fraction",

@@ -2,8 +2,8 @@
 
 Figures are reproduced as the numeric series behind the plots: each
 builder returns labelled per-workload values (plus the AVG column the
-paper prints) so the benches can render them as tables and EXPERIMENTS.md
-can compare shapes.
+paper prints), which :mod:`repro.analysis.exhibits` renders as tables
+and checks for the paper's shapes.
 """
 
 from __future__ import annotations

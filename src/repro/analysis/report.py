@@ -6,13 +6,6 @@ from repro.analysis.figures import FigureData
 from repro.utils.text import format_percent, render_table
 
 
-def render_table_rows(
-    headers: list[str], rows: list[list[str]], title: str | None = None
-) -> str:
-    """Render a ``(headers, rows)`` pair from :mod:`repro.analysis.tables`."""
-    return render_table(headers, rows, title=title)
-
-
 def render_figure(data: FigureData, percent: bool = True) -> str:
     """Render a figure's series as a workloads-by-configs table.
 

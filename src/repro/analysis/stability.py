@@ -3,8 +3,8 @@
 Synthetic workloads are stochastic; a claim like "HJ covers 92% of snoop
 misses" only means something with its seed variance attached.  This
 module reruns (workload, filter) pairs across seeds and reports
-mean/min/max/stddev, and the bench asserts the reproduction's headline
-quantities are stable.
+mean/min/max/stddev; the ``seed-stability`` exhibit checks that the
+reproduction's headline quantities are stable.
 """
 
 from __future__ import annotations

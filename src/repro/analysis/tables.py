@@ -148,7 +148,8 @@ def build_table3(
 
 #: Table 4's published storage column (bytes); IJ-9x4x7 (3548) and the
 #: two small configs disagree with the 14-bit arithmetic the table's own
-#: caption implies — we print both and flag the deltas in EXPERIMENTS.md.
+#: caption implies — we print both, and :mod:`repro.analysis.exhibits`
+#: checks only the rows that agree.
 TABLE4_PAPER_BYTES = {
     "IJ-10x4x7": 7168,
     "IJ-9x4x7": 3548,

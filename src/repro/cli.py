@@ -3,8 +3,8 @@
 Examples::
 
     jetty-repro workloads
-    jetty-repro table 3
-    jetty-repro figure 5b
+    jetty-repro exhibits
+    jetty-repro exhibits table3 figure5b
     jetty-repro coverage raytrace "HJ(IJ-10x4x7, EJ-32x4)"
     jetty-repro energy lu "HJ(IJ-9x4x7, EJ-32x4)"
     jetty-repro nway 8
@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import experiments, figures, report, runner, tables
+from repro.analysis import exhibits, experiments, runner
 from repro.coherence.config import SCALED_SYSTEM
 from repro.traces.workloads import PRESETS, WORKLOADS
 from repro.utils.text import format_percent, render_table
@@ -67,47 +67,14 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    builders = {
-        "1": tables.build_table1,
-        "2": lambda: tables.build_table2(seed=args.seed),
-        "3": lambda: tables.build_table3(seed=args.seed),
-        "4": tables.build_table4,
-    }
-    builder = builders.get(args.which)
-    if builder is None:
-        print(f"unknown table {args.which!r}; choose 1-4", file=sys.stderr)
-        return 2
-    headers, rows = builder()
-    print(report.render_table_rows(headers, rows, title=f"Table {args.which}"))
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    which = args.which.lower()
-    if which in ("2", "2a", "2b"):
-        block = 64 if which == "2b" else 32
-        print(report.render_figure(figures.build_figure2(block_bytes=block)))
-        return 0
-    builders = {
-        "4a": figures.build_figure4a,
-        "4b": figures.build_figure4b,
-        "5a": figures.build_figure5a,
-        "5b": figures.build_figure5b,
-    }
-    if which in builders:
-        print(report.render_figure(builders[which](seed=args.seed)))
-        return 0
-    if which in ("6", "6a", "6b", "6c", "6d"):
-        panels = figures.build_figure6(seed=args.seed)
-        wanted = panels if which == "6" else {which[-1]: panels[which[-1]]}
-        for panel in wanted.values():
-            print(report.render_figure(panel))
-            print()
-        return 0
-    print(f"unknown figure {args.which!r}; choose 2, 4a, 4b, 5a, 5b, 6[a-d]",
-          file=sys.stderr)
-    return 2
+def _cmd_exhibits(args: argparse.Namespace) -> int:
+    outcomes = []
+    for result in exhibits.run(args.names, seed=args.seed):
+        print(result.text)
+        print()
+        outcomes.extend(result.outcomes)
+    print(exhibits.render_checks(outcomes))
+    return 0 if all(outcome.passed for outcome in outcomes) else 1
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
@@ -813,13 +780,15 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_workloads
     )
 
-    p_table = sub.add_parser("table", help="regenerate a paper table")
-    p_table.add_argument("which", help="table number: 1, 2, 3 or 4")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_figure = sub.add_parser("figure", help="regenerate a paper figure")
-    p_figure.add_argument("which", help="figure id: 2, 4a, 4b, 5a, 5b, 6[a-d]")
-    p_figure.set_defaults(func=_cmd_figure)
+    p_exhibits = sub.add_parser(
+        "exhibits",
+        help="regenerate the paper's tables and figures and check their "
+        "shape (exit 1 if a check fails)",
+    )
+    p_exhibits.add_argument("names", nargs="*", metavar="NAME",
+                            help="exhibits to build (default: all): "
+                            + ", ".join(exhibits.EXHIBITS))
+    p_exhibits.set_defaults(func=_cmd_exhibits)
 
     p_cov = sub.add_parser("coverage", help="coverage of one filter on one workload")
     p_cov.add_argument("workload")

@@ -1,6 +1,6 @@
 """Plain-text rendering of result tables.
 
-The benchmark harness regenerates the paper's tables and figures as text;
+The exhibits regenerate the paper's tables and figures as text;
 this module owns the formatting so every exhibit prints consistently.
 """
 

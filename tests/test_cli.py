@@ -44,24 +44,6 @@ class TestCommands:
         for name in ("barnes", "raytrace", "unstructured"):
             assert name in out
 
-    def test_table1(self, capsys):
-        assert main(["table", "1"]) == 0
-        assert "L2 share" in capsys.readouterr().out
-
-    def test_table4(self, capsys):
-        assert main(["table", "4"]) == 0
-        assert "IJ-10x4x7" in capsys.readouterr().out
-
-    def test_unknown_table(self, capsys):
-        assert main(["table", "9"]) == 2
-
-    def test_figure2(self, capsys):
-        assert main(["figure", "2"]) == 0
-        assert "R=0%" in capsys.readouterr().out
-
-    def test_unknown_figure(self, capsys):
-        assert main(["figure", "17"]) == 2
-
     def test_coverage_command(self, capsys):
         assert main(["coverage", "test-tiny", "EJ-8x2"]) == 0
         assert "coverage" in capsys.readouterr().out

@@ -6,13 +6,14 @@ import pytest
 
 from repro.analysis import experiments
 from repro.analysis.figures import FigureData, FigureSeries, build_figure2
-from repro.analysis.report import render_figure, render_table_rows
+from repro.analysis.report import render_figure
 from repro.analysis.tables import (
     TABLE4_PAPER_BYTES,
     build_table1,
     build_table4,
 )
 from repro.traces.workloads import WORKLOADS
+from repro.utils.text import render_table
 
 
 class TestTable1:
@@ -76,8 +77,8 @@ class TestRendering:
         assert "AVG" in text
         assert "60.0%" in text
 
-    def test_render_table_rows(self):
-        text = render_table_rows(["a"], [["1"]], title="T")
+    def test_render_table(self):
+        text = render_table(["a"], [["1"]], title="T")
         assert text.startswith("T")
 
     def test_workloads_order_preserved(self):

@@ -81,7 +81,7 @@ def check_repo_paths(path: Path, text: str) -> list[str]:
         candidate = mention.rstrip(".")
         if glob.glob(str(REPO_ROOT / candidate)):
             continue
-        # Mentions like ``benchmarks/_shared.prewarm`` name an attribute
+        # Mentions like ``src/repro/analysis/exhibits.run`` name an attribute
         # of a module; the file to resolve is the module itself.
         stem = candidate.rsplit(".", 1)[0]
         if glob.glob(str(REPO_ROOT / (stem + ".py"))):
