@@ -435,28 +435,77 @@ static int64_t pack_access(int64_t cpu, int64_t address, int is_write)
     return address << 8 | cpu << 1 | is_write;
 }
 
-/* CPython's MT19937: mt[0..623] are the state words and mt[624] the
- * index, as random.Random.getstate() lists them. */
-static uint32_t mt_next(int64_t *mt)
+/* CPython's MT19937 (random.Random), held for one take.  The stream
+ * keeps its state as random.Random.getstate() lists it, 624 words and
+ * the index in the int64 array `mt`; mix_take copies it in once
+ * (mt_load), draws from this struct and writes the words and the index
+ * back before it returns (mt_store).  `out` holds the tempered outputs
+ * of `w`, valid from `i` to the end of the block. */
+typedef struct {
+    uint32_t w[624];
+    uint32_t out[624];
+    int i;
+} mt_state;
+
+static uint32_t mt_temper(uint32_t y)
 {
-    if (mt[624] >= 624) {
-        for (int k = 0; k < 624; k++) {
-            uint32_t y = ((uint32_t)mt[k] & 0x80000000u)
-                         | ((uint32_t)mt[(k + 1) % 624] & 0x7fffffffu);
-            mt[k] = (uint32_t)mt[(k + 397) % 624] ^ (y >> 1)
-                    ^ (y & 1 ? 0x9908b0dfu : 0u);
-        }
-        mt[624] = 0;
-    }
-    uint32_t y = (uint32_t)mt[mt[624]++];
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680u;
     y ^= (y << 15) & 0xefc60000u;
     return y ^ (y >> 18);
 }
 
+/* The next word of state k, from words k, k + 1 and k + 397 (mod 624). */
+static uint32_t mt_twist(uint32_t upper, uint32_t lower, uint32_t far)
+{
+    uint32_t y = (upper & 0x80000000u) | (lower & 0x7fffffffu);
+    return far ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+}
+
+/* Regenerate the whole block, as CPython's genrand_uint32 does (in
+ * three segments, so no index wraps), tempering each new word. */
+static void mt_regen(mt_state *s)
+{
+    uint32_t *w = s->w;
+    int k = 0;
+    for (; k < 624 - 397; k++) {
+        w[k] = mt_twist(w[k], w[k + 1], w[k + 397]);
+        s->out[k] = mt_temper(w[k]);
+    }
+    for (; k < 623; k++) {
+        w[k] = mt_twist(w[k], w[k + 1], w[k + 397 - 624]);
+        s->out[k] = mt_temper(w[k]);
+    }
+    w[623] = mt_twist(w[623], w[0], w[396]);
+    s->out[623] = mt_temper(w[623]);
+    s->i = 0;
+}
+
+static void mt_load(mt_state *s, const int64_t *mt)
+{
+    for (int k = 0; k < 624; k++)
+        s->w[k] = (uint32_t)mt[k];
+    s->i = (int)mt[624];
+    for (int k = s->i; k < 624; k++)
+        s->out[k] = mt_temper(s->w[k]);
+}
+
+static void mt_store(const mt_state *s, int64_t *mt)
+{
+    for (int k = 0; k < 624; k++)
+        mt[k] = s->w[k];
+    mt[624] = s->i;
+}
+
+static uint32_t mt_next(mt_state *s)
+{
+    if (s->i >= 624)
+        mt_regen(s);
+    return s->out[s->i++];
+}
+
 /* random.random(): 53 bits from two words. */
-static double mt_random(int64_t *mt)
+static double mt_random(mt_state *mt)
 {
     uint32_t a = mt_next(mt) >> 5;
     uint32_t b = mt_next(mt) >> 6;
@@ -466,12 +515,10 @@ static double mt_random(int64_t *mt)
 /* random._randbelow(n) for 0 < n < 2**63: getrandbits(n.bit_length())
  * until below n, one word per try up to 32 bits (so n = 1 still
  * consumes one), low word first above. */
-static int64_t mt_below(int64_t *mt, int64_t n)
+static int64_t mt_below(mt_state *mt, int64_t n)
 {
-    int k = 0;
+    int k = 64 - __builtin_clzll((uint64_t)n);
     uint64_t r;
-    while (k < 63 && (n >> k) != 0)
-        k++;
     do {
         if (k <= 32) {
             r = mt_next(mt) >> (32 - k);
@@ -484,14 +531,14 @@ static int64_t mt_below(int64_t *mt, int64_t n)
 }
 
 /* base.skewed_offset: min(int(span * random() ** alpha), span - 1). */
-static int64_t skewed_offset(int64_t *mt, int64_t span, double alpha)
+static int64_t skewed_offset(mt_state *mt, int64_t span, double alpha)
 {
     int64_t offset = (int64_t)((double)span * pow(mt_random(mt), alpha));
     return offset < span - 1 ? offset : span - 1;
 }
 
 /* base.geometric_run: a run length of the given mean, tail-bounded. */
-static int64_t geometric_run(int64_t *mt, int64_t mean)
+static int64_t geometric_run(mt_state *mt, int64_t mean)
 {
     if (mean <= 1)
         return 1;
@@ -519,7 +566,7 @@ typedef struct {
 
 /* PrivateWorkingSet (and SharedReadOnly): per slot, the next address
  * and the accesses left in its run. */
-static int64_t walk_draw(const pattern *p, int64_t *mt)
+static int64_t walk_draw(const pattern *p, mt_state *mt)
 {
     int64_t slot = mt_below(mt, p->n);
     int64_t *cursor = p->state + 2 * slot;
@@ -536,7 +583,7 @@ static int64_t walk_draw(const pattern *p, int64_t *mt)
 }
 
 /* StreamingSweep: per slot, the sweep cursor's partition offset. */
-static int64_t sweep_draw(const pattern *p, int64_t *mt)
+static int64_t sweep_draw(const pattern *p, mt_state *mt)
 {
     int64_t slot = mt_below(mt, p->n);
     if (p->remote_frac > 0.0 && mt_random(mt) < p->remote_frac) {
@@ -554,7 +601,7 @@ static int64_t sweep_draw(const pattern *p, int64_t *mt)
 }
 
 /* ProducerConsumer: per pair, producing, word position, repeat. */
-static int64_t pairs_draw(const pattern *p, int64_t *mt)
+static int64_t pairs_draw(const pattern *p, mt_state *mt)
 {
     int64_t pair = mt_below(mt, p->n);
     int64_t *s = p->state + 3 * pair;
@@ -574,7 +621,7 @@ static int64_t pairs_draw(const pattern *p, int64_t *mt)
 }
 
 /* MigratoryPattern: per object, holder index and accesses done. */
-static int64_t migrate_draw(const pattern *p, int64_t *mt)
+static int64_t migrate_draw(const pattern *p, mt_state *mt)
 {
     int64_t obj = mt_below(mt, p->n);
     int64_t *s = p->state + 2 * obj;
@@ -592,7 +639,7 @@ static int64_t migrate_draw(const pattern *p, int64_t *mt)
 
 /* One phase of a MixStream (NativeMix in repro.traces.synth.mix). */
 typedef struct {
-    int64_t *mt;
+    int64_t *mt;                       /* 624 words and the index */
     int64_t *last;                     /* repeat memory, -1 for none */
     const pattern *patterns;
     const double *bounds;              /* cumulative pick weights */
@@ -601,36 +648,41 @@ typedef struct {
 } mix;
 
 /* MixStream._draw: n packed accesses into out, advancing the RNG, the
- * repeat memory and the patterns' states in place.  Returns n. */
+ * repeat memory and the patterns' states in place.  The RNG is drawn
+ * from a local copy (mt_state) and written back at the end.  Returns
+ * n. */
 int64_t mix_take(const mix *m, int64_t *out, int64_t n)
 {
+    mt_state mt;
+    mt_load(&mt, m->mt);
     int64_t last = *m->last;
     for (int64_t j = 0; j < n; j++) {
-        if (last >= 0 && mt_random(m->mt) < m->repeat_frac) {
+        if (last >= 0 && mt_random(&mt) < m->repeat_frac) {
             out[j] = last & ~(int64_t)1;   /* the same access, a load */
             continue;
         }
-        double draw = mt_random(m->mt);
+        double draw = mt_random(&mt);
         int64_t k = 0;
         while (k < m->n_patterns - 1 && !(draw <= m->bounds[k]))
             k++;
         const pattern *p = m->patterns + k;
         switch (p->kind) {
         case WALK:
-            last = walk_draw(p, m->mt);
+            last = walk_draw(p, &mt);
             break;
         case SWEEP:
-            last = sweep_draw(p, m->mt);
+            last = sweep_draw(p, &mt);
             break;
         case PAIRS:
-            last = pairs_draw(p, m->mt);
+            last = pairs_draw(p, &mt);
             break;
         default:
-            last = migrate_draw(p, m->mt);
+            last = migrate_draw(p, &mt);
         }
         out[j] = last;
     }
     *m->last = last;
+    mt_store(&mt, m->mt);
     return n;
 }
 

@@ -141,13 +141,17 @@ class MixStream(Iterator[tuple[int, int, bool]]):
     (:func:`repro.core._cmachine.library`), each phase span is drawn by
     its ``mix_take``, which reproduces CPython's MT19937 ``random()``
     and ``_randbelow`` bit for bit; without it the Python loop below
-    draws the same words.  Both advance the same state in place: the
-    624 MT19937 words and index in :attr:`_mt`, the repeat memory in
-    :attr:`_last`, and each pattern's :attr:`~Pattern.state`.  The
-    Python tier draws from a ``random.Random`` (``_rng``) seeded from
-    :attr:`_mt` when it takes over and copied back only when the native
-    tier takes over or the stream is pickled, so a checkpoint written on
-    either tier resumes on the other.
+    draws the same words.  Both advance the same state: the 624 MT19937
+    words and index in :attr:`_mt`, the repeat memory in :attr:`_last`,
+    and each pattern's :attr:`~Pattern.state`.  The native tier advances
+    the latter two in place; it copies :attr:`_mt` into 32-bit words at
+    the start of each ``mix_take`` call and writes the words and index
+    back before it returns, so between takes :attr:`_mt` is always
+    ``random.Random.getstate()``'s.  The Python tier draws from a
+    ``random.Random`` (``_rng``) seeded from :attr:`_mt` when it takes
+    over and copied back only when the native tier takes over or the
+    stream is pickled, so a checkpoint written on either tier resumes on
+    the other.
     """
 
     def __init__(

@@ -11,6 +11,7 @@ tier and resumed on the other.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -109,6 +110,49 @@ def test_checkpoint_resumes_on_the_other_tier(tier, restore_library):
     assert head + list(resumed) == whole
 
 
+def _block_end_take(source: str, seed: int) -> tuple[int, tuple[int, ...]]:
+    """The shortest take from a fresh stream that ends exactly where a
+    624-word MT19937 block ends (the RNG's index reads 624), found by
+    drawing on the Python tier, and the RNG state it leaves."""
+    stream = _stream(source, seed)
+    _cmachine._lib = None
+    for taken in range(1, ACCESSES):
+        stream.take(1)
+        state = stream._rng.getstate()[1]
+        if state[624] == 624:
+            return taken, state
+    raise AssertionError("no access ended a block")
+
+
+@requires_native
+@pytest.mark.parametrize("checkpoint", [False, True])
+@pytest.mark.parametrize("tail", ["native", "python"])
+@pytest.mark.parametrize("head", ["native", "python"])
+def test_take_ending_a_block(head, tail, checkpoint, restore_library):
+    """A take that ends on the last word of a block leaves the next
+    one to regenerate: continuing on either tier, switching tiers, or
+    checkpointing and resuming there draws the Python tier's words."""
+    native = _cmachine.library()
+    tiers = {"native": native, "python": None}
+    whole = _drain(_stream("em3d", 6), 6, [False])
+    n, state = _block_end_take("em3d", 6)
+    stream = _stream("em3d", 6)
+    _cmachine._lib = tiers[head]
+    words = list(stream.take(n))
+    if head == "native":
+        assert stream._mt[624] == 624
+        assert tuple(stream._mt) == state
+    if checkpoint:
+        blob = stream.checkpoint()
+        assert pickle.loads(blob)._mt[624] == 624
+        _cmachine._lib = tiers[tail]
+        stream = resume_stream(blob)
+        assert stream.checkpoint() == blob
+    _cmachine._lib = tiers[tail]
+    words += stream.take(ACCESSES)
+    assert words == whole
+
+
 def _revealing_stream(pattern, count: int, seed: int):
     return WorkloadMix([(pattern, 1.0)]).generate(count, seed=seed)
 
@@ -116,6 +160,8 @@ def _revealing_stream(pattern, count: int, seed: int):
 @pytest.mark.parametrize("n", sorted({
     1, 2, 3, 5, *(2**k for k in (4, 17, 30)), *(2**k + 1 for k in (4, 17, 30)),
     *(2**k - 1 for k in (4, 17, 30)), 2**31 - 1,
+    # two words per try (k > 32)
+    2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**47 - 1,
 }))
 def test_randbelow_matches_random_random(n):
     """A ghost read's distance behind an idle neighbour is

@@ -686,8 +686,12 @@ def test_process_backend_beats_serial_on_multicore(trace_workload, tmp_path):
 
     Uses a deliberately generous margin (1.0x, i.e. merely not slower
     after pool spawn overhead) at a size where replay work dominates;
-    the real speedup assertion lives in the perf-smoke CI job.
+    the real speedup assertion lives in the perf-smoke CI job.  The two
+    sides run as interleaved pairs, alternating which goes first, and
+    the bound holds for the median pair: host drift slower than one
+    pair cancels within it, and one slow pool spawn is an outlier.
     """
+    import statistics
     import time
     from dataclasses import replace
 
@@ -698,16 +702,24 @@ def test_process_backend_beats_serial_on_multicore(trace_workload, tmp_path):
         [runner.SweepJob(spec)], mode="replay", experiment_store=store,
     )
 
-    def timed(workers, backend, seed_filters):
+    def timed(workers, backend):
+        # Every run replays: the previous run's evals would be cached.
+        store.delete_kind("eval")
         started = time.perf_counter()
         runner.execute(
-            [runner.SweepJob(spec, seed_filters)], mode="replay",
+            [runner.SweepJob(spec, FAMILY_FILTERS)], mode="replay",
             experiment_store=store, workers=workers, backend=backend,
         )
         return time.perf_counter() - started
 
-    serial = timed(1, "serial", FAMILY_FILTERS)
-    # Fresh filter names would be cached now; clear evals for a fair rerun.
-    store.delete_kind("eval")
-    parallel = timed(2, "process", FAMILY_FILTERS)
-    assert parallel < serial * 1.0 + 0.5  # pool spawn allowance on tiny runs
+    margins = []
+    for pair in range(5):
+        if pair % 2:
+            parallel = timed(2, "process")
+            serial = timed(1, "serial")
+        else:
+            serial = timed(1, "serial")
+            parallel = timed(2, "process")
+        margins.append(parallel - serial)
+    # parallel < serial * 1.0 + 0.5: pool spawn allowance on tiny runs
+    assert statistics.median(margins) < 0.5, margins
