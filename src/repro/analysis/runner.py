@@ -607,18 +607,19 @@ def _stream_task(task, experiment_store: ExperimentStore | None = None):
             spec, system, seed, names,
             experiment_store=store, report=report, **options,
         )
-        store.put_sim_metrics_blob(
-            store_mod.sim_metrics_key(spec, system, seed),
-            store_mod.encode_sim_metrics(metrics),
-            workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-        )
-        check_evaluations([evaluations[name] for _ekey, name in pairs])
-        for ekey, name in pairs:
-            store.put_eval_blob(
-                ekey, store_mod.encode_eval(evaluations[name]),
-                workload=spec.name, filter_name=name,
-                n_cpus=system.n_cpus, seed=seed,
+        with store.batch():
+            store.put_sim_metrics_blob(
+                store_mod.sim_metrics_key(spec, system, seed),
+                store_mod.encode_sim_metrics(metrics),
+                workload=spec.name, n_cpus=system.n_cpus, seed=seed,
             )
+            check_evaluations([evaluations[name] for _ekey, name in pairs])
+            for ekey, name in pairs:
+                store.put_eval_blob(
+                    ekey, store_mod.encode_eval(evaluations[name]),
+                    workload=spec.name, filter_name=name,
+                    n_cpus=system.n_cpus, seed=seed,
+                )
         if chain is not None:
             store.delete_group(store_mod.CHECKPOINT_KIND, chain)
 
@@ -795,24 +796,28 @@ def record_trace(
         experiment_store=experiment_store,
         new_sink=new_sink, tkey=tkey, report=report,
     )
-    segments_per_node = sink.finish()
-    manifest = {
-        "version": 1,
-        "workload": spec.name,
-        "n_cpus": system.n_cpus,
-        "seed": seed,
-        "segments_per_node": segments_per_node,
-        "events_per_node": list(sink.events_per_node),
-        "metrics": store_mod.sim_metrics_to_dict(metrics),
-    }
-    experiment_store.put_blob(
-        tkey, store_mod.encode_trace_manifest(manifest),
-        kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
-        n_cpus=system.n_cpus, seed=seed,
-    )
-    mkey = store_mod.sim_metrics_key(spec, system, seed)
-    if not experiment_store.contains(mkey):
-        experiment_store.put_sim_metrics(mkey, metrics, seed=seed)
+    # The tail segments, the manifest and the metrics row share one
+    # commit.  Earlier segments committed as the sink wrote them, so a
+    # long recording never holds the write lock.
+    with experiment_store.batch():
+        segments_per_node = sink.finish()
+        manifest = {
+            "version": 1,
+            "workload": spec.name,
+            "n_cpus": system.n_cpus,
+            "seed": seed,
+            "segments_per_node": segments_per_node,
+            "events_per_node": list(sink.events_per_node),
+            "metrics": store_mod.sim_metrics_to_dict(metrics),
+        }
+        experiment_store.put_blob(
+            tkey, store_mod.encode_trace_manifest(manifest),
+            kind=store_mod.TRACE_KIND, workload=spec.name, filter_name=None,
+            n_cpus=system.n_cpus, seed=seed,
+        )
+        mkey = store_mod.sim_metrics_key(spec, system, seed)
+        if not experiment_store.contains(mkey):
+            experiment_store.put_sim_metrics(mkey, metrics, seed=seed)
     if chain is not None:
         # Manifest and metrics are durable — the chain is now stale.
         experiment_store.delete_group(store_mod.CHECKPOINT_KIND, chain)
@@ -1171,14 +1176,15 @@ def _replay_stage(units, experiment_store, report, run_stage,
             _logger.warning("replaying %s: %s", group.tkey, results)
             doomed.setdefault(group.tkey, (group, []))[1].extend(task[3])
             continue
-        for ekey, blob in results:
-            group = owners[ekey]
-            experiment_store.put_eval_blob(
-                ekey, blob, workload=group.job.spec.name,
-                filter_name=group.filters[ekey],
-                n_cpus=group.job.system.n_cpus, seed=group.job.seed,
-            )
-            report.evals_run += 1
+        with experiment_store.batch():
+            for ekey, blob in results:
+                group = owners[ekey]
+                experiment_store.put_eval_blob(
+                    ekey, blob, workload=group.job.spec.name,
+                    filter_name=group.filters[ekey],
+                    n_cpus=group.job.system.n_cpus, seed=group.job.seed,
+                )
+        report.evals_run += len(results)
     return list(doomed.values())
 
 

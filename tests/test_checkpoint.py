@@ -101,21 +101,22 @@ SPEC = WorkloadSpec(
 
 
 @contextmanager
-def kill_after_checkpoints(store: ExperimentStore, n: int):
-    """Simulate a SIGKILL right after the ``n``-th checkpoint commits.
+def kill_after_rows(store: ExperimentStore, kind: str, n: int):
+    """Simulate a SIGKILL right after the ``n``-th ``kind`` row is put.
 
-    The wrapper lets the checkpoint row land (it is durable by then —
-    ``put_blob`` commits before returning) and then raises, which is
-    exactly the state a killed process leaves behind.
+    The wrapper lets the row land and then raises, which is exactly the
+    state a killed process leaves behind.  Outside ``batch()`` the row
+    is durable by then (``put_blob`` commits before returning); inside
+    one it sits in the scope's open transaction.
     """
     original = store.put_blob
-    seen = {"checkpoints": 0}
+    seen = {"rows": 0}
 
     def wrapper(key, blob, **kwargs):
         original(key, blob, **kwargs)
-        if kwargs["kind"] == CHECKPOINT_KIND:
-            seen["checkpoints"] += 1
-            if seen["checkpoints"] == n:
+        if kwargs["kind"] == kind:
+            seen["rows"] += 1
+            if seen["rows"] == n:
                 raise KeyboardInterrupt("simulated SIGKILL")
 
     store.put_blob = wrapper
@@ -123,6 +124,12 @@ def kill_after_checkpoints(store: ExperimentStore, n: int):
         yield
     finally:
         store.put_blob = original
+
+
+def kill_after_checkpoints(store: ExperimentStore, n: int):
+    """Simulate a SIGKILL right after the ``n``-th checkpoint commits
+    (checkpoints are never written inside ``batch()``)."""
+    return kill_after_rows(store, CHECKPOINT_KIND, n)
 
 
 def _stream_jobs(filter_name: str, chunk_size: int):

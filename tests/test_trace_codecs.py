@@ -16,10 +16,17 @@ Pinned here:
 * **replay byte-identity** — every filter family x chunk size
   {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
   suite trace;
+* **deflate** — long segments deflate with the run-length strategy and
+  short ones with zlib's default, and neither is ever larger than the
+  default level-6 deflate of the same planes on the edge segments and
+  the golden miniatures' traces;
 * **legacy stores** — a store recorded before delta-v1 loses its raw-v1
   traces to ``cache fsck`` and re-records them under the same keys,
-  byte-identical to a clean store; a manifest with a ``codec`` note
-  still loads;
+  byte-identical to a clean store; delta-v1 segments deflated as
+  ``zlib.compress(planes, 6)`` (every segment of a store written before
+  the run-length strategy) decode on both tiers and replay warm to
+  byte-identical evaluations; a manifest with a ``codec`` note still
+  loads;
 * **measured-only stores** — a store holding an older measured-only
   trace (warm-up events swapped for a ``fast-forward`` row) serves its
   stored evaluations, re-records a full trace when a replay needs one,
@@ -34,6 +41,7 @@ import random
 import sys
 import zlib
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +57,7 @@ from repro.core.stats import MARKER, EventReplayer, pack_event
 from repro.errors import StoreCorruptionError
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
+from tests.test_golden_metrics import GOLDEN_WORKLOADS
 
 WORKLOAD = "test-trace-codecs"
 
@@ -145,13 +154,21 @@ def _legacy_raw_v1(events: array) -> bytes:
     return zlib.compress(events.tobytes(), 6)
 
 
-def _rewrite_as_raw_v1(store, tkey, keys) -> None:
-    """Turn stored delta-v1 segments back into legacy raw-v1 rows."""
+def _level6_delta_v1(events: array) -> bytes:
+    """A delta-v1 segment blob as stores wrote every segment before long
+    ones took the run-length strategy: the planes under
+    ``zlib.compress(planes, 6)``."""
+    planes = store_mod._delta_planes_encode(array("q", events).tobytes())
+    return bytes([0xD7]) + zlib.compress(planes, 6)
+
+
+def _rewrite_segments(store, tkey, keys, encode) -> None:
+    """Rewrite stored delta-v1 segments as ``encode(events)`` blobs."""
     spec = WORKLOADS[WORKLOAD]
     for key in keys:
         events = store_mod.decode_trace_segment(store.get_blob(key))
         store.put_blob(
-            key, _legacy_raw_v1(events), kind=store_mod.TRACE_KIND,
+            key, encode(events), kind=store_mod.TRACE_KIND,
             workload=spec.name, filter_name=tkey,
             n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
         )
@@ -245,6 +262,40 @@ class TestCodecWireFormat:
             with pytest.raises(StoreCorruptionError,
                                match="not a delta-v1 segment"):
                 store_mod.decode_trace_segment(blob)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SEGMENTS))
+    @pytest.mark.parametrize("path", CODEC_PATHS)
+    def test_level6_delta_segments_still_decode(self, name, path):
+        events = array("q", EDGE_SEGMENTS[name])
+        with _codec_path(path):
+            blob = _level6_delta_v1(events)
+            assert store_mod.decode_trace_segment(blob) == events
+
+    @pytest.mark.parametrize("scale", (1, 10))
+    def test_never_larger_than_level6_deflate(self, scale):
+        """The edge segments and the golden miniatures' traces; at ten
+        times the miniatures' length their segments pass the run-length
+        threshold."""
+        segments = [array("q", events) for events in EDGE_SEGMENTS.values()]
+        with ExperimentStore() as store:
+            for spec in GOLDEN_WORKLOADS:
+                spec = replace(spec, n_accesses=scale * spec.n_accesses)
+                runner.record_trace(spec, SCALED_SYSTEM, 1,
+                                    experiment_store=store)
+                _manifest, keys = _segment_keys_flat(
+                    store, store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+                )
+                segments += [
+                    store_mod.decode_trace_segment(store.get_blob(key))
+                    for key in keys
+                ]
+        run_length = 0
+        for events in segments:
+            blob = store_mod.encode_trace_segment(events.tobytes())
+            level6 = _level6_delta_v1(events)
+            assert len(blob) <= len(level6), len(events)
+            run_length += blob != level6
+        assert bool(run_length) == (scale > 1)
 
     def test_random_events_round_trip_identically(self):
         rng = random.Random(7)
@@ -453,7 +504,7 @@ class TestLegacyStores:
             )
             tkey = store_mod.trace_key(WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1)
             _manifest, keys = _segment_keys_flat(store, tkey)
-            _rewrite_as_raw_v1(store, tkey, keys)
+            _rewrite_segments(store, tkey, keys, _legacy_raw_v1)
             blob = store.get_blob(keys[0])
         tiers = ["python"] + ["native"] * (_cmachine.library() is not None)
         for tier in tiers:
@@ -470,6 +521,48 @@ class TestLegacyStores:
             assert result.report.evals_cached == 2
             assert store.fsck().clean
             assert store.dump() == clean.dump()
+
+    def test_level6_delta_trace_replays_warm(self, tmp_path):
+        """A trace whose segments were deflated as ``zlib.compress(planes,
+        6)``: they decode to the same events on both codec tiers, and the
+        store replays them with no re-record, its evaluations
+        byte-identical to a fresh recording's."""
+        # Long enough that each node's segment takes the run-length path.
+        accesses = 40_000
+        clean = ExperimentStore()
+        runner.run_sweep(
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=clean,
+            replay=True, accesses=accesses,
+        )
+        path = tmp_path / "level6.sqlite"
+        spec = replace(WORKLOADS[WORKLOAD], n_accesses=accesses)
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        with ExperimentStore(path) as store:
+            runner.run_sweep(
+                (WORKLOAD,), (), experiment_store=store, replay=True,
+                accesses=accesses,
+            )
+            _manifest, keys = _segment_keys_flat(store, tkey)
+            fresh = {key: store.get_blob(key) for key in keys}
+            _rewrite_segments(store, tkey, keys, _level6_delta_v1)
+            level6 = {key: store.get_blob(key) for key in keys}
+        assert all(level6[key] != fresh[key] for key in keys)
+        tiers = ["python"] + ["native"] * (_cmachine.library() is not None)
+        for tier in tiers:
+            with _codec_path(tier):
+                for key in keys:
+                    assert (store_mod.decode_trace_segment(level6[key])
+                            == store_mod.decode_trace_segment(fresh[key]))
+        with ExperimentStore(path) as store:
+            result = runner.run_sweep(
+                (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
+                replay=True, accesses=accesses,
+            )
+            assert result.report.sims_run == 0
+            assert result.report.evals_run == len(FAMILY_FILTERS)
+            assert _rows(store, "eval") == _rows(clean, "eval")
+            assert {key: store.get_blob(key) for key in keys} == level6
+            assert store.fsck().clean
 
     def test_manifest_with_a_codec_note_still_loads(self, tmp_path):
         """Manifests written by the ``--codec`` era carry a ``codec``
