@@ -52,8 +52,8 @@ _PTR = ctypes.c_void_p
 
 #: Every function the library exports: its result and argument types.
 SIGNATURES = {
-    # walk(filter, events, lo, hi)
-    "walk": (_I64, [_PTR, _PTR, _I64, _I64]),
+    # walk(group, n, events, lo, hi)
+    "walk": (_I64, [_PTR, _I64, _PTR, _I64, _I64]),
     # delta_encode(raw, n, shift, out)
     "delta_encode": (_I64, [_PTR, _I64, _I64, _PTR]),
     # delta_decode(inner, len, n, events)

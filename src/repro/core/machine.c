@@ -2,7 +2,9 @@
  * trace-segment codec, the access generator and the coherence core.
  *
  * Compiled on first use by repro.core._cmachine and driven through
- * ctypes from repro.core.vector_replay (the walk),
+ * ctypes from repro.core.vector_replay (the walk: one call walks one
+ * span of a shared trace segment through every compiled filter of a
+ * replay, a live bank's filter being a group of one),
  * repro.analysis.store (the codec), repro.traces.synth.mix (the
  * generator) and repro.coherence.smp (the coherence core, smp_run: one
  * call runs a batch of accesses -- L1 hits, misses, the L2, the write
@@ -62,6 +64,32 @@ static int lanes_step(int32_t *lanes, int64_t n_arrays, int64_t skip,
     return 1;
 }
 
+/* Rotate row[at, end] left by one: row[at] moves to row[end], the rest
+ * one slot forward.  The carried value keeps the compiler from turning
+ * the loop into a memmove call, which costs more than a row of a few
+ * entries. */
+static void rotate_left(int64_t *row, int32_t at, int32_t end)
+{
+    int64_t carry = row[at];
+    for (int32_t j = end; j >= at; j--) {
+        int64_t next = row[j];
+        row[j] = carry;
+        carry = next;
+    }
+}
+
+/* Rotate row[0, at] right by one: row[at] moves to row[0], the rest one
+ * slot back. */
+static void rotate_right(int64_t *row, int32_t at)
+{
+    int64_t carry = row[at];
+    for (int32_t j = 0; j <= at; j++) {
+        int64_t next = row[j];
+        row[j] = carry;
+        carry = next;
+    }
+}
+
 /* One EJ item: `code` 0 = P0 snoop, 1 = P1 snoop, 2 = alloc, `passed`
  * the IJ verdict.  Returns 1 for a P1 snoop the filter would filter. */
 static int ej_step(machine *m, int64_t blk, int code, int passed)
@@ -74,15 +102,12 @@ static int ej_step(machine *m, int64_t blk, int code, int passed)
     int hit = at < *len;
     if (code == 0) {                   /* P0 snoop */
         if (hit) {                     /* EJ hit filters, IJ moot */
-            for (; at > 0; at--)
-                row[at] = row[at - 1];
-            row[0] = blk;
+            rotate_right(row, at);
             m->filtered++;
         } else if (passed) {           /* both passed: allocate at MRU */
             if (*len < m->ways)
                 (*len)++;
-            for (at = *len - 1; at > 0; at--)
-                row[at] = row[at - 1];
+            rotate_right(row, *len - 1);
             row[0] = blk;
             m->entry_writes++;
         } else {                       /* IJ filtered; EJ learns nothing */
@@ -90,8 +115,7 @@ static int ej_step(machine *m, int64_t blk, int code, int passed)
         }
     } else if (code == 2) {            /* alloc: drop the entry */
         if (hit) {
-            for ((*len)--; at < *len; at++)
-                row[at] = row[at + 1];
+            rotate_left(row, at, --(*len));
             m->entry_writes++;
         }
     } else if (hit || !passed) {       /* P1 snoop filtered: violation */
@@ -100,26 +124,27 @@ static int ej_step(machine *m, int64_t blk, int code, int passed)
     return 0;
 }
 
-/* Move entry `at` of a VEJ row to the MRU end, keeping its vector. */
+/* Move entry `at` of a VEJ row to the MRU end, keeping its vector: the
+ * row and its vectors rotate left together, as in rotate_left. */
 static void vej_touch(int64_t *row, uint64_t *vec, int32_t len, int32_t at)
 {
     int64_t chunk = row[at];
     uint64_t vector = vec[at];
-    for (; at < len - 1; at++) {
-        row[at] = row[at + 1];
-        vec[at] = vec[at + 1];
+    for (int32_t j = len - 1; j >= at; j--) {
+        int64_t next = row[j];
+        uint64_t next_vector = vec[j];
+        row[j] = chunk;
+        vec[j] = vector;
+        chunk = next;
+        vector = next_vector;
     }
-    row[at] = chunk;
-    vec[at] = vector;
 }
 
 /* Remove entry `at` of a VEJ row, closing the gap. */
 static void vej_drop(int64_t *row, uint64_t *vec, int32_t *len, int32_t at)
 {
-    for ((*len)--; at < *len; at++) {
-        row[at] = row[at + 1];
-        vec[at] = vec[at + 1];
-    }
+    vej_touch(row, vec, *len, at);     /* to the end, then cut it off */
+    (*len)--;
 }
 
 /* One VEJ item, as ej_step. */
@@ -176,7 +201,7 @@ static int vej_step(machine *m, int64_t blk, int code, int passed)
  * exclude structure (`rows` NULL for none, `vecs` NULL for an EJ), and
  * where the walk reports. */
 typedef struct {
-    int64_t *out;                      /* the span's 7 tallies */
+    int64_t *out;                      /* the span's 8 results */
     int32_t *lanes;
     int64_t *lane_totals;              /* per lane, its counters' total */
     int64_t n_arrays, skip, lane_mask;
@@ -186,66 +211,147 @@ typedef struct {
     int64_t ways, set_mask, vshift, vmask;
 } walk_ctx;
 
-/* Walk packed events e[lo, hi) in stream order through one filter: the
- * IJ lanes, then the exclude structure.  A hybrid filters a snoop when
- * either side does, and its exclude side sees the lanes' verdict.
- *
- * Stops at the first MARKER or error (an underflowing EVICT, or a P1
- * snoop the filter would filter) and returns its index, else `hi`.
- * `out` receives the span's tallies -- snoops, would-hit snoops,
- * allocs, evicts -- over every event up to and including the stopping
- * one (a MARKER counts as none), then the filtered snoops, entry writes
- * and presence-bit writes before it; `lane_totals` each lane's total
- * after it, for the caller's conservation check. */
-int64_t walk(const walk_ctx *c, const int64_t *e, int64_t lo, int64_t hi)
+/* A filter while it walks: its lanes, its exclude machine, and the
+ * counts it has taken since the span began. */
+typedef struct {
+    const walk_ctx *c;
+    int32_t *lanes;
+    int64_t n_arrays, skip, lane_mask;
+    machine m;
+    int64_t filtered, pbit_writes;     /* lane-filtered snoops; p-bits */
+} walker;
+
+/* Step one walker by one snoop; returns 1 at a P1 snoop the filter
+ * would filter.  A hybrid filters a snoop when either side does, and
+ * its exclude side sees the lanes' verdict. */
+static int walker_snoop(walker *w, int64_t ev)
 {
-    machine m = {c->rows, c->vecs, c->fill, c->ways, c->set_mask,
-                 c->vshift, c->vmask, 0, 0};
-    int64_t *out = c->out;
-    int64_t tally[4] = {0, 0, 0, 0}, pbit_writes = 0, filtered = 0, i;
-    for (i = lo; i < hi; i++) {
-        int64_t kind = e[i] & 3, blk = e[i] >> 4;
-        int passed = 1;
-        if (kind == 3)                 /* MARKER: the caller's to handle */
-            break;
-        if (kind == 0) {
-            tally[0]++;
-            tally[1] += (e[i] >> 2) & 1;
-        } else {
-            tally[kind + 1]++;
-        }
-        if (c->lanes) {
-            passed = lanes_step(c->lanes, c->n_arrays, c->skip,
-                                c->lane_mask, kind, blk, &pbit_writes);
-            if (passed < 0)
-                break;
-        }
-        if (kind == 2)                 /* no exclude structure hooks evicts */
-            continue;
-        if (c->rows) {
-            int code = kind == 1 ? 2 : (int)((e[i] >> 3) & 1);
-            if (c->vecs ? vej_step(&m, blk, code, passed)
-                        : ej_step(&m, blk, code, passed))
-                break;
-        } else if (!passed) {
-            if (e[i] & 8)              /* P1 snoop filtered: violation */
-                break;
-            filtered++;
-        }
+    int64_t blk = ev >> 4;
+    int passed = 1;
+    if (w->lanes)
+        passed = lanes_step(w->lanes, w->n_arrays, w->skip, w->lane_mask,
+                            0, blk, &w->pbit_writes);
+    if (w->m.rows) {
+        int code = (int)((ev >> 3) & 1);
+        return w->m.vecs ? vej_step(&w->m, blk, code, passed)
+                         : ej_step(&w->m, blk, code, passed);
     }
+    if (!passed) {
+        if (ev & 8)                    /* P1 snoop filtered: violation */
+            return 1;
+        w->filtered++;
+    }
+    return 0;
+}
+
+/* Step one walker by one alloc, which never errs. */
+static void walker_alloc(walker *w, int64_t blk)
+{
+    if (w->lanes)
+        lanes_step(w->lanes, w->n_arrays, w->skip, w->lane_mask, 1, blk,
+                   &w->pbit_writes);
+    if (w->m.rows) {
+        if (w->m.vecs)
+            vej_step(&w->m, blk, 2, 1);
+        else
+            ej_step(&w->m, blk, 2, 1);
+    }
+}
+
+/* Step one walker by one evict; returns 1 when it underflows a lane. */
+static int walker_evict(walker *w, int64_t blk)
+{
+    return w->lanes && lanes_step(w->lanes, w->n_arrays, w->skip,
+                                  w->lane_mask, 2, blk,
+                                  &w->pbit_writes) < 0;
+}
+
+/* Write one walker's span results: the shared tallies `tally` so far,
+ * its own counts, and `stop`. */
+static void walker_report(const walker *w, const int64_t *tally,
+                          int64_t stop)
+{
+    int64_t *out = w->c->out;
     out[0] = tally[0];
     out[1] = tally[1];
     out[2] = tally[2];
     out[3] = tally[3];
-    out[4] = filtered + m.filtered;
-    out[5] = m.entry_writes;
-    out[6] = pbit_writes;
-    for (int64_t j = 0; c->lanes && j < c->n_arrays; j++) {
-        const int32_t *lane = c->lanes + j * (c->lane_mask + 1);
-        int64_t total = 0;
-        for (int64_t k = 0; k <= c->lane_mask; k++)
-            total += lane[k];
-        c->lane_totals[j] = total;
+    out[4] = w->filtered + w->m.filtered;
+    out[5] = w->m.entry_writes;
+    out[6] = w->pbit_writes;
+    out[7] = stop;
+}
+
+/* Stop walker `k` of the `live` at event `i`: report, and the last
+ * walker takes its place.  Returns the walkers still live. */
+static int64_t walker_stop(walker *w, int64_t k, int64_t live,
+                           const int64_t *tally, int64_t i)
+{
+    walker_report(w + k, tally, i);
+    w[k] = w[live - 1];
+    return live - 1;
+}
+
+/* Walk packed events e[lo, hi) in stream order through the `n` filters
+ * of `group`: each event is decoded and tallied once, then stepped
+ * through every filter still walking.  Returns the index of the first
+ * MARKER (the caller's to handle), else `hi`; once every filter has
+ * stopped, the walk ends early and the return means nothing.
+ *
+ * A filter stops at its first error and the others walk on.  Its `out`
+ * receives its span's results: the tallies -- snoops, would-hit snoops,
+ * allocs, evicts -- over every event up to and including its stop (a
+ * MARKER counts as none), its filtered snoops, entry writes and
+ * presence-bit writes before it, and the stop's index (its error, else
+ * the group's stop); `lane_totals` each lane's total after it, for the
+ * caller's conservation check.  Returns -1 when out of memory. */
+int64_t walk(const walk_ctx *const *group, int64_t n, const int64_t *e,
+             int64_t lo, int64_t hi)
+{
+    walker *w = malloc((size_t)n * sizeof *w);
+    int64_t tally[4] = {0, 0, 0, 0}, live = n, i, k;
+    if (w == NULL)
+        return -1;
+    for (k = 0; k < n; k++) {
+        const walk_ctx *c = group[k];
+        walker init = {c, c->lanes, c->n_arrays, c->skip, c->lane_mask,
+                       {c->rows, c->vecs, c->fill, c->ways, c->set_mask,
+                        c->vshift, c->vmask, 0, 0}, 0, 0};
+        w[k] = init;
+    }
+    for (i = lo; i < hi && live > 0; i++) {
+        int64_t ev = e[i];
+        if ((ev & 3) == 0) {
+            tally[0]++;
+            tally[1] += (ev >> 2) & 1;
+            for (k = 0; k < live; k++)
+                if (walker_snoop(w + k, ev))
+                    live = walker_stop(w, k--, live, tally, i);
+        } else if ((ev & 3) == 1) {
+            tally[2]++;
+            for (k = 0; k < live; k++)
+                walker_alloc(w + k, ev >> 4);
+        } else if ((ev & 3) == 2) {
+            tally[3]++;
+            for (k = 0; k < live; k++)
+                if (walker_evict(w + k, ev >> 4))
+                    live = walker_stop(w, k--, live, tally, i);
+        } else {                       /* MARKER: the caller's to handle */
+            break;
+        }
+    }
+    for (k = 0; k < live; k++)
+        walker_report(w + k, tally, i);
+    free(w);
+    for (k = 0; k < n; k++) {
+        const walk_ctx *c = group[k];
+        for (int64_t j = 0; c->lanes && j < c->n_arrays; j++) {
+            const int32_t *lane = c->lanes + j * (c->lane_mask + 1);
+            int64_t total = 0;
+            for (int64_t x = 0; x <= c->lane_mask; x++)
+                total += lane[x];
+            c->lane_totals[j] = total;
+        }
     }
     return i;
 }

@@ -321,22 +321,28 @@ class PackedSegment:
     """One batch of packed events, decoded once and shared by many banks.
 
     Replaying a trace through F filter banks means F passes over every
-    segment.  The compiled replayers read the events' ``array('q')``
-    buffer itself; the per-event Python loop iterates boxed ints, and
-    :meth:`boxed` caches the boxed-int list so that every oracle bank on
-    the segment shares one.
+    segment.  The compiled replayers registered in :attr:`group` share
+    one: whichever of them is fed first walks the events' ``array('q')``
+    buffer through all of them in one native walk, leaving each member's
+    results in :attr:`spans` for it to apply.  The per-event Python loop
+    iterates boxed ints, and :meth:`boxed` caches the boxed-int list so
+    that every oracle bank on the segment shares one.
 
     The wrapper is pure presentation — it never mutates the events — so
     feeding a ``PackedSegment`` is byte-equivalent to feeding the raw
     iterable it wraps.
     """
 
-    __slots__ = ("events", "_boxed")
+    __slots__ = ("events", "_boxed", "group", "spans")
 
-    def __init__(self, events) -> None:
+    def __init__(self, events, group=()) -> None:
         #: The packed events as fed (``array('q')``, list, or sequence).
         self.events = events
         self._boxed = None
+        #: The compiled replayers that walk the segment together.
+        self.group = tuple(group)
+        #: Replayer -> its walked spans, until the replayer applies them.
+        self.spans: dict = {}
 
     def boxed(self) -> list:
         """The events as a list of ints (each boxed exactly once)."""
@@ -715,25 +721,28 @@ def replay_trace(reader: TraceReader, banks) -> None:
 
     The record-once / replay-many kernel: each segment is decoded once
     (by the reader) and fed to every bank, so evaluating F filter
-    configurations against a persisted trace costs one decode pass plus
-    F replay loops — no simulation, no caches, no bus.  Callers collect
-    results with each bank's ``finish()``; the evaluations are
-    byte-identical to live-streamed ones by the determinism contract.
+    configurations against a persisted trace costs one decode pass, one
+    native walk through all the compiled filters, and one per-event
+    loop per oracle filter — no simulation, no caches, no bus.  The
+    first compiled bank fed a segment walks it for all of them; each
+    bank still applies its own results in bank order, so the first
+    error raised is the first bank's.  Callers collect results with
+    each bank's ``finish()``; the evaluations are byte-identical to
+    live-streamed ones by the determinism contract.
     """
     banks = list(banks)
     for node_id, events in reader:
-        segment = PackedSegment(events)
+        replayers = [bank.replayers[node_id] for bank in banks]
+        python = [r for r in replayers if isinstance(r, EventReplayer)]
+        segment = PackedSegment(
+            events, [r for r in replayers if not isinstance(r, EventReplayer)]
+        )
         # Box each packed event once when two or more banks will walk
         # the segment with the per-event Python loop: iterating an
         # array('q') allocates a fresh int per element per pass, while
         # a list pass just borrows references.  Compiled replayers
         # read the array's buffer instead and never need the boxed list.
-        python_banks = sum(
-            1
-            for bank in banks
-            if isinstance(bank.replayers[node_id], EventReplayer)
-        )
-        if python_banks > 1:
+        if len(python) > 1:
             segment.boxed()
         for bank in banks:
             bank.feed_node(node_id, segment)

@@ -3,9 +3,19 @@
 The per-event loop in :class:`repro.core.stats.EventReplayer` pays the
 full interpreter dispatch price — decode, probe call, hook call — for
 every packed event.  On snoop-dense traces (em3d-class) that loop is the
-replay bottleneck.  The replayer here hands a whole packed segment to
+replay bottleneck.  The replayers here hand a whole packed segment to
 ``walk`` in ``machine.c`` instead: the segment's ``array('q')`` buffer
-itself, no copy, walked in stream order through the filter's state.
+itself, no copy, walked in stream order through the filters' state.
+
+One walk serves a whole *group* of replayers: every compiled replayer
+registered on a shared :class:`~repro.core.stats.PackedSegment` (the
+node's replayers of every bank in
+:func:`~repro.core.stats.replay_trace`).  Events are the outer loop and
+filters the inner one, so each event is decoded and its tallies counted
+once, however many filters walk it.  Whichever member is fed first walks
+the segment for all of them (:func:`walk_segment`); each member then
+applies its own spans.  A replayer fed alone — a live bank, a test — is
+a group of one, on the same walk and the same path.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
 for every supported filter family it reproduces the oracle
@@ -24,11 +34,14 @@ their presence vectors).  That is the whole *observable* state of a set:
 way indexes are never reported, and a snapshot writes the entries into
 ways ``0..k-1`` in recency order.  An HJ is both: the lanes' verdict
 reaches the exclude machine, and a snoop is filtered when either side
-filters it.  The walk returns at each MARKER and at the first safety
-violation or underflow, with the span's tallies up to and including that
-event, so the flushed statistics match the oracle's exactly.  After
-every span the lanes' totals are checked against the allocs and evicts
-walked (:class:`~repro.errors.InvariantError` on a break).
+filters it.  The walk returns at each MARKER.  A filter stops at its
+first safety violation or underflow, with its tallies up to and
+including that event, while the rest of its group walks on; so each
+member's flushed statistics match the oracle's exactly, and the first
+error raised is the first member's to apply its spans — the first
+bank's, in bank order, as with one walk per filter.  After every span
+the lanes' totals are checked against the allocs and evicts walked
+(:class:`~repro.errors.InvariantError` on a break).
 
 Every replayer *imports* the wrapped filter's current storage state at
 construction (freshly built filters are empty, so the cold path is
@@ -55,7 +68,6 @@ from __future__ import annotations
 import ctypes
 from array import array
 from dataclasses import replace
-from itertools import chain
 
 from repro.core import _cmachine
 from repro.core.base import FilterEventCounts, SnoopFilter
@@ -210,9 +222,8 @@ class VectorReplayer(Replayer):
     ) -> None:
         super().__init__(snoop_filter, node_id, phase_names)
         self.counts = FilterEventCounts()
-        self._lib = _cmachine.library()
-        #: The walk's tallies (see ``walk`` in ``machine.c``).
-        self._out = array("q", bytes(7 * 8))
+        #: The walk's span results (see ``walk`` in ``machine.c``).
+        self._out = array("q", bytes(8 * 8))
         self._import()
 
     def _import(self) -> None:
@@ -230,7 +241,7 @@ class VectorReplayer(Replayer):
         #: Allocs minus evicts walked since the import.
         self._walked = 0
         context = WalkContext(out=self._out.buffer_info()[0])
-        self._lanes = None
+        self._lanes = self._lane_totals = None
         self._n_arrays = 0
         if include is not None:
             size = 1 << include.entry_bits
@@ -241,7 +252,9 @@ class VectorReplayer(Replayer):
                 raise InvariantError(f"{include.name}: malformed lanes")
             # Zeros for a freshly built IJ, the warmed lanes for one
             # restored from a checkpoint.
-            self._lanes = array("i", chain.from_iterable(counters))
+            self._lanes = array("i")
+            for lane in counters:
+                self._lanes.fromlist(lane)
             self._n_arrays = include.n_arrays
             self._lane_totals = array("q", bytes(8 * include.n_arrays))
             self._imported = sum(counters[0])
@@ -272,7 +285,8 @@ class VectorReplayer(Replayer):
             if vej:
                 context.vshift = exclude._vec_shift
                 context.vmask = exclude._vec_mask
-        self._context = ctypes.byref(context)  # keeps ``context`` alive
+        self._context = context  # kept alive for its address
+        self._address = ctypes.addressof(context)
 
     def _export(self) -> None:
         """Write the replayer's storage state into the wrapped filter,
@@ -332,28 +346,32 @@ class VectorReplayer(Replayer):
     def feed(self, events) -> None:
         """Consume one batch of packed events (any iterable shape)."""
         if type(events) is not PackedSegment:
+            if type(events) is not array or events.typecode != "q":
+                events = array("q", events)
             events = PackedSegment(events)
         self.feed_segment(events)
 
     def feed_segment(self, segment: PackedSegment) -> None:
         """Consume a shared decoded segment, span by span.
 
-        The walk returns at each MARKER.  A bare MARKER resets
+        The segment is walked once for its whole ``group`` (every
+        compiled replayer registered on it) by whichever member is fed
+        first; a replayer outside the group walks it alone.  Each member
+        then applies its own spans here.  A bare MARKER resets
         statistics and synthesised counts exactly as the oracle's
         warm-up reset does; a PHASE marker (non-zero flag) only
         snapshots the running totals, closing the phase's slice.  Filter
         state carries across both.
         """
         events = segment.events
-        if type(events) is not array or events.typecode != "q":
-            events = array("q", events)
-        address, n = events.buffer_info()
-        lo = 0
-        while lo < n:
-            stop = self._walk(events, address, lo, n)
-            if self._lanes is not None:
-                self._check_lanes()
-            if stop == n:
+        spans = segment.spans.pop(self, None)
+        if spans is None:
+            group = segment.group if self in segment.group else (self,)
+            segment.spans.update(walk_segment(group, events))
+            spans = segment.spans.pop(self)
+        for span in spans:
+            stop = self._take(events, span)
+            if stop == len(events):
                 break
             event = events[stop]
             if event & 0b1100:  # PHASE: close the running slice.
@@ -363,15 +381,23 @@ class VectorReplayer(Replayer):
                 self.allocs = self.evicts = 0
                 self.counts = FilterEventCounts()
                 self._phase_marks.clear()
-            lo = stop + 1
 
-    def _walk(self, events: array, address: int, lo: int, hi: int) -> int:
-        """Walk ``events[lo:hi]`` (``address`` is their buffer) up to the
-        first MARKER, flush its tallies and return its index (``hi`` when
-        none); raise the oracle's error at the first violation."""
+    def _span(self, stop: int) -> tuple:
+        """This replayer's results of the last walk, which stopped the
+        group at ``stop``: ``(stop, erred, tallies, lane totals)``."""
         out = self._out
-        stop = self._lib.walk(self._context, address, lo, hi)
-        snoops, would_hit, allocs, evicts, filtered, entry_writes, pbits = out
+        totals = self._lane_totals
+        return (out[7], out[7] != stop, out[:7],
+                None if totals is None else totals.tolist())
+
+    def _take(self, events, span) -> int:
+        """Flush one walked span of ``events`` and return its stop (a
+        MARKER's index, or the span's end); raise the oracle's error
+        where the filter erred, then check the lanes' conservation."""
+        stop, erred, tallies, totals = span
+        snoops, would_hit, allocs, evicts, filtered, entry_writes, pbits = (
+            tallies
+        )
         stats = self.stats
         stats.snoops += snoops
         stats.snoop_would_hit += would_hit
@@ -386,7 +412,7 @@ class VectorReplayer(Replayer):
         counts.entry_writes += entry_writes
         counts.cnt_updates += self._n_arrays * (allocs + evicts)
         counts.pbit_writes += pbits
-        if stop < hi and events[stop] & 3 != MARKER:
+        if erred:
             block = events[stop] >> 4
             if events[stop] & 3 == EVICT:
                 raise CoherenceError(
@@ -399,18 +425,56 @@ class VectorReplayer(Replayer):
                 f"{block:#x} on node {self.node_id}, but the block "
                 "is cached — JETTY safety guarantee violated"
             )
+        if totals is not None:
+            self._check_lanes(totals)
         return stop
 
-    def _check_lanes(self) -> None:
+    def _check_lanes(self, totals: list) -> None:
         """Check lane conservation: every lane totals the imported total
         plus the allocs minus the evicts walked since (which warm-up
         MARKERs do not reset)."""
-        totals = self._lane_totals  # as the last walk left them
         expected = self._imported + self._walked
         if totals.count(expected) != len(totals):
             raise InvariantError(
                 f"{self._include.name} lane counter totals "
-                f"{totals.tolist()} break "
+                f"{totals} break "
                 f"conservation: {self._imported} imported + "
                 f"{self._walked} allocs net of evicts = {expected}"
             )
+
+
+def walk(group, events: array, lo: int, hi: int) -> tuple[int, list]:
+    """Walk ``events[lo:hi]`` through every replayer of ``group`` in one
+    native call, up to the first MARKER.
+
+    Returns its index (``hi`` when none) and each member's span, in
+    group order: ``(stop, erred, tallies, lane totals)``, its stop being
+    the group's or, earlier, its own first error, where it stopped while
+    the others walked on.  Every event is decoded and tallied once for
+    the whole group.
+    """
+    contexts = (ctypes.c_void_p * len(group))(*[r._address for r in group])
+    stop = _cmachine.library().walk(
+        contexts, len(group), events.buffer_info()[0], lo, hi
+    )
+    if stop < 0:
+        raise MemoryError("the native walk could not allocate its walkers")
+    return stop, [replayer._span(stop) for replayer in group]
+
+
+def walk_segment(group, events) -> dict:
+    """Walk a whole segment through ``group``, span by span: each
+    member's spans, up to its own first error or the segment's end."""
+    if type(events) is not array or events.typecode != "q":
+        events = array("q", events)
+    spans = {replayer: [] for replayer in group}
+    lo, n = 0, len(events)
+    while group and lo < n:
+        stop, results = walk(group, events, lo, n)
+        walking = []
+        for replayer, span in zip(group, results):
+            spans[replayer].append(span)
+            if not span[1]:
+                walking.append(replayer)
+        group, lo = walking, stop + 1
+    return spans

@@ -299,15 +299,15 @@ class TestProductionInvariants:
     )
     def test_miscounting_kernel_stores_no_eval(self, monkeypatch):
         """A kernel that miscounts one snoop per span must not land a row."""
-        walk = vector_replay.VectorReplayer._walk
+        take = vector_replay.VectorReplayer._take
 
         def miscount(self, *args):
-            stop = walk(self, *args)
+            stop = take(self, *args)
             if self.snoop_filter.name == "EJ-8x2":
                 self.stats.snoops += 1
             return stop
 
-        monkeypatch.setattr(vector_replay.VectorReplayer, "_walk", miscount)
+        monkeypatch.setattr(vector_replay.VectorReplayer, "_take", miscount)
         store = ExperimentStore()
         with pytest.raises(InvariantError, match="EJ-8x2"):
             runner.run_sweep(
@@ -326,15 +326,15 @@ class TestProductionInvariants:
     def test_lane_conservation_break_stores_no_eval(self, monkeypatch):
         """An include walk that leaves one counter off by one is caught by
         the lanes' conservation check alone: no row for that filter."""
-        walk = vector_replay.VectorReplayer._walk
+        walk = vector_replay.walk
 
-        def bumped(self, *args):
-            stop = walk(self, *args)
-            if self._lanes is not None:
-                self._lanes[0] += 1
-            return stop
+        def bumped(group, *args):
+            for replayer in group:
+                if replayer._lanes is not None:
+                    replayer._lanes[0] += 1
+            return walk(group, *args)
 
-        monkeypatch.setattr(vector_replay.VectorReplayer, "_walk", bumped)
+        monkeypatch.setattr(vector_replay, "walk", bumped)
         store = ExperimentStore()
         with pytest.raises(InvariantError, match="IJ-8x4x7 lane counter"):
             runner.run_sweep(

@@ -37,7 +37,13 @@ from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import simulate_streaming
 from repro.core import _cmachine, vector_replay
-from repro.core.config import build_filter
+from repro.core.config import (
+    PAPER_EJ_NAMES,
+    PAPER_HJ_NAMES,
+    PAPER_IJ_NAMES,
+    PAPER_VEJ_NAMES,
+    build_filter,
+)
 from repro.core.exclude import ExcludeJetty
 from repro.core.stats import (
     ALLOC,
@@ -49,7 +55,9 @@ from repro.core.stats import (
     PHASE_FLAG,
     SNOOP,
     StreamingFilterBank,
+    TraceReader,
     pack_event,
+    replay_trace,
 )
 from repro.traces.suite import Phase, Suite
 from repro.errors import (
@@ -485,52 +493,110 @@ FEED_SHAPES = {
 }
 
 
+def _group(filter_name, size):
+    """A walk group of ``size`` replayers led by ``filter_name``'s: the
+    rest are the other ``PARITY_FILTERS``, each on its own filter."""
+    others = [name for name in PARITY_FILTERS if name != filter_name]
+    return [_vector(name) for name in [filter_name, *others][:size]]
+
+
+#: A group of one (a live bank, a replayer fed alone) and a group of
+#: every ``PARITY_FILTERS`` family.
+GROUP_SIZES = (1, len(PARITY_FILTERS))
+
+
 @requires_native
 class TestWalkSpans:
-    """``VectorReplayer._walk`` reads exactly ``events[lo:hi]`` of the
-    buffer it is handed, returns the index of the first MARKER (``hi``
-    when none), raises at the first error, and flushes the oracle's
-    tallies for every event it consumed, the stopping one included."""
+    """``vector_replay.walk`` reads exactly ``events[lo:hi]`` of the
+    buffer it is handed and returns the index of the first MARKER
+    (``hi`` when none); each member's span then flushes the oracle's
+    tallies for every event its filter consumed, the stopping one
+    included, and raises at its first error."""
 
+    @pytest.mark.parametrize("size", GROUP_SIZES)
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
-    def test_span_bounds_are_honoured(self, filter_name):
+    def test_span_bounds_are_honoured(self, filter_name, size):
         # A violation on either side: reading past either bound raises.
         events = array("q", [*_violation(), *_SPAN, *_violation()])
         lo, hi = 2, 2 + len(_SPAN)
-        vector = _vector(filter_name)
-        assert vector._walk(events, events.buffer_info()[0], lo, hi) == hi
-        assert _payload(vector) == _payload(_oracle_fed(filter_name, _SPAN))
+        group = _group(filter_name, size)
+        stop, spans = vector_replay.walk(group, events, lo, hi)
+        assert stop == hi
+        for vector, span in zip(group, spans):
+            assert vector._take(events, span) == hi
+            name = vector.snoop_filter.name
+            assert _payload(vector) == _payload(_oracle_fed(name, _SPAN))
 
     @pytest.mark.parametrize("marker", [
         pytest.param(pack_event(MARKER, 0), id="warm-up"),
         pytest.param(pack_event(MARKER, 1, PHASE_FLAG), id="phase"),
     ])
+    @pytest.mark.parametrize("size", GROUP_SIZES)
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
-    def test_walk_stops_at_a_marker(self, filter_name, marker):
+    def test_walk_stops_at_a_marker(self, filter_name, size, marker):
         events = array("q", [*_SPAN, marker, *_violation()])
-        vector = _vector(filter_name)
-        stop = vector._walk(events, events.buffer_info()[0], 0, len(events))
+        group = _group(filter_name, size)
+        stop, spans = vector_replay.walk(group, events, 0, len(events))
         assert stop == len(_SPAN) and events[stop] == marker
-        assert _payload(vector) == _payload(_oracle_fed(filter_name, _SPAN))
+        for vector, span in zip(group, spans):
+            assert vector._take(events, span) == stop
+            name = vector.snoop_filter.name
+            assert _payload(vector) == _payload(_oracle_fed(name, _SPAN))
 
+    @pytest.mark.parametrize("size", GROUP_SIZES)
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
     def test_error_stop_flushes_through_the_violating_snoop(
-        self, filter_name
+        self, filter_name, size
     ):
         span = [*_SPAN, *_violation()]
         events = array("q", [pack_event(MARKER, 0), *span, _snoop(0x500)])
-        vector = _vector(filter_name)
+        group = _group(filter_name, size)
+        _stop, spans = vector_replay.walk(group, events, 1, len(events))
+        for vector, walked in zip(group, spans):
+            name = vector.snoop_filter.name
+            with pytest.raises(FilterSafetyError) as raised:
+                vector._take(events, walked)
+            oracle = EventReplayer(_single_filter(name), 0)
+            with pytest.raises(FilterSafetyError) as expected:
+                oracle.feed(span)
+            assert str(raised.value) == str(expected.value)
+            assert vars(vector.stats) == vars(oracle.stats)
+            assert vector.stats.snoops == 7  # the violating snoop is tallied
+            assert (vector.allocs, vector.evicts) == (
+                oracle.allocs, oracle.evicts
+            ) == (1, 1)
+
+    def test_a_stopped_member_leaves_the_others_walking(self):
+        """The EJ errs at the P1 snoop its entry filters; the IJ, whose
+        lanes hold the block, walks on to the MARKER and beyond."""
+        events = array("q", [
+            pack_event(ALLOC, 0x40), _snoop(0x40),
+            _snoop(0x40, present=True), *_SPAN, pack_event(MARKER, 0),
+            *_SPAN,
+        ])
+        marker = 3 + len(_SPAN)
+        ej, ij = group = [_vector("EJ-16x2"), _vector("IJ-8x4x7")]
+        spans = vector_replay.walk_segment(group, events)
+        assert [span[:2] for span in spans[ej]] == [(2, True)]
+        assert [span[:2] for span in spans[ij]] == [
+            (marker, False), (len(events), False)
+        ]
+        alone = _vector("IJ-8x4x7")
+        assert spans[ij] == vector_replay.walk_segment([alone], events)[alone]
+
+        # Through a shared segment: the first member fed walks it for
+        # both and raises its own error; the other applies its walked
+        # spans and finishes as if fed alone.
+        ej, ij = group = [_vector("EJ-16x2"), _vector("IJ-8x4x7")]
+        segment = PackedSegment(events, group)
         with pytest.raises(FilterSafetyError) as raised:
-            vector._walk(events, events.buffer_info()[0], 1, len(events))
-        oracle = EventReplayer(_single_filter(filter_name), 0)
-        with pytest.raises(FilterSafetyError) as expected:
-            oracle.feed(span)
-        assert str(raised.value) == str(expected.value)
-        assert vars(vector.stats) == vars(oracle.stats)
-        assert vector.stats.snoops == 7  # the violating snoop is tallied
-        assert (vector.allocs, vector.evicts) == (
-            oracle.allocs, oracle.evicts
-        ) == (1, 1)
+            ej.feed_segment(segment)
+        assert f"block {0x40:#x}" in str(raised.value)
+        ij.feed_segment(segment)
+        assert segment.spans == {}
+        alone = _vector("IJ-8x4x7")
+        alone.feed_segment(PackedSegment(events))
+        assert _payload(ij) == _payload(alone)
 
     @pytest.mark.parametrize("shape", sorted(FEED_SHAPES))
     def test_feed_accepts_every_event_shape(self, golden_streams, shape):
@@ -655,6 +721,202 @@ class TestRandomDifferential:
         assert vars(vector.stats) == vars(oracle.stats)
         assert (vector.allocs, vector.evicts) == (
             oracle.allocs, oracle.evicts
+        )
+
+
+#: The paper's 21 configurations, every one a compiled family.
+PAPER_FILTERS = (
+    PAPER_EJ_NAMES + PAPER_VEJ_NAMES + PAPER_IJ_NAMES + PAPER_HJ_NAMES
+)
+
+#: Blocks that share the low bits every paper geometry indexes on, so
+#: EJ sets, VEJ chunks and IJ counters all see repeats and conflicts.
+_GROUP_BLOCKS = (0x0, 0x1, 0x8, 0x20, 0x40, 0x101, 0x400, 0x1000, 0x2008)
+
+#: Stream steps, weighted towards snoops; the last two are faults.
+_GROUP_STEPS = (
+    *["snoop"] * 8, *["alloc"] * 3, *["evict"] * 3, "warm-up", "phase",
+    "unsafe-snoop", "underflow",
+)
+
+
+@st.composite
+def _group_replays(draw):
+    """Two nodes' packed streams cut into segments, and a bank order.
+
+    Each node's stream follows its own cache: an ALLOC brings a block
+    in, an EVICT takes it out, and a snoop's present bit says whether
+    it is cached.  Faults are rare: a present-bit snoop of a block not
+    cached (a safety violation wherever the filter filters it) and an
+    EVICT of one (an IJ underflow where its counters are zero).  Warm-up
+    and PHASE markers fall anywhere.
+    """
+    nodes = []
+    for _node in range(2):
+        cached, events = set(), []
+        steps = draw(st.lists(
+            st.tuples(st.sampled_from(_GROUP_STEPS),
+                      st.sampled_from(_GROUP_BLOCKS), st.booleans()),
+            min_size=10, max_size=80,
+        ))
+        for step, block, flag in steps:
+            if step == "snoop":
+                events.append(_snoop(block, would_hit=flag,
+                                     present=block in cached))
+            elif step == "alloc" and block not in cached:
+                cached.add(block)
+                events.append(pack_event(ALLOC, block))
+            elif step == "evict" and block in cached:
+                cached.discard(block)
+                events.append(pack_event(EVICT, block))
+            elif step == "warm-up":
+                events.append(pack_event(MARKER, 0))
+            elif step == "phase":
+                events.append(pack_event(
+                    MARKER, block % len(_RANDOM_PHASES), PHASE_FLAG
+                ))
+            elif step == "unsafe-snoop" and block not in cached:
+                events.append(_snoop(block, present=True))
+            elif step == "underflow" and block not in cached:
+                events.append(pack_event(EVICT, block))
+        cuts = sorted(draw(st.lists(st.integers(0, len(events)),
+                                    max_size=3)))
+        bounds = [0, *cuts, len(events)]
+        nodes.append([array("q", events[lo:hi])
+                      for lo, hi in zip(bounds, bounds[1:])])
+    names = draw(st.lists(st.sampled_from(PAPER_FILTERS), min_size=1,
+                          max_size=6, unique=True))
+    return nodes, names
+
+
+def _reader(nodes) -> TraceReader:
+    return TraceReader([len(segments) for segments in nodes],
+                       lambda node_id, index: nodes[node_id][index])
+
+
+def _bank(filter_name, oracle=False) -> StreamingFilterBank:
+    with oracle_replay(oracle):
+        return StreamingFilterBank(
+            [_single_filter(filter_name) for _node in range(2)],
+            phase_names=_RANDOM_PHASES,
+        )
+
+
+def _alone(filter_name, nodes, oracle=False):
+    """Replay ``nodes`` through one bank: ``(bank, None)`` when it
+    finishes, else ``(bank, (segment position, node, exception))`` at its
+    first error."""
+    bank = _bank(filter_name, oracle)
+    for position, (node_id, events) in enumerate(_reader(nodes)):
+        try:
+            bank.feed_node(node_id, PackedSegment(events))
+        except (FilterSafetyError, CoherenceError) as exc:
+            return bank, (position, node_id, exc)
+    return bank, None
+
+
+def _stats(replayer) -> tuple:
+    return vars(replayer.stats), replayer.allocs, replayer.evicts
+
+
+@requires_native
+class TestGroupReplay:
+    """``replay_trace`` walks each segment once through every compiled
+    bank, and each bank ends as if it had been replayed alone: the same
+    evaluation bytes, or the same first error in (segment, bank) order
+    with the erring bank's statistics flushed as its lone walk's."""
+
+    @given(replay=_group_replays())
+    @settings(max_examples=100, deadline=None)
+    def test_group_equals_each_filter_alone(self, replay):
+        nodes, names = replay
+        alone = [_alone(name, nodes) for name in names]
+        banks = [_bank(name) for name in names]
+        try:
+            replay_trace(_reader(nodes), banks)
+        except (FilterSafetyError, CoherenceError) as exc:
+            raised = exc
+        else:
+            raised = None
+        errors = [
+            (error[0], index, error)
+            for index, (_bank_alone, error) in enumerate(alone) if error
+        ]
+        if not errors:
+            assert raised is None
+            for name, bank, (bank_alone, _none) in zip(names, banks, alone):
+                payload = store_mod.encode_eval(bank.finish())
+                assert payload == store_mod.encode_eval(bank_alone.finish())
+                oracle, _none = _alone(name, nodes, oracle=True)
+                assert payload == store_mod.encode_eval(oracle.finish())
+            return
+        _position, first, (_at, node_id, expected) = min(errors)
+        assert (type(raised), str(raised)) == (type(expected), str(expected))
+        assert _stats(banks[first].replayers[node_id]) == (
+            _stats(alone[first][0].replayers[node_id])
+        )
+
+    @given(replay=_group_replays())
+    @settings(max_examples=100, deadline=None)
+    def test_every_member_walks_as_if_alone(self, replay):
+        """Each member's walked spans, segment by segment, equal its
+        lone walk's, while other members stop at their errors around
+        it; a member stops walking at its own first error."""
+        nodes, names = replay
+
+        def walked(together: bool) -> list:
+            spans = []
+            for segments in nodes:
+                walking = [_vector(name) for name in names]
+                node_spans = {replayer: [] for replayer in walking}
+                for events in segments:
+                    if together:
+                        result = vector_replay.walk_segment(walking, events)
+                    else:
+                        result = {
+                            replayer: vector_replay.walk_segment(
+                                [replayer], events
+                            )[replayer]
+                            for replayer in walking
+                        }
+                    for replayer in walking:
+                        node_spans[replayer] += result[replayer]
+                    walking = [
+                        replayer for replayer in walking
+                        if not any(span[1] for span in result[replayer])
+                    ]
+                spans.append(list(node_spans.values()))
+            return spans
+
+        assert walked(together=True) == walked(together=False)
+
+    @pytest.mark.parametrize("order", ["ij-first", "ej-first"])
+    def test_the_first_bank_in_bank_order_raises(self, order):
+        """The EJ errs at event 2 and the IJ at event 4 of one segment:
+        whichever bank comes first raises its own error, with its
+        statistics flushed as its lone walk's, as when every bank
+        walked the segment in turn."""
+        events = array("q", [
+            pack_event(ALLOC, 0x40), _snoop(0x40),
+            _snoop(0x40, present=True),      # the EJ's entry filters it
+            _snoop(0x80), pack_event(EVICT, 0x123),  # the IJ underflows
+            _snoop(0x300),
+        ])
+        names = ["IJ-10x4x7", "EJ-32x4"]
+        if order == "ej-first":
+            names.reverse()
+        nodes = [[events], [array("q")]]
+        banks = [_bank(name) for name in names]
+        with pytest.raises((FilterSafetyError, CoherenceError)) as raised:
+            replay_trace(_reader(nodes), banks)
+        bank_alone, (_position, node_id, expected) = _alone(names[0], nodes)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+        assert "underflow" in str(expected) or "0x40 on node 0" in str(
+            expected
+        )
+        assert _stats(banks[0].replayers[node_id]) == (
+            _stats(bank_alone.replayers[node_id])
         )
 
 
