@@ -347,12 +347,14 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     ``n_phases`` synthetic phase boundaries emitted mid-run and
     per-phase splits accounted in every filter bank.  The loop is
     otherwise instruction-identical, so the ratio is the price of
-    phase accounting alone.  The banks run the live default, so the
-    A/B times the compiled kernels where the native core loads.  The
+    phase accounting alone.  The banks ride the run as a live sweep's
+    do (one ``LiveBanks`` consumer), so the A/B times the compiled group
+    walk where the native core loads.  The
     runs are short (tens of milliseconds), so they are timed as
     interleaved pairs (see :func:`_paired_overhead`).
     """
     from repro.coherence.smp import simulate_streaming
+    from repro.core.stats import LiveBanks
     from repro.traces.workloads import simulate_workload_accesses
 
     spec = _sized(name, n_accesses, warmup)
@@ -368,7 +370,7 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
         started = time.perf_counter()
         simulate_streaming(
             SCALED_SYSTEM, stream, spec.name, warmup=warm,
-            sinks=banks, phase_marks=marks,
+            sinks=[LiveBanks(banks)], phase_marks=marks,
         )
         for bank in banks:
             bank.finish()

@@ -318,6 +318,31 @@ def eval_key(
     })
 
 
+def eval_keys(
+    spec: WorkloadSpec, filter_names, system: SystemConfig, seed: int
+) -> dict[str, str]:
+    """``filter_name -> eval_key(spec, filter_name, system, seed)`` for
+    every name, fingerprinting the simulation once.
+
+    Canonical JSON sorts its keys and ``"filter"`` sorts first, so each
+    key's canonical bytes are the filter's field spliced in front of one
+    shared tail.
+    """
+    tail = _canonical({
+        "kind": "eval",
+        "schema": SCHEMA_VERSION,
+        "spec": spec_fingerprint(spec),
+        "system": system_fingerprint(system),
+        "seed": seed,
+    })
+    return {
+        name: hashlib.sha256(
+            b'{"filter":' + json.dumps(name).encode() + b"," + tail[1:]
+        ).hexdigest()
+        for name in filter_names
+    }
+
+
 # ----------------------------------------------------------------------
 # Payload serialisation (exact integer/float round-trip)
 # ----------------------------------------------------------------------

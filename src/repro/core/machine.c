@@ -3,9 +3,10 @@
  *
  * Compiled on first use by repro.core._cmachine and driven through
  * ctypes from repro.core.vector_replay (the walk: one call walks one
- * span of a shared trace segment through every compiled filter of a
- * replay, a live bank's filter being a group of one),
- * repro.analysis.store (the codec), repro.traces.synth.mix (the
+ * span of a node's events -- a trace segment, or a live chunk's shard --
+ * through every compiled filter of every bank fed them, stepping each
+ * distinct set of IJ lanes once and then each exclude machine, run by
+ * family), repro.analysis.store (the codec), repro.traces.synth.mix (the
  * generator) and repro.coherence.smp (the coherence core, smp_run: one
  * call runs a batch of accesses -- L1 hits, misses, the L2, the write
  * buffers, snoops and the bus -- on the machine's own flat buffers).
@@ -22,6 +23,9 @@
  *
  * The IJ lanes are `n_arrays` int32 counter rows of `lane_mask + 1`
  * entries, lane j indexed by block bits [j*skip, j*skip + entry_bits).
+ * An IJ's counters change only on its node's allocs and evicts, so the
+ * filters of a walk whose lanes have the same geometry and counters --
+ * an IJ and the hybrids built on it -- step one lane set.
  */
 
 #include <math.h>
@@ -37,32 +41,6 @@ typedef struct {
     int64_t ways, set_mask, vshift, vmask;
     int64_t entry_writes, filtered;
 } machine;
-
-/* Step the IJ lanes by one event.  A snoop returns its verdict (1 when
- * every presence bit is set); an alloc or evict updates one counter per
- * lane and returns 1, or -1 for an evict that underflows. */
-static int lanes_step(int32_t *lanes, int64_t n_arrays, int64_t skip,
-                      int64_t lane_mask, int64_t kind, int64_t blk,
-                      int64_t *pbit_writes)
-{
-    for (int64_t j = 0; j < n_arrays; j++) {
-        /* Index fields past bit 63 read as zero, as in Python. */
-        int64_t shift = j * skip;
-        int32_t *c = lanes + j * (lane_mask + 1)
-                     + (shift < 64 ? (blk >> shift) & lane_mask : 0);
-        if (kind == 0) {               /* snoop: presence bit set? */
-            if (*c == 0)
-                return 0;
-        } else if (kind == 1) {        /* alloc: one increment per lane */
-            *pbit_writes += (*c)++ == 0;
-        } else if (*c == 0) {          /* evict: underflow */
-            return -1;
-        } else {                       /* evict: one decrement per lane */
-            *pbit_writes += --(*c) == 0;
-        }
-    }
-    return 1;
-}
 
 /* Rotate row[at, end] left by one: row[at] moves to row[end], the rest
  * one slot forward.  The carried value keeps the compiler from turning
@@ -211,64 +189,114 @@ typedef struct {
     int64_t ways, set_mask, vshift, vmask;
 } walk_ctx;
 
-/* A filter while it walks: its lanes, its exclude machine, and the
- * counts it has taken since the span began. */
+/* One distinct set of IJ lanes: the members whose lanes have the same
+ * geometry and the same counters when the walk begins.  Each event steps
+ * it once, on the lanes buffer of `owner`, a member still walking; the
+ * counts are those since the span began. */
+typedef struct {
+    const walk_ctx *owner;
+    int32_t *lanes;                    /* owner->lanes */
+    int64_t n_arrays, skip, lane_mask;
+    int64_t indexed;                   /* lanes whose field starts below
+                                        * bit 64; the rest read index 0 */
+    int64_t live;                      /* its members still walking */
+    int64_t filtered, pbit_writes;     /* lane-filtered P0 snoops; p-bits */
+    int passed;                        /* its verdict on this snoop */
+} lane_set;
+
+/* Step one lane counter by one event: a snoop reads its presence bit
+ * (0 when clear), an alloc increments it and an evict decrements it (-1
+ * when it would go below zero). */
+static inline int counter_step(int32_t *c, int64_t kind,
+                               int64_t *pbit_writes)
+{
+    if (kind == 0)
+        return *c != 0;
+    if (kind == 1) {
+        *pbit_writes += (*c)++ == 0;
+        return 1;
+    }
+    if (*c == 0)
+        return -1;
+    *pbit_writes += --(*c) == 0;
+    return 1;
+}
+
+/* Step a lane set by one event.  A snoop returns its verdict (1 when
+ * every presence bit is set); an alloc or evict updates one counter per
+ * lane and returns 1, or -1 for an evict that underflows. */
+static int lanes_step(lane_set *ls, int64_t kind, int64_t blk)
+{
+    int32_t *lanes = ls->lanes;
+    int64_t mask = ls->lane_mask, skip = ls->skip, shift = 0, j = 0;
+    int64_t indexed = ls->indexed, n_arrays = ls->n_arrays;
+    int64_t *pbit_writes = &ls->pbit_writes;
+    for (; j < indexed; j++, shift += skip) {
+        int r = counter_step(lanes + j * (mask + 1) + ((blk >> shift) & mask),
+                             kind, pbit_writes);
+        if (r <= 0)
+            return r;
+    }
+    for (; j < n_arrays; j++) {        /* index zero, as in Python */
+        int r = counter_step(lanes + j * (mask + 1), kind, pbit_writes);
+        if (r <= 0)
+            return r;
+    }
+    return 1;
+}
+
+/* A filter while it walks: its lane set (NULL for none), where its
+ * exclude machine reads the lanes' verdict, and the machine. */
 typedef struct {
     const walk_ctx *c;
-    int32_t *lanes;
-    int64_t n_arrays, skip, lane_mask;
+    lane_set *ls;
+    const int *passed;
     machine m;
-    int64_t filtered, pbit_writes;     /* lane-filtered snoops; p-bits */
-} walker;
+} member;
 
-/* Step one walker by one snoop; returns 1 at a P1 snoop the filter
- * would filter.  A hybrid filters a snoop when either side does, and
- * its exclude side sees the lanes' verdict. */
-static int walker_snoop(walker *w, int64_t ev)
+/* The members of a group walk in three runs, one per family: IJs (lanes
+ * alone), then EJs and VEJs, hybrids included (a hybrid is its lane
+ * set's verdict plus its exclude machine).  Each run's live members come
+ * first, as do the lane sets still stepped. */
+enum { IJ_RUN, EJ_RUN, VEJ_RUN, RUNS };
+
+typedef struct {
+    member *run[RUNS];
+    int64_t live[RUNS], members;
+    lane_set *sets;
+    int64_t n_walking;
+    int64_t tally[4];                  /* snoops, would-hit, allocs, evicts */
+} group_walk;
+
+static const int PASS = 1;             /* the verdict without lanes */
+
+/* Stops are rare: kept out of the event loop's registers. */
+#if defined(__GNUC__)
+#define COLD __attribute__((noinline, cold))
+#else
+#define COLD
+#endif
+
+static size_t lanes_bytes(const walk_ctx *c)
 {
-    int64_t blk = ev >> 4;
-    int passed = 1;
-    if (w->lanes)
-        passed = lanes_step(w->lanes, w->n_arrays, w->skip, w->lane_mask,
-                            0, blk, &w->pbit_writes);
-    if (w->m.rows) {
-        int code = (int)((ev >> 3) & 1);
-        return w->m.vecs ? vej_step(&w->m, blk, code, passed)
-                         : ej_step(&w->m, blk, code, passed);
-    }
-    if (!passed) {
-        if (ev & 8)                    /* P1 snoop filtered: violation */
-            return 1;
-        w->filtered++;
-    }
-    return 0;
+    return (size_t)c->n_arrays * (size_t)(c->lane_mask + 1) * sizeof(int32_t);
 }
 
-/* Step one walker by one alloc, which never errs. */
-static void walker_alloc(walker *w, int64_t blk)
+/* Each lane's total, for the caller's conservation check. */
+static void lanes_total(const walk_ctx *c)
 {
-    if (w->lanes)
-        lanes_step(w->lanes, w->n_arrays, w->skip, w->lane_mask, 1, blk,
-                   &w->pbit_writes);
-    if (w->m.rows) {
-        if (w->m.vecs)
-            vej_step(&w->m, blk, 2, 1);
-        else
-            ej_step(&w->m, blk, 2, 1);
+    for (int64_t j = 0; j < c->n_arrays; j++) {
+        const int32_t *lane = c->lanes + j * (c->lane_mask + 1);
+        int64_t total = 0;
+        for (int64_t x = 0; x <= c->lane_mask; x++)
+            total += lane[x];
+        c->lane_totals[j] = total;
     }
 }
 
-/* Step one walker by one evict; returns 1 when it underflows a lane. */
-static int walker_evict(walker *w, int64_t blk)
-{
-    return w->lanes && lanes_step(w->lanes, w->n_arrays, w->skip,
-                                  w->lane_mask, 2, blk,
-                                  &w->pbit_writes) < 0;
-}
-
-/* Write one walker's span results: the shared tallies `tally` so far,
- * its own counts, and `stop`. */
-static void walker_report(const walker *w, const int64_t *tally,
+/* Write one member's span results: the group's tallies so far, its own
+ * counts, and `stop`. */
+static void member_report(const member *w, const int64_t *tally,
                           int64_t stop)
 {
     int64_t *out = w->c->out;
@@ -276,84 +304,276 @@ static void walker_report(const walker *w, const int64_t *tally,
     out[1] = tally[1];
     out[2] = tally[2];
     out[3] = tally[3];
-    out[4] = w->filtered + w->m.filtered;
+    out[4] = w->m.rows ? w->m.filtered : w->ls->filtered;
     out[5] = w->m.entry_writes;
-    out[6] = w->pbit_writes;
+    out[6] = w->ls ? w->ls->pbit_writes : 0;
     out[7] = stop;
 }
 
-/* Stop walker `k` of the `live` at event `i`: report, and the last
- * walker takes its place.  Returns the walkers still live. */
-static int64_t walker_stop(walker *w, int64_t k, int64_t live,
-                           const int64_t *tally, int64_t i)
+/* A member still walking on `ls`. */
+static const walk_ctx *lanes_heir(const group_walk *g, const lane_set *ls)
 {
-    walker_report(w + k, tally, i);
-    w[k] = w[live - 1];
-    return live - 1;
+    for (int r = 0; r < RUNS; r++)
+        for (int64_t k = 0; k < g->live[r]; k++)
+            if (g->run[r][k].ls == ls)
+                return g->run[r][k].c;
+    return NULL;                       /* unreachable while ls->live > 1 */
+}
+
+/* Drop lane set `ls`, whose last member has stopped: its lanes stay as
+ * they were at that stop.  The last walking set takes its place, and
+ * that set's members follow it. */
+static void lanes_drop(group_walk *g, lane_set *ls)
+{
+    lane_set *last = g->sets + --g->n_walking;
+    *ls = *last;
+    for (int r = 0; r < RUNS; r++) {
+        for (int64_t k = 0; k < g->live[r]; k++) {
+            member *w = g->run[r] + k;
+            if (w->ls == last) {
+                w->ls = ls;
+                w->passed = &ls->passed;
+            }
+        }
+    }
+}
+
+/* Stop member `k` of run `r` at event `i`: report, and freeze its lanes
+ * as the lane set holds them now -- handing the walked buffer to another
+ * sharer when it owned it -- with their totals.  The run's last live
+ * member takes its place, and the lane set goes with its last member. */
+static COLD void member_stop(group_walk *g, int r, int64_t k, int64_t i)
+{
+    member *w = g->run[r] + k;
+    lane_set *ls = w->ls;
+    const walk_ctx *c = w->c;
+    member_report(w, g->tally, i);
+    *w = g->run[r][--g->live[r]];
+    g->members--;
+    if (ls == NULL)
+        return;
+    if (ls->owner != c) {
+        memcpy(c->lanes, ls->lanes, lanes_bytes(c));
+    } else if (ls->live > 1) {
+        const walk_ctx *heir = lanes_heir(g, ls);
+        memcpy(heir->lanes, ls->lanes, lanes_bytes(c));
+        ls->owner = heir;
+        ls->lanes = heir->lanes;
+    }
+    lanes_total(c);
+    if (--ls->live == 0)
+        lanes_drop(g, ls);
+}
+
+/* Stop every member of the runs [from, to) on `ls` at event `i`. */
+static COLD void lanes_stop(group_walk *g, lane_set *ls, int from, int to,
+                            int64_t i)
+{
+    for (int r = from; r < to; r++) {
+        for (int64_t k = 0; k < g->live[r]; k++) {
+            if (g->run[r][k].ls != ls)
+                continue;
+            if (ls->live == 1) {       /* the last: `ls` is then dropped */
+                member_stop(g, r, k, i);
+                return;
+            }
+            member_stop(g, r, k--, i);
+        }
+    }
+}
+
+/* Step the `n` walking lane sets by one snoop: each set's verdict.
+ * Returns 1 when a set filtered a P1 snoop, a violation; a filtered P0
+ * snoop counts in the set. */
+static inline int lanes_snoop(lane_set *sets, int64_t n, int64_t blk,
+                                int p1)
+{
+    int faults = 0;
+    for (int64_t s = 0; s < n; s++) {
+        lane_set *ls = sets + s;
+        ls->passed = lanes_step(ls, 0, blk);
+        if (!ls->passed) {
+            faults |= p1;
+            ls->filtered += !p1;
+        }
+    }
+    return faults;
+}
+
+/* Step the `n` walking lane sets by one alloc. */
+static inline void lanes_alloc(lane_set *sets, int64_t n, int64_t blk)
+{
+    for (int64_t s = 0; s < n; s++) {
+        lane_set *ls = sets + s;
+        lanes_step(ls, 1, blk);
+    }
+}
+
+/* Step the `n` walking lane sets by one evict.  Returns 1 when a set
+ * underflowed, its `passed` then 0. */
+static inline int lanes_evict(lane_set *sets, int64_t n, int64_t blk)
+{
+    int faults = 0;
+    for (int64_t s = 0; s < n; s++) {
+        lane_set *ls = sets + s;
+        ls->passed = lanes_step(ls, 2, blk) > 0;
+        faults |= !ls->passed;
+    }
+    return faults;
+}
+
+/* Stop the members of the runs [from, to) on every walking lane set that
+ * failed this event (`passed` 0) at event `i`.  A dropped set's place
+ * holds another set of the same event, which is checked in turn. */
+static COLD void lanes_fault(group_walk *g, int from, int to, int64_t i)
+{
+    for (int64_t s = 0; s < g->n_walking;) {
+        int64_t walking = g->n_walking;
+        if (!g->sets[s].passed) {
+            lanes_stop(g, g->sets + s, from, to, i);
+            if (g->n_walking < walking)
+                continue;
+        }
+        s++;
+    }
 }
 
 /* Walk packed events e[lo, hi) in stream order through the `n` filters
- * of `group`: each event is decoded and tallied once, then stepped
- * through every filter still walking.  Returns the index of the first
- * MARKER (the caller's to handle), else `hi`; once every filter has
- * stopped, the walk ends early and the return means nothing.
+ * of `group`.  Returns the index of the first MARKER (the caller's to
+ * handle), else `hi`; once every filter has stopped, the walk ends
+ * early and the return means nothing.
  *
- * A filter stops at its first error and the others walk on.  Its `out`
- * receives its span's results: the tallies -- snoops, would-hit snoops,
- * allocs, evicts -- over every event up to and including its stop (a
- * MARKER counts as none), its filtered snoops, entry writes and
+ * Each event is decoded and tallied once, steps each distinct lane set
+ * once -- the snoop verdict, the alloc and evict updates, the
+ * presence-bit writes and the underflow check -- and then every exclude
+ * machine still walking, run by family.  A filter stops at its first
+ * error and the others walk on; an underflow stops every sharer of the
+ * lanes at the same event, with the same partial decrement.  A filter's
+ * `out` receives its span's results: the tallies -- snoops, would-hit
+ * snoops, allocs, evicts -- over every event up to and including its
+ * stop (a MARKER counts as none), its filtered snoops, entry writes and
  * presence-bit writes before it, and the stop's index (its error, else
- * the group's stop); `lane_totals` each lane's total after it, for the
- * caller's conservation check.  Returns -1 when out of memory. */
+ * the group's stop).  Its lanes end as its stop left them and
+ * `lane_totals` holds each lane's total, for the caller's conservation
+ * check: every filter ends as a walk of it alone would leave it.
+ * Returns -1 when out of memory. */
 int64_t walk(const walk_ctx *const *group, int64_t n, const int64_t *e,
              int64_t lo, int64_t hi)
 {
-    walker *w = malloc((size_t)n * sizeof *w);
-    int64_t tally[4] = {0, 0, 0, 0}, live = n, i, k;
-    if (w == NULL)
+    void *block = malloc((size_t)n * (sizeof(member) + sizeof(lane_set)));
+    member *members = block;
+    lane_set *sets = (lane_set *)(members + n);
+    group_walk g = {{NULL}, {0}, n, sets, 0, {0}};
+    int64_t i, k;
+    if (block == NULL)
         return -1;
     for (k = 0; k < n; k++) {
         const walk_ctx *c = group[k];
-        walker init = {c, c->lanes, c->n_arrays, c->skip, c->lane_mask,
-                       {c->rows, c->vecs, c->fill, c->ways, c->set_mask,
-                        c->vshift, c->vmask, 0, 0}, 0, 0};
-        w[k] = init;
+        g.live[c->rows == NULL ? IJ_RUN : c->vecs ? VEJ_RUN : EJ_RUN]++;
     }
-    for (i = lo; i < hi && live > 0; i++) {
-        int64_t ev = e[i];
+    g.run[IJ_RUN] = members;
+    g.run[EJ_RUN] = members + g.live[IJ_RUN];
+    g.run[VEJ_RUN] = g.run[EJ_RUN] + g.live[EJ_RUN];
+    int64_t filled[RUNS] = {0, 0, 0};
+    for (k = 0; k < n; k++) {
+        const walk_ctx *c = group[k];
+        lane_set *ls = NULL;
+        for (int64_t s = 0; c->lanes && s < g.n_walking; s++) {
+            if (sets[s].n_arrays == c->n_arrays && sets[s].skip == c->skip
+                && sets[s].lane_mask == c->lane_mask
+                && memcmp(sets[s].lanes, c->lanes, lanes_bytes(c)) == 0) {
+                ls = sets + s;
+                break;
+            }
+        }
+        if (c->lanes && ls == NULL) {
+            ls = sets + g.n_walking++;
+            /* Lane j's field starts at bit j * skip (skip >= 1). */
+            int64_t indexed = 63 / c->skip + 1;
+            *ls = (lane_set){c, c->lanes, c->n_arrays, c->skip, c->lane_mask,
+                             indexed < c->n_arrays ? indexed : c->n_arrays,
+                             0, 0, 0, 1};
+        }
+        if (ls != NULL)
+            ls->live++;
+        int r = c->rows == NULL ? IJ_RUN : c->vecs ? VEJ_RUN : EJ_RUN;
+        g.run[r][filled[r]++] = (member){
+            c, ls, ls ? &ls->passed : &PASS,
+            {c->rows, c->vecs, c->fill, c->ways, c->set_mask, c->vshift,
+             c->vmask, 0, 0}};
+    }
+    /* The event loop keeps the run bounds in locals, re-read after each
+     * stop (RESYNC). */
+    member *ej = g.run[EJ_RUN], *vej = g.run[VEJ_RUN];
+    int64_t n_walking = g.n_walking, n_ej = g.live[EJ_RUN];
+    int64_t n_vej = g.live[VEJ_RUN];
+#define RESYNC() do {                                                   \
+        n_walking = g.n_walking;                                        \
+        n_ej = g.live[EJ_RUN];                                          \
+        n_vej = g.live[VEJ_RUN];                                        \
+        if (g.members == 0)                                             \
+            goto stopped;                                               \
+    } while (0)
+    for (i = lo; i < hi; i++) {
+        int64_t ev = e[i], blk = ev >> 4;
         if ((ev & 3) == 0) {
-            tally[0]++;
-            tally[1] += (ev >> 2) & 1;
-            for (k = 0; k < live; k++)
-                if (walker_snoop(w + k, ev))
-                    live = walker_stop(w, k--, live, tally, i);
+            int code = (int)((ev >> 3) & 1);
+            g.tally[0]++;
+            g.tally[1] += (ev >> 2) & 1;
+            /* A lane-filtered P1 snoop stops the set's IJs here and its
+             * hybrids in their exclude runs. */
+            if (lanes_snoop(sets, n_walking, blk, code)) {
+                lanes_fault(&g, IJ_RUN, IJ_RUN + 1, i);
+                RESYNC();
+            }
+            for (k = 0; k < n_ej; k++) {
+                if (ej_step(&ej[k].m, blk, code, *ej[k].passed)) {
+                    member_stop(&g, EJ_RUN, k--, i);
+                    RESYNC();
+                }
+            }
+            for (k = 0; k < n_vej; k++) {
+                if (vej_step(&vej[k].m, blk, code, *vej[k].passed)) {
+                    member_stop(&g, VEJ_RUN, k--, i);
+                    RESYNC();
+                }
+            }
         } else if ((ev & 3) == 1) {
-            tally[2]++;
-            for (k = 0; k < live; k++)
-                walker_alloc(w + k, ev >> 4);
+            g.tally[2]++;
+            lanes_alloc(sets, n_walking, blk);
+            for (k = 0; k < n_ej; k++)
+                ej_step(&ej[k].m, blk, 2, 1);
+            for (k = 0; k < n_vej; k++)
+                vej_step(&vej[k].m, blk, 2, 1);
         } else if ((ev & 3) == 2) {
-            tally[3]++;
-            for (k = 0; k < live; k++)
-                if (walker_evict(w + k, ev >> 4))
-                    live = walker_stop(w, k--, live, tally, i);
+            g.tally[3]++;
+            if (lanes_evict(sets, n_walking, blk)) {
+                lanes_fault(&g, 0, RUNS, i);
+                RESYNC();
+            }
         } else {                       /* MARKER: the caller's to handle */
             break;
         }
     }
-    for (k = 0; k < live; k++)
-        walker_report(w + k, tally, i);
-    free(w);
-    for (k = 0; k < n; k++) {
-        const walk_ctx *c = group[k];
-        for (int64_t j = 0; c->lanes && j < c->n_arrays; j++) {
-            const int32_t *lane = c->lanes + j * (c->lane_mask + 1);
-            int64_t total = 0;
-            for (int64_t x = 0; x <= c->lane_mask; x++)
-                total += lane[x];
-            c->lane_totals[j] = total;
+#undef RESYNC
+    for (k = 0; k < g.n_walking; k++)
+        lanes_total(sets[k].owner);
+    for (int r = 0; r < RUNS; r++) {
+        for (k = 0; k < g.live[r]; k++) {
+            const member *w = g.run[r] + k;
+            member_report(w, g.tally, i);
+            if (w->ls != NULL && w->ls->owner != w->c) {
+                memcpy(w->c->lanes, w->ls->lanes, lanes_bytes(w->c));
+                memcpy(w->c->lane_totals, w->ls->owner->lane_totals,
+                       (size_t)w->c->n_arrays * sizeof(int64_t));
+            }
         }
     }
+    free(block);
     return i;
+stopped:                               /* every filter stopped at event i */
+    free(block);
+    return i + 1;
 }
 
 /* ------------------------------------------------------------------ */

@@ -608,9 +608,13 @@ class StreamingFilterBank:
     per node and implements the shard-consumer interface expected by
     :func:`repro.coherence.smp.simulate_streaming`: each
     :meth:`consume` call receives the per-node event shards of one chunk,
-    in node order.  Several banks — one per filter configuration — can be
-    attached to the same simulation, which is how N filters are evaluated
-    in a single pass with O(chunk) memory.
+    in node order.  Several banks — one per filter configuration — are
+    attached to the same simulation through :class:`LiveBanks`, which is
+    how N filters are evaluated in a single pass with O(chunk) memory:
+    it wraps each node's shard once for every bank
+    (:func:`shared_segment`), so the first bank's compiled replayer walks
+    the chunk for every compiled filter of every bank, and each bank then
+    applies its own results.
 
     Each node gets the compiled replayer
     :func:`repro.core.vector_replay.replayer_for` builds for its filter,
@@ -638,15 +642,23 @@ class StreamingFilterBank:
                 replayer = EventReplayer(snoop_filter, node_id, phase_names)
             self.replayers.append(replayer)
 
-    def consume(self, shard: list[NodeEventStream]) -> None:
-        """Feed one chunk's per-node event shards to the node replayers."""
+    def consume(self, shard) -> None:
+        """Feed one chunk's per-node event shards to the node replayers.
+
+        Each entry of ``shard`` is a :class:`NodeEventStream` or, from
+        :class:`LiveBanks`, the node's :class:`PackedSegment` shared with
+        the other live banks.
+        """
         if len(shard) != len(self.replayers):
             raise ConfigurationError(
                 f"shard width {len(shard)} differs from the bank's node "
                 f"count {len(self.replayers)}"
             )
         for replayer, stream in zip(self.replayers, shard):
-            replayer.feed(stream.events)
+            if type(stream) is PackedSegment:
+                replayer.feed_segment(stream)
+            else:
+                replayer.feed(stream.events)
 
     def feed_node(self, node_id: int, events) -> None:
         """Feed one node's packed events directly (trace-replay path).
@@ -716,33 +728,68 @@ class TraceReader:
         return PackedSegment(self.fetch(node_id, index))
 
 
+def shared_segment(banks, node_id: int, events) -> PackedSegment:
+    """One node's events wrapped for every bank that will be fed them.
+
+    The one way banks are fed, live (:class:`LiveBanks`) or replaying
+    (:func:`replay_trace`): the node's compiled replayers of every bank
+    form the segment's group, so the first of them fed walks the events
+    for all; each bank then applies its own results, in bank order, so
+    the first error raised is the first bank's.  When two or more banks
+    will walk the events with the per-event Python loop, each packed
+    event is boxed once for all of them: iterating an ``array('q')``
+    allocates a fresh int per element per pass, while a list pass just
+    borrows references.  Compiled replayers read the array's buffer and
+    never need the boxed list.
+    """
+    replayers = [bank.replayers[node_id] for bank in banks]
+    python = [r for r in replayers if isinstance(r, EventReplayer)]
+    segment = PackedSegment(
+        events, [r for r in replayers if not isinstance(r, EventReplayer)]
+    )
+    if len(python) > 1:
+        segment.boxed()
+    return segment
+
+
+class LiveBanks:
+    """Every live bank of a run as one shard consumer.
+
+    Each chunk's per-node shards are wrapped once
+    (:func:`shared_segment`), so one native walk per node steps every
+    compiled filter of every bank; each bank then consumes the shared
+    segments through :meth:`StreamingFilterBank.consume`, in bank order.
+    """
+
+    __slots__ = ("banks",)
+
+    def __init__(self, banks) -> None:
+        self.banks = list(banks)
+
+    def consume(self, shard: list[NodeEventStream]) -> None:
+        segments = [
+            shared_segment(self.banks, node_id, stream.events)
+            for node_id, stream in enumerate(shard)
+        ]
+        for bank in self.banks:
+            bank.consume(segments)
+
+
 def replay_trace(reader: TraceReader, banks) -> None:
     """Feed every segment of a recorded trace to the given filter banks.
 
     The record-once / replay-many kernel: each segment is decoded once
-    (by the reader) and fed to every bank, so evaluating F filter
-    configurations against a persisted trace costs one decode pass, one
-    native walk through all the compiled filters, and one per-event
-    loop per oracle filter — no simulation, no caches, no bus.  The
-    first compiled bank fed a segment walks it for all of them; each
-    bank still applies its own results in bank order, so the first
-    error raised is the first bank's.  Callers collect results with
-    each bank's ``finish()``; the evaluations are byte-identical to
-    live-streamed ones by the determinism contract.
+    (by the reader), wrapped once for every bank (:func:`shared_segment`)
+    and fed to each through :meth:`StreamingFilterBank.feed_node`, so
+    evaluating F filter configurations against a persisted trace costs
+    one decode pass, one native walk through all the compiled filters,
+    and one per-event loop per oracle filter — no simulation, no caches,
+    no bus.  Callers collect results with each bank's ``finish()``; the
+    evaluations are byte-identical to live-streamed ones by the
+    determinism contract.
     """
     banks = list(banks)
     for node_id, events in reader:
-        replayers = [bank.replayers[node_id] for bank in banks]
-        python = [r for r in replayers if isinstance(r, EventReplayer)]
-        segment = PackedSegment(
-            events, [r for r in replayers if not isinstance(r, EventReplayer)]
-        )
-        # Box each packed event once when two or more banks will walk
-        # the segment with the per-event Python loop: iterating an
-        # array('q') allocates a fresh int per element per pass, while
-        # a list pass just borrows references.  Compiled replayers
-        # read the array's buffer instead and never need the boxed list.
-        if len(python) > 1:
-            segment.boxed()
+        segment = shared_segment(banks, node_id, events)
         for bank in banks:
             bank.feed_node(node_id, segment)

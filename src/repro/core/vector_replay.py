@@ -9,13 +9,18 @@ itself, no copy, walked in stream order through the filters' state.
 
 One walk serves a whole *group* of replayers: every compiled replayer
 registered on a shared :class:`~repro.core.stats.PackedSegment` (the
-node's replayers of every bank in
-:func:`~repro.core.stats.replay_trace`).  Events are the outer loop and
-filters the inner one, so each event is decoded and its tallies counted
-once, however many filters walk it.  Whichever member is fed first walks
-the segment for all of them (:func:`walk_segment`); each member then
-applies its own spans.  A replayer fed alone — a live bank, a test — is
-a group of one, on the same walk and the same path.
+node's replayers of every bank fed the events, live or replaying:
+:func:`~repro.core.stats.shared_segment`).  Events are the outer loop
+and filters the inner one, so each event is decoded and its tallies
+counted once, however many filters walk it.  Within an event, each
+distinct *lane set* steps once: members whose IJ lanes have the same
+geometry and the same counters when the walk begins — an IJ and the
+hybrids built on it — share one, because an IJ's counters change only
+on the node's allocs and evicts.  The exclude machines then step in one
+run per family.  Whichever member is fed first walks the segment for
+all of them (:func:`walk_segment`); each member then applies its own
+spans.  A replayer fed alone — a test, a bank of the only filter fed —
+is a group of one, on the same walk and the same path.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
 for every supported filter family it reproduces the oracle
@@ -36,11 +41,14 @@ ways ``0..k-1`` in recency order.  An HJ is both: the lanes' verdict
 reaches the exclude machine, and a snoop is filtered when either side
 filters it.  The walk returns at each MARKER.  A filter stops at its
 first safety violation or underflow, with its tallies up to and
-including that event, while the rest of its group walks on; so each
-member's flushed statistics match the oracle's exactly, and the first
-error raised is the first member's to apply its spans — the first
-bank's, in bank order, as with one walk per filter.  After every span
-the lanes' totals are checked against the allocs and evicts walked
+including that event, while the rest of its group walks on; an
+underflow stops every sharer of the lane set at that event, with the
+same partial decrement, and a stopper's lanes stay as its stop left
+them.  So each member's flushed statistics and lanes match a lone
+walk's, and the oracle's, exactly, and the first error raised is the
+first member's to apply its spans — the first bank's, in bank order, as
+with one walk per filter.  After every span the lanes' totals are
+checked against the allocs and evicts walked
 (:class:`~repro.errors.InvariantError` on a break).
 
 Every replayer *imports* the wrapped filter's current storage state at

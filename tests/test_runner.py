@@ -20,8 +20,15 @@ from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.core import _cmachine, vector_replay
 from repro.core.base import FilterEventCounts
+from repro.core.config import (
+    PAPER_EJ_NAMES,
+    PAPER_HJ_NAMES,
+    PAPER_IJ_NAMES,
+    PAPER_VEJ_NAMES,
+)
 from repro.core.stats import CoverageStats, FilterEvaluation, check_evaluations
 from repro.errors import ConfigurationError, InvariantError
+from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
 WORKLOAD_A = "test-runner-a"
@@ -258,6 +265,32 @@ class TestStore:
         ev_full = full.evaluations[(WORKLOAD_A, "EJ-8x2", 1)]
         ev_small = reduced.evaluations[(WORKLOAD_A, "EJ-8x2", 1)]
         assert ev_full.coverage.snoops != ev_small.coverage.snoops
+
+
+class TestEvalKeys:
+    """``store.eval_keys`` fingerprints a simulation once for all its
+    filters; every key it returns is ``store.eval_key``'s, byte for byte."""
+
+    PAPER_FILTERS = (
+        PAPER_EJ_NAMES + PAPER_VEJ_NAMES + PAPER_IJ_NAMES + PAPER_HJ_NAMES
+    )
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("workload", ["em3d", WORKLOAD_A, "suite"])
+    def test_every_paper_filter_keys_as_eval_key(self, workload, seed):
+        spec = Suite(
+            [Phase("fill", "zipf-hot", 500), Phase("drain", "scan-stream", 700)],
+            name="test-runner-suite",
+            warmup_accesses=200,
+        ) if workload == "suite" else WORKLOADS[workload]
+        names = (*self.PAPER_FILTERS, "null")
+        keys = store_mod.eval_keys(spec, names, SCALED_SYSTEM, seed)
+        assert list(keys) == list(names)
+        for name in names:
+            assert keys[name] == store_mod.eval_key(
+                spec, name, SCALED_SYSTEM, seed
+            )
+        assert len(set(keys.values())) == len(names)
 
 
 class TestProductionInvariants:

@@ -48,6 +48,8 @@ from repro.traces.workloads import (
     resume_stream,
     stream_fingerprint,
 )
+from tests.conftest import oracle_replay
+from tests.test_checkpoint import kill_after_checkpoints
 from tests.test_golden_metrics import CASES, GOLDEN_WORKLOADS, golden_path
 
 #: Deliberately awkward chunk sizes: a tiny one (many shards), a prime
@@ -477,6 +479,73 @@ def _memory_trace() -> list[tuple[int, int, bool]]:
             address = (cpu << 16) | (rng.randrange(4) * 8)
         base.append((cpu, address, rng.random() < 0.2))
     return base
+
+
+# ----------------------------------------------------------------------
+# Live banks walk each chunk as one group
+# ----------------------------------------------------------------------
+
+#: The default banks plus a second hybrid on IJ-10x4x7's lanes: three
+#: members of a live group share one lane set.
+LIVE_GROUP_FILTERS = (
+    *runner.DEFAULT_SWEEP_FILTERS, "HJ(IJ-10x4x7, EJ-16x2)",
+)
+
+
+class TestLiveGroup:
+    """Every live bank's compiled filters walk a chunk's node shard in
+    one group (``LiveBanks``); the rows they store are a replay's, the
+    no-compiler tier's, and a killed and resumed run's."""
+
+    @staticmethod
+    def _jobs(spec, chunk_size):
+        return [runner.SweepJob(spec, LIVE_GROUP_FILTERS, SCALED_SYSTEM, 1,
+                                chunk_size)]
+
+    def _streamed(self, spec, chunk_size, *, oracle=False) -> dict:
+        store = ExperimentStore()
+        with oracle_replay(oracle):
+            runner.execute(self._jobs(spec, chunk_size), mode="stream",
+                           experiment_store=store, backend="serial")
+        return store.dump()
+
+    def test_rows_match_the_replay_and_the_oracle(self, sweep_workload):
+        replayed = ExperimentStore()
+        runner.execute(self._jobs(sweep_workload, 997), mode="replay",
+                       experiment_store=replayed, backend="serial")
+        keys = {
+            *store_mod.eval_keys(sweep_workload, LIVE_GROUP_FILTERS,
+                                 SCALED_SYSTEM, 1).values(),
+            store_mod.sim_metrics_key(sweep_workload, SCALED_SYSTEM, 1),
+        }
+        reference = {key: replayed.get_blob(key) for key in keys}
+        for oracle in (False, True):
+            for chunk_size in (512, 1777):
+                assert self._streamed(
+                    sweep_workload, chunk_size, oracle=oracle
+                ) == reference, (oracle, chunk_size)
+
+    def test_a_killed_live_group_resumes_to_the_same_rows(
+        self, sweep_workload
+    ):
+        reference = self._streamed(sweep_workload, 1777)
+        for chunk_size, resume_chunk in ((512, 1777), (1777, 512)):
+            store = ExperimentStore()
+            with kill_after_checkpoints(store, 2):
+                with pytest.raises(KeyboardInterrupt):
+                    runner.execute(
+                        self._jobs(sweep_workload, chunk_size),
+                        mode="stream", experiment_store=store,
+                        checkpoint_every=700, backend="serial",
+                    )
+            report = runner.execute(
+                self._jobs(sweep_workload, resume_chunk), mode="stream",
+                experiment_store=store, checkpoint_every=700,
+                backend="serial",
+            )
+            assert report.checkpoints_resumed == 1
+            assert report.resumed_accesses == 1_400  # mid-run, measured
+            assert store.dump() == reference, chunk_size
 
 
 def _streamed_peak(system, base, n_accesses: int) -> tuple[int, int]:

@@ -500,7 +500,7 @@ def _group(filter_name, size):
     return [_vector(name) for name in [filter_name, *others][:size]]
 
 
-#: A group of one (a live bank, a replayer fed alone) and a group of
+#: A group of one (a replayer fed alone) and a group of
 #: every ``PARITY_FILTERS`` family.
 GROUP_SIZES = (1, len(PARITY_FILTERS))
 
@@ -613,6 +613,117 @@ class TestWalkSpans:
             batch = batch.events
         if type(batch) is array:
             assert batch == array("q", events)
+
+
+#: A hybrid and the IJ of its include geometry: one lane set in a walk.
+_SHARERS = ("HJ(IJ-8x4x7, EJ-16x2)", "IJ-8x4x7")
+
+#: Event lists on which members of one lane set stop in each of three
+#: ways, after the lanes have moved, or walk to the end; with the index
+#: of the stop and the members it stops.  IJ-8x4x7 indexes lane j on
+#: block bits [7j, 7j + 8).
+_SHARED_STOPS = {
+    # Both walk to the end, through a MARKER.
+    "none": ([
+        pack_event(ALLOC, 0x40), *_SPAN, pack_event(MARKER, 0), *_SPAN,
+    ], None, ()),
+    # The hybrid's EJ entry for 0x40 filters its P1 snoop; the IJ's
+    # lanes hold the block, so it walks on past a MARKER.
+    "exclude-side": ([
+        pack_event(ALLOC, 0x40), _snoop(0x40), _snoop(0x40, present=True),
+        *_SPAN, pack_event(ALLOC, 0x2), pack_event(MARKER, 0), *_SPAN,
+        pack_event(EVICT, 0x2),
+    ], 2, _SHARERS[:1]),
+    # No lane counts 0x300: the lanes filter its P1 snoop for both.
+    "lane-filtered-p1": ([
+        pack_event(ALLOC, 0x40), *_SPAN, _snoop(0x300, present=True),
+        pack_event(ALLOC, 0x300), _snoop(0x40),
+    ], 1 + len(_SPAN), _SHARERS),
+    # 0x101 shares lane 0's counter with 0x1 but not lane 1's: the evict
+    # takes lane 0 down to zero, then underflows lane 1, for both.
+    "underflow": ([
+        pack_event(ALLOC, 0x1), *_SPAN, pack_event(EVICT, 0x101),
+        pack_event(ALLOC, 0x101), _snoop(0x1),
+    ], 1 + len(_SPAN), _SHARERS),
+}
+
+
+def _walked_alone(replayer_of, events) -> tuple:
+    """A lone walk of ``events``: its spans, lanes bytes and totals."""
+    alone = replayer_of()
+    spans = vector_replay.walk_segment([alone], events)[alone]
+    return spans, alone._lanes.tobytes(), alone._lane_totals.tolist()
+
+
+@requires_native
+class TestSharedLanes:
+    """Members whose lanes have the same geometry and counters walk one
+    lane set; each ends with its lone walk's spans, lanes bytes and lane
+    totals, whichever stops first and in whichever group order."""
+
+    @pytest.mark.parametrize("order", ["hybrid-first", "ij-first"])
+    @pytest.mark.parametrize("stop", sorted(_SHARED_STOPS))
+    def test_each_sharer_ends_as_if_alone(self, stop, order):
+        events, at, stoppers = _SHARED_STOPS[stop]
+        events = array("q", events)
+        names = _SHARERS if order == "hybrid-first" else _SHARERS[::-1]
+        group = [_vector(name) for name in names]
+        spans = vector_replay.walk_segment(group, events)
+        for name, member in zip(names, group):
+            walked = (spans[member], member._lanes.tobytes(),
+                      member._lane_totals.tolist())
+            assert walked == _walked_alone(lambda: _vector(name), events)
+            erred = [span[:2] for span in spans[member] if span[1]]
+            assert erred == ([(at, True)] if name in stoppers else [])
+        if stop == "underflow":
+            assert group[0]._lanes[0x1] == 0  # lane 0 went down first
+
+    def test_a_stopped_lane_set_leaves_the_others_walking(self):
+        """IJ-10x4x7 alone filters the P1 snoop of a block differing from
+        0x40 only in bit 29 (its lane 3 reads bits 21-30, IJ-8x4x7's
+        21-28), so its lane set stops; the hybrid's walks on, and its
+        verdicts still reach the hybrid's EJ."""
+        names = ("IJ-10x4x7", _SHARERS[0])
+        events = array("q", [
+            pack_event(ALLOC, 0x40), _snoop(0x40 | 1 << 29, present=True),
+            _snoop(0x300), _snoop(0x40), _snoop(0x300), *_SPAN,
+        ])
+        group = [_vector(name) for name in names]
+        spans = vector_replay.walk_segment(group, events)
+        for name, member in zip(names, group):
+            walked = (spans[member], member._lanes.tobytes(),
+                      member._lane_totals.tolist())
+            assert walked == _walked_alone(lambda: _vector(name), events)
+        assert [span[:2] for span in spans[group[0]]] == [(1, True)]
+        assert not spans[group[1]][0][1]
+
+    def test_unequal_counters_never_share(self):
+        """Two IJs and a hybrid of one geometry, the second IJ restored
+        from a warmed snapshot: the fresh pair shares lanes, the warmed
+        IJ walks its own, and only the fresh ones stop at 0x300's P1."""
+        warmer = _vector("IJ-8x4x7")
+        warmer.feed([pack_event(ALLOC, 0x300), pack_event(ALLOC, 0x40)])
+        state = warmer.snapshot()
+
+        def warmed():
+            replayer = _vector("IJ-8x4x7")
+            replayer.restore(state)
+            return replayer
+
+        makers = [lambda: _vector(_SHARERS[1]), warmed,
+                  lambda: _vector(_SHARERS[0])]
+        events = array("q", [
+            *_SPAN, _snoop(0x300, present=True), pack_event(EVICT, 0x300),
+            _snoop(0x40, present=True),
+        ])
+        group = [make() for make in makers]
+        spans = vector_replay.walk_segment(group, events)
+        for make, member in zip(makers, group):
+            walked = (spans[member], member._lanes.tobytes(),
+                      member._lane_totals.tolist())
+            assert walked == _walked_alone(make, events)
+        assert [any(span[1] for span in spans[member]) for member in group
+                ] == [True, False, True]
 
 
 #: Blocks crowding a few sets of every ``PARITY_FILTERS`` geometry: the
@@ -742,7 +853,8 @@ _GROUP_STEPS = (
 
 @st.composite
 def _group_replays(draw):
-    """Two nodes' packed streams cut into segments, and a bank order.
+    """Two nodes' packed streams cut into segments, and a bank order,
+    which often holds a hybrid and the IJ of its include geometry.
 
     Each node's stream follows its own cache: an ALLOC brings a block
     in, an EVICT takes it out, and a snoop's present bit says whether
@@ -786,6 +898,13 @@ def _group_replays(draw):
                       for lo, hi in zip(bounds, bounds[1:])])
     names = draw(st.lists(st.sampled_from(PAPER_FILTERS), min_size=1,
                           max_size=6, unique=True))
+    if draw(st.booleans()):
+        # A hybrid and the IJ of its include geometry: one lane set.
+        hybrid = draw(st.sampled_from(PAPER_HJ_NAMES))
+        pair = [hybrid, hybrid[len("HJ("):hybrid.index(",")]]
+        names = draw(st.permutations(
+            [*pair, *(name for name in names if name not in pair)]
+        ))
     return nodes, names
 
 
@@ -1117,13 +1236,17 @@ class TestKernelSelection:
 
     @requires_native
     def test_oversized_geometries_vectorise(self, golden_streams):
-        """IJ lanes of any index space and exclude structures of any set
-        count compile, with the oracle's payload; VEJ vectors wider than
-        the walk's ``uint64`` take the oracle."""
+        """IJ lanes of any index space, lanes whose field starts past bit
+        63 (lanes 10 and 11 of IJ-4x12x7 start at bits 70 and 77) and
+        exclude structures of any set count compile, with the oracle's
+        payload; VEJ vectors wider than the walk's ``uint64`` take the
+        oracle."""
         events = list(golden_streams["vector-golden-mix"][0].events)
         for make in (
             lambda: _single_filter("IJ-17x1x7"),
             lambda: _single_filter("HJ(IJ-17x1x7, EJ-16x2)"),
+            lambda: _single_filter("IJ-4x12x7"),
+            lambda: _single_filter("HJ(IJ-4x12x7, EJ-16x2)"),
             lambda: ExcludeJetty(1 << 17, 1),
         ):
             oracle = EventReplayer(make(), 0)

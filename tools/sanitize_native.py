@@ -3,7 +3,8 @@
 Compiles ``src/repro/core/machine.c`` with ``-fsanitize=address,undefined``
 into a temporary directory, then runs the test files that drive every
 native entry point -- the replay walk (``test_vector_replay.py``), the
-coherence core (``test_native_coherence.py``), the trace codec
+live banks' group walk (``test_streaming.py``), the coherence core
+(``test_native_coherence.py``), the trace codec
 (``test_trace_codecs.py``) and the access generator
 (``test_access_generation.py``) -- in a child pytest under
 ``LD_PRELOAD`` of the compiler's ``libasan.so``.  The child loads this
@@ -33,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = (
     "tests/test_vector_replay.py",
+    "tests/test_streaming.py",
     "tests/test_native_coherence.py",
     "tests/test_trace_codecs.py",
     "tests/test_access_generation.py",
