@@ -8,9 +8,10 @@ and carries the reproduction's claims about it as :class:`Check` rows
 with fixed bounds.  :func:`run` fills the store with one
 :func:`~repro.analysis.runner.execute` call over the union of the
 selected exhibits' grids, then builds and checks each exhibit;
-``repro exhibits [NAME ...]`` prints them and the check table and exits
-1 if any check fails.  A failed check is a finding about the
-reproduction, to be reported; its bound is never loosened.
+``repro exhibits [NAME ...]`` prints them, the check table and that
+call's report, and exits 1 if any check fails.  A failed check is a
+finding about the reproduction, to be reported; its bound is never
+loosened.
 
 Tables 1-4 are ``table1``..``table4``; Figure 2 (32- and 64-byte lines)
 ``figure2a``/``figure2b``; Figures 4-5 ``figure4a``..``figure5b``;
@@ -18,9 +19,11 @@ Figure 6's four panels ``figure6`` and its raytrace size remark
 ``figure6-raytrace-size``; §3.2's index overlap, footnote 3's hashed
 include filter and the no-subblocking results are the three
 ``ablation-*`` exhibits; §4.3.4's 8-way summary is ``nway-scaling``.
-``seed-stability`` and ``streaming-memory`` check the reproduction
-itself: headline numbers across seeds, and flat streamed memory over a
-100x longer trace.
+``profile-matrix`` crosses the sharing-profile suites with the best
+filter of each family, phase by phase, and checks that no filter ever
+drops a snoop that would have hit.  ``seed-stability`` and
+``streaming-memory`` check the reproduction itself: headline numbers
+across seeds, and flat streamed memory over a 100x longer trace.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.core.config import (
     IJConfig,
 )
 from repro.errors import ConfigurationError
+from repro.traces.suite import SUITE_ORDER, SUITES
 from repro.traces.workloads import (
     WORKLOADS,
     PaperReference,
@@ -537,6 +541,74 @@ _ABLATIONS = (
 )
 
 
+# -- The sharing-profile suites ----------------------------------------
+
+def _suite_evaluations(seed: int) -> dict[str, dict]:
+    """Per suite, per filter: its evaluation, whole run and per phase."""
+    return {
+        suite: {name: experiments.evaluate_filter(suite, name, seed=seed)
+                for name in runner.DEFAULT_SWEEP_FILTERS}
+        for suite in SUITE_ORDER
+    }
+
+
+def _false_exclusions(per_filter: dict) -> int:
+    """Snoops filtered beyond the would-miss ones, over every phase.
+
+    A filter may drop only snoops that would miss in the L2; anything
+    past that is a snoop that would have hit a remote copy.
+    """
+    return sum(max(0, phase.coverage.filtered
+                   - phase.coverage.snoop_would_miss)
+               for evaluation in per_filter.values()
+               for phase in evaluation.phases.values())
+
+
+def _phase_rate(coverage) -> float:
+    """Filtered snoops over all snoops (0 with no snoops)."""
+    return coverage.filtered / coverage.snoops if coverage.snoops else 0.0
+
+
+def _render_profile_matrix(suites: dict[str, dict]) -> str:
+    """The per-phase rate table, then each suite's whole-run winner."""
+    rate_rows, winner_rows = [], []
+    for suite, per_filter in suites.items():
+        for phase in SUITES[suite].phase_names():
+            rate_rows.append([suite, phase, *(
+                format_percent(_phase_rate(e.phases[phase].coverage))
+                for e in per_filter.values())])
+        winner = max(per_filter,
+                     key=lambda name: per_filter[name].coverage.coverage)
+        whole = per_filter[winner].coverage
+        violations = _false_exclusions(per_filter)
+        winner_rows.append([
+            suite, winner, format_percent(whole.coverage),
+            f"{whole.filtered:,}",
+            "none" if violations == 0 else f"VIOLATION x{violations}",
+        ])
+    return render_table(
+        ["workload", "phase", *runner.DEFAULT_SWEEP_FILTERS], rate_rows,
+        title="Per-phase filtering rate (filtered snoops / all snoops)",
+    ) + "\n\n" + render_table(
+        ["workload", "winner", "coverage", "probes saved", "false excl"],
+        winner_rows, title="Workload-class winners (whole-run coverage)",
+    )
+
+
+_PROFILES = (
+    Exhibit(
+        "profile-matrix", _suite_evaluations, _render_profile_matrix,
+        (
+            # JETTY is safe only if no filter, in no phase of any suite,
+            # drops a snoop that would have hit (measured: the sum).
+            Check("profile-matrix.no-false-exclusions", "==", lambda m, s: (
+                sum(map(_false_exclusions, m.values())), 0)),
+        ),
+        (Grid(SUITE_ORDER, runner.DEFAULT_SWEEP_FILTERS),),
+    ),
+)
+
+
 # -- The reproduction's own checks --------------------------------------
 
 _STABILITY_WORKLOADS = ("em3d", "lu", "raytrace")
@@ -636,7 +708,7 @@ _QUALITY = (
 #: Every exhibit, by name, in print order.
 EXHIBITS: dict[str, Exhibit] = {
     exhibit.name: exhibit
-    for exhibit in _TABLES + _FIGURES + _ABLATIONS + _QUALITY
+    for exhibit in _TABLES + _FIGURES + _ABLATIONS + _PROFILES + _QUALITY
 }
 
 
@@ -677,14 +749,23 @@ def warm(selected: Sequence[Exhibit], seed: int) -> runner.ExecutionReport:
                           experiment_store=experiments.get_store())
 
 
-def run(names: Sequence[str] = (), *, seed: int = 1) -> Iterator[Result]:
-    """Build and check the named exhibits (all by default), one by one."""
+def run(
+    names: Sequence[str] = (), *, seed: int = 1
+) -> tuple[runner.ExecutionReport, Iterator[Result]]:
+    """Warm the store for the named exhibits (all by default), then
+    build and check them one by one as the iterator is drawn.
+
+    Returns the warming call's report and the results.
+    """
     selected = select(names)
-    warm(selected, seed)
-    for exhibit in selected:
-        data = exhibit.build(seed)
-        yield Result(exhibit.render(data), tuple(
-            check.evaluate(data, seed) for check in exhibit.checks))
+    report = warm(selected, seed)
+    return report, (_result(exhibit, seed) for exhibit in selected)
+
+
+def _result(exhibit: Exhibit, seed: int) -> Result:
+    data = exhibit.build(seed)
+    return Result(exhibit.render(data), tuple(
+        check.evaluate(data, seed) for check in exhibit.checks))
 
 
 def _format(value: Any) -> str:

@@ -21,11 +21,12 @@ snapshot of an in-flight simulation — caches, write buffers, bus,
 filter banks, trace-sink watermarks, and generator state — keyed by the
 run's chain plus the access watermark, so a killed paper-scale run
 resumes from its latest durable point instead of restarting from zero),
-``matrix``, ``job``, and ``quarantined``.  Rows of a *retired* kind
+``job``, and ``quarantined``.  Rows of a *retired* kind
 (:data:`RETIRED_KINDS`: ``sim``, the full event-list recordings of the
-removed buffered mode, and ``fast-forward``, the warmed filter state of
-the removed measured-only recordings) are never decoded: ``fsck``
-reports them and ``gc`` evicts them first.
+removed buffered mode; ``fast-forward``, the warmed filter state of the
+removed measured-only recordings; and ``matrix``, the rendered tables of
+the removed ``matrix`` command) are never decoded: ``fsck`` reports them
+and ``gc`` evicts them first.
 
 A trace is several rows of kind ``sim-events`` sharing one key prefix:
 a *manifest* row (``filter IS NULL``) under :func:`trace_key` holding
@@ -99,11 +100,12 @@ TRACE_KIND = "sim-events"
 #: buffered recording (metrics plus every node's event list as JSON
 #: triples); record → replay superseded it.  ``fast-forward`` held the
 #: warmed filter state of a measured-only trace (one recorded without
-#: its warm-up events); every trace is now recorded in full.  Leftover
-#: rows are neither decoded nor treated as corruption: ``fsck`` reports
-#: them, ``cache info`` labels them, and ``gc`` evicts them before
-#: anything else.
-RETIRED_KINDS = ("sim", "fast-forward")
+#: its warm-up events); every trace is now recorded in full.  ``matrix``
+#: held a rendered profile x filter table; the ``profile-matrix`` exhibit
+#: builds it from ``eval`` rows instead.  Leftover rows are neither
+#: decoded nor treated as corruption: ``fsck`` reports them, ``cache
+#: info`` labels them, and ``gc`` evicts them before anything else.
+RETIRED_KINDS = ("sim", "fast-forward", "matrix")
 
 #: Result kind of mid-run checkpoints: the serialised snapshot of an
 #: in-flight streamed simulation (caches, write buffers, bus, filter
@@ -114,13 +116,6 @@ RETIRED_KINDS = ("sim", "fast-forward")
 #: grouping handle garbage collection (and ``checkpoint rm``) uses to
 #: treat the chain as one atomic unit.
 CHECKPOINT_KIND = "checkpoint"
-
-#: Result kind of evaluation-matrix payloads: the per-phase
-#: profile x filter table ``repro matrix`` renders, stored
-#: content-addressed so a warm store answers "which filter wins per
-#: workload class" from one key lookup.  Added without a schema bump —
-#: the kind only creates rows under fresh keys.
-MATRIX_KIND = "matrix"
 
 #: Result kind of rows set aside by ``fsck --quarantine``: the original
 #: payload bytes preserved under a prefixed key for post-mortem, while
@@ -265,26 +260,6 @@ def checkpoint_key(chain: str, accesses: int) -> str:
         "kind": CHECKPOINT_KIND,
         "chain": chain,
         "accesses": accesses,
-    })
-
-
-def matrix_key(
-    specs, filter_names, system: SystemConfig, seed: int
-) -> str:
-    """Store key of one rendered evaluation matrix.
-
-    The fingerprint is the full cross product's identity: every suite
-    spec (phases included, via :func:`spec_fingerprint`), the filter
-    list in presentation order, the system geometry, and the seed.  Any
-    change to any profile, phase split, or filter produces a fresh key.
-    """
-    return _digest({
-        "kind": MATRIX_KIND,
-        "schema": SCHEMA_VERSION,
-        "specs": [spec_fingerprint(spec) for spec in specs],
-        "filters": list(filter_names),
-        "system": system_fingerprint(system),
-        "seed": seed,
     })
 
 
@@ -490,19 +465,6 @@ def decode_trace_manifest(blob: bytes) -> dict:
         if not isinstance(manifest, dict):
             raise TypeError(f"manifest must be a dict, got {type(manifest)}")
         return manifest
-
-
-def encode_matrix(payload: dict) -> bytes:
-    """Canonical compressed bytes of an evaluation-matrix payload."""
-    return zlib.compress(_canonical(payload), 6)
-
-
-def decode_matrix(blob: bytes) -> dict:
-    with _decoding("matrix"):
-        payload = json.loads(zlib.decompress(blob))
-        if not isinstance(payload, dict):
-            raise TypeError(f"matrix payload must be a dict, got {type(payload)}")
-        return payload
 
 
 def encode_job(payload: dict) -> bytes:
@@ -1219,8 +1181,6 @@ class ExperimentStore:
             decode_sim_metrics(blob)
         elif entry.kind == "eval":
             decode_eval(blob)
-        elif entry.kind == MATRIX_KIND:
-            decode_matrix(blob)
         elif entry.kind == JOB_KIND:
             decode_job(blob)
         elif entry.kind == CHECKPOINT_KIND:

@@ -68,12 +68,14 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def _cmd_exhibits(args: argparse.Namespace) -> int:
+    report, results = exhibits.run(args.names, seed=args.seed)
     outcomes = []
-    for result in exhibits.run(args.names, seed=args.seed):
+    for result in results:
         print(result.text)
         print()
         outcomes.extend(result.outcomes)
     print(exhibits.render_checks(outcomes))
+    print(report.summary())
     return 0 if all(outcome.passed for outcome in outcomes) else 1
 
 
@@ -346,43 +348,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         title += f" (mean over seeds {seeds})"
     print(render_table(headers, rows, title=title))
     print(result.report.summary())
-    return 0
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.analysis.evaluate_matrix import evaluate_matrix
-    from repro.core.config import parse_filter_name
-    from repro.traces.suite import SUITES
-
-    profiles = args.profiles if args.profiles else None
-    if profiles:
-        for name in profiles:
-            if name not in SUITES:
-                print(f"error: unknown profile suite {name!r}; choose from "
-                      f"{', '.join(sorted(SUITES))}", file=sys.stderr)
-                return 2
-    filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
-    for filter_name in filters:
-        parse_filter_name(filter_name)
-    accesses, warmup = args.accesses, args.warmup
-    if args.quick:
-        # Smoke scale: every suite shrunk to the same short run (phase
-        # boundaries scale proportionally), small enough for CI.
-        accesses = accesses if accesses is not None else 12_000
-        warmup = warmup if warmup is not None else 2_000
-    outcome = evaluate_matrix(
-        profiles,
-        tuple(filters),
-        seed=args.seed,
-        accesses=accesses,
-        warmup=warmup,
-        workers=args.workers,
-        backend=args.backend,
-        chunk_size=args.chunk_size,
-        experiment_store=experiments.get_store(),
-    )
-    print(outcome.tables())
-    print(outcome.summary)
     return 0
 
 
@@ -911,35 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "overdue workers are killed and the task retried "
                          "(default: no deadline)")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_matrix = sub.add_parser(
-        "matrix",
-        help="profile x filter evaluation matrix with per-phase metrics",
-    )
-    p_matrix.add_argument("--profiles", nargs="+", default=None,
-                          help="profile suite names (default: the full "
-                          "catalogue plus the flip mixes)")
-    p_matrix.add_argument("--filters", nargs="+", default=None,
-                          help="filter configuration names "
-                          "(default: best of each family)")
-    p_matrix.add_argument("--accesses", type=_count, default=None,
-                          help="override each suite's access count "
-                          "(phase boundaries scale proportionally)")
-    p_matrix.add_argument("--warmup", type=_count, default=None,
-                          help="override each suite's warm-up accesses")
-    p_matrix.add_argument("--quick", action="store_true",
-                          help="smoke scale: 12k accesses / 2k warm-up per "
-                          "suite unless overridden")
-    p_matrix.add_argument("--workers", type=int, default=1,
-                          help="worker processes for the underlying sweep")
-    p_matrix.add_argument("--backend", default=None,
-                          choices=runner.EXECUTOR_BACKENDS,
-                          help="executor backend for worker fan-out")
-    p_matrix.add_argument("--chunk-size", type=_positive_count,
-                          default=runner.DEFAULT_CHUNK_SIZE,
-                          help="streaming chunk size (memory knob; never "
-                          "changes results)")
-    p_matrix.set_defaults(func=_cmd_matrix)
 
     p_checkpoint = sub.add_parser(
         "checkpoint",

@@ -183,8 +183,8 @@ def canonical_suite(profile: SharingProfile | str) -> SuiteSpec:
 
     Both phases run the same profile; the split separates the filter's
     learning transient (ramp: the measured region right after warm-up)
-    from its converged behaviour (steady).  This is the per-profile row
-    generator for the evaluation matrix.
+    from its converged behaviour (steady).  Each one is a row of the
+    ``profile-matrix`` exhibit (:mod:`repro.analysis.exhibits`).
     """
     if isinstance(profile, str):
         profile = get_profile(profile)

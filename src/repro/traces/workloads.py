@@ -666,8 +666,8 @@ def override_spec(
     ``preset`` first, then ``accesses`` (``n_accesses``), then
     ``warmup`` (``warmup_accesses``); ``None`` leaves that field alone.
     Every entry point that sizes a spec — sweeps, service shards, trace
-    commands, the evaluation matrix — goes through here, so equal flags
-    always meet under equal store keys.
+    commands — goes through here, so equal flags always meet under equal
+    store keys.
     """
     if preset is not None:
         spec = apply_preset(spec, preset)

@@ -127,3 +127,42 @@ def put_legacy_sim_row(store, spec, system, seed: int = 1) -> str:
     store.put_blob(key, blob, kind="sim", workload=spec.name,
                    filter_name=None, n_cpus=system.n_cpus, seed=seed)
     return key
+
+
+def put_legacy_matrix_row(store, spec, system, seed: int = 1) -> str:
+    """Insert a ``matrix`` row as the removed ``matrix`` command stored it.
+
+    That retired kind kept a rendered profile x filter table as
+    compressed canonical JSON, keyed by its suites, filters, system and
+    seed.  Returns the key.
+    """
+    import json
+    import zlib
+
+    from repro.analysis import store as store_mod
+
+    filters = ["EJ-32x4"]
+    key = store_mod._digest({
+        "kind": "matrix",
+        "schema": store_mod.SCHEMA_VERSION,
+        "specs": [store_mod.spec_fingerprint(spec)],
+        "filters": filters,
+        "system": store_mod.system_fingerprint(system),
+        "seed": seed,
+    })
+    payload = {
+        "version": 1,
+        "filters": filters,
+        "seed": seed,
+        "system": store_mod.system_fingerprint(system),
+        "suites": [{
+            "workload": spec.name, "phases": [], "winner": filters[0],
+            "winner_coverage": 0.5, "probes_saved": 1, "false_exclusions": 0,
+        }],
+    }
+    blob = zlib.compress(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(), 6
+    )
+    store.put_blob(key, blob, kind="matrix", workload="matrix",
+                   filter_name=None, n_cpus=system.n_cpus, seed=seed)
+    return key

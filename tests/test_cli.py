@@ -263,19 +263,22 @@ class TestResilienceCommands:
         assert main(["cache", "fsck"]) == 0
         assert "store clean" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["sim", "matrix"])
     def test_retired_sim_rows_are_reported_labelled_and_evicted_first(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, kind
     ):
         from repro.coherence.config import SCALED_SYSTEM
-        from tests.conftest import put_legacy_sim_row
+        from tests.conftest import put_legacy_matrix_row, put_legacy_sim_row
 
+        put_legacy_row = {"sim": put_legacy_sim_row,
+                          "matrix": put_legacy_matrix_row}[kind]
         path = str(tmp_path / "legacy.sqlite")
         assert main(["--store", path, "sweep", "--workloads", "test-tiny",
                      "--filters", "EJ-8x2"]) == 0
         store = experiments.get_store()
         before = store.dump()
         # Written last, so the legacy row is the most recently used one.
-        sim_key = put_legacy_sim_row(
+        legacy_key = put_legacy_row(
             store, WORKLOADS["test-tiny"], SCALED_SYSTEM
         )
         capsys.readouterr()
@@ -283,15 +286,15 @@ class TestResilienceCommands:
         assert main(["--store", path, "cache", "info"]) == 0
         out = capsys.readouterr().out
         assert "retired:  1" in out
-        assert "sim (retired):" in out
+        assert f"{kind} (retired):" in out
 
         assert main(["--store", path, "cache", "fsck"]) == 0
         out = capsys.readouterr().out
         assert "store clean" in out
-        assert "1 row(s) of retired kind sim" in out
-        assert experiments.get_store().fsck().retired == (sim_key,)
+        assert "1 row(s) of retired kind sim/fast-forward/matrix" in out
+        assert experiments.get_store().fsck().retired == (legacy_key,)
 
-        legacy_bytes = len(experiments.get_store().get_blob(sim_key))
+        legacy_bytes = len(experiments.get_store().get_blob(legacy_key))
         total = experiments.get_store().stats().payload_bytes
         assert main(["--store", path, "cache", "gc", "--max-bytes",
                      str(total - legacy_bytes)]) == 0

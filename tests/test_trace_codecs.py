@@ -730,7 +730,7 @@ class TestFastForwardLifecycle:
         assert main(["--store", str(store.path), "cache", "fsck"]) == 0
         out = capsys.readouterr().out
         assert "store clean" in out
-        assert "1 row(s) of retired kind sim/fast-forward" in out
+        assert "1 row(s) of retired kind sim/fast-forward/matrix" in out
 
     def test_gc_evicts_the_snapshot_first(self, tmp_path):
         store, _tkey, ffkey = _measured_only_store(tmp_path)
