@@ -339,7 +339,7 @@ def _paired_overhead(baseline, variant, sides: tuple[str, str],
 
 
 def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
-                           n_phases: int = 4) -> dict:
+                           n_phases: int = 4, pairs: int = 101) -> dict:
     """Per-phase accounting price on the streamed path.
 
     Two streamed runs over byte-identical access streams (same spec,
@@ -350,8 +350,9 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
     phase accounting alone.  The banks ride the run as a live sweep's
     do (one ``LiveBanks`` consumer), so the A/B times the compiled group
     walk where the native core loads.  The
-    runs are short (tens of milliseconds), so they are timed as
-    interleaved pairs (see :func:`_paired_overhead`).
+    runs are short (about 10 ms at the quick size), so they are timed as
+    ``pairs`` interleaved pairs (see :func:`_paired_overhead`): 31 pairs
+    left the 3% budget inside the median's noise.
     """
     from repro.coherence.smp import simulate_streaming
     from repro.core.stats import LiveBanks
@@ -388,7 +389,7 @@ def measure_phase_overhead(name: str, n_accesses: int, warmup: int,
         "phases": n_phases,
         **_paired_overhead(lambda: one_run((), ()),
                            lambda: one_run(marks, names),
-                           ("plain", "phased")),
+                           ("plain", "phased"), pairs),
     }
 
 

@@ -2,14 +2,14 @@
 
 :func:`library` compiles the C source on first use -- never at import --
 with the system C compiler (``cc``, else the interpreter's configured
-``sysconfig`` ``CC``) and ``-O2 -ffp-contract=off -shared -fPIC ... -lm``,
-and loads the result with :mod:`ctypes`.  The shared object is cached
-beside this module as ``__pycache__/machine-<hash>.so``, the hash
-covering the source and the compile command, so an edited source or
-another compiler builds afresh and every later process loads the cached
-file.  It is written under a temporary name and renamed into place, so
-concurrent pool workers racing to build it never load a half-written
-file.
+``sysconfig`` ``CC``) and :data:`FLAGS` (``-O2 -ffp-contract=off
+-pthread -shared -fPIC``), linking ``-lm``, and loads the result with
+:mod:`ctypes`.  The shared object is cached beside this module as
+``__pycache__/machine-<hash>.so``, the hash covering the source and the
+compile command, so an edited source or another compiler builds afresh
+and every later process loads the cached file.  It is written under a
+temporary name and renamed into place, so concurrent pool workers racing
+to build it never load a half-written file.
 
 The library is the one switch between the two tiers.  Loaded, EJ/VEJ/
 IJ/HJ filters replay on its walk, trace segments code through its delta-v1 passes,
@@ -39,6 +39,12 @@ _logger = logging.getLogger("repro.cmachine")
 SOURCE = Path(__file__).with_name("machine.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 COMPILE_TIMEOUT_S = 120
+#: The compile flags.  -ffp-contract=off: the generator must round every
+#: float step as CPython does; a contracted FMA (GCC's default wherever
+#: FMA is baseline, e.g. aarch64) would let its draws diverge.
+#: -pthread: the walk runs a round's node groups on threads of its own.
+#: ``tools/sanitize_native.py`` builds with the same flags.
+FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 #: Linked after the source: the generator's skewed_offset calls the same
 #: libm ``pow()`` as CPython's ``**``.
 LIBRARIES = ("-lm",)
@@ -52,8 +58,8 @@ _PTR = ctypes.c_void_p
 
 #: Every function the library exports: its result and argument types.
 SIGNATURES = {
-    # walk(group, n, events, lo, hi)
-    "walk": (_I64, [_PTR, _I64, _PTR, _I64, _I64]),
+    # walk(jobs, n_jobs, threads)
+    "walk": (_I64, [_PTR, _I64, _I64]),
     # delta_encode(raw, n, shift, out)
     "delta_encode": (_I64, [_PTR, _I64, _I64, _PTR]),
     # delta_decode(inner, len, n, events)
@@ -89,11 +95,7 @@ def load(cache_dir: Path | None = None):
     """Compile (unless cached) and load the library; ``None`` on failure."""
     try:
         source = SOURCE.read_bytes()
-        # -ffp-contract=off: the generator must round every float step
-        # as CPython does; a contracted FMA (GCC's default wherever FMA
-        # is baseline, e.g. aarch64) would let its draws diverge.
-        command = [*compiler(), "-O2", "-ffp-contract=off", "-shared",
-                   "-fPIC"]
+        command = [*compiler(), *FLAGS]
         tag = hashlib.sha256(
             source + "\0".join([*command, *LIBRARIES]).encode()
         ).hexdigest()[:16]

@@ -2,17 +2,24 @@
  * trace-segment codec, the access generator and the coherence core.
  *
  * Compiled on first use by repro.core._cmachine and driven through
- * ctypes from repro.core.vector_replay (the walk: one call walks one
- * span of a node's events -- a trace segment, or a live chunk's shard --
- * through every compiled filter of every bank fed them, stepping each
- * distinct set of IJ lanes once and then each exclude machine, run by
- * family), repro.analysis.store (the codec), repro.traces.synth.mix (the
- * generator) and repro.coherence.smp (the coherence core, smp_run: one
- * call runs a batch of accesses -- L1 hits, misses, the L2, the write
- * buffers, snoops and the bus -- on the machine's own flat buffers).
- * Without a compiler none of them runs: filters replay on the
- * per-event oracle, segments code in the pure-Python passes, and the
- * Python generator and simulator run, which produce the same bytes.
+ * ctypes from repro.core.vector_replay (the walk: one call walks a
+ * *round* of jobs, each one span of one node's events -- a trace
+ * segment, or a live chunk's shard -- through every compiled filter of
+ * every bank fed them, stepping each distinct set of IJ lanes once and
+ * then each exclude machine, run by family), repro.analysis.store (the
+ * codec), repro.traces.synth.mix (the generator) and
+ * repro.coherence.smp (the coherence core, smp_run: one call runs a
+ * batch of accesses -- L1 hits, misses, the L2, the write buffers,
+ * snoops and the bus -- on the machine's own flat buffers).  Without a
+ * compiler none of them runs: filters replay on the per-event oracle,
+ * segments code in the pure-Python passes, and the Python generator and
+ * simulator run, which produce the same bytes.
+ *
+ * A node's filters read and write only that node's buffers, so the jobs
+ * of a round (one per node) share nothing: walk hands them out to up to
+ * `threads` threads, the caller's among them, created and joined inside
+ * the call.  Each job walks exactly as it would alone, so the thread
+ * count never changes a result.
  *
  * Exclude structures: each set is a fixed `ways`-wide row of int64
  * plus an int32 fill count, in flat arrays indexed by set.  An EJ row
@@ -29,6 +36,8 @@
  */
 
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -457,8 +466,8 @@ static COLD void lanes_fault(group_walk *g, int from, int to, int64_t i)
  * `lane_totals` holds each lane's total, for the caller's conservation
  * check: every filter ends as a walk of it alone would leave it.
  * Returns -1 when out of memory. */
-int64_t walk(const walk_ctx *const *group, int64_t n, const int64_t *e,
-             int64_t lo, int64_t hi)
+static int64_t walk_group(const walk_ctx *const *group, int64_t n,
+                          const int64_t *e, int64_t lo, int64_t hi)
 {
     void *block = malloc((size_t)n * (sizeof(member) + sizeof(lane_set)));
     member *members = block;
@@ -574,6 +583,65 @@ int64_t walk(const walk_ctx *const *group, int64_t n, const int64_t *e,
 stopped:                               /* every filter stopped at event i */
     free(block);
     return i + 1;
+}
+
+/* One job of a round (WalkJob in repro.core.vector_replay): walk
+ * e[lo, hi) through the `n` filters of `group`; `stop` receives
+ * walk_group's return. */
+typedef struct {
+    const walk_ctx *const *group;
+    int64_t n;
+    const int64_t *e;
+    int64_t lo, hi;
+    int64_t stop;
+} walk_job;
+
+/* A round's jobs, handed out one at a time to whichever thread asks. */
+typedef struct {
+    walk_job *jobs;
+    int64_t n_jobs;
+    atomic_llong next;
+} job_queue;
+
+static void *walk_jobs(void *arg)
+{
+    job_queue *q = arg;
+    for (;;) {
+        int64_t j = atomic_fetch_add(&q->next, 1);
+        if (j >= q->n_jobs)
+            return NULL;
+        walk_job *job = q->jobs + j;
+        job->stop = walk_group(job->group, job->n, job->e, job->lo, job->hi);
+    }
+}
+
+/* The most threads one call starts. */
+enum { MAX_THREADS = 64 };
+
+/* Walk the `n_jobs` jobs of a round on up to `threads` threads, the
+ * caller's among them.  The jobs must share no filter: each is one
+ * node's group.  The threads are created and joined here; a thread that
+ * cannot be created leaves its jobs to the others.  Returns 0, or -1
+ * when a job ran out of memory. */
+int64_t walk(walk_job *jobs, int64_t n_jobs, int64_t threads)
+{
+    job_queue q = {jobs, n_jobs, 0};
+    pthread_t helpers[MAX_THREADS];
+    int64_t started = 0;
+    if (threads > n_jobs)
+        threads = n_jobs;
+    if (threads > MAX_THREADS)
+        threads = MAX_THREADS;
+    while (started < threads - 1
+           && pthread_create(helpers + started, NULL, walk_jobs, &q) == 0)
+        started++;
+    walk_jobs(&q);
+    for (int64_t t = 0; t < started; t++)
+        pthread_join(helpers[t], NULL);
+    for (int64_t j = 0; j < n_jobs; j++)
+        if (jobs[j].stop < 0)
+            return -1;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

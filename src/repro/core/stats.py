@@ -73,11 +73,21 @@ filter, and the per-event :class:`EventReplayer` oracle everywhere else:
   a *persisted* recording (the ``sim-events`` store kind), so a new
   filter configuration costs one cheap replay instead of a full MOESI
   re-simulation.  No caches, bus, or nodes are instantiated at all;
-  segments are decoded once and shared by every bank.  Because the
-  per-node replayers are independent, feeding node 0's events to
-  completion before node 1's (the trace layout) produces the same
-  evaluation as the live chunk-interleaved order — byte-identical by
-  the same argument that makes shard boundaries invisible.
+  segments are decoded once and shared by every bank.  The reader
+  yields *rounds*: segment k of every node, for k = 0, 1, ….  Because
+  the per-node replayers are independent, that order produces the same
+  evaluation as the live chunk-interleaved one, or as node 0's events
+  to completion before node 1's — byte-identical by the same argument
+  that makes shard boundaries invisible.
+
+Both shapes feed banks a round at a time — a live chunk's node shards,
+or a slice of a trace round — and the first compiled replayer fed any
+segment of a round walks the whole round in one native call, each node
+on a thread of its own (:func:`repro.core.vector_replay.walk_round`):
+no buffer is shared between nodes, so the thread count never changes a
+byte.  The banks then apply their results node by node, bank by bank,
+so the first error raised is the first in that order — for a replay,
+the reader's order.
 """
 
 from __future__ import annotations
@@ -324,16 +334,19 @@ class PackedSegment:
     segment.  The compiled replayers registered in :attr:`group` share
     one: whichever of them is fed first walks the events' ``array('q')``
     buffer through all of them in one native walk, leaving each member's
-    results in :attr:`spans` for it to apply.  The per-event Python loop
-    iterates boxed ints, and :meth:`boxed` caches the boxed-int list so
-    that every oracle bank on the segment shares one.
+    results in :attr:`spans` for it to apply.  A segment that is part of
+    a :attr:`round` (:func:`share_round`) is walked with the round's
+    other segments, one per node, in that same native call.  The
+    per-event Python loop iterates boxed ints, and :meth:`boxed` caches
+    the boxed-int list so that every oracle bank on the segment shares
+    one.
 
     The wrapper is pure presentation — it never mutates the events — so
     feeding a ``PackedSegment`` is byte-equivalent to feeding the raw
     iterable it wraps.
     """
 
-    __slots__ = ("events", "_boxed", "group", "spans")
+    __slots__ = ("events", "_boxed", "group", "spans", "round")
 
     def __init__(self, events, group=()) -> None:
         #: The packed events as fed (``array('q')``, list, or sequence).
@@ -343,6 +356,9 @@ class PackedSegment:
         self.group = tuple(group)
         #: Replayer -> its walked spans, until the replayer applies them.
         self.spans: dict = {}
+        #: The segments, one per node, walked in one call with this one
+        #: (itself among them); ``None`` alone or once walked.
+        self.round = None
 
     def boxed(self) -> list:
         """The events as a list of ints (each boxed exactly once)."""
@@ -664,10 +680,10 @@ class StreamingFilterBank:
         """Feed one node's packed events directly (trace-replay path).
 
         Per-node replayers are independent, so a recorded trace may be
-        replayed node-major (all of node 0, then node 1, ...) and still
-        finish with exactly the state a live shard-interleaved run
-        produces.  ``events`` may be a raw packed iterable or a shared
-        :class:`PackedSegment`.
+        replayed round by round or node-major (all of node 0, then node
+        1, ...) and still finish with exactly the state a live
+        shard-interleaved run produces.  ``events`` may be a raw packed
+        iterable or a shared :class:`PackedSegment`.
         """
         replayer = self.replayers[node_id]
         if type(events) is PackedSegment:
@@ -702,7 +718,8 @@ class TraceReader:
     A recorded trace stores each node's event stream as a sequence of
     fixed-size packed segments (see
     :class:`repro.coherence.smp.TraceSink`); the reader yields
-    ``(node_id, events)`` pairs in per-node order, decoding one segment
+    ``(node_id, events)`` pairs round-major — segment k of every node
+    that has one, in node order, for k = 0, 1, … — decoding one segment
     at a time through the supplied ``fetch`` callable — typically a
     closure over a read-only store connection, so replay memory stays
     O(segment) however long the recording.  The reader itself knows
@@ -719,9 +736,19 @@ class TraceReader:
         self.fetch = fetch
 
     def __iter__(self):
-        for node_id, count in enumerate(self.segments_per_node):
-            for index in range(count):
-                yield node_id, self.fetch(node_id, index)
+        for pairs in self.rounds():
+            yield from pairs
+
+    def rounds(self, width: int = 1):
+        """The reader's pairs, in its order, in lists of at most
+        ``width`` nodes of one round, each list decoded as it is built."""
+        counts = self.segments_per_node
+        for index in range(max(counts, default=0)):
+            nodes = [node_id for node_id, count in enumerate(counts)
+                     if index < count]
+            for at in range(0, len(nodes), width):
+                yield [(node_id, self.fetch(node_id, index))
+                       for node_id in nodes[at:at + width]]
 
     def packed(self, node_id: int, index: int) -> PackedSegment:
         """Fetch one segment wrapped for sharing across replay kernels."""
@@ -752,13 +779,30 @@ def shared_segment(banks, node_id: int, events) -> PackedSegment:
     return segment
 
 
+def share_round(segments) -> list[PackedSegment]:
+    """Make ``segments``, one per node, one round: the first compiled
+    replayer fed any of them walks them all in one native call.
+
+    Only segments with a compiled group join; the walk unlinks them, so
+    the round's reference cycle lasts until its walk, and a round of
+    oracle banks alone has none.
+    """
+    segments = list(segments)
+    linked = [segment for segment in segments if segment.group]
+    for segment in linked:
+        segment.round = linked
+    return segments
+
+
 class LiveBanks:
     """Every live bank of a run as one shard consumer.
 
     Each chunk's per-node shards are wrapped once
-    (:func:`shared_segment`), so one native walk per node steps every
-    compiled filter of every bank; each bank then consumes the shared
-    segments through :meth:`StreamingFilterBank.consume`, in bank order.
+    (:func:`shared_segment`) and form one round (:func:`share_round`),
+    so one native call steps every compiled filter of every bank over
+    every node, each node on its own thread; each bank then consumes the
+    shared segments through :meth:`StreamingFilterBank.consume`, in bank
+    order.
     """
 
     __slots__ = ("banks",)
@@ -767,10 +811,10 @@ class LiveBanks:
         self.banks = list(banks)
 
     def consume(self, shard: list[NodeEventStream]) -> None:
-        segments = [
+        segments = share_round(
             shared_segment(self.banks, node_id, stream.events)
             for node_id, stream in enumerate(shard)
-        ]
+        )
         for bank in self.banks:
             bank.consume(segments)
 
@@ -784,12 +828,35 @@ def replay_trace(reader: TraceReader, banks) -> None:
     evaluating F filter configurations against a persisted trace costs
     one decode pass, one native walk through all the compiled filters,
     and one per-event loop per oracle filter — no simulation, no caches,
-    no bus.  Callers collect results with each bank's ``finish()``; the
-    evaluations are byte-identical to live-streamed ones by the
-    determinism contract.
+    no bus.
+
+    The reader's rounds are fed in slices of as many nodes as the walk
+    has threads (:func:`repro.core.vector_replay.walk_threads`), each
+    slice one round walked on those threads, so at most that many
+    decoded segments are held at once.  Within a slice the segments are
+    fed in the reader's order, each to every bank in bank order, so the
+    first error raised is the first in the reader's order.  Callers
+    collect results with each bank's ``finish()``; the evaluations are
+    byte-identical to live-streamed ones by the determinism contract.
     """
+    from repro.core.vector_replay import walk_threads
+
     banks = list(banks)
-    for node_id, events in reader:
-        segment = shared_segment(banks, node_id, events)
+    compiled = any(
+        not isinstance(replayer, EventReplayer)
+        for bank in banks for replayer in bank.replayers
+    )
+    width = walk_threads(len(reader.segments_per_node)) if compiled else 1
+    for pairs in reader.rounds(width):
+        _feed_round(banks, pairs)
+        del pairs  # the slice's segments go before the next is decoded
+
+
+def _feed_round(banks, pairs) -> None:
+    """Feed one round of ``(node_id, events)`` pairs to every bank."""
+    segments = share_round(
+        shared_segment(banks, node_id, events) for node_id, events in pairs
+    )
+    for (node_id, _events), segment in zip(pairs, segments):
         for bank in banks:
             bank.feed_node(node_id, segment)

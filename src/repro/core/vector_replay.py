@@ -18,9 +18,20 @@ geometry and the same counters when the walk begins — an IJ and the
 hybrids built on it — share one, because an IJ's counters change only
 on the node's allocs and evicts.  The exclude machines then step in one
 run per family.  Whichever member is fed first walks the segment for
-all of them (:func:`walk_segment`); each member then applies its own
-spans.  A replayer fed alone — a test, a bank of the only filter fed —
-is a group of one, on the same walk and the same path.
+all of them; each member then applies its own spans.  A replayer fed
+alone — a test, a bank of the only filter fed — is a group of one, on
+the same walk and the same path.
+
+One native call walks a whole *round*: one segment per node, each with
+its node's group (a live chunk's node shards, or a slice of a trace's
+segment k of every node: :func:`~repro.core.stats.share_round`).  The
+first member fed any segment of the round walks them all
+(:func:`walk_shared`, :func:`walk_round`; :func:`walk_segment` is the
+round of one).  Nodes share no buffer, so ``walk`` in ``machine.c``
+walks each node's group on its own thread, up to :func:`walk_threads`'
+budget — the CPUs for a process's main thread, one in a pool worker —
+and each group walks exactly as it would alone: the thread count never
+changes a byte.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
 for every supported filter family it reproduces the oracle
@@ -46,9 +57,9 @@ underflow stops every sharer of the lane set at that event, with the
 same partial decrement, and a stopper's lanes stay as its stop left
 them.  So each member's flushed statistics and lanes match a lone
 walk's, and the oracle's, exactly, and the first error raised is the
-first member's to apply its spans — the first bank's, in bank order, as
-with one walk per filter.  After every span the lanes' totals are
-checked against the allocs and evicts walked
+first member's to apply its spans — in a round, node then bank, so in a
+replay the first in the trace reader's order.  After every span the
+lanes' totals are checked against the allocs and evicts walked
 (:class:`~repro.errors.InvariantError` on a break).
 
 Every replayer *imports* the wrapped filter's current storage state at
@@ -74,6 +85,9 @@ tests reach the oracle through that same seam, by setting
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
+import threading
 from array import array
 from dataclasses import replace
 
@@ -363,20 +377,23 @@ class VectorReplayer(Replayer):
         """Consume a shared decoded segment, span by span.
 
         The segment is walked once for its whole ``group`` (every
-        compiled replayer registered on it) by whichever member is fed
-        first; a replayer outside the group walks it alone.  Each member
-        then applies its own spans here.  A bare MARKER resets
-        statistics and synthesised counts exactly as the oracle's
-        warm-up reset does; a PHASE marker (non-zero flag) only
+        compiled replayer registered on it), and with it every segment
+        of its ``round``, by whichever member of the round is fed first
+        (:func:`walk_shared`); a replayer outside the group walks it
+        alone.  Each member then applies its own spans here.  A bare
+        MARKER resets statistics and synthesised counts exactly as the
+        oracle's warm-up reset does; a PHASE marker (non-zero flag) only
         snapshots the running totals, closing the phase's slice.  Filter
         state carries across both.
         """
         events = segment.events
         spans = segment.spans.pop(self, None)
         if spans is None:
-            group = segment.group if self in segment.group else (self,)
-            segment.spans.update(walk_segment(group, events))
-            spans = segment.spans.pop(self)
+            if self in segment.group:
+                walk_shared(segment.round or (segment,))
+                spans = segment.spans.pop(self)
+            else:
+                spans = walk_segment((self,), events)[self]
         for span in spans:
             stop = self._take(events, span)
             if stop == len(events):
@@ -451,38 +468,135 @@ class VectorReplayer(Replayer):
             )
 
 
-def walk(group, events: array, lo: int, hi: int) -> tuple[int, list]:
-    """Walk ``events[lo:hi]`` through every replayer of ``group`` in one
-    native call, up to the first MARKER.
+class WalkJob(ctypes.Structure):
+    """One job of a round as the native ``walk`` sees it (``walk_job``
+    in ``repro/core/machine.c``): a group's contexts, the span of events
+    it walks, and where the walk stopped."""
 
-    Returns its index (``hi`` when none) and each member's span, in
-    group order: ``(stop, erred, tallies, lane totals)``, its stop being
-    the group's or, earlier, its own first error, where it stopped while
-    the others walked on.  Every event is decoded and tallied once for
-    the whole group.
+    _fields_ = [
+        ("group", ctypes.c_void_p),
+        ("n", ctypes.c_int64),
+        ("events", ctypes.c_void_p),
+        *((name, ctypes.c_int64) for name in ("lo", "hi", "stop")),
+    ]
+
+
+#: Walk steps (events times group members) each thread of a round is
+#: given at least; below it a round walks on fewer threads, one at the
+#: least.  On a 2-core x86-64 host, starting and joining a thread cost
+#: 55-90 us, and a second thread paid for itself from about 3,000 steps
+#: per thread for a lone EJ and about 25,000 for the 21 paper filters
+#: (whose walk has fixed costs per member).
+MIN_THREAD_STEPS = 1 << 15
+
+
+def walk_threads(nodes: int) -> int:
+    """The threads a round of ``nodes`` node segments may walk on.
+
+    A process's main thread takes one per node, up to the CPUs it may
+    run on.  A pool worker takes one: its sibling workers share the
+    cores.  A thread-pool worker is any thread but the main one; a
+    process-pool worker is a process that :mod:`multiprocessing` started
+    (looked up, never imported, so the serial path does not load it).
     """
-    contexts = (ctypes.c_void_p * len(group))(*[r._address for r in group])
-    stop = _cmachine.library().walk(
-        contexts, len(group), events.buffer_info()[0], lo, hi
-    )
-    if stop < 0:
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and (
+        multiprocessing.parent_process() is not None
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        cpus = os.cpu_count() or 1
+    return max(1, min(nodes, cpus))
+
+
+def walk(jobs, threads: int = 1) -> list[tuple[int, list]]:
+    """Walk every job ``(group, events, lo, hi)`` of a round in one
+    native call, on up to ``threads`` threads: ``events[lo:hi]``
+    through every replayer of ``group``, up to the first MARKER.
+
+    The groups must share no replayer -- each is one node's -- so that
+    no buffer is walked by two threads.  Returns, per job, the MARKER's
+    index (``hi`` when none) and each member's span, in group order:
+    ``(stop, erred, tallies, lane totals)``, its stop being the group's
+    or, earlier, its own first error, where it stopped while the others
+    walked on.  Every event is decoded and tallied once for the whole
+    group, and a job walks exactly as it would alone, on any thread.
+    """
+    contexts = []  # kept alive for their addresses
+    native = (WalkJob * len(jobs))()
+    for job, (group, events, lo, hi) in zip(native, jobs):
+        contexts.append((ctypes.c_void_p * len(group))(
+            *[replayer._address for replayer in group]
+        ))
+        job.group, job.n = ctypes.addressof(contexts[-1]), len(group)
+        job.events, job.lo, job.hi = events.buffer_info()[0], lo, hi
+    if _cmachine.library().walk(native, len(jobs), threads) < 0:
         raise MemoryError("the native walk could not allocate its walkers")
-    return stop, [replayer._span(stop) for replayer in group]
+    return [
+        (job.stop, [replayer._span(job.stop) for replayer in group])
+        for job, (group, *_rest) in zip(native, jobs)
+    ]
+
+
+def _round_threads(jobs) -> int:
+    """:func:`walk_threads`' budget for ``jobs``, lowered so that each
+    thread walks at least :data:`MIN_THREAD_STEPS`."""
+    if len(jobs) < 2:
+        return 1
+    steps = sum(len(group) * (hi - lo) for group, _events, lo, hi in jobs)
+    return max(1, min(walk_threads(len(jobs)), steps // MIN_THREAD_STEPS))
+
+
+def walk_round(pairs, threads: int | None = None) -> list[dict]:
+    """Walk a round of whole segments, one ``(group, events)`` per node,
+    span by span: each pair's member -> its spans, up to its own first
+    error or the segment's end.
+
+    Each native call walks the next span of every segment still walking
+    (:func:`walk`), on ``threads`` threads or, by default, on
+    :func:`_round_threads`; whatever it is, the spans are the same.
+    """
+    walked, pending = [], []
+    for group, events in pairs:
+        if type(events) is not array or events.typecode != "q":
+            events = array("q", events)
+        spans = {replayer: [] for replayer in group}
+        walked.append(spans)
+        if group and events:
+            pending.append((list(group), events, 0, spans))
+    while pending:
+        jobs = [(group, events, lo, len(events))
+                for group, events, lo, _spans in pending]
+        count = _round_threads(jobs) if threads is None else threads
+        walking = []
+        for (group, events, _lo, spans), (stop, results) in zip(
+            pending, walk(jobs, count)
+        ):
+            still = []
+            for replayer, span in zip(group, results):
+                spans[replayer].append(span)
+                if not span[1]:
+                    still.append(replayer)
+            if still and stop + 1 < len(events):
+                walking.append((still, events, stop + 1, spans))
+        pending = walking
+    return walked
 
 
 def walk_segment(group, events) -> dict:
-    """Walk a whole segment through ``group``, span by span: each
-    member's spans, up to its own first error or the segment's end."""
-    if type(events) is not array or events.typecode != "q":
-        events = array("q", events)
-    spans = {replayer: [] for replayer in group}
-    lo, n = 0, len(events)
-    while group and lo < n:
-        stop, results = walk(group, events, lo, n)
-        walking = []
-        for replayer, span in zip(group, results):
-            spans[replayer].append(span)
-            if not span[1]:
-                walking.append(replayer)
-        group, lo = walking, stop + 1
-    return spans
+    """Walk a whole segment through ``group``: a round of one."""
+    return walk_round([(group, events)], threads=1)[0]
+
+
+def walk_shared(segments) -> None:
+    """Walk a round of shared segments (one per node) for their groups,
+    leaving each member's spans in its segment's ``spans``."""
+    walked = walk_round([(segment.group, segment.events)
+                         for segment in segments])
+    for segment, spans in zip(segments, walked):
+        segment.round = None
+        segment.spans.update(spans)

@@ -361,11 +361,12 @@ class TestProductionInvariants:
         the lanes' conservation check alone: no row for that filter."""
         walk = vector_replay.walk
 
-        def bumped(group, *args):
-            for replayer in group:
-                if replayer._lanes is not None:
-                    replayer._lanes[0] += 1
-            return walk(group, *args)
+        def bumped(jobs, *args):
+            for group, *_span in jobs:
+                for replayer in group:
+                    if replayer._lanes is not None:
+                        replayer._lanes[0] += 1
+            return walk(jobs, *args)
 
         monkeypatch.setattr(vector_replay, "walk", bumped)
         store = ExperimentStore()

@@ -508,7 +508,7 @@ GROUP_SIZES = (1, len(PARITY_FILTERS))
 @requires_native
 class TestWalkSpans:
     """``vector_replay.walk`` reads exactly ``events[lo:hi]`` of the
-    buffer it is handed and returns the index of the first MARKER
+    buffer a job hands it and returns the index of the first MARKER
     (``hi`` when none); each member's span then flushes the oracle's
     tallies for every event its filter consumed, the stopping one
     included, and raises at its first error."""
@@ -520,7 +520,7 @@ class TestWalkSpans:
         events = array("q", [*_violation(), *_SPAN, *_violation()])
         lo, hi = 2, 2 + len(_SPAN)
         group = _group(filter_name, size)
-        stop, spans = vector_replay.walk(group, events, lo, hi)
+        [(stop, spans)] = vector_replay.walk([(group, events, lo, hi)])
         assert stop == hi
         for vector, span in zip(group, spans):
             assert vector._take(events, span) == hi
@@ -536,7 +536,9 @@ class TestWalkSpans:
     def test_walk_stops_at_a_marker(self, filter_name, size, marker):
         events = array("q", [*_SPAN, marker, *_violation()])
         group = _group(filter_name, size)
-        stop, spans = vector_replay.walk(group, events, 0, len(events))
+        [(stop, spans)] = vector_replay.walk(
+            [(group, events, 0, len(events))]
+        )
         assert stop == len(_SPAN) and events[stop] == marker
         for vector, span in zip(group, spans):
             assert vector._take(events, span) == stop
@@ -551,7 +553,9 @@ class TestWalkSpans:
         span = [*_SPAN, *_violation()]
         events = array("q", [pack_event(MARKER, 0), *span, _snoop(0x500)])
         group = _group(filter_name, size)
-        _stop, spans = vector_replay.walk(group, events, 1, len(events))
+        [(_stop, spans)] = vector_replay.walk(
+            [(group, events, 1, len(events))]
+        )
         for vector, walked in zip(group, spans):
             name = vector.snoop_filter.name
             with pytest.raises(FilterSafetyError) as raised:

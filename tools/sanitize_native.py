@@ -1,9 +1,11 @@
 """Run the native core's tests on an AddressSanitizer/UBSan build.
 
-Compiles ``src/repro/core/machine.c`` with ``-fsanitize=address,undefined``
+Compiles ``src/repro/core/machine.c`` with the shipped build's flags
+(``repro.core._cmachine.FLAGS``) plus ``-fsanitize=address,undefined``
 into a temporary directory, then runs the test files that drive every
-native entry point -- the replay walk (``test_vector_replay.py``), the
-live banks' group walk (``test_streaming.py``), the coherence core
+native entry point -- the replay walk (``test_vector_replay.py``), its
+rounds on two and four threads (``test_round_walk.py``), the live
+banks' group walk (``test_streaming.py``), the coherence core
 (``test_native_coherence.py``), the trace codec
 (``test_trace_codecs.py``) and the access generator
 (``test_access_generation.py``) -- in a child pytest under
@@ -34,13 +36,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = (
     "tests/test_vector_replay.py",
+    "tests/test_round_walk.py",
     "tests/test_streaming.py",
     "tests/test_native_coherence.py",
     "tests/test_trace_codecs.py",
     "tests/test_access_generation.py",
 )
-SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer",
-            "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+SANITIZE = ("-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+            "-fno-sanitize-recover=all")
 #: Where the child finds the sanitized build.
 LIBRARY_VARIABLE = "SANITIZED_MACHINE"
 
@@ -51,9 +54,8 @@ def build(directory: Path) -> Path:
 
     target = directory / "machine-sanitized.so"
     subprocess.run(
-        [*_cmachine.compiler(), *SANITIZE, "-ffp-contract=off", "-shared",
-         "-fPIC", "-o", str(target), str(_cmachine.SOURCE),
-         *_cmachine.LIBRARIES],
+        [*_cmachine.compiler(), *_cmachine.FLAGS, *SANITIZE, "-o",
+         str(target), str(_cmachine.SOURCE), *_cmachine.LIBRARIES],
         check=True,
     )
     return target
