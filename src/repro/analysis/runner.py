@@ -101,7 +101,7 @@ from repro.coherence.smp import (
     # patches it as the ``coherence`` span.
     simulate_streaming,
 )
-from repro.core.config import build_filter
+from repro.core.config import build_filter, parse_filter_name
 from repro.core.stats import (
     FilterEvaluation,
     LiveBanks,
@@ -181,9 +181,10 @@ def _phase_plan(spec: WorkloadSpec) -> tuple[tuple[int, ...], tuple[str, ...]]:
 
 def _build_filters(filter_name: str, system: SystemConfig) -> list:
     """One freshly built filter per node for one configuration."""
+    config = parse_filter_name(filter_name)
     return [
         build_filter(
-            filter_name,
+            config,
             counter_bits=system.ij_counter_bits,
             addr_bits=system.block_address_bits,
         )

@@ -17,10 +17,11 @@ which is always safe (the EJ only errs by failing to filter).
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.base import SnoopFilter
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.utils.bitops import ilog2, mask
-from repro.utils.lru import LRUTracker
 
 
 class ExcludeJetty(SnoopFilter):
@@ -32,6 +33,13 @@ class ExcludeJetty(SnoopFilter):
         tag_bits: width of the stored tag, used only for storage accounting
             (the model stores full block numbers; hardware would store
             ``block_address_bits - log2(sets)`` bits).
+
+    The state is kept in the layout the compiled walk reads (``walk`` in
+    ``core/machine.c``), so a compiled replayer adopts these buffers as
+    they are: each set is a ``ways``-wide row of its valid blocks, most
+    recently used first, in one flat ``int64`` array, with the number of
+    valid blocks per set in an ``int32`` one.  Way placement is never
+    observable, so the recency order is the whole state of a set.
     """
 
     def __init__(self, sets: int, ways: int, tag_bits: int = 30) -> None:
@@ -44,30 +52,31 @@ class ExcludeJetty(SnoopFilter):
         self._index_bits = ilog2(sets)
         self._index_mask = mask(self._index_bits)
         self.name = f"EJ-{sets}x{ways}"
-        # Per set: list of block numbers (None = invalid way) plus LRU state.
-        self._tags: list[list[int | None]] = [[None] * ways for _ in range(sets)]
-        self._lru: list[LRUTracker] = [LRUTracker(ways) for _ in range(sets)]
+        self._rows = array("q", bytes(8 * sets * ways))
+        self._fill = array("i", bytes(4 * sets))
 
     # ------------------------------------------------------------------
-
-    def _set_index(self, block: int) -> int:
-        return block & self._index_mask
 
     def probe(self, block: int) -> bool:
         """Hot-path override: counting and lookup in one frame.
 
-        The tag scan runs through the C-level ``list.index``; a miss
-        surfaces as ``ValueError``, so hits (the only path that needs
-        the way number) resolve tag presence and position in one scan.
+        The tag scan runs over a copy of the set's valid slots, at C
+        level (a membership test, cheaper on a miss than catching
+        ``array.index``'s ``ValueError``).  A hit moves to the front of
+        its row (most recently used).
         """
         counts = self.counts
         counts.probes += 1
         index = block & self._index_mask
-        try:
-            way = self._tags[index].index(block)
-        except ValueError:
+        base = index * self.ways
+        rows = self._rows
+        row = rows[base:base + self._fill[index]]
+        if block not in row:
             return True
-        self._lru[index].touch(way)
+        at = row.index(block)
+        if at:
+            rows[base + 1:base + at + 1] = row[:at]
+            rows[base] = block
         counts.filtered += 1
         return False
 
@@ -76,31 +85,35 @@ class ExcludeJetty(SnoopFilter):
         if present:
             return
         index = block & self._index_mask
-        set_tags = self._tags[index]
-        try:
+        ways = self.ways
+        base = index * ways
+        rows, fill = self._rows, self._fill
+        n = fill[index]
+        row = rows[base:base + n]
+        if block in row:
             # Refresh an existing entry rather than duplicating it.
-            way = set_tags.index(block)
-        except ValueError:
-            way = self._find_victim(index)
-            set_tags[way] = block
+            at = row.index(block)
+        else:
+            # A free slot, or else the LRU entry, makes way.
+            if n < ways:
+                fill[index] = n + 1
+            at = min(n, ways - 1)
             self.counts.entry_writes += 1
-        self._lru[index].touch(way)
-
-    def _find_victim(self, index: int) -> int:
-        """Prefer an invalid way; otherwise evict the LRU entry."""
-        set_tags = self._tags[index]
-        for way in range(self.ways):
-            if set_tags[way] is None:
-                return way
-        return self._lru[index].victim()
+        rows[base + 1:base + at + 1] = row[:at]
+        rows[base] = block
 
     def _on_block_allocated(self, block: int) -> None:
         """Safety-critical: drop any entry claiming ``block`` is absent."""
-        set_tags = self._tags[block & self._index_mask]
-        try:
-            set_tags[set_tags.index(block)] = None
-        except ValueError:
+        index = block & self._index_mask
+        base = index * self.ways
+        rows, fill = self._rows, self._fill
+        n = fill[index]
+        row = rows[base:base + n]
+        if block not in row:
             return
+        at = row.index(block)
+        rows[base + at:base + n - 1] = row[at + 1:]
+        fill[index] = n - 1
         self.counts.entry_writes += 1
 
     # ------------------------------------------------------------------
@@ -112,21 +125,41 @@ class ExcludeJetty(SnoopFilter):
 
     def valid_entries(self) -> int:
         """Number of currently valid entries (for tests/inspection)."""
-        return sum(
-            1 for set_tags in self._tags for t in set_tags if t is not None
-        )
+        return sum(self._fill)
 
     def contains(self, block: int) -> bool:
         """True if the EJ currently records ``block`` as absent."""
-        return block in self._tags[self._set_index(block)]
+        index = block & self._index_mask
+        base = index * self.ways
+        return block in self._rows[base:base + self._fill[index]]
 
     def _snapshot_state(self):
-        return {
-            "tags": [list(row) for row in self._tags],
-            "lru": [tracker.snapshot() for tracker in self._lru],
-        }
+        return {"rows": valid_rows(self._rows, self._fill, self.ways)}
 
     def _restore_state(self, state) -> None:
-        self._tags = [list(row) for row in state["tags"]]
-        for tracker, order in zip(self._lru, state["lru"]):
-            tracker.restore(order)
+        write_rows(self, self._rows, state["rows"])
+
+
+def valid_rows(buffer, fill, ways: int) -> list[list[int]]:
+    """Each set's valid slots of a flat row buffer, in row order."""
+    return [
+        list(buffer[base:base + n])
+        for base, n in zip(range(0, len(buffer), ways), fill)
+    ]
+
+
+def write_rows(snoop_filter, buffer, rows) -> None:
+    """Write per-set ``rows`` into ``buffer`` **in place** (a compiled
+    replayer holds its address) and set ``snoop_filter``'s fill counts.
+
+    Refuses rows the walk would overrun — not one per set, or longer
+    than the associativity — with :class:`InvariantError`.
+    """
+    ways, fill = snoop_filter.ways, snoop_filter._fill
+    if len(rows) != len(fill) or any(len(row) > ways for row in rows):
+        raise InvariantError(f"{snoop_filter.name}: malformed sets")
+    for index, row in enumerate(rows):
+        base = index * ways
+        for offset, value in enumerate(row):
+            buffer[base + offset] = value
+        fill[index] = len(row)

@@ -91,7 +91,7 @@ class HybridJetty(SnoopFilter):
         # model prices component counters separately, so they are
         # logical state of the hybrid.  The bound component hooks read
         # their storage through ``self`` and need no rebinding — each
-        # component's restore swaps the storage behind the same object.
+        # component's restore writes its storage in place.
         return {
             "include": self.include.snapshot(),
             "exclude": self.exclude.snapshot(),

@@ -23,8 +23,10 @@ for the paper's encoding only in the storage arithmetic.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.base import SnoopFilter
-from repro.errors import CoherenceError, ConfigurationError
+from repro.errors import CoherenceError, ConfigurationError, InvariantError
 from repro.utils.bitops import mask
 
 
@@ -67,12 +69,15 @@ class IncludeJetty(SnoopFilter):
         self.name = f"IJ-{entry_bits}x{n_arrays}x{skip}"
         self._index_mask = mask(entry_bits)
         self._shifts = tuple(i * skip for i in range(n_arrays))
-        self._counters: list[list[int]] = [
-            [0] * (1 << entry_bits) for _ in range(n_arrays)
-        ]
-        #: (sub-array, shift) pairs, paired once so the per-snoop probe
-        #: loop does not rebuild a zip object.
-        self._lanes = tuple(zip(self._counters, self._shifts))
+        #: Every sub-array's counters in one flat ``int32`` buffer, the
+        #: layout the compiled walk reads (``walk`` in ``core/machine.c``):
+        #: sub-array *i* is ``[i << entry_bits, (i + 1) << entry_bits)``.
+        self._lanes = array("i", bytes(4 * n_arrays << entry_bits))
+        #: (first counter, shift) per sub-array, paired once so the
+        #: per-snoop probe loop does not rebuild a zip object.
+        self._fields = tuple(
+            (i << entry_bits, shift) for i, shift in enumerate(self._shifts)
+        )
 
     # ------------------------------------------------------------------
 
@@ -86,32 +91,35 @@ class IncludeJetty(SnoopFilter):
         counts = self.counts
         counts.probes += 1
         m = self._index_mask
-        for array, shift in self._lanes:
-            if array[(block >> shift) & m] == 0:
+        lanes = self._lanes
+        for base, shift in self._fields:
+            if not lanes[base | (block >> shift) & m]:
                 counts.filtered += 1
                 return False
         return True
 
     def _on_block_allocated(self, block: int) -> None:
         m = self._index_mask
-        for array, shift in zip(self._counters, self._shifts):
-            index = (block >> shift) & m
-            if array[index] == 0:
+        lanes = self._lanes
+        for base, shift in self._fields:
+            index = base | (block >> shift) & m
+            if lanes[index] == 0:
                 self.counts.pbit_writes += 1
-            array[index] += 1
+            lanes[index] += 1
         self.counts.cnt_updates += self.n_arrays
 
     def _on_block_evicted(self, block: int) -> None:
         m = self._index_mask
-        for array, shift in zip(self._counters, self._shifts):
-            index = (block >> shift) & m
-            if array[index] == 0:
+        lanes = self._lanes
+        for base, shift in self._fields:
+            index = base | (block >> shift) & m
+            if lanes[index] == 0:
                 raise CoherenceError(
                     f"IJ counter underflow for block {block:#x} in {self.name}: "
                     "eviction without a matching allocation"
                 )
-            array[index] -= 1
-            if array[index] == 0:
+            lanes[index] -= 1
+            if lanes[index] == 0:
                 self.counts.pbit_writes += 1
         self.counts.cnt_updates += self.n_arrays
 
@@ -129,19 +137,26 @@ class IncludeJetty(SnoopFilter):
         """Bits in the counter arrays (touched only on allocate/evict)."""
         return self.n_arrays * (1 << self.entry_bits) * self.counter_bits
 
+    def counters(self, index: int) -> list[int]:
+        """Sub-array ``index``'s counters, by entry."""
+        base = index << self.entry_bits
+        return self._lanes[base:base + (1 << self.entry_bits)].tolist()
+
     def tracked_blocks(self) -> int:
         """Number of allocations currently recorded (sub-array 0 total)."""
-        return sum(self._counters[0])
+        return sum(self._lanes[:1 << self.entry_bits])
 
     def max_counter(self) -> int:
         """Largest live counter value (tests use this to bound widths)."""
-        return max(max(array) for array in self._counters)
+        return max(self._lanes)
 
     def _snapshot_state(self):
-        return {"counters": [list(array) for array in self._counters]}
+        return {"lanes": self._lanes.tolist()}
 
     def _restore_state(self, state) -> None:
-        self._counters = [list(array) for array in state["counters"]]
-        # The probe fast path iterates (sub-array, shift) pairs zipped
-        # once at construction — derived state, rebuilt here.
-        self._lanes = tuple(zip(self._counters, self._shifts))
+        """Write the lanes **in place** (a compiled replayer holds their
+        address); refuse a count the walk would overrun."""
+        lanes = state["lanes"]
+        if len(lanes) != len(self._lanes):
+            raise InvariantError(f"{self.name}: malformed lanes")
+        self._lanes[:] = array("i", lanes)

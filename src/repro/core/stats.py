@@ -440,8 +440,9 @@ class Replayer:
 
     A replayer evaluates one node's event stream through one filter.
     :class:`EventReplayer` drives the filter object per event; the
-    compiled replayers (:mod:`repro.core.vector_replay`) keep private
-    state and only *export* it into the filter for a snapshot.  Both
+    compiled replayers (:mod:`repro.core.vector_replay`) walk the
+    filter's own buffers natively and hand it their counts for a
+    snapshot.  Both
     keep their coverage totals and PHASE snapshots here, finish into the
     same :class:`FilterEvaluation`, and checkpoint in one format, so a
     snapshot taken under either kernel restores into either.

@@ -14,10 +14,12 @@ the PV bit.  We generalise to any power-of-two vector length.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.base import SnoopFilter
-from repro.errors import ConfigurationError
+from repro.core.exclude import valid_rows, write_rows
+from repro.errors import ConfigurationError, InvariantError
 from repro.utils.bitops import ilog2, mask
-from repro.utils.lru import LRUTracker
 
 
 class VectorExcludeJetty(SnoopFilter):
@@ -28,6 +30,14 @@ class VectorExcludeJetty(SnoopFilter):
         ways: associativity.
         vector_bits: presence-vector length; must be a power of two.
         tag_bits: block-address width for storage accounting.
+
+    The state is kept in the layout the compiled walk reads (``walk`` in
+    ``core/machine.c``): each set is a ``ways``-wide row of its valid
+    chunk numbers, least recently used first, in one flat ``int64``
+    array, with the chunks' presence vectors in a parallel ``uint64``
+    array and the number of valid chunks per set in an ``int32`` one.
+    Vectors wider than 64 bits keep a plain list in the vectors' place,
+    on the same code (the compiled walk does not take them).
     """
 
     def __init__(
@@ -45,85 +55,106 @@ class VectorExcludeJetty(SnoopFilter):
         self._index_bits = ilog2(sets)
         self._index_mask = mask(self._index_bits)
         self.name = f"VEJ-{sets}x{ways}-{vector_bits}"
-        # Per set and way, in parallel lists (so the hot PV update writes
-        # an int in place instead of allocating a (chunk, vector) tuple):
-        # chunk number (None = invalid way) and present-vector.
-        self._chunks: list[list[int | None]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        self._vectors: list[list[int]] = [[0] * ways for _ in range(sets)]
-        self._lru: list[LRUTracker] = [LRUTracker(ways) for _ in range(sets)]
+        self._rows = array("q", bytes(8 * sets * ways))
+        self._vecs = (
+            array("Q", bytes(8 * sets * ways)) if vector_bits <= 64
+            else [0] * (sets * ways)
+        )
+        self._fill = array("i", bytes(4 * sets))
 
     @property
     def _entries(self) -> list[list[tuple[int, int] | None]]:
-        """Inspection view: ``(chunk, vector)`` per way, None if invalid."""
+        """Inspection view: ``(chunk, vector)`` per valid entry of each
+        set, LRU first, padded with None to the associativity."""
+        ways = self.ways
         return [
-            [
-                None if chunk is None else (chunk, vector)
-                for chunk, vector in zip(chunk_row, vector_row)
-            ]
-            for chunk_row, vector_row in zip(self._chunks, self._vectors)
+            [*zip(chunks, vectors), *[None] * (ways - len(chunks))]
+            for chunks, vectors in zip(
+                valid_rows(self._rows, self._fill, ways),
+                valid_rows(self._vecs, self._fill, ways),
+            )
         ]
 
     # ------------------------------------------------------------------
 
-    def _split(self, block: int) -> tuple[int, int]:
-        """Return ``(chunk_number, bit_position)`` for a block number."""
-        return block >> self._vec_shift, block & self._vec_mask
-
-    def _set_index(self, chunk: int) -> int:
-        return chunk & self._index_mask
-
     def probe(self, block: int) -> bool:
-        """Hot-path override: counting, split, and scan in one frame."""
+        """Hot-path override: counting, split, and scan in one frame.
+
+        A chunk hit moves to the end of its row (most recently used)
+        whether or not its vector filters the block.
+        """
         counts = self.counts
         counts.probes += 1
         chunk = block >> self._vec_shift
         index = chunk & self._index_mask
-        chunks = self._chunks[index]
-        if chunk in chunks:
-            way = chunks.index(chunk)
-            self._lru[index].touch(way)
-            if self._vectors[index][way] & (1 << (block & self._vec_mask)):
-                counts.filtered += 1
-                return False
+        base = index * self.ways
+        rows = self._rows
+        row = rows[base:base + self._fill[index]]
+        if chunk not in row:
+            return True
+        at = base + row.index(chunk)
+        last = base + len(row) - 1
+        vecs = self._vecs
+        vector = vecs[at]
+        if at != last:
+            rows[at:last] = rows[at + 1:last + 1]
+            rows[last] = chunk
+            vecs[at:last] = vecs[at + 1:last + 1]
+            vecs[last] = vector
+        if vector >> (block & self._vec_mask) & 1:
+            counts.filtered += 1
+            return False
         return True
 
     def _on_snoop_outcome(self, block: int, present: bool) -> None:
         if present:
             return
-        chunk, bit = self._split(block)
-        index = self._set_index(chunk)
-        chunks = self._chunks[index]
-        lru = self._lru[index]
-        if chunk in chunks:
-            way = chunks.index(chunk)
-            self._vectors[index][way] |= 1 << bit
+        chunk = block >> self._vec_shift
+        bit = 1 << (block & self._vec_mask)
+        index = chunk & self._index_mask
+        ways = self.ways
+        base = index * ways
+        rows, vecs, fill = self._rows, self._vecs, self._fill
+        n = fill[index]
+        row = rows[base:base + n]
+        if chunk in row:
+            at = base + row.index(chunk)
+            vector = vecs[at] | bit
         else:
-            way = self._find_victim(index)
-            chunks[way] = chunk
-            self._vectors[index][way] = 1 << bit
-        lru.touch(way)
+            # A free slot, or else the LRU entry, makes way.
+            if n < ways:
+                fill[index] = n + 1
+                at = base + n
+            else:
+                at = base
+            vector = bit
+        last = base + fill[index] - 1
+        if at != last:
+            rows[at:last] = rows[at + 1:last + 1]
+            vecs[at:last] = vecs[at + 1:last + 1]
+        rows[last] = chunk
+        vecs[last] = vector
         self.counts.entry_writes += 1
-
-    def _find_victim(self, index: int) -> int:
-        chunks = self._chunks[index]
-        if None in chunks:
-            return chunks.index(None)
-        return self._lru[index].victim()
 
     def _on_block_allocated(self, block: int) -> None:
         """Clear the PV bit for a block the L2 just filled (safety)."""
-        chunk, bit = self._split(block)
-        index = self._set_index(chunk)
-        chunks = self._chunks[index]
-        if chunk in chunks:
-            way = chunks.index(chunk)
-            vector = self._vectors[index][way] & ~(1 << bit)
-            self._vectors[index][way] = vector
-            if vector == 0:
-                chunks[way] = None
-            self.counts.entry_writes += 1
+        chunk = block >> self._vec_shift
+        index = chunk & self._index_mask
+        base = index * self.ways
+        rows, vecs, fill = self._rows, self._vecs, self._fill
+        end = base + fill[index]
+        row = rows[base:end]
+        if chunk not in row:
+            return
+        at = base + row.index(chunk)
+        vector = vecs[at] & ~(1 << (block & self._vec_mask))
+        if vector:
+            vecs[at] = vector
+        else:  # the entry empties: close the gap
+            rows[at:end - 1] = rows[at + 1:end]
+            vecs[at:end - 1] = vecs[at + 1:end]
+            fill[index] -= 1
+        self.counts.entry_writes += 1
 
     # ------------------------------------------------------------------
 
@@ -134,22 +165,21 @@ class VectorExcludeJetty(SnoopFilter):
 
     def _snapshot_state(self):
         return {
-            "chunks": [list(row) for row in self._chunks],
-            "vectors": [list(row) for row in self._vectors],
-            "lru": [tracker.snapshot() for tracker in self._lru],
+            "rows": valid_rows(self._rows, self._fill, self.ways),
+            "vectors": valid_rows(self._vecs, self._fill, self.ways),
         }
 
     def _restore_state(self, state) -> None:
-        self._chunks = [list(row) for row in state["chunks"]]
-        self._vectors = [list(row) for row in state["vectors"]]
-        for tracker, order in zip(self._lru, state["lru"]):
-            tracker.restore(order)
+        rows, vectors = state["rows"], state["vectors"]
+        if [len(row) for row in rows] != [len(row) for row in vectors]:
+            raise InvariantError(f"{self.name}: malformed sets")
+        write_rows(self, self._rows, rows)
+        write_rows(self, self._vecs, vectors)
 
     def asserted_bits(self) -> int:
         """Total PV bits currently set (for tests/inspection)."""
-        total = 0
-        for chunk_row, vector_row in zip(self._chunks, self._vectors):
-            for chunk, vector in zip(chunk_row, vector_row):
-                if chunk is not None:
-                    total += bin(vector).count("1")
-        return total
+        return sum(
+            bin(vector).count("1")
+            for row in valid_rows(self._vecs, self._fill, self.ways)
+            for vector in row
+        )

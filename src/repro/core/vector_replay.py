@@ -46,9 +46,9 @@ adds one per sub-array and each evict takes one away, stopping at the
 first underflow.  An EJ or VEJ is one exclude *machine*: a stack machine
 for the EJ (each set a bounded MRU-first list of valid blocks) and a
 vector machine for the VEJ (each set its valid chunks LRU-first with
-their presence vectors).  That is the whole *observable* state of a set:
-way indexes are never reported, and a snapshot writes the entries into
-ways ``0..k-1`` in recency order.  An HJ is both: the lanes' verdict
+their presence vectors).  That is the whole *observable* state of a set
+— way indexes are never reported — and the filters store nothing
+else.  An HJ is both: the lanes' verdict
 reaches the exclude machine, and a snoop is filtered when either side
 filters it.  The walk returns at each MARKER.  A filter stops at its
 first safety violation or underflow, with its tallies up to and
@@ -62,14 +62,14 @@ replay the first in the trace reader's order.  After every span the
 lanes' totals are checked against the allocs and evicts walked
 (:class:`~repro.errors.InvariantError` on a break).
 
-Every replayer *imports* the wrapped filter's current storage state at
-construction (freshly built filters are empty, so the cold path is
-unchanged) and again in :meth:`VectorReplayer.restore`, after the
-filter object adopts a checkpoint's state: that is how a resumed run's
-kernels pick up warmed filters.  :meth:`VectorReplayer.snapshot` runs
-the import backwards — it *exports* the replayer's state into the
-wrapped filter and takes the filter's own snapshot — so checkpoints
-have one format whichever kernel wrote or reads them.
+There is no import and no export: every filter keeps its state in the
+walk's own layout (an EJ's MRU-first rows and fill counts, a VEJ's
+LRU-first rows and presence vectors, an IJ's flat lanes), its Python
+methods — the oracle — work on those buffers, and a replayer points
+its walk context at them as they are.  A checkpoint restore writes the
+filter's buffers in place, so the addresses hold, and
+:meth:`VectorReplayer.snapshot` is the filter's own snapshot: one
+format whichever kernel wrote or reads it.
 
 Everything else (hashed-include, null filters, subclasses, VEJ vectors
 wider than the walk's ``uint64``) falls back to the per-event loop —
@@ -135,73 +135,6 @@ def replayer_for(snoop_filter: SnoopFilter, node_id: int, phase_names=()):
     return None
 
 
-def _warm_stacks(exclude: ExcludeJetty) -> list[list[int]]:
-    """Per-set MRU-first stacks importing an EJ's current contents.
-
-    A freshly built filter has no valid entries, so the cold path gets
-    the empty stacks it always had; a filter restored from a checkpoint
-    contributes its valid entries in recency order — way placement and
-    invalid ways are unobservable to replay, exactly the abstraction
-    the stack model is built on.
-    """
-    return [
-        [tags[way] for way in lru.order() if tags[way] is not None]
-        for tags, lru in zip(exclude._tags, exclude._lru)
-    ]
-
-
-def _warm_vectors(exclude: VectorExcludeJetty) -> list[dict[int, int]]:
-    """Per-set insertion-ordered chunk->vector dicts importing a VEJ.
-
-    The replayer's eviction takes the dict's *first* key, so entries
-    insert in LRU-to-MRU order (``lru.order()`` is MRU-first, hence
-    reversed), skipping invalid ways.
-    """
-    vectors: list[dict[int, int]] = []
-    for chunks, vecs, lru in zip(
-        exclude._chunks, exclude._vectors, exclude._lru
-    ):
-        entries: dict[int, int] = {}
-        for way in reversed(lru.order()):
-            chunk = chunks[way]
-            if chunk is not None:
-                entries[chunk] = vecs[way]
-        vectors.append(entries)
-    return vectors
-
-
-def _padded(row: list, ways: int, fill) -> list:
-    return row + [fill] * (ways - len(row))
-
-
-def _export_stacks(exclude: ExcludeJetty, stacks) -> None:
-    """Write MRU-first stacks into an EJ: ways ``0..k-1``, LRU order
-    ``[0..ways-1]`` — the inverse of :func:`_warm_stacks`.
-
-    Any layout with the same valid blocks in the same recency order
-    behaves identically from here on, because ``_find_victim`` takes an
-    invalid way before the LRU one.
-    """
-    ways = exclude.ways
-    exclude._restore_state({
-        "tags": [_padded(list(stack), ways, None) for stack in stacks],
-        "lru": [list(range(ways))] * len(stacks),
-    })
-
-
-def _export_vectors(exclude: VectorExcludeJetty, vectors) -> None:
-    """Write per-set LRU-first chunk->vector dicts into a VEJ, reversed
-    into ways ``0..k-1`` — the inverse of :func:`_warm_vectors`, by the
-    argument of :func:`_export_stacks`."""
-    ways = exclude.ways
-    mru = [list(entries.items())[::-1] for entries in vectors]
-    exclude._restore_state({
-        "chunks": [_padded([c for c, _ in row], ways, None) for row in mru],
-        "vectors": [_padded([v for _, v in row], ways, 0) for row in mru],
-        "lru": [list(range(ways))] * len(mru),
-    })
-
-
 class WalkContext(ctypes.Structure):
     """One filter as the native ``walk`` sees it (``walk_ctx`` in
     ``repro/core/machine.c``): where it reports, and the flat buffers
@@ -226,17 +159,16 @@ class VectorReplayer(Replayer):
     Mirrors the :class:`~repro.core.stats.EventReplayer` surface
     (``feed`` / ``feed_segment`` / ``finish`` / ``snapshot`` /
     ``restore``) so :class:`~repro.core.stats.StreamingFilterBank` can
-    hold either interchangeably, live or replaying.  The wrapped filter
-    object is *never driven* — the replayer keeps its state in flat
-    ``array`` buffers the walk updates in place and synthesises the
-    :class:`FilterEventCounts` itself: ``filtered``/``probes`` count the
+    hold either interchangeably, live or replaying.  The walk updates
+    the wrapped filter's own buffers in place — there is no import at
+    construction and no export for a snapshot — but never calls the
+    filter's methods.  The replayer synthesises the
+    :class:`FilterEventCounts` itself (``filtered``/``probes`` count the
     filter, ``entry_writes`` the exclude structure, ``cnt_updates``/
-    ``pbit_writes`` the lanes — exactly the composition of
-    :meth:`repro.core.hybrid.HybridJetty.energy_counts`.  The state is
-    read out of the filter in :meth:`_import` (at construction and after
-    a restore) and written back in :meth:`_export`, so :meth:`snapshot`
-    is the filter's own snapshot in exactly the oracle's checkpoint
-    shape.
+    ``pbit_writes`` the lanes: exactly the composition of
+    :meth:`repro.core.hybrid.HybridJetty.energy_counts`) and hands them
+    to the filter for a snapshot, which is then the filter's own, in
+    exactly the oracle's checkpoint shape.
     """
 
     def __init__(
@@ -246,11 +178,6 @@ class VectorReplayer(Replayer):
         self.counts = FilterEventCounts()
         #: The walk's span results (see ``walk`` in ``machine.c``).
         self._out = array("q", bytes(8 * 8))
-        self._import()
-
-    def _import(self) -> None:
-        """Adopt the wrapped filter's storage state."""
-        snoop_filter = self.snoop_filter
         kind = type(snoop_filter)
         include = exclude = None
         if kind is HybridJetty:
@@ -260,109 +187,71 @@ class VectorReplayer(Replayer):
         else:
             exclude = snoop_filter
         self._include, self._exclude = include, exclude
-        #: Allocs minus evicts walked since the import.
-        self._walked = 0
         context = WalkContext(out=self._out.buffer_info()[0])
         self._lanes = self._lane_totals = None
         self._n_arrays = 0
         if include is not None:
-            size = 1 << include.entry_bits
-            counters = include._counters
-            if len(counters) != include.n_arrays or any(
-                len(lane) != size for lane in counters
-            ):
-                raise InvariantError(f"{include.name}: malformed lanes")
-            # Zeros for a freshly built IJ, the warmed lanes for one
-            # restored from a checkpoint.
-            self._lanes = array("i")
-            for lane in counters:
-                self._lanes.fromlist(lane)
+            self._lanes = include._lanes
             self._n_arrays = include.n_arrays
             self._lane_totals = array("q", bytes(8 * include.n_arrays))
-            self._imported = sum(counters[0])
             context.lanes = self._lanes.buffer_info()[0]
             context.lane_totals = self._lane_totals.buffer_info()[0]
             context.n_arrays = include.n_arrays
             context.skip = include.skip
-            context.lane_mask = size - 1
+            context.lane_mask = include._index_mask
         if exclude is not None:
-            vej = type(exclude) is VectorExcludeJetty
-            sets = _warm_vectors(exclude) if vej else _warm_stacks(exclude)
-            ways, n_sets = exclude.ways, exclude._index_mask + 1
-            if len(sets) != n_sets or any(len(e) > ways for e in sets):
-                raise InvariantError(f"{exclude.name}: malformed sets")
-            self._rows = array("q", bytes(8 * ways * n_sets))
-            self._vecs = array("Q", bytes(8 * ways * n_sets)) if vej else None
-            self._fill = array("i", bytes(4 * n_sets))
-            for index, entries in enumerate(sets):
-                base, end = index * ways, index * ways + len(entries)
-                self._fill[index] = len(entries)
-                self._rows[base:end] = array("q", entries)
-                if vej:
-                    self._vecs[base:end] = array("Q", entries.values())
-            context.rows = self._rows.buffer_info()[0]
-            context.vecs = self._vecs.buffer_info()[0] if vej else None
-            context.fill = self._fill.buffer_info()[0]
-            context.ways, context.set_mask = ways, n_sets - 1
-            if vej:
+            context.rows = exclude._rows.buffer_info()[0]
+            context.fill = exclude._fill.buffer_info()[0]
+            context.ways = exclude.ways
+            context.set_mask = exclude._index_mask
+            if type(exclude) is VectorExcludeJetty:
+                context.vecs = exclude._vecs.buffer_info()[0]
                 context.vshift = exclude._vec_shift
                 context.vmask = exclude._vec_mask
         self._context = context  # kept alive for its address
         self._address = ctypes.addressof(context)
+        self._count_lanes()
 
-    def _export(self) -> None:
-        """Write the replayer's storage state into the wrapped filter,
-        whose ``counts`` already hold the synthesised counts."""
-        exclude, include = self._exclude, self._include
-        if exclude is not None:
-            ways, rows, vecs = exclude.ways, self._rows, self._vecs
-            spans = [
-                (index * ways, index * ways + n)
-                for index, n in enumerate(self._fill)
-            ]
-            if vecs is None:
-                _export_stacks(exclude, [rows[lo:hi].tolist()
-                                         for lo, hi in spans])
-            else:
-                _export_vectors(exclude, [
-                    dict(zip(rows[lo:hi].tolist(), vecs[lo:hi].tolist()))
-                    for lo, hi in spans
-                ])
-        if include is not None:
-            size = len(self._lanes) // include.n_arrays
-            include._restore_state({"counters": [
-                self._lanes[lo:lo + size].tolist()
-                for lo in range(0, len(self._lanes), size)
-            ]})
-        if include is not None and exclude is not None:
-            # Split the counts along HybridJetty.energy_counts(): the
-            # hybrid counts lookups, each component the storage updates
-            # it prices.
-            counts, hybrid = self.counts, self.snoop_filter
-            hybrid.counts = FilterEventCounts(
-                probes=counts.probes, filtered=counts.filtered
-            )
-            exclude.counts = FilterEventCounts(
-                entry_writes=counts.entry_writes
-            )
-            include.counts = FilterEventCounts(
-                cnt_updates=counts.cnt_updates,
-                pbit_writes=counts.pbit_writes,
-            )
+    def _count_lanes(self) -> None:
+        """Start the lanes' conservation count from their current total
+        (zero for a fresh filter, the warmed total after a restore)."""
+        #: The lanes' total when the count started, and the allocs minus
+        #: evicts walked since.
+        self._lane_base = (
+            0 if self._include is None else self._include.tracked_blocks()
+        )
+        self._walked = 0
+
+    def _share_counts(self) -> None:
+        """Hand the synthesised counts to the wrapped filter."""
+        counts, snoop_filter = self.counts, self.snoop_filter
+        include, exclude = self._include, self._exclude
+        if include is None or exclude is None:
+            snoop_filter.counts = replace(counts)
+            return
+        # Split the counts along HybridJetty.energy_counts(): the hybrid
+        # counts lookups, each component the storage updates it prices.
+        snoop_filter.counts = FilterEventCounts(
+            probes=counts.probes, filtered=counts.filtered
+        )
+        exclude.counts = FilterEventCounts(entry_writes=counts.entry_writes)
+        include.counts = FilterEventCounts(
+            cnt_updates=counts.cnt_updates, pbit_writes=counts.pbit_writes
+        )
 
     def _event_counts(self) -> FilterEventCounts:
         return self.counts
 
     def snapshot(self) -> dict:
         """The :class:`EventReplayer` snapshot of the same replay."""
-        self.snoop_filter.counts = replace(self.counts)
-        self._export()
+        self._share_counts()
         return super().snapshot()
 
     def restore(self, state: dict) -> None:
-        """Adopt a snapshot taken under either kernel."""
+        """Adopt a snapshot taken under either kernel: the filter writes
+        its buffers in place, where the walk reads them."""
         super().restore(state)
-        self._import()
+        self._count_lanes()
         self.counts = replace(self.snoop_filter.energy_counts())
 
     def feed(self, events) -> None:
@@ -455,15 +344,15 @@ class VectorReplayer(Replayer):
         return stop
 
     def _check_lanes(self, totals: list) -> None:
-        """Check lane conservation: every lane totals the imported total
+        """Check lane conservation: every lane totals the count's base
         plus the allocs minus the evicts walked since (which warm-up
         MARKERs do not reset)."""
-        expected = self._imported + self._walked
+        expected = self._lane_base + self._walked
         if totals.count(expected) != len(totals):
             raise InvariantError(
                 f"{self._include.name} lane counter totals "
                 f"{totals} break "
-                f"conservation: {self._imported} imported + "
+                f"conservation: {self._lane_base} at the start + "
                 f"{self._walked} allocs net of evicts = {expected}"
             )
 

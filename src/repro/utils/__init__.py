@@ -1,4 +1,4 @@
-"""Shared low-level helpers: bit manipulation, LRU tracking, text tables."""
+"""Shared low-level helpers: bit manipulation, text tables."""
 
 from repro.utils.bitops import (
     bit_slice,
@@ -8,11 +8,9 @@ from repro.utils.bitops import (
     is_power_of_two,
     mask,
 )
-from repro.utils.lru import LRUTracker
 from repro.utils.text import format_percent, render_table
 
 __all__ = [
-    "LRUTracker",
     "bit_slice",
     "block_address",
     "extract_field",

@@ -20,6 +20,7 @@ Mid-run checkpointing rests on three claims, all pinned here:
 from __future__ import annotations
 
 import base64
+import logging
 import zlib
 from contextlib import contextmanager
 from dataclasses import replace
@@ -46,7 +47,13 @@ from repro.coherence.smp import (
     _boundary_schedule,
 )
 from repro.coherence.writebuffer import WriteBuffer
-from repro.core.config import build_filter
+from repro.core.config import (
+    EJConfig,
+    IJConfig,
+    VEJConfig,
+    build_filter,
+    parse_filter_name,
+)
 from repro.core.stats import EventReplayer, pack_event, SNOOP
 from repro.errors import ConfigurationError, TraceError
 from repro.traces.workloads import (
@@ -55,7 +62,6 @@ from repro.traces.workloads import (
     WorkloadSpec,
     simulate_workload_accesses,
 )
-from repro.utils.lru import LRUTracker
 from tests.conftest import oracle_replay
 
 #: One representative of every filter family, sized for a tiny workload.
@@ -155,16 +161,6 @@ class TestSnapshotUnits:
             (800, _MEASURE), (800, 0), (1200, _SAVE), (1200, 1),
         ]
         assert list(_boundary_schedule(800, (800, 1200), 1200)) == [(1200, 1)]
-
-    def test_lru_round_trip_and_validation(self):
-        tracker = LRUTracker(4)
-        tracker.touch(2)
-        tracker.touch(0)
-        other = LRUTracker(4)
-        other.restore(tracker.snapshot())
-        assert other.order() == tracker.order()
-        with pytest.raises(ConfigurationError):
-            LRUTracker(3).restore(tracker.snapshot())
 
     def test_l2_restore_rebuilds_index_in_place(self):
         config = CacheConfig(capacity_bytes=1024, block_bytes=64,
@@ -548,6 +544,110 @@ class TestStreamKillResumeByteIdentity:
 # ----------------------------------------------------------------------
 # Interrupted recordings: segment watermarks, validation, fallback
 # ----------------------------------------------------------------------
+
+#: One filter of every family whose storage is the walk's flat layout.
+FLAT_FAMILIES = ("EJ-8x2", "VEJ-16x2-4", "IJ-6x2x3", "HJ(IJ-6x2x3, EJ-8x2)")
+
+
+def _legacy_filter_state(snapshot: dict) -> None:
+    """Rewrite one filter snapshot, in place, into the shape filters
+    checkpointed before they kept the walk's layout: EJ and VEJ sets as
+    way rows (``None`` for an invalid way) plus LRU orders, IJ lanes as
+    one list per sub-array."""
+    state = snapshot["state"]
+    config = parse_filter_name(snapshot["name"])
+    if isinstance(config, IJConfig):
+        lanes, size = state["lanes"], 1 << config.entry_bits
+        snapshot["state"] = {"counters": [
+            lanes[lo:lo + size] for lo in range(0, len(lanes), size)
+        ]}
+    elif isinstance(config, EJConfig):
+        ways, rows = config.ways, state["rows"]
+        snapshot["state"] = {
+            "tags": [row + [None] * (ways - len(row)) for row in rows],
+            "lru": [list(range(ways))] * len(rows),
+        }
+    elif isinstance(config, VEJConfig):
+        ways, rows = config.ways, state["rows"]
+        snapshot["state"] = {
+            "chunks": [row[::-1] + [None] * (ways - len(row)) for row in rows],
+            "vectors": [vector[::-1] + [0] * (ways - len(vector))
+                        for vector in state["vectors"]],
+            "lru": [list(range(ways))] * len(rows),
+        }
+    else:
+        _legacy_filter_state(state["include"])
+        _legacy_filter_state(state["exclude"])
+
+
+class TestLegacyFilterCheckpoint:
+    @pytest.mark.parametrize("every_checkpoint", [False, True],
+                             ids=["newest", "every"])
+    def test_old_filter_shape_falls_back(self, caplog, every_checkpoint):
+        """A checkpoint whose filter state has the old shape fails to
+        restore: the ladder logs it, deletes it and resumes from the
+        previous watermark (or from access zero when every checkpoint
+        has it), and the finished store is a clean run's, byte for
+        byte."""
+        def jobs(chunk_size):
+            return [runner.SweepJob(SPEC, FLAT_FAMILIES, SCALED_SYSTEM, 1,
+                                    chunk_size)]
+
+        clean = ExperimentStore()
+        runner.execute(jobs(1_000_000), mode="stream", experiment_store=clean)
+        interrupted = ExperimentStore()
+        with kill_after_checkpoints(interrupted, 2):
+            with pytest.raises(KeyboardInterrupt):
+                runner.execute(jobs(1777), mode="stream",
+                               experiment_store=interrupted,
+                               checkpoint_every=900)
+        chain = store_mod.checkpoint_chain_key(
+            SPEC, SCALED_SYSTEM, 1, FLAT_FAMILIES, False
+        )
+        states = {
+            key: store_mod.decode_checkpoint(interrupted.get_blob(key))
+            for key in interrupted.group_keys(CHECKPOINT_KIND, chain)
+        }
+        assert sorted(state["position"] for state in states.values()) == [
+            900, 1800
+        ]
+        damaged = [
+            key for key, state in states.items()
+            if every_checkpoint or state["position"] == 1800
+        ]
+        for key in damaged:
+            state = states[key]
+            for bank in state["banks"].values():
+                for replayer in bank:
+                    _legacy_filter_state(replayer["filter"])
+            interrupted.put_blob(
+                key, store_mod.encode_checkpoint(state),
+                kind=CHECKPOINT_KIND, workload=SPEC.name, filter_name=chain,
+                n_cpus=4, seed=1,
+            )
+        deleted = []
+        delete_key = interrupted.delete_key
+
+        def recording_delete(key):
+            deleted.append(key)
+            return delete_key(key)
+
+        interrupted.delete_key = recording_delete
+        with caplog.at_level(logging.WARNING, logger="repro.runner"):
+            report = runner.execute(jobs(512), mode="stream",
+                                    experiment_store=interrupted,
+                                    checkpoint_every=900)
+        fallbacks = [
+            record.getMessage() for record in caplog.records
+            if "failed to restore" in record.getMessage()
+        ]
+        assert len(fallbacks) == len(damaged)
+        assert all("KeyError" in message for message in fallbacks)
+        assert set(damaged) <= set(deleted)
+        assert report.checkpoints_resumed == (not every_checkpoint)
+        assert report.resumed_accesses == (0 if every_checkpoint else 900)
+        assert interrupted.dump() == clean.dump()
+
 
 def _record(store, *, checkpoint_every=None, chunk_size=1777, report=None):
     return runner.record_trace(

@@ -106,7 +106,7 @@ def test_include_jetty_counters_stay_consistent(events):
         expected = [0] * (1 << ij.entry_bits)
         for block in cached:
             expected[ij.indexes(block)[array_index]] += 1
-        assert ij._counters[array_index] == expected
+        assert ij.counters(array_index) == expected
 
 
 @given(events=events_strategy)

@@ -122,12 +122,13 @@ def _node_rounds(draw):
 def _state(replayer) -> tuple:
     """A replayer's walked state, as bytes: lanes, lane totals, rows,
     fill counts and presence vectors (``None`` where it has none)."""
+    exclude = replayer._exclude
     return tuple(
         None if buffer is None else buffer.tobytes()
         for buffer in (
             replayer._lanes, replayer._lane_totals,
-            getattr(replayer, "_rows", None), getattr(replayer, "_fill", None),
-            getattr(replayer, "_vecs", None),
+            *(getattr(exclude, name, None)
+              for name in ("_rows", "_fill", "_vecs")),
         )
     )
 

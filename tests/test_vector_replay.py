@@ -17,6 +17,7 @@ is the CI job proving the compiler really is optional.
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
 import shutil
@@ -45,6 +46,7 @@ from repro.core.config import (
     build_filter,
 )
 from repro.core.exclude import ExcludeJetty
+from repro.core.hybrid import HybridJetty
 from repro.core.stats import (
     ALLOC,
     EVICT,
@@ -1080,6 +1082,83 @@ class TestWarmStartParity:
                     ), (filter_name, node_id, make)
 
 
+def _buffers(snoop_filter) -> dict:
+    """Where each of a filter's storage buffers lives: name -> the
+    buffer's ``(address, length)``."""
+    parts = {"": snoop_filter}
+    if type(snoop_filter) is HybridJetty:
+        parts = {"include.": snoop_filter.include,
+                 "exclude.": snoop_filter.exclude}
+    return {
+        prefix + name: getattr(part, name).buffer_info()
+        for prefix, part in parts.items()
+        for name in ("_lanes", "_rows", "_fill", "_vecs")
+        if hasattr(part, name)
+    }
+
+
+def _priced(state: dict) -> dict:
+    """A replayer snapshot less what no evaluation reads: a hybrid's
+    component probe and filtered counts.  The walk tallies the hybrid's
+    lookups, which :meth:`HybridJetty.energy_counts` prices, and not
+    each component's."""
+    state = copy.deepcopy(state)
+    parts = state["filter"]["state"]
+    if "include" in parts:
+        for part in (parts["include"], parts["exclude"]):
+            del part["counts"]["probes"], part["counts"]["filtered"]
+    return state
+
+
+@requires_native
+class TestAdoptedBuffers:
+    """A compiled replayer walks its filter's own buffers, which the
+    filter's Python methods (the oracle) work on too: no copy in either
+    direction, so the two can take turns on one filter."""
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_walk_reads_the_filters_buffers(self, filter_name):
+        snoop_filter = _single_filter(filter_name)
+        replayer = vector_replay.replayer_for(snoop_filter, 0)
+        context = replayer._context
+        for name, (address, _length) in _buffers(snoop_filter).items():
+            field = {"_lanes": "lanes", "_rows": "rows", "_fill": "fill",
+                     "_vecs": "vecs"}[name.rpartition(".")[2]]
+            assert getattr(context, field) == address, name
+
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_oracle_and_walk_take_turns_on_one_filter(
+        self, golden_streams, filter_name
+    ):
+        """Fed alternately through its Python methods and the compiled
+        walk, handing over by snapshot and in-place restore, one filter
+        ends with an all-oracle run's snapshot (:func:`_priced`) and
+        evaluation bytes, on the buffers it was built with."""
+        chunk = 97
+        for streams in golden_streams.values():
+            for node_id, stream in enumerate(streams[:2]):
+                events = list(stream.events)
+                oracle = EventReplayer(_single_filter(filter_name), node_id)
+                oracle.feed(events)
+                shared = _single_filter(filter_name)
+                buffers = _buffers(shared)
+                turns = [EventReplayer(shared, node_id),
+                         vector_replay.replayer_for(shared, node_id)]
+                for turn, lo in enumerate(range(0, len(events), chunk)):
+                    replayer = turns[turn % 2]
+                    if turn:
+                        replayer.restore(turns[1 - turn % 2].snapshot())
+                    replayer.feed(events[lo:lo + chunk])
+                assert turn >= 3
+                assert _buffers(shared) == buffers
+                assert _priced(replayer.snapshot()) == (
+                    _priced(oracle.snapshot())
+                )
+                assert store_mod.encode_eval(replayer.finish()) == (
+                    store_mod.encode_eval(oracle.finish())
+                ), (filter_name, node_id)
+
+
 # ----------------------------------------------------------------------
 # Checkpoints: one snapshot format, restorable under either kernel
 # ----------------------------------------------------------------------
@@ -1280,18 +1359,25 @@ class TestCompiledMachineLoader:
         for name in ("walk", "delta_encode", "delta_decode"):
             assert hasattr(lib, name), name
 
-    @requires_native
     def test_malformed_filter_state_is_typed(self):
-        """Replayers refuse filter state the walk would overrun with an
-        :class:`InvariantError`, never a bare ``ValueError``."""
+        """Filters refuse, on restore, state the walk would overrun with
+        an :class:`InvariantError`, never a bare ``ValueError``."""
         short = _single_filter("IJ-8x4x7")
-        short._restore_state({"counters": [[0] * 255] * 4})
+        state = short.snapshot()
+        state["state"]["lanes"] = [0] * (255 * 4)
         with pytest.raises(InvariantError, match="malformed lanes"):
-            vector_replay.replayer_for(short, 0)
-        crowded = _single_filter("EJ-16x2")
-        crowded._tags = crowded._tags[:-1]
+            short.restore(state)
+        for name in ("EJ-16x2", "VEJ-16x2-4"):
+            crowded = _single_filter(name)
+            state = crowded.snapshot()
+            state["state"]["rows"] = state["state"]["rows"][:-1]
+            with pytest.raises(InvariantError, match="malformed sets"):
+                crowded.restore(state)
+        hybrid = _single_filter("HJ(IJ-8x4x7, EJ-16x2)")
+        state = hybrid.snapshot()
+        state["state"]["exclude"]["state"]["rows"][0] = [1, 2, 3]
         with pytest.raises(InvariantError, match="malformed sets"):
-            vector_replay.replayer_for(crowded, 0)
+            hybrid.restore(state)
 
     def test_broken_compiler_falls_back(
         self, monkeypatch, tmp_path, caplog, golden_streams
