@@ -132,12 +132,14 @@ def iter_batches(
             if size <= 0:
                 return
             batch = take(size)
-            if not batch:
+            count = len(batch)
+            if not count:
                 return
             if remaining is not None:
-                remaining -= len(batch)
+                remaining -= count
             yield batch
-            if len(batch) < size:
+            del batch  # not held while the next is drawn (run_chunked)
+            if count < size:
                 return
 
 
@@ -597,6 +599,11 @@ class SMPSystem:
             accesses, chunk_size, limit, self.config.n_cpus
         ):
             self._run_batch(batch)
+            # One batch buffer is live at a time, so the next ``take``
+            # reuses this one's memory.  Two freed together at a stop (a
+            # warm-up or PHASE mark) would lie at the heap top, where
+            # glibc trims them and the next batches fault them back in.
+            del batch
             yield self.take_shard()
 
     def mark_phase(self, index: int) -> None:

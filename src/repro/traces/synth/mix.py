@@ -207,7 +207,8 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         core, by :meth:`_draw`.
         """
         n = max(0, min(count, self.remaining))
-        out = array("q", bytes(8 * n))
+        # One exact-size block and no temporary: see SMPSystem.run_chunked.
+        out = array("q", [0]) * n
         lib = _cmachine.library()
         i = 0
         while i < n:

@@ -16,6 +16,8 @@ Pinned here:
 * **replay byte-identity** — every filter family x chunk size
   {512, 1777} equals live streaming, including a PHASE-marker-mid-segment
   suite trace;
+* **trace economics** — em3d's stored delta-v1 archive stays at most
+  0.80x of the same trace stored as legacy raw-v1;
 * **deflate** — long segments deflate with the run-length strategy and
   short ones with zlib's default, and neither is ever larger than the
   default level-6 deflate of the same planes on the edge segments and
@@ -321,6 +323,26 @@ class TestCodecWireFormat:
         ])
         delta_blob = store_mod.encode_trace_segment(events.tobytes())
         assert len(delta_blob) < len(_legacy_raw_v1(events)) // 2
+
+    def test_delta_v1_archive_stays_under_raw_v1(self):
+        """Trace economics: em3d's stored archive (manifest plus
+        segments) stays at most 0.80x of the same trace had its segments
+        been written as legacy raw-v1.  It reads 0.702."""
+        spec = replace(WORKLOADS["em3d"], n_accesses=120_000,
+                       warmup_accesses=10_000)
+        with ExperimentStore() as store:
+            runner.record_trace(spec, SCALED_SYSTEM, 1,
+                                experiment_store=store)
+            tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+            _manifest, keys = _segment_keys_flat(store, tkey)
+            manifest = len(store.get_blob(tkey))
+            blobs = [store.get_blob(key) for key in keys]
+        stored = manifest + sum(map(len, blobs))
+        raw = manifest + sum(
+            len(_legacy_raw_v1(store_mod.decode_trace_segment(blob)))
+            for blob in blobs
+        )
+        assert stored <= 0.80 * raw, stored / raw
 
     def test_truncated_delta_segment_is_corruption(self):
         blob = bytes([0xD7]) + zlib.compress(b"\x01")
