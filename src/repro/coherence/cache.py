@@ -68,7 +68,7 @@ class L2Cache:
 
     def subblock_states(self, block: int) -> list[MOESI] | None:
         """The MOESI state of each subblock of ``block``, or None when
-        it is not resident (tests/inspection)."""
+        it is not resident (tests and inspection)."""
         slot = self.find(block)
         if slot < 0:
             return None
@@ -76,7 +76,7 @@ class L2Cache:
         return [MOESI(code) for code in self.states[slot * n:(slot + 1) * n]]
 
     def resident_blocks(self) -> list[int]:
-        """All currently allocated block numbers (tests/inspection)."""
+        """All currently allocated block numbers (tests and inspection)."""
         return [block for block in self.tags if block != EMPTY]
 
     def snapshot(self) -> dict:

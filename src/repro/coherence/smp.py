@@ -698,6 +698,30 @@ def _boundary_schedule(
     return (stop for stop in stops if stop > (start, _SAVE))
 
 
+def _horizons(stops) -> Iterator[list[tuple[int, int]]]:
+    """``stops`` cut after each save; the last run ends with the stream."""
+    horizon = []
+    for stop in stops:
+        horizon.append(stop)
+        if stop[1] == _SAVE:
+            yield horizon
+            horizon = []
+    yield horizon
+
+
+def _batch_sizes(position: int, horizon, chunk_size: int) -> Iterator[int]:
+    """The sizes :meth:`SMPSystem.run_chunked` takes from ``position``
+    through ``horizon``: ``chunk_size`` from each stop, across warm-up and
+    PHASE stops, up to a save or, in the last horizon, the stream's end."""
+    for stop, _action in horizon:
+        while position < stop:
+            size = min(chunk_size, stop - position)
+            yield size
+            position += size
+    if not horizon or horizon[-1][1] != _SAVE:
+        yield from itertools.repeat(chunk_size)
+
+
 def simulate_streaming(
     config: SystemConfig | SMPSystem,
     accesses: Iterable[tuple[int, int, bool]],
@@ -742,6 +766,10 @@ def simulate_streaming(
     uninterrupted run emits next.  Markers are emitted *between* chunks
     and ride at the front of the next shard (or the final residue), at
     the same place in the event sequence whatever the chunk size.
+
+    A source with ``draw_ahead`` (a :class:`~repro.traces.synth.MixStream`)
+    draws each next batch on a helper thread while this one simulates
+    and walks, up to each save (:func:`_batch_sizes`).
     """
     system = config if isinstance(config, SMPSystem) else SMPSystem(config)
     sinks = list(sinks)
@@ -753,26 +781,34 @@ def simulate_streaming(
             )
         end = start + accesses.remaining
     iterator = iter(accesses)
+    draw_ahead = getattr(iterator, "draw_ahead", None)
     position = start
-    for stop, action in _boundary_schedule(
-        warmup, phase_marks, start, checkpoint_every, end
-    ):
-        if stop > position:
-            for shard in system.run_chunked(
-                iterator, chunk_size, limit=stop - position
-            ):
-                for sink in sinks:
-                    sink.consume(shard)
-            position = stop
-        if action == _SAVE:
-            on_checkpoint(system, position)
-        elif action == _MEASURE:
-            system.begin_measurement()
-        else:
-            system.mark_phase(action)
-    for shard in system.run_chunked(iterator, chunk_size):
-        for sink in sinks:
-            sink.consume(shard)
+    try:
+        for horizon in _horizons(_boundary_schedule(
+            warmup, phase_marks, start, checkpoint_every, end
+        )):
+            if draw_ahead is not None:
+                draw_ahead(_batch_sizes(position, horizon, chunk_size))
+            for stop, action in horizon:
+                if stop > position:
+                    for shard in system.run_chunked(
+                        iterator, chunk_size, limit=stop - position
+                    ):
+                        for sink in sinks:
+                            sink.consume(shard)
+                    position = stop
+                if action == _SAVE:
+                    on_checkpoint(system, position)
+                elif action == _MEASURE:
+                    system.begin_measurement()
+                else:
+                    system.mark_phase(action)
+        for shard in system.run_chunked(iterator, chunk_size):
+            for sink in sinks:
+                sink.consume(shard)
+    finally:
+        if draw_ahead is not None:
+            iterator.stop_drawing()
     # A warm-up or PHASE marker (and nothing else) can remain pending
     # when the region after it is empty or the stream ended exactly at a
     # boundary.

@@ -31,7 +31,9 @@ import logging
 import os
 import shlex
 import shutil
+import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 _logger = logging.getLogger("repro.cmachine")
@@ -77,6 +79,25 @@ def library():
     if _lib is _UNLOADED:
         _lib = load()
     return _lib
+
+
+def thread_budget() -> int:
+    """The CPUs the calling thread may spread native work over (the
+    round walk's threads and the generator's draw-ahead helper): all it
+    may run on for a process's main thread, one for a pool worker --
+    any other thread, or a process :mod:`multiprocessing` started
+    (looked up, never imported, so the serial path does not load it)."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and (
+        multiprocessing.parent_process() is not None
+    ):
+        return 1
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
 
 
 def compiler() -> list[str]:

@@ -124,7 +124,7 @@ class ExcludeJetty(SnoopFilter):
         return self.sets * self.ways * per_entry
 
     def valid_entries(self) -> int:
-        """Number of currently valid entries (for tests/inspection)."""
+        """Number of currently valid entries (for tests and inspection)."""
         return sum(self._fill)
 
     def contains(self, block: int) -> bool:

@@ -10,9 +10,9 @@ block set.
 Compared with the field-sliced IJ, hashing decorrelates the probe
 positions from address structure: it cannot exploit region locality the
 way the IJ's high-order fields do, but it also cannot be defeated by an
-adversarial address layout.  The ablation bench
-``benchmarks/bench_ablation_hashed.py`` compares both at equal p-bit
-budgets.
+adversarial address layout.  The ``ablation-hashed-include`` exhibit
+(``src/repro/analysis/exhibits.py``; ``repro exhibits
+ablation-hashed-include``) compares both at equal p-bit budgets.
 """
 
 from __future__ import annotations

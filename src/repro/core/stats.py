@@ -95,6 +95,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
+from repro.core import _cmachine
 from repro.core.base import FilterEventCounts, SnoopFilter
 from repro.errors import ConfigurationError, FilterSafetyError, InvariantError
 
@@ -832,22 +833,22 @@ def replay_trace(reader: TraceReader, banks) -> None:
     no bus.
 
     The reader's rounds are fed in slices of as many nodes as the walk
-    has threads (:func:`repro.core.vector_replay.walk_threads`), each
-    slice one round walked on those threads, so at most that many
+    has threads (one per node, up to
+    :func:`repro.core._cmachine.thread_budget`), each slice one round
+    walked on those threads, so at most that many
     decoded segments are held at once.  Within a slice the segments are
     fed in the reader's order, each to every bank in bank order, so the
     first error raised is the first in the reader's order.  Callers
     collect results with each bank's ``finish()``; the evaluations are
     byte-identical to live-streamed ones by the determinism contract.
     """
-    from repro.core.vector_replay import walk_threads
-
     banks = list(banks)
     compiled = any(
         not isinstance(replayer, EventReplayer)
         for bank in banks for replayer in bank.replayers
     )
-    width = walk_threads(len(reader.segments_per_node)) if compiled else 1
+    nodes = len(reader.segments_per_node)
+    width = max(1, min(nodes, _cmachine.thread_budget())) if compiled else 1
     for pairs in reader.rounds(width):
         _feed_round(banks, pairs)
         del pairs  # the slice's segments go before the next is decoded

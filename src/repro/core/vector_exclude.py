@@ -177,7 +177,7 @@ class VectorExcludeJetty(SnoopFilter):
         write_rows(self, self._vecs, vectors)
 
     def asserted_bits(self) -> int:
-        """Total PV bits currently set (for tests/inspection)."""
+        """Total PV bits currently set (for tests and inspection)."""
         return sum(
             bin(vector).count("1")
             for row in valid_rows(self._vecs, self._fill, self.ways)

@@ -28,10 +28,10 @@ segment k of every node: :func:`~repro.core.stats.share_round`).  The
 first member fed any segment of the round walks them all
 (:func:`walk_shared`, :func:`walk_round`; :func:`walk_segment` is the
 round of one).  Nodes share no buffer, so ``walk`` in ``machine.c``
-walks each node's group on its own thread, up to :func:`walk_threads`'
-budget — the CPUs for a process's main thread, one in a pool worker —
-and each group walks exactly as it would alone: the thread count never
-changes a byte.
+walks each node's group on its own thread, up to
+:func:`~repro.core._cmachine.thread_budget` — the CPUs for a process's
+main thread, one in a pool worker — and each group walks exactly as it
+would alone: the thread count never changes a byte.
 
 **Exactness contract.**  A vector replayer is *not* an approximation:
 for every supported filter family it reproduces the oracle
@@ -85,9 +85,6 @@ tests reach the oracle through that same seam, by setting
 from __future__ import annotations
 
 import ctypes
-import os
-import sys
-import threading
 from array import array
 from dataclasses import replace
 
@@ -379,29 +376,6 @@ class WalkJob(ctypes.Structure):
 MIN_THREAD_STEPS = 1 << 15
 
 
-def walk_threads(nodes: int) -> int:
-    """The threads a round of ``nodes`` node segments may walk on.
-
-    A process's main thread takes one per node, up to the CPUs it may
-    run on.  A pool worker takes one: its sibling workers share the
-    cores.  A thread-pool worker is any thread but the main one; a
-    process-pool worker is a process that :mod:`multiprocessing` started
-    (looked up, never imported, so the serial path does not load it).
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return 1
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and (
-        multiprocessing.parent_process() is not None
-    ):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API
-        cpus = os.cpu_count() or 1
-    return max(1, min(nodes, cpus))
-
-
 def walk(jobs, threads: int = 1) -> list[tuple[int, list]]:
     """Walk every job ``(group, events, lo, hi)`` of a round in one
     native call, on up to ``threads`` threads: ``events[lo:hi]``
@@ -432,12 +406,13 @@ def walk(jobs, threads: int = 1) -> list[tuple[int, list]]:
 
 
 def _round_threads(jobs) -> int:
-    """:func:`walk_threads`' budget for ``jobs``, lowered so that each
-    thread walks at least :data:`MIN_THREAD_STEPS`."""
+    """One thread per job, up to :func:`~repro.core._cmachine.thread_budget`,
+    lowered so that each thread walks at least :data:`MIN_THREAD_STEPS`."""
     if len(jobs) < 2:
         return 1
     steps = sum(len(group) * (hi - lo) for group, _events, lo, hi in jobs)
-    return max(1, min(walk_threads(len(jobs)), steps // MIN_THREAD_STEPS))
+    return max(1, min(len(jobs), _cmachine.thread_budget(),
+                      steps // MIN_THREAD_STEPS))
 
 
 def walk_round(pairs, threads: int | None = None) -> list[dict]:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import ctypes
 import itertools
 import pickle
+import queue
 import random
+import threading
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core import _cmachine
 from repro.errors import ConfigurationError
@@ -129,7 +131,7 @@ class MixStream(Iterator[tuple[int, int, bool]]):
     repeat memory.  A plain workload is one phase; a suite is one phase
     per slice (see :func:`repro.traces.workloads.build_workload_stream`).
 
-    :meth:`take` is the one draw loop: it returns packed accesses
+    :meth:`take` is the one draw entry: it returns packed accesses
     (:mod:`repro.traces.access`), iteration unpacks them one at a time,
     :func:`repro.coherence.smp.iter_batches` drains them in bounded
     batches, and :meth:`checkpoint` serialises the complete generation
@@ -177,8 +179,13 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         #: The current phase's :class:`NativeMix`, built on first use.
         self._native: NativeMix | None = None
 
+    #: The draw-ahead helper (:meth:`draw_ahead`), set on the instance
+    #: while one runs; pickling drops it.
+    _ahead: "_DrawAhead | None" = None
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
+        state.pop("_ahead", None)
         if self._rng is not None:
             state["_mt"] = array("q", self._rng.getstate()[1])
         state["_rng"] = state["_native"] = None
@@ -204,17 +211,50 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         This is the batch fast path the simulation engine drives
         (:func:`repro.coherence.smp.iter_batches`): one phase span at a
         time is drawn by the native ``mix_take`` or, without the native
-        core, by :meth:`_draw`.
+        core, by :meth:`_draw`; or by a helper (:meth:`draw_ahead`),
+        whose blocks are handed back whole or, split, copied.
         """
         n = max(0, min(count, self.remaining))
-        # One exact-size block and no temporary: see SMPSystem.run_chunked.
-        out = array("q", [0]) * n
+        if self._ahead is not None and n:
+            out = self._ahead.take(n, self._fill)
+            if self._ahead.done:
+                self._ahead = None
+        else:
+            # One exact-size block and no temporary: see SMPSystem.run_chunked.
+            out = array("q", [0]) * n
+            self._fill(out, 0, n)
+        self.remaining -= n
+        self.position += n
+        return out
+
+    def draw_ahead(self, sizes: Iterable[int]) -> None:
+        """Draw the next blocks, ``sizes`` accesses each, on a helper
+        thread, each while the caller consumes the one before.
+
+        Call it where every block drawn ahead was taken.  The helper
+        draws nothing past ``sizes``, so once its blocks are taken the
+        stream pickles with nothing drawn ahead.  It starts only with
+        the native core (``mix_take`` releases the GIL) and two CPUs
+        (:func:`~repro.core._cmachine.thread_budget`).
+        """
+        self.stop_drawing()
+        self._ahead = _DrawAhead(self, sizes) if (
+            _cmachine.thread_budget() > 1 and _cmachine.library() is not None
+        ) else None
+
+    def stop_drawing(self) -> None:
+        """Stop and join the helper; what it drew is still taken first."""
+        if self._ahead is not None:
+            self._ahead.stop()
+
+    def _fill(self, out: array, lo: int, hi: int) -> None:
+        """Draw ``out[lo:hi]``, one phase span at a time."""
         lib = _cmachine.library()
-        i = 0
-        while i < n:
+        i = lo
+        while i < hi:
             while self._left == 0:
                 self._start_next_phase()
-            stop = i + min(n - i, self._left)
+            stop = i + min(hi - i, self._left)
             if lib is None:
                 self._draw(out, i, stop)
             else:
@@ -231,9 +271,6 @@ class MixStream(Iterator[tuple[int, int, bool]]):
                 )
             self._left -= stop - i
             i = stop
-        self.remaining -= n
-        self.position += n
-        return out
 
     def _draw(self, out: array, lo: int, hi: int) -> None:
         """The Python tier: fill ``out[lo:hi]`` from the current phase,
@@ -263,3 +300,79 @@ class MixStream(Iterator[tuple[int, int, bool]]):
            wrote yourself, from storage you trust.
         """
         return pickle.dumps(self)
+
+
+class _DrawAhead:
+    """A helper thread filling a stream's next blocks, one ahead.  The
+    caller allocates each (from its own malloc arena) as it takes the
+    one before; ``remaining`` and ``position`` stay the caller's."""
+
+    def __init__(self, stream: MixStream, sizes: Iterable[int]) -> None:
+        self._sizes, self._undrawn = iter(sizes), stream.remaining
+        self._blocks, self._wanted = queue.SimpleQueue(), queue.SimpleQueue()
+        self._head, self._offset = array("q"), 0
+        self._error: Exception | None = None
+        self.done = False  # the helper ended and its blocks were taken
+        self._thread = threading.Thread(
+            target=self._fill, args=(stream._fill,),
+            name="repro-draw-ahead", daemon=True,
+        )
+        self._ask()
+        self._thread.start()
+
+    def _ask(self) -> None:
+        """Hand the helper the next block to fill, or None to end."""
+        size = min(next(self._sizes, 0), self._undrawn)
+        self._undrawn -= max(0, size)
+        self._wanted.put(array("q", [0]) * size if size > 0 else None)
+
+    def _fill(self, fill) -> None:
+        try:
+            for block in iter(self._wanted.get, None):
+                fill(block, 0, len(block))
+                self._blocks.put(block)
+                del block
+        except Exception as error:  # raised again on the caller's thread
+            self._error = error
+        finally:
+            self._blocks.put(None)
+
+    def _next(self) -> bool:
+        """Move on to the next filled block and ask for the one after
+        it; False once the helper ended."""
+        block = self._blocks.get()
+        if block is None:
+            self.done = True
+            self._thread.join()
+            if self._error is not None:
+                raise self._error
+            return False
+        self._ask()
+        self._head, self._offset = block, 0
+        return True
+
+    def take(self, n: int, fill) -> array:
+        """``n`` accesses: the drawn blocks' first, then ``fill``'s."""
+        if self._offset == len(self._head) and not self.done:
+            self._next()
+        if self._offset == 0 and len(self._head) == n:
+            out, self._head = self._head, array("q")
+            return out
+        out = array("q", [0]) * n
+        i = 0
+        while i < n:
+            if self._offset == len(self._head) and (
+                self.done or not self._next()
+            ):
+                fill(out, i, n)
+                break
+            k = min(n - i, len(self._head) - self._offset)
+            out[i:i + k] = self._head[self._offset:self._offset + k]
+            self._offset += k
+            i += k
+        return out
+
+    def stop(self) -> None:
+        """Let the helper fill what is queued, then join it."""
+        self._wanted.put(None)
+        self._thread.join()

@@ -42,6 +42,23 @@ class TestCheckerCatchesRot:
         doc.write_text("code lives in `src/repro/not_a_module.py`\n")
         assert check_docs.check_repo_paths(doc, doc.read_text())
 
+    def test_stale_path_in_source_docstrings_and_comments(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        source = tmp_path / "x.py"
+        source.write_text(
+            '"""Compared by ``benchmarks/bench_ablation_hashed.py``."""\n'
+            "def f():\n"
+            "    # see tools/no_such_tool.py\n"
+            '    return "src/code_not_prose.py"\n'
+        )
+        monkeypatch.setattr(check_docs, "source_files", lambda: [source])
+        assert check_docs.main() == 1
+        err = capsys.readouterr().err
+        assert "benchmarks/bench_ablation_hashed.py" in err
+        assert "tools/no_such_tool.py" in err
+        assert "code_not_prose" not in err
+
     def test_glob_repo_path_ok(self, tmp_path):
         doc = tmp_path / "x.md"
         doc.write_text("pinned in `tests/golden/*.json`\n")

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import store as store_mod
-from repro.core import vector_replay
+from repro.core import _cmachine, vector_replay
 from repro.core.stats import (
     ALLOC,
     EVICT,
@@ -205,8 +205,7 @@ def budget(request, monkeypatch):
     """Every round walks on ``min(nodes, param)`` threads, however small."""
     threads = request.param
     monkeypatch.setattr(vector_replay, "MIN_THREAD_STEPS", 1)
-    monkeypatch.setattr(vector_replay, "walk_threads",
-                        lambda nodes: min(nodes, threads))
+    monkeypatch.setattr(_cmachine, "thread_budget", lambda: threads)
     return threads
 
 
@@ -216,7 +215,7 @@ class TestRoundFeeds:
 
     def _serial(self, feed) -> list[bytes]:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vector_replay, "walk_threads", lambda nodes: 1)
+            patch.setattr(_cmachine, "thread_budget", lambda: 1)
             return feed()
 
     def test_replay_is_byte_identical_under_any_budget(
@@ -284,8 +283,7 @@ class TestRoundMajorOrder:
         the round-major reader reaches node 1's first, on any budget,
         as the oracle does."""
         monkeypatch.setattr(vector_replay, "MIN_THREAD_STEPS", 1)
-        monkeypatch.setattr(vector_replay, "walk_threads",
-                            lambda nodes: min(nodes, threads))
+        monkeypatch.setattr(_cmachine, "thread_budget", lambda: threads)
         clean = array("q", [_snoop(0x40), pack_event(ALLOC, 0x40)])
         unsafe = array("q", [_snoop(0x300), _snoop(0x300, present=True)])
         underflow = array("q", [pack_event(EVICT, 0x123)])
@@ -299,23 +297,26 @@ class TestRoundMajorOrder:
             assert "underflow for block 0x123" in str(raised.value)
 
 
-def _budget_in_worker(nodes: int) -> int:
-    return vector_replay.walk_threads(nodes)
+def _budget_in_worker() -> int:
+    return _cmachine.thread_budget()
 
 
 class TestThreadBudget:
     def test_main_thread_takes_a_thread_per_node_up_to_the_cpus(self):
         cpus = len(os.sched_getaffinity(0))
-        assert vector_replay.walk_threads(4) == min(4, cpus)
-        assert vector_replay.walk_threads(1) == 1
+        assert _cmachine.thread_budget() == cpus
+        steps = vector_replay.MIN_THREAD_STEPS
+        jobs = [([None], None, 0, steps)] * 4
+        assert vector_replay._round_threads(jobs) == min(4, cpus)
+        assert vector_replay._round_threads(jobs[:1]) == 1
 
     def test_thread_pool_worker_walks_on_one_thread(self):
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(_budget_in_worker, 4).result() == 1
+            assert pool.submit(_budget_in_worker).result() == 1
 
     def test_process_pool_worker_walks_on_one_thread(self):
         with concurrent.futures.ProcessPoolExecutor(1) as pool:
-            assert pool.submit(_budget_in_worker, 4).result() == 1
+            assert pool.submit(_budget_in_worker).result() == 1
 
     @requires_native
     def test_small_rounds_stay_on_one_thread(self, monkeypatch):
@@ -329,7 +330,7 @@ class TestThreadBudget:
             return walk(jobs, threads)
 
         monkeypatch.setattr(vector_replay, "walk", counting)
-        monkeypatch.setattr(vector_replay, "walk_threads", lambda nodes: 4)
+        monkeypatch.setattr(_cmachine, "thread_budget", lambda: 4)
         events = array("q", [_snoop(0x40)] * 100)
         pairs = [([_vector("EJ-32x4")], events) for _node in range(4)]
         vector_replay.walk_round(pairs)
@@ -342,8 +343,8 @@ class TestThreadBudget:
     def test_the_serial_path_does_not_import_multiprocessing(self):
         code = (
             "import sys\n"
-            "from repro.core import vector_replay\n"
-            "vector_replay.walk_threads(4)\n"
+            "from repro.core import _cmachine, vector_replay\n"
+            "_cmachine.thread_budget()\n"
             "assert 'multiprocessing' not in sys.modules\n"
         )
         src = Path(vector_replay.__file__).resolve().parents[2]

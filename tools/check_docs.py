@@ -1,14 +1,15 @@
 """Strict documentation checker: dead links and stale CLI examples fail.
 
-Checked over ``README.md`` and every ``docs/*.md``:
+Checked over ``README.md`` and every ``docs/*.md`` (repo paths also over
+the docstrings and comments of ``src/**/*.py`` and ``tools/*.py``):
 
 * **intra-repo markdown links** — ``[text](path)`` targets (non-http)
   must exist relative to the file (anchors are stripped; bare ``#...``
   anchors are skipped);
-* **repo paths in prose/code spans** — any mention of
-  ``src/...``/``docs/...``/``tests/...``/``benchmarks/...``/
-  ``tools/...``/``examples/...`` must resolve to at least one file
-  (globs allowed, so ``tests/golden/*.json`` is fine);
+* **repo paths in prose/code spans** — any mention of a path under
+  ``src``, ``docs``, ``tests``, ``benchmarks``, ``tools`` or
+  ``examples`` must resolve to at least one file (globs allowed, so
+  ``tests/golden/*.json`` is fine);
 * **CLI examples** — every ``$ ... python -m repro.cli ...`` (or
   ``jetty-repro ...``) line in a fenced code block must parse against
   the real argument parser, and any workload, filter, or preset names it
@@ -26,10 +27,13 @@ tier-1 suite.
 
 from __future__ import annotations
 
+import ast
 import glob
+import io
 import re
 import shlex
 import sys
+import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +49,28 @@ def doc_files() -> list[Path]:
     files = [REPO_ROOT / "README.md"]
     files += sorted((REPO_ROOT / "docs").glob("*.md"))
     return [f for f in files if f.exists()]
+
+
+def source_files() -> list[Path]:
+    return sorted(REPO_ROOT.glob("src/**/*.py")) + sorted(
+        REPO_ROOT.glob("tools/*.py")
+    )
+
+
+def source_prose(text: str) -> str:
+    """The docstrings and comments of a Python source."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                  ast.AsyncFunctionDef)
+    parts = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(ast.parse(text)) if isinstance(node, documented)
+    ]
+    parts += [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(text).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return "\n".join(parts)
 
 
 def _strip_fences(text: str) -> tuple[str, list[str]]:
@@ -171,10 +197,14 @@ def main() -> int:
         errors += check_links(path, text)
         errors += check_repo_paths(path, text)
         errors += check_cli_examples(path, text)
+    sources = source_files()
+    for path in sources:
+        errors += check_repo_paths(path, source_prose(path.read_text()))
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     checked = ", ".join(p.relative_to(REPO_ROOT).as_posix() for p in files)
-    print(f"checked {len(files)} file(s): {checked} -> "
+    print(f"checked {len(files)} file(s): {checked}, and the docstrings "
+          f"and comments of {len(sources)} source file(s) -> "
           f"{len(errors)} problem(s)")
     return 1 if errors else 0
 

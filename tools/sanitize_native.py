@@ -7,8 +7,10 @@ native entry point -- the replay walk (``test_vector_replay.py``), its
 rounds on two and four threads (``test_round_walk.py``), the live
 banks' group walk (``test_streaming.py``), the coherence core
 (``test_native_coherence.py``), the trace codec
-(``test_trace_codecs.py``) and the access generator
-(``test_access_generation.py``) -- in a child pytest under
+(``test_trace_codecs.py``), the access generator
+(``test_access_generation.py``) and the generator drawing ahead on a
+helper thread beside the coherence core and the walk
+(``test_draw_ahead.py``) -- in a child pytest under
 ``LD_PRELOAD`` of the compiler's ``libasan.so``.  The child loads this
 script as a pytest plugin, which swaps ``repro.core._cmachine._lib`` for
 the sanitized build before any test module is imported: the same seam
@@ -41,6 +43,7 @@ TESTS = (
     "tests/test_native_coherence.py",
     "tests/test_trace_codecs.py",
     "tests/test_access_generation.py",
+    "tests/test_draw_ahead.py",
 )
 SANITIZE = ("-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=all")
