@@ -13,9 +13,10 @@ The evaluation uses the record-once / replay-many path: the SMP is
 simulated exactly once, with a :class:`~repro.coherence.smp.TraceSink`
 packing the coherence events into in-memory segments as the run
 advances, and every filter configuration then replays the recorded
-trace through a :class:`~repro.core.stats.StreamingFilterBank`
-(vectorised with NumPy where available, byte-identical either way).  Four filters therefore cost one simulation plus four
-cheap replays — not four simulations.
+trace through a :class:`~repro.core.stats.StreamingFilterBank` (on the
+compiled walk, or the per-event oracle without a compiler;
+byte-identical either way).  Four filters therefore cost one simulation
+plus four cheap replays — not four simulations.
 
     python examples/throughput_server.py
 """

@@ -53,6 +53,7 @@ import ctypes
 import dataclasses
 import heapq
 import itertools
+import math
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
@@ -71,7 +72,6 @@ from repro.traces.access import (
     ADDRESS_SHIFT,
     CPU_MASK,
     CPU_SHIFT,
-    MAX_CPUS,
     WRITE_BIT,
     pack_access,
     pack_accesses,
@@ -92,55 +92,6 @@ TRACE_SEGMENT_EVENTS = 1 << 18
 
 #: ``smp_run``'s status for an access the machine cannot run.
 _REJECTED = 1
-
-
-def iter_batches(
-    source: Iterable[tuple[int, int, bool]],
-    batch_size: int,
-    limit: int | None = None,
-    n_cpus: int = MAX_CPUS,
-) -> Iterator[array]:
-    """Yield bounded in-order batches of packed accesses from ``source``.
-
-    Sources exposing the *batch protocol* — a ``take(count)`` method
-    returning up to ``count`` packed accesses in an ``array('q')``, like
-    :class:`repro.traces.synth.MixStream` — are drained through it, so a
-    whole batch materialises in one call.  Anything else yields
-    ``(cpu, address, is_write)`` tuples, read through
-    ``itertools.islice`` and packed by
-    :func:`repro.traces.access.pack_accesses`, which rejects a CPU
-    outside ``0..n_cpus-1`` or a negative address.  With ``limit``, at
-    most that many accesses are consumed in total; a short batch always
-    means the source (or the limit) is exhausted.
-    """
-    take = getattr(source, "take", None)
-    if take is None:
-        iterator = iter(source)
-        if limit is not None:
-            iterator = itertools.islice(iterator, limit)
-        while True:
-            batch = pack_accesses(itertools.islice(iterator, batch_size), n_cpus)
-            if not batch:
-                return
-            yield batch
-            if len(batch) < batch_size:
-                return
-    else:
-        remaining = limit
-        while True:
-            size = batch_size if remaining is None else min(batch_size, remaining)
-            if size <= 0:
-                return
-            batch = take(size)
-            count = len(batch)
-            if not count:
-                return
-            if remaining is not None:
-                remaining -= count
-            yield batch
-            del batch  # not held while the next is drawn (run_chunked)
-            if count < size:
-                return
 
 
 class ShardConsumer(Protocol):
@@ -580,32 +531,6 @@ class SMPSystem:
         """
         return [node.reset_event_stream() for node in self.nodes]
 
-    def run_chunked(
-        self,
-        accesses: Iterable[tuple[int, int, bool]],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        limit: int | None = None,
-    ) -> Iterator[list[NodeEventStream]]:
-        """Consume ``accesses`` in bounded chunks, yielding event shards.
-
-        Each yielded shard covers at most ``chunk_size`` accesses; event
-        memory never exceeds one chunk's worth.  The access stream itself
-        is consumed lazily (never materialised beyond one chunk); with
-        ``limit``, at most that many accesses are consumed.
-        """
-        if chunk_size < 1:
-            raise TraceError(f"chunk_size must be >= 1, got {chunk_size}")
-        for batch in iter_batches(
-            accesses, chunk_size, limit, self.config.n_cpus
-        ):
-            self._run_batch(batch)
-            # One batch buffer is live at a time, so the next ``take``
-            # reuses this one's memory.  Two freed together at a stop (a
-            # warm-up or PHASE mark) would lie at the heap top, where
-            # glibc trims them and the next batches fault them back in.
-            del batch
-            yield self.take_shard()
-
     def mark_phase(self, index: int) -> None:
         """Append a PHASE marker to every node's event stream.
 
@@ -698,28 +623,37 @@ def _boundary_schedule(
     return (stop for stop in stops if stop > (start, _SAVE))
 
 
-def _horizons(stops) -> Iterator[list[tuple[int, int]]]:
-    """``stops`` cut after each save; the last run ends with the stream."""
-    horizon = []
-    for stop in stops:
-        horizon.append(stop)
-        if stop[1] == _SAVE:
-            yield horizon
-            horizon = []
-    yield horizon
+def _plan(
+    stops: Iterable[tuple[int, int]],
+    chunk_size: int,
+    position: int,
+    end: float = math.inf,
+) -> Iterator[int | tuple[int, int]]:
+    """A run's steps from ``position``: batch sizes and ``stops``, in order.
 
-
-def _batch_sizes(position: int, horizon, chunk_size: int) -> Iterator[int]:
-    """The sizes :meth:`SMPSystem.run_chunked` takes from ``position``
-    through ``horizon``: ``chunk_size`` from each stop, across warm-up and
-    PHASE stops, up to a save or, in the last horizon, the stream's end."""
-    for stop, _action in horizon:
-        while position < stop:
-            size = min(chunk_size, stop - position)
+    The one rule that cuts a run into batches: at most ``chunk_size``
+    accesses each, counted from ``position`` and from each stop, none
+    past ``end`` (the stream's end, ``math.inf`` if unknown); a stop
+    past ``end`` still comes, after the last batch.  The draw-ahead
+    helper draws the same sizes up to each save (:func:`_sizes_to_save`).
+    """
+    for stop in itertools.chain(stops, [(end, None)]):
+        target = min(stop[0], end)
+        while position < target:
+            size = min(chunk_size, target - position)
             yield size
             position += size
-    if not horizon or horizon[-1][1] != _SAVE:
-        yield from itertools.repeat(chunk_size)
+        if stop[1] is not None:
+            yield stop
+
+
+def _sizes_to_save(steps: Iterator[int | tuple[int, int]]) -> Iterator[int]:
+    """The batch sizes of ``steps`` up to their first save."""
+    for step in steps:
+        if isinstance(step, int):
+            yield step
+        elif step[1] == _SAVE:
+            return
 
 
 def simulate_streaming(
@@ -754,6 +688,15 @@ def simulate_streaming(
     so peak memory is O(chunk_size), independent of trace length.
     Returns the run's statistics.
 
+    **Batches.**  :func:`_plan` cuts the run into batches.  A source
+    with ``take(count)`` (a :class:`~repro.traces.synth.MixStream`) is
+    drained through it, one call per batch, up to its ``remaining``
+    length, and one with ``draw_ahead`` draws each next batch on a
+    helper thread while this one simulates and walks, up to each save.
+    Any other source yields ``(cpu, address, is_write)`` tuples, read
+    lazily and packed by :func:`repro.traces.access.pack_accesses`; a
+    short batch marks its end.
+
     **Stops.**  The run pauses between chunks at every boundary of
     :func:`_boundary_schedule`.  With ``checkpoint_every``, it calls
     ``on_checkpoint(system, position)`` at every multiple of that many
@@ -765,53 +708,75 @@ def simulate_streaming(
     position and a run resumed from it emits exactly the markers an
     uninterrupted run emits next.  Markers are emitted *between* chunks
     and ride at the front of the next shard (or the final residue), at
-    the same place in the event sequence whatever the chunk size.
-
-    A source with ``draw_ahead`` (a :class:`~repro.traces.synth.MixStream`)
-    draws each next batch on a helper thread while this one simulates
-    and walks, up to each save (:func:`_batch_sizes`).
+    the same place in the event sequence whatever the chunk size; a
+    marker past the stream's end rides in the residue.
     """
+    if chunk_size < 1:
+        raise TraceError(f"chunk_size must be >= 1, got {chunk_size}")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise TraceError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+        )
     system = config if isinstance(config, SMPSystem) else SMPSystem(config)
     sinks = list(sinks)
-    end = 0
-    if checkpoint_every is not None:
-        if checkpoint_every < 1:
-            raise TraceError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        end = start + accesses.remaining
+    end = start + getattr(accesses, "remaining", math.inf)
     iterator = iter(accesses)
+    take = getattr(iterator, "take", None)
+    if take is None:
+        n_cpus = system.config.n_cpus
+
+        def take(count: int) -> array:
+            return pack_accesses(itertools.islice(iterator, count), n_cpus)
     draw_ahead = getattr(iterator, "draw_ahead", None)
+
+    def plan(position: int) -> Iterator[int | tuple[int, int]]:
+        stops = _boundary_schedule(
+            warmup, phase_marks, position, checkpoint_every, end
+        )
+        return _plan(stops, chunk_size, position, end)
+
     position = start
+    steps = plan(start)
     try:
-        for horizon in _horizons(_boundary_schedule(
-            warmup, phase_marks, start, checkpoint_every, end
-        )):
-            if draw_ahead is not None:
-                draw_ahead(_batch_sizes(position, horizon, chunk_size))
-            for stop, action in horizon:
-                if stop > position:
-                    for shard in system.run_chunked(
-                        iterator, chunk_size, limit=stop - position
-                    ):
-                        for sink in sinks:
-                            sink.consume(shard)
-                    position = stop
-                if action == _SAVE:
-                    on_checkpoint(system, position)
-                elif action == _MEASURE:
-                    system.begin_measurement()
-                else:
-                    system.mark_phase(action)
-        for shard in system.run_chunked(iterator, chunk_size):
-            for sink in sinks:
-                sink.consume(shard)
+        if draw_ahead is not None:
+            draw_ahead(_sizes_to_save(plan(start)))
+        while (step := next(steps, None)) is not None:
+            if isinstance(step, int):
+                batch = take(step)
+                count = len(batch)
+                if count:
+                    system._run_batch(batch)
+                    # One batch buffer is live at a time, so the next
+                    # ``take`` reuses this one's memory.  Two freed
+                    # together at a stop (a warm-up or PHASE mark) would
+                    # lie at the heap top, where glibc trims them and the
+                    # next batches fault them back in.
+                    del batch
+                    shard = system.take_shard()
+                    for sink in sinks:
+                        sink.consume(shard)
+                position += count
+                if count < step:
+                    # A source of unknown length ended: what is left of
+                    # the run is its markers past the end.
+                    steps = _plan((stop for stop in _boundary_schedule(
+                        warmup, phase_marks
+                    ) if stop[0] > position), chunk_size, position, position)
+                continue
+            position, action = step
+            if action == _SAVE:
+                on_checkpoint(system, position)
+                if draw_ahead is not None:
+                    draw_ahead(_sizes_to_save(plan(position)))
+            elif action == _MEASURE:
+                system.begin_measurement()
+            else:
+                system.mark_phase(action)
     finally:
         if draw_ahead is not None:
             iterator.stop_drawing()
     # A warm-up or PHASE marker (and nothing else) can remain pending
-    # when the region after it is empty or the stream ended exactly at a
-    # boundary.
+    # when the region after it is empty or the stream ended before it.
     residue = system.take_shard()
     if any(stream.events for stream in residue):
         for sink in sinks:

@@ -21,7 +21,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core import _cmachine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.traces.access import WRITE_BIT, unpack_access
 from repro.traces.synth.base import NativePattern, Pattern, address_of
 
@@ -133,11 +133,11 @@ class MixStream(Iterator[tuple[int, int, bool]]):
 
     :meth:`take` is the one draw entry: it returns packed accesses
     (:mod:`repro.traces.access`), iteration unpacks them one at a time,
-    :func:`repro.coherence.smp.iter_batches` drains them in bounded
-    batches, and :meth:`checkpoint` serialises the complete generation
-    state (phase cursor, RNG, pattern state, repeat memory, position)
-    for :func:`repro.traces.workloads.resume_stream` to continue exactly
-    where this one stopped.
+    :func:`repro.coherence.smp.simulate_streaming` drains them in
+    bounded batches, and :meth:`checkpoint` serialises the complete
+    generation state (phase cursor, RNG, pattern state, repeat memory,
+    position) for :func:`repro.traces.workloads.resume_stream` to
+    continue exactly where this one stopped.
 
     **Two tiers.**  With the native core loaded
     (:func:`repro.core._cmachine.library`), each phase span is drawn by
@@ -209,18 +209,16 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         stream), as one ``array('q')``.
 
         This is the batch fast path the simulation engine drives
-        (:func:`repro.coherence.smp.iter_batches`): one phase span at a
-        time is drawn by the native ``mix_take`` or, without the native
-        core, by :meth:`_draw`; or by a helper (:meth:`draw_ahead`),
-        whose blocks are handed back whole or, split, copied.
+        (:func:`repro.coherence.smp.simulate_streaming`): one phase span
+        at a time is drawn by the native ``mix_take`` or, without the
+        native core, by :meth:`_draw`; or by a helper
+        (:meth:`draw_ahead`), whose blocks are handed back whole.
         """
         n = max(0, min(count, self.remaining))
         if self._ahead is not None and n:
-            out = self._ahead.take(n, self._fill)
-            if self._ahead.done:
-                self._ahead = None
+            out = self._ahead.take(n)
         else:
-            # One exact-size block and no temporary: see SMPSystem.run_chunked.
+            # One exact-size block and no temporary (simulate_streaming).
             out = array("q", [0]) * n
             self._fill(out, 0, n)
         self.remaining -= n
@@ -231,7 +229,9 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         """Draw the next blocks, ``sizes`` accesses each, on a helper
         thread, each while the caller consumes the one before.
 
-        Call it where every block drawn ahead was taken.  The helper
+        Call it where every block drawn ahead was taken; the caller then
+        takes exactly ``sizes``, in order, and a take that splits a
+        block raises :class:`~repro.errors.TraceError`.  The helper
         draws nothing past ``sizes``, so once its blocks are taken the
         stream pickles with nothing drawn ahead.  It starts only with
         the native core (``mix_take`` releases the GIL) and two CPUs
@@ -243,7 +243,7 @@ class MixStream(Iterator[tuple[int, int, bool]]):
         ) else None
 
     def stop_drawing(self) -> None:
-        """Stop and join the helper; what it drew is still taken first."""
+        """Stop and join the helper; a block it drew is still taken."""
         if self._ahead is not None:
             self._ahead.stop()
 
@@ -308,11 +308,9 @@ class _DrawAhead:
     one before; ``remaining`` and ``position`` stay the caller's."""
 
     def __init__(self, stream: MixStream, sizes: Iterable[int]) -> None:
-        self._sizes, self._undrawn = iter(sizes), stream.remaining
+        self._sizes = iter(sizes)
         self._blocks, self._wanted = queue.SimpleQueue(), queue.SimpleQueue()
-        self._head, self._offset = array("q"), 0
         self._error: Exception | None = None
-        self.done = False  # the helper ended and its blocks were taken
         self._thread = threading.Thread(
             target=self._fill, args=(stream._fill,),
             name="repro-draw-ahead", daemon=True,
@@ -322,9 +320,8 @@ class _DrawAhead:
 
     def _ask(self) -> None:
         """Hand the helper the next block to fill, or None to end."""
-        size = min(next(self._sizes, 0), self._undrawn)
-        self._undrawn -= max(0, size)
-        self._wanted.put(array("q", [0]) * size if size > 0 else None)
+        size = next(self._sizes, 0)
+        self._wanted.put(array("q", [0]) * size if size else None)
 
     def _fill(self, fill) -> None:
         try:
@@ -337,40 +334,17 @@ class _DrawAhead:
         finally:
             self._blocks.put(None)
 
-    def _next(self) -> bool:
-        """Move on to the next filled block and ask for the one after
-        it; False once the helper ended."""
+    def take(self, n: int) -> array:
+        """The next drawn block, which must hold ``n`` accesses."""
         block = self._blocks.get()
-        if block is None:
-            self.done = True
-            self._thread.join()
+        if block is None:  # the helper ended, for later takes too
+            self._blocks.put(None)
             if self._error is not None:
                 raise self._error
-            return False
+        if block is None or len(block) != n:
+            raise TraceError(f"take({n}) is not the next drawn block")
         self._ask()
-        self._head, self._offset = block, 0
-        return True
-
-    def take(self, n: int, fill) -> array:
-        """``n`` accesses: the drawn blocks' first, then ``fill``'s."""
-        if self._offset == len(self._head) and not self.done:
-            self._next()
-        if self._offset == 0 and len(self._head) == n:
-            out, self._head = self._head, array("q")
-            return out
-        out = array("q", [0]) * n
-        i = 0
-        while i < n:
-            if self._offset == len(self._head) and (
-                self.done or not self._next()
-            ):
-                fill(out, i, n)
-                break
-            k = min(n - i, len(self._head) - self._offset)
-            out[i:i + k] = self._head[self._offset:self._offset + k]
-            self._offset += k
-            i += k
-        return out
+        return block
 
     def stop(self) -> None:
         """Let the helper fill what is queued, then join it."""

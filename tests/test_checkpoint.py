@@ -45,6 +45,8 @@ from repro.coherence.smp import (
     SMPSystem,
     TraceSink,
     _boundary_schedule,
+    _plan,
+    _sizes_to_save,
 )
 from repro.coherence.writebuffer import WriteBuffer
 from repro.core.config import (
@@ -151,7 +153,10 @@ class TestSnapshotUnits:
     def test_boundary_schedule_saves_before_markers_at_one_position(self):
         """A save at a marker's position comes first, so a run resumed
         from it (``start`` = that position) still has the marker ahead;
-        no save lands at or past the stream's end."""
+        no save lands at or past the stream's end.  The plan cuts the
+        schedule into batches of at most ``chunk_size`` accesses from
+        each stop (and from ``end``, a stop past it included), summing
+        to the run's length, and keeps the stops in order."""
         schedule = list(_boundary_schedule(800, (800, 1200), 0, 400, 1600))
         assert schedule == [
             (400, _SAVE), (800, _SAVE), (800, _MEASURE), (800, 0),
@@ -161,6 +166,32 @@ class TestSnapshotUnits:
             (800, _MEASURE), (800, 0), (1200, _SAVE), (1200, 1),
         ]
         assert list(_boundary_schedule(800, (800, 1200), 1200)) == [(1200, 1)]
+        for start, end, chunk_size in [
+            (0, 1600, 300), (800, 1600, 300), (0, 1600, 1), (0, 1600, 5_000),
+            (0, 1000, 300), (1200, 1600, 7),
+        ]:
+            stops = list(_boundary_schedule(800, (800, 1200), start, 400, end))
+            steps = list(_plan(stops, chunk_size, start, end))
+            assert [step for step in steps if isinstance(step, tuple)] == stops
+            assert sum(step for step in steps if isinstance(step, int)) == (
+                end - start
+            )
+            position, stretch = start, []
+            for step in [*steps, (end, None)]:
+                if isinstance(step, int):
+                    position += step
+                    stretch.append(step)
+                    continue
+                assert position == min(step[0], end)
+                assert all(size == chunk_size for size in stretch[:-1])
+                assert all(0 < size <= chunk_size for size in stretch)
+                stretch = []
+            saves = [i for i, step in enumerate(steps)
+                     if isinstance(step, tuple) and step[1] == _SAVE]
+            assert list(_sizes_to_save(iter(steps))) == [
+                step for step in steps[:(saves or [len(steps)])[0]]
+                if isinstance(step, int)
+            ]
 
     def test_l2_restore_rebuilds_index_in_place(self):
         config = CacheConfig(capacity_bytes=1024, block_bytes=64,
@@ -306,8 +337,8 @@ class TestSnapshotUnits:
         """Snapshot mid-run, restore into a fresh machine, outputs match."""
         system = SMPSystem(SCALED_SYSTEM)
         stream, _warmup = simulate_workload_accesses(SPEC, n_cpus=4, seed=3)
-        for _shard in system.run_chunked(stream, 512, limit=2_000):
-            pass
+        system._run_batch(stream.take(2_000))
+        system.take_shard()
         state = system.snapshot()
         tail = stream.take(1_000)
 

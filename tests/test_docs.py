@@ -1,4 +1,4 @@
-"""Documentation stays true: dead links and stale CLI examples fail CI.
+"""Documentation stays true: dead links, stale names and CLI examples fail CI.
 
 Runs the same checker as the CI ``docs`` job (``tools/check_docs.py``)
 inside the tier-1 suite, plus a few self-tests of the checker so a
@@ -58,6 +58,27 @@ class TestCheckerCatchesRot:
         assert "benchmarks/bench_ablation_hashed.py" in err
         assert "tools/no_such_tool.py" in err
         assert "code_not_prose" not in err
+
+    def test_stale_reference_in_source_and_docs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        source = tmp_path / "x.py"
+        source.write_text(
+            '"""Cut by :func:`repro.coherence.smp.no_such_name`, run by\n'
+            ':func:`~repro.coherence.smp.simulate_streaming`."""\n'
+            "# drawn by ``repro.traces.synth.MixStream.no_such_method``\n"
+        )
+        monkeypatch.setattr(check_docs, "source_files", lambda: [source])
+        assert check_docs.main() == 1
+        err = capsys.readouterr().err
+        assert "repro.coherence.smp.no_such_name" in err
+        assert "repro.traces.synth.MixStream.no_such_method" in err
+        assert "simulate_streaming" not in err
+        doc = tmp_path / "x.md"
+        doc.write_text("`repro.no_such_module.f` and `repro.coherence.smp`\n")
+        assert check_docs.check_references(doc, doc.read_text()) == [
+            "x.md: stale reference -> repro.no_such_module.f"
+        ]
 
     def test_glob_repo_path_ok(self, tmp_path):
         doc = tmp_path / "x.md"

@@ -9,7 +9,7 @@ forced on (a two-CPU budget) and forced off (a one-CPU budget) and pins:
 * the stored rows, at awkward and default chunk sizes, with warm-up,
   PHASE marks and a checkpoint cadence that divides no chunk, streamed
   and recorded;
-* the stream a caller gets whose takes do not line up with the blocks;
+* that a take which splits a drawn block raises;
 * the threads left behind by a run that raises;
 * where the helper stays off: off the main thread, in a pool worker, on
   one CPU, on the Python tier;
@@ -20,10 +20,8 @@ forced on (a two-CPU budget) and forced off (a one-CPU budget) and pins:
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import os
 import pickle
-import random
 import sys
 import threading
 
@@ -34,6 +32,7 @@ from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import simulate_streaming
 from repro.core import _cmachine
+from repro.errors import TraceError
 from repro.traces.suite import Phase, Suite
 from repro.traces.synth import mix
 from repro.traces.workloads import build_workload_stream
@@ -105,29 +104,21 @@ def test_rows_are_byte_identical(reference, helper, mode, chunk_size):
     assert rows == reference[mode]
 
 
-def _drain(stream, sizes) -> list[int]:
-    out = []
-    for size in sizes:
-        out += stream.take(size)
-    while stream.remaining:
-        out += stream.take(4_096)
-    return out
-
-
-def test_takes_that_split_the_blocks_get_the_same_stream(helper):
-    """Whole blocks, parts of blocks, takes spanning several, takes past
-    the last block the helper draws: one stream."""
-    rng = random.Random(7)
-    takes = [rng.randint(1, 900) for _ in range(40)]
-    expected = _drain(build_workload_stream("lu", n_accesses=9_000, seed=3),
-                      takes)
+def test_a_take_that_splits_a_block_raises(helper):
+    """The caller takes the blocks whole, in order: a take of another
+    size is a caller's bug, not a stream to serve by copying."""
     stream = build_workload_stream("lu", n_accesses=9_000, seed=3)
-    stream.draw_ahead(iter([500, 500, 123, 2_000, 1, 700, 3_000]))
+    expected = build_workload_stream("lu", n_accesses=9_000, seed=3)
+    stream.draw_ahead(iter([500, 500]))
     try:
-        assert _drain(stream, [500, 250, 250, 124, *takes]) == expected
+        assert stream.take(500) == expected.take(500)
+        if helper:  # a helper started: its blocks are taken whole
+            with pytest.raises(TraceError, match="not the next drawn block"):
+                stream.take(250)
+        else:
+            assert stream.take(250) == expected.take(250)
     finally:
         stream.stop_drawing()
-    assert stream.position == 9_000 and stream.remaining == 0
 
 
 def test_four_helpers_under_rapid_thread_switches(helper):
@@ -140,7 +131,7 @@ def test_four_helpers_under_rapid_thread_switches(helper):
     sys.setswitchinterval(1e-6)
     try:
         for stream in streams:
-            stream.draw_ahead(itertools.repeat(37))
+            stream.draw_ahead([37] * 162 + [6])
         while any(stream.remaining for stream in streams):
             for out, stream in zip(drawn, streams):
                 out += stream.take(37)

@@ -28,7 +28,8 @@ from repro.analysis import experiments, runner
 from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM, SystemConfig
-from repro.coherence.smp import SMPSystem, iter_batches, simulate_streaming
+from repro.coherence.smp import simulate_streaming
+from repro.core import _cmachine
 from repro.core.config import build_filter
 from repro.core.stats import (
     KIND_MASK,
@@ -220,12 +221,49 @@ class TestShardProtocol:
         for events in sink.events:
             assert events[-1] & KIND_MASK == MARKER
 
-    def test_run_chunked_rejects_bad_chunk_size(self, tiny2):
+    @pytest.mark.parametrize(
+        "chunk_size, sink_calls", [(1, 151), (64, 4), (1_000, 3)]
+    )
+    @pytest.mark.parametrize("source", ["tuples", "stream"])
+    @pytest.mark.parametrize("helper", ["off", "on"])
+    def test_stream_that_ends_before_its_stops(
+        self, monkeypatch, helper, source, chunk_size, sink_calls
+    ):
+        """150 accesses, warm-up 200, phase marks at 100 and 300: no batch
+        reaches past the stream's end (a helper drawing past it would
+        raise), and the two markers past it ride in the residue."""
+        if helper == "on" and _cmachine.library() is None:
+            pytest.skip("the helper draws through the native generator")
+        monkeypatch.setattr(
+            _cmachine, "thread_budget", lambda: 2 if helper == "on" else 1
+        )
+        stream = build_workload_stream("lu", n_accesses=150, seed=1)
+        tuples = [unpack_access(word) for word in stream.take(150)]
+        sink = _CollectingSink(SCALED_SYSTEM.n_cpus)
+        simulate_streaming(
+            SCALED_SYSTEM,
+            tuples if source == "tuples"
+            else build_workload_stream("lu", n_accesses=150, seed=1),
+            warmup=200, chunk_size=chunk_size, sinks=[sink],
+            phase_marks=(100, 300),
+        )
+        expected = _CollectingSink(SCALED_SYSTEM.n_cpus)
+        simulate_streaming(SCALED_SYSTEM, tuples, chunk_size=1_000,
+                           sinks=[expected], phase_marks=(100,))
+        for node, events in enumerate(expected.events):
+            residue = NodeEventStream(node)
+            residue.marker()
+            residue.phase(1)
+            events.extend(residue.events)
+        assert sink.events == expected.events
+        assert len(sink.shard_sizes) == sink_calls
+        assert sink.shard_sizes[-1] == 2 * SCALED_SYSTEM.n_cpus
+
+    def test_simulate_streaming_rejects_bad_chunk_size(self, tiny2):
         from repro.errors import TraceError
 
-        system = SMPSystem(tiny2)
         with pytest.raises(TraceError):
-            list(system.run_chunked([], chunk_size=0))
+            simulate_streaming(tiny2, [], chunk_size=0)
 
     def test_bank_rejects_a_shard_of_another_width(self):
         """A 2-node shard fed to a 4-node bank is a configuration error."""
@@ -417,7 +455,10 @@ class TestMixStream:
 
     def test_chunks_cover_stream_exactly_once(self):
         whole = list(build_workload_stream("lu", seed=2))
-        chunks = list(iter_batches(build_workload_stream("lu", seed=2), 997))
+        stream = build_workload_stream("lu", seed=2)
+        chunks = []
+        while stream.remaining:
+            chunks.append(stream.take(997))
         assert [len(c) for c in chunks[:-1]] == [997] * (len(chunks) - 1)
         assert [unpack_access(a) for c in chunks for a in c] == whole
 
@@ -443,7 +484,9 @@ class TestMixStream:
                 for _ in range(spec.warmup_accesses + 1_500)]
         fingerprint = stream_fingerprint(spec, **kwargs)
         resumed = resume_stream(stream.checkpoint(), fingerprint)
-        tail = [a for batch in iter_batches(resumed, 701) for a in batch]
+        tail = []
+        while resumed.remaining:
+            tail += resumed.take(701)
         assert head + tail == whole
 
 

@@ -1,7 +1,8 @@
-"""Strict documentation checker: dead links and stale CLI examples fail.
+"""Strict documentation checker: dead links, stale names and CLI examples fail.
 
-Checked over ``README.md`` and every ``docs/*.md`` (repo paths also over
-the docstrings and comments of ``src/**/*.py`` and ``tools/*.py``):
+Checked over ``README.md`` and every ``docs/*.md`` (repo paths and
+references also over the docstrings and comments of ``src/**/*.py`` and
+``tools/*.py``):
 
 * **intra-repo markdown links** — ``[text](path)`` targets (non-http)
   must exist relative to the file (anchors are stripped; bare ``#...``
@@ -10,6 +11,11 @@ the docstrings and comments of ``src/**/*.py`` and ``tools/*.py``):
   ``src``, ``docs``, ``tests``, ``benchmarks``, ``tools`` or
   ``examples`` must resolve to at least one file (globs allowed, so
   ``tests/golden/*.json`` is fine);
+* **references** — every fully-qualified name in a code span
+  (`` `repro.coherence.smp.simulate_streaming` ``, ``:func:`~repro.…` ``)
+  must resolve: its longest importable module prefix is imported and
+  the rest looked up with ``getattr``, so a renamed or deleted function
+  fails;
 * **CLI examples** — every ``$ ... python -m repro.cli ...`` (or
   ``jetty-repro ...``) line in a fenced code block must parse against
   the real argument parser, and any workload, filter, or preset names it
@@ -28,7 +34,9 @@ tier-1 suite.
 from __future__ import annotations
 
 import ast
+import functools
 import glob
+import importlib
 import io
 import re
 import shlex
@@ -42,6 +50,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 REPO_PATH_RE = re.compile(
     r"\b(?:src|docs|tests|benchmarks|tools|examples)/[A-Za-z0-9_.*/-]+"
 )
+REFERENCE_RE = re.compile(r"`~?(repro(?:\.\w+)+)`")
 FENCE_RE = re.compile(r"^(```|~~~)")
 
 
@@ -113,6 +122,23 @@ def check_repo_paths(path: Path, text: str) -> list[str]:
         if glob.glob(str(REPO_ROOT / (stem + ".py"))):
             continue
         errors.append(f"{path.name}: missing repo path -> {candidate}")
+    return errors
+
+
+def check_references(path: Path, text: str) -> list[str]:
+    errors = []
+    for name in sorted(set(REFERENCE_RE.findall(text))):
+        parts = name.split(".")
+        for i in range(len(parts), 0, -1):
+            try:
+                module = importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                continue
+            try:
+                functools.reduce(getattr, parts[i:], module)
+            except AttributeError:
+                errors.append(f"{path.name}: stale reference -> {name}")
+            break
     return errors
 
 
@@ -196,10 +222,13 @@ def main() -> int:
         text = path.read_text()
         errors += check_links(path, text)
         errors += check_repo_paths(path, text)
+        errors += check_references(path, text)
         errors += check_cli_examples(path, text)
     sources = source_files()
     for path in sources:
-        errors += check_repo_paths(path, source_prose(path.read_text()))
+        prose = source_prose(path.read_text())
+        errors += check_repo_paths(path, prose)
+        errors += check_references(path, prose)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     checked = ", ".join(p.relative_to(REPO_ROOT).as_posix() for p in files)
