@@ -732,15 +732,6 @@ def decode_trace_segment(blob: bytes) -> array:
         return _delta_planes_decode(zlib.decompress(blob[1:]))
 
 
-def decoded_segment_bytes(blob: bytes) -> int:
-    """In-memory byte count of one segment once decoded (8 per event).
-
-    ``cache info`` uses this to show compressed-vs-decoded economics per
-    kind without holding every decoded segment alive at once.
-    """
-    return len(decode_trace_segment(blob)) * 8
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------

@@ -11,10 +11,8 @@ Examples::
     jetty-repro sweep --workers 4 --workloads lu fft --filters EJ-32x4 IJ-10x4x7
     jetty-repro sweep --stream --workloads em3d --accesses 2e6 --chunk-size 65536
     jetty-repro --store results.sqlite sweep --preset paper-scale --workloads lu
-    jetty-repro --store traces.sqlite trace record em3d --accesses 2e6
-    jetty-repro --store traces.sqlite trace replay em3d --accesses 2e6 \
-        --workers 2 --backend process
-    jetty-repro --store traces.sqlite sweep --replay --workloads lu radix
+    jetty-repro --store traces.sqlite sweep --workloads em3d --accesses 2e6 \
+        --filters EJ-32x4 VEJ-32x4-8 --workers 2 --backend process
     jetty-repro --store results.sqlite sweep --stream --preset paper-scale \
         --workloads em3d --checkpoint-every 500000
     jetty-repro --store results.sqlite checkpoint list
@@ -127,179 +125,42 @@ def _cmd_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_spec(args: argparse.Namespace):
-    """The (possibly access-count-overridden) spec a trace command targets.
+def _sweep_axes(args: argparse.Namespace) -> tuple[list, list, tuple]:
+    """The workloads, filters and seeds a ``sweep`` or ``submit`` covers."""
+    workloads = args.workloads or list(WORKLOADS)
+    filters = args.filters or list(runner.DEFAULT_SWEEP_FILTERS)
+    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
+    return workloads, filters, seeds
 
-    Record and replay must apply identical overrides or their store keys
-    would never meet — one helper keeps them in lockstep.
+
+def _coverage_table(workloads, filters, seeds, cell, title: str) -> str:
+    """Mean coverage over ``seeds`` for every (workload, filter).
+
+    ``cell(workload, filter, seed)`` is one seed's coverage, or ``None``
+    for a cell quarantined under supervision: the sweep degraded to a
+    partial result rather than aborting, so the table says so in place.
     """
-    from repro.traces.workloads import get_workload, override_spec
-
-    return override_spec(
-        get_workload(args.workload), accesses=args.accesses, warmup=args.warmup
-    )
-
-
-def _trace_system(args: argparse.Namespace):
-    return SCALED_SYSTEM if args.cpus is None else SCALED_SYSTEM.with_cpus(args.cpus)
-
-
-def _trace_accounting(store) -> tuple[dict[str, dict], dict[str, tuple[int, int]]]:
-    """Stored-byte accounting for every trace, in one store pass.
-
-    Returns ``(per_trace, orphans)``.  ``per_trace[manifest_key]`` holds
-    ``segments`` (rows actually present), ``segment_bytes`` and
-    ``manifest_bytes`` — totals that include the manifest row, matching
-    what deleting the trace would free.  ``orphans`` maps manifest keys
-    that have segment rows but *no manifest* (a partial record killed
-    before its durability point) to ``(rows, bytes)``; the fsck ladder
-    removes them, inspection must at least show them.
-    """
-    from repro.analysis.store import TRACE_KIND
-
-    manifest_bytes: dict[str, int] = {}
-    groups: dict[str, tuple[int, int]] = {}
-    for entry in store.entries():
-        if entry.kind != TRACE_KIND:
-            continue
-        if entry.filter_name is None:  # manifest row
-            manifest_bytes[entry.key] = entry.payload_bytes
-        else:  # segment row, grouped by its manifest key
-            rows, total = groups.get(entry.filter_name, (0, 0))
-            groups[entry.filter_name] = (rows + 1, total + entry.payload_bytes)
-    per_trace = {}
-    for key, mbytes in manifest_bytes.items():
-        rows, sbytes = groups.pop(key, (0, 0))
-        per_trace[key] = {
-            "segments": rows,
-            "segment_bytes": sbytes,
-            "manifest_bytes": mbytes,
-        }
-    return per_trace, groups  # leftover groups have no manifest: orphans
-
-
-def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.analysis import store as store_mod
-
-    spec = _replay_spec(args)
-    system = _trace_system(args)
-    store = experiments.get_store()
-    report = runner.run_sweep(
-        [spec], (), system=system, seeds=(args.seed,), experiment_store=store,
-        chunk_size=args.chunk_size,
-    ).report
-    tkey = store_mod.trace_key(spec, system, args.seed)
-    acct, _ = _trace_accounting(store)
-    info = acct.get(tkey, {"segments": 0, "segment_bytes": 0,
-                           "manifest_bytes": 0})
-    nbytes = info["segment_bytes"] + info["manifest_bytes"]
-    verb = "recorded" if report.sims_run else "already recorded"
-    # The trace holds the warm-up as well as the measured accesses.
-    accesses = spec.warmup_accesses + spec.n_accesses
-    print(f"{verb}: {spec.name} seed {args.seed} on {system.n_cpus} CPUs — "
-          f"{accesses:,} accesses ({spec.warmup_accesses:,} warm-up, "
-          f"{spec.warmup_accesses / max(accesses, 1):.0%}), "
-          f"{info['segments']} segment(s), {nbytes / 1024:.1f} KiB stored")
-    print(report.summary())
-    return 0
-
-
-def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    from repro.core.config import parse_filter_name
-
-    spec = _replay_spec(args)
-    system = _trace_system(args)
-    filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
-    for filter_name in filters:
-        parse_filter_name(filter_name)
-    outcome = runner.evaluate(
-        spec, system, tuple(filters), args.seed,
-        workers=args.workers, backend=args.backend,
-        experiment_store=experiments.get_store(),
-    )
-    headers = ["filter", "coverage"]
-    rows = [[name, format_percent(outcome.coverage(name))] for name in filters]
-    print(render_table(
-        headers, rows,
-        title=f"replay: {spec.name} seed {args.seed} ({system.n_cpus} CPUs)",
-    ))
-    print(outcome.report.summary())
-    return 0
-
-
-def _cmd_trace_info(args: argparse.Namespace) -> int:
-    from repro.analysis import store as store_mod
-    from repro.analysis.store import TRACE_KIND
-    from repro.errors import StoreCorruptionError
-
-    store = experiments.get_store()
-    manifests = [
-        entry for entry in store.entries()
-        if entry.kind == TRACE_KIND and entry.filter_name is None
-    ]
-    if args.workload is not None:
-        manifests = [m for m in manifests if m.workload == args.workload]
-    acct, orphans = _trace_accounting(store)
-    if not manifests and not orphans:
-        print("no recorded traces"
-              + (f" for workload {args.workload!r}" if args.workload else ""))
-        return 0
-    headers = ["workload", "cpus", "seed", "accesses", "events", "segments",
-               "size"]
+    headers = ["workload"] + [f"{f} (cov)" for f in filters]
     rows = []
-    undecodable = 0
-    for entry in manifests:
-        info = acct.get(entry.key, {"segments": 0, "segment_bytes": 0,
-                                    "manifest_bytes": entry.payload_bytes})
-        present = info["segments"]
-        nbytes = info["segment_bytes"] + info["manifest_bytes"]
-        try:
-            manifest = store_mod.decode_trace_manifest(
-                store.get_blob(entry.key)
-            )
-        except StoreCorruptionError:
-            # Inspection renders damaged rows; removing them is fsck's job.
-            undecodable += 1
-            rows.append([
-                entry.workload, str(entry.n_cpus), str(entry.seed),
-                "(undecodable)", "?", str(present),
-                f"{nbytes / 1024:.1f} KiB",
-            ])
-            continue
-        expected = sum(manifest["segments_per_node"])
-        segments = (
-            str(expected) if present == expected
-            else f"{present}/{expected} (incomplete)"
-        )
-        rows.append([
-            entry.workload,
-            str(entry.n_cpus),
-            str(entry.seed),
-            f"{manifest['metrics']['accesses']:,}",
-            f"{sum(manifest['events_per_node']):,}",
-            segments,
-            f"{nbytes / 1024:.1f} KiB",
-        ])
-    if rows:
-        print(render_table(headers, rows, title="recorded traces (sim-events)"))
-    if undecodable:
-        print(f"{undecodable} undecodable manifest(s): `cache fsck` "
-              "removes them with their segments")
-    if orphans and args.workload is None:
-        print("orphaned segments (no manifest — partial record; "
-              "cache fsck removes them):")
-        for key in sorted(orphans):
-            count, nbytes = orphans[key]
-            print(f"  {key[:16]}: {count} segment(s), {nbytes / 1024:.1f} KiB")
-    return 0
+    for workload in workloads:
+        row = [workload]
+        for filter_name in filters:
+            values = [cell(workload, filter_name, seed) for seed in seeds]
+            if None in values:
+                row.append("(failed)")
+            else:
+                row.append(format_percent(sum(values) / len(values)))
+        rows.append(row)
+    if len(seeds) > 1:
+        title += f" (mean over seeds {seeds})"
+    return render_table(headers, rows, title=title)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.config import parse_filter_name
     from repro.traces.workloads import get_workload
 
-    workloads = args.workloads if args.workloads else list(WORKLOADS)
-    filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
+    workloads, filters, seeds = _sweep_axes(args)
     # Validate every name up front: a typo'd filter must not surface only
     # after minutes of simulation.
     for workload in workloads:
@@ -307,7 +168,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for filter_name in filters:
         parse_filter_name(filter_name)
     system = SCALED_SYSTEM if args.cpus is None else SCALED_SYSTEM.with_cpus(args.cpus)
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
     result = runner.run_sweep(
         workloads,
         filters,
@@ -319,34 +179,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         preset=args.preset,
         stream=args.stream,
-        replay=args.replay,
         backend=args.backend,
         chunk_size=args.chunk_size,
         checkpoint_every=args.checkpoint_every,
         task_timeout=args.task_timeout,
     )
-    headers = ["workload"] + [f"{f} (cov)" for f in filters]
-    rows = []
-    for workload in workloads:
-        row = [workload]
-        for filter_name in filters:
-            cells = [
-                result.evaluations.get((workload, filter_name, s))
-                for s in seeds
-            ]
-            if any(cell is None for cell in cells):
-                # Quarantined under supervision: the sweep degraded to a
-                # partial result rather than aborting — say so in place.
-                row.append("(failed)")
-                continue
-            values = [cell.coverage.coverage for cell in cells]
-            row.append(format_percent(sum(values) / len(values)))
-        rows.append(row)
+
+    def cell(workload, filter_name, seed):
+        evaluation = result.evaluations.get((workload, filter_name, seed))
+        return None if evaluation is None else evaluation.coverage.coverage
+
     title = f"sweep: {len(workloads)} workloads x {len(filters)} filters"
     title += " [streamed]" if args.stream else " [replayed]"
-    if len(seeds) > 1:
-        title += f" (mean over seeds {seeds})"
-    print(render_table(headers, rows, title=title))
+    print(_coverage_table(workloads, filters, seeds, cell, title))
     print(result.report.summary())
     return 0
 
@@ -433,13 +278,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(args.server, timeout=10.0)
-    workloads = args.workloads if args.workloads else list(WORKLOADS)
-    filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
-    seeds = list(args.seeds) if args.seeds else [args.seed]
+    workloads, filters, seeds = _sweep_axes(args)
     request = {
         "workloads": workloads,
         "filters": filters,
-        "seeds": seeds,
+        "seeds": list(seeds),
         "mode": "stream" if args.stream else "replay",
     }
     for field in ("accesses", "warmup", "preset", "cpus"):
@@ -452,100 +295,146 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 0
     status = client.wait(status["job"], timeout=args.timeout)
     print(f"job {status['job'][:12]} {status['state']}: {status['summary']}")
-    headers = ["workload"] + [f"{f} (cov)" for f in filters]
-    rows = []
-    for workload in workloads:
-        row = [workload]
-        for filter_name in filters:
-            values = []
-            for seed in seeds:
-                cell = client.result(
-                    workload, filter_name, seed=seed,
-                    mode=request["mode"],
-                    accesses=request.get("accesses"),
-                    warmup=request.get("warmup"),
-                    preset=request.get("preset"),
-                    cpus=request.get("cpus"),
-                )
-                if cell is not None:
-                    values.append(cell["coverage"])
-            if len(values) < len(seeds):
-                # Quarantined on the server: the job finished degraded;
-                # say so in place, like a supervised local sweep does.
-                row.append("(failed)")
-            else:
-                row.append(format_percent(sum(values) / len(values)))
-        rows.append(row)
+
+    def cell(workload, filter_name, seed):
+        result = client.result(
+            workload, filter_name, seed=seed,
+            mode=request["mode"],
+            accesses=request.get("accesses"),
+            warmup=request.get("warmup"),
+            preset=request.get("preset"),
+            cpus=request.get("cpus"),
+        )
+        return None if result is None else result["coverage"]
+
     title = f"service sweep: {len(workloads)} workloads x {len(filters)} filters"
-    if len(seeds) > 1:
-        title += f" (mean over seeds {tuple(seeds)})"
-    print(render_table(headers, rows, title=title))
+    print(_coverage_table(workloads, filters, seeds, cell, title))
     return 0 if status["state"] == "done" else 1
 
 
-def _decoded_bytes_by_kind(store) -> dict[str, int]:
+def _trace_accounting(
+    store, entries
+) -> tuple[list[dict], dict[str, tuple[int, int]]]:
+    """Every trace among the store's ``entries``, in one pass.
+
+    Returns ``(traces, orphans)``.  Each trace holds its manifest row
+    ``entry``, the decoded ``manifest`` (``None`` when it does not
+    decode: inspection renders damaged rows, removing them is fsck's
+    job), ``segments`` (rows actually present), ``bytes`` (segments plus
+    manifest: what deleting the trace would free) and ``complete``.
+    ``orphans`` maps manifest keys that have segment rows but *no
+    manifest* (a partial record killed before its durability point) to
+    ``(rows, bytes)``; the fsck ladder removes them, inspection must at
+    least show them.
+    """
+    from repro.analysis import store as store_mod
+    from repro.errors import StoreCorruptionError
+
+    manifests = []
+    groups: dict[str, tuple[int, int]] = {}
+    for entry in entries:
+        if entry.kind != store_mod.TRACE_KIND:
+            continue
+        if entry.filter_name is None:  # manifest row
+            manifests.append(entry)
+        else:  # segment row, grouped by its manifest key
+            rows, total = groups.get(entry.filter_name, (0, 0))
+            groups[entry.filter_name] = (rows + 1, total + entry.payload_bytes)
+    traces = []
+    for entry in manifests:
+        try:
+            manifest = store_mod.decode_trace_manifest(store.get_blob(entry.key))
+        except StoreCorruptionError:
+            manifest = None
+        rows, nbytes = groups.pop(entry.key, (0, 0))
+        traces.append({
+            "entry": entry,
+            "manifest": manifest,
+            "segments": rows,
+            "bytes": nbytes + entry.payload_bytes,
+            "complete": manifest is not None
+            and rows == sum(manifest["segments_per_node"]),
+        })
+    return traces, groups  # leftover groups have no manifest: orphans
+
+
+def _decoded_bytes_by_kind(store, entries, traces: list[dict]) -> dict[str, int]:
     """Decoded (in-memory) byte totals per result kind.
 
     Stored payloads are compressed: canonical-JSON rows zlib-deflate,
     trace segments go through the segment codec.  The decoded column is
     what replay/decode actually materialises — packed events are 8 bytes
-    each regardless of codec, so this is the figure a codec shrinks the
-    *stored* side of without touching.
+    each, so a complete trace's segments decode to 8 bytes per event its
+    manifest counts, and no segment is decoded to say so.  The segments
+    of an incomplete, undecodable or orphaned trace count their stored
+    bytes, as a corrupt row does.
     """
     import zlib
 
     from repro.analysis import store as store_mod
-    from repro.analysis.store import TRACE_KIND
-    from repro.errors import StoreCorruptionError
 
-    decoded: dict[str, int] = {}
-    for entry in store.entries():
+    complete = {t["entry"].key: t["manifest"] for t in traces if t["complete"]}
+    decoded = {
+        store_mod.TRACE_KIND: sum(
+            8 * sum(manifest["events_per_node"])
+            for manifest in complete.values()
+        ),
+    }
+    for entry in entries:
         if entry.kind in store_mod.RETIRED_KINDS:
+            continue
+        if entry.kind == store_mod.TRACE_KIND and entry.filter_name is not None:
+            if entry.filter_name not in complete:
+                decoded[entry.kind] += entry.payload_bytes
             continue
         blob = store.get_blob(entry.key)
         if blob is None:
             continue
-        if entry.kind == TRACE_KIND and entry.filter_name is not None:
-            try:
-                size = store_mod.decoded_segment_bytes(blob)
-            except StoreCorruptionError:
-                size = len(blob)  # corrupt segment: fsck's problem
-        else:
-            try:
-                size = len(zlib.decompress(blob))
-            except zlib.error:
-                size = len(blob)
+        try:
+            size = len(zlib.decompress(blob))
+        except zlib.error:
+            size = len(blob)
         decoded[entry.kind] = decoded.get(entry.kind, 0) + size
     return decoded
 
 
-def _print_trace_economics(store) -> None:
-    """Per-trace-manifest stored bytes/access lines under ``cache info``."""
-    from repro.analysis import store as store_mod
-    from repro.analysis.store import TRACE_KIND
-    from repro.errors import StoreCorruptionError
-
-    acct, _ = _trace_accounting(store)
-    manifests = [
-        entry for entry in store.entries()
-        if entry.kind == TRACE_KIND and entry.filter_name is None
-    ]
-    for entry in manifests:
-        try:
-            manifest = store_mod.decode_trace_manifest(store.get_blob(entry.key))
-        except StoreCorruptionError:
-            continue  # fsck's problem, not inspection's
-        info = acct.get(entry.key)
-        if info is None:
+def _print_traces(traces: list[dict], orphans: dict[str, tuple[int, int]]) -> None:
+    """The per-trace table under ``cache info``, and what it cannot list."""
+    rows = []
+    for trace in traces:
+        entry, manifest = trace["entry"], trace["manifest"]
+        size = f"{trace['bytes'] / 1024:.1f} KiB"
+        if manifest is None:
+            rows.append([entry.workload, str(entry.n_cpus), str(entry.seed),
+                         "(undecodable)", "?", str(trace["segments"]), size, "?"])
             continue
-        nbytes = info["segment_bytes"] + info["manifest_bytes"]
-        accesses = manifest.get("metrics", {}).get("accesses", 0)
-        if not accesses:
-            continue
-        print(f"  trace {entry.workload} seed {entry.seed} "
-              f"({entry.n_cpus}-way): "
-              f"{nbytes / accesses:.2f} bytes/access "
-              f"({nbytes / 1024:.1f} KiB / {accesses:,} accesses)")
+        expected = sum(manifest["segments_per_node"])
+        accesses = manifest["metrics"]["accesses"]
+        rows.append([
+            entry.workload,
+            str(entry.n_cpus),
+            str(entry.seed),
+            f"{accesses:,}",
+            f"{sum(manifest['events_per_node']):,}",
+            str(expected) if trace["complete"]
+            else f"{trace['segments']}/{expected} (incomplete)",
+            size,
+            f"{trace['bytes'] / accesses:.2f}" if accesses else "?",
+        ])
+    if rows:
+        headers = ["workload", "cpus", "seed", "accesses", "events",
+                   "segments", "size", "bytes/access"]
+        print(render_table(headers, rows, title="recorded traces (sim-events)"))
+    undecodable = sum(trace["manifest"] is None for trace in traces)
+    if undecodable:
+        print(f"{undecodable} undecodable manifest(s): `cache fsck` "
+              "removes them with their segments")
+    if orphans:
+        print("orphaned segments (no manifest — partial record; "
+              "cache fsck removes them):")
+        for key in sorted(orphans):
+            count, nbytes = orphans[key]
+            print(f"  {key[:16]}: {count} segment(s), {nbytes / 1024:.1f} KiB")
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -588,7 +477,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{'/'.join(store_mod.RETIRED_KINDS)}; cache gc evicts "
               "them first)")
     print(f"payload:  {stats.payload_bytes / 1024:.1f} KiB")
-    decoded_by_kind = _decoded_bytes_by_kind(store)
+    entries = store.entries()
+    traces, orphans = _trace_accounting(store, entries)
+    decoded_by_kind = _decoded_bytes_by_kind(store, entries, traces)
     for kind, nbytes in stats.bytes_by_kind:
         if kind in store_mod.RETIRED_KINDS:
             print(f"  {kind + ' (retired):':13s}{nbytes / 1024:.1f} KiB "
@@ -597,11 +488,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         decoded = decoded_by_kind.get(kind, nbytes)
         print(f"  {kind + ':':13s}{nbytes / 1024:.1f} KiB stored / "
               f"{decoded / 1024:.1f} KiB decoded")
-    _print_trace_economics(store)
+    _print_traces(traces, orphans)
     if args.action == "list":
         from repro.analysis.store import CHECKPOINT_KIND, TRACE_KIND
 
-        for entry in store.entries():
+        for entry in entries:
             if entry.kind == TRACE_KIND:
                 what = (
                     "(trace manifest)" if entry.filter_name is None
@@ -776,57 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.add_argument("workloads", nargs="+", help="workload names")
     p_size.set_defaults(func=_cmd_size)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="record, replay, or inspect workload traces",
-    )
-    trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-
-    def _trace_overrides(p) -> None:
-        p.add_argument("--accesses", type=_count, default=None,
-                       help="override the workload's access count "
-                       "(record and replay must agree)")
-        p.add_argument("--warmup", type=_count, default=None,
-                       help="override the workload's warm-up accesses")
-        p.add_argument("--cpus", type=int, default=None,
-                       help="SMP width (default: the scaled system's 4)")
-
-    t_record = trace_sub.add_parser(
-        "record", help="simulate once, persisting the packed event shards"
-    )
-    t_record.add_argument("workload")
-    _trace_overrides(t_record)
-    t_record.add_argument("--chunk-size", type=_positive_count,
-                          default=runner.DEFAULT_CHUNK_SIZE,
-                          help="recording pass chunk size (memory knob; "
-                          "never changes the stored bytes)")
-    t_record.set_defaults(func=_cmd_trace_record)
-
-    t_replay = trace_sub.add_parser(
-        "replay", help="evaluate filters against a recorded trace "
-        "(records it first if missing)"
-    )
-    t_replay.add_argument("workload")
-    t_replay.add_argument("--filters", nargs="+", default=None,
-                          help="filter configuration names "
-                          "(default: best of each family)")
-    _trace_overrides(t_replay)
-    t_replay.add_argument("--workers", type=int, default=1,
-                          help="replay workers (one filter config per task)")
-    t_replay.add_argument("--backend", default=None,
-                          choices=runner.EXECUTOR_BACKENDS,
-                          help="executor backend for replay fan-out "
-                          "(default: process)")
-    t_replay.set_defaults(func=_cmd_trace_replay)
-
-    t_info = trace_sub.add_parser(
-        "info", help="list recorded traces in the experiment store"
-    )
-    t_info.add_argument("workload", nargs="?", default=None)
-    t_info.set_defaults(func=_cmd_trace_info)
-
     p_sweep = sub.add_parser(
-        "sweep", help="run a workload x filter sweep on N worker processes"
+        "sweep", help="run a workload x filter sweep on N worker processes: "
+        "record each (workload, seed) trace once, replay every filter from it"
     )
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="worker processes (1 = in-process serial)")
@@ -847,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="single-pass streaming mode: evaluate all "
                          "filters live with O(chunk) memory and persist no "
                          "trace")
-    p_sweep.add_argument("--replay", action="store_true",
-                         help="record-once / replay-many mode, the default: "
-                         "persist each (workload, seed) trace on first run, "
-                         "then replay it for every filter config without "
-                         "re-simulating")
     p_sweep.add_argument("--backend", default=None,
                          choices=runner.EXECUTOR_BACKENDS,
                          help="executor backend for worker fan-out "

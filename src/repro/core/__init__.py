@@ -46,6 +46,11 @@ from repro.core.hybrid import HybridJetty
 from repro.core.include import IncludeJetty
 from repro.core.null import NullFilter, OracleFilter
 from repro.core.stats import CoverageStats, EventReplayer, FilterEvaluation
+
+# ``StreamingFilterBank`` imports this module inside ``__init__`` (it
+# imports ``stats`` back); loading it with the package keeps that import
+# a ``sys.modules`` hit, so a first bank build pays no module load.
+from repro.core import vector_replay  # noqa: E402,F401
 from repro.core.vector_exclude import VectorExcludeJetty
 
 __all__ = [

@@ -61,37 +61,10 @@ class TestCommands:
     def test_size_command_unreachable(self, capsys):
         assert main(["size", "1.0", "test-tiny"]) == 1
 
-    def test_trace_record_replay_info(self, tmp_path, capsys):
+    def test_sweep_records_then_warms(self, tmp_path, capsys):
         store = str(tmp_path / "traces.sqlite")
-        assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
-        out = capsys.readouterr().out
-        # The count is what the trace holds: warm-up plus measured.
-        assert ("recorded: test-tiny seed 1 on 4 CPUs — 5,000 accesses "
-                "(1,000 warm-up, 20%)") in out
-        assert "sims: 1 run" in out
-        # A second record is a warm no-op.
-        assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "already recorded" in out
-        assert "sims: 0 run" in out
-        # Replay evaluates filters without re-simulating.
-        assert main(["--store", store, "trace", "replay", "test-tiny",
-                     "--filters", "EJ-8x2", "null"]) == 0
-        out = capsys.readouterr().out
-        assert "EJ-8x2" in out
-        assert "sims: 0 run" in out
-        assert "evals: 2 run" in out
-        assert main(["--store", store, "trace", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "test-tiny" in out
-        assert "segments" in out
-        assert main(["--store", store, "trace", "info", "no-such"]) == 0
-        assert "no recorded traces" in capsys.readouterr().out
-
-    def test_sweep_replay_records_then_replays(self, tmp_path, capsys):
-        store = str(tmp_path / "replay.sqlite")
-        argv = ["--store", store, "sweep", "--replay",
-                "--workloads", "test-tiny", "--filters", "EJ-8x2", "null"]
+        argv = ["--store", store, "sweep", "--workloads", "test-tiny",
+                "--filters", "EJ-8x2", "null"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[replayed]" in out
@@ -103,17 +76,17 @@ class TestCommands:
         assert "sims: 0 run / 1 cached" in out
         assert "evals: 0 run / 2 cached" in out
         # A *new* filter config still needs no simulation: pure replay.
-        assert main(["--store", store, "sweep", "--replay",
-                     "--workloads", "test-tiny",
+        assert main(["--store", store, "sweep", "--workloads", "test-tiny",
                      "--filters", "VEJ-16x2-4"]) == 0
         out = capsys.readouterr().out
         assert "sims: 0 run / 1 cached" in out
         assert "evals: 1 run / 0 cached" in out
-
-    def test_sweep_rejects_stream_plus_replay(self, capsys):
-        assert main(["sweep", "--stream", "--replay",
-                     "--workloads", "test-tiny"]) == 2
-        assert "not both" in capsys.readouterr().err
+        # ``cache info`` lists the trace with its measured accesses.
+        assert main(["--store", store, "cache", "info"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if "test-tiny" in line)
+        assert "4,000" in row
+        assert "(incomplete)" not in row
 
     def test_sweep_paper_scale_preset_records_by_default(self, tmp_path,
                                                          capsys):
@@ -222,6 +195,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "sims: 0 run / 1 cached" in out
         assert "evals: 0 run / 2 cached" in out
+
+    def test_coverage_table_means_seeds_and_marks_failed_cells(self):
+        from repro.cli import _coverage_table
+
+        coverage = {("a", "EJ", 1): 0.25, ("a", "EJ", 2): 0.75,
+                    ("a", "IJ", 1): 0.5, ("b", "EJ", 1): 0.0,
+                    ("b", "EJ", 2): 0.0, ("b", "IJ", 1): 1.0,
+                    ("b", "IJ", 2): 1.0}
+        table = _coverage_table(["a", "b"], ["EJ", "IJ"], (1, 2),
+                                lambda *cell: coverage.get(cell), "t")
+        lines = table.splitlines()
+        assert lines[0] == "t (mean over seeds (1, 2))"
+        assert lines[1].split() == ["workload", "EJ", "(cov)", "IJ", "(cov)"]
+        assert lines[3].split() == ["a", "50.0%", "(failed)"]
+        assert lines[4].split() == ["b", "0.0%", "100.0%"]
 
     def test_sweep_multiple_seeds(self, capsys):
         assert main(["sweep", "--workloads", "test-tiny",
@@ -356,20 +344,15 @@ class TestResilienceCommands:
 
 
 class TestTraceEconomicsCommands:
-    """The stored-vs-decoded accounting in ``trace info`` / ``cache
+    """The per-trace table and stored-vs-decoded accounting of ``cache
     info``, and the options and commands that are gone."""
 
     @pytest.mark.parametrize("command", [
-        ["trace", "record", "test-tiny", "--codec", "delta-v1"],
-        ["trace", "replay", "test-tiny", "--codec", "delta-v1"],
-        ["trace", "transcode", "test-tiny", "--codec", "delta-v1"],
         ["sweep", "--codec", "delta-v1"],
         ["submit", "--codec", "delta-v1"],
-        ["trace", "record", "test-tiny", "--measured-only"],
-        ["trace", "replay", "test-tiny", "--measured-only"],
         ["sweep", "--measured-only"],
         ["submit", "--measured-only"],
-        ["trace", "record", "test-tiny", "--warm-filters", "EJ-8x2"],
+        ["sweep", "--warm-filters", "EJ-8x2"],
     ])
     def test_there_is_no_codec_option(self, command, capsys):
         """delta-v1 is the only segment encoder and every trace is
@@ -380,35 +363,43 @@ class TestTraceEconomicsCommands:
     @pytest.mark.parametrize("command", [
         ["trace", "transcode", "test-tiny"],
         ["trace", "save", "test-tiny", "t.npz"],
+        ["trace", "record", "test-tiny"],
+        ["trace", "replay", "test-tiny"],
+        ["trace", "info"],
     ])
     def test_removed_trace_commands_are_gone(self, command, capsys):
-        """Segments have one wire format and traces one archive, the
-        store: there is no migration and no ``.npz`` export."""
+        """``sweep`` is the one way to record and replay, ``cache info``
+        the one trace report, and the store the one archive: there is no
+        ``trace`` command group."""
         with pytest.raises(SystemExit) as exit_info:
             main(command)
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["sweep"],
-        ["trace", "replay", "test-tiny"],
-    ])
-    def test_there_is_no_kernel_option(self, command, capsys):
-        """Each bank picks its replayers itself: nothing to choose."""
+    @pytest.mark.parametrize("option", ["--replay", "--kernel"])
+    def test_sweep_has_no_mode_or_kernel_option(self, option, capsys):
+        """Record-then-replay is the default and ``--stream`` the one
+        alternative; each bank picks its replayers itself."""
         with pytest.raises(SystemExit) as exit_info:
-            main(command + ["--kernel", "python"])
+            main(["sweep", "--workloads", "test-tiny", option])
         assert exit_info.value.code == 2
-        assert "--kernel" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
 
-    def test_trace_info_flags_incomplete_and_orphaned(self, tmp_path, capsys):
+    @staticmethod
+    def _record(store_path, seed=1):
+        """Record test-tiny's trace alone, as a filterless sweep."""
+        from repro.analysis import runner
+
+        with ExperimentStore(store_path) as store:
+            runner.run_sweep(["test-tiny"], (), seeds=(seed,),
+                             experiment_store=store)
+
+    def test_cache_info_flags_incomplete_and_orphaned(self, tmp_path, capsys):
         from repro.analysis import store as store_mod
-        from repro.analysis.store import ExperimentStore
         from repro.coherence.config import SCALED_SYSTEM
 
         store_path = str(tmp_path / "orphan.sqlite")
-        assert main(["--store", store_path, "trace", "record",
-                     "test-tiny"]) == 0
-        capsys.readouterr()
+        self._record(store_path)
         spec = WORKLOADS["test-tiny"]
         tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
         # Drop one segment: the manifest must be flagged incomplete.
@@ -418,30 +409,29 @@ class TestTraceEconomicsCommands:
                 (store_mod.trace_segment_key(tkey, 0, 0),),
             )
             surgery._db.commit()
-        assert main(["--store", store_path, "trace", "info"]) == 0
-        assert "(incomplete)" in capsys.readouterr().out
+        assert main(["--store", store_path, "cache", "info"]) == 0
+        assert "3/4 (incomplete)" in capsys.readouterr().out
         # Drop the manifest: the remaining segments become orphans.
         with ExperimentStore(store_path) as surgery:
             surgery._db.execute(
                 "DELETE FROM results WHERE key = ?", (tkey,)
             )
             surgery._db.commit()
-        assert main(["--store", store_path, "trace", "info"]) == 0
+        assert main(["--store", store_path, "cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "orphaned segments" in out
+        assert "recorded traces" not in out
+        assert f"{tkey[:16]}: 3 segment(s)" in out
         assert "cache fsck removes them" in out
 
-    def test_trace_info_lists_around_a_corrupt_manifest(
+    def test_cache_info_lists_around_a_corrupt_manifest(
         self, tmp_path, capsys
     ):
         from repro.analysis import store as store_mod
         from repro.coherence.config import SCALED_SYSTEM
 
         store_path = str(tmp_path / "corrupt.sqlite")
-        for seed in ("1", "2"):
-            assert main(["--store", store_path, "--seed", seed, "trace",
-                         "record", "test-tiny"]) == 0
-        capsys.readouterr()
+        for seed in (1, 2):
+            self._record(store_path, seed)
         spec = WORKLOADS["test-tiny"]
         with ExperimentStore(store_path) as surgery:
             tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 2)
@@ -451,17 +441,17 @@ class TestTraceEconomicsCommands:
                 workload=entry.workload, filter_name=None,
                 n_cpus=entry.n_cpus, seed=entry.seed,
             )
-        assert main(["--store", store_path, "trace", "info"]) == 0
+        assert main(["--store", store_path, "cache", "info"]) == 0
         out = capsys.readouterr().out
         rows = [line for line in out.splitlines() if "test-tiny" in line]
         assert len(rows) == 2
         assert sum("(undecodable)" in row for row in rows) == 1
         assert sum("?" not in row for row in rows) == 1
-        assert "cache fsck" in out
+        assert "1 undecodable manifest(s): `cache fsck`" in out
         # fsck removes the damaged trace; the intact one stays listed.
         assert main(["--store", store_path, "cache", "fsck"]) == 1
         capsys.readouterr()
-        assert main(["--store", store_path, "trace", "info"]) == 0
+        assert main(["--store", store_path, "cache", "info"]) == 0
         out = capsys.readouterr().out
         assert "(undecodable)" not in out
         assert sum("test-tiny" in line for line in out.splitlines()) == 1
@@ -469,12 +459,54 @@ class TestTraceEconomicsCommands:
     def test_cache_info_reports_stored_vs_decoded_economics(
         self, tmp_path, capsys
     ):
-        store = str(tmp_path / "eco.sqlite")
-        assert main(["--store", store, "trace", "record", "test-tiny"]) == 0
-        capsys.readouterr()
-        assert main(["--store", store, "cache", "info"]) == 0
+        from repro.analysis.store import TRACE_KIND
+
+        store_path = str(tmp_path / "eco.sqlite")
+        self._record(store_path)
+        with ExperimentStore(store_path) as store:
+            stored = sum(e.payload_bytes for e in store.entries()
+                         if e.kind == TRACE_KIND)
+        assert main(["--store", store_path, "cache", "info"]) == 0
         out = capsys.readouterr().out
         assert "KiB stored /" in out
         assert "KiB decoded" in out
-        assert "trace test-tiny seed 1 (4-way): " in out
-        assert "bytes/access" in out
+        header = next(line for line in out.splitlines() if "workload" in line)
+        assert header.split()[-1] == "bytes/access"
+        row = next(line for line in out.splitlines() if "test-tiny" in line)
+        # Manifest plus segments over the trace's 4,000 measured accesses.
+        assert row.split()[-1] == f"{stored / 4000:.2f}"
+
+    def test_cache_info_decodes_no_trace_segment(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A complete trace decodes to 8 bytes per event its manifest
+        counts, so ``cache info`` reads that count instead of decoding
+        every segment — and reports the bytes a full decode would."""
+        import zlib
+
+        from repro.analysis import store as store_mod
+        from repro.analysis.store import TRACE_KIND
+
+        store_path = str(tmp_path / "decoded.sqlite")
+        self._record(store_path)
+        with ExperimentStore(store_path) as store:
+            rows = [e for e in store.entries() if e.kind == TRACE_KIND]
+            manifest_row = next(e for e in rows if e.filter_name is None)
+            manifest_blob = store.get_blob(manifest_row.key)
+            events = sum(store_mod.decode_trace_manifest(
+                manifest_blob)["events_per_node"])
+            segment_bytes = sum(
+                8 * len(store_mod.decode_trace_segment(store.get_blob(e.key)))
+                for e in rows if e.filter_name is not None
+            )
+        assert segment_bytes == 8 * events
+        decoded = 8 * events + len(zlib.decompress(manifest_blob))
+
+        def no_decode(_blob):
+            raise AssertionError("cache info decoded a trace segment")
+
+        monkeypatch.setattr(store_mod, "decode_trace_segment", no_decode)
+        assert main(["--store", store_path, "cache", "info"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.strip().startswith(f"{TRACE_KIND}:"))
+        assert line.endswith(f"/ {decoded / 1024:.1f} KiB decoded")

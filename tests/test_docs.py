@@ -109,3 +109,15 @@ class TestCheckerCatchesRot:
             "```\n"
         )
         assert not check_docs.check_cli_examples(doc, doc.read_text())
+
+    def test_stale_bare_name(self, tmp_path):
+        doc = tmp_path / "x.md"
+        doc.write_text(
+            "the node binds `_l2_frames` and calls `gone_helper()`; "
+            "`run_sweep`, `smp_run()`, `next_index` and `lu` are fine\n"
+            "```\n`_in_a_fence` is code, not prose\n```\n"
+        )
+        assert check_docs.check_bare_names(doc, doc.read_text()) == [
+            "x.md: stale name -> _l2_frames",
+            "x.md: stale name -> gone_helper()",
+        ]

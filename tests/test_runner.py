@@ -136,6 +136,11 @@ class TestDeterminism:
         )
 
 
+def test_run_sweep_refuses_stream_and_replay_together():
+    with pytest.raises(ConfigurationError, match="not both"):
+        runner.run_sweep((WORKLOAD_A,), FILTERS, stream=True, replay=True)
+
+
 class TestWarmStore:
     def test_second_run_simulates_nothing(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path / "warm.sqlite")

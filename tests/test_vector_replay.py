@@ -1479,10 +1479,10 @@ class TestRunnerKernelWiring:
 
 
 #: A small replay sweep over one member of each compiled family.
+_SWEEP_FILTERS = ["EJ-32x4", "VEJ-32x4-8", "IJ-10x4x7", "HJ(IJ-10x4x7, EJ-32x4)"]
 _SWEEP_ARGS = [
-    "sweep", "--replay", "--workers", "1", "--workloads", "lu",
-    "--filters", "EJ-32x4", "VEJ-32x4-8", "IJ-10x4x7",
-    "HJ(IJ-10x4x7, EJ-32x4)", "--accesses", "10000", "--warmup", "3000",
+    "sweep", "--workers", "1", "--workloads", "lu",
+    "--filters", *_SWEEP_FILTERS, "--accesses", "10000", "--warmup", "3000",
 ]
 
 
@@ -1509,6 +1509,22 @@ def _cli_sweep(store, prologue: str, epilogue: str = "") -> dict:
 
 
 @requires_native
+def test_core_package_loads_the_replayers():
+    """A first ``StreamingFilterBank`` pays no module load: the package
+    import brings ``vector_replay`` in, so its import in the bank's
+    ``__init__`` (kept there for the import cycle) finds it loaded."""
+    path = [str(Path(_cmachine.__file__).parents[2])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.core.stats; "
+         "assert 'repro.core.vector_replay' in sys.modules"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestNumpyOffTheResultPath:
     """Nothing in the package imports NumPy: a replay sweep runs the same
     compiled kernels, and stores the oracle's bytes, when it cannot be
@@ -1521,7 +1537,7 @@ class TestNumpyOffTheResultPath:
             from repro.analysis import runner
             from repro.coherence.config import SCALED_SYSTEM
             from repro.core import vector_replay
-            for name in {_SWEEP_ARGS[7:11]!r}:
+            for name in {_SWEEP_FILTERS!r}:
                 for node, f in enumerate(
                     runner._build_filters(name, SCALED_SYSTEM)
                 ):

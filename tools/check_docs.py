@@ -16,6 +16,13 @@ references also over the docstrings and comments of ``src/**/*.py`` and
   must resolve: its longest importable module prefix is imported and
   the rest looked up with ``getattr``, so a renamed or deleted function
   fails;
+* **bare names** — every code span of ``README.md`` and ``docs/*.md``
+  holding one identifier that contains ``_`` or is written ``name()``
+  (`` `run_sweep` ``, `` `smp_run()` ``) must be a name the project
+  binds: a def, class, argument, attribute, keyword, import,
+  assignment target or identifier-shaped string key in ``src``,
+  ``tools``, ``perfbench``, ``tests`` or ``examples``, or a token of
+  ``src/**/*.c``;
 * **CLI examples** — every ``$ ... python -m repro.cli ...`` (or
   ``jetty-repro ...``) line in a fenced code block must parse against
   the real argument parser, and any workload, filter, or preset names it
@@ -51,6 +58,9 @@ REPO_PATH_RE = re.compile(
     r"\b(?:src|docs|tests|benchmarks|tools|examples)/[A-Za-z0-9_.*/-]+"
 )
 REFERENCE_RE = re.compile(r"`~?(repro(?:\.\w+)+)`")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+BARE_NAME_RE = re.compile(r"([A-Za-z_]\w*)(\(\))?")
+NAME_ROOTS = ("src", "tools", "perfbench", "tests", "examples")
 FENCE_RE = re.compile(r"^(```|~~~)")
 
 
@@ -142,6 +152,50 @@ def check_references(path: Path, text: str) -> list[str]:
     return errors
 
 
+@functools.lru_cache(maxsize=None)
+def bound_names() -> frozenset[str]:
+    """Every name the project's Python binds, and every C-core token."""
+    names: set[str] = set()
+    for root in NAME_ROOTS:
+        for source in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.arg):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                    names.add(node.asname or node.name)
+                elif isinstance(node, ast.Name) and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    names.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ) and node.value.isidentifier():
+                    names.add(node.value)  # a key: "next_index", "REPRO_STORE"
+    for source in (REPO_ROOT / "src").rglob("*.c"):
+        names.update(re.findall(r"[A-Za-z_]\w*", source.read_text()))
+    return frozenset(names)
+
+
+def check_bare_names(path: Path, text: str) -> list[str]:
+    errors = []
+    prose, _code = _strip_fences(text)
+    for span in sorted(set(CODE_SPAN_RE.findall(prose))):
+        match = BARE_NAME_RE.fullmatch(span)
+        if match is None or not (match[2] or "_" in match[1]):
+            continue
+        if match[1] not in bound_names():
+            errors.append(f"{path.name}: stale name -> {span}")
+    return errors
+
+
 def _command_lines(code_lines: list[str]) -> list[str]:
     """Join continuation lines and keep the ``$``-prefixed commands."""
     commands: list[str] = []
@@ -223,6 +277,7 @@ def main() -> int:
         errors += check_links(path, text)
         errors += check_repo_paths(path, text)
         errors += check_references(path, text)
+        errors += check_bare_names(path, text)
         errors += check_cli_examples(path, text)
     sources = source_files()
     for path in sources:

@@ -3,8 +3,8 @@
 The end-to-end guard behind the checkpoint feature's acceptance
 criterion, runnable locally and in CI:
 
-1. start ``repro sweep --replay --checkpoint-every N`` as a subprocess
-   against a fresh store — or, with ``--stream``, ``repro sweep
+1. start ``repro sweep --checkpoint-every N`` (record, then replay) as a
+   subprocess against a fresh store — or, with ``--stream``, ``repro sweep
    --stream --workers 2 --seeds 1 2 --checkpoint-every N``, whose two
    passes run in pool workers that each write their own checkpoints
    and results over their own SQLite connection;
@@ -46,7 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def _sweep_argv(store: Path, args: argparse.Namespace) -> list[str]:
     mode = (
         ["--stream", "--workers", "2", "--seeds", "1", "2"] if args.stream
-        else ["--replay"]
+        else []
     )
     return [
         sys.executable, "-m", "repro.cli", "--store", str(store),

@@ -3,8 +3,8 @@
 The end-to-end guard behind the sweep service's acceptance criteria,
 runnable locally and in CI:
 
-1. run a clean reference sweep (``repro sweep --replay``) into a
-   scratch store;
+1. run a clean reference sweep (``repro sweep``, record then replay)
+   into a scratch store;
 2. start ``repro serve`` against a second store plus one worker,
    submit the same sweep over HTTP, and ``SIGKILL`` the worker while
    it holds a lease;
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         reference = subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "--store", str(clean),
-                "sweep", "--replay",
+                "sweep",
                 "--workloads", *WORKLOADS, "--filters", *FILTERS,
                 "--seeds", *map(str, SEEDS),
                 "--accesses", str(args.accesses),
